@@ -160,6 +160,7 @@ func (s *Sim) Run(duration time.Duration) error {
 	pollEvery := int(s.PollEvery / time.Second)
 	periodEvery := int(s.PeriodEvery / time.Second)
 	base := int(s.Clock.Elapsed() / time.Second)
+	machines := s.Cluster.Machines()
 	for i := 0; i < secs; i++ {
 		sec := base + i
 		now := s.Clock.Elapsed()
@@ -172,24 +173,21 @@ func (s *Sim) Run(duration time.Duration) error {
 		}
 
 		limit := now + time.Second
-		var batch []workload.Request
+		first := s.reqIdx
 		for s.reqIdx < len(s.Requests) && s.Requests[s.reqIdx].At < limit {
-			batch = append(batch, s.Requests[s.reqIdx])
 			s.reqIdx++
 		}
-		tick := s.Cluster.TickSecond(batch)
+		tick := s.Cluster.TickSecond(s.Requests[first:s.reqIdx])
 
 		// Feed the tick's utilizations to the thermal model, the role
 		// monitord plays on a live system.
-		for _, m := range s.Cluster.Machines() {
-			utils, err := s.Cluster.Utilizations(m)
-			if err != nil {
+		for _, m := range machines {
+			st := tick.PerServer[m]
+			if err := s.Solver.SetUtilization(m, model.UtilCPU, st.CPUUtil); err != nil {
 				return err
 			}
-			for src, u := range utils {
-				if err := s.Solver.SetUtilization(m, src, u); err != nil {
-					return err
-				}
+			if err := s.Solver.SetUtilization(m, model.UtilDisk, st.DiskUtil); err != nil {
+				return err
 			}
 		}
 		s.Solver.Step()

@@ -11,6 +11,7 @@ package lvs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -19,15 +20,15 @@ import (
 // The caller counts these as dropped requests.
 var ErrNoServer = errors.New("lvs: no eligible server")
 
-type serverState struct {
+type server struct {
 	name     string
 	weight   float64
 	connCap  int // 0 = unlimited
 	active   int
 	peak     int // high-watermark of active since last TakePeakConns
 	quiesced bool
+	removed  bool
 	assigned uint64
-	refused  uint64
 	// blocked holds request classes this server refuses; Freon's
 	// content-aware stage keeps CPU-heavy classes away from servers
 	// with hot CPUs.
@@ -36,15 +37,27 @@ type serverState struct {
 
 // Balancer is a weighted least-connections scheduler. Safe for
 // concurrent use.
+//
+// Servers live in a slice in registration order, and a server's
+// position in it is its index for the balancer's lifetime:
+// RemoveServer retires the slot instead of shifting later ones. The
+// request path (AssignIndex, DoneIndex) addresses servers by index;
+// names are for the control plane, which resolves them through one map
+// lookup per call.
 type Balancer struct {
 	mu      sync.Mutex
-	servers map[string]*serverState
-	order   []string // deterministic tie-breaking
+	index   map[string]int
+	servers []server
+	// keys[i] is server i's scheduling key: active/weight while it may
+	// take a request, +Inf while it may not (quiesced, zero weight, at
+	// its connection cap, removed). Only the server an operation
+	// touched is re-keyed, so a pick is one scan over contiguous floats.
+	keys []float64
 }
 
 // New creates an empty balancer.
 func New() *Balancer {
-	return &Balancer{servers: map[string]*serverState{}}
+	return &Balancer{index: map[string]int{}}
 }
 
 // AddServer registers a server with the given weight (must be > 0).
@@ -57,37 +70,60 @@ func (b *Balancer) AddServer(name string, weight float64) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, dup := b.servers[name]; dup {
+	if _, dup := b.index[name]; dup {
 		return fmt.Errorf("lvs: server %q already registered", name)
 	}
-	b.servers[name] = &serverState{name: name, weight: weight}
-	b.order = append(b.order, name)
+	b.index[name] = len(b.servers)
+	b.servers = append(b.servers, server{name: name, weight: weight})
+	b.keys = append(b.keys, 0)
 	return nil
 }
 
-// RemoveServer unregisters a server entirely.
+// RemoveServer unregisters a server entirely. Its index is retired,
+// not reused: registering the name again appends a new server.
 func (b *Balancer) RemoveServer(name string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.servers[name]; !ok {
-		return fmt.Errorf("lvs: unknown server %q", name)
+	i, err := b.lookup(name)
+	if err != nil {
+		return err
 	}
-	delete(b.servers, name)
-	for i, n := range b.order {
-		if n == name {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			break
-		}
-	}
+	delete(b.index, name)
+	b.servers[i] = server{removed: true}
+	b.rekey(i)
 	return nil
 }
 
-func (b *Balancer) server(name string) (*serverState, error) {
-	s, ok := b.servers[name]
+// Index returns a server's index: its position in registration order,
+// counting removed servers.
+func (b *Balancer) Index(name string) (int, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	i, ok := b.index[name]
+	return i, ok
+}
+
+func (b *Balancer) lookup(name string) (int, error) {
+	i, ok := b.index[name]
 	if !ok {
-		return nil, fmt.Errorf("lvs: unknown server %q", name)
+		return 0, fmt.Errorf("lvs: unknown server %q", name)
 	}
-	return s, nil
+	return i, nil
+}
+
+// rekey recomputes server i's scheduling key after a change to
+// anything the key depends on.
+func (b *Balancer) rekey(i int) {
+	s := &b.servers[i]
+	if s.removed || s.quiesced || s.weight <= 0 || (s.connCap > 0 && s.active >= s.connCap) {
+		b.keys[i] = math.Inf(1)
+		return
+	}
+	k := float64(s.active) / s.weight
+	if k > math.MaxFloat64 {
+		k = math.MaxFloat64 // an overflowed ratio is still eligible
+	}
+	b.keys[i] = k
 }
 
 // SetWeight changes a server's scheduling weight. Weight 0 stops new
@@ -98,11 +134,12 @@ func (b *Balancer) SetWeight(name string, weight float64) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return err
 	}
-	s.weight = weight
+	b.servers[i].weight = weight
+	b.rekey(i)
 	return nil
 }
 
@@ -110,11 +147,11 @@ func (b *Balancer) SetWeight(name string, weight float64) error {
 func (b *Balancer) Weight(name string) (float64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return 0, err
 	}
-	return s.weight, nil
+	return b.servers[i].weight, nil
 }
 
 // SetConnLimit caps a server's concurrent connections (0 removes the
@@ -126,11 +163,12 @@ func (b *Balancer) SetConnLimit(name string, limit int) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return err
 	}
-	s.connCap = limit
+	b.servers[i].connCap = limit
+	b.rekey(i)
 	return nil
 }
 
@@ -138,35 +176,29 @@ func (b *Balancer) SetConnLimit(name string, limit int) error {
 func (b *Balancer) ConnLimit(name string) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return 0, err
 	}
-	return s.connCap, nil
+	return b.servers[i].connCap, nil
 }
 
 // Quiesce stops new assignments to a server while existing
 // connections drain (the first step of turning a server off).
-func (b *Balancer) Quiesce(name string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s, err := b.server(name)
-	if err != nil {
-		return err
-	}
-	s.quiesced = true
-	return nil
-}
+func (b *Balancer) Quiesce(name string) error { return b.setQuiesced(name, true) }
 
 // Resume re-enables assignments to a quiesced server.
-func (b *Balancer) Resume(name string) error {
+func (b *Balancer) Resume(name string) error { return b.setQuiesced(name, false) }
+
+func (b *Balancer) setQuiesced(name string, q bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return err
 	}
-	s.quiesced = false
+	b.servers[i].quiesced = q
+	b.rekey(i)
 	return nil
 }
 
@@ -174,40 +206,46 @@ func (b *Balancer) Resume(name string) error {
 func (b *Balancer) Quiesced(name string) (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return false, err
 	}
-	return s.quiesced, nil
+	return b.servers[i].quiesced, nil
 }
 
 // ActiveConns returns a server's current connection count.
 func (b *Balancer) ActiveConns(name string) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return 0, err
 	}
-	return s.active, nil
+	return b.servers[i].active, nil
 }
 
 // Assigned returns the total requests ever assigned to a server.
 func (b *Balancer) Assigned(name string) (uint64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return 0, err
 	}
-	return s.assigned, nil
+	return b.servers[i].assigned, nil
 }
 
 // Servers returns the registered server names in registration order.
 func (b *Balancer) Servers() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]string(nil), b.order...)
+	names := make([]string, 0, len(b.index))
+	for i := range b.servers {
+		if s := &b.servers[i]; !s.removed {
+			names = append(names, s.name)
+		}
+	}
+	return names
 }
 
 // Assign picks the eligible server with the smallest active/weight
@@ -223,34 +261,42 @@ func (b *Balancer) Assign() (string, error) { return b.AssignClass("") }
 func (b *Balancer) AssignClass(class string) (string, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var best *serverState
-	var bestRatio float64
-	for _, name := range b.order {
-		s := b.servers[name]
-		if s.quiesced || s.weight <= 0 {
-			continue
-		}
-		if class != "" && s.blocked[class] {
-			continue
-		}
-		if s.connCap > 0 && s.active >= s.connCap {
-			s.refused++
-			continue
-		}
-		ratio := float64(s.active) / s.weight
-		if best == nil || ratio < bestRatio {
-			best, bestRatio = s, ratio
+	i, err := b.assign(class)
+	if err != nil {
+		return "", err
+	}
+	return b.servers[i].name, nil
+}
+
+// AssignIndex is AssignClass returning the server's index instead of
+// its name, for callers that keep per-server state in a slice.
+func (b *Balancer) AssignIndex(class string) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.assign(class)
+}
+
+// assign scans the keys for the first strict minimum, so ties go to
+// the earliest-registered server. The class-block map is consulted
+// only for a server that would otherwise take the lead.
+func (b *Balancer) assign(class string) (int, error) {
+	best, bestKey := -1, math.Inf(1)
+	for i, k := range b.keys {
+		if k < bestKey && !b.servers[i].blocked[class] {
+			best, bestKey = i, k
 		}
 	}
-	if best == nil {
-		return "", ErrNoServer
+	if best < 0 {
+		return 0, ErrNoServer
 	}
-	best.active++
-	best.assigned++
-	if best.active > best.peak {
-		best.peak = best.active
+	s := &b.servers[best]
+	s.active++
+	s.assigned++
+	if s.active > s.peak {
+		s.peak = s.active
 	}
-	return best.name, nil
+	b.rekey(best)
+	return best, nil
 }
 
 // SetClassBlocked marks a request class as refused (or accepted again)
@@ -261,10 +307,11 @@ func (b *Balancer) SetClassBlocked(name, class string, blocked bool) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return err
 	}
+	s := &b.servers[i]
 	if s.blocked == nil {
 		s.blocked = map[string]bool{}
 	}
@@ -280,11 +327,11 @@ func (b *Balancer) SetClassBlocked(name, class string, blocked bool) error {
 func (b *Balancer) ClassBlocked(name, class string) (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return false, err
 	}
-	return s.blocked[class], nil
+	return b.servers[i].blocked[class], nil
 }
 
 // TakePeakConns returns the highest concurrent-connection count a
@@ -296,10 +343,11 @@ func (b *Balancer) ClassBlocked(name, class string) (bool, error) {
 func (b *Balancer) TakePeakConns(name string) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return 0, err
 	}
+	s := &b.servers[i]
 	p := s.peak
 	s.peak = s.active
 	return p, nil
@@ -309,14 +357,30 @@ func (b *Balancer) TakePeakConns(name string) (int, error) {
 func (b *Balancer) Done(name string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, err := b.server(name)
+	i, err := b.lookup(name)
 	if err != nil {
 		return err
 	}
+	return b.done(i)
+}
+
+// DoneIndex is Done for a server addressed by index.
+func (b *Balancer) DoneIndex(i int) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if i < 0 || i >= len(b.servers) || b.servers[i].removed {
+		return fmt.Errorf("lvs: unknown server index %d", i)
+	}
+	return b.done(i)
+}
+
+func (b *Balancer) done(i int) error {
+	s := &b.servers[i]
 	if s.active <= 0 {
-		return fmt.Errorf("lvs: server %q has no active connections", name)
+		return fmt.Errorf("lvs: server %q has no active connections", s.name)
 	}
 	s.active--
+	b.rekey(i)
 	return nil
 }
 
@@ -326,8 +390,8 @@ func (b *Balancer) TotalWeight() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var sum float64
-	for _, name := range b.order {
-		if s := b.servers[name]; !s.quiesced {
+	for i := range b.servers {
+		if s := &b.servers[i]; !s.quiesced {
 			sum += s.weight
 		}
 	}

@@ -2,6 +2,7 @@ package lvs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -251,5 +252,114 @@ func TestCountersAndErrors(t *testing.T) {
 		if call() == nil {
 			t.Error("unknown server: want error")
 		}
+	}
+}
+
+// loaded builds a balancer of n servers holding uneven connection
+// counts, so a pick has to scan past servers that do not win.
+func loaded(tb testing.TB, n int) *Balancer {
+	tb.Helper()
+	b := New()
+	for i := 0; i < n; i++ {
+		if err := b.AddServer(fmt.Sprintf("machine%d", i+1), 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < 3*n; i++ {
+		if _, err := b.Assign(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i += 3 {
+		if err := b.DoneIndex(i); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return b
+}
+
+func TestAssignDoneDoNotAllocate(t *testing.T) {
+	b := loaded(t, 64)
+	if err := b.SetClassBlocked("machine1", "dynamic", true); err != nil {
+		t.Fatal(err)
+	}
+	byName := testing.AllocsPerRun(1000, func() {
+		name, err := b.AssignClass("dynamic")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Done(name); err != nil {
+			t.Fatal(err)
+		}
+	})
+	byIndex := testing.AllocsPerRun(1000, func() {
+		i, err := b.AssignIndex("dynamic")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.DoneIndex(i); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if byName != 0 || byIndex != 0 {
+		t.Errorf("allocations per assign+done: %v by name, %v by index, want 0", byName, byIndex)
+	}
+}
+
+func TestIndexIsStableAcrossRemoval(t *testing.T) {
+	b := newB(t, "s1", "s2", "s3")
+	if err := b.RemoveServer("s2"); err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := b.Index("s3"); !ok || i != 2 {
+		t.Errorf("Index(s3) = %d, %v after removing s2, want 2", i, ok)
+	}
+	if _, ok := b.Index("s2"); ok {
+		t.Error("removed server still has an index")
+	}
+	if err := b.DoneIndex(1); err == nil {
+		t.Error("DoneIndex on a removed server: want error")
+	}
+	if err := b.DoneIndex(3); err == nil {
+		t.Error("DoneIndex out of range: want error")
+	}
+	for n := 0; n < 4; n++ {
+		if i, err := b.AssignIndex(""); err != nil || i == 1 {
+			t.Fatalf("AssignIndex = %d, %v; the removed slot must never be picked", i, err)
+		}
+	}
+	// Registering the name again appends: it ties behind s1 and s3.
+	if err := b.AddServer("s2", 1); err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := b.Index("s2"); !ok || i != 3 {
+		t.Errorf("Index(s2) = %d, %v after re-adding, want 3", i, ok)
+	}
+}
+
+// BenchmarkAssignDone is the balancer's layer benchmark: one request
+// assigned and released, through the name-based calls the control
+// plane and the whole-stack benchmark use and through the index-based
+// calls webcluster.TickSecond uses.
+func BenchmarkAssignDone(b *testing.B) {
+	for _, n := range []int{4, 64, 1024} {
+		b.Run(fmt.Sprintf("servers=%d/by=name", n), func(b *testing.B) {
+			bal := loaded(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				name, _ := bal.AssignClass("dynamic")
+				_ = bal.Done(name)
+			}
+		})
+		b.Run(fmt.Sprintf("servers=%d/by=index", n), func(b *testing.B) {
+			bal := loaded(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, _ := bal.AssignIndex("dynamic")
+				_ = bal.DoneIndex(s)
+			}
+		})
 	}
 }

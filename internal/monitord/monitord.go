@@ -174,10 +174,12 @@ func (d *Daemon) sampleBatch() error {
 		}
 		span.ID = causal.SpanID(&span)
 		b.Trace = wire.TraceContext{Trace: span.Trace, Span: span.ID}
-		defer func() {
-			span.End = d.tracer.Now()
-			d.tracer.Emit(span)
-		}()
+		// The span is stamped and emitted before the send: once the
+		// solver has applied the datagram a lockstep harness may advance
+		// the clock or collect the spans, and neither may catch this one
+		// half done.
+		span.End = d.tracer.Now()
+		d.tracer.Emit(span)
 	}
 	for off := 0; off < len(b.Reports); off += wire.MaxBatchMachines {
 		end := off + wire.MaxBatchMachines
@@ -227,10 +229,9 @@ func (d *Daemon) sampleSingle() error {
 		}
 		span.ID = causal.SpanID(&span)
 		u.Trace = wire.TraceContext{Trace: span.Trace, Span: span.ID}
-		defer func() {
-			span.End = d.tracer.Now()
-			d.tracer.Emit(span)
-		}()
+		// Stamped and emitted before the send, as in sampleBatch.
+		span.End = d.tracer.Now()
+		d.tracer.Emit(span)
 	}
 	d.record(utils)
 	buf, err := wire.MarshalUtilUpdate(u)

@@ -620,20 +620,15 @@ func Run(cfg Config) (*Result, error) {
 			opIdx++
 		}
 		limit := now + time.Second
-		var batch []workload.Request
+		first := reqIdx
 		for reqIdx < len(reqs) && reqs[reqIdx].At < limit {
-			batch = append(batch, reqs[reqIdx])
 			reqIdx++
 		}
-		wc.TickSecond(batch)
+		tick := wc.TickSecond(reqs[first:reqIdx])
 		for _, m := range names {
-			utils, err := wc.Utilizations(m)
-			if err != nil {
-				return nil, err
-			}
-			for src, u := range utils {
-				synths[m].Set(src, u)
-			}
+			st, syn := tick.PerServer[m], synths[m]
+			syn.Set(model.UtilCPU, st.CPUUtil)
+			syn.Set(model.UtilDisk, st.DiskUtil)
 		}
 
 		// t -> sec+1.0: monitord reports the second's utilizations —

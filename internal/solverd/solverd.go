@@ -346,7 +346,11 @@ func (s *Server) StartTicker() {
 						s.surro.Record()
 					}
 					s.stepMu.Unlock()
-					n := s.stats.SolverSteps.Add(1)
+					// SolverSteps releases a lockstep harness to advance
+					// the clock and read the counters, so the boundary
+					// publish and the clock-stamped span come first; only
+					// this goroutine adds to the counter.
+					n := s.stats.SolverSteps.Load() + 1
 					if s.peers != nil {
 						s.publishBoundary(n)
 					}
@@ -359,6 +363,7 @@ func (s *Server) StartTicker() {
 							Step:  n,
 						})
 					}
+					s.stats.SolverSteps.Add(1)
 					if s.temps != nil && n%s.sampleEvery == 0 {
 						s.temps.Sample(time.Duration(n)*step, s.fillFn)
 					}
@@ -478,7 +483,6 @@ func (s *Server) applyUtil(machine string, seq uint32, entries []wire.UtilEntry,
 			s.stats.Malformed.Add(1)
 		}
 	}
-	s.stats.UtilUpdates.Add(1)
 	if s.rec != nil {
 		// Stamped with the current tick: the update influences step
 		// tick+1, which is when replay re-applies it.
@@ -495,6 +499,10 @@ func (s *Server) applyUtil(machine string, seq uint32, entries []wire.UtilEntry,
 			Step:    s.stats.SolverSteps.Load(),
 		})
 	}
+	// Bumped last: a lockstep harness advances the clock (and steps the
+	// solver) as soon as it sees the count, and the tick and span stamps
+	// above must not observe that.
+	s.stats.UtilUpdates.Add(1)
 }
 
 func (s *Server) handleSensor(buf []byte) []byte {

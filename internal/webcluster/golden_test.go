@@ -1,0 +1,182 @@
+package webcluster
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+	"time"
+
+	"github.com/darklab/mercury/internal/lvs"
+	"github.com/darklab/mercury/internal/workload"
+)
+
+func roomNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("machine%d", i+1)
+	}
+	return names
+}
+
+// goldenRun drives a 64-server cluster through a 150 s trace that
+// reaches every branch of TickSecond — an unquiesced power-off (every
+// pick refused), a quiesced one, throttled servers whose queues fill
+// to QueueCap and carry over, a connection cap, a blocked class — and
+// hashes every field of every Tick in machine order.
+func goldenRun(t *testing.T) (hash uint64, totals Totals, peakConns int) {
+	t.Helper()
+	names := roomNames(64)
+	bal := lvs.New()
+	c, err := New(bal, names, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := workload.GenerateWeb(workload.WebConfig{
+		Duration:    150 * time.Second,
+		PeakRPS:     64 * 0.9 / Config{}.MeanCPUPerRequest(0.3),
+		ValleyShare: 0.6,
+		Seed:        3,
+	})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := fnv.New64a()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	idx := 0
+	for sec := 0; sec < 150; sec++ {
+		switch sec {
+		case 30:
+			must(c.SetPower("machine5", false))
+			must(c.SetSpeed("machine9", 0.5))
+			must(bal.SetWeight("machine2", 0.5))
+			must(bal.SetConnLimit("machine3", 4))
+			must(bal.SetClassBlocked("machine4", ClassDynamic, true))
+		case 33:
+			must(bal.Quiesce("machine5"))
+		case 60:
+			for i := 10; i <= 40; i++ {
+				must(c.SetSpeed(names[i], 0.4))
+			}
+		case 90:
+			must(c.SetPower("machine5", true))
+			must(bal.Resume("machine5"))
+			must(c.SetPower("machine20", false))
+			must(bal.Quiesce("machine20"))
+		case 110:
+			for i := 10; i <= 40; i++ {
+				must(c.SetSpeed(names[i], 1))
+			}
+		}
+		first := idx
+		limit := time.Duration(sec+1) * time.Second
+		for idx < len(reqs) && reqs[idx].At < limit {
+			idx++
+		}
+		tick := c.TickSecond(reqs[first:idx])
+		put(uint64(tick.Arrived))
+		put(uint64(tick.Dropped))
+		put(uint64(tick.Completed))
+		if len(tick.PerServer) != len(names) {
+			t.Fatalf("second %d: PerServer has %d entries, want %d", sec, len(tick.PerServer), len(names))
+		}
+		for _, m := range names {
+			st := tick.PerServer[m]
+			put(math.Float64bits(float64(st.CPUUtil)))
+			put(math.Float64bits(float64(st.DiskUtil)))
+			put(uint64(st.Assigned))
+			put(uint64(st.Completed))
+			put(uint64(st.CompletedDynamic))
+			put(uint64(st.Dropped))
+			put(uint64(st.Conns))
+			if st.Conns > peakConns {
+				peakConns = st.Conns
+			}
+			if n, _ := c.Conns(m); n != st.Conns {
+				t.Fatalf("second %d: Conns(%s) = %d, tick says %d", sec, m, n, st.Conns)
+			}
+		}
+	}
+	return h.Sum64(), c.Totals(), peakConns
+}
+
+// TestTickGolden pins TickSecond's output to what the name-keyed,
+// map-per-tick implementation produced (hash recorded from the commit
+// before the request path became index-addressed).
+func TestTickGolden(t *testing.T) {
+	const want = uint64(0xd32c1de9fa151670)
+	hash, totals, peakConns := goldenRun(t)
+	if totals.Dropped == 0 || totals.Completed == 0 || peakConns < 190 {
+		t.Errorf("trace no longer covers drops and full queues: %+v, peak conns %d", totals, peakConns)
+	}
+	if hash != want {
+		t.Errorf("tick hash = %#x, want %#x", hash, want)
+	}
+}
+
+// steadySecond is one second of evenly spaced arrivals loading n
+// servers to about 70 % CPU, the paper's peak.
+func steadySecond(n int) []workload.Request {
+	reqs := make([]workload.Request, int(float64(n)*0.7/Config{}.MeanCPUPerRequest(0.3)))
+	for i := range reqs {
+		reqs[i] = workload.Request{
+			At:      time.Duration(i) * time.Second / time.Duration(len(reqs)),
+			Dynamic: i%10 < 3,
+		}
+	}
+	return reqs
+}
+
+var sinkMap map[string]ServerTick // keeps the comparison map on the heap
+
+// TestTickSecondAllocatesOnlyItsResult: once the queues have grown to
+// their working size, a tick's only allocations are the PerServer map
+// it returns.
+func TestTickSecondAllocatesOnlyItsResult(t *testing.T) {
+	names := roomNames(64)
+	c, err := New(lvs.New(), names, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := steadySecond(len(names))
+	for i := 0; i < 5; i++ {
+		c.TickSecond(reqs)
+	}
+	resultOnly := testing.AllocsPerRun(20, func() {
+		m := make(map[string]ServerTick, len(names))
+		for _, n := range names {
+			m[n] = ServerTick{}
+		}
+		sinkMap = m
+	})
+	got := testing.AllocsPerRun(20, func() { c.TickSecond(reqs) })
+	if got > resultOnly {
+		t.Errorf("TickSecond allocates %v times a tick, its result map alone %v", got, resultOnly)
+	}
+}
+
+func BenchmarkTickSecond(b *testing.B) {
+	for _, n := range []int{4, 64} {
+		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
+			c, err := New(lvs.New(), roomNames(n), Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			reqs := steadySecond(n)
+			c.TickSecond(reqs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.TickSecond(reqs)
+			}
+		})
+	}
+}

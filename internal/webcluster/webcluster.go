@@ -83,12 +83,23 @@ type server struct {
 	name  string
 	on    bool
 	speed float64 // service-rate factor (1 = nominal); DVFS emulation
+	// queue[head:] is the FIFO of outstanding requests. Serving
+	// advances head; TickSecond compacts in place once per tick, so
+	// head is 0 between ticks.
 	queue []pending
+	head  int
 	disk  float64 // disk backlog, seconds
 
 	lastCPU  units.Fraction
 	lastDisk units.Fraction
+
+	// Accumulators for the tick in progress, reset by TickSecond.
+	tick     ServerTick
+	busyCPU  float64
+	busyDisk float64
 }
+
+func (s *server) conns() int { return len(s.queue) - s.head }
 
 // ServerTick is one server's activity during a tick.
 type ServerTick struct {
@@ -126,31 +137,43 @@ func (t Totals) DropRate() float64 {
 	return float64(t.Dropped) / float64(t.Arrived)
 }
 
-// Cluster is the emulated web cluster.
+// Cluster is the emulated web cluster. Servers are addressed by their
+// position in registration order, which New makes equal to their
+// index on the balancer; names are resolved once per control-plane
+// call.
 type Cluster struct {
 	cfg     Config
 	bal     *lvs.Balancer
-	servers map[string]*server
-	order   []string
+	index   map[string]int
+	servers []server
 	totals  Totals
 }
 
 // New builds a cluster over the given balancer, registering every
-// machine with weight 1.
+// machine with weight 1. The balancer must not have had servers
+// registered before: the cluster's servers are its only ones.
 func New(bal *lvs.Balancer, machines []string, cfg Config) (*Cluster, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("webcluster: no machines")
 	}
-	c := &Cluster{cfg: cfg.withDefaults(), bal: bal, servers: map[string]*server{}}
-	for _, m := range machines {
-		if _, dup := c.servers[m]; dup {
+	c := &Cluster{
+		cfg:     cfg.withDefaults(),
+		bal:     bal,
+		index:   make(map[string]int, len(machines)),
+		servers: make([]server, 0, len(machines)),
+	}
+	for i, m := range machines {
+		if _, dup := c.index[m]; dup {
 			return nil, fmt.Errorf("webcluster: duplicate machine %q", m)
 		}
 		if err := bal.AddServer(m, 1); err != nil {
 			return nil, err
 		}
-		c.servers[m] = &server{name: m, on: true, speed: 1}
-		c.order = append(c.order, m)
+		if bi, _ := bal.Index(m); bi != i {
+			return nil, fmt.Errorf("webcluster: balancer already had servers registered (%q got index %d, want %d)", m, bi, i)
+		}
+		c.index[m] = i
+		c.servers = append(c.servers, server{name: m, on: true, speed: 1})
 	}
 	return c, nil
 }
@@ -159,22 +182,36 @@ func New(bal *lvs.Balancer, machines []string, cfg Config) (*Cluster, error) {
 func (c *Cluster) Balancer() *lvs.Balancer { return c.bal }
 
 // Machines returns the machine names in registration order.
-func (c *Cluster) Machines() []string { return append([]string(nil), c.order...) }
+func (c *Cluster) Machines() []string {
+	names := make([]string, len(c.servers))
+	for i := range c.servers {
+		names[i] = c.servers[i].name
+	}
+	return names
+}
+
+func (c *Cluster) server(name string) (*server, error) {
+	i, ok := c.index[name]
+	if !ok {
+		return nil, fmt.Errorf("webcluster: unknown machine %q", name)
+	}
+	return &c.servers[i], nil
+}
 
 // Conns returns a server's outstanding request count.
 func (c *Cluster) Conns(name string) (int, error) {
-	s, ok := c.servers[name]
-	if !ok {
-		return 0, fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return 0, err
 	}
-	return len(s.queue), nil
+	return s.conns(), nil
 }
 
 // On reports whether a server is powered.
 func (c *Cluster) On(name string) (bool, error) {
-	s, ok := c.servers[name]
-	if !ok {
-		return false, fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return false, err
 	}
 	return s.on, nil
 }
@@ -184,9 +221,9 @@ func (c *Cluster) On(name string) (bool, error) {
 // at speed 0.5 needs twice the CPU time per request. Speed must be in
 // (0, 1].
 func (c *Cluster) SetSpeed(name string, speed float64) error {
-	s, ok := c.servers[name]
-	if !ok {
-		return fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return err
 	}
 	if speed <= 0 || speed > 1 {
 		return fmt.Errorf("webcluster: speed %v outside (0,1]", speed)
@@ -197,9 +234,9 @@ func (c *Cluster) SetSpeed(name string, speed float64) error {
 
 // Speed returns a server's current service-rate factor.
 func (c *Cluster) Speed(name string) (float64, error) {
-	s, ok := c.servers[name]
-	if !ok {
-		return 0, fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return 0, err
 	}
 	return s.speed, nil
 }
@@ -208,20 +245,20 @@ func (c *Cluster) Speed(name string) (float64, error) {
 // outstanding requests (Freon-EC avoids this by quiescing and draining
 // first; the traditional red-line policy does not).
 func (c *Cluster) SetPower(name string, on bool) error {
-	s, ok := c.servers[name]
-	if !ok {
-		return fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return err
 	}
 	if s.on == on {
 		return nil
 	}
 	s.on = on
 	if !on {
-		for range s.queue {
+		for n := s.conns(); n > 0; n-- {
 			_ = c.bal.Done(name)
 			c.totals.Dropped++
 		}
-		s.queue = nil
+		s.queue, s.head = s.queue[:0], 0
 		s.disk = 0
 		s.lastCPU, s.lastDisk = 0, 0
 	}
@@ -231,9 +268,9 @@ func (c *Cluster) SetPower(name string, on bool) error {
 // Utilizations returns a server's utilizations from the most recent
 // tick, in the shape monitord reports to the solver.
 func (c *Cluster) Utilizations(name string) (map[model.UtilSource]units.Fraction, error) {
-	s, ok := c.servers[name]
-	if !ok {
-		return nil, fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return nil, err
 	}
 	return map[model.UtilSource]units.Fraction{
 		model.UtilCPU:  s.lastCPU,
@@ -250,12 +287,10 @@ func (c *Cluster) Totals() Totals { return c.totals }
 // executes that slot's share of CPU and disk service, releasing
 // completed connections at the slot boundary.
 func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
-	tick := Tick{PerServer: map[string]ServerTick{}}
-	per := map[string]*ServerTick{}
-	busyCPU := map[string]float64{}
-	busyDisk := map[string]float64{}
-	for _, name := range c.order {
-		per[name] = &ServerTick{}
+	tick := Tick{PerServer: make(map[string]ServerTick, len(c.servers))}
+	for i := range c.servers {
+		s := &c.servers[i]
+		s.tick, s.busyCPU, s.busyDisk = ServerTick{}, 0, 0
 	}
 
 	slots := c.cfg.SlotsPerSecond
@@ -281,21 +316,21 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 			if req.Dynamic {
 				class = ClassDynamic
 			}
-			name, err := c.bal.AssignClass(class)
+			i, err := c.bal.AssignIndex(class)
 			if err != nil {
 				tick.Dropped++
 				c.totals.Dropped++
 				continue
 			}
-			s := c.servers[name]
-			if !s.on || len(s.queue) >= c.cfg.QueueCap {
+			s := &c.servers[i]
+			if !s.on || s.conns() >= c.cfg.QueueCap {
 				// Powered-off servers should be quiesced or
 				// zero-weighted; if one is still picked, or the queue
 				// is full, refuse.
-				_ = c.bal.Done(name)
+				_ = c.bal.DoneIndex(i)
 				tick.Dropped++
 				c.totals.Dropped++
-				per[name].Dropped++
+				s.tick.Dropped++
 				continue
 			}
 			p := pending{cpuLeft: c.cfg.StaticCPU.Seconds(), disk: c.cfg.StaticDisk.Seconds()}
@@ -303,54 +338,54 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 				p = pending{cpuLeft: c.cfg.DynamicCPU.Seconds(), dynamic: true}
 			}
 			s.queue = append(s.queue, p)
-			per[name].Assigned++
+			s.tick.Assigned++
 		}
 
 		// Serve one sub-slot on every powered server.
-		for _, name := range c.order {
-			s := c.servers[name]
+		for i := range c.servers {
+			s := &c.servers[i]
 			if !s.on {
 				continue
 			}
-			st := per[name]
 			budget := slotDur * s.speed
-			for len(s.queue) > 0 && budget > 0 {
-				head := &s.queue[0]
+			for s.head < len(s.queue) && budget > 0 {
+				head := &s.queue[s.head]
 				if head.cpuLeft <= budget {
 					budget -= head.cpuLeft
 					s.disk += head.disk
 					if head.dynamic {
-						st.CompletedDynamic++
+						s.tick.CompletedDynamic++
 					}
-					s.queue = s.queue[1:]
-					st.Completed++
+					s.head++
+					s.tick.Completed++
 					c.totals.Completed++
 					tick.Completed++
-					_ = c.bal.Done(name)
+					_ = c.bal.DoneIndex(i)
 				} else {
 					head.cpuLeft -= budget
 					budget = 0
 				}
 			}
-			busyCPU[name] += (slotDur*s.speed - budget) / s.speed
+			s.busyCPU += (slotDur*s.speed - budget) / s.speed
 
 			diskServed := s.disk
 			if diskServed > slotDur {
 				diskServed = slotDur
 			}
 			s.disk -= diskServed
-			busyDisk[name] += diskServed
+			s.busyDisk += diskServed
 		}
 	}
 
-	for _, name := range c.order {
-		s := c.servers[name]
-		st := per[name]
-		st.CPUUtil = units.Fraction(busyCPU[name]).Clamp()
-		st.DiskUtil = units.Fraction(busyDisk[name]).Clamp()
-		s.lastCPU, s.lastDisk = st.CPUUtil, st.DiskUtil
-		st.Conns = len(s.queue)
-		tick.PerServer[name] = *st
+	for i := range c.servers {
+		s := &c.servers[i]
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
+		s.head = 0
+		s.tick.CPUUtil = units.Fraction(s.busyCPU).Clamp()
+		s.tick.DiskUtil = units.Fraction(s.busyDisk).Clamp()
+		s.lastCPU, s.lastDisk = s.tick.CPUUtil, s.tick.DiskUtil
+		s.tick.Conns = len(s.queue)
+		tick.PerServer[s.name] = s.tick
 	}
 	return tick
 }

@@ -42,6 +42,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(lvs.New(), []string{"a", "a"}, Config{}); err == nil {
 		t.Error("duplicate machines: want error")
 	}
+	// The cluster addresses servers by balancer index, so it needs the
+	// balancer to itself.
+	used := lvs.New()
+	if err := used.AddServer("other", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(used, []string{"a"}, Config{}); err == nil {
+		t.Error("balancer with servers already registered: want error")
+	}
 }
 
 func TestUtilizationMatchesLoad(t *testing.T) {

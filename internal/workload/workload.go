@@ -160,12 +160,27 @@ func (c WebConfig) Rate(t time.Duration) float64 {
 	return valley + (c.PeakRPS-valley)*shape
 }
 
+// expectedRequests integrates Rate over the trace by the midpoint rule.
+func (c WebConfig) expectedRequests() float64 {
+	const steps = 1024
+	dt := c.Duration / steps
+	var sum float64
+	for i := 0; i < steps; i++ {
+		sum += c.Rate(time.Duration(i)*dt + dt/2)
+	}
+	return sum * dt.Seconds()
+}
+
 // GenerateWeb produces the request arrivals via thinning of a Poisson
 // process at the peak rate.
 func GenerateWeb(cfg WebConfig) []Request {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var out []Request
+	// Capacity only: the expected count is the integral of the rate
+	// curve, and four standard deviations of Poisson slack make a
+	// regrowing append a rare event. The draws do not depend on it.
+	n := cfg.expectedRequests()
+	out := make([]Request, 0, int(n+4*math.Sqrt(n))+1)
 	t := 0.0
 	end := cfg.Duration.Seconds()
 	for {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -163,5 +165,45 @@ func TestWebDefaults(t *testing.T) {
 	if cfg.Duration != 2000*time.Second || cfg.PeakRPS != 100 ||
 		cfg.ValleyShare != 0.15 || cfg.DynamicShare != 0.3 {
 		t.Errorf("defaults = %+v", cfg)
+	}
+}
+
+// TestGenerateWebGolden pins the generated trace, element for element,
+// to what GenerateWeb produced before it presized its output (hashes
+// recorded from that commit), and checks the presizing itself: the
+// capacity is close to the length, so nothing regrew and little is
+// wasted. Two shapes: the 4-machine Figure 11 trace and a short
+// 64-machine one.
+func TestGenerateWebGolden(t *testing.T) {
+	cases := []struct {
+		cfg  WebConfig
+		n    int
+		hash uint64
+	}{
+		{WebConfig{Duration: 2000 * time.Second, PeakRPS: 4 * 0.7 / 0.0089, Seed: 1}, 430445, 0xccb60bcb20ae657f},
+		{WebConfig{Duration: 2000 * time.Second, PeakRPS: 4 * 0.7 / 0.0089, Seed: 7}, 431396, 0x37518934efb0acfb},
+		{WebConfig{Duration: 150 * time.Second, PeakRPS: 64 * 0.7 / 0.0089, Seed: 1}, 516742, 0xbe3c99caa0ba31e9},
+		{WebConfig{Duration: 150 * time.Second, PeakRPS: 64 * 0.7 / 0.0089, Seed: 7}, 517946, 0x9d5d48274e93c176},
+	}
+	for _, tc := range cases {
+		reqs := GenerateWeb(tc.cfg)
+		h := fnv.New64a()
+		var word [9]byte
+		for _, r := range reqs {
+			binary.LittleEndian.PutUint64(word[:], uint64(r.At))
+			word[8] = 0
+			if r.Dynamic {
+				word[8] = 1
+			}
+			h.Write(word[:])
+		}
+		if len(reqs) != tc.n || h.Sum64() != tc.hash {
+			t.Errorf("%v seed %d: %d requests hashing to %#x, want %d and %#x",
+				tc.cfg.Duration, tc.cfg.Seed, len(reqs), h.Sum64(), tc.n, tc.hash)
+		}
+		if c := cap(reqs); float64(c) > 1.1*float64(len(reqs)) {
+			t.Errorf("%v seed %d: capacity %d for %d requests, want within 10%%",
+				tc.cfg.Duration, tc.cfg.Seed, c, len(reqs))
+		}
 	}
 }

@@ -32,6 +32,13 @@
 # both exact paths — and the record sub-benchmark's allocs/op pins the
 # trajectory-recording hot path at zero.
 #
+# BenchmarkAssignDone (internal/lvs) and BenchmarkTickSecond
+# (internal/webcluster) are the request path's layer benchmarks: one
+# assign+done pair at 4/64/1024 servers, by name and by index, and one
+# emulated second of a 4- and a 64-machine cluster at the paper's 70 %
+# peak (docs/performance.md, "Request path"). AssignDone must stay at
+# 0 allocs/op; TickSecond allocates only the map it returns.
+#
 # Benchmarks run with -benchmem, so B/op and allocs/op land in each
 # entry's metrics; scripts/bench_diff.sh uses allocs/op to flag hot
 # paths that were allocation-free and have started allocating.
