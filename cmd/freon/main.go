@@ -25,21 +25,21 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/darklab/mercury/internal/alert"
 	"github.com/darklab/mercury/internal/causal"
 	"github.com/darklab/mercury/internal/ctl"
+	"github.com/darklab/mercury/internal/daemon"
 	"github.com/darklab/mercury/internal/experiments"
 	"github.com/darklab/mercury/internal/fiddle"
 	"github.com/darklab/mercury/internal/freon"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/online"
-	"github.com/darklab/mercury/internal/recordlog"
 	"github.com/darklab/mercury/internal/telemetry"
 	"github.com/darklab/mercury/internal/webcluster"
 )
@@ -52,48 +52,48 @@ func main() {
 		seed      = flag.Int64("seed", 1, "workload seed")
 		quiet     = flag.Bool("quiet", false, "suppress the per-minute timeline")
 		onlineRun = flag.Bool("online", false, "run the base policy over loopback UDP daemons at warp speed")
-		ctlAddr   = flag.String("ctl", "", "HTTP control-plane address, e.g. 127.0.0.1:9369 (/healthz /metrics /state /events; see docs/observability.md)")
-		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -ctl address")
-		traceOn   = flag.Bool("trace-spans", false, "record causal spans for thermal emergencies; served at /spans on the -ctl address")
-		record    = flag.String("record", "", "flight-recorder directory: capture the run's events, spans, temps, and inputs for mercury-replay (see docs/recordlog.md)")
-		recordMax = flag.Int64("record-max-bytes", 0, "rotate the flight-recorder file into numbered segments once one exceeds this many bytes (0 = one unbounded file)")
-		alertsArg = flag.String("alerts", "", "alert rules: \"default\" for the built-in set, or a JSON rule file; evaluated every emulated second and served at /alerts on the -ctl address (see docs/observability.md)")
+		fl        daemon.Flags
 	)
+	fl.Register(flag.CommandLine)
 	flag.Parse()
-	if *pprofOn && *ctlAddr == "" {
-		fmt.Fprintln(os.Stderr, "freon: -pprof requires -ctl")
-		os.Exit(2)
-	}
-	rules, err := alert.LoadRules(*alertsArg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "freon:", err)
-		os.Exit(2)
-	}
 
+	var err error
 	if *onlineRun {
-		err = runOnline(*machines, *duration, *seed, *ctlAddr, *traceOn, *record, *recordMax, rules)
+		err = runOnline(*machines, *duration, *seed, fl)
 	} else {
-		err = run(*policy, *machines, *duration, *seed, *quiet, *ctlAddr, *pprofOn, *traceOn, *record, *recordMax, rules)
+		err = run(*policy, *machines, *duration, *seed, *quiet, fl)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "freon:", err)
+		if errors.Is(err, daemon.ErrUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
 // runOnline drives the full daemon stack over loopback UDP in
 // deterministic lockstep and prints the Figure 11 summary.
-func runOnline(machines int, duration time.Duration, seed int64, ctlAddr string, traceOn bool, record string, recordMax int64, rules []alert.Rule) error {
+func runOnline(machines int, duration time.Duration, seed int64, fl daemon.Flags) error {
+	// online.Run takes no pprof switch — the run is over in a second of
+	// wall time — so say so instead of dropping the flag.
+	if fl.Pprof {
+		return fmt.Errorf("%w: -pprof is not available with -online", daemon.ErrUsage)
+	}
+	rules, err := alert.LoadRules(fl.Alerts)
+	if err != nil {
+		return fmt.Errorf("%w: -alerts: %w", daemon.ErrUsage, err)
+	}
 	start := time.Now()
 	res, err := online.Run(online.Config{
 		Machines:       machines,
 		Seed:           seed,
 		Duration:       duration,
 		Script:         online.Fig11Script,
-		CtlAddr:        ctlAddr,
-		Trace:          traceOn,
-		Record:         record,
-		RecordMaxBytes: recordMax,
+		CtlAddr:        fl.Ctl,
+		Trace:          fl.TraceSpans,
+		Record:         fl.Record,
+		RecordMaxBytes: fl.RecordMaxBytes,
 		Alerts:         rules,
 	})
 	if err != nil {
@@ -138,60 +138,33 @@ func runOnline(machines int, duration time.Duration, seed int64, ctlAddr string,
 	return nil
 }
 
-func run(policy string, machines int, duration time.Duration, seed int64, quiet bool, ctlAddr string, pprofOn, traceOn bool, record string, recordMax int64, rules []alert.Rule) error {
+func run(policy string, machines int, duration time.Duration, seed int64, quiet bool, fl daemon.Flags) error {
 	sim, err := experiments.NewSim(machines, seed, duration)
 	if err != nil {
 		return err
 	}
 	// The paper's emergencies: machine1 inlet to 38.6C, machine3 to
 	// 35.6C at t=480s, lasting the whole run.
-	script, err := fiddle.ParseScript(`sleep 480
-fiddle machine1 temperature inlet 38.6
-fiddle machine3 temperature inlet 35.6
-`)
+	script, err := fiddle.ParseScript(online.Fig11Script)
 	if err != nil {
 		return err
 	}
 	sim.Fiddle = script.Schedule()
 
-	// The control plane, when requested, shares the sim's virtual
-	// clock so event timestamps land on emulated time. The flight
-	// recorder needs both feeds to exist even without -ctl/-trace-spans.
-	var events *telemetry.EventLog
-	if ctlAddr != "" || record != "" || rules != nil {
-		events = telemetry.NewEventLog(0, sim.Clock)
+	// The stack shares the sim's virtual clock, so event, span and
+	// capture timestamps all land on emulated time.
+	st, err := daemon.Open(daemon.Config{Flags: fl, Node: "freon", Clock: sim.Clock})
+	if err != nil {
+		return err
 	}
-	var tracer *causal.Tracer
-	if traceOn || record != "" {
-		tracer = causal.NewTracer(0, sim.Clock)
-	}
-	var rec *recordlog.Writer
-	if record != "" {
-		if err := os.MkdirAll(record, 0o755); err != nil {
-			return err
-		}
-		rec, err = recordlog.Create(filepath.Join(record, "freon.mrl"), "freon", sim.Clock,
-			recordlog.WithMaxBytes(recordMax))
-		if err != nil {
-			return err
-		}
-		defer func() {
-			rec.Close()
-			if d := rec.Drops(); d > 0 {
-				fmt.Fprintf(os.Stderr, "freon: flight recorder dropped %d records\n", d)
-			}
-			fmt.Printf("recorded to %s\n", rec.Path())
-		}()
-		events.SetSink(rec.RecordEvent)
-		tracer.SetSink(rec.RecordSpan)
-	}
+	defer st.CloseAndReport("freon")
 
 	var activeFn func() int
 	var stateFn func() any
 	switch policy {
 	case "base", "twostage":
 		fr, err := freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(),
-			freon.Config{TwoStage: policy == "twostage", Events: events, Tracer: tracer})
+			freon.Config{TwoStage: policy == "twostage", Events: st.Events, Tracer: st.Tracer})
 		if err != nil {
 			return err
 		}
@@ -204,7 +177,7 @@ fiddle machine3 temperature inlet 35.6
 			regions[m] = i % 2
 		}
 		ec, err := freon.NewEC(sim.Cluster.Machines(), sim.Solver, sim.Solver, sim.Bal, sim.Power(),
-			freon.ECConfig{Config: freon.Config{Events: events, Tracer: tracer}, Regions: regions})
+			freon.ECConfig{Config: freon.Config{Events: st.Events, Tracer: st.Tracer}, Regions: regions})
 		if err != nil {
 			return err
 		}
@@ -227,60 +200,27 @@ fiddle machine3 temperature inlet 35.6
 	// Alerting over the in-process rig: the engine watches the sim's
 	// solver directly and evaluates from the per-second hook, after
 	// the policy's own ticks for that second.
-	var eng *alert.Engine
-	if rules != nil {
-		thr := map[string]freon.Thresholds{}
-		for _, c := range freon.DefaultComponents() {
-			thr[c.Node] = c.Thresholds
-		}
+	if st.Rules != nil {
 		ms, ns := sim.Solver.Probes()
-		probes := make([]alert.Probe, len(ms))
-		for i := range ms {
-			t := thr[ns[i]]
-			probes[i] = alert.Probe{
-				Machine: ms[i], Node: ns[i],
-				Low: float64(t.Low), High: float64(t.High), RedLine: float64(t.RedLine),
-			}
-		}
-		acfg := alert.Config{
-			Rules:  rules,
+		if err := st.Watch(daemon.Watch{
 			Step:   time.Second,
-			Probes: probes,
+			Probes: daemon.ThermalProbes(ms, ns, freon.DefaultComponents()),
 			Fill:   sim.Solver.ReadAllTemps,
-			Events: events,
-			Clock:  sim.Clock,
-		}
-		if rec != nil {
-			acfg.Health = func() (uint64, uint64, uint64) { return 0, 0, rec.Drops() }
-		}
-		if eng, err = alert.New(acfg); err != nil {
+		}); err != nil {
 			return err
-		}
-		if rec != nil {
-			eng.Transitions().SetSink(rec.RecordAlert)
 		}
 	}
+	eng := st.Alerts
 
-	if ctlAddr != "" {
-		opts := []ctl.Option{ctl.WithEvents(events)}
-		if eng != nil {
-			opts = append(opts, ctl.WithAlerts(func() any { return eng.State() }, eng.Transitions()))
-		}
-		if stateFn != nil {
-			opts = append(opts, ctl.WithState(stateFn))
-		}
-		if tracer != nil {
-			opts = append(opts, ctl.WithTracer(tracer))
-		}
-		if pprofOn {
-			opts = append(opts, ctl.WithPprof())
-		}
-		cs := ctl.New(opts...)
-		bound, err := cs.Start(ctlAddr)
-		if err != nil {
-			return err
-		}
-		defer cs.Close()
+	var ctlOpts []ctl.Option
+	if stateFn != nil {
+		ctlOpts = append(ctlOpts, ctl.WithState(stateFn))
+	}
+	bound, err := st.Serve(ctlOpts...)
+	if err != nil {
+		return err
+	}
+	if bound != "" {
 		fmt.Printf("freon: control plane on http://%s\n", bound)
 	}
 

@@ -9,8 +9,8 @@
 //	mercury-replay -log run/                 # single .mrl in a directory
 //	mercury-replay -log run/solver.mrl -model room.mdot
 //
-// Exit status is 0 when the replay is bit-identical, 1 on divergence
-// or error. -verify-only decodes and summarizes the file without
+// Exit status is 0 when the replay is bit-identical, 1 on divergence,
+// on error, or when the capture holds nothing to compare. -verify-only decodes and summarizes the file without
 // stepping a solver (useful for triaging a truncated or corrupt
 // capture).
 package main
@@ -124,6 +124,9 @@ func run(logPath, modelPath string, machines, workers, maxReport int, verifyOnly
 			fmt.Println("  " + m)
 		}
 		return fmt.Errorf("replay diverged from the recording")
+	}
+	if res.RowsCompared == 0 && res.EventsCompared == 0 {
+		return fmt.Errorf("capture holds no temperature rows or events to verify")
 	}
 	fmt.Println("replay bit-identical to the recording")
 	return nil

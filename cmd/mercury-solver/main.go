@@ -24,11 +24,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -37,18 +37,15 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/darklab/mercury/internal/alert"
-	"github.com/darklab/mercury/internal/causal"
 	"github.com/darklab/mercury/internal/clock"
 	"github.com/darklab/mercury/internal/ctl"
+	"github.com/darklab/mercury/internal/daemon"
 	"github.com/darklab/mercury/internal/dotlang"
 	"github.com/darklab/mercury/internal/freon"
 	"github.com/darklab/mercury/internal/model"
-	"github.com/darklab/mercury/internal/recordlog"
 	"github.com/darklab/mercury/internal/solver"
 	"github.com/darklab/mercury/internal/solverd"
 	"github.com/darklab/mercury/internal/surrogate"
-	"github.com/darklab/mercury/internal/telemetry"
 	"github.com/darklab/mercury/internal/trace"
 )
 
@@ -79,28 +76,27 @@ func (p *probeList) Set(v string) error {
 
 // runConfig carries the command's flags into run.
 type runConfig struct {
-	modelPath  string
-	machines   int
-	listen     string
-	step       time.Duration
-	workers    int
-	tracePath  string
-	outPath    string
-	record     string
-	sample     time.Duration
-	loadState  string
-	saveState  string
-	warp       float64
-	activeSet  bool
-	ctlAddr    string
-	pprofOn    bool
-	traceSpans bool
-	probes     probeList
-	regions    int
-	region     int
-	peersSpec  string
-	alerts     string
-	recordMax  int64
+	daemon.Flags
+	modelPath string
+	machines  int
+	listen    string
+	step      time.Duration
+	workers   int
+	tracePath string
+	outPath   string
+	sample    time.Duration
+	loadState string
+	saveState string
+	warp      float64
+	activeSet bool
+	probes    probeList
+	regions   int
+	region    int
+	peersSpec string
+
+	// serving, when set, is handed the bound daemon once it steps and
+	// serves; tests stop the run through it.
+	serving func(*solverd.Server)
 }
 
 func main() {
@@ -116,27 +112,17 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "stepping goroutines: 0 = auto (one per CPU, serial below ~256 machines/worker), 1 = serial, N = exactly N shards")
 	flag.StringVar(&cfg.tracePath, "trace", "", "utilization trace: run off-line instead of serving UDP")
 	flag.StringVar(&cfg.outPath, "out", "", "temperature log output for off-line mode (default stdout)")
-	flag.StringVar(&cfg.record, "record", "", "flight-recorder directory for on-line mode: capture utils, fiddles, temps (and, with -ctl/-trace-spans, events and spans) to <dir>/<node>.mrl for mercury-replay (see docs/recordlog.md)")
 	flag.DurationVar(&cfg.sample, "sample", 10*time.Second, "off-line probe sampling interval")
 	flag.StringVar(&cfg.loadState, "load-state", "", "solver state checkpoint to restore before starting")
 	flag.StringVar(&cfg.saveState, "save-state", "", "write a state checkpoint here on SIGINT/SIGTERM (on-line mode)")
 	flag.Float64Var(&cfg.warp, "warp", 0, "on-line virtual-time warp factor: emulated seconds per wall second (0 = real time)")
 	flag.BoolVar(&cfg.activeSet, "active-set", false, "skip machines at exact thermal fixed points (bit-identical; see docs/performance.md)")
-	flag.StringVar(&cfg.ctlAddr, "ctl", "", "HTTP control-plane address for on-line mode, e.g. 127.0.0.1:9367 (/healthz /metrics /state /events /fiddle; see docs/observability.md)")
-	flag.BoolVar(&cfg.pprofOn, "pprof", false, "serve net/http/pprof under /debug/pprof/ on the -ctl address")
-	flag.BoolVar(&cfg.traceSpans, "trace-spans", false, "record causal spans (solver steps, utilization applies, sensor serves) and serve them at /spans on the -ctl address")
 	flag.Var(&cfg.probes, "probe", "machine/node to record off-line (repeatable)")
 	flag.IntVar(&cfg.regions, "regions", 0, "shard the room across this many cooperating solverds (0 = whole room); every shard must get the same -model and -regions")
 	flag.IntVar(&cfg.region, "region", 0, "this daemon's region index, 0..regions-1")
 	flag.StringVar(&cfg.peersSpec, "peers", "", "peer solverd addresses for sharded runs, comma-separated index=host:port (e.g. \"0=10.0.0.1:8367,2=10.0.0.3:8367\")")
-	flag.StringVar(&cfg.alerts, "alerts", "", "alert rules for on-line mode: \"default\" for the built-in set, or a JSON rule file; evaluated every solver tick and served at /alerts on the -ctl address (see docs/observability.md)")
-	flag.Int64Var(&cfg.recordMax, "record-max-bytes", 0, "rotate the flight-recorder file into numbered segments once one exceeds this many bytes (0 = one unbounded file)")
+	cfg.Flags.Register(flag.CommandLine)
 	flag.Parse()
-
-	if cfg.pprofOn && cfg.ctlAddr == "" {
-		fmt.Fprintln(os.Stderr, "mercury-solver: -pprof requires -ctl")
-		os.Exit(2)
-	}
 
 	stopProfile := func() {}
 	if *cpuProfile != "" {
@@ -166,6 +152,9 @@ func main() {
 	if err != nil {
 		stopProfile() // flush before os.Exit skips the deferred call
 		fmt.Fprintln(os.Stderr, "mercury-solver:", err)
+		if errors.Is(err, daemon.ErrUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -241,57 +230,34 @@ func run(cfg runConfig) error {
 		return runOffline(sol, cfg.tracePath, cfg.outPath, cfg.sample, cfg.probes)
 	}
 
-	var opts []solverd.Option
 	var vclk *clock.Virtual
 	var clk clock.Clock = clock.Real{}
 	if cfg.warp > 0 {
 		vclk = clock.NewVirtual()
 		clk = vclk
-		opts = append(opts, solverd.WithClock(vclk))
 	}
-	var reg *telemetry.Registry
-	var events *telemetry.EventLog
-	if cfg.ctlAddr != "" {
-		reg = telemetry.NewRegistry()
-		events = telemetry.NewEventLog(0, clk)
-		opts = append(opts, solverd.WithTelemetry(reg, events))
+	node := "solver"
+	if cfg.regions > 1 {
+		node = fmt.Sprintf("solver-r%d", cfg.region)
 	}
-	var tracer *causal.Tracer
-	if cfg.traceSpans {
-		tracer = causal.NewTracer(0, clk)
-		opts = append(opts, solverd.WithTracer(tracer))
+	// Everything solverd applies (utils, fiddles, boundary imports) and
+	// every feed the stack holds goes to the flight recorder, when one
+	// is asked for, as a file mercury-replay can re-drive
+	// (docs/recordlog.md).
+	st, err := daemon.Open(daemon.Config{Flags: cfg.Flags, Node: node, Clock: clk})
+	if err != nil {
+		return err
 	}
-	// Flight recorder: everything solverd applies (utils, fiddles,
-	// boundary imports) plus whatever telemetry exists goes to a durable
-	// .mrl file that mercury-replay can re-drive (docs/recordlog.md).
-	var rec *recordlog.Writer
-	if cfg.record != "" {
-		node := "solver"
-		if cfg.regions > 1 {
-			node = fmt.Sprintf("solver-r%d", cfg.region)
-		}
-		if err := os.MkdirAll(cfg.record, 0o755); err != nil {
-			return err
-		}
-		rec, err = recordlog.Create(filepath.Join(cfg.record, node+".mrl"), node, clk,
-			recordlog.WithMaxBytes(cfg.recordMax))
-		if err != nil {
-			return err
-		}
-		defer func() {
-			rec.Close()
-			if d := rec.Drops(); d > 0 {
-				fmt.Fprintf(os.Stderr, "mercury-solver: flight recorder dropped %d records (disk slower than the tick loop)\n", d)
-			}
-			fmt.Printf("mercury-solver: recorded to %s\n", rec.Path())
-		}()
-		opts = append(opts, solverd.WithRecorder(rec))
-		if events != nil {
-			events.SetSink(rec.RecordEvent)
-		}
-		if tracer != nil {
-			tracer.SetSink(rec.RecordSpan)
-		}
+	defer st.CloseAndReport("mercury-solver")
+	opts := []solverd.Option{
+		solverd.WithClock(clk),
+		solverd.WithTelemetry(st.Registry, st.Events),
+		solverd.WithTracer(st.Tracer),
+	}
+	// A nil *recordlog.Writer in the Recorder interface would be a
+	// non-nil recorder that panics in Listen.
+	if st.Recorder != nil {
+		opts = append(opts, solverd.WithRecorder(st.Recorder))
 	}
 	// The surrogate fast path rides the control plane: with -ctl set on
 	// an unpartitioned run, the stepping ticker records trajectory
@@ -301,7 +267,7 @@ func run(cfg runConfig) error {
 	// its region's inputs, so a local fit cannot answer room-wide
 	// questions honestly.
 	var surro *surrogate.Model
-	if cfg.ctlAddr != "" && cfg.regions <= 1 {
+	if cfg.Ctl != "" && cfg.regions <= 1 {
 		surro, err = surrogate.New(sol, surrogate.Config{})
 		if err != nil {
 			return err
@@ -315,60 +281,21 @@ func run(cfg runConfig) error {
 	// sharded) with the paper's Freon thresholds. srv is captured by
 	// the health closure and assigned below, before the ticker starts.
 	var srv *solverd.Server
-	var eng *alert.Engine
-	if cfg.alerts != "" {
-		rules, err := alert.LoadRules(cfg.alerts)
-		if err != nil {
-			return err
-		}
-		thr := map[string]freon.Thresholds{}
-		for _, c := range freon.DefaultComponents() {
-			thr[c.Node] = c.Thresholds
-		}
+	if st.Rules != nil {
 		ms, ns := sol.Probes()
-		probes := make([]alert.Probe, len(ms))
-		for i := range ms {
-			t := thr[ns[i]]
-			probes[i] = alert.Probe{
-				Machine: ms[i], Node: ns[i],
-				Low: float64(t.Low), High: float64(t.High), RedLine: float64(t.RedLine),
-			}
-		}
-		acfg := alert.Config{
-			Rules:  rules,
+		if err := st.Watch(daemon.Watch{
 			Step:   cfg.step,
-			Probes: probes,
+			Probes: daemon.ThermalProbes(ms, ns, freon.DefaultComponents()),
 			Fill:   sol.ReadAllTemps,
-			Health: func() (uint64, uint64, uint64) {
-				var missed, boundary, drops uint64
-				if srv != nil {
-					missed = srv.Stats().MissedTicks.Load()
-					boundary = srv.Stats().BoundaryMissed.Load()
-				}
-				if rec != nil {
-					drops = rec.Drops()
-				}
-				return missed, boundary, drops
+			Health: func() (uint64, uint64) {
+				return srv.Stats().MissedTicks.Load(), srv.Stats().BoundaryMissed.Load()
 			},
-			Events:   events,
-			Registry: reg,
-			Clock:    clk,
-		}
-		if surro != nil {
-			acfg.Residual = func() (float64, float64, bool) {
-				st := surro.Stats()
-				return st.MaxResidualC, surro.ResidualTolerance(), st.FitGeneration > 0
-			}
-			acfg.ETA = surro.TimeToThreshold
-		}
-		if eng, err = alert.New(acfg); err != nil {
+			Surrogate: surro,
+		}); err != nil {
 			return err
 		}
-		if rec != nil {
-			eng.Transitions().SetSink(rec.RecordAlert)
-		}
-		opts = append(opts, solverd.WithAlerts(eng))
 	}
+	opts = append(opts, solverd.WithAlerts(st.Alerts))
 	srv, err = solverd.Listen(cfg.listen, sol, opts...)
 	if err != nil {
 		return err
@@ -393,38 +320,35 @@ func run(cfg runConfig) error {
 		fmt.Printf("mercury-solver: serving %d machine(s) on %s (step %v%s)\n",
 			len(sol.Machines()), srv.Addr(), cfg.step, shard)
 	}
-	if cfg.ctlAddr != "" {
-		ctlOpts := []ctl.Option{
-			ctl.WithRegistry(reg),
-			ctl.WithEvents(events),
-			ctl.WithState(func() any { return srv.State() }),
-			ctl.WithFiddle(srv.ApplyFiddle),
-		}
-		if tracer != nil {
-			ctlOpts = append(ctlOpts, ctl.WithTracer(tracer))
-		}
-		if surro != nil {
-			ctlOpts = append(ctlOpts, ctl.WithWhatIf(srv.WhatIf))
-		}
-		if eng != nil {
-			ctlOpts = append(ctlOpts, ctl.WithAlerts(func() any { return eng.State() }, eng.Transitions()))
-		}
-		if cfg.pprofOn {
-			ctlOpts = append(ctlOpts, ctl.WithPprof())
-		}
-		cs := ctl.New(ctlOpts...)
-		bound, err := cs.Start(cfg.ctlAddr)
-		if err != nil {
-			return err
-		}
-		defer cs.Close()
+	ctlOpts := []ctl.Option{
+		ctl.WithState(func() any { return srv.State() }),
+		ctl.WithFiddle(srv.ApplyFiddle),
+	}
+	if surro != nil {
+		ctlOpts = append(ctlOpts, ctl.WithWhatIf(srv.WhatIf))
+	}
+	bound, err := st.Serve(ctlOpts...)
+	if err != nil {
+		return err
+	}
+	if bound != "" {
 		fmt.Printf("mercury-solver: control plane on http://%s\n", bound)
 	}
-	if cfg.saveState != "" {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
+	// SIGINT/SIGTERM stop the daemon cleanly — checkpoint first when
+	// asked — so Serve returns and the deferred close flushes the
+	// capture.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case <-sig:
+		case <-done:
+			return
+		}
+		if cfg.saveState != "" {
 			f, err := os.Create(cfg.saveState)
 			if err == nil {
 				if err := solver.WriteState(f, sol.SaveState()); err == nil {
@@ -432,13 +356,16 @@ func run(cfg runConfig) error {
 				}
 				f.Close()
 			}
-			srv.Close()
-		}()
-	}
+		}
+		srv.Close()
+	}()
 	srv.StartTicker()
 	if vclk != nil {
 		vclk.StartWarp(cfg.warp)
 		defer vclk.StopWarp()
+	}
+	if cfg.serving != nil {
+		cfg.serving(srv)
 	}
 	return srv.Serve()
 }

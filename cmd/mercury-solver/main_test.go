@@ -1,15 +1,20 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/darklab/mercury/internal/daemon"
 	"github.com/darklab/mercury/internal/dotlang"
 	"github.com/darklab/mercury/internal/model"
+	"github.com/darklab/mercury/internal/recordlog"
 	"github.com/darklab/mercury/internal/solver"
+	"github.com/darklab/mercury/internal/solverd"
 	"github.com/darklab/mercury/internal/trace"
 )
 
@@ -242,5 +247,69 @@ func TestRunRestoresState(t *testing.T) {
 	}
 	if first := log.Records[0]; float64(first.Temp) < 60 {
 		t.Errorf("restored run starts at %v, want hot", first.Temp)
+	}
+}
+
+// TestRunOnlineRecordsWithoutCtl drives the on-line daemon at warp
+// speed for a few hundred virtual seconds. -record alone must capture
+// temperature rows (they hang off the registry, which used to exist
+// only under -ctl, leaving an empty capture that replayed "identical");
+// and with no recorder at all the daemon must still boot — a nil
+// *recordlog.Writer handed to solverd.WithRecorder is a non-nil
+// interface that panics in Listen.
+func TestRunOnlineRecordsWithoutCtl(t *testing.T) {
+	for _, record := range []bool{true, false} {
+		dir := t.TempDir()
+		cfg := runConfig{
+			machines: 2,
+			listen:   "127.0.0.1:0",
+			step:     time.Second,
+			warp:     2000,
+			serving: func(srv *solverd.Server) {
+				go func() {
+					deadline := time.Now().Add(30 * time.Second)
+					for srv.Stats().SolverSteps.Load() < 300 && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
+					srv.Close()
+				}()
+			},
+		}
+		if record {
+			cfg.Flags = daemon.Flags{Record: dir}
+		}
+		if err := run(cfg); err != nil {
+			t.Fatalf("record=%v: %v", record, err)
+		}
+		if !record {
+			continue
+		}
+		log, err := recordlog.ReadLog(filepath.Join(dir, "solver.mrl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if log.Step != time.Second || log.Machines != 2 {
+			t.Errorf("capture metadata: step %v, %d machines", log.Step, log.Machines)
+		}
+		if len(log.TempRows) < 300/10 {
+			t.Errorf("captured %d temperature rows over 300 steps, want one per 10 steps", len(log.TempRows))
+		}
+	}
+}
+
+// TestSmokePprofRequiresCtl runs the built binary: -pprof has nowhere
+// to be served without -ctl, which is a usage error (exit 2).
+func TestSmokePprofRequiresCtl(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := filepath.Join(t.TempDir(), "mercury-solver")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-listen", "127.0.0.1:0", "-pprof").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-pprof requires -ctl") {
+		t.Errorf("mercury-solver -pprof: err = %v, want exit 2 naming -ctl\n%s", err, out)
 	}
 }

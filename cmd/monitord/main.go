@@ -19,55 +19,49 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
-	"github.com/darklab/mercury/internal/alert"
-	"github.com/darklab/mercury/internal/causal"
 	"github.com/darklab/mercury/internal/clock"
 	"github.com/darklab/mercury/internal/ctl"
+	"github.com/darklab/mercury/internal/daemon"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/monitord"
 	"github.com/darklab/mercury/internal/procfs"
-	"github.com/darklab/mercury/internal/recordlog"
-	"github.com/darklab/mercury/internal/telemetry"
 	"github.com/darklab/mercury/internal/units"
 )
 
 func main() {
 	var (
-		machine   = flag.String("machine", "", "machine name in the solver's model (required)")
-		solver    = flag.String("solver", "127.0.0.1:8367", "solver daemon UDP address")
-		interval  = flag.Duration("interval", time.Second, "sampling interval")
-		procRoot  = flag.String("proc", "/proc", "proc filesystem root")
-		disk      = flag.String("disk", "", "disk device to watch (default: auto-detect)")
-		nic       = flag.String("nic", "", "network interface to watch (default: none)")
-		nicCap    = flag.Float64("nic-capacity", 125e6, "NIC capacity in bytes/second")
-		synCPU    = flag.Float64("synthetic-cpu", -1, "fixed synthetic CPU utilization in [0,1] (disables /proc)")
-		synDisk   = flag.Float64("synthetic-disk", 0, "fixed synthetic disk utilization (with -synthetic-cpu)")
-		warp      = flag.Float64("warp", 0, "virtual-time warp factor: emulated seconds per wall second (0 = real time)")
-		ctlAddr   = flag.String("ctl", "", "HTTP control-plane address, e.g. 127.0.0.1:9368 (/healthz /metrics /state; see docs/observability.md)")
-		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -ctl address")
-		traceOn   = flag.Bool("trace-spans", false, "record causal sample spans and serve them at /spans on the -ctl address")
-		record    = flag.String("record", "", "flight-recorder directory: capture this daemon's causal spans (requires -trace-spans) to <dir>/monitord-<machine>.mrl (see docs/recordlog.md)")
-		recordMax = flag.Int64("record-max-bytes", 0, "rotate the flight-recorder file into numbered segments once one exceeds this many bytes (0 = one unbounded file)")
-		alertsArg = flag.String("alerts", "", "alert rules: \"default\" for the built-in set, or a JSON rule file; monitord has no temperatures, so only health rules are live (missed-ticks watches send errors, record-drops the recorder); served at /alerts on the -ctl address")
+		machine  = flag.String("machine", "", "machine name in the solver's model (required)")
+		solver   = flag.String("solver", "127.0.0.1:8367", "solver daemon UDP address")
+		interval = flag.Duration("interval", time.Second, "sampling interval")
+		procRoot = flag.String("proc", "/proc", "proc filesystem root")
+		disk     = flag.String("disk", "", "disk device to watch (default: auto-detect)")
+		nic      = flag.String("nic", "", "network interface to watch (default: none)")
+		nicCap   = flag.Float64("nic-capacity", 125e6, "NIC capacity in bytes/second")
+		synCPU   = flag.Float64("synthetic-cpu", -1, "fixed synthetic CPU utilization in [0,1] (disables /proc)")
+		synDisk  = flag.Float64("synthetic-disk", 0, "fixed synthetic disk utilization (with -synthetic-cpu)")
+		warp     = flag.Float64("warp", 0, "virtual-time warp factor: emulated seconds per wall second (0 = real time)")
+		fl       daemon.Flags
 	)
+	fl.Register(flag.CommandLine)
 	flag.Parse()
 	if *machine == "" {
 		fmt.Fprintln(os.Stderr, "monitord: -machine is required")
 		os.Exit(2)
 	}
-	if *pprofOn && *ctlAddr == "" {
-		fmt.Fprintln(os.Stderr, "monitord: -pprof requires -ctl")
+	// monitord's only recordable stream besides alert transitions is
+	// its causal sample spans, so -record rides on -trace-spans.
+	if fl.Record != "" && !fl.TraceSpans {
+		fmt.Fprintln(os.Stderr, "monitord: -record requires -trace-spans")
 		os.Exit(2)
 	}
-
 	var sampler procfs.Sampler
 	if *synCPU >= 0 {
 		syn := procfs.NewSynthetic(model.UtilCPU, model.UtilDisk)
@@ -79,133 +73,64 @@ func main() {
 			Root: *procRoot, Disk: *disk, NIC: *nic, NICCapacity: *nicCap,
 		})
 	}
+	if err := run(fl, *machine, *solver, *interval, *warp, sampler); err != nil {
+		fmt.Fprintln(os.Stderr, "monitord:", err)
+		if errors.Is(err, daemon.ErrUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
 
+func run(fl daemon.Flags, machine, solver string, interval time.Duration, warp float64, sampler procfs.Sampler) error {
 	var clk clock.Clock
-	if *warp > 0 {
+	if warp > 0 {
 		vclk := clock.NewVirtual()
-		vclk.StartWarp(*warp)
+		vclk.StartWarp(warp)
 		defer vclk.StopWarp()
 		clk = vclk
 	}
-	var reg *telemetry.Registry
-	if *ctlAddr != "" {
-		reg = telemetry.NewRegistry()
+	st, err := daemon.Open(daemon.Config{Flags: fl, Node: "monitord-" + machine, Clock: clk})
+	if err != nil {
+		return err
 	}
-	var tracer *causal.Tracer
-	if *traceOn {
-		tclk := clk
-		if tclk == nil {
-			tclk = clock.Real{}
-		}
-		tracer = causal.NewTracer(0, tclk)
-	}
-	// Flight recorder: monitord's only recordable stream is its causal
-	// sample spans, so -record rides on -trace-spans.
-	var rec *recordlog.Writer
-	if *record != "" {
-		if tracer == nil {
-			fmt.Fprintln(os.Stderr, "monitord: -record requires -trace-spans")
-			os.Exit(2)
-		}
-		node := "monitord-" + *machine
-		if err := os.MkdirAll(*record, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "monitord:", err)
-			os.Exit(1)
-		}
-		w, err := recordlog.Create(filepath.Join(*record, node+".mrl"), node, clk,
-			recordlog.WithMaxBytes(*recordMax))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "monitord:", err)
-			os.Exit(1)
-		}
-		rec = w
-		defer func() {
-			rec.Close()
-			if d := rec.Drops(); d > 0 {
-				fmt.Fprintf(os.Stderr, "monitord: flight recorder dropped %d records\n", d)
-			}
-		}()
-		tracer.SetSink(rec.RecordSpan)
-	}
+	defer st.CloseAndReport("monitord")
 	d, err := monitord.New(monitord.Config{
-		Machine:    *machine,
+		Machine:    machine,
 		Sampler:    sampler,
-		SolverAddr: *solver,
-		Interval:   *interval,
-		Clock:      clk,
-		Registry:   reg,
-		Tracer:     tracer,
+		SolverAddr: solver,
+		Interval:   interval,
+		Clock:      st.Clock,
+		Registry:   st.Registry,
+		Tracer:     st.Tracer,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "monitord:", err)
-		os.Exit(1)
+		return err
 	}
 	defer d.Close()
 	// Alerting: monitord owns no temperatures, so the engine runs
 	// health-only — send errors surface through the missed-ticks slot,
 	// recorder drops through record-drops. Evaluated once per sampling
 	// interval on the daemon's clock.
-	var eng *alert.Engine
-	if *alertsArg != "" {
-		rules, err := alert.LoadRules(*alertsArg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "monitord:", err)
-			os.Exit(2)
-		}
-		eng, err = alert.New(alert.Config{
-			Rules: rules,
-			Step:  *interval,
-			Health: func() (uint64, uint64, uint64) {
-				var drops uint64
-				if rec != nil {
-					drops = rec.Drops()
-				}
-				return d.Errors(), 0, drops
-			},
-			Registry: reg,
-			Clock:    clk,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "monitord:", err)
-			os.Exit(2)
-		}
-		if rec != nil {
-			eng.Transitions().SetSink(rec.RecordAlert)
-		}
+	if err := st.Watch(daemon.Watch{
+		Step:   interval,
+		Health: func() (uint64, uint64) { return d.Errors(), 0 },
+	}); err != nil {
+		return err
 	}
-	if *ctlAddr != "" {
-		ctlOpts := []ctl.Option{
-			ctl.WithRegistry(reg),
-			ctl.WithState(func() any { return d.StateSnapshot() }),
-		}
-		if eng != nil {
-			ctlOpts = append(ctlOpts, ctl.WithAlerts(func() any { return eng.State() }, eng.Transitions()))
-		}
-		if tracer != nil {
-			ctlOpts = append(ctlOpts, ctl.WithTracer(tracer))
-		}
-		if *pprofOn {
-			ctlOpts = append(ctlOpts, ctl.WithPprof())
-		}
-		cs := ctl.New(ctlOpts...)
-		bound, err := cs.Start(*ctlAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "monitord:", err)
-			os.Exit(1)
-		}
-		defer cs.Close()
+	bound, err := st.Serve(ctl.WithState(func() any { return d.StateSnapshot() }))
+	if err != nil {
+		return err
+	}
+	if bound != "" {
 		fmt.Printf("monitord: control plane on http://%s\n", bound)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if eng != nil {
-		tclk := clk
-		if tclk == nil {
-			tclk = clock.Real{}
-		}
+	if eng := st.Alerts; eng != nil {
 		go func() {
-			tick := tclk.NewTicker(*interval)
+			tick := st.Clock.NewTicker(interval)
 			defer tick.Stop()
 			var n uint64
 			for {
@@ -219,10 +144,10 @@ func main() {
 			}
 		}()
 	}
-	fmt.Printf("monitord: reporting %s to %s every %v\n", *machine, *solver, *interval)
+	fmt.Printf("monitord: reporting %s to %s every %v\n", machine, solver, interval)
 	if err := d.Run(ctx); err != nil && ctx.Err() == nil {
-		fmt.Fprintln(os.Stderr, "monitord:", err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Printf("monitord: sent %d updates\n", d.Sent())
+	return nil
 }

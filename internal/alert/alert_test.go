@@ -306,6 +306,14 @@ func TestParseRules(t *testing.T) {
 	if _, err := ParseRules([]byte(`[] garbage`)); err == nil {
 		t.Error("trailing data accepted")
 	}
+	// null would decode to nil rules: "off" to one caller, "defaults"
+	// to another.
+	if _, err := ParseRules([]byte(`null`)); err == nil {
+		t.Error("null rule file accepted")
+	}
+	if got, err := ParseRules([]byte(`[]`)); err != nil || got == nil {
+		t.Errorf("ParseRules([]) = %v, %v; want empty non-nil rules", got, err)
+	}
 	if got, err := LoadRules(""); err != nil || got != nil {
 		t.Errorf("LoadRules(\"\") = %v, %v", got, err)
 	}

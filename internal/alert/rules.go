@@ -141,6 +141,11 @@ func ParseRules(data []byte) ([]Rule, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("alert: trailing data after rule array")
 	}
+	// JSON null decodes to nil rules, which every caller reads as
+	// "alerting off" or "the defaults" — never what a rule file means.
+	if rules == nil {
+		return nil, fmt.Errorf("alert: rule file holds null, want an array of rules")
+	}
 	return rules, nil
 }
 

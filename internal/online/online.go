@@ -21,8 +21,6 @@ package online
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -30,13 +28,13 @@ import (
 	"github.com/darklab/mercury/internal/causal"
 	"github.com/darklab/mercury/internal/clock"
 	"github.com/darklab/mercury/internal/ctl"
+	"github.com/darklab/mercury/internal/daemon"
 	"github.com/darklab/mercury/internal/fiddle"
 	"github.com/darklab/mercury/internal/freon"
 	"github.com/darklab/mercury/internal/lvs"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/monitord"
 	"github.com/darklab/mercury/internal/procfs"
-	"github.com/darklab/mercury/internal/recordlog"
 	"github.com/darklab/mercury/internal/sensor"
 	"github.com/darklab/mercury/internal/solver"
 	"github.com/darklab/mercury/internal/solverd"
@@ -217,42 +215,35 @@ type Result struct {
 // tears it down.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Record != "" && cfg.Shards > 1 {
+		return nil, fmt.Errorf("online: Record requires a single shard, got %d", cfg.Shards)
+	}
 	clk := clock.NewVirtual()
 
-	// Shared observability: one registry and one event log for the
-	// whole stack, stamped from the virtual clock so the log is
-	// deterministic.
-	reg := telemetry.NewRegistry()
-	events := telemetry.NewEventLog(8192, clk)
-	var tracer *causal.Tracer
-	if cfg.Trace {
-		// Sized so a full 2000 s Figure 11 run — about nine spans per
-		// emulated second plus the emergency traffic — fits without the
-		// ring dropping anything.
-		tracer = causal.NewTracer(1<<15, clk)
+	// Shared observability: one stack for the whole rig, stamped from
+	// the virtual clock so every feed is deterministic, and opened
+	// before the clock first advances so the capture's epoch is virtual
+	// t=0. The rings are sized so a full 2000 s Figure 11 run — about
+	// nine spans per emulated second plus the emergency traffic — drops
+	// nothing from Result.Events or Result.Spans.
+	st, err := daemon.Open(daemon.Config{
+		Flags: daemon.Flags{
+			Ctl:            cfg.CtlAddr,
+			TraceSpans:     cfg.Trace,
+			Record:         cfg.Record,
+			RecordMaxBytes: cfg.RecordMaxBytes,
+		},
+		Node:     "online",
+		Clock:    clk,
+		Rules:    cfg.Alerts,
+		EventCap: 8192,
+		SpanCap:  1 << 15,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("online: %w", err)
 	}
-
-	// Durable capture: the writer is created before the clock first
-	// advances, so its header epoch is virtual t=0 and every stamp in
-	// the file lines up with the event log and tracer.
-	var rec *recordlog.Writer
-	if cfg.Record != "" {
-		if cfg.Shards > 1 {
-			return nil, fmt.Errorf("online: Record requires a single shard, got %d", cfg.Shards)
-		}
-		if err := os.MkdirAll(cfg.Record, 0o755); err != nil {
-			return nil, fmt.Errorf("online: record dir: %w", err)
-		}
-		w, err := recordlog.Create(filepath.Join(cfg.Record, "online.mrl"), "online", clk,
-			recordlog.WithMaxBytes(cfg.RecordMaxBytes))
-		if err != nil {
-			return nil, fmt.Errorf("online: record: %w", err)
-		}
-		rec = w
-		defer rec.Close()
-		events.SetSink(rec.RecordEvent)
-		tracer.SetSink(rec.RecordSpan)
-	}
+	defer st.Close()
+	events, tracer := st.Events, st.Tracer
 
 	// Thermal model + solvers behind the UDP daemons: one solverd owns
 	// the whole room, or cfg.Shards of them each own one region of it.
@@ -285,14 +276,11 @@ func Run(cfg Config) (*Result, error) {
 		// One registry: metric names are unique per registry, so only
 		// shard 0 exports solver metrics. The event log and tracer are
 		// shared — their records are keyed by content, not by daemon.
-		solverOpts := []solverd.Option{solverd.WithClock(clk)}
+		solverOpts := []solverd.Option{solverd.WithClock(clk), solverd.WithTracer(tracer)}
 		if i == 0 {
-			solverOpts = append(solverOpts, solverd.WithTelemetry(reg, events))
+			solverOpts = append(solverOpts, solverd.WithTelemetry(st.Registry, events))
 		} else {
 			solverOpts = append(solverOpts, solverd.WithTelemetry(nil, events))
-		}
-		if tracer != nil {
-			solverOpts = append(solverOpts, solverd.WithTracer(tracer))
 		}
 		if cfg.Surrogate && i == 0 {
 			if surro, err = surrogate.New(sol, surrogate.Config{}); err != nil {
@@ -300,8 +288,10 @@ func Run(cfg Config) (*Result, error) {
 			}
 			solverOpts = append(solverOpts, solverd.WithSurrogate(surro))
 		}
-		if rec != nil && i == 0 {
-			solverOpts = append(solverOpts, solverd.WithRecorder(rec))
+		// A nil *recordlog.Writer in the Recorder interface would be a
+		// non-nil recorder that panics in Listen. Record implies one shard.
+		if st.Recorder != nil {
+			solverOpts = append(solverOpts, solverd.WithRecorder(st.Recorder))
 		}
 		if servers[i], err = solverd.Listen("127.0.0.1:0", sol, solverOpts...); err != nil {
 			return nil, err
@@ -324,36 +314,32 @@ func Run(cfg Config) (*Result, error) {
 	}
 	srv := servers[0]
 
-	// ownerOf routes a machine to the shard that steps it; with one
+	// ownerOf is the index of the shard that steps a machine; with one
 	// shard everything routes to it.
-	ownerOf := func(machine string) (*solverd.Server, error) {
+	ownerOf := func(machine string) (int, error) {
 		if cfg.Shards == 1 {
-			return srv, nil
+			return 0, nil
 		}
-		r, err := srv.Solver().MachineRegion(machine)
-		if err != nil {
-			return nil, err
-		}
-		return servers[r], nil
+		return srv.Solver().MachineRegion(machine)
 	}
 
-	// applyFiddle routes a fiddle op like the UDP path does: source
+	// route applies a fiddle op the way the UDP path routes it: source
 	// setpoints are global state every shard must apply; everything
 	// else targets one machine and goes to its owner.
-	applyFiddle := func(op *wire.FiddleOp) error {
+	route := func(op *wire.FiddleOp, apply func(shard int, op *wire.FiddleOp) error) error {
 		if op.Op == wire.OpSetSourceTemp || len(op.Strings) == 0 {
-			for _, s := range servers {
-				if err := s.ApplyFiddle(op); err != nil {
+			for i := range servers {
+				if err := apply(i, op); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		s, err := ownerOf(op.Strings[0])
+		i, err := ownerOf(op.Strings[0])
 		if err != nil {
 			return err
 		}
-		return s.ApplyFiddle(op)
+		return apply(i, op)
 	}
 
 	// Cluster machine names, in the canonical cluster order everything
@@ -375,64 +361,36 @@ func Run(cfg Config) (*Result, error) {
 	// goroutine after every solver step, never from the daemons — the
 	// evaluation order (and so the transition timeline) is then the
 	// same no matter how many shards step the model.
-	var eng *alert.Engine
 	if cfg.Alerts != nil {
 		probes, fill := alertProbes(servers, names, comps)
-		acfg := alert.Config{
-			Rules:  cfg.Alerts,
+		if err := st.Watch(daemon.Watch{
 			Step:   time.Second,
 			Probes: probes,
 			Fill:   fill,
-			Health: func() (uint64, uint64, uint64) {
-				var missed, boundary, drops uint64
+			Health: func() (missed, boundary uint64) {
 				for _, s := range servers {
 					missed += s.Stats().MissedTicks.Load()
 					boundary += s.Stats().BoundaryMissed.Load()
 				}
-				if rec != nil {
-					drops = rec.Drops()
-				}
-				return missed, boundary, drops
+				return missed, boundary
 			},
-			Events:   events,
-			Registry: reg,
-			Clock:    clk,
-		}
-		if surro != nil {
-			acfg.Residual = func() (float64, float64, bool) {
-				st := surro.Stats()
-				return st.MaxResidualC, surro.ResidualTolerance(), st.FitGeneration > 0
-			}
-			acfg.ETA = surro.TimeToThreshold
-		}
-		if eng, err = alert.New(acfg); err != nil {
-			return nil, fmt.Errorf("online: alerts: %w", err)
-		}
-		if rec != nil {
-			eng.Transitions().SetSink(rec.RecordAlert)
+			Surrogate: surro,
+		}); err != nil {
+			return nil, fmt.Errorf("online: %w", err)
 		}
 	}
+	eng := st.Alerts
 
-	ctlAddr := ""
-	if cfg.CtlAddr != "" {
-		ctlOpts := []ctl.Option{
-			ctl.WithRegistry(reg),
-			ctl.WithEvents(events),
-			ctl.WithState(func() any { return srv.State() }),
-			ctl.WithFiddle(applyFiddle),
-		}
-		if tracer != nil {
-			ctlOpts = append(ctlOpts, ctl.WithTracer(tracer))
-		}
-		if eng != nil {
-			ctlOpts = append(ctlOpts, ctl.WithAlerts(func() any { return eng.State() }, eng.Transitions()))
-		}
-		cs := ctl.New(ctlOpts...)
-		ctlAddr, err = cs.Start(cfg.CtlAddr)
-		if err != nil {
-			return nil, err
-		}
-		defer cs.Close()
+	// The control plane only reads, apart from /fiddle, which applies
+	// ops directly on the owning servers.
+	ctlAddr, err := st.Serve(
+		ctl.WithState(func() any { return srv.State() }),
+		ctl.WithFiddle(func(op *wire.FiddleOp) error {
+			return route(op, func(i int, op *wire.FiddleOp) error { return servers[i].ApplyFiddle(op) })
+		}),
+	)
+	if err != nil {
+		return nil, err
 	}
 
 	// Emulated web cluster and workload, exactly as experiments.NewSim
@@ -521,7 +479,7 @@ func Run(cfg Config) (*Result, error) {
 			if err := startMonitord(monitord.Config{
 				Machine:    m,
 				Sampler:    synths[m],
-				SolverAddr: owner.Addr().String(),
+				SolverAddr: servers[owner].Addr().String(),
 			}); err != nil {
 				return nil, err
 			}
@@ -553,7 +511,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		sens.sensors[m] = map[string]*sensor.Sensor{}
 		for node := range nodes {
-			s, err := sensor.OpenOptions(owner.Addr().String(), m, node, sensor.Options{Clock: clk})
+			s, err := sensor.OpenOptions(servers[owner].Addr().String(), m, node, sensor.Options{Clock: clk})
 			if err != nil {
 				return nil, err
 			}
@@ -562,8 +520,7 @@ func Run(cfg Config) (*Result, error) {
 			sens.sensors[m][node] = s
 		}
 	}
-	// One fiddle client per shard; ops route like the server-side
-	// applyFiddle above (owner for machine ops, broadcast for sources).
+	// One fiddle client per shard, routed like the control plane's.
 	fcs := make([]*fiddle.Client, cfg.Shards)
 	for i, s := range servers {
 		if fcs[i], err = fiddle.DialClock(s.Addr().String(), 0, 0, clk); err != nil {
@@ -572,22 +529,7 @@ func Run(cfg Config) (*Result, error) {
 		defer fcs[i].Close()
 	}
 	routeOp := func(op *wire.FiddleOp) error {
-		if op.Op == wire.OpSetSourceTemp || len(op.Strings) == 0 {
-			for _, c := range fcs {
-				if err := c.Apply(op); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if cfg.Shards == 1 {
-			return fcs[0].Apply(op)
-		}
-		r, err := srv.Solver().MachineRegion(op.Strings[0])
-		if err != nil {
-			return err
-		}
-		return fcs[r].Apply(op)
+		return route(op, func(i int, op *wire.FiddleOp) error { return fcs[i].Apply(op) })
 	}
 	cfg.Freon.Events = events
 	cfg.Freon.Tracer = tracer
@@ -596,7 +538,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	runner := freon.NewRunner(fr, clk)
-	runner.RegisterMetrics(reg)
+	if st.Registry != nil {
+		runner.RegisterMetrics(st.Registry)
+	}
 	runnerReady := make(chan struct{})
 	runnerDone := make(chan error, 1)
 	go func() { runnerDone <- runner.RunReady(ctx, runnerReady) }()
@@ -723,16 +667,12 @@ func Run(cfg Config) (*Result, error) {
 	if eng != nil {
 		res.Alerts = eng.Timeline()
 	}
-	if rec != nil {
-		// All emitters are quiescent (runner drained, no further clock
-		// advances), so Close flushes a complete capture.
-		if err := rec.Close(); err != nil {
-			return nil, fmt.Errorf("online: flight recorder: %w", err)
-		}
-		res.RecordPath = rec.Path()
-		res.RecordDrops = rec.Drops()
-	}
 	res.CtlAddr = ctlAddr
+	// All emitters are quiescent (runner drained, no further clock
+	// advances), so Close flushes a complete capture.
+	if res.RecordPath, res.RecordDrops, err = st.Close(); err != nil {
+		return nil, fmt.Errorf("online: flight recorder: %w", err)
+	}
 	return res, nil
 }
 
@@ -746,28 +686,13 @@ func Run(cfg Config) (*Result, error) {
 // into cluster order, so the engine sees byte-identical input either
 // way.
 func alertProbes(servers []*solverd.Server, names []string, comps []freon.ComponentSpec) ([]alert.Probe, func([]float64) int) {
-	thr := map[string]freon.Thresholds{}
-	for _, c := range comps {
-		thr[c.Node] = c.Thresholds
-	}
-	mk := func(machine, node string) alert.Probe {
-		t := thr[node]
-		return alert.Probe{
-			Machine: machine, Node: node,
-			Low: float64(t.Low), High: float64(t.High), RedLine: float64(t.RedLine),
-		}
-	}
 	if len(servers) == 1 {
 		sol := servers[0].Solver()
 		ms, ns := sol.Probes()
-		probes := make([]alert.Probe, len(ms))
-		for i := range ms {
-			probes[i] = mk(ms[i], ns[i])
-		}
-		return probes, sol.ReadAllTemps
+		return daemon.ThermalProbes(ms, ns, comps), sol.ReadAllTemps
 	}
 	type col struct{ shard, idx int }
-	var probes []alert.Probe
+	var ms, ns []string
 	var srcs []col
 	scratch := make([][]float64, len(servers))
 	shardMs := make([][]string, len(servers))
@@ -782,7 +707,8 @@ func alertProbes(servers []*solverd.Server, names []string, comps []freon.Compon
 				if pm != m {
 					continue
 				}
-				probes = append(probes, mk(m, shardNs[s][i]))
+				ms = append(ms, m)
+				ns = append(ns, shardNs[s][i])
 				srcs = append(srcs, col{shard: s, idx: i})
 			}
 		}
@@ -800,7 +726,7 @@ func alertProbes(servers []*solverd.Server, names []string, comps []freon.Compon
 		}
 		return n
 	}
-	return probes, fill
+	return daemon.ThermalProbes(ms, ns, comps), fill
 }
 
 // waitFor yields until cond holds: a short Gosched burst for the

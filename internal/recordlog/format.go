@@ -184,8 +184,7 @@ func encodeHeader(b []byte, flags byte, epoch time.Time, node string) int {
 	b[9] = flags
 	b[10], b[11] = 0, 0
 	binary.BigEndian.PutUint64(b[12:], uint64(epoch.UnixNano()))
-	trunc := putStr(b[20:20+nodeLen], node)
-	_ = trunc
+	putStr(b[20:20+nodeLen], node)
 	return headerSize
 }
 

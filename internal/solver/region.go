@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/darklab/mercury/internal/model"
-	"github.com/darklab/mercury/internal/units"
 )
 
 // This file holds the horizontal partitioning machinery: a room graph
@@ -337,17 +336,4 @@ func (s *Solver) ImportBoundaryTemps(peer int, idx []int32, temps []float64) err
 		}
 	}
 	return nil
-}
-
-// RemoteExhaust returns the placeholder exhaust temperature currently
-// installed for a machine of another region (tests use it to observe
-// imports; the stepping loop reads it through mixInlet).
-func (s *Solver) RemoteExhaust(name string) (units.Celsius, error) {
-	cm, ok := s.byName[name]
-	if !ok {
-		return 0, &ErrUnknown{Kind: "machine", Name: name}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return units.Celsius(cm.exhaustTemp), nil
 }

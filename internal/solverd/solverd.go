@@ -62,12 +62,10 @@ type Server struct {
 
 	// Telemetry (nil unless WithTelemetry). fillFn is sol.ReadAllTemps
 	// hoisted into a field once so the sampling path allocates nothing.
-	reg         *telemetry.Registry
-	events      *telemetry.EventLog
-	temps       *telemetry.TempTable
-	fillFn      func([]float64) int
-	sampleEvery uint64
-	tempCap     int
+	reg    *telemetry.Registry
+	events *telemetry.EventLog
+	temps  *telemetry.TempTable
+	fillFn func([]float64) int
 
 	// Boundary exchange with peer regions (nil unless SetPeers);
 	// exportBuf is scratch for ExportBoundary, touched only by the
@@ -171,19 +169,13 @@ func WithAlerts(eng *alert.Engine) Option {
 	return func(s *Server) { s.alerts = eng }
 }
 
-// WithTempSampling tunes the temperature table: capacity samples
-// retained per node, one sample every everySteps solver steps.
-// Defaults are 360 and 10 (an hour of history at a one-second step).
-func WithTempSampling(capacity, everySteps int) Option {
-	return func(s *Server) {
-		if capacity > 0 {
-			s.tempCap = capacity
-		}
-		if everySteps > 0 {
-			s.sampleEvery = uint64(everySteps)
-		}
-	}
-}
+// The temperature table keeps tempHistory samples per node, one
+// every tempSampleEvery solver steps: an hour of history at a
+// one-second step.
+const (
+	tempHistory     = 360
+	tempSampleEvery = 10
+)
 
 // Listen binds a UDP socket (addr like "127.0.0.1:8367"; port 0 picks
 // a free port) and returns a Server ready to Serve.
@@ -197,12 +189,11 @@ func Listen(addr string, sol *solver.Solver, opts ...Option) (*Server, error) {
 		return nil, fmt.Errorf("solverd: %w", err)
 	}
 	s := &Server{
-		sol:         sol,
-		conn:        conn,
-		clk:         clock.Real{},
-		lastSeq:     map[string]uint32{},
-		stopTick:    make(chan struct{}),
-		sampleEvery: 10,
+		sol:      sol,
+		conn:     conn,
+		clk:      clock.Real{},
+		lastSeq:  map[string]uint32{},
+		stopTick: make(chan struct{}),
 	}
 	s.stepFn = sol.Step
 	for _, o := range opts {
@@ -257,7 +248,7 @@ func (s *Server) registerMetrics() {
 	for i := range machines {
 		probes[i] = telemetry.TempProbe{Machine: machines[i], Node: nodes[i]}
 	}
-	s.temps = telemetry.NewTempTable(probes, s.tempCap)
+	s.temps = telemetry.NewTempTable(probes, tempHistory)
 	s.fillFn = s.sol.ReadAllTemps
 }
 
@@ -364,7 +355,7 @@ func (s *Server) StartTicker() {
 						})
 					}
 					s.stats.SolverSteps.Add(1)
-					if s.temps != nil && n%s.sampleEvery == 0 {
+					if s.temps != nil && n%tempSampleEvery == 0 {
 						s.temps.Sample(time.Duration(n)*step, s.fillFn)
 					}
 					s.alerts.EvalTick(n)
