@@ -86,8 +86,8 @@ func TestFacadePerfCounterSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[mercury.UtilCPU] <= 0 {
-		t.Errorf("counter-derived util = %v, want positive", got[mercury.UtilCPU])
+	if len(got) != 1 || got[0].Source != mercury.UtilCPU || got[0].Util <= 0 {
+		t.Errorf("counter-derived sample = %+v, want one positive cpu entry", got)
 	}
 }
 

@@ -37,6 +37,15 @@ const (
 	UtilNet UtilSource = "net"
 )
 
+// UtilSample is one utilization stream's value for one sampling
+// interval — the datum a procfs sampler produces, a monitord report
+// carries (wire.UtilEntry is this type) and the solver consumes, so a
+// report crosses every layer without being re-keyed or copied.
+type UtilSample struct {
+	Source UtilSource
+	Util   units.Fraction
+}
+
 // Component is a hardware part with thermal mass and a power model:
 // a vertex of the heat-flow graph (Figure 1a).
 type Component struct {

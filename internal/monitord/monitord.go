@@ -17,7 +17,6 @@ import (
 	"github.com/darklab/mercury/internal/procfs"
 	"github.com/darklab/mercury/internal/telemetry"
 	"github.com/darklab/mercury/internal/udprpc"
-	"github.com/darklab/mercury/internal/units"
 	"github.com/darklab/mercury/internal/wire"
 )
 
@@ -38,8 +37,14 @@ type Daemon struct {
 	reg    *telemetry.Registry
 	gauges map[model.UtilSource]*telemetry.Gauge
 
+	// Scratch of one SampleOnce, which has one caller at a time: the
+	// batch's reports, their entries borrowed from the samplers until
+	// the next sample, and the datagram they are encoded into.
+	reports []wire.UtilReport
+	dgram   []byte
+
 	mu       sync.Mutex
-	lastUtil map[model.UtilSource]float64
+	lastUtil []model.UtilSample // single mode's latest sample, for /state
 }
 
 // BatchMachine is one machine of a batched daemon: its model name and
@@ -115,7 +120,7 @@ func New(cfg Config) (*Daemon, error) {
 		tracer:   cfg.Tracer,
 		reg:      cfg.Registry,
 		gauges:   map[model.UtilSource]*telemetry.Gauge{},
-		lastUtil: map[model.UtilSource]float64{},
+		reports:  make([]wire.UtilReport, len(cfg.Batch)),
 	}
 	if d.reg != nil {
 		d.reg.CounterFunc("mercury_monitor_updates_sent_total",
@@ -132,141 +137,118 @@ func New(cfg Config) (*Daemon, error) {
 // batch mode, samples every batch machine and sends the batched
 // datagrams). With a tracer attached, each sample roots a fresh trace:
 // the sample span's context rides in the datagram so the solver's
-// apply (and anything it causes) links back here.
+// apply (and anything it causes) links back here. It reuses the
+// daemon's report and datagram scratch — in steady state a sample
+// allocates nothing — so it must not be called concurrently.
 func (d *Daemon) SampleOnce() error {
-	if len(d.batch) > 0 {
-		return d.sampleBatch()
+	var begin time.Duration
+	if d.tracer != nil {
+		begin = d.tracer.Now()
 	}
-	return d.sampleSingle()
+	var err error
+	if len(d.batch) > 0 {
+		err = d.sampleBatch(begin)
+	} else {
+		err = d.sampleSingle(begin)
+	}
+	if err != nil {
+		d.errs.Add(1)
+		return err
+	}
+	d.sent.Add(1)
+	return nil
+}
+
+func (d *Daemon) nextSeq() uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.seq++
+	return d.seq
+}
+
+// traceSample closes the sample span opened at begin and returns the
+// context that rides in the datagram (zero without a tracer). Span IDs
+// are content-derived, so the ID exists before the span is emitted —
+// and the span is stamped and emitted before the send: once the solver
+// has applied the datagram a lockstep harness may advance the clock or
+// collect the spans, and neither may catch this one half done.
+func (d *Daemon) traceSample(begin time.Duration) wire.TraceContext {
+	if d.tracer == nil {
+		return wire.TraceContext{}
+	}
+	span := causal.Span{
+		Trace:   d.tracer.NewTrace(d.machine),
+		Kind:    causal.KindSample,
+		Begin:   begin,
+		Machine: d.machine,
+	}
+	span.ID = causal.SpanID(&span)
+	span.End = d.tracer.Now()
+	d.tracer.Emit(span)
+	return wire.TraceContext{Trace: span.Trace, Span: span.ID}
 }
 
 // sampleBatch samples every batch machine and ships the reports as
 // MsgUtilBatch datagrams, MaxBatchMachines per datagram, all sharing
 // one sequence number. One sample span covers the whole batch.
-func (d *Daemon) sampleBatch() error {
-	var begin time.Duration
-	if d.tracer != nil {
-		begin = d.tracer.Now()
-	}
-	d.mu.Lock()
-	d.seq++
-	seq := d.seq
-	d.mu.Unlock()
-	b := &wire.UtilBatch{Reports: make([]wire.UtilReport, 0, len(d.batch))}
-	for _, bm := range d.batch {
+func (d *Daemon) sampleBatch(begin time.Duration) error {
+	seq := d.nextSeq()
+	for i, bm := range d.batch {
 		utils, err := bm.Sampler.Sample()
 		if err != nil {
-			d.errs.Add(1)
 			return fmt.Errorf("monitord: sample %s: %w", bm.Machine, err)
 		}
-		r := wire.UtilReport{Machine: bm.Machine, Seq: seq}
-		for src, v := range utils {
-			r.Entries = append(r.Entries, wire.UtilEntry{Source: src, Util: v})
-		}
-		b.Reports = append(b.Reports, r)
+		d.reports[i] = wire.UtilReport{Machine: bm.Machine, Seq: seq, Entries: utils}
 	}
-	if d.tracer != nil {
-		span := causal.Span{
-			Trace:   d.tracer.NewTrace(d.machine),
-			Kind:    causal.KindSample,
-			Begin:   begin,
-			Machine: d.machine,
-		}
-		span.ID = causal.SpanID(&span)
-		b.Trace = wire.TraceContext{Trace: span.Trace, Span: span.ID}
-		// The span is stamped and emitted before the send: once the
-		// solver has applied the datagram a lockstep harness may advance
-		// the clock or collect the spans, and neither may catch this one
-		// half done.
-		span.End = d.tracer.Now()
-		d.tracer.Emit(span)
-	}
-	for off := 0; off < len(b.Reports); off += wire.MaxBatchMachines {
-		end := off + wire.MaxBatchMachines
-		if end > len(b.Reports) {
-			end = len(b.Reports)
-		}
-		buf, err := wire.MarshalUtilBatch(&wire.UtilBatch{Reports: b.Reports[off:end], Trace: b.Trace})
-		if err != nil {
-			d.errs.Add(1)
+	tc := d.traceSample(begin)
+	for off := 0; off < len(d.reports); off += wire.MaxBatchMachines {
+		chunk := wire.UtilBatch{Reports: d.reports[off:min(off+wire.MaxBatchMachines, len(d.reports))], Trace: tc}
+		var err error
+		if d.dgram, err = wire.AppendUtilBatch(d.dgram[:0], &chunk); err != nil {
 			return fmt.Errorf("monitord: %w", err)
 		}
-		if err := d.client.Send(buf); err != nil {
-			d.errs.Add(1)
+		if err := d.client.Send(d.dgram); err != nil {
 			return fmt.Errorf("monitord: %w", err)
 		}
 	}
-	d.sent.Add(1)
 	return nil
 }
 
-func (d *Daemon) sampleSingle() error {
-	var begin time.Duration
-	if d.tracer != nil {
-		begin = d.tracer.Now()
-	}
+func (d *Daemon) sampleSingle(begin time.Duration) error {
 	utils, err := d.sampler.Sample()
 	if err != nil {
-		d.errs.Add(1)
 		return fmt.Errorf("monitord: sample: %w", err)
 	}
-	d.mu.Lock()
-	d.seq++
-	seq := d.seq
-	d.mu.Unlock()
-	u := &wire.UtilUpdate{Machine: d.machine, Seq: seq}
-	for src, v := range utils {
-		u.Entries = append(u.Entries, wire.UtilEntry{Source: src, Util: v})
-	}
-	if d.tracer != nil {
-		// Span IDs are content-derived, so the ID can be computed
-		// before the span is emitted — the datagram needs it first.
-		span := causal.Span{
-			Trace:   d.tracer.NewTrace(d.machine),
-			Kind:    causal.KindSample,
-			Begin:   begin,
-			Machine: d.machine,
-		}
-		span.ID = causal.SpanID(&span)
-		u.Trace = wire.TraceContext{Trace: span.Trace, Span: span.ID}
-		// Stamped and emitted before the send, as in sampleBatch.
-		span.End = d.tracer.Now()
-		d.tracer.Emit(span)
-	}
+	u := wire.UtilUpdate{Machine: d.machine, Seq: d.nextSeq(), Entries: utils}
+	u.Trace = d.traceSample(begin)
 	d.record(utils)
-	buf, err := wire.MarshalUtilUpdate(u)
-	if err != nil {
-		d.errs.Add(1)
+	if d.dgram, err = wire.AppendUtilUpdate(d.dgram[:0], &u); err != nil {
 		return fmt.Errorf("monitord: %w", err)
 	}
-	if err := d.client.Send(buf); err != nil {
-		d.errs.Add(1)
+	if err := d.client.Send(d.dgram); err != nil {
 		return fmt.Errorf("monitord: %w", err)
 	}
-	d.sent.Add(1)
 	return nil
 }
 
 // record keeps the latest sample for /state and mirrors it into
 // per-stream gauges (registered lazily on first sight of a stream).
-func (d *Daemon) record(utils map[model.UtilSource]units.Fraction) {
+func (d *Daemon) record(utils []model.UtilSample) {
 	d.mu.Lock()
-	for src, v := range utils {
-		d.lastUtil[src] = float64(v)
-	}
+	d.lastUtil = append(d.lastUtil[:0], utils...)
 	d.mu.Unlock()
 	if d.reg == nil {
 		return
 	}
-	for src, v := range utils {
-		g, ok := d.gauges[src]
+	for _, e := range utils {
+		g, ok := d.gauges[e.Source]
 		if !ok {
 			g = d.reg.Gauge(
-				fmt.Sprintf("mercury_monitor_utilization{machine=%q,source=%q}", d.machine, string(src)),
+				fmt.Sprintf("mercury_monitor_utilization{machine=%q,source=%q}", d.machine, string(e.Source)),
 				"most recent sampled utilization (0..1)")
-			d.gauges[src] = g
+			d.gauges[e.Source] = g
 		}
-		g.Set(float64(v))
+		g.Set(float64(e.Util))
 	}
 }
 
@@ -283,8 +265,8 @@ type State struct {
 func (d *Daemon) StateSnapshot() State {
 	d.mu.Lock()
 	utils := make(map[string]float64, len(d.lastUtil))
-	for src, v := range d.lastUtil {
-		utils[string(src)] = v
+	for _, e := range d.lastUtil {
+		utils[string(e.Source)] = float64(e.Util)
 	}
 	seq := d.seq
 	d.mu.Unlock()

@@ -1,8 +1,10 @@
 package monitord
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"github.com/darklab/mercury/internal/clock"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/procfs"
+	"github.com/darklab/mercury/internal/telemetry"
 	"github.com/darklab/mercury/internal/units"
 	"github.com/darklab/mercury/internal/wire"
 )
@@ -94,7 +97,7 @@ func TestSampleOnceSendsSequencedUpdates(t *testing.T) {
 
 type badSampler struct{}
 
-func (badSampler) Sample() (map[model.UtilSource]units.Fraction, error) {
+func (badSampler) Sample() ([]model.UtilSample, error) {
 	return nil, errors.New("boom")
 }
 
@@ -175,5 +178,149 @@ func TestRunVirtualClock(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Errorf("Run returned %v, want context.Canceled", err)
+	}
+}
+
+// rawServer hands over every datagram it receives, as sent.
+func rawServer(t *testing.T) (string, chan []byte) {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	ch := make(chan []byte, 64)
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			n, _, err := conn.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			ch <- append([]byte(nil), buf[:n]...)
+		}
+	}()
+	return conn.LocalAddr().String(), ch
+}
+
+// TestBatchDatagramsMatchMarshal: a batch daemon reusing its report
+// and datagram scratch must put on the wire exactly what a fresh
+// MarshalUtilBatch of the same reports yields, sample after sample,
+// including the short last chunk.
+func TestBatchDatagramsMatchMarshal(t *testing.T) {
+	addr, ch := rawServer(t)
+	const machines = wire.MaxBatchMachines + 4
+	synths := make([]*procfs.Synthetic, machines)
+	batch := make([]BatchMachine, machines)
+	for i := range batch {
+		synths[i] = procfs.NewSynthetic(model.UtilDisk, model.UtilCPU)
+		batch[i] = BatchMachine{Machine: fmt.Sprintf("machine%d", i+1), Sampler: synths[i]}
+	}
+	d, err := New(Config{Machine: "rack1", Batch: batch, SolverAddr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for seq := uint32(1); seq <= 3; seq++ {
+		var reports []wire.UtilReport
+		for i, s := range synths {
+			cpu, disk := units.Fraction(float64(seq)/4), units.Fraction(float64(i)/machines)
+			s.Set(model.UtilCPU, cpu)
+			s.Set(model.UtilDisk, disk)
+			reports = append(reports, wire.UtilReport{Machine: batch[i].Machine, Seq: seq, Entries: []wire.UtilEntry{
+				{Source: model.UtilCPU, Util: cpu}, {Source: model.UtilDisk, Util: disk},
+			}})
+		}
+		if err := d.SampleOnce(); err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < machines; off += wire.MaxBatchMachines {
+			want, err := wire.MarshalUtilBatch(&wire.UtilBatch{Reports: reports[off:min(off+wire.MaxBatchMachines, machines)]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case got := <-ch:
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seq %d, reports from %d:\n got %x\nwant %x", seq, off, got, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("seq %d: datagram for reports from %d never arrived", seq, off)
+			}
+		}
+	}
+	if d.Sent() != 3 {
+		t.Errorf("Sent = %d, want 3", d.Sent())
+	}
+}
+
+// TestSampleOnceBatchDoesNotAllocate: 96 machines through a live
+// loopback socket, the rack-sharded shape — sampling, the six encodes
+// and the six sends are free once the scratch is warm.
+func TestSampleOnceBatchDoesNotAllocate(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	batch := make([]BatchMachine, 96)
+	synths := make([]*procfs.Synthetic, len(batch))
+	for i := range batch {
+		synths[i] = procfs.NewSynthetic(model.UtilCPU, model.UtilDisk)
+		batch[i] = BatchMachine{Machine: fmt.Sprintf("machine%d", i+1), Sampler: synths[i]}
+	}
+	d, err := New(Config{Machine: "shard0", Batch: batch, SolverAddr: conn.LocalAddr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.SampleOnce(); err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	if n := testing.AllocsPerRun(50, func() {
+		k++
+		synths[k%len(synths)].Set(model.UtilCPU, units.Fraction(k%7)/7)
+		if err := d.SampleOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("batch SampleOnce: %v allocs/op, want 0", n)
+	}
+}
+
+// TestStateSnapshotFromSlice: single mode still serves its latest
+// sample on /state and as gauges now that samples arrive as slices.
+func TestStateSnapshotFromSlice(t *testing.T) {
+	addr, _ := captureServer(t)
+	synth := procfs.NewSynthetic(model.UtilCPU, model.UtilDisk)
+	reg := telemetry.NewRegistry()
+	d, err := New(Config{Machine: "machine1", Sampler: synth, SolverAddr: addr, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, cpu := range []units.Fraction{0.25, 0.75} {
+		synth.Set(model.UtilCPU, cpu)
+		if err := d.SampleOnce(); err != nil {
+			t.Fatal(err)
+		}
+		st := d.StateSnapshot()
+		if len(st.Utils) != 2 || st.Utils["cpu"] != float64(cpu) || st.Utils["disk"] != 0 {
+			t.Errorf("after cpu=%v: /state utilizations = %v", cpu, st.Utils)
+		}
+	}
+	var out bytes.Buffer
+	reg.WritePrometheus(&out)
+	if want := `mercury_monitor_utilization{machine="machine1",source="cpu"} 0.75`; !bytes.Contains(out.Bytes(), []byte(want)) {
+		t.Errorf("metrics lack %q:\n%s", want, out.String())
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/thermo"
-	"github.com/darklab/mercury/internal/units"
 )
 
 // CounterSource reads cumulative processor performance-counter values.
@@ -34,6 +33,7 @@ type PerfCounterSampler struct {
 	havePrev bool
 	prev     map[string]uint64
 	prevWall time.Time
+	out      []model.UtilSample // Sample's result
 }
 
 // NewPerfCounterSampler builds the sampler. fallback may be nil if
@@ -54,21 +54,17 @@ func NewPerfCounterSampler(src CounterSource, pm *thermo.PerfCounterModel, fallb
 
 // Sample implements Sampler. The first call establishes the counter
 // baseline and reports zero CPU utilization.
-func (p *PerfCounterSampler) Sample() (map[model.UtilSource]units.Fraction, error) {
+func (p *PerfCounterSampler) Sample() ([]model.UtilSample, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	out := map[model.UtilSource]units.Fraction{}
+	p.out = p.out[:0]
 	if p.fallback != nil {
 		fb, err := p.fallback.Sample()
 		if err != nil {
 			return nil, err
 		}
-		for src, u := range fb {
-			if src != model.UtilCPU {
-				out[src] = u
-			}
-		}
+		p.out = append(p.out, fb...)
 	}
 
 	cur, err := p.src.ReadCounters()
@@ -78,8 +74,8 @@ func (p *PerfCounterSampler) Sample() (map[model.UtilSource]units.Fraction, erro
 	wall := p.now()
 	if !p.havePrev {
 		p.prev, p.prevWall, p.havePrev = cur, wall, true
-		out[model.UtilCPU] = 0
-		return out, nil
+		p.out = setSample(p.out, model.UtilCPU, 0)
+		return p.out, nil
 	}
 	interval := wall.Sub(p.prevWall)
 	deltas := map[string]uint64{}
@@ -94,8 +90,10 @@ func (p *PerfCounterSampler) Sample() (map[model.UtilSource]units.Fraction, erro
 	if err != nil {
 		return nil, err
 	}
-	out[model.UtilCPU] = u
-	return out, nil
+	// The counter-derived value replaces whatever the fallback said
+	// about the CPU.
+	p.out = setSample(p.out, model.UtilCPU, u)
+	return p.out, nil
 }
 
 // SyntheticCounters is a programmable CounterSource: tests and

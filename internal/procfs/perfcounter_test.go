@@ -44,29 +44,20 @@ func TestPerfCounterSamplerDeltas(t *testing.T) {
 	}
 
 	// Baseline: zero.
-	first, err := p.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := sample(t, p)
 	if first[model.UtilCPU] != 0 {
 		t.Errorf("first sample = %v", first[model.UtilCPU])
 	}
 
 	// 1e9 uops at 12nJ over 1s = 12W above idle: (12)/(24) = 50%.
 	src.Add("uops", 1_000_000_000)
-	second, err := p.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := sample(t, p)
 	if got := float64(second[model.UtilCPU]); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("util = %v, want 0.5", got)
 	}
 
 	// No activity: back to 0% (idle power maps to Pbase).
-	third, err := p.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
+	third := sample(t, p)
 	if third[model.UtilCPU] != 0 {
 		t.Errorf("idle util = %v", third[model.UtilCPU])
 	}
@@ -83,11 +74,8 @@ func TestPerfCounterSamplerMergesFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[model.UtilDisk] != 0.4 || got[model.UtilNet] != 0.2 {
+	got := sample(t, p)
+	if len(got) != 3 || got[model.UtilDisk] != 0.4 || got[model.UtilNet] != 0.2 {
 		t.Errorf("fallback streams = %+v", got)
 	}
 	if got[model.UtilCPU] != 0 {
@@ -122,10 +110,7 @@ func TestPerfCounterSamplerCounterWrap(t *testing.T) {
 	src.mu.Lock()
 	src.counts["uops"] = 10 // reset
 	src.mu.Unlock()
-	got, err := p.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sample(t, p)
 	if got[model.UtilCPU] != 0 {
 		t.Errorf("wrapped counter produced util %v", got[model.UtilCPU])
 	}
@@ -137,10 +122,7 @@ func TestPerfCounterSamplerSaturates(t *testing.T) {
 	p, _ := NewPerfCounterSampler(src, testModel(t), nil, fixedClock(t0, t0.Add(time.Second), t0.Add(2*time.Second)))
 	p.Sample()
 	src.Add("uops", 1<<40)
-	got, err := p.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sample(t, p)
 	if got[model.UtilCPU] != units.Fraction(1) {
 		t.Errorf("saturated util = %v, want 1", got[model.UtilCPU])
 	}

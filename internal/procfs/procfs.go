@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,11 +26,28 @@ import (
 	"github.com/darklab/mercury/internal/units"
 )
 
-// Sampler produces one utilization value per source per call.
-// Implementations must be safe for use from a single goroutine;
-// monitord serializes calls.
+// Sampler produces one utilization value per source per call, sorted
+// by source. The returned slice belongs to the sampler and is valid
+// until its next Sample call: monitord encodes it straight into the
+// datagram, so a steady-state sample allocates nothing. Implementations
+// must be safe for use from a single goroutine; monitord serializes
+// calls.
 type Sampler interface {
-	Sample() (map[model.UtilSource]units.Fraction, error)
+	Sample() ([]model.UtilSample, error)
+}
+
+// setSample stores src's value in the source-sorted samples, inserting
+// the source at its place if it is new.
+func setSample(samples []model.UtilSample, src model.UtilSource, u units.Fraction) []model.UtilSample {
+	i := 0
+	for i < len(samples) && samples[i].Source < src {
+		i++
+	}
+	if i < len(samples) && samples[i].Source == src {
+		samples[i].Util = u
+		return samples
+	}
+	return slices.Insert(samples, i, model.UtilSample{Source: src, Util: u})
 }
 
 // Config selects what a ProcSampler monitors.
@@ -75,6 +93,7 @@ type ProcSampler struct {
 	prevNet   uint64 // rx+tx bytes
 	prevWall  time.Time
 	diskFound string
+	out       [3]model.UtilSample // Sample's result: cpu, disk, net
 }
 
 type cpuTimes struct {
@@ -89,11 +108,10 @@ func New(cfg Config) *ProcSampler {
 
 // Sample implements Sampler. The first call returns zeros and records
 // the baseline.
-func (p *ProcSampler) Sample() (map[model.UtilSource]units.Fraction, error) {
+func (p *ProcSampler) Sample() ([]model.UtilSample, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	out := map[model.UtilSource]units.Fraction{}
 	now := p.cfg.now()
 
 	cpu, err := p.readCPU()
@@ -112,22 +130,19 @@ func (p *ProcSampler) Sample() (map[model.UtilSource]units.Fraction, error) {
 		}
 	}
 
+	// Already in source order: "cpu" < "disk" < "net".
+	p.out = [3]model.UtilSample{{Source: model.UtilCPU}, {Source: model.UtilDisk}, {Source: model.UtilNet}}
 	if p.havePrev {
-		out[model.UtilCPU] = cpuUtil(p.prevCPU, cpu)
-		out[model.UtilDisk] = diskUtil(p.prevIO, io, now.Sub(p.prevWall))
-		if p.cfg.NIC != "" {
-			out[model.UtilNet] = netUtil(p.prevNet, net, now.Sub(p.prevWall), p.cfg.NICCapacity)
-		}
-	} else {
-		out[model.UtilCPU] = 0
-		out[model.UtilDisk] = 0
-		if p.cfg.NIC != "" {
-			out[model.UtilNet] = 0
-		}
+		p.out[0].Util = cpuUtil(p.prevCPU, cpu)
+		p.out[1].Util = diskUtil(p.prevIO, io, now.Sub(p.prevWall))
+		p.out[2].Util = netUtil(p.prevNet, net, now.Sub(p.prevWall), p.cfg.NICCapacity)
 	}
 	p.prevCPU, p.prevIO, p.prevNet, p.prevWall = cpu, io, net, now
 	p.havePrev = true
-	return out, nil
+	if p.cfg.NIC == "" {
+		return p.out[:2], nil
+	}
+	return p.out[:], nil
 }
 
 func cpuUtil(prev, cur cpuTimes) units.Fraction {
@@ -282,14 +297,15 @@ func (p *ProcSampler) readNet() (uint64, error) {
 // utilizations, and tests use it for determinism.
 type Synthetic struct {
 	mu   sync.Mutex
-	vals map[model.UtilSource]units.Fraction
+	vals []model.UtilSample // sorted by source
+	out  []model.UtilSample // Sample's result, a copy Set never touches
 }
 
 // NewSynthetic builds a Synthetic sampler with all sources at zero.
 func NewSynthetic(sources ...model.UtilSource) *Synthetic {
-	s := &Synthetic{vals: map[model.UtilSource]units.Fraction{}}
+	s := &Synthetic{}
 	for _, src := range sources {
-		s.vals[src] = 0
+		s.vals = setSample(s.vals, src, 0)
 	}
 	return s
 }
@@ -298,16 +314,13 @@ func NewSynthetic(sources ...model.UtilSource) *Synthetic {
 func (s *Synthetic) Set(src model.UtilSource, u units.Fraction) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.vals[src] = u.Clamp()
+	s.vals = setSample(s.vals, src, u.Clamp())
 }
 
 // Sample implements Sampler.
-func (s *Synthetic) Sample() (map[model.UtilSource]units.Fraction, error) {
+func (s *Synthetic) Sample() ([]model.UtilSample, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[model.UtilSource]units.Fraction, len(s.vals))
-	for k, v := range s.vals {
-		out[k] = v
-	}
-	return out, nil
+	s.out = append(s.out[:0], s.vals...)
+	return s.out, nil
 }

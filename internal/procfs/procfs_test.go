@@ -60,6 +60,30 @@ func fixedClock(times ...time.Time) func() time.Time {
 	}
 }
 
+// sample takes one sample and indexes it by source for the assertions,
+// holding the Sampler contract on the way: sorted by source, each
+// source once.
+func sample(t *testing.T, s Sampler) map[model.UtilSource]units.Fraction {
+	t.Helper()
+	got, err := s.Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bySource(t, got)
+}
+
+func bySource(t *testing.T, samples []model.UtilSample) map[model.UtilSource]units.Fraction {
+	t.Helper()
+	out := map[model.UtilSource]units.Fraction{}
+	for i, e := range samples {
+		if i > 0 && samples[i-1].Source >= e.Source {
+			t.Fatalf("sample not sorted by source: %+v", samples)
+		}
+		out[e.Source] = e.Util
+	}
+	return out
+}
+
 func TestProcSamplerDeltas(t *testing.T) {
 	dir := t.TempDir()
 	writeProc(t, dir, statA, diskA, netA)
@@ -68,9 +92,9 @@ func TestProcSamplerDeltas(t *testing.T) {
 	p := New(Config{Root: dir, Disk: "sda", NIC: "eth0", NICCapacity: 125e6,
 		now: fixedClock(t0, t1)})
 
-	first, err := p.Sample()
-	if err != nil {
-		t.Fatal(err)
+	first := sample(t, p)
+	if len(first) != 3 {
+		t.Errorf("first sample has %d sources, want cpu, disk, net", len(first))
 	}
 	for src, v := range first {
 		if v != 0 {
@@ -79,10 +103,7 @@ func TestProcSamplerDeltas(t *testing.T) {
 	}
 
 	writeProc(t, dir, statB, diskB, netB)
-	second, err := p.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := sample(t, p)
 	// CPU: busy delta 600 of total 1000 -> 60%.
 	if got := float64(second[model.UtilCPU]); got < 0.59 || got > 0.61 {
 		t.Errorf("cpu util = %v, want ~0.60", got)
@@ -121,9 +142,9 @@ func TestProcSamplerUtilsClamped(t *testing.T) {
 	}
 	// 800 ms of io ticks in a 100 ms window would be >1; must clamp.
 	writeProc(t, dir, statB, diskB, "")
-	got, err := p.Sample()
-	if err != nil {
-		t.Fatal(err)
+	got := sample(t, p)
+	if _, ok := got[model.UtilNet]; ok {
+		t.Errorf("no NIC configured, yet sampled %+v", got)
 	}
 	if got[model.UtilDisk] != 1 {
 		t.Errorf("disk util = %v, want clamp to 1", got[model.UtilDisk])
@@ -193,45 +214,64 @@ func TestRealProcIfAvailable(t *testing.T) {
 		t.Skip("no /proc on this platform")
 	}
 	p := New(Config{})
-	first, err := p.Sample()
+	raw, err := p.Sample()
 	if err != nil {
 		t.Skipf("real /proc unusable here: %v", err)
 	}
-	if first[model.UtilCPU] != 0 {
+	if first := bySource(t, raw); first[model.UtilCPU] != 0 {
 		t.Errorf("first sample = %v, want 0", first[model.UtilCPU])
 	}
 	time.Sleep(30 * time.Millisecond)
-	second, err := p.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := sample(t, p)
 	if !second[model.UtilCPU].Valid() || !second[model.UtilDisk].Valid() {
 		t.Errorf("real sample out of range: %+v", second)
 	}
 }
 
 func TestSynthetic(t *testing.T) {
-	s := NewSynthetic(model.UtilCPU, model.UtilDisk)
-	got, err := s.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[model.UtilCPU] != 0 || got[model.UtilDisk] != 0 {
+	// Registered out of order and twice: still one sorted entry each.
+	s := NewSynthetic(model.UtilDisk, model.UtilCPU, model.UtilDisk)
+	got := sample(t, s)
+	if v, ok := got[model.UtilCPU]; len(got) != 2 || !ok || v != 0 || got[model.UtilDisk] != 0 {
 		t.Errorf("initial = %+v", got)
 	}
 	s.Set(model.UtilCPU, 0.7)
 	s.Set(model.UtilDisk, units.Fraction(2.5)) // clamps
-	got, _ = s.Sample()
+	raw, _ := s.Sample()
+	got = bySource(t, raw)
 	if got[model.UtilCPU] != 0.7 {
 		t.Errorf("cpu = %v", got[model.UtilCPU])
 	}
 	if got[model.UtilDisk] != 1 {
 		t.Errorf("disk = %v, want clamped 1", got[model.UtilDisk])
 	}
-	// Mutating the returned map must not affect the sampler.
-	got[model.UtilCPU] = 0
-	again, _ := s.Sample()
-	if again[model.UtilCPU] != 0.7 {
-		t.Error("sampler state leaked through returned map")
+	// The returned slice is the sampler's copy-out: a Set while a
+	// caller still encodes it, or the caller scribbling on it, must
+	// not reach the other side.
+	s.Set(model.UtilCPU, 0.2)
+	if raw[0].Util != 0.7 {
+		t.Error("Set reached a slice already handed out")
+	}
+	raw[0].Util = 0
+	if again := sample(t, s); again[model.UtilCPU] != 0.2 {
+		t.Error("sampler state leaked through the returned slice")
+	}
+	// A source first seen by Set joins the sample, in order.
+	s.Set("cpu0", 0.4)
+	if got = sample(t, s); len(got) != 3 || got["cpu0"] != 0.4 {
+		t.Errorf("after Set of a new source: %+v", got)
+	}
+}
+
+// TestSyntheticSampleDoesNotAllocate: the batch monitord samples one
+// of these per machine per second.
+func TestSyntheticSampleDoesNotAllocate(t *testing.T) {
+	s := NewSynthetic(model.UtilCPU, model.UtilDisk)
+	s.Sample()
+	if n := testing.AllocsPerRun(100, func() {
+		s.Set(model.UtilDisk, 0.3)
+		s.Sample()
+	}); n != 0 {
+		t.Errorf("Set+Sample: %v allocs/op, want 0", n)
 	}
 }

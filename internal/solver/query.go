@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -121,20 +122,54 @@ func (s *Solver) SetUtilization(machine string, src model.UtilSource, u units.Fr
 	if err != nil {
 		return err
 	}
-	pos, ok := cm.utilPos[src]
-	if !ok {
+	if s.setUtils(cm, []model.UtilSample{{Source: src, Util: u}}) != 0 {
 		return &ErrUnknown{Kind: "utilization source", Name: machine + "/" + string(src)}
 	}
-	// Only a bitwise change invalidates the cached draws and
-	// re-activates the machine: monitord streams repeat identical
-	// samples at steady load, and those must not break quiescence.
-	v := float64(u.Clamp())
-	if math.Float64bits(v) != math.Float64bits(cm.utilVals[pos]) {
-		cm.utilVals[pos] = v
+	return nil
+}
+
+// ApplyUtilization is SetUtilization for a whole monitord report: every
+// entry of one machine under one lock, the machine addressed by its
+// position in Machines() so the daemon resolves its name once. It
+// returns how many entries named a stream the machine does not have
+// (all of them if there is no such machine); the others are applied.
+// The state it leaves is the one the same entries leave when set one
+// at a time, in order.
+func (s *Solver) ApplyUtilization(machine int, entries []model.UtilSample) (unknown int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if machine < 0 || machine >= len(s.owned) {
+		return len(entries)
+	}
+	return s.setUtils(s.owned[machine], entries)
+}
+
+// setUtils stores entries in cm's utilization streams and reports how
+// many named no stream of cm.
+func (s *solverCore) setUtils(cm *compiledMachine, entries []model.UtilSample) (unknown int) {
+	changed := false
+	for _, e := range entries {
+		pos := slices.Index(cm.utilKeys, e.Source)
+		if pos < 0 {
+			unknown++
+			continue
+		}
+		// Only a bitwise change invalidates the cached draws and
+		// re-activates the machine: monitord streams repeat identical
+		// samples at steady load, and those must not break quiescence.
+		v := float64(e.Util.Clamp())
+		if math.Float64bits(v) != math.Float64bits(cm.utilVals[pos]) {
+			cm.utilVals[pos] = v
+			changed = true
+		}
+	}
+	if changed {
+		// Once per report, not per entry: the draws are a pure function
+		// of the final utilVals.
 		cm.refreshDraws()
 		s.markDirty(cm)
 	}
-	return nil
+	return unknown
 }
 
 // Utilization returns the last recorded utilization for a stream.

@@ -46,6 +46,15 @@ type peerLink struct {
 	// applied is the last tick whose records were consumed by the
 	// barrier; staging accepts only (applied, applied+2].
 	applied uint64
+	// free holds consumed stages for reuse — the window keeps at most
+	// two alive — so a steady exchange stages without allocating.
+	free []*stagedBoundary
+
+	// Publish scratch, touched only by the stepping ticker: recs has
+	// out's machine indices filled in once and takes each tick's
+	// temperatures; dgram is the datagram they are encoded into.
+	recs  []wire.BoundaryRecord
+	dgram []byte
 }
 
 // stagedBoundary accumulates one tick's records from one peer, across
@@ -94,6 +103,10 @@ func (s *Server) SetPeers(addrs map[int]string) error {
 			in:     s.sol.BoundaryInFrom(p),
 			staged: map[uint64]*stagedBoundary{},
 		}
+		l.recs = make([]wire.BoundaryRecord, len(l.out))
+		for i, m := range l.out {
+			l.recs[i].Machine = uint32(m)
+		}
 		if len(l.out) > maxOut {
 			maxOut = len(l.out)
 		}
@@ -118,27 +131,20 @@ func (s *Server) publishBoundary(tick uint64) {
 			continue
 		}
 		n := s.sol.ExportBoundary(l.region, s.exportBuf)
+		for i := 0; i < n; i++ {
+			l.recs[i].Temp = units.Celsius(s.exportBuf[i])
+		}
 		for off := 0; off < n; off += wire.MaxBoundaryRecords {
-			end := off + wire.MaxBoundaryRecords
-			if end > n {
-				end = n
-			}
-			recs := make([]wire.BoundaryRecord, end-off)
-			for i := range recs {
-				recs[i] = wire.BoundaryRecord{
-					Machine: uint32(l.out[off+i]),
-					Temp:    units.Celsius(s.exportBuf[off+i]),
-				}
-			}
-			buf, err := wire.MarshalBoundaryExchange(&wire.BoundaryExchange{
+			be := wire.BoundaryExchange{
 				Region:  uint32(region),
 				Tick:    tick,
-				Records: recs,
-			})
-			if err != nil {
+				Records: l.recs[off:min(off+wire.MaxBoundaryRecords, n)],
+			}
+			var err error
+			if l.dgram, err = wire.AppendBoundaryExchange(l.dgram[:0], &be); err != nil {
 				continue
 			}
-			_, _ = s.conn.WriteToUDP(buf, l.addr)
+			_, _ = s.conn.WriteToUDP(l.dgram, l.addr)
 			s.stats.BoundaryOut.Add(1)
 		}
 	}
@@ -152,7 +158,7 @@ func (s *Server) handleBoundary(buf []byte) {
 		s.stats.Malformed.Add(1)
 		return
 	}
-	be, err := wire.UnmarshalBoundaryExchange(buf)
+	be, err := wire.ParseBoundaryExchange(buf)
 	if err != nil {
 		s.stats.Malformed.Add(1)
 		return
@@ -169,17 +175,22 @@ func (s *Server) handleBoundary(buf []byte) {
 	}
 	st := l.staged[be.Tick]
 	if st == nil {
-		st = &stagedBoundary{}
+		if n := len(l.free); n > 0 {
+			st, l.free = l.free[n-1], l.free[:n-1]
+		} else {
+			st = &stagedBoundary{}
+		}
 		l.staged[be.Tick] = st
 	}
-	if len(st.idx)+len(be.Records) > len(l.in) {
+	if len(st.idx)+be.Len() > len(l.in) {
 		// More records than the boundary holds: a duplicated or bogus
 		// chunk. Drop the datagram rather than grow the stage.
 		b.mu.Unlock()
 		s.stats.Malformed.Add(1)
 		return
 	}
-	for _, r := range be.Records {
+	for i := 0; i < be.Len(); i++ {
+		r := be.Record(i)
 		st.idx = append(st.idx, int32(r.Machine))
 		st.temps = append(st.temps, float64(r.Temp))
 	}
@@ -227,17 +238,21 @@ func (s *Server) awaitBoundary(tick uint64) bool {
 		st := l.staged[tick]
 		delete(l.staged, tick)
 		l.applied = tick
-		if st == nil || len(st.idx) != len(l.in) {
+		if st == nil {
 			s.stats.BoundaryMissed.Add(1)
 			continue
 		}
 		// Holding b.mu across the import is safe: the solver lock is
 		// only ever taken after b.mu, never the other way around.
-		if err := s.sol.ImportBoundaryTemps(l.region, st.idx, st.temps); err != nil {
+		if len(st.idx) != len(l.in) {
+			s.stats.BoundaryMissed.Add(1)
+		} else if err := s.sol.ImportBoundaryTemps(l.region, st.idx, st.temps); err != nil {
 			s.stats.Malformed.Add(1)
 		} else if s.rec != nil {
 			s.rec.RecordBoundary(tick, l.region, st.idx, st.temps)
 		}
+		st.idx, st.temps = st.idx[:0], st.temps[:0]
+		l.free = append(l.free, st)
 	}
 	return true
 }
@@ -252,20 +267,4 @@ func (s *Server) closeBoundary() {
 	s.peers.closed = true
 	s.peers.mu.Unlock()
 	s.peers.cond.Broadcast()
-}
-
-// handleUtilBatch applies a batched utilization datagram: each report
-// runs through the same per-machine sequence dedupe as a standalone
-// update, so mixing batched and unbatched monitords is safe.
-func (s *Server) handleUtilBatch(buf []byte) {
-	b, err := wire.UnmarshalUtilBatch(buf)
-	if err != nil {
-		s.stats.Malformed.Add(1)
-		return
-	}
-	s.stats.UtilBatches.Add(1)
-	for i := range b.Reports {
-		r := &b.Reports[i]
-		s.applyUtil(r.Machine, r.Seq, r.Entries, b.Trace)
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,8 +89,22 @@ type Server struct {
 	// every call, so the tick hook needs no guard).
 	alerts *alert.Engine
 
-	mu      sync.Mutex
-	lastSeq map[string]uint32
+	// Utilization ingest: names maps a machine name to its position in
+	// machines (= sol.Machines()), the one string-keyed lookup a report
+	// costs; everything after it — dedupe, apply, the UTL record, the
+	// apply span — goes by that position and that string. update, batch
+	// and refs are the decode scratch of handleUtil/handleUtilBatch,
+	// touched only by Serve's goroutine; refs[i] is the position of the
+	// i-th decoded report's machine, -1 for one this solver does not own.
+	names    map[string]int32
+	machines []string
+	update   wire.UtilUpdate
+	batch    wire.UtilBatch
+	refs     []int32
+
+	mu        sync.Mutex
+	lastSeq   []seqMark         // by machine position
+	strangers map[string]uint32 // last seq of machines this solver does not own
 
 	stopTick chan struct{}
 	tickWG   sync.WaitGroup
@@ -189,12 +204,18 @@ func Listen(addr string, sol *solver.Solver, opts ...Option) (*Server, error) {
 		return nil, fmt.Errorf("solverd: %w", err)
 	}
 	s := &Server{
-		sol:      sol,
-		conn:     conn,
-		clk:      clock.Real{},
-		lastSeq:  map[string]uint32{},
-		stopTick: make(chan struct{}),
+		sol:       sol,
+		conn:      conn,
+		clk:       clock.Real{},
+		names:     map[string]int32{},
+		machines:  sol.Machines(),
+		strangers: map[string]uint32{},
+		stopTick:  make(chan struct{}),
 	}
+	for i, m := range s.machines {
+		s.names[m] = int32(i)
+	}
+	s.lastSeq = make([]seqMark, len(s.machines))
 	s.stepFn = sol.Step
 	for _, o := range opts {
 		o(s)
@@ -379,7 +400,8 @@ func (s *Server) StartTicker() {
 func (s *Server) Serve() error {
 	buf := make([]byte, 2048)
 	for {
-		n, peer, err := s.conn.ReadFromUDP(buf)
+		// The AddrPort forms neither allocate an address per datagram.
+		n, peer, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
@@ -398,15 +420,73 @@ func (s *Server) Close() error {
 	return s.conn.Close()
 }
 
-// LastSeq returns the highest utilization-update sequence number seen
+// seqMark is the last utilization sequence number accepted from one
+// machine's monitord.
+type seqMark struct {
+	seq  uint32
+	seen bool
+}
+
+// reorderWindow is how far behind the last accepted sequence number a
+// report may be and still be taken for a reordered or duplicated
+// datagram, and dropped. monitord sends one report per interval, so
+// this is seconds of reordering — far more than a LAN produces. A
+// sequence number further back than that is a restarted monitord
+// counting from 1 again, and is accepted. The blind spot that remains:
+// a monitord restarted before it had sent reorderWindow reports (or
+// whose new count lands within the window below its old one) is
+// ignored until it passes its previous count, at most reorderWindow
+// intervals.
+const reorderWindow = 64
+
+// LastSeq returns the last utilization-update sequence number accepted
 // from a machine's monitord (0 if none).
 func (s *Server) LastSeq(machine string) uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lastSeq[machine]
+	if i, ok := s.names[machine]; ok {
+		return s.lastSeq[i].seq
+	}
+	return s.strangers[machine]
 }
 
-func (s *Server) handle(buf []byte, peer *net.UDPAddr) {
+// acceptSeq runs the per-machine sequence dedupe: it reports whether
+// the report is fresh, and if so remembers its sequence number.
+func (s *Server) acceptSeq(ref int32, machine string, seq uint32) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var last seqMark
+	if ref >= 0 {
+		last = s.lastSeq[ref]
+	} else {
+		last.seq, last.seen = s.strangers[machine]
+	}
+	if last.seen && seq <= last.seq && last.seq-seq < reorderWindow {
+		return false
+	}
+	if ref >= 0 {
+		s.lastSeq[ref] = seqMark{seq: seq, seen: true}
+	} else {
+		s.strangers[machine] = seq
+	}
+	return true
+}
+
+// internMachine is the name table the wire decoder interns machine
+// names against: it returns the solver's own string for the name and
+// notes the machine's position in refs, so the name is looked up once
+// per report and never copied. The decoder calls it once per report,
+// in datagram order.
+func (s *Server) internMachine(name []byte) string {
+	if i, ok := s.names[string(name)]; ok {
+		s.refs = append(s.refs, i)
+		return s.machines[i]
+	}
+	s.refs = append(s.refs, -1)
+	return string(name)
+}
+
+func (s *Server) handle(buf []byte, peer netip.AddrPort) {
 	typ, err := wire.Type(buf)
 	if err != nil {
 		s.stats.Malformed.Add(1)
@@ -430,49 +510,62 @@ func (s *Server) handle(buf []byte, peer *net.UDPAddr) {
 	}
 }
 
-func (s *Server) reply(peer *net.UDPAddr, buf []byte) {
+func (s *Server) reply(peer netip.AddrPort, buf []byte) {
 	if buf == nil {
 		return
 	}
 	// Replies are best-effort; UDP clients time out and retry.
-	_, _ = s.conn.WriteToUDP(buf, peer)
+	_, _ = s.conn.WriteToUDPAddrPort(buf, peer)
 }
 
 func (s *Server) handleUtil(buf []byte) {
-	u, err := wire.UnmarshalUtilUpdate(buf)
-	if err != nil {
+	s.refs = s.refs[:0]
+	u := &s.update
+	if err := wire.UnmarshalUtilUpdateInto(u, buf, s.internMachine); err != nil {
 		s.stats.Malformed.Add(1)
 		return
 	}
-	s.applyUtil(u.Machine, u.Seq, u.Entries, u.Trace)
+	s.applyUtil(s.refs[0], u.Machine, u.Seq, u.Entries, u.Trace)
+}
+
+// handleUtilBatch applies a batched utilization datagram: each report
+// runs through the same per-machine sequence dedupe as a standalone
+// update, so mixing batched and unbatched monitords is safe.
+func (s *Server) handleUtilBatch(buf []byte) {
+	s.refs = s.refs[:0]
+	b := &s.batch
+	if err := wire.UnmarshalUtilBatchInto(b, buf, s.internMachine); err != nil {
+		s.stats.Malformed.Add(1)
+		return
+	}
+	s.stats.UtilBatches.Add(1)
+	for i := range b.Reports {
+		r := &b.Reports[i]
+		s.applyUtil(s.refs[i], r.Machine, r.Seq, r.Entries, b.Trace)
+	}
 }
 
 // applyUtil installs one machine's utilization report — the shared path
 // behind standalone updates and batched reports, so both get identical
-// dedupe, counting and tracing.
-func (s *Server) applyUtil(machine string, seq uint32, entries []wire.UtilEntry, tc wire.TraceContext) {
-	s.mu.Lock()
-	last, seen := s.lastSeq[machine]
-	// Drop stale reordered datagrams, but accept wraparound restarts.
-	stale := seen && seq <= last && last-seq < 1<<30
-	if !stale {
-		s.lastSeq[machine] = seq
-	}
-	s.mu.Unlock()
-	if stale {
+// dedupe, counting and tracing. ref is the machine's position in the
+// solver, -1 if the solver does not own it.
+func (s *Server) applyUtil(ref int32, machine string, seq uint32, entries []wire.UtilEntry, tc wire.TraceContext) {
+	if !s.acceptSeq(ref, machine, seq) {
 		return
 	}
 	var begin time.Duration
 	if s.tracer != nil {
 		begin = s.tracer.Now()
 	}
-	for _, e := range entries {
-		// Unknown machines/sources are counted but otherwise ignored:
-		// monitord may legitimately report streams the model does not
-		// use (e.g. network utilization on a machine with no NIC node).
-		if err := s.sol.SetUtilization(machine, e.Source, e.Util); err != nil {
-			s.stats.Malformed.Add(1)
-		}
+	// Unknown machines/sources are counted but otherwise ignored:
+	// monitord may legitimately report streams the model does not use
+	// (e.g. network utilization on a machine with no NIC node).
+	unknown := len(entries)
+	if ref >= 0 {
+		unknown = s.sol.ApplyUtilization(int(ref), entries)
+	}
+	if unknown > 0 {
+		s.stats.Malformed.Add(uint64(unknown))
 	}
 	if s.rec != nil {
 		// Stamped with the current tick: the update influences step

@@ -168,6 +168,141 @@ func TestStaleUpdatesDropped(t *testing.T) {
 	}
 }
 
+// TestRestartedMonitordAccepted: a monitord that restarts counts from
+// 1 again. That is far outside the reordering window below the last
+// accepted report, so it must be taken as a restart at once — not
+// ignored until the new process out-counts the old one.
+func TestRestartedMonitordAccepted(t *testing.T) {
+	srv, addr := startServer(t)
+	c, err := dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	send := func(seq uint32, util float64) {
+		t.Helper()
+		buf, err := wire.MarshalUtilUpdate(&wire.UtilUpdate{
+			Machine: "machine1",
+			Seq:     seq,
+			Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: units.Fraction(util)}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(buf); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool {
+			u, _ := srv.Solver().Utilization("machine1", model.UtilCPU)
+			return float64(u) == util
+		})
+	}
+	send(1000, 0.9) // a 1000 s run ...
+	send(1, 0.3)    // ... then the restart's first report
+	if got := srv.LastSeq("machine1"); got != 1 {
+		t.Errorf("LastSeq after restart = %d, want 1", got)
+	}
+	send(2, 0.5)
+	// Reordering inside the window is still dropped after the restart.
+	send(reorderWindow+2, 0.6)
+	before := srv.Stats().UtilUpdates.Load()
+	buf, _ := wire.MarshalUtilUpdate(&wire.UtilUpdate{Machine: "machine1", Seq: 3,
+		Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: 0.1}}})
+	if err := c.Send(buf); err != nil {
+		t.Fatal(err)
+	}
+	send(reorderWindow+3, 0.7) // same socket, so the stale one was handled first
+	if got := srv.Stats().UtilUpdates.Load(); got != before+1 {
+		t.Errorf("UtilUpdates went %d -> %d, want the in-window report dropped", before, got)
+	}
+}
+
+// TestBatchWithStrangerMachine: a report naming a machine the solver
+// does not own is counted entry by entry and deduped like any other,
+// without disturbing its neighbours in the datagram.
+func TestBatchWithStrangerMachine(t *testing.T) {
+	srv, _ := startServer(t)
+	b := &wire.UtilBatch{Reports: []wire.UtilReport{
+		{Machine: "machine1", Seq: 5, Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: 0.5}}},
+		{Machine: "nobody", Seq: 5, Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: 0.6}, {Source: model.UtilDisk, Util: 0.7}}},
+		{Machine: "machine3", Seq: 5, Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: 0.8}, {Source: "fan", Util: 0.9}}},
+	}}
+	buf, err := wire.MarshalUtilBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Serve is idle (nothing is sent), so the handler can be driven
+	// directly.
+	srv.handleUtilBatch(buf)
+	srv.handleUtilBatch(buf) // a duplicate: every report is stale
+	if got := srv.Stats().UtilUpdates.Load(); got != 3 {
+		t.Errorf("UtilUpdates = %d, want 3", got)
+	}
+	if got := srv.Stats().Malformed.Load(); got != 3 {
+		t.Errorf("Malformed = %d, want 3 (two stranger entries, one unknown source)", got)
+	}
+	for m, want := range map[string]units.Fraction{"machine1": 0.5, "machine3": 0.8, "machine2": 0} {
+		if u, _ := srv.Solver().Utilization(m, model.UtilCPU); u != want {
+			t.Errorf("%s cpu = %v, want %v", m, u, want)
+		}
+	}
+	if srv.LastSeq("nobody") != 5 || srv.LastSeq("machine3") != 5 || srv.LastSeq("machine2") != 0 {
+		t.Errorf("LastSeq nobody/machine3/machine2 = %d/%d/%d, want 5/5/0",
+			srv.LastSeq("nobody"), srv.LastSeq("machine3"), srv.LastSeq("machine2"))
+	}
+}
+
+// TestUtilHandlersDoNotAllocate: on a server with no tracer and no
+// recorder, a batch and a standalone update are decoded into the
+// server's scratch and applied without allocating.
+func TestUtilHandlersDoNotAllocate(t *testing.T) {
+	c, err := model.DefaultCluster("room", wire.MaxBatchMachines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := solver.New(c, solver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	b := &wire.UtilBatch{}
+	for _, m := range sol.Machines() {
+		b.Reports = append(b.Reports, wire.UtilReport{Machine: m, Entries: []wire.UtilEntry{
+			{Source: model.UtilCPU, Util: 0.5}, {Source: model.UtilDisk, Util: 0.25},
+		}})
+	}
+	u := &wire.UtilUpdate{Machine: "machine2", Entries: b.Reports[1].Entries}
+	var batchBuf, updBuf []byte
+	seq := uint32(0)
+	tick := func() {
+		seq++
+		for i := range b.Reports {
+			b.Reports[i].Seq = seq
+			b.Reports[i].Entries[0].Util = units.Fraction(seq%10) / 10
+		}
+		batchBuf, _ = wire.AppendUtilBatch(batchBuf[:0], b)
+		srv.handleUtilBatch(batchBuf)
+		seq++
+		u.Seq = seq
+		updBuf, _ = wire.AppendUtilUpdate(updBuf[:0], u)
+		srv.handleUtil(updBuf)
+	}
+	tick()
+	if n := testing.AllocsPerRun(50, tick); n != 0 {
+		t.Errorf("handleUtilBatch+handleUtil: %v allocs/op, want 0", n)
+	}
+	if got, want := srv.Stats().UtilUpdates.Load(), uint64(seq/2)*(wire.MaxBatchMachines+1); got != want {
+		t.Errorf("UtilUpdates = %d, want %d", got, want)
+	}
+	if got := srv.Stats().Malformed.Load(); got != 0 {
+		t.Errorf("Malformed = %d, want 0", got)
+	}
+}
+
 func TestFiddleOverUDP(t *testing.T) {
 	srv, addr := startServer(t)
 	cl, err := fiddle.Dial(addr, 0, 0)

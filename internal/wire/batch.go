@@ -10,10 +10,11 @@ package wire
 // datagram meaning exactly what the sender stepped.
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
-	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/units"
 )
 
@@ -52,13 +53,20 @@ type BoundaryExchange struct {
 
 // MarshalBoundaryExchange encodes an exchange datagram.
 func MarshalBoundaryExchange(b *BoundaryExchange) ([]byte, error) {
+	return AppendBoundaryExchange(nil, b)
+}
+
+// AppendBoundaryExchange is MarshalBoundaryExchange appending to dst,
+// so a publisher that reuses its datagram buffer encodes without
+// allocating. On error dst is returned unchanged.
+func AppendBoundaryExchange(dst []byte, b *BoundaryExchange) ([]byte, error) {
 	if len(b.Records) == 0 {
-		return nil, ErrEmptyBoundary
+		return dst, ErrEmptyBoundary
 	}
 	if len(b.Records) > MaxBoundaryRecords {
-		return nil, ErrTooManyBoundary
+		return dst, ErrTooManyBoundary
 	}
-	e := traceHeader(MsgBoundaryExchange, b.Trace)
+	e := traceHeader(dst, MsgBoundaryExchange, b.Trace)
 	e.u32(b.Region)
 	e.u64(b.Tick)
 	e.byte(byte(len(b.Records) >> 8)) // count as big-endian u16
@@ -70,70 +78,96 @@ func MarshalBoundaryExchange(b *BoundaryExchange) ([]byte, error) {
 	if !b.Trace.Zero() {
 		e.trace(b.Trace)
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
 	return e.buf, nil
 }
 
-// UnmarshalBoundaryExchange decodes an exchange datagram. The record
-// count must match the buffer exactly: short buffers, slack bytes and
-// empty exchanges are all rejected.
-func UnmarshalBoundaryExchange(buf []byte) (*BoundaryExchange, error) {
+// boundaryRecordSize is one record on the wire: u32 index, f64 temp.
+const boundaryRecordSize = 12
+
+// BoundaryFrame is a validated exchange datagram whose records are
+// still in wire form: the header fields are decoded, the records are
+// read in place with Record. It aliases the datagram it was parsed
+// from and is valid only as long as those bytes are.
+type BoundaryFrame struct {
+	Region uint32
+	Tick   uint64
+	Trace  TraceContext
+	recs   []byte
+}
+
+// Len returns the number of records, between 1 and MaxBoundaryRecords.
+func (f *BoundaryFrame) Len() int { return len(f.recs) / boundaryRecordSize }
+
+// Record decodes record i.
+func (f *BoundaryFrame) Record(i int) BoundaryRecord {
+	r := f.recs[i*boundaryRecordSize:]
+	return BoundaryRecord{
+		Machine: binary.BigEndian.Uint32(r),
+		Temp:    units.Celsius(math.Float64frombits(binary.BigEndian.Uint64(r[4:]))),
+	}
+}
+
+// ParseBoundaryExchange checks an exchange datagram's framing — the
+// record count must match the buffer exactly: short buffers, slack
+// bytes and empty exchanges are all rejected — and returns a view of
+// it, so a receiver can copy the records straight to where they are
+// going.
+func ParseBoundaryExchange(buf []byte) (BoundaryFrame, error) {
+	var f BoundaryFrame
 	d, ver, err := checkHeaderVer(buf, MsgBoundaryExchange)
 	if err != nil {
-		return nil, err
+		return f, err
 	}
-	b := &BoundaryExchange{}
-	if b.Region, err = d.u32(); err != nil {
-		return nil, err
+	if f.Region, err = d.u32(); err != nil {
+		return f, err
 	}
-	if b.Tick, err = d.u64(); err != nil {
-		return nil, err
+	if f.Tick, err = d.u64(); err != nil {
+		return f, err
 	}
 	hi, err := d.byte()
 	if err != nil {
-		return nil, err
+		return f, err
 	}
 	lo, err := d.byte()
 	if err != nil {
-		return nil, err
+		return f, err
 	}
 	n := int(hi)<<8 | int(lo)
 	if n == 0 {
-		return nil, ErrEmptyBoundary
+		return f, ErrEmptyBoundary
 	}
 	if n > MaxBoundaryRecords {
-		return nil, ErrTooManyBoundary
+		return f, ErrTooManyBoundary
 	}
-	b.Records = make([]BoundaryRecord, n)
-	for i := range b.Records {
-		if b.Records[i].Machine, err = d.u32(); err != nil {
-			return nil, err
-		}
-		v, err := d.f64()
-		if err != nil {
-			return nil, err
-		}
-		b.Records[i].Temp = units.Celsius(v)
+	if d.pos+n*boundaryRecordSize > len(buf) {
+		return f, ErrShort
 	}
+	f.recs = buf[d.pos : d.pos+n*boundaryRecordSize]
+	d.pos += len(f.recs)
 	if ver == VersionTrace {
-		if b.Trace, err = d.trace(); err != nil {
-			return nil, err
+		if f.Trace, err = d.trace(); err != nil {
+			return f, err
 		}
 	}
 	if d.pos != len(buf) {
-		return nil, ErrTrailingBytes
+		return f, ErrTrailingBytes
 	}
-	return b, nil
+	return f, nil
 }
 
-// sortedEntries returns entries ordered by source, the deterministic
-// encoding order shared with standalone updates.
-func sortedEntries(entries []UtilEntry) []UtilEntry {
-	out := append([]UtilEntry(nil), entries...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
-	return out
+// UnmarshalBoundaryExchange decodes an exchange datagram, with
+// ParseBoundaryExchange's strictness, into a message that owns its
+// records.
+func UnmarshalBoundaryExchange(buf []byte) (*BoundaryExchange, error) {
+	f, err := ParseBoundaryExchange(buf)
+	if err != nil {
+		return nil, err
+	}
+	b := &BoundaryExchange{Region: f.Region, Tick: f.Tick, Trace: f.Trace, Records: make([]BoundaryRecord, f.Len())}
+	for i := range b.Records {
+		b.Records[i] = f.Record(i)
+	}
+	return b, nil
 }
 
 // MaxBatchMachines bounds the machines of one utilization batch; with
@@ -169,34 +203,33 @@ type UtilBatch struct {
 // by source like standalone updates so encoding is deterministic;
 // report order is the caller's and preserved.
 func MarshalUtilBatch(b *UtilBatch) ([]byte, error) {
+	return AppendUtilBatch(nil, b)
+}
+
+// AppendUtilBatch is MarshalUtilBatch appending to dst: a sender that
+// passes its previous datagram's buf[:0] encodes without allocating.
+// On error dst is returned unchanged.
+func AppendUtilBatch(dst []byte, b *UtilBatch) ([]byte, error) {
 	if len(b.Reports) == 0 {
-		return nil, ErrEmptyBatch
+		return dst, ErrEmptyBatch
 	}
 	if len(b.Reports) > MaxBatchMachines {
-		return nil, ErrTooManyBatch
+		return dst, ErrTooManyBatch
 	}
-	e := traceHeader(MsgUtilBatch, b.Trace)
+	e := traceHeader(dst, MsgUtilBatch, b.Trace)
 	e.byte(byte(len(b.Reports)))
-	for _, r := range b.Reports {
-		if len(r.Entries) > 8 {
-			return nil, ErrTooManyUtil
-		}
-		e.str(r.Machine)
-		e.u32(r.Seq)
-		e.byte(byte(len(r.Entries)))
-		for _, en := range sortedEntries(r.Entries) {
-			e.str(string(en.Source))
-			e.f64(float64(en.Util.Clamp()))
-		}
+	for i := range b.Reports {
+		r := &b.Reports[i]
+		e.report(r.Machine, r.Seq, r.Entries)
+	}
+	if e.err != nil {
+		return dst, e.err
 	}
 	if !b.Trace.Zero() {
 		e.trace(b.Trace)
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	if len(e.buf) > MaxBatchSize {
-		return nil, fmt.Errorf("wire: utilization batch needs %d bytes, limit %d", len(e.buf), MaxBatchSize)
+	if n := len(e.buf) - len(dst); n > MaxBatchSize {
+		return dst, fmt.Errorf("wire: utilization batch needs %d bytes, limit %d", n, MaxBatchSize)
 	}
 	return e.buf, nil
 }
@@ -205,58 +238,51 @@ func MarshalUtilBatch(b *UtilBatch) ([]byte, error) {
 // as the boundary exchange: zero machines, short buffers and slack
 // bytes are rejected.
 func UnmarshalUtilBatch(buf []byte) (*UtilBatch, error) {
+	b := &UtilBatch{}
+	if err := UnmarshalUtilBatchInto(b, buf, nil); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// UnmarshalUtilBatchInto is UnmarshalUtilBatch decoding into b, reusing
+// its report and entry storage. intern, when non-nil, is called once
+// per report, in datagram order, with the machine name's bytes and
+// returns the receiver's own string for it; with it, and sources the
+// model names, a steady-state decode allocates nothing. On error b's
+// contents are unspecified.
+func UnmarshalUtilBatchInto(b *UtilBatch, buf []byte, intern func([]byte) string) error {
 	d, ver, err := checkHeaderVer(buf, MsgUtilBatch)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n, err := d.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n == 0 {
-		return nil, ErrEmptyBatch
+		return ErrEmptyBatch
 	}
 	if int(n) > MaxBatchMachines {
-		return nil, ErrTooManyBatch
+		return ErrTooManyBatch
 	}
-	b := &UtilBatch{Reports: make([]UtilReport, n)}
+	// Reports beyond the previous length but within capacity still hold
+	// the entry storage of an earlier, larger batch.
+	b.Reports = slices.Grow(b.Reports[:0], int(n))[:n]
 	for i := range b.Reports {
 		r := &b.Reports[i]
-		if r.Machine, err = d.str(); err != nil {
-			return nil, err
-		}
-		if r.Seq, err = d.u32(); err != nil {
-			return nil, err
-		}
-		en, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if en > 8 {
-			return nil, ErrTooManyUtil
-		}
-		for j := 0; j < int(en); j++ {
-			src, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			v, err := d.f64()
-			if err != nil {
-				return nil, err
-			}
-			r.Entries = append(r.Entries, UtilEntry{
-				Source: model.UtilSource(src),
-				Util:   units.Fraction(v).Clamp(),
-			})
+		if r.Machine, r.Seq, r.Entries, err = d.report(r.Entries, intern); err != nil {
+			return err
 		}
 	}
+	b.Trace = TraceContext{}
 	if ver == VersionTrace {
 		if b.Trace, err = d.trace(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if d.pos != len(buf) {
-		return nil, ErrTrailingBytes
+		return ErrTrailingBytes
 	}
-	return b, nil
+	return nil
 }

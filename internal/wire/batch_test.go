@@ -81,6 +81,41 @@ func TestBoundaryExchangeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestBoundaryAppendAndFrame: the append form after a prefix yields
+// MarshalBoundaryExchange's bytes, the frame reads them back record by
+// record, and neither allocates.
+func TestBoundaryAppendAndFrame(t *testing.T) {
+	b := boundaryFixture(TraceContext{Trace: 5, Span: 6})
+	want, err := MarshalBoundaryExchange(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dgram := []byte("prefix")
+	var f BoundaryFrame
+	if n := testing.AllocsPerRun(100, func() {
+		dgram, err = AppendBoundaryExchange(dgram[:6], b)
+		if err == nil {
+			f, err = ParseBoundaryExchange(dgram[6:])
+		}
+	}); n != 0 || err != nil {
+		t.Fatalf("append+parse: %v allocs/op, err %v; want 0, nil", n, err)
+	}
+	if string(dgram[:6]) != "prefix" || !reflect.DeepEqual(dgram[6:], want) {
+		t.Errorf("appended %x, want prefix + %x", dgram, want)
+	}
+	if f.Region != b.Region || f.Tick != b.Tick || f.Trace != b.Trace || f.Len() != len(b.Records) {
+		t.Fatalf("frame = %+v with %d records, want %+v", f, f.Len(), b)
+	}
+	for i, r := range b.Records {
+		if f.Record(i) != r {
+			t.Errorf("record %d = %+v, want %+v", i, f.Record(i), r)
+		}
+	}
+	if got, err := AppendBoundaryExchange(dgram[:6], &BoundaryExchange{}); err != ErrEmptyBoundary || len(got) != 6 {
+		t.Errorf("empty append: %d bytes, %v; want dst unchanged and ErrEmptyBoundary", len(got), err)
+	}
+}
+
 // boundaryHeaderLen is the fixed prefix of a boundary exchange:
 // version, type, region u32, tick u64, count u16.
 const boundaryHeaderLen = 2 + 4 + 8 + 2

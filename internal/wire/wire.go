@@ -13,7 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/units"
@@ -112,11 +112,14 @@ type TraceContext struct {
 // Zero reports whether the context carries no trace.
 func (c TraceContext) Zero() bool { return c == TraceContext{} }
 
-// UtilEntry is one (source, utilization) pair of an update.
-type UtilEntry struct {
-	Source model.UtilSource
-	Util   units.Fraction
-}
+// UtilEntry is one (source, utilization) pair of an update: the very
+// type samplers produce and the solver applies, so a report's entries
+// pass through the codec without conversion.
+type UtilEntry = model.UtilSample
+
+// maxUtilEntries bounds the entries of one report, in a standalone
+// update and in a batch alike.
+const maxUtilEntries = 8
 
 // UtilUpdate is the periodic report monitord sends to the solver: the
 // monitored machine's component utilizations for the last interval.
@@ -150,7 +153,11 @@ func (e *encoder) f64(v float64) {
 
 func (e *encoder) str(s string) {
 	if len(s) > 255 {
-		e.err = ErrStringSize
+		// The first error sticks, except that ErrTooManyUtil (report)
+		// outranks it wherever in the datagram it occurs.
+		if e.err == nil {
+			e.err = ErrStringSize
+		}
 		return
 	}
 	e.byte(byte(len(s)))
@@ -199,46 +206,49 @@ func (d *decoder) f64() (float64, error) {
 }
 
 func (d *decoder) str() (string, error) {
+	b, err := d.name()
+	return string(b), err
+}
+
+// name decodes a length-prefixed string without copying it; the bytes
+// alias the datagram.
+func (d *decoder) name() ([]byte, error) {
 	n, err := d.byte()
-	if err != nil {
-		return "", err
-	}
-	if d.pos+int(n) > len(d.buf) {
-		return "", ErrShort
-	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s, nil
-}
-
-func header(typ byte) *encoder {
-	return headerVer(Version, typ)
-}
-
-func headerVer(ver, typ byte) *encoder {
-	e := &encoder{}
-	e.byte(ver)
-	e.byte(typ)
-	return e
-}
-
-// traceHeader opens a datagram at version 1 or 2 depending on whether
-// a trace context rides along; untraced messages stay byte-identical
-// to the pre-trace protocol.
-func traceHeader(typ byte, tc TraceContext) *encoder {
-	if tc.Zero() {
-		return headerVer(Version, typ)
-	}
-	return headerVer(VersionTrace, typ)
-}
-
-func checkHeader(buf []byte, typ byte) (*decoder, error) {
-	d, v, err := checkHeaderVer(buf, typ)
 	if err != nil {
 		return nil, err
 	}
+	if d.pos+int(n) > len(d.buf) {
+		return nil, ErrShort
+	}
+	b := d.buf[d.pos : d.pos+int(n)]
+	d.pos += int(n)
+	return b, nil
+}
+
+func header(typ byte) encoder {
+	return traceHeader(nil, typ, TraceContext{})
+}
+
+// traceHeader opens a datagram appended to dst, at version 1 or 2
+// depending on whether a trace context rides along; untraced messages
+// stay byte-identical to the pre-trace protocol. Encoders and decoders
+// are returned by value so a codec call leaves nothing on the heap but
+// the bytes or the message it hands back.
+func traceHeader(dst []byte, typ byte, tc TraceContext) encoder {
+	ver := byte(Version)
+	if !tc.Zero() {
+		ver = VersionTrace
+	}
+	return encoder{buf: append(dst, ver, typ)}
+}
+
+func checkHeader(buf []byte, typ byte) (decoder, error) {
+	d, v, err := checkHeaderVer(buf, typ)
+	if err != nil {
+		return d, err
+	}
 	if v != Version {
-		return nil, ErrBadVersion
+		return d, ErrBadVersion
 	}
 	return d, nil
 }
@@ -246,21 +256,21 @@ func checkHeader(buf []byte, typ byte) (*decoder, error) {
 // checkHeaderVer accepts version 1 and 2 datagrams and reports which
 // was seen; messages that never grew a version-2 form keep using
 // checkHeader, which still rejects everything but version 1.
-func checkHeaderVer(buf []byte, typ byte) (*decoder, byte, error) {
-	d := &decoder{buf: buf}
+func checkHeaderVer(buf []byte, typ byte) (decoder, byte, error) {
+	d := decoder{buf: buf}
 	v, err := d.byte()
 	if err != nil {
-		return nil, 0, err
+		return d, 0, err
 	}
 	if v != Version && v != VersionTrace {
-		return nil, 0, ErrBadVersion
+		return d, 0, ErrBadVersion
 	}
 	t, err := d.byte()
 	if err != nil {
-		return nil, 0, err
+		return d, 0, err
 	}
 	if t != typ {
-		return nil, 0, ErrBadType
+		return d, 0, ErrBadType
 	}
 	return d, v, nil
 }
@@ -289,81 +299,146 @@ func (d *decoder) trace() (TraceContext, error) {
 	return tc, nil
 }
 
-// MarshalUtilUpdate encodes an update into exactly UtilUpdateSize
-// bytes. Entries are sorted by source so encoding is deterministic.
-func MarshalUtilUpdate(u *UtilUpdate) ([]byte, error) {
-	entries := append([]UtilEntry(nil), u.Entries...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Source < entries[j].Source })
-	e := traceHeader(MsgUtilUpdate, u.Trace)
-	e.str(u.Machine)
-	e.u32(u.Seq)
-	if len(entries) > 8 {
-		return nil, ErrTooManyUtil
+// report encodes one (machine, seq, entries) triple — the bytes a
+// standalone update and a batch report share. Entries are sorted by
+// source so encoding is deterministic: in a stack array, by insertion,
+// which is stable, so duplicate sources keep the caller's order.
+func (e *encoder) report(machine string, seq uint32, entries []UtilEntry) {
+	if len(entries) > maxUtilEntries {
+		e.err = ErrTooManyUtil
+		return
 	}
+	e.str(machine)
+	e.u32(seq)
 	e.byte(byte(len(entries)))
-	for _, en := range entries {
+	var sorted [maxUtilEntries]UtilEntry
+	n := copy(sorted[:], entries)
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && sorted[j].Source < sorted[j-1].Source; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	for _, en := range sorted[:n] {
 		e.str(string(en.Source))
 		e.f64(float64(en.Util.Clamp()))
 	}
+}
+
+// internSource returns the model's own string for the three sources
+// monitord samples, so decoding them allocates nothing.
+func internSource(b []byte) model.UtilSource {
+	switch string(b) {
+	case string(model.UtilCPU):
+		return model.UtilCPU
+	case string(model.UtilDisk):
+		return model.UtilDisk
+	case string(model.UtilNet):
+		return model.UtilNet
+	}
+	return model.UtilSource(b)
+}
+
+// report decodes one (machine, seq, entries) triple, appending the
+// entries to entries[:0]. intern, when non-nil, is called exactly once,
+// with the machine name as it appears in the datagram, and supplies
+// the string to report for it — a receiver that knows its machines
+// returns its own copy and the decode allocates nothing.
+func (d *decoder) report(entries []UtilEntry, intern func([]byte) string) (machine string, seq uint32, out []UtilEntry, err error) {
+	out = entries[:0]
+	mb, err := d.name()
+	if err != nil {
+		return "", 0, out, err
+	}
+	if intern != nil {
+		machine = intern(mb)
+	} else {
+		machine = string(mb)
+	}
+	if seq, err = d.u32(); err != nil {
+		return "", 0, out, err
+	}
+	n, err := d.byte()
+	if err != nil {
+		return "", 0, out, err
+	}
+	if n > maxUtilEntries {
+		return "", 0, out, ErrTooManyUtil
+	}
+	for i := 0; i < int(n); i++ {
+		src, err := d.name()
+		if err != nil {
+			return "", 0, out, err
+		}
+		v, err := d.f64()
+		if err != nil {
+			return "", 0, out, err
+		}
+		out = append(out, UtilEntry{Source: internSource(src), Util: units.Fraction(v).Clamp()})
+	}
+	return machine, seq, out, nil
+}
+
+// MarshalUtilUpdate encodes an update into exactly UtilUpdateSize
+// bytes. Entries are sorted by source so encoding is deterministic.
+func MarshalUtilUpdate(u *UtilUpdate) ([]byte, error) {
+	return AppendUtilUpdate(nil, u)
+}
+
+// AppendUtilUpdate is MarshalUtilUpdate appending its UtilUpdateSize
+// bytes to dst: a sender that passes its previous datagram's buf[:0]
+// encodes without allocating. On error dst is returned unchanged.
+func AppendUtilUpdate(dst []byte, u *UtilUpdate) ([]byte, error) {
+	e := traceHeader(slices.Grow(dst, UtilUpdateSize), MsgUtilUpdate, u.Trace)
+	e.report(u.Machine, u.Seq, u.Entries)
 	if e.err != nil {
-		return nil, e.err
+		return dst, e.err
 	}
 	limit := UtilUpdateSize
 	if !u.Trace.Zero() {
 		limit = UtilTraceOffset
 	}
-	if len(e.buf) > limit {
-		return nil, fmt.Errorf("wire: utilization update needs %d bytes, limit %d", len(e.buf), limit)
+	if n := len(e.buf) - len(dst); n > limit {
+		return dst, fmt.Errorf("wire: utilization update needs %d bytes, limit %d", n, limit)
 	}
-	padded := make([]byte, UtilUpdateSize)
-	copy(padded, e.buf)
+	payload := len(e.buf)
+	e.buf = e.buf[:len(dst)+UtilUpdateSize]
+	clear(e.buf[payload:])
 	if !u.Trace.Zero() {
-		padded[UtilTraceOffset] = TraceFlag
-		binary.BigEndian.PutUint64(padded[UtilTraceOffset+1:], u.Trace.Trace)
-		binary.BigEndian.PutUint64(padded[UtilTraceOffset+9:], u.Trace.Span)
+		trailer := e.buf[len(dst)+UtilTraceOffset:]
+		trailer[0] = TraceFlag
+		binary.BigEndian.PutUint64(trailer[1:], u.Trace.Trace)
+		binary.BigEndian.PutUint64(trailer[9:], u.Trace.Span)
 	}
-	return padded, nil
+	return e.buf, nil
 }
 
 // UnmarshalUtilUpdate decodes an update datagram. Compliant senders
 // always pad to exactly UtilUpdateSize, so any other length is
 // rejected outright.
 func UnmarshalUtilUpdate(buf []byte) (*UtilUpdate, error) {
+	u := &UtilUpdate{}
+	if err := UnmarshalUtilUpdateInto(u, buf, nil); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// UnmarshalUtilUpdateInto is UnmarshalUtilUpdate decoding into u,
+// reusing its entry storage; intern, when non-nil, maps the machine
+// name's bytes to the receiver's own string for it. On error u's
+// contents are unspecified.
+func UnmarshalUtilUpdateInto(u *UtilUpdate, buf []byte, intern func([]byte) string) error {
 	if len(buf) != UtilUpdateSize {
-		return nil, ErrBadSize
+		return ErrBadSize
 	}
 	d, ver, err := checkHeaderVer(buf, MsgUtilUpdate)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	u := &UtilUpdate{}
-	if u.Machine, err = d.str(); err != nil {
-		return nil, err
+	if u.Machine, u.Seq, u.Entries, err = d.report(u.Entries, intern); err != nil {
+		return err
 	}
-	if u.Seq, err = d.u32(); err != nil {
-		return nil, err
-	}
-	n, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if n > 8 {
-		return nil, ErrTooManyUtil
-	}
-	for i := 0; i < int(n); i++ {
-		src, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.f64()
-		if err != nil {
-			return nil, err
-		}
-		u.Entries = append(u.Entries, UtilEntry{
-			Source: model.UtilSource(src),
-			Util:   units.Fraction(v).Clamp(),
-		})
-	}
+	u.Trace = TraceContext{}
 	if ver == VersionTrace {
 		// The payload must leave the trailer bytes alone, every spare
 		// byte between payload and trailer must still be zero padding,
@@ -371,22 +446,22 @@ func UnmarshalUtilUpdate(buf []byte) (*UtilUpdate, error) {
 		// malformed cases here keeps a corrupted or truncated-payload
 		// datagram from being silently read as traced.
 		if d.pos > UtilTraceOffset {
-			return nil, ErrBadTrace
+			return ErrBadTrace
 		}
 		for _, b := range buf[d.pos:UtilTraceOffset] {
 			if b != 0 {
-				return nil, ErrBadTrace
+				return ErrBadTrace
 			}
 		}
 		if buf[UtilTraceOffset] != TraceFlag {
-			return nil, ErrBadTrace
+			return ErrBadTrace
 		}
-		td := &decoder{buf: buf, pos: UtilTraceOffset + 1}
-		if u.Trace, err = td.trace(); err != nil {
-			return nil, err
+		d.pos = UtilTraceOffset + 1
+		if u.Trace, err = d.trace(); err != nil {
+			return err
 		}
 	}
-	return u, nil
+	return nil
 }
 
 // SensorRead asks the solver for one node's emulated temperature. A
@@ -400,7 +475,7 @@ type SensorRead struct {
 
 // MarshalSensorRead encodes a read request.
 func MarshalSensorRead(r *SensorRead) ([]byte, error) {
-	e := traceHeader(MsgSensorRead, r.Trace)
+	e := traceHeader(nil, MsgSensorRead, r.Trace)
 	e.str(r.Machine)
 	e.str(r.Node)
 	if !r.Trace.Zero() {
@@ -444,7 +519,7 @@ type SensorReply struct {
 
 // MarshalSensorReply encodes a reply.
 func MarshalSensorReply(r *SensorReply) ([]byte, error) {
-	e := traceHeader(MsgSensorReply, r.Trace)
+	e := traceHeader(nil, MsgSensorReply, r.Trace)
 	e.byte(r.Status)
 	e.f64(float64(r.Temp))
 	e.str(r.Message)

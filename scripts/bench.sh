@@ -39,6 +39,14 @@
 # peak (docs/performance.md, "Request path"). AssignDone must stay at
 # 0 allocs/op; TickSecond allocates only the map it returns.
 #
+# BenchmarkUtilReportPath is the utilization report path's layer
+# benchmark: one interval's reports for a rack of 16 and of 96 machines
+# through sample / encode / decode / apply, and loopback — a batch
+# monitord's SampleOnce over a real socket into a solverd, timed until
+# the last report is applied. It reports reports/s, and every
+# sub-benchmark must stay at 0 allocs/op (docs/performance.md,
+# "Utilization report path").
+#
 # Benchmarks run with -benchmem, so B/op and allocs/op land in each
 # entry's metrics; scripts/bench_diff.sh uses allocs/op to flag hot
 # paths that were allocation-free and have started allocating.

@@ -27,13 +27,15 @@
 # silently regress. Baselines recorded before -benchmem simply skip
 # this check.
 #
-# BenchmarkRecordWrite, BenchmarkAlertEval and BenchmarkAssignDone are
-# additionally must-zeros: the flight-recorder write path
-# (docs/recordlog.md), the alert engine's per-tick evaluation
-# (docs/observability.md) and the balancer's assign+done pair
-# (docs/performance.md, "Request path") are documented as 0 allocs/op,
-# so the current run is checked on its own — the tripwire holds even
-# before a committed baseline carries the benchmark.
+# BenchmarkRecordWrite, BenchmarkAlertEval, BenchmarkAssignDone and
+# BenchmarkUtilReportPath are additionally must-zeros: the
+# flight-recorder write path (docs/recordlog.md), the alert engine's
+# per-tick evaluation (docs/observability.md), the balancer's
+# assign+done pair (docs/performance.md, "Request path") and every
+# stage of the utilization report path (docs/performance.md,
+# "Utilization report path") are documented as 0 allocs/op, so the
+# current run is checked on its own — the tripwire holds even before a
+# committed baseline carries the benchmark.
 set -eu
 
 enforce=0
@@ -126,10 +128,11 @@ END {
 ' "$allocstmp" - || echo allocs >> "$failtmp"
 
 # Must-zero tripwire: the flight-recorder write path, the alert
-# engine's per-tick eval and the balancer's assign+done have no
-# baseline grace period — any allocation in the current run is flagged.
+# engine's per-tick eval, the balancer's assign+done and the
+# utilization report path have no baseline grace period — any
+# allocation in the current run is flagged.
 extract_allocs "$cur" | awk -v level="$level" '
-$1 ~ /BenchmarkRecordWrite|BenchmarkAlertEval|BenchmarkAssignDone/ {
+$1 ~ /BenchmarkRecordWrite|BenchmarkAlertEval|BenchmarkAssignDone|BenchmarkUtilReportPath/ {
     checked++
     if ($2 > 0) {
         flagged++
