@@ -59,7 +59,7 @@ func main() {
 
 	var err error
 	if *onlineRun {
-		err = runOnline(*machines, *duration, *seed, fl)
+		err = runOnline(*policy, *quiet, *machines, *duration, *seed, fl)
 	} else {
 		err = run(*policy, *machines, *duration, *seed, *quiet, fl)
 	}
@@ -74,11 +74,12 @@ func main() {
 
 // runOnline drives the full daemon stack over loopback UDP in
 // deterministic lockstep and prints the Figure 11 summary.
-func runOnline(machines int, duration time.Duration, seed int64, fl daemon.Flags) error {
-	// online.Run takes no pprof switch — the run is over in a second of
-	// wall time — so say so instead of dropping the flag.
-	if fl.Pprof {
-		return fmt.Errorf("%w: -pprof is not available with -online", daemon.ErrUsage)
+func runOnline(policy string, quiet bool, machines int, duration time.Duration, seed int64, fl daemon.Flags) error {
+	// online.Run is the base policy, prints no timeline and takes no
+	// pprof switch — the run is over in a second of wall time — so say
+	// so instead of dropping a flag it cannot act on.
+	if fl.Pprof || quiet || policy != "base" {
+		return fmt.Errorf("%w: -pprof, -quiet and a -policy other than base are not available with -online", daemon.ErrUsage)
 	}
 	rules, err := alert.LoadRules(fl.Alerts)
 	if err != nil {

@@ -27,6 +27,18 @@ func TestSmoke(t *testing.T) {
 		t.Errorf("freon -online -pprof: err = %v, want exit 2 naming both flags\n%s", err, out)
 	}
 
+	// Nor can -online run another policy or quieten a timeline it does
+	// not print: it used to exit 0 having run policy=base regardless.
+	for _, args := range [][]string{{"-policy", "ec"}, {"-quiet"}} {
+		out, err := exec.Command(bin, append([]string{"-online", "-duration", "10s"}, args...)...).CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), args[0]) || !strings.Contains(string(out), "-online") {
+			t.Errorf("freon -online %v: err = %v, want exit 2 naming both flags\n%s", args, err, out)
+		}
+	}
+	if out, err := exec.Command(bin, "-online", "-policy", "base", "-duration", "10s").CombinedOutput(); err != nil || !strings.Contains(string(out), "policy=base") {
+		t.Errorf("freon -online -policy base: err = %v, want a base-policy run\n%s", err, out)
+	}
+
 	// The in-process rig records what the flags ask for, like every
 	// other daemon: spans only with -trace-spans.
 	for _, traced := range []bool{false, true} {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func run(t *testing.T, fn func() (*Result, error)) *Result {
@@ -249,6 +250,43 @@ func TestSimValidation(t *testing.T) {
 	}
 	if got := len(sim.Cluster.Machines()); got != 2 {
 		t.Errorf("machines = %d", got)
+	}
+}
+
+// TestSimRejectsFractionalCadence: a hook cadence the one-second loop
+// cannot honour is an error naming the field, not a hook that runs at
+// the wrong rate or never; a cadence with no hook is not looked at.
+func TestSimRejectsFractionalCadence(t *testing.T) {
+	hook := func() error { return nil }
+	cases := []struct {
+		name         string
+		poll, period time.Duration
+		onPoll       func() error
+		onPeriod     func() error
+		want         string // "" = runs
+	}{
+		{"defaults", 5 * time.Second, time.Minute, hook, hook, ""},
+		{"half-second poll", 500 * time.Millisecond, time.Minute, hook, hook, "PollEvery"},
+		{"zero poll", 0, time.Minute, hook, hook, "PollEvery"},
+		{"1500ms period", 5 * time.Second, 1500 * time.Millisecond, hook, hook, "PeriodEvery"},
+		{"unhooked cadences ignored", 0, 1500 * time.Millisecond, nil, nil, ""},
+	}
+	for _, c := range cases {
+		sim, err := NewSim(2, 1, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.PollEvery, sim.PeriodEvery = c.poll, c.period
+		sim.OnPoll, sim.OnPeriod = c.onPoll, c.onPeriod
+		err = sim.Run(10 * time.Second)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: Run = %v, want nil", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: Run = %v, want an error naming %s", c.name, err, c.want)
+		case c.want != "" && sim.Clock.Elapsed() != 0:
+			t.Errorf("%s: the sim advanced to %v before rejecting its cadence", c.name, sim.Clock.Elapsed())
+		}
 	}
 }
 

@@ -156,6 +156,14 @@ func (s *Sim) Run(duration time.Duration) error {
 	if s.Clock == nil {
 		s.Clock = clock.NewVirtual()
 	}
+	// A hook's cadence must be a positive whole number of one-second
+	// ticks; anything else would run at the wrong rate, or never.
+	if s.OnPoll != nil && (s.PollEvery <= 0 || s.PollEvery%time.Second != 0) {
+		return fmt.Errorf("experiments: PollEvery = %v is not a positive whole multiple of the 1s tick", s.PollEvery)
+	}
+	if s.OnPeriod != nil && (s.PeriodEvery <= 0 || s.PeriodEvery%time.Second != 0) {
+		return fmt.Errorf("experiments: PeriodEvery = %v is not a positive whole multiple of the 1s tick", s.PeriodEvery)
+	}
 	secs := int(duration / time.Second)
 	pollEvery := int(s.PollEvery / time.Second)
 	periodEvery := int(s.PeriodEvery / time.Second)
@@ -192,12 +200,12 @@ func (s *Sim) Run(duration time.Duration) error {
 		}
 		s.Solver.Step()
 
-		if s.OnPoll != nil && pollEvery > 0 && (sec+1)%pollEvery == 0 {
+		if s.OnPoll != nil && (sec+1)%pollEvery == 0 {
 			if err := s.OnPoll(); err != nil {
 				return err
 			}
 		}
-		if s.OnPeriod != nil && periodEvery > 0 && (sec+1)%periodEvery == 0 {
+		if s.OnPeriod != nil && (sec+1)%periodEvery == 0 {
 			if err := s.OnPeriod(); err != nil {
 				return err
 			}

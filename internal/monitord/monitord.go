@@ -290,21 +290,10 @@ func (d *Daemon) Errors() uint64 { return d.errs.Load() }
 // Run samples on the configured interval until ctx is done. Transient
 // sample or send failures are tolerated (the solver just keeps the
 // previous utilization, as with any lost UDP datagram); Run returns
-// only when ctx is cancelled.
+// only when ctx is cancelled (a lockstep harness calls SampleOnce).
 func (d *Daemon) Run(ctx context.Context) error {
-	return d.RunReady(ctx, nil)
-}
-
-// RunReady is Run with a registration barrier: if ready is non-nil it
-// is closed once the sampling ticker is registered with the clock, so
-// a virtual-clock driver knows it may Advance without racing the
-// daemon's start-up.
-func (d *Daemon) RunReady(ctx context.Context, ready chan<- struct{}) error {
 	t := d.clk.NewTicker(d.interval)
 	defer t.Stop()
-	if ready != nil {
-		close(ready)
-	}
 	for {
 		select {
 		case <-ctx.Done():

@@ -150,10 +150,16 @@ func TestRunVirtualClock(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ready := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- d.RunReady(ctx, ready) }()
-	<-ready
+	go func() { done <- d.Run(ctx) }()
+	// The sampling ticker is the clock's only waiter: once it is
+	// registered the first Advance cannot outrun Run's start-up.
+	for deadline := time.Now().Add(5 * time.Second); clk.Waiters() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("Run never registered its ticker")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	for i := uint64(1); i <= 3; i++ {
 		clk.Advance(time.Second)

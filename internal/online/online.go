@@ -6,22 +6,24 @@
 // updates, solver step, Freon poll, Freon period), but with every
 // interaction crossing the wire the way a live deployment's would.
 //
-// The lockstep schedule staggers the daemons' tickers by sub-second
-// phase offsets so each advance wakes exactly one layer:
+// The harness is one goroutine calling each layer's tick body in turn;
+// the virtual clock only supplies the stamps:
 //
-//	t = k+0.0   monitord sampling tickers fire (registered at 0)
-//	t = k+0.25  solverd's stepping ticker fires (registered at 0.25)
-//	t = k+0.5   Freon's base ticker fires (registered at 0.5),
-//	            and the harness runs second k's cluster work
+//	t = k+0.5   second k's fiddle ops and cluster tick
+//	t = k+1.0   SampleOnce on every monitord, then the one wait: until
+//	            every shard's UtilUpdates counts the reports applied
+//	t = k+1.25  Tick on every shard in order, then the alert engine
+//	t = k+1.5   Freon's TickPoll and TickPeriod when due, poll first
 //
-// Between advances the harness waits on the daemons' atomic counters,
-// so two runs with the same seed produce bit-identical trajectories.
+// Every other step is done when its call returns, so two runs with the
+// same seed produce bit-identical trajectories.
 package online
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"github.com/darklab/mercury/internal/alert"
@@ -103,7 +105,7 @@ type Config struct {
 	// the default unbatched path.
 	Batch bool
 	// Surrogate attaches a what-if surrogate to the solver daemon:
-	// the stepping ticker records the run's trajectory (a passive,
+	// every tick records the run's trajectory (a passive,
 	// allocation-free observation that cannot change temperatures,
 	// events, or spans — the goldens pin this), and Result.Surrogate
 	// reports its counters. Single-shard runs only: a shard sees just
@@ -218,6 +220,12 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Record != "" && cfg.Shards > 1 {
 		return nil, fmt.Errorf("online: Record requires a single shard, got %d", cfg.Shards)
 	}
+	if err := errors.Join(
+		wholeSeconds("Freon.ConnPoll", cfg.Freon.ConnPoll),
+		wholeSeconds("Freon.Period", cfg.Freon.Period),
+	); err != nil {
+		return nil, err
+	}
 	clk := clock.NewVirtual()
 
 	// Shared observability: one stack for the whole rig, stamped from
@@ -276,7 +284,7 @@ func Run(cfg Config) (*Result, error) {
 		// One registry: metric names are unique per registry, so only
 		// shard 0 exports solver metrics. The event log and tracer are
 		// shared — their records are keyed by content, not by daemon.
-		solverOpts := []solverd.Option{solverd.WithClock(clk), solverd.WithTracer(tracer)}
+		solverOpts := []solverd.Option{solverd.WithTracer(tracer)}
 		if i == 0 {
 			solverOpts = append(solverOpts, solverd.WithTelemetry(st.Registry, events))
 		} else {
@@ -314,13 +322,23 @@ func Run(cfg Config) (*Result, error) {
 	}
 	srv := servers[0]
 
-	// ownerOf is the index of the shard that steps a machine; with one
-	// shard everything routes to it.
-	ownerOf := func(machine string) (int, error) {
-		if cfg.Shards == 1 {
-			return 0, nil
+	// Cluster machine names, in the canonical cluster order everything
+	// below indexes by. shardNames[i] is the machines shard i owns
+	// (everything, for a single shard), in cluster order, and owner the
+	// inverse: the index of the shard that steps a machine.
+	names := make([]string, cfg.Machines)
+	for i := range names {
+		names[i] = fmt.Sprintf("machine%d", i+1)
+	}
+	shardNames := [][]string{names}
+	if cfg.Shards > 1 {
+		shardNames = regions
+	}
+	owner := make(map[string]int, cfg.Machines)
+	for i, ms := range shardNames {
+		for _, m := range ms {
+			owner[m] = i
 		}
-		return srv.Solver().MachineRegion(machine)
 	}
 
 	// route applies a fiddle op the way the UDP path routes it: source
@@ -335,18 +353,8 @@ func Run(cfg Config) (*Result, error) {
 			}
 			return nil
 		}
-		i, err := ownerOf(op.Strings[0])
-		if err != nil {
-			return err
-		}
-		return apply(i, op)
-	}
-
-	// Cluster machine names, in the canonical cluster order everything
-	// below indexes by.
-	names := make([]string, cfg.Machines)
-	for i := range names {
-		names[i] = fmt.Sprintf("machine%d", i+1)
+		// A machine nobody owns goes to shard 0, which says so.
+		return apply(owner[op.Strings[0]], op)
 	}
 
 	// Effective Freon component table; the alert engine derives each
@@ -416,102 +424,54 @@ func Run(cfg Config) (*Result, error) {
 		ops = script.Schedule()
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// shardNames[i] is the machines shard i owns (everything, for a
-	// single shard), in cluster order — the per-shard utilization
-	// arithmetic below counts against these.
-	shardNames := [][]string{names}
-	if cfg.Shards > 1 {
-		shardNames = regions
-	}
-
 	// Monitords, each sampling a synthetic procfs that the harness
 	// refreshes from the cluster's per-tick utilizations: one daemon
 	// per machine reporting to the machine's owner shard, or — with
 	// Batch — one daemon per shard reporting all its machines in one
-	// MsgUtilBatch datagram.
+	// MsgUtilBatch datagram. None runs a sampling loop: the harness
+	// calls SampleOnce.
 	synths := make(map[string]*procfs.Synthetic, cfg.Machines)
 	for _, m := range names {
 		synths[m] = procfs.NewSynthetic(model.UtilCPU, model.UtilDisk)
 	}
-	var mons []*monitord.Daemon
-	defer func() {
-		for _, d := range mons {
-			d.Close()
-		}
-	}()
-	startMonitord := func(mc monitord.Config) error {
-		mc.Interval = time.Second
-		mc.Clock = clk
-		mc.Tracer = tracer
-		d, err := monitord.New(mc)
-		if err != nil {
-			return err
-		}
-		mons = append(mons, d)
-		ready := make(chan struct{})
-		go d.RunReady(ctx, ready)
-		<-ready
-		return nil
-	}
+	var monCfgs []monitord.Config
 	if cfg.Batch {
 		for i, s := range servers {
 			batch := make([]monitord.BatchMachine, len(shardNames[i]))
 			for j, m := range shardNames[i] {
 				batch[j] = monitord.BatchMachine{Machine: m, Sampler: synths[m]}
 			}
-			if err := startMonitord(monitord.Config{
-				Machine:    fmt.Sprintf("shard%d", i),
-				Batch:      batch,
-				SolverAddr: s.Addr().String(),
-			}); err != nil {
-				return nil, err
-			}
+			monCfgs = append(monCfgs, monitord.Config{Machine: fmt.Sprintf("shard%d", i), Batch: batch, SolverAddr: s.Addr().String()})
 		}
 	} else {
 		for _, m := range names {
-			owner, err := ownerOf(m)
-			if err != nil {
-				return nil, err
-			}
-			if err := startMonitord(monitord.Config{
-				Machine:    m,
-				Sampler:    synths[m],
-				SolverAddr: servers[owner].Addr().String(),
-			}); err != nil {
-				return nil, err
-			}
+			monCfgs = append(monCfgs, monitord.Config{Machine: m, Sampler: synths[m], SolverAddr: servers[owner[m]].Addr().String()})
 		}
 	}
-
-	// Phase 0.25: every shard's stepping ticker. They all fire on the
-	// same virtual instant; the boundary barrier (solverd.SetPeers)
-	// sequences their data exchange within the instant.
-	clk.Advance(250 * time.Millisecond)
-	for _, s := range servers {
-		s.StartTicker()
+	mons := make([]*monitord.Daemon, len(monCfgs))
+	for i, mc := range monCfgs {
+		mc.Clock, mc.Tracer = clk, tracer
+		if mons[i], err = monitord.New(mc); err != nil {
+			return nil, err
+		}
+		defer mons[i].Close()
 	}
-	clk.Advance(250 * time.Millisecond)
 
-	// Phase 0.5: Freon, reading temperatures through the emulated
-	// sensor library (one UDP round trip per read, as on live
-	// hardware) and actuating the balancer locally, as admd does on
-	// the LVS machine.
+	// The loop's first cluster tick happens at t = 0.5.
+	clk.Advance(500 * time.Millisecond)
+
+	// Freon, reading temperatures through the emulated sensor library
+	// (one UDP round trip per read, as on live hardware) and actuating
+	// the balancer locally, as admd does on the LVS machine.
 	sens := udpSensors{sensors: map[string]map[string]*sensor.Sensor{}}
 	nodes := map[string]bool{model.NodeCPU: true}
 	for _, comp := range comps {
 		nodes[comp.Node] = true
 	}
 	for _, m := range names {
-		owner, err := ownerOf(m)
-		if err != nil {
-			return nil, err
-		}
 		sens.sensors[m] = map[string]*sensor.Sensor{}
 		for node := range nodes {
-			s, err := sensor.OpenOptions(servers[owner].Addr().String(), m, node, sensor.Options{Clock: clk})
+			s, err := sensor.OpenOptions(servers[owner[m]].Addr().String(), m, node, sensor.Options{Clock: clk})
 			if err != nil {
 				return nil, err
 			}
@@ -537,14 +497,13 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner := freon.NewRunner(fr, clk)
+	var polls, periods atomic.Uint64
 	if st.Registry != nil {
-		runner.RegisterMetrics(st.Registry)
+		st.Registry.CounterFunc("mercury_freon_polls_total", "completed connection-statistics polls",
+			func() float64 { return float64(polls.Load()) })
+		st.Registry.CounterFunc("mercury_freon_periods_total", "completed observation periods",
+			func() float64 { return float64(periods.Load()) })
 	}
-	runnerReady := make(chan struct{})
-	runnerDone := make(chan error, 1)
-	go func() { runnerDone <- runner.RunReady(ctx, runnerReady) }()
-	<-runnerReady
 
 	pollSecs := int(fr.Config().ConnPoll / time.Second)
 	periodSecs := int(fr.Config().Period / time.Second)
@@ -575,10 +534,17 @@ func Run(cfg Config) (*Result, error) {
 			syn.Set(model.UtilDisk, st.DiskUtil)
 		}
 
-		// t -> sec+1.0: monitord reports the second's utilizations —
-		// every shard must have applied its own machines' reports.
+		// t -> sec+1.0: the monitords report the second's utilizations.
+		// A datagram inside the loopback socket is visible to nobody, so
+		// here alone the harness waits on a counter: every shard must
+		// have applied its own machines' reports.
 		clk.Advance(500 * time.Millisecond)
-		if err := waitFor(sec, "utilization updates", runnerDone, func() bool {
+		for _, d := range mons {
+			if err := d.SampleOnce(); err != nil {
+				return nil, fmt.Errorf("online: emulated second %d: %w", sec, err)
+			}
+		}
+		if err := waitFor(sec, "utilization updates", func() bool {
 			for i, s := range servers {
 				if s.Stats().UtilUpdates.Load() < uint64(len(shardNames[i])*(sec+1)) {
 					return false
@@ -589,37 +555,36 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 
-		// t -> sec+1.25: every shard consumes them and steps in
-		// lockstep (the boundary barrier holds back any shard whose
-		// peers' previous-tick exhausts are still in flight).
+		// t -> sec+1.25: every shard consumes them and steps. Tick sec+1
+		// needs only its peers' tick-sec exhausts, published a second ago,
+		// so stepping the shards one after another cannot deadlock.
 		clk.Advance(250 * time.Millisecond)
-		wantSteps := uint64(sec + 1)
-		if err := waitFor(sec, "solver step", runnerDone, func() bool {
-			for _, s := range servers {
-				if s.Stats().SolverSteps.Load() < wantSteps {
-					return false
-				}
+		for i, s := range servers {
+			if !s.Tick() {
+				return nil, fmt.Errorf("online: emulated second %d: shard %d closed", sec, i)
 			}
-			return true
-		}); err != nil {
-			return nil, err
 		}
 
-		// Still at t = sec+1.25, with every shard stepped and Freon not
-		// yet woken: the alert engine evaluates tick sec+1 over the
-		// post-step temperatures, stamping transitions at exactly
-		// (sec+1)s. Predictive rules therefore see — and can fire on —
-		// the same temperatures Freon is about to react to.
+		// Still at t = sec+1.25, before Freon: the alert engine evaluates
+		// tick sec+1 over the post-step temperatures, stamping transitions
+		// at exactly (sec+1)s. Predictive rules therefore see — and can
+		// fire on — the same temperatures Freon is about to react to.
 		eng.EvalTick(uint64(sec + 1))
 
-		// t -> sec+1.5: Freon observes the post-step temperatures.
+		// t -> sec+1.5: Freon observes the post-step temperatures, poll
+		// before period.
 		clk.Advance(250 * time.Millisecond)
-		wantPolls := uint64((sec + 1) / pollSecs)
-		wantPeriods := uint64((sec + 1) / periodSecs)
-		if err := waitFor(sec, "freon ticks", runnerDone, func() bool {
-			return runner.Polls() >= wantPolls && runner.Periods() >= wantPeriods
-		}); err != nil {
-			return nil, err
+		if (sec+1)%pollSecs == 0 {
+			if err := fr.TickPoll(); err != nil {
+				return nil, fmt.Errorf("online: emulated second %d: freon poll: %w", sec, err)
+			}
+			polls.Add(1)
+		}
+		if (sec+1)%periodSecs == 0 {
+			if err := fr.TickPeriod(); err != nil {
+				return nil, fmt.Errorf("online: emulated second %d: freon period: %w", sec, err)
+			}
+			periods.Add(1)
 		}
 
 		if (sec+1)%sampleSecs == 0 {
@@ -636,10 +601,12 @@ func Run(cfg Config) (*Result, error) {
 			}
 			res.Samples = append(res.Samples, sample)
 		}
-	}
 
-	cancel()
-	<-runnerDone
+		// Owing nothing to the wall clock, let the recorder's drain keep up.
+		if st.Recorder != nil {
+			st.Recorder.CatchUp()
+		}
+	}
 
 	res.Totals = wc.Totals()
 	for _, m := range names {
@@ -654,8 +621,8 @@ func Run(cfg Config) (*Result, error) {
 		res.UtilBatches += s.Stats().UtilBatches.Load()
 		res.BoundaryExchanges += s.Stats().BoundaryIn.Load()
 	}
-	res.FreonPolls = runner.Polls()
-	res.FreonPeriod = runner.Periods()
+	res.FreonPolls = polls.Load()
+	res.FreonPeriod = periods.Load()
 	res.Events = events.Since(0)
 	if tracer != nil {
 		res.Spans = tracer.Canonical()
@@ -668,8 +635,7 @@ func Run(cfg Config) (*Result, error) {
 		res.Alerts = eng.Timeline()
 	}
 	res.CtlAddr = ctlAddr
-	// All emitters are quiescent (runner drained, no further clock
-	// advances), so Close flushes a complete capture.
+	// Every emitter is quiescent, so Close flushes a complete capture.
 	if res.RecordPath, res.RecordDrops, err = st.Close(); err != nil {
 		return nil, fmt.Errorf("online: flight recorder: %w", err)
 	}
@@ -729,21 +695,24 @@ func alertProbes(servers []*solverd.Server, names []string, comps []freon.Compon
 	return daemon.ThermalProbes(ms, ns, comps), fill
 }
 
+// wholeSeconds rejects a Freon cadence the one-second lockstep tick
+// cannot honour; zero or negative selects Freon's whole-second default.
+func wholeSeconds(field string, d time.Duration) error {
+	if d > 0 && d%time.Second != 0 {
+		return fmt.Errorf("online: %s = %v is not a whole multiple of the 1s lockstep tick", field, d)
+	}
+	return nil
+}
+
 // waitFor yields until cond holds: a short Gosched burst for the
-// common case where the daemons finish within microseconds, then
+// common case where solverd finishes within microseconds, then
 // escalating sleeps so a single-core scheduler is not saturated by
-// the spin. The runner's error channel is checked so a failed Freon
-// tick surfaces instead of hanging, and a generous real-time guard
-// turns a broken schedule into an error.
-func waitFor(sec int, what string, runnerDone <-chan error, cond func() bool) error {
+// the spin. A generous real-time guard turns a lost datagram into an
+// error.
+func waitFor(sec int, what string, cond func() bool) error {
 	deadline := time.Now().Add(30 * time.Second)
 	backoff := time.Microsecond
 	for i := 0; !cond(); i++ {
-		select {
-		case err := <-runnerDone:
-			return fmt.Errorf("online: freon runner exited during second %d: %w", sec, err)
-		default:
-		}
 		if i < 64 {
 			runtime.Gosched()
 			continue
@@ -765,11 +734,7 @@ type udpSensors struct {
 }
 
 func (u udpSensors) Temperature(machine, node string) (units.Celsius, error) {
-	s := u.sensors[machine][node]
-	if s == nil {
-		return 0, fmt.Errorf("online: no sensor open for %s/%s", machine, node)
-	}
-	return s.Read()
+	return u.TemperatureCtx(causal.Context{}, machine, node)
 }
 
 // TemperatureCtx implements freon.ContextSensors: the trace context

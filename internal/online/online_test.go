@@ -224,6 +224,49 @@ func TestOnlineDeterministic(t *testing.T) {
 	}
 }
 
+// TestOnlineRejectsFractionalCadence: a Freon cadence the one-second
+// lockstep tick cannot honour is refused by name before anything is
+// booted — a 500 ms poll used to panic dividing by zero, a 1500 ms
+// period silently ran every second.
+func TestOnlineRejectsFractionalCadence(t *testing.T) {
+	for field, fc := range map[string]freon.Config{
+		"Freon.ConnPoll": {ConnPoll: 500 * time.Millisecond},
+		"Freon.Period":   {Period: 1500 * time.Millisecond},
+	} {
+		// A Record directory that does not exist would fail the boot; the
+		// cadence must be refused first.
+		_, err := online.Run(online.Config{Duration: 10 * time.Second, Freon: fc, Record: "/nonexistent/dir"})
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: Run = %v, want an error naming the field", field, err)
+		}
+	}
+}
+
+// TestOnlineFreonCadence: the harness calls Freon itself, so the tick
+// counts it reports are exact — every whole multiple of the cadence
+// inside the run, defaults or not.
+func TestOnlineFreonCadence(t *testing.T) {
+	for _, c := range []struct {
+		fc             freon.Config
+		polls, periods uint64
+	}{
+		{freon.Config{}, 24, 2},
+		{freon.Config{ConnPoll: 2 * time.Second, Period: 7 * time.Second}, 60, 17},
+	} {
+		res, err := online.Run(online.Config{Duration: 120 * time.Second, Freon: c.fc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FreonPolls != c.polls || res.FreonPeriod != c.periods {
+			t.Errorf("poll %v period %v: %d polls, %d periods, want %d and %d",
+				c.fc.ConnPoll, c.fc.Period, res.FreonPolls, res.FreonPeriod, c.polls, c.periods)
+		}
+		if res.SolverSteps != 120 || res.MissedTicks != 0 {
+			t.Errorf("%d solver steps (%d missed), want 120 and none", res.SolverSteps, res.MissedTicks)
+		}
+	}
+}
+
 // TestOnlineFig11EventsGolden pins the full Figure 11 thermal event
 // sequence — fiddle ops, emergency edges, PD outputs, weight and
 // connection-cap changes, releases — to a golden file. Run with

@@ -512,6 +512,54 @@ func TestWriterDrops(t *testing.T) {
 	}
 }
 
+// TestWriterCatchUp: a producer that owes nothing to the wall clock
+// calls CatchUp between bursts and loses nothing however small the
+// ring; one that never calls it keeps the live contract — it drops,
+// counts, and is never held up.
+func TestWriterCatchUp(t *testing.T) {
+	const records, burst = 10000, 4 // a burst on top of half of 8 cells still fits
+	rng := rand.New(rand.NewSource(7))
+	path := tempPath(t)
+	w, err := Create(path, "catchup", clock.NewVirtual(), WithRingSize(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < records; i++ {
+		if i%burst == 0 {
+			w.CatchUp()
+		}
+		w.RecordEvent(randEvent(rng))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.CatchUp() // after Close there is no drain to wait for: must return
+	log, err := ReadLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Drops() != 0 || len(log.Events) != records {
+		t.Errorf("with CatchUp: %d drops, %d events on disk, want 0 and %d", w.Drops(), len(log.Events), records)
+	}
+
+	// No CatchUp and no drain at all: were a Record call ever to wait for
+	// room, this would hang.
+	w, err = newWriter(tempPath(t), "nocatchup", clock.NewVirtual(), writerConfig{ringSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < records; i++ {
+		w.RecordEvent(randEvent(rng))
+	}
+	if got := w.Drops(); got != records-8 {
+		t.Errorf("without CatchUp: %d drops, want %d", got, records-8)
+	}
+	go w.drain()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWriterConcurrent hammers the ring from many goroutines and
 // verifies the file stays frame-clean: every record decodes, nothing
 // interleaves.

@@ -94,7 +94,7 @@ type Writer struct {
 	cells []cell
 	mask  uint64
 	enq   atomic.Uint64 // next producer position
-	deq   uint64        // next consumer position (consumer goroutine only)
+	deq   atomic.Uint64 // next consumer position (stored by the consumer goroutine only)
 
 	drops     atomic.Uint64
 	written   atomic.Uint64
@@ -242,6 +242,25 @@ func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.werr
+}
+
+// CatchUp is for a producer that owes nothing to the wall clock — a
+// lockstep harness, between emulated seconds. It reads the backlog and
+// returns at once unless more than half the ring is waiting on the
+// drain goroutine; only then does it wait until the drain is back under
+// half, so a run that outpaces its recorder slows down instead of
+// dropping. Live daemons never call it: they drop, count, never block.
+func (w *Writer) CatchUp() {
+	half := uint64(len(w.cells)) / 2
+	// deq is read before enq, so the backlog cannot come out negative.
+	for deq := w.deq.Load(); w.enq.Load()-deq > half; deq = w.deq.Load() {
+		select {
+		case <-w.done:
+			return // closed: nothing is draining any more
+		default:
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
 }
 
 // claim grabs the next ring cell, or reports the ring full.
@@ -452,13 +471,14 @@ func (w *Writer) drain() {
 func (w *Writer) drainAvailable() int {
 	n := 0
 	for {
-		c := &w.cells[w.deq&w.mask]
-		if c.seq.Load() != w.deq+1 {
+		pos := w.deq.Load()
+		c := &w.cells[pos&w.mask]
+		if c.seq.Load() != pos+1 {
 			return n
 		}
 		w.writeFrame(c.typ, c.buf[:c.n])
-		c.seq.Store(w.deq + w.mask + 1)
-		w.deq++
+		c.seq.Store(pos + w.mask + 1)
+		w.deq.Store(pos + 1)
 		n++
 		w.maybeRotate()
 	}

@@ -207,17 +207,13 @@ func (s *Server) handleBoundary(buf []byte) {
 // dead shard degrades accuracy rather than freezing the cluster.
 func (s *Server) awaitBoundary(tick uint64) bool {
 	b := s.peers
-	deadline := false
-	timer := time.AfterFunc(boundaryDeadline, func() {
-		b.mu.Lock()
-		deadline = true
-		b.mu.Unlock()
-		b.cond.Broadcast()
-	})
-	defer timer.Stop()
-
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	// The deadline is armed only once a frame turns out to be missing:
+	// in a healthy exchange the peers' frames are staged before the
+	// barrier looks, and the wait costs no timer.
+	deadline := false
+	var timer *time.Timer
 	for _, l := range b.links {
 		if len(l.in) == 0 {
 			continue
@@ -226,12 +222,17 @@ func (s *Server) awaitBoundary(tick uint64) bool {
 			if b.closed {
 				return false
 			}
-			st := l.staged[tick]
-			if st != nil && len(st.idx) == len(l.in) {
+			if st := l.staged[tick]; deadline || st != nil && len(st.idx) == len(l.in) {
 				break
 			}
-			if deadline {
-				break
+			if timer == nil {
+				timer = time.AfterFunc(boundaryDeadline, func() {
+					b.mu.Lock()
+					deadline = true
+					b.mu.Unlock()
+					b.cond.Broadcast()
+				})
+				defer timer.Stop()
 			}
 			b.cond.Wait()
 		}

@@ -32,8 +32,10 @@ type Stats struct {
 	FiddleOps    atomic.Uint64
 	ListRequests atomic.Uint64
 	Malformed    atomic.Uint64
-	// SolverSteps counts iterations taken by the stepping ticker
-	// (StartTicker); direct solver stepping is not included.
+	// SolverSteps counts completed Ticks, whether StartTicker's loop or
+	// a lockstep harness made them; direct solver stepping is not
+	// included. Tick bumps it after the step's boundary publish and span,
+	// so a poller that sees the count may move on.
 	SolverSteps atomic.Uint64
 	// MissedTicks counts ticker fires that were coalesced or dropped
 	// because a step overran the step interval; each missed tick is
@@ -313,9 +315,9 @@ func (s *Server) WhatIf(q *surrogate.Query, fallback bool) (*surrogate.Answer, e
 	return s.surro.WhatIf(q, true)
 }
 
-// StartTicker advances the solver in clock time, one Step every
-// solver step interval, until Close. Offline/experiment use drives the
-// solver directly instead.
+// StartTicker advances the solver in clock time, one Tick every solver
+// step interval, until Close. Offline/experiment use drives the solver
+// directly instead, and a lockstep harness calls Tick itself.
 //
 // The ticker keeps emulated time locked to the clock even when a step
 // overruns the interval: time.Ticker silently coalesces fires under
@@ -338,48 +340,9 @@ func (s *Server) StartTicker() {
 				expected := int64(s.clk.Now().Sub(start) / step)
 				taken := 0
 				for int64(s.stats.SolverSteps.Load()) < expected {
-					// Lockstep barrier: stepping tick T needs every
-					// peer's tick T-1 boundary exhausts (the model's
-					// one-tick transport delay). Tick 1 steps from the
-					// shared initial temperatures, so nothing to wait
-					// for.
-					if next := s.stats.SolverSteps.Load() + 1; s.peers != nil && next >= 2 {
-						if !s.awaitBoundary(next - 1) {
-							return
-						}
+					if !s.Tick() {
+						return
 					}
-					var begin time.Duration
-					if s.tracer != nil {
-						begin = s.tracer.Now()
-					}
-					s.stepMu.Lock()
-					s.stepFn()
-					if s.surro != nil {
-						s.surro.Record()
-					}
-					s.stepMu.Unlock()
-					// SolverSteps releases a lockstep harness to advance
-					// the clock and read the counters, so the boundary
-					// publish and the clock-stamped span come first; only
-					// this goroutine adds to the counter.
-					n := s.stats.SolverSteps.Load() + 1
-					if s.peers != nil {
-						s.publishBoundary(n)
-					}
-					if s.tracer != nil {
-						s.tracer.Emit(causal.Span{
-							Trace: s.tracer.NewTrace("solver-step"),
-							Kind:  causal.KindStep,
-							Begin: begin,
-							End:   s.tracer.Now(),
-							Step:  n,
-						})
-					}
-					s.stats.SolverSteps.Add(1)
-					if s.temps != nil && n%tempSampleEvery == 0 {
-						s.temps.Sample(time.Duration(n)*step, s.fillFn)
-					}
-					s.alerts.EvalTick(n)
 					taken++
 				}
 				if taken > 1 {
@@ -393,6 +356,53 @@ func (s *Server) StartTicker() {
 			}
 		}
 	}()
+}
+
+// Tick takes the daemon through one solver tick, in the one order the
+// determinism contract allows: boundary barrier, step, surrogate
+// record, boundary publish, step span, SolverSteps, temperature sample,
+// alert evaluation. StartTicker loops around it; a lockstep harness
+// (online.Run) calls it directly and is done with the tick when it
+// returns. One caller at a time, never beside a running StartTicker.
+// It returns false only when the daemon is closing.
+func (s *Server) Tick() bool {
+	n := s.stats.SolverSteps.Load() + 1
+	// Lockstep barrier: stepping tick n needs every peer's tick n-1
+	// boundary exhausts (the model's one-tick transport delay). Tick 1
+	// steps from the shared initial temperatures, so nothing to wait for.
+	if s.peers != nil && n >= 2 && !s.awaitBoundary(n-1) {
+		return false
+	}
+	var begin time.Duration
+	if s.tracer != nil {
+		begin = s.tracer.Now()
+	}
+	s.stepMu.Lock()
+	s.stepFn()
+	if s.surro != nil {
+		s.surro.Record()
+	}
+	s.stepMu.Unlock()
+	// SolverSteps releases a harness that polls it to advance the clock,
+	// so the boundary publish and the clock-stamped span come first.
+	if s.peers != nil {
+		s.publishBoundary(n)
+	}
+	if s.tracer != nil {
+		s.tracer.Emit(causal.Span{
+			Trace: s.tracer.NewTrace("solver-step"),
+			Kind:  causal.KindStep,
+			Begin: begin,
+			End:   s.tracer.Now(),
+			Step:  n,
+		})
+	}
+	s.stats.SolverSteps.Add(1)
+	if s.temps != nil && n%tempSampleEvery == 0 {
+		s.temps.Sample(time.Duration(n)*s.sol.StepSize(), s.fillFn)
+	}
+	s.alerts.EvalTick(n)
+	return true
 }
 
 // Serve processes datagrams until Close. It returns nil after a clean
