@@ -15,14 +15,17 @@ import (
 // F the heat-capacity flow through the exhaust.
 func exhaustHeatFlow(t *testing.T, s *Solver, machine string, temps map[string]units.Celsius) float64 {
 	t.Helper()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := &s.ms[mi]
+	sh := m.shape
+	rel := win(s.relFlow, m.node, len(sh.names))
 	var out float64
-	for _, x := range cm.exhaustIdx {
-		F := units.AirDensity * cm.relFlow[x] * cm.fanM3s * float64(units.AirSpecificHeat)
-		out += F * float64(temps[cm.names[x]]-temps[cm.names[cm.inletIdx]])
+	for _, x := range sh.exhaustIdx {
+		F := units.AirDensity * rel[x] * m.fanM3s * float64(units.AirSpecificHeat)
+		out += F * float64(temps[sh.names[x]]-temps[sh.names[sh.inletIdx]])
 	}
 	return out
 }

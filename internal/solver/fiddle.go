@@ -12,9 +12,9 @@ import (
 // atomic operation so the UDP daemon can apply them while the stepping
 // loop runs.
 //
-// Every mutation refreshes the kernel's cached coefficient tables it
-// staled (kernel.go documents the rules) and sets cm.dirty so the
-// active set re-steps the machine.
+// Every mutation refreshes the kernel's cached coefficients it staled
+// (kernel.go documents the rules) in the machine's own windows only,
+// and marks the machine dirty so the active set re-steps it.
 
 // SetNodeTemperature forces a node to the given temperature
 // immediately (a one-shot assignment; the physics evolves it from
@@ -25,17 +25,17 @@ func (s *Solver) SetNodeTemperature(machine, node string, t units.Celsius) error
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return err
 	}
-	idx, ok := cm.index[node]
+	idx, ok := s.ms[mi].shape.index[node]
 	if !ok {
 		return &ErrUnknown{Kind: "node", Name: machine + "/" + node}
 	}
-	cm.temps[idx] = float64(t)
+	s.tempsOf(mi)[idx] = float64(t)
 	s.fiddleGen++ // a forced jump breaks trajectory continuity
-	s.markDirty(cm)
+	s.markDirty(mi)
 	return nil
 }
 
@@ -49,14 +49,15 @@ func (s *Solver) PinInlet(machine string, t units.Celsius) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return err
 	}
 	v := float64(t)
-	cm.inletPin = &v
-	cm.inletTemp = v
-	s.markDirty(cm)
+	s.ms[mi].pinned = true
+	s.ms[mi].pin = v
+	s.inlet[mi] = v
+	s.markDirty(mi)
 	return nil
 }
 
@@ -65,12 +66,12 @@ func (s *Solver) PinInlet(machine string, t units.Celsius) error {
 func (s *Solver) UnpinInlet(machine string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return err
 	}
-	cm.inletPin = nil
-	s.markDirty(cm)
+	s.ms[mi].pinned = false
+	s.markDirty(mi)
 	return nil
 }
 
@@ -79,14 +80,14 @@ func (s *Solver) UnpinInlet(machine string) error {
 func (s *Solver) InletPinned(machine string) (bool, units.Celsius, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return false, 0, err
 	}
-	if cm.inletPin == nil {
-		return false, 0, nil
+	if m := &s.ms[mi]; m.pinned {
+		return true, units.Celsius(m.pin), nil
 	}
-	return true, units.Celsius(*cm.inletPin), nil
+	return false, 0, nil
 }
 
 // SetSourceTemperature changes a room-level source's supply
@@ -129,27 +130,25 @@ func (s *Solver) SetHeatK(machine, a, b string, k units.WattsPerKelvin) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return err
 	}
-	ia, ok := cm.index[a]
+	m := &s.ms[mi]
+	ia, ok := m.shape.index[a]
 	if !ok {
 		return &ErrUnknown{Kind: "node", Name: machine + "/" + a}
 	}
-	ib, ok := cm.index[b]
+	ib, ok := m.shape.index[b]
 	if !ok {
 		return &ErrUnknown{Kind: "node", Name: machine + "/" + b}
 	}
-	for i := range cm.heatEdges {
-		e := &cm.heatEdges[i]
-		if (int(e.a) == ia && int(e.b) == ib) || (int(e.a) == ib && int(e.b) == ia) {
-			e.k = float64(k)
-			cm.refreshCoupleK()
-			s.fiddleGen++
-			s.markDirty(cm)
-			return nil
-		}
+	if i := m.shape.heatEdgeIndex(ia, ib); i >= 0 {
+		s.heatK[int(m.heat)+i] = float64(k)
+		s.refreshCoupleK(mi)
+		s.fiddleGen++
+		s.markDirty(mi)
+		return nil
 	}
 	return &ErrUnknown{Kind: "heat edge", Name: machine + "/" + a + "--" + b}
 }
@@ -158,20 +157,18 @@ func (s *Solver) SetHeatK(machine, a, b string, k units.WattsPerKelvin) error {
 func (s *Solver) HeatK(machine, a, b string) (units.WattsPerKelvin, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return 0, err
 	}
-	ia, okA := cm.index[a]
-	ib, okB := cm.index[b]
+	m := &s.ms[mi]
+	ia, okA := m.shape.index[a]
+	ib, okB := m.shape.index[b]
 	if !okA || !okB {
 		return 0, &ErrUnknown{Kind: "node", Name: machine + "/" + a + "--" + b}
 	}
-	for i := range cm.heatEdges {
-		e := &cm.heatEdges[i]
-		if (int(e.a) == ia && int(e.b) == ib) || (int(e.a) == ib && int(e.b) == ia) {
-			return units.WattsPerKelvin(e.k), nil
-		}
+	if i := m.shape.heatEdgeIndex(ia, ib); i >= 0 {
+		return units.WattsPerKelvin(s.heatK[int(m.heat)+i]), nil
 	}
 	return 0, &ErrUnknown{Kind: "heat edge", Name: machine + "/" + a + "--" + b}
 }
@@ -187,17 +184,19 @@ func (s *Solver) SetAirFraction(machine, from, to string, f units.Fraction) erro
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return err
 	}
-	for i := range cm.airEdges {
-		e := &cm.airEdges[i]
-		if e.From == from && e.To == to {
-			e.Fraction = f
+	m := &s.ms[mi]
+	sh := m.shape
+	for i, e := range sh.airEdges {
+		if sh.names[e.a] == from && sh.names[e.b] == to {
+			s.airFrac[int(m.air)+i] = float64(f)
 			s.fiddleGen++
-			s.markDirty(cm)
-			return cm.recompileAirFlow()
+			s.markDirty(mi)
+			s.recompileAirFlow(mi)
+			return nil
 		}
 	}
 	return &ErrUnknown{Kind: "air edge", Name: machine + "/" + from + "->" + to}
@@ -211,15 +210,15 @@ func (s *Solver) SetFanFlow(machine string, flow units.CubicFeetPerMinute) error
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return err
 	}
-	cm.fanM3s = flow.CubicMetersPerSecond()
-	cm.nomCFM = flow
-	cm.refreshFlowCoef()
+	s.ms[mi].fanM3s = flow.CubicMetersPerSecond()
+	s.ms[mi].nomCFM = flow
+	s.refreshFlowCoef(mi)
 	s.fiddleGen++
-	s.markDirty(cm)
+	s.markDirty(mi)
 	return nil
 }
 
@@ -227,11 +226,11 @@ func (s *Solver) SetFanFlow(machine string, flow units.CubicFeetPerMinute) error
 func (s *Solver) FanFlow(machine string) (units.CubicFeetPerMinute, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return 0, err
 	}
-	return cm.nomCFM, nil
+	return s.ms[mi].nomCFM, nil
 }
 
 // SetPowerScale scales a component's power draw by the given factor in
@@ -243,22 +242,23 @@ func (s *Solver) SetPowerScale(machine, component string, scale units.Fraction) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return err
 	}
-	idx, ok := cm.index[component]
+	m := &s.ms[mi]
+	idx, ok := m.shape.index[component]
 	if !ok {
 		return &ErrUnknown{Kind: "node", Name: machine + "/" + component}
 	}
-	ci, ok := cm.compOf[idx]
-	if !ok {
+	ci := m.shape.compOf[idx]
+	if ci < 0 {
 		return &ErrUnknown{Kind: "component", Name: machine + "/" + component}
 	}
-	cm.comps[ci].powerScale = float64(scale)
-	cm.refreshDraws()
+	s.powers[m.comp+ci].scale = float64(scale)
+	s.refreshDraws(mi)
 	s.fiddleGen++
-	s.markDirty(cm)
+	s.markDirty(mi)
 	return nil
 }
 
@@ -269,15 +269,15 @@ func (s *Solver) SetPowerScale(machine, component string, scale units.Fraction) 
 func (s *Solver) SetMachinePower(machine string, on bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return err
 	}
-	if cm.on != on {
-		cm.on = on
-		cm.refreshFlowCoef()
-		cm.refreshDraws()
-		s.markDirty(cm)
+	if s.ms[mi].on != on {
+		s.ms[mi].on = on
+		s.refreshFlowCoef(mi)
+		s.refreshDraws(mi)
+		s.markDirty(mi)
 	}
 	return nil
 }

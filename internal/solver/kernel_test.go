@@ -11,17 +11,15 @@ import (
 
 // rebuildCaches rebuilds every cached kernel table of every machine
 // from scratch — the reference the incremental refreshes performed by
-// the fiddle operations are measured against.
+// the fiddle operations are measured against. The shapes hold no
+// cached numbers, only the immutable topology.
 func rebuildCaches(t *testing.T, s *Solver) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, cm := range s.machines {
-		cm.buildCoupleCSR()
-		if err := cm.recompileAirFlow(); err != nil {
-			t.Fatal(err)
-		}
-		cm.invalidate()
+	for mi := range s.ms {
+		s.recompileAirFlow(mi)
+		s.invalidate(mi)
 	}
 }
 
@@ -182,8 +180,8 @@ func quietCount(s *Solver) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, cm := range s.machines {
-		if cm.quiet && !cm.dirty {
+	for mi := range s.ms {
+		if s.quiet[mi] && !s.dirty[mi] {
 			n++
 		}
 	}

@@ -47,18 +47,19 @@ func (s *Solver) SampleLayout() []MachineLayout {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]MachineLayout, len(s.owned))
-	for i, cm := range s.owned {
+	for i, mi := range s.owned {
+		m := &s.ms[mi]
 		l := MachineLayout{
-			Name:  cm.name,
-			Nodes: append([]string(nil), cm.names...),
-			Utils: append([]model.UtilSource(nil), cm.utilKeys...),
+			Name:  m.name,
+			Nodes: append([]string(nil), m.shape.names...),
+			Utils: append([]model.UtilSource(nil), m.shape.utilKeys...),
 		}
-		for _, e := range cm.roomIn {
+		for _, e := range m.roomIn {
 			switch e.kind {
 			case fromSource:
 				l.Inlets = append(l.Inlets, InletEdge{Source: s.sources[e.ref].name, Fraction: e.frac})
 			case fromMachine:
-				l.Inlets = append(l.Inlets, InletEdge{Machine: s.machines[e.ref].name, Fraction: e.frac})
+				l.Inlets = append(l.Inlets, InletEdge{Machine: s.ms[e.ref].name, Fraction: e.frac})
 			}
 		}
 		out[i] = l
@@ -102,22 +103,12 @@ func (s *Solver) ReadSample(dst []float64) (n int, step uint64, gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := 0
-	for _, cm := range s.owned {
-		need := 3 + len(cm.utilVals) + len(cm.temps)
-		if k+need > len(dst) {
+	for _, mi := range s.owned {
+		sh := s.ms[mi].shape
+		if k+3+len(sh.utilKeys)+len(sh.names) > len(dst) {
 			return k, s.steps, s.fiddleGen
 		}
-		if cm.on {
-			dst[k] = 1
-		} else {
-			dst[k] = 0
-		}
-		dst[k+1] = cm.inletTemp
-		k += 2
-		k += copy(dst[k:], cm.utilVals)
-		k += copy(dst[k:], cm.temps)
-		dst[k] = cm.exhaustTemp
-		k++
+		k = s.readRow(dst, k, int(mi), true)
 	}
 	return k, s.steps, s.fiddleGen
 }
@@ -132,23 +123,32 @@ func (s *Solver) ReadInputs(dst []float64) (n int, gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := 0
-	for _, cm := range s.owned {
-		need := 3 + len(cm.utilVals)
-		if k+need > len(dst) {
+	for _, mi := range s.owned {
+		if k+3+len(s.ms[mi].shape.utilKeys) > len(dst) {
 			return k, s.fiddleGen
 		}
-		if cm.on {
-			dst[k] = 1
-		} else {
-			dst[k] = 0
-		}
-		dst[k+1] = cm.inletTemp
-		k += 2
-		k += copy(dst[k:], cm.utilVals)
-		dst[k] = cm.exhaustTemp
-		k++
+		k = s.readRow(dst, k, int(mi), false)
 	}
 	return k, s.fiddleGen
+}
+
+// readRow writes machine mi's row — [on, inlet, utils..., exhaust],
+// with its temperature window before the exhaust when withTemps — into
+// dst at k, which must have room, and returns the index after it.
+func (s *solverCore) readRow(dst []float64, k, mi int, withTemps bool) int {
+	if s.ms[mi].on {
+		dst[k] = 1
+	} else {
+		dst[k] = 0
+	}
+	dst[k+1] = s.inlet[mi]
+	k += 2
+	k += copy(dst[k:], s.utilsOf(mi))
+	if withTemps {
+		k += copy(dst[k:], s.tempsOf(mi))
+	}
+	dst[k] = s.exhaust[mi]
+	return k + 1
 }
 
 // ReadPins copies each owned machine's inlet pin into dst in
@@ -158,12 +158,12 @@ func (s *Solver) ReadPins(dst []float64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := 0
-	for _, cm := range s.owned {
+	for _, mi := range s.owned {
 		if k >= len(dst) {
 			return k
 		}
-		if cm.inletPin != nil {
-			dst[k] = *cm.inletPin
+		if m := &s.ms[mi]; m.pinned {
+			dst[k] = m.pin
 		} else {
 			dst[k] = math.NaN()
 		}
@@ -228,10 +228,11 @@ func (s *Solver) MaxComponentTemp() (units.Celsius, string, string) {
 	defer s.mu.Unlock()
 	best := math.Inf(-1)
 	var bm, bn string
-	for _, cm := range s.owned {
-		for i, t := range cm.temps {
+	for _, mi := range s.owned {
+		m := &s.ms[mi]
+		for i, t := range s.tempsOf(int(mi)) {
 			if t > best {
-				best, bm, bn = t, cm.name, cm.names[i]
+				best, bm, bn = t, m.name, m.shape.names[i]
 			}
 		}
 	}

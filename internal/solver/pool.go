@@ -35,9 +35,22 @@ import (
 
 // shard is a fixed subset of the machine list owned by one stepping
 // participant. Machines appear in ascending index order; every machine
-// is in exactly one shard (TestShardPartition).
+// is in exactly one shard (TestShardPartition). snap and netQ are the
+// step kernel's scratch, owned by the shard's participant so machines
+// carry none of their own.
 type shard struct {
-	idx []int32
+	idx        []int32
+	snap, netQ []float64
+}
+
+// allocScratch gives the shard kernel scratch for machines of up to
+// nodes nodes, in one allocation padded by a cache line at each end so
+// no other shard's scratch shares a line with it.
+func (sh *shard) allocScratch(nodes int) {
+	const pad = 8 // float64s per 64-byte cache line
+	buf := make([]float64, pad+2*nodes+pad)
+	sh.snap = buf[pad : pad+nodes]
+	sh.netQ = buf[pad+nodes : pad+2*nodes]
 }
 
 // shardBounds splits [0,n) into at most workers contiguous chunks of
@@ -70,10 +83,10 @@ func shardBounds(n, workers int) [][2]int {
 // exhaust feeds the other's inlet. Sources and sinks contribute no
 // edges — in a recirculation-free room every machine is its own
 // component.
-func machineAdjacency(machines []*compiledMachine) [][]int32 {
+func machineAdjacency(machines []machine) [][]int32 {
 	adj := make([][]int32, len(machines))
-	for i, cm := range machines {
-		for _, e := range cm.roomIn {
+	for i := range machines {
+		for _, e := range machines[i].roomIn {
 			if e.kind == fromMachine && e.ref != i {
 				adj[i] = append(adj[i], int32(e.ref))
 				adj[e.ref] = append(adj[e.ref], int32(i))

@@ -102,8 +102,8 @@ func TestShardPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := len(s.machines)
-		adj := machineAdjacency(s.machines)
+		n := len(s.ms)
+		adj := machineAdjacency(s.ms)
 
 		// Invariant 1: exact cover.
 		seen := make([]int, n)

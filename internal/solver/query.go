@@ -19,17 +19,18 @@ type ErrUnknown struct {
 
 func (e *ErrUnknown) Error() string { return fmt.Sprintf("solver: unknown %s %q", e.Kind, e.Name) }
 
-func (s *Solver) machine(name string) (*compiledMachine, error) {
-	cm, ok := s.byName[name]
+// machine resolves an owned machine's global index.
+func (s *Solver) machine(name string) (int, error) {
+	mi, ok := s.byName[name]
 	if !ok {
-		return nil, &ErrUnknown{Kind: "machine", Name: name}
+		return 0, &ErrUnknown{Kind: "machine", Name: name}
 	}
-	if cm.remote {
+	if m := &s.ms[mi]; m.remote {
 		// Partitioned cluster (Config.Regions): only the owning region's
 		// instance may read or fiddle this machine.
-		return nil, &ErrRemoteMachine{Machine: name, Region: int(cm.region)}
+		return 0, &ErrRemoteMachine{Machine: name, Region: int(m.region)}
 	}
-	return cm, nil
+	return int(mi), nil
 }
 
 // Machines returns the owned machine names in compilation order (all
@@ -38,8 +39,8 @@ func (s *Solver) Machines() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	names := make([]string, len(s.owned))
-	for i, cm := range s.owned {
-		names[i] = cm.name
+	for i, mi := range s.owned {
+		names[i] = s.ms[mi].name
 	}
 	return names
 }
@@ -48,11 +49,11 @@ func (s *Solver) Machines() []string {
 func (s *Solver) Nodes(machine string) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return nil, err
 	}
-	names := append([]string(nil), cm.names...)
+	names := append([]string(nil), s.ms[mi].shape.names...)
 	sort.Strings(names)
 	return names, nil
 }
@@ -62,30 +63,37 @@ func (s *Solver) Nodes(machine string) ([]string, error) {
 func (s *Solver) Temperature(machine, node string) (units.Celsius, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return 0, err
 	}
-	idx, ok := cm.index[node]
+	idx, ok := s.ms[mi].shape.index[node]
 	if !ok {
 		return 0, &ErrUnknown{Kind: "node", Name: machine + "/" + node}
 	}
-	return units.Celsius(cm.temps[idx]), nil
+	return units.Celsius(s.tempsOf(mi)[idx]), nil
 }
 
 // Temperatures returns a copy of all node temperatures of a machine.
 func (s *Solver) Temperatures(machine string) (map[string]units.Celsius, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]units.Celsius, len(cm.names))
-	for i, name := range cm.names {
-		out[name] = units.Celsius(cm.temps[i])
+	return s.tempMap(mi), nil
+}
+
+// tempMap is machine mi's node temperatures keyed by node name.
+func (s *solverCore) tempMap(mi int) map[string]units.Celsius {
+	names := s.ms[mi].shape.names
+	temps := s.tempsOf(mi)
+	out := make(map[string]units.Celsius, len(names))
+	for i, name := range names {
+		out[name] = units.Celsius(temps[i])
 	}
-	return out, nil
+	return out
 }
 
 // InletTemperature returns the machine's effective inlet temperature
@@ -93,22 +101,22 @@ func (s *Solver) Temperatures(machine string) (map[string]units.Celsius, error) 
 func (s *Solver) InletTemperature(machine string) (units.Celsius, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return 0, err
 	}
-	return units.Celsius(cm.inletTemp), nil
+	return units.Celsius(s.inlet[mi]), nil
 }
 
 // ExhaustTemperature returns the machine's flow-weighted exhaust mix.
 func (s *Solver) ExhaustTemperature(machine string) (units.Celsius, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return 0, err
 	}
-	return units.Celsius(cm.exhaustTemp), nil
+	return units.Celsius(s.exhaust[mi]), nil
 }
 
 // SetUtilization records the most recent utilization sample for one of
@@ -118,11 +126,11 @@ func (s *Solver) ExhaustTemperature(machine string) (units.Celsius, error) {
 func (s *Solver) SetUtilization(machine string, src model.UtilSource, u units.Fraction) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return err
 	}
-	if s.setUtils(cm, []model.UtilSample{{Source: src, Util: u}}) != 0 {
+	if s.setUtils(mi, []model.UtilSample{{Source: src, Util: u}}) != 0 {
 		return &ErrUnknown{Kind: "utilization source", Name: machine + "/" + string(src)}
 	}
 	return nil
@@ -141,15 +149,17 @@ func (s *Solver) ApplyUtilization(machine int, entries []model.UtilSample) (unkn
 	if machine < 0 || machine >= len(s.owned) {
 		return len(entries)
 	}
-	return s.setUtils(s.owned[machine], entries)
+	return s.setUtils(int(s.owned[machine]), entries)
 }
 
-// setUtils stores entries in cm's utilization streams and reports how
-// many named no stream of cm.
-func (s *solverCore) setUtils(cm *compiledMachine, entries []model.UtilSample) (unknown int) {
+// setUtils stores entries in machine mi's utilization streams and
+// reports how many named no stream of it.
+func (s *solverCore) setUtils(mi int, entries []model.UtilSample) (unknown int) {
+	keys := s.ms[mi].shape.utilKeys
+	vals := s.utilsOf(mi)
 	changed := false
 	for _, e := range entries {
-		pos := slices.Index(cm.utilKeys, e.Source)
+		pos := slices.Index(keys, e.Source)
 		if pos < 0 {
 			unknown++
 			continue
@@ -158,16 +168,16 @@ func (s *solverCore) setUtils(cm *compiledMachine, entries []model.UtilSample) (
 		// re-activates the machine: monitord streams repeat identical
 		// samples at steady load, and those must not break quiescence.
 		v := float64(e.Util.Clamp())
-		if math.Float64bits(v) != math.Float64bits(cm.utilVals[pos]) {
-			cm.utilVals[pos] = v
+		if math.Float64bits(v) != math.Float64bits(vals[pos]) {
+			vals[pos] = v
 			changed = true
 		}
 	}
 	if changed {
 		// Once per report, not per entry: the draws are a pure function
 		// of the final utilVals.
-		cm.refreshDraws()
-		s.markDirty(cm)
+		s.refreshDraws(mi)
+		s.markDirty(mi)
 	}
 	return unknown
 }
@@ -176,15 +186,15 @@ func (s *solverCore) setUtils(cm *compiledMachine, entries []model.UtilSample) (
 func (s *Solver) Utilization(machine string, src model.UtilSource) (units.Fraction, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return 0, err
 	}
-	pos, ok := cm.utilPos[src]
+	pos, ok := s.ms[mi].shape.utilPos[src]
 	if !ok {
 		return 0, &ErrUnknown{Kind: "utilization source", Name: machine + "/" + string(src)}
 	}
-	return units.Fraction(cm.utilVals[pos]), nil
+	return units.Fraction(s.utilsOf(mi)[pos]), nil
 }
 
 // Power returns the machine's total power draw during the most recent
@@ -192,13 +202,14 @@ func (s *Solver) Utilization(machine string, src model.UtilSource) (units.Fracti
 func (s *Solver) Power(machine string) (units.Watts, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return 0, err
 	}
+	m := &s.ms[mi]
 	var w float64
-	for i := range cm.comps {
-		w += cm.curDraw[i]
+	for _, c := range win(s.compK, m.comp, len(m.shape.compNode)) {
+		w += c.cur
 	}
 	return units.Watts(w), nil
 }
@@ -209,11 +220,11 @@ func (s *Solver) Power(machine string) (units.Watts, error) {
 func (s *Solver) Energy(machine string) (units.Joules, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return 0, err
 	}
-	return units.Joules(cm.energy), nil
+	return units.Joules(s.energy[mi]), nil
 }
 
 // TotalEnergy returns the cumulative energy drawn by the owned
@@ -222,8 +233,8 @@ func (s *Solver) TotalEnergy() units.Joules {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var e float64
-	for _, cm := range s.owned {
-		e += cm.energy
+	for _, mi := range s.owned {
+		e += s.energy[mi]
 	}
 	return units.Joules(e)
 }
@@ -232,11 +243,11 @@ func (s *Solver) TotalEnergy() units.Joules {
 func (s *Solver) MachineOn(machine string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return false, err
 	}
-	return cm.on, nil
+	return s.ms[mi].on, nil
 }
 
 // StepSize returns the emulated duration of one iteration.
@@ -249,9 +260,10 @@ func (s *Solver) StepSize() time.Duration { return s.cfg.Step }
 func (s *Solver) Probes() (machines, nodes []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, cm := range s.owned {
-		for _, name := range cm.names {
-			machines = append(machines, cm.name)
+	for _, mi := range s.owned {
+		m := &s.ms[mi]
+		for _, name := range m.shape.names {
+			machines = append(machines, m.name)
 			nodes = append(nodes, name)
 		}
 	}
@@ -261,18 +273,20 @@ func (s *Solver) Probes() (machines, nodes []string) {
 // ReadAllTemps copies every node temperature into dst in Probes
 // order, returning the count written (stopping early if dst is
 // short). It takes the solver lock once and performs no allocation,
-// so it is safe to call from a telemetry sampler between steps.
+// so it is safe to call from a telemetry sampler between steps. The
+// owned machines' windows are contiguous in the room's temperature
+// array, so this is one copy per run of owned machines — one copy in
+// all when the cluster is unpartitioned.
 func (s *Solver) ReadAllTemps(dst []float64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := 0
-	for _, cm := range s.owned {
-		if k+len(cm.temps) > len(dst) {
-			n := copy(dst[k:], cm.temps)
-			return k + n
+	for _, run := range s.ownedTemps {
+		n := copy(dst[k:], s.temps[run[0]:run[1]])
+		k += n
+		if n < int(run[1]-run[0]) {
+			break
 		}
-		copy(dst[k:], cm.temps)
-		k += len(cm.temps)
 	}
 	return k
 }
@@ -283,12 +297,8 @@ func (s *Solver) Snapshot() map[string]map[string]units.Celsius {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]map[string]units.Celsius, len(s.owned))
-	for _, cm := range s.owned {
-		mt := make(map[string]units.Celsius, len(cm.names))
-		for i, name := range cm.names {
-			mt[name] = units.Celsius(cm.temps[i])
-		}
-		out[cm.name] = mt
+	for _, mi := range s.owned {
+		out[s.ms[mi].name] = s.tempMap(int(mi))
 	}
 	return out
 }

@@ -47,7 +47,6 @@ type regionState struct {
 	index    int
 	count    int
 	regionOf []int32 // machine index -> owning region
-	ownedIdx []int32 // global indices of owned machines, ascending
 	peers    []*boundaryPeer
 	peerOf   map[int]*boundaryPeer
 }
@@ -109,22 +108,25 @@ func PartitionRegions(c *model.Cluster, n int) ([][]string, error) {
 // machines and builds the region state: ownership, the owned-machine
 // list the queries and the stepping loop iterate, and the per-peer
 // boundary sets induced by cross-region room edges.
-func (s *solverCore) compileRegions(midx map[string]int) error {
+func (s *solverCore) compileRegions() error {
 	regs := s.cfg.Regions
 	if len(regs) == 0 {
-		s.owned = s.machines
+		s.owned = make([]int32, len(s.ms))
+		for i := range s.owned {
+			s.owned[i] = int32(i)
+		}
 		return nil
 	}
 	if s.cfg.RegionIndex < 0 || s.cfg.RegionIndex >= len(regs) {
 		return fmt.Errorf("solver: RegionIndex %d out of range for %d regions", s.cfg.RegionIndex, len(regs))
 	}
-	regionOf := make([]int32, len(s.machines))
+	regionOf := make([]int32, len(s.ms))
 	for i := range regionOf {
 		regionOf[i] = -1
 	}
 	for r, names := range regs {
 		for _, name := range names {
-			mi, ok := midx[name]
+			mi, ok := s.byName[name]
 			if !ok {
 				return fmt.Errorf("solver: region %d lists unknown machine %q", r, name)
 			}
@@ -136,7 +138,7 @@ func (s *solverCore) compileRegions(midx map[string]int) error {
 	}
 	for i, r := range regionOf {
 		if r == -1 {
-			return fmt.Errorf("solver: machine %q is not assigned to any region", s.machines[i].name)
+			return fmt.Errorf("solver: machine %q is not assigned to any region", s.ms[i].name)
 		}
 	}
 	me := int32(s.cfg.RegionIndex)
@@ -146,12 +148,12 @@ func (s *solverCore) compileRegions(midx map[string]int) error {
 		regionOf: regionOf,
 		peerOf:   map[int]*boundaryPeer{},
 	}
-	for i, cm := range s.machines {
-		cm.region = regionOf[i]
-		cm.remote = regionOf[i] != me
-		if !cm.remote {
-			s.owned = append(s.owned, cm)
-			s.region.ownedIdx = append(s.region.ownedIdx, int32(i))
+	for i := range s.ms {
+		m := &s.ms[i]
+		m.region = regionOf[i]
+		m.remote = regionOf[i] != me
+		if !m.remote {
+			s.owned = append(s.owned, int32(i))
 		}
 	}
 	peer := func(r int32) *boundaryPeer {
@@ -166,8 +168,8 @@ func (s *solverCore) compileRegions(midx map[string]int) error {
 	// Every cross-region machine->machine air edge appears exactly once
 	// in the destination's roomIn list; classify it from whichever side
 	// is ours.
-	for i, cm := range s.machines {
-		for _, e := range cm.roomIn {
+	for i := range s.ms {
+		for _, e := range s.ms[i].roomIn {
 			if e.kind != fromMachine {
 				continue
 			}
@@ -198,14 +200,29 @@ func (s *solverCore) compileRegions(midx map[string]int) error {
 	return nil
 }
 
+// compileOwnedTemps merges the owned machines' temperature windows into
+// maximal contiguous ranges: one range when unpartitioned, one per run
+// of consecutive owned machines otherwise.
+func (s *solverCore) compileOwnedTemps() {
+	for _, mi := range s.owned {
+		m := &s.ms[mi]
+		lo, hi := m.node, m.node+int32(len(m.shape.names))
+		if k := len(s.ownedTemps) - 1; k >= 0 && s.ownedTemps[k][1] == lo {
+			s.ownedTemps[k][1] = hi
+			continue
+		}
+		s.ownedTemps = append(s.ownedTemps, [2]int32{lo, hi})
+	}
+}
+
 // partitionOwnedShards builds the worker-pool shards over the owned
 // machines only: adjacency is compacted to local indices (cross-region
 // edges are the boundary exchange's business, not the pool's),
 // partitioned exactly like the unpartitioned case, and the shard
 // contents mapped back to global machine indices.
 func (s *solverCore) partitionOwnedShards() []shard {
-	ownedIdx := s.region.ownedIdx
-	local := make([]int32, len(s.machines))
+	ownedIdx := s.owned
+	local := make([]int32, len(s.ms))
 	for i := range local {
 		local[i] = -1
 	}
@@ -214,7 +231,7 @@ func (s *solverCore) partitionOwnedShards() []shard {
 	}
 	adj := make([][]int32, len(ownedIdx))
 	for li, gi := range ownedIdx {
-		for _, e := range s.machines[gi].roomIn {
+		for _, e := range s.ms[gi].roomIn {
 			if e.kind != fromMachine {
 				continue
 			}
@@ -244,11 +261,11 @@ func (s *Solver) Region() (index, total int) {
 // cluster is unpartitioned). Unlike the queries, it answers for remote
 // machines too: routers use it to pick the owning daemon.
 func (s *Solver) MachineRegion(name string) (int, error) {
-	cm, ok := s.byName[name]
+	mi, ok := s.byName[name]
 	if !ok {
 		return 0, &ErrUnknown{Kind: "machine", Name: name}
 	}
-	return int(cm.region), nil
+	return int(s.ms[mi].region), nil
 }
 
 // BoundaryPeers lists the regions this instance exchanges boundary
@@ -300,7 +317,7 @@ func (s *Solver) ExportBoundary(peer int, dst []float64) int {
 		if n >= len(dst) {
 			break
 		}
-		dst[n] = s.machines[mi].exhaustTemp
+		dst[n] = s.exhaust[mi]
 		n++
 	}
 	return n
@@ -329,9 +346,8 @@ func (s *Solver) ImportBoundaryTemps(peer int, idx []int32, temps []float64) err
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k, mi := range idx {
-		cm := s.machines[mi]
-		if math.Float64bits(temps[k]) != math.Float64bits(cm.exhaustTemp) {
-			cm.exhaustTemp = temps[k]
+		if math.Float64bits(temps[k]) != math.Float64bits(s.exhaust[mi]) {
+			s.exhaust[mi] = temps[k]
 			s.anyDirty = true
 		}
 	}

@@ -139,15 +139,17 @@ type shardDelta struct {
 // the client drops the solver — no explicit Close, no leaked
 // goroutines keeping the solver alive (pool.go).
 type solverCore struct {
-	mu       sync.Mutex
-	cfg      Config
-	dt       float64 // cfg.Step in seconds, fixed at New
-	machines []*compiledMachine
-	byName   map[string]*compiledMachine
-	sources  []*sourceState
-	srcIdx   map[string]int
-	now      time.Duration
-	steps    uint64
+	mu sync.Mutex
+	// room is every machine's compiled state: per-machine records and
+	// the room-wide arrays the kernel steps (kernel.go).
+	room
+	cfg     Config
+	dt      float64          // cfg.Step in seconds, fixed at New
+	byName  map[string]int32 // machine name -> global machine index
+	sources []*sourceState
+	srcIdx  map[string]int
+	now     time.Duration
+	steps   uint64
 
 	// Parallel stepping: machines are partitioned into topology-aware
 	// shards once at compile time; each shard is owned by one
@@ -162,12 +164,15 @@ type solverCore struct {
 	batchSteps  int
 	callerSense int32
 
-	// Region partitioning (region.go): owned is the subset of machines
-	// this instance steps and reports (an alias of machines when
-	// unpartitioned), and region carries ownership plus the boundary
+	// Region partitioning (region.go): owned lists the global indices
+	// of the machines this instance steps and reports (every machine
+	// when unpartitioned), ascending; ownedTemps is the same set as
+	// maximal contiguous ranges of the temperature array, which is what
+	// ReadAllTemps copies. region carries ownership plus the boundary
 	// sets exchanged with peer instances.
-	owned  []*compiledMachine
-	region regionState
+	owned      []int32
+	ownedTemps [][2]int32
+	region     regionState
 
 	// anyDirty is set by every mutation that re-activates a machine
 	// (fiddle ops, utilization updates, source changes, restores) and
@@ -217,7 +222,7 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 	core := &solverCore{
 		cfg:      cfg,
 		dt:       cfg.Step.Seconds(),
-		byName:   map[string]*compiledMachine{},
+		byName:   make(map[string]int32, len(c.Machines)),
 		srcIdx:   map[string]int{},
 		anyDirty: true,
 	}
@@ -225,45 +230,65 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 		core.sources = append(core.sources, &sourceState{name: src.Name, supply: float64(src.SupplyTemp)})
 		core.srcIdx[src.Name] = i
 	}
-	midx := map[string]int{}
+	// Intern every machine's shape, size each room-wide array once, then
+	// lay the machines' windows out in machine order.
+	shapes := &shapeTable{shapes: map[string]*kernelShape{}}
+	machineShape := make([]*kernelShape, len(c.Machines))
+	var total bases
+	maxNodes := 0
 	for i, m := range c.Machines {
-		cm, err := compileMachine(m, cfg)
+		sh, err := shapes.intern(m)
 		if err != nil {
 			return nil, err
 		}
-		core.machines = append(core.machines, cm)
-		core.byName[m.Name] = cm
-		midx[m.Name] = i
+		machineShape[i] = sh
+		total.advance(sh)
+		maxNodes = max(maxNodes, len(sh.names))
+		core.byName[m.Name] = int32(i)
+	}
+	core.room = newRoom(len(c.Machines), total, float64(cfg.OffFanFraction))
+	var at bases
+	for i, m := range c.Machines {
+		core.place(i, m, machineShape[i], at)
+		at.advance(machineShape[i])
 	}
 	for _, e := range c.Edges {
-		cm, ok := core.byName[e.To]
+		mi, ok := core.byName[e.To]
 		if !ok {
 			continue // edge into a sink
 		}
+		m := &core.ms[mi]
 		if si, ok := core.srcIdx[e.From]; ok {
-			cm.roomIn = append(cm.roomIn, roomEdge{kind: fromSource, ref: si, frac: float64(e.Fraction)})
-		} else if mi, ok := midx[e.From]; ok {
-			cm.roomIn = append(cm.roomIn, roomEdge{kind: fromMachine, ref: mi, frac: float64(e.Fraction)})
+			m.roomIn = append(m.roomIn, roomEdge{kind: fromSource, ref: si, frac: float64(e.Fraction)})
+		} else if ui, ok := core.byName[e.From]; ok {
+			m.roomIn = append(m.roomIn, roomEdge{kind: fromMachine, ref: int(ui), frac: float64(e.Fraction)})
 		}
 	}
 	// Effective inlet temperatures for step 0 queries.
-	for _, cm := range core.machines {
-		cm.inletTemp = core.mixInlet(cm)
+	for mi := range core.ms {
+		core.inlet[mi] = core.mixInlet(mi)
+		t := core.inlet[mi]
 		if cfg.InitialTemp != nil {
-			setAll(cm, float64(*cfg.InitialTemp))
-		} else {
-			setAll(cm, cm.inletTemp)
+			t = float64(*cfg.InitialTemp)
 		}
-		cm.exhaustTemp = cm.temps[cm.exhaustIdx[0]]
+		temps := core.tempsOf(mi)
+		for i := range temps {
+			temps[i] = t
+		}
+		core.exhaust[mi] = temps[core.ms[mi].shape.exhaustIdx[0]]
 	}
-	if err := core.compileRegions(midx); err != nil {
+	if err := core.compileRegions(); err != nil {
 		return nil, err
 	}
+	core.compileOwnedTemps()
 	core.workers = resolveWorkers(cfg.Workers, len(core.owned))
 	if core.region.count == 0 {
-		core.shards = partitionShards(len(core.machines), core.workers, machineAdjacency(core.machines))
+		core.shards = partitionShards(len(core.ms), core.workers, machineAdjacency(core.ms))
 	} else {
 		core.shards = core.partitionOwnedShards()
+	}
+	for i := range core.shards {
+		core.shards[i].allocScratch(maxNodes)
 	}
 	core.deltas = make([]shardDelta, len(core.shards))
 	s := &Solver{solverCore: core}
@@ -295,39 +320,40 @@ func NewSingle(m *model.Machine, cfg Config) (*Solver, error) {
 	return New(c, cfg)
 }
 
-// markDirty re-activates a machine after a mutation and records the
+// markDirty re-activates machine mi after a mutation and records the
 // cluster-level dirt that disables stepN's all-quiescent fast path
 // until the next full batch consumes it. Every mutator that changes a
 // stepping input must come through here (or set anyDirty itself, as
 // SetSourceTemperature does for source-only changes).
-func (s *solverCore) markDirty(cm *compiledMachine) {
-	cm.dirty = true
+func (s *solverCore) markDirty(mi int) {
+	s.dirty[mi] = true
 	s.anyDirty = true
 }
 
-// mixInlet computes a machine's effective inlet temperature from its
+// mixInlet computes machine mi's effective inlet temperature from its
 // pin (if fiddled), otherwise as the fraction-weighted average of its
 // incoming room-level edges; machines contribute their previous-step
 // exhaust mix (one-step transport delay, which also makes recirculating
 // rooms well-defined).
-func (s *solverCore) mixInlet(cm *compiledMachine) float64 {
-	if cm.inletPin != nil {
-		return *cm.inletPin
+func (s *solverCore) mixInlet(mi int) float64 {
+	m := &s.ms[mi]
+	if m.pinned {
+		return m.pin
 	}
 	var wsum, tsum float64
-	for _, e := range cm.roomIn {
+	for _, e := range m.roomIn {
 		var t float64
 		switch e.kind {
 		case fromSource:
 			t = s.sources[e.ref].supply
 		case fromMachine:
-			t = s.machines[e.ref].exhaustTemp
+			t = s.exhaust[e.ref]
 		}
 		wsum += e.frac
 		tsum += e.frac * t
 	}
 	if wsum == 0 {
-		return cm.inletTemp // isolated machine keeps its last inlet
+		return s.inlet[mi] // isolated machine keeps its last inlet
 	}
 	return tsum / wsum
 }
@@ -392,9 +418,9 @@ func (s *solverCore) stepN(n int) {
 		// so nothing can re-activate from inside). Only energy
 		// accrues, as the same per-step per-component additions the
 		// kernel would perform, keeping the counters bit-identical.
-		for _, cm := range s.owned {
+		for _, mi := range s.owned {
 			for k := 0; k < n; k++ {
-				stepQuiescent(cm, s.dt)
+				s.stepQuiescent(int(mi), s.dt)
 			}
 		}
 		s.lastDelta = 0
@@ -456,11 +482,10 @@ func (s *solverCore) runShardBatch(sh int, sense *int32) {
 // re-activated for the active set.
 func (s *solverCore) runInletPhase(sh int) {
 	for _, mi := range s.shards[sh].idx {
-		cm := s.machines[mi]
-		in := s.mixInlet(cm)
-		if math.Float64bits(in) != math.Float64bits(cm.inletTemp) {
-			cm.inletTemp = in
-			cm.dirty = true
+		in := s.mixInlet(int(mi))
+		if math.Float64bits(in) != math.Float64bits(s.inlet[mi]) {
+			s.inlet[mi] = in
+			s.dirty[mi] = true
 		}
 	}
 }
@@ -471,19 +496,19 @@ func (s *solverCore) runInletPhase(sh int) {
 // everything else runs the full kernel. Each shard tracks its own
 // maximum temperature delta; the reduction in stepN is
 // order-independent, so steady-state detection is deterministic across
-// worker counts.
+// worker counts. The kernel's scratch is the shard's own.
 func (s *solverCore) runStepPhase(sh int) {
 	var d float64
 	skip := s.cfg.ActiveSet
-	for _, mi := range s.shards[sh].idx {
-		cm := s.machines[mi]
-		if skip && cm.quiet && !cm.dirty {
-			stepQuiescent(cm, s.dt)
+	shd := &s.shards[sh]
+	for _, mi := range shd.idx {
+		if skip && s.quiet[mi] && !s.dirty[mi] {
+			s.stepQuiescent(int(mi), s.dt)
 			continue
 		}
-		md := stepMachine(cm, s.dt)
-		cm.quiet = md == 0
-		cm.dirty = false
+		md := s.stepMachine(int(mi), s.dt, shd.snap, shd.netQ)
+		s.quiet[mi] = md == 0
+		s.dirty[mi] = false
 		if md > d {
 			d = md
 		}

@@ -54,43 +54,41 @@ func (s *Solver) SaveState() *State {
 	for _, src := range s.sources {
 		st.Sources[src.name] = units.Celsius(src.supply)
 	}
-	for _, cm := range s.machines {
+	for mi := range s.ms {
+		m := &s.ms[mi]
+		sh := m.shape
 		ms := MachineState{
-			On:           cm.on,
-			Temps:        map[string]units.Celsius{},
+			On:           m.on,
+			Temps:        s.tempMap(mi),
 			Utils:        map[model.UtilSource]units.Fraction{},
-			FanFlow:      cm.nomCFM,
-			Energy:       units.Joules(cm.energy),
-			ExhaustTemp:  units.Celsius(cm.exhaustTemp),
+			FanFlow:      m.nomCFM,
+			Energy:       units.Joules(s.energy[mi]),
+			ExhaustTemp:  units.Celsius(s.exhaust[mi]),
 			HeatKs:       map[string]units.WattsPerKelvin{},
 			AirFractions: map[string]units.Fraction{},
 		}
-		for i, name := range cm.names {
-			ms.Temps[name] = units.Celsius(cm.temps[i])
+		for i, v := range s.utilsOf(mi) {
+			ms.Utils[sh.utilKeys[i]] = units.Fraction(v)
 		}
-		for i, src := range cm.utilKeys {
-			ms.Utils[src] = units.Fraction(cm.utilVals[i])
-		}
-		if cm.inletPin != nil {
+		if m.pinned {
 			ms.InletPinned = true
-			ms.InletPin = units.Celsius(*cm.inletPin)
+			ms.InletPin = units.Celsius(m.pin)
 		}
-		for i := range cm.comps {
-			c := &cm.comps[i]
-			if c.powerScale != 1 {
+		for i, p := range win(s.powers, m.comp, len(sh.compNode)) {
+			if p.scale != 1 {
 				if ms.PowerScales == nil {
 					ms.PowerScales = map[string]units.Fraction{}
 				}
-				ms.PowerScales[cm.names[c.node]] = units.Fraction(c.powerScale)
+				ms.PowerScales[sh.names[sh.compNode[i]]] = units.Fraction(p.scale)
 			}
 		}
-		for _, e := range cm.heatEdges {
-			ms.HeatKs[edgeKey(cm.names[e.a], cm.names[e.b])] = units.WattsPerKelvin(e.k)
+		for i, k := range win(s.heatK, m.heat, len(sh.heatEdges)) {
+			ms.HeatKs[sh.heatKeys[i]] = units.WattsPerKelvin(k)
 		}
-		for _, e := range cm.airEdges {
-			ms.AirFractions[edgeKey(e.From, e.To)] = e.Fraction
+		for i, f := range win(s.airFrac, m.air, len(sh.airEdges)) {
+			ms.AirFractions[sh.airKeys[i]] = units.Fraction(f)
 		}
-		st.Machines[cm.name] = ms
+		st.Machines[m.name] = ms
 	}
 	return st
 }
@@ -109,16 +107,17 @@ func (s *Solver) RestoreState(st *State) error {
 		}
 	}
 	for mname, ms := range st.Machines {
-		cm, ok := s.byName[mname]
+		mi, ok := s.byName[mname]
 		if !ok {
 			return fmt.Errorf("solver: restore: unknown machine %q", mname)
 		}
-		if len(ms.Temps) != len(cm.names) {
+		sh := s.ms[mi].shape
+		if len(ms.Temps) != len(sh.names) {
 			return fmt.Errorf("solver: restore: machine %q has %d nodes, snapshot has %d",
-				mname, len(cm.names), len(ms.Temps))
+				mname, len(sh.names), len(ms.Temps))
 		}
 		for node, temp := range ms.Temps {
-			if _, ok := cm.index[node]; !ok {
+			if _, ok := sh.index[node]; !ok {
 				return fmt.Errorf("solver: restore: machine %q has no node %q", mname, node)
 			}
 			if !temp.Valid() {
@@ -126,7 +125,7 @@ func (s *Solver) RestoreState(st *State) error {
 			}
 		}
 		for src := range ms.Utils {
-			if _, ok := cm.utilPos[src]; !ok {
+			if _, ok := sh.utilPos[src]; !ok {
 				return fmt.Errorf("solver: restore: machine %q has no utilization source %q", mname, src)
 			}
 		}
@@ -138,66 +137,67 @@ func (s *Solver) RestoreState(st *State) error {
 		s.sources[s.srcIdx[name]].supply = float64(temp)
 	}
 	for mname, ms := range st.Machines {
-		cm := s.byName[mname]
-		cm.on = ms.On
+		mi := int(s.byName[mname])
+		m := &s.ms[mi]
+		sh := m.shape
+		m.on = ms.On
+		temps := s.tempsOf(mi)
 		for node, temp := range ms.Temps {
-			cm.temps[cm.index[node]] = float64(temp)
+			temps[sh.index[node]] = float64(temp)
 		}
+		utils := s.utilsOf(mi)
 		for src, u := range ms.Utils {
-			cm.utilVals[cm.utilPos[src]] = float64(u.Clamp())
+			utils[sh.utilPos[src]] = float64(u.Clamp())
 		}
+		m.pinned = ms.InletPinned
 		if ms.InletPinned {
-			v := float64(ms.InletPin)
-			cm.inletPin = &v
-			cm.inletTemp = v
-		} else {
-			cm.inletPin = nil
+			m.pin = float64(ms.InletPin)
+			s.inlet[mi] = m.pin
 		}
 		if ms.FanFlow > 0 {
-			cm.nomCFM = ms.FanFlow
-			cm.fanM3s = ms.FanFlow.CubicMetersPerSecond()
+			m.nomCFM = ms.FanFlow
+			m.fanM3s = ms.FanFlow.CubicMetersPerSecond()
 		}
-		cm.energy = float64(ms.Energy)
-		cm.exhaustTemp = float64(ms.ExhaustTemp)
-		for i := range cm.comps {
-			cm.comps[i].powerScale = 1
+		s.energy[mi] = float64(ms.Energy)
+		s.exhaust[mi] = float64(ms.ExhaustTemp)
+		powers := win(s.powers, m.comp, len(sh.compNode))
+		for i := range powers {
+			powers[i].scale = 1
 		}
 		for node, scale := range ms.PowerScales {
-			idx, ok := cm.index[node]
+			idx, ok := sh.index[node]
 			if !ok {
 				continue
 			}
-			if ci, ok := cm.compOf[idx]; ok {
-				cm.comps[ci].powerScale = float64(scale.Clamp())
+			if ci := sh.compOf[idx]; ci >= 0 {
+				powers[ci].scale = float64(scale.Clamp())
 			}
 		}
+		heatK := win(s.heatK, m.heat, len(sh.heatEdges))
 		for key, k := range ms.HeatKs {
-			for i := range cm.heatEdges {
-				e := &cm.heatEdges[i]
-				if edgeKey(cm.names[e.a], cm.names[e.b]) == key {
-					e.k = float64(k)
+			for i, hk := range sh.heatKeys {
+				if hk == key {
+					heatK[i] = float64(k)
 				}
 			}
 		}
+		frac := win(s.airFrac, m.air, len(sh.airEdges))
 		changedAir := false
 		for key, f := range ms.AirFractions {
-			for i := range cm.airEdges {
-				e := &cm.airEdges[i]
-				if edgeKey(e.From, e.To) == key && e.Fraction != f {
-					e.Fraction = f
+			for i, ak := range sh.airKeys {
+				if ak == key && units.Fraction(frac[i]) != f {
+					frac[i] = float64(f)
 					changedAir = true
 				}
 			}
 		}
 		if changedAir {
-			if err := cm.recompileAirFlow(); err != nil {
-				return err
-			}
+			s.recompileAirFlow(mi)
 		}
 		// The restore may have rewritten any input the kernel caches
 		// coefficients for, so rebuild them all and re-activate the
 		// machine (kernel.go documents the invalidation rules).
-		cm.invalidate()
+		s.invalidate(mi)
 		s.anyDirty = true
 	}
 	// A restore can rewrite dynamics constants (heat Ks, fan flows,

@@ -66,12 +66,14 @@ func (s *Solver) RunUntilSteady(tol units.Celsius, maxDur time.Duration) (time.D
 func (s *Solver) SteadyState(machine string) (map[string]units.Celsius, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return nil, err
 	}
+	m := &s.ms[mi]
+	sh := m.shape
 
-	n := len(cm.names)
+	n := len(sh.names)
 	// A x = b, row-major in a flat buffer reused (under the solver
 	// lock) across calls — calibration sweeps call SteadyState in
 	// tight loops, and the fresh matrix-of-rows allocation dominated.
@@ -89,9 +91,9 @@ func (s *Solver) SteadyState(machine string) (map[string]units.Celsius, error) {
 		b[i] = 0
 	}
 
-	inlet := s.mixInlet(cm)
-	fan := cm.fanM3s
-	if !cm.on {
+	inlet := s.mixInlet(mi)
+	fan := m.fanM3s
+	if !m.on {
 		fan *= float64(s.cfg.OffFanFraction)
 	}
 
@@ -101,25 +103,29 @@ func (s *Solver) SteadyState(machine string) (map[string]units.Celsius, error) {
 		k float64
 	}
 	couplings := make([][]coupling, n)
-	for _, e := range cm.heatEdges {
-		couplings[e.a] = append(couplings[e.a], coupling{j: e.b, k: e.k})
-		couplings[e.b] = append(couplings[e.b], coupling{j: e.a, k: e.k})
+	for i, k := range win(s.heatK, m.heat, len(sh.heatEdges)) {
+		e := sh.heatEdges[i]
+		couplings[e.a] = append(couplings[e.a], coupling{j: e.b, k: k})
+		couplings[e.b] = append(couplings[e.b], coupling{j: e.a, k: k})
 	}
 
 	isComp := make([]bool, n)
 	power := make([]float64, n)
-	for i := range cm.comps {
-		c := &cm.comps[i]
-		isComp[c.node] = true
-		if cm.on && c.power != nil {
+	powers := win(s.powers, m.comp, len(sh.compNode))
+	utils := s.utilsOf(mi)
+	for i, node := range sh.compNode {
+		isComp[node] = true
+		if p := &powers[i]; m.on && p.model != nil {
 			var u units.Fraction // 0 for UtilNone
-			if c.utilIdx >= 0 {
-				u = units.Fraction(cm.utilVals[c.utilIdx])
+			if ui := sh.compUtil[i]; ui >= 0 {
+				u = units.Fraction(utils[ui])
 			}
-			power[c.node] = float64(c.power.Power(u)) * c.powerScale
+			power[node] = float64(p.model.Power(u)) * p.scale
 		}
 	}
 
+	rel := win(s.relFlow, m.node, n)
+	frac := win(s.airFrac, m.air, len(sh.airEdges))
 	for i := 0; i < n; i++ {
 		row := A[i*n : (i+1)*n : (i+1)*n]
 		switch {
@@ -134,27 +140,27 @@ func (s *Solver) SteadyState(machine string) (map[string]units.Celsius, error) {
 				// An isolated component never sheds heat; its steady
 				// temperature is undefined unless it draws no power.
 				if power[i] != 0 {
-					return nil, fmt.Errorf("solver: component %q has power but no heat edges", cm.names[i])
+					return nil, fmt.Errorf("solver: component %q has power but no heat edges", sh.names[i])
 				}
 				row[i] = 1
 				b[i] = inlet
 			}
-		case i == cm.inletIdx:
+		case i == sh.inletIdx:
 			row[i] = 1
 			b[i] = inlet
 		default:
 			// Air region: T_a - mix - sum k (T_j - T_a)/F = 0.
 			var wsum float64
-			for p := cm.airInOff[i]; p < cm.airInOff[i+1]; p++ {
-				wsum += cm.airInFrac[p] * cm.relFlow[cm.flowIns[p].from]
+			for p := sh.airInOff[i]; p < sh.airInOff[i+1]; p++ {
+				wsum += frac[sh.flowEdge[p]] * rel[sh.flowFrom[p]]
 			}
 			row[i] = 1
 			if wsum > 0 {
-				for p := cm.airInOff[i]; p < cm.airInOff[i+1]; p++ {
-					row[cm.flowIns[p].from] -= cm.airInFrac[p] * cm.relFlow[cm.flowIns[p].from] / wsum
+				for p := sh.airInOff[i]; p < sh.airInOff[i+1]; p++ {
+					row[sh.flowFrom[p]] -= frac[sh.flowEdge[p]] * rel[sh.flowFrom[p]] / wsum
 				}
 			}
-			F := units.AirDensity * cm.relFlow[i] * fan * float64(units.AirSpecificHeat)
+			F := units.AirDensity * rel[i] * fan * float64(units.AirSpecificHeat)
 			if F > 0 {
 				for _, cpl := range couplings[i] {
 					row[i] += cpl.k / F
@@ -174,7 +180,7 @@ func (s *Solver) SteadyState(machine string) (map[string]units.Celsius, error) {
 		return nil, fmt.Errorf("solver: steady state of %s: %w", machine, err)
 	}
 	out := make(map[string]units.Celsius, n)
-	for i, name := range cm.names {
+	for i, name := range sh.names {
 		out[name] = units.Celsius(x[i])
 	}
 	return out, nil

@@ -15,19 +15,19 @@ import (
 func refSetUtilization(s *Solver, machine string, src model.UtilSource, u units.Fraction) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cm, err := s.machine(machine)
+	mi, err := s.machine(machine)
 	if err != nil {
 		return err
 	}
-	pos, ok := cm.utilPos[src]
+	pos, ok := s.ms[mi].shape.utilPos[src]
 	if !ok {
 		return &ErrUnknown{Kind: "utilization source", Name: machine + "/" + string(src)}
 	}
 	v := float64(u.Clamp())
-	if math.Float64bits(v) != math.Float64bits(cm.utilVals[pos]) {
-		cm.utilVals[pos] = v
-		cm.refreshDraws()
-		s.markDirty(cm)
+	if utils := s.utilsOf(mi); math.Float64bits(v) != math.Float64bits(utils[pos]) {
+		utils[pos] = v
+		s.refreshDraws(mi)
+		s.markDirty(mi)
 	}
 	return nil
 }
@@ -43,20 +43,21 @@ func assertSameInputs(t *testing.T, label string, got, want *Solver) {
 	if got.anyDirty != want.anyDirty {
 		t.Errorf("%s: anyDirty %v, one-at-a-time %v", label, got.anyDirty, want.anyDirty)
 	}
-	for m, w := range want.machines {
-		g := got.machines[m]
-		if g.dirty != w.dirty || g.quiet != w.quiet {
-			t.Errorf("%s: %s dirty/quiet %v/%v, one-at-a-time %v/%v", label, w.name, g.dirty, g.quiet, w.dirty, w.quiet)
+	for m := range want.ms {
+		name := want.ms[m].name
+		if got.dirty[m] != want.dirty[m] || got.quiet[m] != want.quiet[m] {
+			t.Errorf("%s: %s dirty/quiet %v/%v, one-at-a-time %v/%v", label, name, got.dirty[m], got.quiet[m], want.dirty[m], want.quiet[m])
 		}
-		for i := range w.utilVals {
-			if math.Float64bits(g.utilVals[i]) != math.Float64bits(w.utilVals[i]) {
-				t.Errorf("%s: %s %s = %v, one-at-a-time %v", label, w.name, w.utilKeys[i], g.utilVals[i], w.utilVals[i])
+		gu, wu := got.utilsOf(m), want.utilsOf(m)
+		for i := range wu {
+			if math.Float64bits(gu[i]) != math.Float64bits(wu[i]) {
+				t.Errorf("%s: %s %s = %v, one-at-a-time %v", label, name, want.ms[m].shape.utilKeys[i], gu[i], wu[i])
 			}
 		}
-		for i := range w.compK {
-			if math.Float64bits(g.compK[i].draw) != math.Float64bits(w.compK[i].draw) {
-				t.Errorf("%s: %s draw[%d] = %v, one-at-a-time %v", label, w.name, i, g.compK[i].draw, w.compK[i].draw)
-			}
+	}
+	for i := range want.compK {
+		if math.Float64bits(got.compK[i].draw) != math.Float64bits(want.compK[i].draw) {
+			t.Errorf("%s: draw[%d] = %v, one-at-a-time %v", label, i, got.compK[i].draw, want.compK[i].draw)
 		}
 	}
 }
