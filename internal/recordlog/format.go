@@ -28,9 +28,7 @@ import (
 	"time"
 
 	"github.com/darklab/mercury/internal/causal"
-	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/telemetry"
-	"github.com/darklab/mercury/internal/units"
 	"github.com/darklab/mercury/internal/wire"
 )
 
@@ -50,12 +48,8 @@ const (
 	FlagVirtualClock = 0x01
 )
 
-// headerSize is the fixed file header:
-//
-//	magic[8] | version u8 | flags u8 | reserved u16 | epoch i64 (unix ns) | node[32]
-const headerSize = 8 + 1 + 1 + 2 + 8 + nodeLen
-
-const nodeLen = 32
+// headerSize is the fixed file header headerFields covers.
+const headerSize = 52
 
 // Record types. RecFormat descriptors for every type known to the
 // writer are emitted synchronously right after the header, so a
@@ -82,6 +76,8 @@ const (
 	strNode    = 24
 	strDetail  = 64
 	strSource  = 16 // util source / format name
+	strLayout  = 112
+	nodeLen    = 32 // header node name
 )
 
 // Repeated-group capacities. Larger inputs are chunked across
@@ -96,31 +92,17 @@ const (
 	fiddleMaxFloats  = 4
 )
 
-// Fixed payload sizes per record type.
-const (
-	recFormatSize   = 4 + strSource + formatLayoutLen                                         // 132
-	recSpanSize     = 8 + 8*3 + 8*2 + 8 + 8 + strKind + 2*strMachine                          // 128
-	recEventSize    = 8 + 8 + 8 + strType + 2*strMachine + strDetail                          // 160
-	recProbeSize    = 2 + 2 + 2*strMachine                                                    // 52
-	recTempRowSize  = 8 + 2 + 2 + 4 + tempChunk*8                                             // 464
-	recUtilSize     = 8 + 8 + 4 + 1 + 3 + strMachine + utilMaxEntries*(strSource+8)           // 240
-	recFiddleSize   = 8 + 8 + 1 + 1 + 1 + 5 + fiddleMaxStrings*strMachine + fiddleMaxFloats*8 // 128
-	recBoundarySize = 8 + 2 + 2 + 4 + boundaryChunk*(4+8)                                     // 496
-	recMetaSize     = 8 + 4 + 4                                                               // 16
-	recAlertSize    = recEventSize                                                            // 160
-)
-
-const formatLayoutLen = 112
-
-// Frame overhead around each payload: type u8 | plen u16 | ... | crc32 u32.
-const frameOverhead = 3 + 4
-
-// maxPayload bounds what the Writer can frame (the ring cell buffer);
-// the largest defined record (RecBoundary, 496 bytes) fits with room
-// for future growth.
-const maxPayload = 505
+// Every record is framed as type u8 | plen u16 | payload | crc32 u32:
+// frameHead bytes before the payload, frameOverhead bytes in all.
+const frameHead, frameOverhead = 3, 3 + 4
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
+
+// frameCRC is the CRC (IEEE) that ends a frame: it covers the head
+// (type and length) and the payload.
+func frameCRC(head, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, crcTable, head), crcTable, payload)
+}
 
 // FormatRecord describes one record type: its code, fixed payload
 // size, short name, and a human-readable layout string (types:
@@ -133,139 +115,186 @@ type FormatRecord struct {
 	Layout string
 }
 
-// formats is the writer's descriptor table, emitted at file open.
+// formats is the writer's descriptor table, emitted at file open and
+// indexed by type code. It is the one statement of each layout: the
+// field functions below walk exactly Size bytes in Layout order, and
+// TestLayoutStrings holds all three equal.
 var formats = []FormatRecord{
-	{RecFormat, recFormatSize, "FMT", "BxH z16 z112 type,size,name,layout"},
-	{RecSpan, recSpanSize, "SPAN", "Q QQQ qq d Q z16 z24 z24 seq,trace,id,parent,begin,end,value,step,kind,machine,node"},
-	{RecEvent, recEventSize, "EVT", "Q q d z24 z24 z24 z64 seq,at,value,type,machine,node,detail"},
-	{RecProbe, recProbeSize, "PRB", "H x2 z24 z24 index,machine,node"},
-	{RecTempRow, recTempRowSize, "TMP", "q H H x4 56*d at,first,count,temps"},
-	{RecUtil, recUtilSize, "UTL", "Q q I B x3 z24 8*(z16 d) tick,at,seq,count,machine,entries"},
-	{RecFiddle, recFiddleSize, "FDL", "Q q B B B x5 3*z24 4*d tick,at,op,nstr,nfloat,strings,floats"},
-	{RecBoundary, recBoundarySize, "BND", "Q H H x4 40*(I d) tick,region,count,index,exhaust"},
-	{RecMeta, recMetaSize, "META", "q I x4 step,machines"},
-	{RecAlert, recAlertSize, "ALT", "Q q d z24 z24 z24 z64 seq,at,value,state,machine,node,rule"},
+	{RecFormat, 132, "FMT", "BxH z16 z112 type,size,name,layout"},
+	{RecSpan, 128, "SPAN", "Q QQQ qq d Q z16 z24 z24 seq,trace,id,parent,begin,end,value,step,kind,machine,node"},
+	{RecEvent, 160, "EVT", "Q q d z24 z24 z24 z64 seq,at,value,type,machine,node,detail"},
+	{RecProbe, 52, "PRB", "H x2 z24 z24 index,machine,node"},
+	{RecTempRow, 464, "TMP", "q H H x4 56*d at,first,count,temps"},
+	{RecUtil, 240, "UTL", "Q q I B x3 z24 8*(z16 d) tick,at,seq,count,machine,entries"},
+	{RecFiddle, 128, "FDL", "Q q B B B x5 3*z24 4*d tick,at,op,nstr,nfloat,strings,floats"},
+	{RecBoundary, 496, "BND", "Q H H x4 40*(I d) tick,region,count,index,exhaust"},
+	{RecMeta, 16, "META", "q I x4 step,machines"},
+	{RecAlert, 160, "ALT", "Q q d z24 z24 z24 z64 seq,at,value,state,machine,node,rule"},
 }
 
-// putStr copies s into the fixed-width field b, NUL-padding the
-// remainder. Returns 1 if s was truncated, 0 otherwise.
-func putStr(b []byte, s string) int {
-	n := copy(b, s)
-	for i := n; i < len(b); i++ {
-		b[i] = 0
-	}
-	if n < len(s) {
-		return 1
-	}
-	return 0
+// cursor walks one fixed-layout payload field by field. A single
+// field function per record type drives it both ways: encoding (dec
+// false) writes each field at off, decoding reads it back. trunc
+// counts strings and groups cut to fit; bad marks a decoded group
+// count out of range.
+type cursor struct {
+	b     []byte
+	off   int
+	dec   bool
+	trunc int
+	bad   bool
 }
 
-// getStr reads a NUL-padded fixed-width string field.
-func getStr(b []byte) string {
-	i := 0
-	for i < len(b) && b[i] != 0 {
-		i++
-	}
-	return string(b[:i])
+// next returns the following n bytes of the payload.
+func (c *cursor) next(n int) []byte {
+	b := c.b[c.off : c.off+n]
+	c.off += n
+	return b
 }
 
-func putF64(b []byte, v float64) {
-	binary.BigEndian.PutUint64(b, math.Float64bits(v))
-}
-
-func getF64(b []byte) float64 {
-	return math.Float64frombits(binary.BigEndian.Uint64(b))
-}
-
-// encodeHeader writes the 52-byte file header.
-func encodeHeader(b []byte, flags byte, epoch time.Time, node string) int {
-	copy(b[0:8], Magic)
-	b[8] = Version
-	b[9] = flags
-	b[10], b[11] = 0, 0
-	binary.BigEndian.PutUint64(b[12:], uint64(epoch.UnixNano()))
-	putStr(b[20:20+nodeLen], node)
-	return headerSize
-}
-
-func encodeFormat(b []byte, f *FormatRecord) int {
-	b[0] = f.Of
-	b[1] = 0
-	binary.BigEndian.PutUint16(b[2:], f.Size)
-	putStr(b[4:4+strSource], f.Name)
-	putStr(b[4+strSource:4+strSource+formatLayoutLen], f.Layout)
-	return recFormatSize
-}
-
-func decodeFormat(b []byte) FormatRecord {
-	return FormatRecord{
-		Of:     b[0],
-		Size:   binary.BigEndian.Uint16(b[2:]),
-		Name:   getStr(b[4 : 4+strSource]),
-		Layout: getStr(b[4+strSource : 4+strSource+formatLayoutLen]),
+// pad covers n bytes of zero padding.
+func (c *cursor) pad(n int) {
+	if b := c.next(n); !c.dec {
+		clear(b)
 	}
 }
 
-func encodeSpan(b []byte, s *causal.Span) (n, trunc int) {
-	binary.BigEndian.PutUint64(b[0:], s.Seq)
-	binary.BigEndian.PutUint64(b[8:], s.Trace)
-	binary.BigEndian.PutUint64(b[16:], s.ID)
-	binary.BigEndian.PutUint64(b[24:], s.Parent)
-	binary.BigEndian.PutUint64(b[32:], uint64(s.Begin))
-	binary.BigEndian.PutUint64(b[40:], uint64(s.End))
-	putF64(b[48:], s.Value)
-	binary.BigEndian.PutUint64(b[56:], s.Step)
-	trunc += putStr(b[64:64+strKind], string(s.Kind))
-	trunc += putStr(b[80:80+strMachine], s.Machine)
-	trunc += putStr(b[104:104+strNode], s.Node)
-	return recSpanSize, trunc
+type integer interface {
+	~int | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64
 }
 
-func decodeSpan(b []byte) causal.Span {
-	return causal.Span{
-		Seq:     binary.BigEndian.Uint64(b[0:]),
-		Trace:   binary.BigEndian.Uint64(b[8:]),
-		ID:      binary.BigEndian.Uint64(b[16:]),
-		Parent:  binary.BigEndian.Uint64(b[24:]),
-		Begin:   time.Duration(binary.BigEndian.Uint64(b[32:])),
-		End:     time.Duration(binary.BigEndian.Uint64(b[40:])),
-		Value:   getF64(b[48:]),
-		Step:    binary.BigEndian.Uint64(b[56:]),
-		Kind:    causal.Kind(getStr(b[64 : 64+strKind])),
-		Machine: getStr(b[80 : 80+strMachine]),
-		Node:    getStr(b[104 : 104+strNode]),
+// u64, u32, u16 and u8 cover a big-endian field of the layout's Q or q,
+// I, H and B; any integer type converts to and from it as a cast does.
+func u64[T integer](c *cursor, v *T) {
+	if b := c.next(8); c.dec {
+		*v = T(binary.BigEndian.Uint64(b))
+	} else {
+		binary.BigEndian.PutUint64(b, uint64(*v))
 	}
 }
 
-func encodeEvent(b []byte, e *telemetry.Event) (n, trunc int) {
-	binary.BigEndian.PutUint64(b[0:], e.Seq)
-	binary.BigEndian.PutUint64(b[8:], uint64(e.At))
-	putF64(b[16:], e.Value)
-	trunc += putStr(b[24:24+strType], string(e.Type))
-	trunc += putStr(b[48:48+strMachine], e.Machine)
-	trunc += putStr(b[72:72+strNode], e.Node)
-	trunc += putStr(b[96:96+strDetail], e.Detail)
-	return recEventSize, trunc
-}
-
-func decodeEvent(b []byte) telemetry.Event {
-	return telemetry.Event{
-		Seq:     binary.BigEndian.Uint64(b[0:]),
-		At:      time.Duration(binary.BigEndian.Uint64(b[8:])),
-		Value:   getF64(b[16:]),
-		Type:    telemetry.EventType(getStr(b[24 : 24+strType])),
-		Machine: getStr(b[48 : 48+strMachine]),
-		Node:    getStr(b[72 : 72+strNode]),
-		Detail:  getStr(b[96 : 96+strDetail]),
+func u32[T integer](c *cursor, v *T) {
+	if b := c.next(4); c.dec {
+		*v = T(binary.BigEndian.Uint32(b))
+	} else {
+		binary.BigEndian.PutUint32(b, uint32(*v))
 	}
 }
 
-func encodeProbe(b []byte, index int, p *telemetry.TempProbe) (n, trunc int) {
-	binary.BigEndian.PutUint16(b[0:], uint16(index))
-	b[2], b[3] = 0, 0
-	trunc += putStr(b[4:4+strMachine], p.Machine)
-	trunc += putStr(b[28:28+strNode], p.Node)
-	return recProbeSize, trunc
+func u16[T integer](c *cursor, v *T) {
+	if b := c.next(2); c.dec {
+		*v = T(binary.BigEndian.Uint16(b))
+	} else {
+		binary.BigEndian.PutUint16(b, uint16(*v))
+	}
+}
+
+func u8[T integer](c *cursor, v *T) {
+	if b := c.next(1); c.dec {
+		*v = T(b[0])
+	} else {
+		b[0] = byte(*v)
+	}
+}
+
+func f64[T ~float64](c *cursor, v *T) {
+	if b := c.next(8); c.dec {
+		*v = T(math.Float64frombits(binary.BigEndian.Uint64(b)))
+	} else {
+		binary.BigEndian.PutUint64(b, math.Float64bits(float64(*v)))
+	}
+}
+
+// str covers an n-byte NUL-padded string; encoding truncates (and
+// counts) a longer one.
+func str[T ~string](c *cursor, v *T, n int) {
+	b := c.next(n)
+	if c.dec {
+		i := 0
+		for i < len(b) && b[i] != 0 {
+			i++
+		}
+		*v = T(b[:i])
+		return
+	}
+	k := copy(b, *v)
+	clear(b[k:])
+	if k < len(*v) {
+		c.trunc++
+	}
+}
+
+// count covers a repeated group's length, stored in width bytes (1 or
+// 2, the layout's B or H) and at most max. Encoding, have is clamped
+// to max (a cut counts as a truncation) and written; decoding, the
+// stored count is read, and one over max marks the payload bad and
+// reads as 0. The group itself always covers every slot: element
+// i < count is the record's, the rest go through a zero spare — zeros
+// on encode, discarded on decode.
+func (c *cursor) count(have, max, width int) int {
+	n := min(have, max)
+	if n < have {
+		c.trunc++
+	}
+	if width == 2 {
+		u16(c, &n)
+	} else {
+		u8(c, &n)
+	}
+	if n > max {
+		c.bad = true
+		return 0
+	}
+	return n
+}
+
+// headerFields covers the file header (magic, version, flags,
+// reserved, epoch, node). It is not a framed record, so its size is
+// headerSize rather than a formats entry.
+func headerFields(c *cursor, magic *string, h *Header) {
+	str(c, magic, len(Magic))
+	u8(c, &h.Version)
+	u8(c, &h.Flags)
+	c.pad(2)
+	ns := h.Epoch.UnixNano()
+	u64(c, &ns)
+	str(c, &h.Node, nodeLen)
+	if c.dec {
+		h.Epoch = time.Unix(0, ns)
+	}
+}
+
+func formatFields(c *cursor, f *FormatRecord) {
+	u8(c, &f.Of)
+	c.pad(1)
+	u16(c, &f.Size)
+	str(c, &f.Name, strSource)
+	str(c, &f.Layout, strLayout)
+}
+
+func spanFields(c *cursor, s *causal.Span) {
+	u64(c, &s.Seq)
+	u64(c, &s.Trace)
+	u64(c, &s.ID)
+	u64(c, &s.Parent)
+	u64(c, &s.Begin)
+	u64(c, &s.End)
+	f64(c, &s.Value)
+	u64(c, &s.Step)
+	str(c, &s.Kind, strKind)
+	str(c, &s.Machine, strMachine)
+	str(c, &s.Node, strNode)
+}
+
+// eventFields covers both EVT and ALT records.
+func eventFields(c *cursor, e *telemetry.Event) {
+	u64(c, &e.Seq)
+	u64(c, &e.At)
+	f64(c, &e.Value)
+	str(c, &e.Type, strType)
+	str(c, &e.Machine, strMachine)
+	str(c, &e.Node, strNode)
+	str(c, &e.Detail, strDetail)
 }
 
 // ProbeRecord identifies one temperature probe column.
@@ -275,28 +304,11 @@ type ProbeRecord struct {
 	Node    string
 }
 
-func decodeProbe(b []byte) ProbeRecord {
-	return ProbeRecord{
-		Index:   int(binary.BigEndian.Uint16(b[0:])),
-		Machine: getStr(b[4 : 4+strMachine]),
-		Node:    getStr(b[28 : 28+strNode]),
-	}
-}
-
-// encodeTempChunk writes one chunk of a sampled temperature column:
-// probes [first, first+len(vals)) at virtual time at.
-func encodeTempChunk(b []byte, at time.Duration, first int, vals []float64) int {
-	binary.BigEndian.PutUint64(b[0:], uint64(at))
-	binary.BigEndian.PutUint16(b[8:], uint16(first))
-	binary.BigEndian.PutUint16(b[10:], uint16(len(vals)))
-	binary.BigEndian.PutUint32(b[12:], 0)
-	for i, v := range vals {
-		putF64(b[16+8*i:], v)
-	}
-	for i := len(vals); i < tempChunk; i++ {
-		putF64(b[16+8*i:], 0)
-	}
-	return recTempRowSize
+func probeFields(c *cursor, p *ProbeRecord) {
+	u16(c, &p.Index)
+	c.pad(2)
+	str(c, &p.Machine, strMachine)
+	str(c, &p.Node, strNode)
 }
 
 // TempChunk is one decoded RecTempRow: a contiguous slice of the
@@ -307,46 +319,22 @@ type TempChunk struct {
 	Temps []float64
 }
 
-func decodeTempChunk(b []byte) (TempChunk, bool) {
-	count := int(binary.BigEndian.Uint16(b[10:]))
-	if count > tempChunk {
-		return TempChunk{}, false
+func tempFields(c *cursor, t *TempChunk) {
+	u64(c, &t.At)
+	u16(c, &t.First)
+	n := c.count(len(t.Temps), tempChunk, 2)
+	c.pad(4)
+	if c.dec {
+		t.Temps = make([]float64, n)
 	}
-	c := TempChunk{
-		At:    time.Duration(binary.BigEndian.Uint64(b[0:])),
-		First: int(binary.BigEndian.Uint16(b[8:])),
-		Temps: make([]float64, count),
+	var spare float64
+	for i := range tempChunk {
+		v := &spare
+		if i < n {
+			v = &t.Temps[i]
+		}
+		f64(c, v)
 	}
-	for i := range c.Temps {
-		c.Temps[i] = getF64(b[16+8*i:])
-	}
-	return c, true
-}
-
-func encodeUtil(b []byte, tick uint64, at time.Duration, seq uint32, machine string, entries []wire.UtilEntry) (n, trunc int) {
-	binary.BigEndian.PutUint64(b[0:], tick)
-	binary.BigEndian.PutUint64(b[8:], uint64(at))
-	binary.BigEndian.PutUint32(b[16:], seq)
-	count := len(entries)
-	if count > utilMaxEntries {
-		count = utilMaxEntries
-		trunc++
-	}
-	b[20] = byte(count)
-	b[21], b[22], b[23] = 0, 0, 0
-	trunc += putStr(b[24:24+strMachine], machine)
-	off := 24 + strMachine
-	for i := 0; i < count; i++ {
-		trunc += putStr(b[off:off+strSource], string(entries[i].Source))
-		putF64(b[off+strSource:], float64(entries[i].Util))
-		off += strSource + 8
-	}
-	for i := count; i < utilMaxEntries; i++ {
-		putStr(b[off:off+strSource], "")
-		putF64(b[off+strSource:], 0)
-		off += strSource + 8
-	}
-	return recUtilSize, trunc
 }
 
 // UtilRecord is one applied utilization update: which solver tick it
@@ -360,66 +348,25 @@ type UtilRecord struct {
 	Entries []wire.UtilEntry
 }
 
-func decodeUtil(b []byte) (UtilRecord, bool) {
-	count := int(b[20])
-	if count > utilMaxEntries {
-		return UtilRecord{}, false
+func utilFields(c *cursor, u *UtilRecord) {
+	u64(c, &u.Tick)
+	u64(c, &u.At)
+	u32(c, &u.Seq)
+	n := c.count(len(u.Entries), utilMaxEntries, 1)
+	c.pad(3)
+	str(c, &u.Machine, strMachine)
+	if c.dec {
+		u.Entries = make([]wire.UtilEntry, n)
 	}
-	u := UtilRecord{
-		Tick:    binary.BigEndian.Uint64(b[0:]),
-		At:      time.Duration(binary.BigEndian.Uint64(b[8:])),
-		Seq:     binary.BigEndian.Uint32(b[16:]),
-		Machine: getStr(b[24 : 24+strMachine]),
-		Entries: make([]wire.UtilEntry, count),
-	}
-	off := 24 + strMachine
-	for i := range u.Entries {
-		u.Entries[i] = wire.UtilEntry{
-			Source: model.UtilSource(getStr(b[off : off+strSource])),
-			Util:   units.Fraction(getF64(b[off+strSource:])),
+	var spare wire.UtilEntry
+	for i := range utilMaxEntries {
+		e := &spare
+		if i < n {
+			e = &u.Entries[i]
 		}
-		off += strSource + 8
+		str(c, &e.Source, strSource)
+		f64(c, &e.Util)
 	}
-	return u, true
-}
-
-func encodeFiddle(b []byte, tick uint64, at time.Duration, op *wire.FiddleOp) (n, trunc int) {
-	binary.BigEndian.PutUint64(b[0:], tick)
-	binary.BigEndian.PutUint64(b[8:], uint64(at))
-	b[16] = op.Op
-	nstr := len(op.Strings)
-	if nstr > fiddleMaxStrings {
-		nstr = fiddleMaxStrings
-		trunc++
-	}
-	nfloat := len(op.Floats)
-	if nfloat > fiddleMaxFloats {
-		nfloat = fiddleMaxFloats
-		trunc++
-	}
-	b[17] = byte(nstr)
-	b[18] = byte(nfloat)
-	for i := 19; i < 24; i++ {
-		b[i] = 0
-	}
-	off := 24
-	for i := 0; i < fiddleMaxStrings; i++ {
-		s := ""
-		if i < nstr {
-			s = op.Strings[i]
-		}
-		trunc += putStr(b[off:off+strMachine], s)
-		off += strMachine
-	}
-	for i := 0; i < fiddleMaxFloats; i++ {
-		v := 0.0
-		if i < nfloat {
-			v = op.Floats[i]
-		}
-		putF64(b[off:], v)
-		off += 8
-	}
-	return recFiddleSize, trunc
 }
 
 // FiddleRecord is one applied fiddle op, stamped with the solver tick
@@ -430,53 +377,35 @@ type FiddleRecord struct {
 	Op   wire.FiddleOp
 }
 
-func decodeFiddle(b []byte) (FiddleRecord, bool) {
-	nstr := int(b[17])
-	nfloat := int(b[18])
-	if nstr > fiddleMaxStrings || nfloat > fiddleMaxFloats {
-		return FiddleRecord{}, false
-	}
-	f := FiddleRecord{
-		Tick: binary.BigEndian.Uint64(b[0:]),
-		At:   time.Duration(binary.BigEndian.Uint64(b[8:])),
-		Op:   wire.FiddleOp{Op: b[16]},
-	}
-	off := 24
-	if nstr > 0 {
+func fiddleFields(c *cursor, f *FiddleRecord) {
+	u64(c, &f.Tick)
+	u64(c, &f.At)
+	u8(c, &f.Op.Op)
+	nstr := c.count(len(f.Op.Strings), fiddleMaxStrings, 1)
+	nfloat := c.count(len(f.Op.Floats), fiddleMaxFloats, 1)
+	c.pad(5)
+	if c.dec && nstr > 0 {
 		f.Op.Strings = make([]string, nstr)
-		for i := range f.Op.Strings {
-			f.Op.Strings[i] = getStr(b[off+i*strMachine : off+(i+1)*strMachine])
-		}
 	}
-	off += fiddleMaxStrings * strMachine
-	if nfloat > 0 {
+	if c.dec && nfloat > 0 {
 		f.Op.Floats = make([]float64, nfloat)
-		for i := range f.Op.Floats {
-			f.Op.Floats[i] = getF64(b[off+8*i:])
-		}
 	}
-	return f, true
-}
-
-// encodeBoundaryChunk writes one chunk of an imported boundary
-// exchange: node indices and exhaust temps from a neighbouring shard.
-func encodeBoundaryChunk(b []byte, tick uint64, region int, idx []int32, temps []float64) int {
-	binary.BigEndian.PutUint64(b[0:], tick)
-	binary.BigEndian.PutUint16(b[8:], uint16(region))
-	binary.BigEndian.PutUint16(b[10:], uint16(len(idx)))
-	binary.BigEndian.PutUint32(b[12:], 0)
-	off := 16
-	for i := 0; i < boundaryChunk; i++ {
-		var ix int32
-		var v float64
-		if i < len(idx) {
-			ix, v = idx[i], temps[i]
+	var spareStr string
+	for i := range fiddleMaxStrings {
+		s := &spareStr
+		if i < nstr {
+			s = &f.Op.Strings[i]
 		}
-		binary.BigEndian.PutUint32(b[off:], uint32(ix))
-		putF64(b[off+4:], v)
-		off += 12
+		str(c, s, strMachine)
 	}
-	return recBoundarySize
+	var spareFloat float64
+	for i := range fiddleMaxFloats {
+		v := &spareFloat
+		if i < nfloat {
+			v = &f.Op.Floats[i]
+		}
+		f64(c, v)
+	}
 }
 
 // BoundaryRecord is one decoded chunk of a boundary-temperature
@@ -488,31 +417,25 @@ type BoundaryRecord struct {
 	Temps  []float64
 }
 
-func decodeBoundary(b []byte) (BoundaryRecord, bool) {
-	count := int(binary.BigEndian.Uint16(b[10:]))
-	if count > boundaryChunk {
-		return BoundaryRecord{}, false
+func boundaryFields(c *cursor, r *BoundaryRecord) {
+	u64(c, &r.Tick)
+	u16(c, &r.Region)
+	n := c.count(len(r.Index), boundaryChunk, 2)
+	c.pad(4)
+	if c.dec {
+		r.Index = make([]int32, n)
+		r.Temps = make([]float64, n)
 	}
-	r := BoundaryRecord{
-		Tick:   binary.BigEndian.Uint64(b[0:]),
-		Region: int(binary.BigEndian.Uint16(b[8:])),
-		Index:  make([]int32, count),
-		Temps:  make([]float64, count),
+	var spareIx int32
+	var spareT float64
+	for i := range boundaryChunk {
+		ix, v := &spareIx, &spareT
+		if i < n {
+			ix, v = &r.Index[i], &r.Temps[i]
+		}
+		u32(c, ix)
+		f64(c, v)
 	}
-	off := 16
-	for i := 0; i < count; i++ {
-		r.Index[i] = int32(binary.BigEndian.Uint32(b[off:]))
-		r.Temps[i] = getF64(b[off+4:])
-		off += 12
-	}
-	return r, true
-}
-
-func encodeMeta(b []byte, step time.Duration, machines int) int {
-	binary.BigEndian.PutUint64(b[0:], uint64(step))
-	binary.BigEndian.PutUint32(b[8:], uint32(machines))
-	binary.BigEndian.PutUint32(b[12:], 0)
-	return recMetaSize
 }
 
 // MetaRecord carries run metadata needed to rebuild a compatible
@@ -522,9 +445,8 @@ type MetaRecord struct {
 	Machines int
 }
 
-func decodeMeta(b []byte) MetaRecord {
-	return MetaRecord{
-		Step:     time.Duration(binary.BigEndian.Uint64(b[0:])),
-		Machines: int(binary.BigEndian.Uint32(b[8:])),
-	}
+func metaFields(c *cursor, m *MetaRecord) {
+	u64(c, &m.Step)
+	u32(c, &m.Machines)
+	c.pad(4)
 }

@@ -13,19 +13,15 @@ import (
 // filesystem: header, descriptor table, then n event frames.
 func sampleFileBytes(n int) []byte {
 	var hdr [headerSize]byte
-	encodeHeader(hdr[:], FlagVirtualClock, time.Unix(0, 0), "fuzz")
+	magic := Magic
+	headerFields(&cursor{b: hdr[:]}, &magic, &Header{Version: Version, Flags: FlagVirtualClock, Epoch: time.Unix(0, 0), Node: "fuzz"})
 	out := append([]byte(nil), hdr[:]...)
-	var fbuf [recFormatSize]byte
 	for i := range formats {
-		encodeFormat(fbuf[:], &formats[i])
-		out = append(out, frame(RecFormat, fbuf[:])...)
+		out = append(out, frame(RecFormat, payloadOf(&formats[i]))...)
 	}
 	rng := rand.New(rand.NewSource(7))
-	var ebuf [recEventSize]byte
 	for i := 0; i < n; i++ {
-		e := randEvent(rng)
-		encodeEvent(ebuf[:], &e)
-		out = append(out, frame(RecEvent, ebuf[:])...)
+		out = append(out, frame(RecEvent, payloadOf(&EventRecord{Event: randEvent(rng)}))...)
 	}
 	return out
 }

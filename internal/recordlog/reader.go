@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
@@ -104,17 +103,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recordlog: short header: %w", err)
 	}
-	if string(hdr[0:8]) != Magic {
-		return nil, fmt.Errorf("recordlog: bad magic %q", hdr[0:8])
+	var magic string
+	headerFields(&cursor{b: hdr[:], dec: true}, &magic, &rd.hdr)
+	if magic != Magic {
+		return nil, fmt.Errorf("recordlog: bad magic %q", magic)
 	}
-	if hdr[8] > Version {
-		return nil, fmt.Errorf("recordlog: unsupported version %d (reader speaks %d)", hdr[8], Version)
-	}
-	rd.hdr = Header{
-		Version: hdr[8],
-		Flags:   hdr[9],
-		Epoch:   time.Unix(0, int64(binary.BigEndian.Uint64(hdr[12:]))),
-		Node:    getStr(hdr[20 : 20+nodeLen]),
+	if rd.hdr.Version > Version {
+		return nil, fmt.Errorf("recordlog: unsupported version %d (reader speaks %d)", rd.hdr.Version, Version)
 	}
 	return rd, nil
 }
@@ -136,18 +131,14 @@ func (r *Reader) Offset() int64 { return r.off }
 func (r *Reader) Next() (Record, error) {
 	for {
 		start := r.off
-		var hdr [3]byte
-		if _, err := io.ReadFull(r.br, hdr[:1]); err != nil {
-			if err == io.EOF {
-				return nil, io.EOF
-			}
+		var head [frameHead]byte
+		if _, err := io.ReadFull(r.br, head[:]); err == io.EOF {
+			return nil, io.EOF
+		} else if err != nil {
 			return nil, &TruncatedError{Offset: start}
 		}
-		if _, err := io.ReadFull(r.br, hdr[1:]); err != nil {
-			return nil, &TruncatedError{Offset: start}
-		}
-		typ := hdr[0]
-		plen := int(binary.BigEndian.Uint16(hdr[1:]))
+		typ := head[0]
+		plen := int(binary.BigEndian.Uint16(head[1:]))
 		if cap(r.scratch) < plen+4 {
 			r.scratch = make([]byte, plen+4)
 		}
@@ -158,9 +149,7 @@ func (r *Reader) Next() (Record, error) {
 		r.off = start + int64(frameOverhead+plen)
 		payload := body[:plen]
 		want := binary.BigEndian.Uint32(body[plen:])
-		crc := crc32.Update(0, crcTable, hdr[:])
-		crc = crc32.Update(crc, crcTable, payload)
-		if crc != want {
+		if crc := frameCRC(head[:], payload); crc != want {
 			return nil, &CorruptError{Offset: start, Reason: fmt.Sprintf("crc mismatch (got %08x want %08x)", crc, want)}
 		}
 		rec, known, ok := decodeRecord(typ, payload)
@@ -175,69 +164,37 @@ func (r *Reader) Next() (Record, error) {
 	}
 }
 
+// decoders holds the decoder of every record type this reader
+// knows, indexed by type code; each runs the type's field function
+// over a decoding cursor.
+var decoders = [...]func(*cursor) Record{
+	RecFormat:   func(c *cursor) Record { r := new(FormatRecord); formatFields(c, r); return r },
+	RecSpan:     func(c *cursor) Record { r := new(SpanRecord); spanFields(c, &r.Span); return r },
+	RecEvent:    func(c *cursor) Record { r := new(EventRecord); eventFields(c, &r.Event); return r },
+	RecProbe:    func(c *cursor) Record { r := new(ProbeRecord); probeFields(c, r); return r },
+	RecTempRow:  func(c *cursor) Record { r := new(TempChunk); tempFields(c, r); return r },
+	RecUtil:     func(c *cursor) Record { r := new(UtilRecord); utilFields(c, r); return r },
+	RecFiddle:   func(c *cursor) Record { r := new(FiddleRecord); fiddleFields(c, r); return r },
+	RecBoundary: func(c *cursor) Record { r := new(BoundaryRecord); boundaryFields(c, r); return r },
+	RecMeta:     func(c *cursor) Record { r := new(MetaRecord); metaFields(c, r); return r },
+	RecAlert:    func(c *cursor) Record { r := new(AltRecord); eventFields(c, &r.Event); return r },
+}
+
 // decodeRecord decodes one CRC-valid payload. known is false for
 // record types this reader does not understand (forward compat); ok
 // is false when a known type's payload is too short or fails bounds
 // checks. Payloads longer than the known fixed size are accepted and
 // decoded by prefix, so record types can grow fields.
 func decodeRecord(typ byte, payload []byte) (rec Record, known, ok bool) {
-	size := 0
-	switch typ {
-	case RecFormat:
-		size = recFormatSize
-	case RecSpan:
-		size = recSpanSize
-	case RecEvent:
-		size = recEventSize
-	case RecProbe:
-		size = recProbeSize
-	case RecTempRow:
-		size = recTempRowSize
-	case RecUtil:
-		size = recUtilSize
-	case RecFiddle:
-		size = recFiddleSize
-	case RecBoundary:
-		size = recBoundarySize
-	case RecMeta:
-		size = recMetaSize
-	case RecAlert:
-		size = recAlertSize
-	default:
+	if int(typ) >= len(decoders) {
 		return nil, false, false
 	}
-	if len(payload) < size {
+	if len(payload) < int(formats[typ].Size) {
 		return nil, true, false
 	}
-	switch typ {
-	case RecFormat:
-		f := decodeFormat(payload)
-		return &f, true, true
-	case RecSpan:
-		return &SpanRecord{Span: decodeSpan(payload)}, true, true
-	case RecEvent:
-		return &EventRecord{Event: decodeEvent(payload)}, true, true
-	case RecProbe:
-		p := decodeProbe(payload)
-		return &p, true, true
-	case RecTempRow:
-		c, ok := decodeTempChunk(payload)
-		return &c, true, ok
-	case RecUtil:
-		u, ok := decodeUtil(payload)
-		return &u, true, ok
-	case RecFiddle:
-		f, ok := decodeFiddle(payload)
-		return &f, true, ok
-	case RecBoundary:
-		b, ok := decodeBoundary(payload)
-		return &b, true, ok
-	case RecAlert:
-		return &AltRecord{Event: decodeEvent(payload)}, true, true
-	default: // RecMeta
-		m := decodeMeta(payload)
-		return &m, true, true
-	}
+	c := cursor{b: payload, dec: true}
+	rec = decoders[typ](&c)
+	return rec, true, !c.bad
 }
 
 // Input is one recorded solver input in file order: exactly one of

@@ -347,7 +347,7 @@ func TestReaderTruncatedTail(t *testing.T) {
 	path := tempPath(t)
 	// Cut the file mid-record (anywhere past the header that is not a
 	// frame boundary); ReadLog must tolerate it and flag Truncated.
-	for _, cut := range []int{len(data) - 1, len(data) - 5, len(data) - recEventSize} {
+	for _, cut := range []int{len(data) - 1, len(data) - 5, len(data) - int(formats[RecEvent].Size)} {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -393,8 +393,9 @@ func TestReaderCorruptCRC(t *testing.T) {
 	data := writeSampleFile(t, 10)
 	// Flip one payload byte of the 5th event record: the frames after
 	// the header are the descriptor table, then events.
-	off := headerSize + len(formats)*(frameOverhead+recFormatSize) +
-		4*(frameOverhead+recEventSize) + frameOverhead + 10
+	fmtFrame := frameOverhead + int(formats[RecFormat].Size)
+	evtFrame := frameOverhead + int(formats[RecEvent].Size)
+	off := headerSize + len(formats)*fmtFrame + 4*evtFrame + frameOverhead + 10
 	data[off] ^= 0xff
 	path := tempPath(t)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -405,7 +406,7 @@ func TestReaderCorruptCRC(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *CorruptError, got %v", err)
 	}
-	wantOff := int64(headerSize + len(formats)*(frameOverhead+recFormatSize) + 4*(frameOverhead+recEventSize))
+	wantOff := int64(headerSize + len(formats)*fmtFrame + 4*evtFrame)
 	if ce.Offset != wantOff {
 		t.Errorf("corrupt offset = %d, want %d", ce.Offset, wantOff)
 	}
@@ -443,10 +444,8 @@ func TestReaderSkipsUnknownTypes(t *testing.T) {
 	unknown := frame(0x7f, []byte("future record payload"))
 	rng := rand.New(rand.NewSource(3))
 	e := randEvent(rng)
-	var buf [recEventSize]byte
-	encodeEvent(buf[:], &e)
 	data = append(data, unknown...)
-	data = append(data, frame(RecEvent, buf[:])...)
+	data = append(data, frame(RecEvent, payloadOf(&EventRecord{Event: e}))...)
 	path := tempPath(t)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -606,8 +605,8 @@ func TestWriterConcurrent(t *testing.T) {
 	}
 }
 
-// TestRecordHotPathAllocs pins the producer side at zero allocations:
-// claim + encode + publish must not touch the heap. The drain
+// TestRecordHotPathAllocs pins every producer-side call at zero
+// allocations: claim + encode + publish must not touch the heap. The drain
 // goroutine is deliberately not running so only producer-side
 // allocations are measured.
 func TestRecordHotPathAllocs(t *testing.T) {
@@ -621,12 +620,18 @@ func TestRecordHotPathAllocs(t *testing.T) {
 	entries := []wire.UtilEntry{{Source: model.UtilCPU, Util: 0.5}, {Source: model.UtilDisk, Util: 0.25}}
 	op := wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{"machine1"}, Floats: []float64{40}}
 	temps := make([]float64, 123)
+	idx := make([]int32, 50)
+	probes := []telemetry.TempProbe{{Machine: "machine1", Node: "cpu"}, {Machine: "machine2", Node: "inlet"}}
 	cases := map[string]func(){
-		"RecordEvent":   func() { w.RecordEvent(e) },
-		"RecordSpan":    func() { w.RecordSpan(s) },
-		"RecordUtil":    func() { w.RecordUtil(9, "machine1", 4, entries) },
-		"RecordFiddle":  func() { w.RecordFiddle(9, &op) },
-		"RecordTempRow": func() { w.RecordTempRow(time.Second, temps) },
+		"RecordEvent":    func() { w.RecordEvent(e) },
+		"RecordAlert":    func() { w.RecordAlert(e) },
+		"RecordSpan":     func() { w.RecordSpan(s) },
+		"RecordUtil":     func() { w.RecordUtil(9, "machine1", 4, entries) },
+		"RecordFiddle":   func() { w.RecordFiddle(9, &op) },
+		"RecordTempRow":  func() { w.RecordTempRow(time.Second, temps) },
+		"RecordBoundary": func() { w.RecordBoundary(9, 1, idx, temps[:len(idx)]) },
+		"RecordMeta":     func() { w.RecordMeta(time.Second, 4) },
+		"SetProbes":      func() { w.SetProbes(probes) },
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {

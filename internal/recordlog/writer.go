@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -22,8 +22,8 @@ import (
 // buffer between the hot paths and the disk.
 const defaultRingSize = 2048
 
-// cellBuf is each ring cell's payload buffer; every defined record
-// fits (maxPayload ≤ cellBuf).
+// cellBuf is each ring cell's payload buffer, and so the largest
+// payload a record type may declare (TestLayoutStrings checks).
 const cellBuf = 512
 
 // cell is one slot of the bounded MPSC ring. seq carries the Vyukov
@@ -86,10 +86,9 @@ type Writer struct {
 	seg      int
 	segments atomic.Uint64
 
-	metaMu       sync.Mutex
-	metaStep     time.Duration
-	metaMachines int
-	metaProbes   []telemetry.TempProbe
+	metaMu     sync.Mutex
+	meta       MetaRecord
+	metaProbes []telemetry.TempProbe
 
 	cells []cell
 	mask  uint64
@@ -118,8 +117,7 @@ type Writer struct {
 // time — create the writer before advancing a virtual clock so the
 // epoch is virtual t=0.
 func Create(path, node string, clk clock.Clock, opts ...WriterOption) (*Writer, error) {
-	w, err := newWriter(path, node, clk, writerConfig{ringSize: defaultRingSize, autostart: true}, opts...)
-	return w, err
+	return newWriter(path, node, clk, writerConfig{ringSize: defaultRingSize, autostart: true}, opts...)
 }
 
 func newWriter(path, node string, clk clock.Clock, cfg writerConfig, opts ...WriterOption) (*Writer, error) {
@@ -138,8 +136,6 @@ func newWriter(path, node string, clk clock.Clock, cfg writerConfig, opts ...Wri
 		return nil, err
 	}
 	w := &Writer{
-		f:        f,
-		bw:       bufio.NewWriterSize(f, 1<<16),
 		clk:      clk,
 		epoch:    clk.Now(),
 		path:     path,
@@ -157,24 +153,14 @@ func newWriter(path, node string, clk clock.Clock, cfg writerConfig, opts ...Wri
 	if _, ok := clk.(*clock.Virtual); ok {
 		w.flags |= FlagVirtualClock
 	}
-	var hdr [headerSize]byte
-	encodeHeader(hdr[:], w.flags, w.epoch, node)
-	w.segBytes = headerSize
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		f.Close()
-		return nil, err
-	}
-	// The descriptor table is written synchronously so every reader —
+	// The preamble is written synchronously so every reader —
 	// including one racing a live writer — sees the full format table
 	// before any data record.
-	var payload [recFormatSize]byte
-	for i := range formats {
-		encodeFormat(payload[:], &formats[i])
-		w.writeFrame(RecFormat, payload[:])
-	}
-	if err := w.bw.Flush(); err != nil {
+	w.startSegment(f)
+	w.flush()
+	if w.werr != nil {
 		f.Close()
-		return nil, err
+		return nil, w.werr
 	}
 	if cfg.autostart {
 		go w.drain()
@@ -263,8 +249,18 @@ func (w *Writer) CatchUp() {
 	}
 }
 
-// claim grabs the next ring cell, or reports the ring full.
-func (w *Writer) claim() (*cell, uint64, bool) {
+// slot is a claimed ring cell and the cursor encoding into it.
+type slot struct {
+	cell *cell
+	pos  uint64
+	cursor
+}
+
+// claim grabs the next ring cell for a record of type typ, or counts
+// a drop and reports the ring full. Every Record* method encodes into
+// the slot with its type's field function — a direct call, so the
+// record stays on the caller's stack — and hands it to publish.
+func (w *Writer) claim(typ byte) (slot, bool) {
 	for {
 		pos := w.enq.Load()
 		c := &w.cells[pos&w.mask]
@@ -272,18 +268,24 @@ func (w *Writer) claim() (*cell, uint64, bool) {
 		switch d := int64(seq) - int64(pos); {
 		case d == 0:
 			if w.enq.CompareAndSwap(pos, pos+1) {
-				return c, pos, true
+				c.typ = typ
+				return slot{cell: c, pos: pos, cursor: cursor{b: c.buf[:]}}, true
 			}
 		case d < 0:
-			return nil, 0, false // consumer hasn't freed this cell: ring full
+			w.drops.Add(1) // consumer hasn't freed this cell: ring full
+			return slot{}, false
 		}
 		// d > 0: another producer claimed pos first; reload and retry.
 	}
 }
 
-// publish hands a filled cell to the consumer and nudges it awake.
-func (w *Writer) publish(c *cell, pos uint64) {
-	c.seq.Store(pos + 1)
+// publish hands an encoded slot to the consumer and nudges it awake.
+func (w *Writer) publish(s *slot) {
+	s.cell.n = uint16(s.off)
+	if s.trunc > 0 {
+		w.truncated.Add(uint64(s.trunc))
+	}
+	s.cell.seq.Store(s.pos + 1)
 	select {
 	case w.notify <- struct{}{}:
 	default:
@@ -292,72 +294,52 @@ func (w *Writer) publish(c *cell, pos uint64) {
 
 // RecordEvent records one telemetry event. Suitable as an
 // EventLog.SetSink target.
-func (w *Writer) RecordEvent(e telemetry.Event) {
-	c, pos, ok := w.claim()
-	if !ok {
-		w.drops.Add(1)
-		return
-	}
-	n, trunc := encodeEvent(c.buf[:], &e)
-	c.typ, c.n = RecEvent, uint16(n)
-	if trunc > 0 {
-		w.truncated.Add(uint64(trunc))
-	}
-	w.publish(c, pos)
-}
+func (w *Writer) RecordEvent(e telemetry.Event) { w.event(RecEvent, &e) }
 
 // RecordAlert records one alert state transition. Alert transitions
 // are telemetry events (alert-pending/firing/resolved with the rule
 // name as Detail), so the payload mirrors RecEvent under its own
 // record type. Suitable as the alert engine transitions-log sink.
-func (w *Writer) RecordAlert(e telemetry.Event) {
-	c, pos, ok := w.claim()
-	if !ok {
-		w.drops.Add(1)
-		return
+func (w *Writer) RecordAlert(e telemetry.Event) { w.event(RecAlert, &e) }
+
+func (w *Writer) event(typ byte, e *telemetry.Event) {
+	if s, ok := w.claim(typ); ok {
+		eventFields(&s.cursor, e)
+		w.publish(&s)
 	}
-	n, trunc := encodeEvent(c.buf[:], &e)
-	c.typ, c.n = RecAlert, uint16(n)
-	if trunc > 0 {
-		w.truncated.Add(uint64(trunc))
-	}
-	w.publish(c, pos)
 }
 
 // RecordSpan records one causal span. Suitable as a Tracer.SetSink
 // target.
-func (w *Writer) RecordSpan(s causal.Span) {
-	c, pos, ok := w.claim()
-	if !ok {
-		w.drops.Add(1)
-		return
+func (w *Writer) RecordSpan(sp causal.Span) {
+	if s, ok := w.claim(RecSpan); ok {
+		spanFields(&s.cursor, &sp)
+		w.publish(&s)
 	}
-	n, trunc := encodeSpan(c.buf[:], &s)
-	c.typ, c.n = RecSpan, uint16(n)
-	if trunc > 0 {
-		w.truncated.Add(uint64(trunc))
-	}
-	w.publish(c, pos)
 }
+
+// maxProbes is the most temperature columns a capture can name: a
+// probe index is a u16. Columns past it are not recorded, and each
+// SetProbes or RecordTempRow call that cuts some counts as one
+// truncation — replay then refuses the capture on its probe count
+// rather than compare the wrong columns.
+const maxProbes = math.MaxUint16 + 1
 
 // SetProbes records the temp-probe identity table: probe i of every
 // subsequent RecTempRow is probes[i].
 func (w *Writer) SetProbes(probes []telemetry.TempProbe) {
+	if len(probes) > maxProbes {
+		probes = probes[:maxProbes]
+		w.truncated.Add(1)
+	}
 	w.metaMu.Lock()
 	w.metaProbes = append(w.metaProbes[:0], probes...)
 	w.metaMu.Unlock()
-	for i := range probes {
-		c, pos, ok := w.claim()
-		if !ok {
-			w.drops.Add(1)
-			continue
+	for i, p := range probes {
+		if s, ok := w.claim(RecProbe); ok {
+			probeFields(&s.cursor, &ProbeRecord{Index: i, Machine: p.Machine, Node: p.Node})
+			w.publish(&s)
 		}
-		n, trunc := encodeProbe(c.buf[:], i, &probes[i])
-		c.typ, c.n = RecProbe, uint16(n)
-		if trunc > 0 {
-			w.truncated.Add(uint64(trunc))
-		}
-		w.publish(c, pos)
 	}
 }
 
@@ -365,17 +347,18 @@ func (w *Writer) SetProbes(probes []telemetry.TempProbe) {
 // virtual time at), chunking long rows. vals is copied synchronously;
 // the caller may reuse it. Suitable as a TempTable.SetSink target.
 func (w *Writer) RecordTempRow(at time.Duration, vals []float64) {
-	for first := 0; first < len(vals) || first == 0; first += tempChunk {
-		chunk := vals[first:min(first+tempChunk, len(vals))]
-		c, pos, ok := w.claim()
-		if !ok {
-			w.drops.Add(1)
-			continue
+	if len(vals) > maxProbes {
+		vals = vals[:maxProbes]
+		w.truncated.Add(1)
+	}
+	for first := 0; ; first += tempChunk {
+		hi := min(first+tempChunk, len(vals))
+		if s, ok := w.claim(RecTempRow); ok {
+			tempFields(&s.cursor, &TempChunk{At: at, First: first, Temps: vals[first:hi]})
+			w.publish(&s)
 		}
-		c.typ, c.n = RecTempRow, uint16(encodeTempChunk(c.buf[:], at, first, chunk))
-		w.publish(c, pos)
-		if first+tempChunk >= len(vals) {
-			break
+		if hi == len(vals) {
+			return
 		}
 	}
 }
@@ -385,50 +368,31 @@ func (w *Writer) RecordTempRow(at time.Duration, vals []float64) {
 // seq the wire sequence number. The timestamp is the writer clock's
 // elapsed time since the header epoch.
 func (w *Writer) RecordUtil(tick uint64, machine string, seq uint32, entries []wire.UtilEntry) {
-	c, pos, ok := w.claim()
-	if !ok {
-		w.drops.Add(1)
-		return
+	if s, ok := w.claim(RecUtil); ok {
+		utilFields(&s.cursor, &UtilRecord{Tick: tick, At: w.clk.Now().Sub(w.epoch), Seq: seq, Machine: machine, Entries: entries})
+		w.publish(&s)
 	}
-	at := w.clk.Now().Sub(w.epoch)
-	n, trunc := encodeUtil(c.buf[:], tick, at, seq, machine, entries)
-	c.typ, c.n = RecUtil, uint16(n)
-	if trunc > 0 {
-		w.truncated.Add(uint64(trunc))
-	}
-	w.publish(c, pos)
 }
 
 // RecordFiddle records one applied fiddle op at solver tick.
 func (w *Writer) RecordFiddle(tick uint64, op *wire.FiddleOp) {
-	c, pos, ok := w.claim()
-	if !ok {
-		w.drops.Add(1)
-		return
+	if s, ok := w.claim(RecFiddle); ok {
+		fiddleFields(&s.cursor, &FiddleRecord{Tick: tick, At: w.clk.Now().Sub(w.epoch), Op: *op})
+		w.publish(&s)
 	}
-	at := w.clk.Now().Sub(w.epoch)
-	n, trunc := encodeFiddle(c.buf[:], tick, at, op)
-	c.typ, c.n = RecFiddle, uint16(n)
-	if trunc > 0 {
-		w.truncated.Add(uint64(trunc))
-	}
-	w.publish(c, pos)
 }
 
 // RecordBoundary records one imported boundary-temperature exchange
 // (sharded runs), chunking long index lists.
 func (w *Writer) RecordBoundary(tick uint64, region int, idx []int32, temps []float64) {
-	for first := 0; first < len(idx) || first == 0; first += boundaryChunk {
+	for first := 0; ; first += boundaryChunk {
 		hi := min(first+boundaryChunk, len(idx))
-		c, pos, ok := w.claim()
-		if !ok {
-			w.drops.Add(1)
-			continue
+		if s, ok := w.claim(RecBoundary); ok {
+			boundaryFields(&s.cursor, &BoundaryRecord{Tick: tick, Region: region, Index: idx[first:hi], Temps: temps[first:hi]})
+			w.publish(&s)
 		}
-		c.typ, c.n = RecBoundary, uint16(encodeBoundaryChunk(c.buf[:], tick, region, idx[first:hi], temps[first:hi]))
-		w.publish(c, pos)
-		if first+boundaryChunk >= len(idx) {
-			break
+		if hi == len(idx) {
+			return
 		}
 	}
 }
@@ -436,16 +400,14 @@ func (w *Writer) RecordBoundary(tick uint64, region int, idx []int32, temps []fl
 // RecordMeta records run metadata (solver step size, machine count).
 // Call once after the solver is built.
 func (w *Writer) RecordMeta(step time.Duration, machines int) {
+	m := MetaRecord{Step: step, Machines: machines}
 	w.metaMu.Lock()
-	w.metaStep, w.metaMachines = step, machines
+	w.meta = m
 	w.metaMu.Unlock()
-	c, pos, ok := w.claim()
-	if !ok {
-		w.drops.Add(1)
-		return
+	if s, ok := w.claim(RecMeta); ok {
+		metaFields(&s.cursor, &m)
+		w.publish(&s)
 	}
-	c.typ, c.n = RecMeta, uint16(encodeMeta(c.buf[:], step, machines))
-	w.publish(c, pos)
 }
 
 // drain is the consumer goroutine: it moves published cells to the
@@ -484,20 +446,17 @@ func (w *Writer) drainAvailable() int {
 	}
 }
 
-// writeFrame emits `type u8 | plen u16 | payload | crc32` to the
-// buffered writer. The CRC (IEEE) covers type, length, and payload.
+// writeFrame emits one framed payload to the buffered writer.
 func (w *Writer) writeFrame(typ byte, payload []byte) {
-	var hdr [3]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint16(hdr[1:], uint16(len(payload)))
-	crc := crc32.Update(0, crcTable, hdr[:])
-	crc = crc32.Update(crc, crcTable, payload)
-	_, err := w.bw.Write(hdr[:])
+	var head [frameHead]byte
+	head[0] = typ
+	binary.BigEndian.PutUint16(head[1:], uint16(len(payload)))
+	var tail [4]byte
+	binary.BigEndian.PutUint32(tail[:], frameCRC(head[:], payload))
+	_, err := w.bw.Write(head[:])
 	if err == nil {
 		_, err = w.bw.Write(payload)
 	}
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc)
 	if err == nil {
 		_, err = w.bw.Write(tail[:])
 	}
@@ -526,31 +485,43 @@ func (w *Writer) maybeRotate() {
 	w.setErr(w.f.Close())
 	w.seg++
 	w.segments.Add(1)
+	w.startSegment(f)
+}
+
+// startSegment switches to segment file f and writes its preamble:
+// the file header, the descriptor table, and the cached META and
+// probe-identity records (none yet in the first segment), so every
+// segment reads standalone.
+func (w *Writer) startSegment(f *os.File) {
 	w.f = f
 	w.bw = bufio.NewWriterSize(f, 1<<16)
-	var hdr [headerSize]byte
-	encodeHeader(hdr[:], w.flags, w.epoch, w.node)
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		w.setErr(err)
-	}
+	var buf [headerSize]byte
+	magic := Magic
+	headerFields(&cursor{b: buf[:]}, &magic, &Header{Version: Version, Flags: w.flags, Epoch: w.epoch, Node: w.node})
+	_, err := w.bw.Write(buf[:])
+	w.setErr(err)
 	w.segBytes = headerSize
-	var payload [recFormatSize]byte
 	for i := range formats {
-		encodeFormat(payload[:], &formats[i])
-		w.writeFrame(RecFormat, payload[:])
+		writeRecord(w, RecFormat, formatFields, &formats[i])
 	}
 	w.metaMu.Lock()
-	step, machines := w.metaStep, w.metaMachines
-	probes := w.metaProbes
+	meta, probes := w.meta, w.metaProbes
 	w.metaMu.Unlock()
+	if meta != (MetaRecord{}) {
+		writeRecord(w, RecMeta, metaFields, &meta)
+	}
+	for i, p := range probes {
+		writeRecord(w, RecProbe, probeFields, &ProbeRecord{Index: i, Machine: p.Machine, Node: p.Node})
+	}
+}
+
+// writeRecord encodes v with its field function and writes it as one
+// frame, bypassing the ring (consumer side and newWriter only).
+func writeRecord[T any](w *Writer, typ byte, fields func(*cursor, *T), v *T) {
 	var buf [cellBuf]byte
-	if step != 0 || machines != 0 {
-		w.writeFrame(RecMeta, buf[:encodeMeta(buf[:], step, machines)])
-	}
-	for i := range probes {
-		n, _ := encodeProbe(buf[:], i, &probes[i])
-		w.writeFrame(RecProbe, buf[:n])
-	}
+	c := cursor{b: buf[:]}
+	fields(&c, v)
+	w.writeFrame(typ, buf[:c.off])
 }
 
 func (w *Writer) flush() {
