@@ -9,45 +9,80 @@ import (
 )
 
 // BenchmarkRoomStep is the serial kernel size sweep behind
-// docs/performance.md's "Room layout": ns per machine-step at
-// Workers:1 on RackCluster (racks of 40) and DefaultCluster rooms from
-// in-cache sizes to far beyond the last-level cache. It uses only the
-// public API, so the same file runs unchanged against older kernels.
-// The 100 000-machine tier is skipped under -short.
+// docs/performance.md's "Room layout" and "Pair kernel": ns per
+// machine-step at Workers:1 on RackCluster (racks of 40),
+// DefaultCluster and mixed rooms from in-cache sizes to far beyond the
+// last-level cache, plus the pairing edges — one machine, which steps
+// paired with itself, and an odd room, whose last machine does. A mixed
+// room alternates DefaultServers and 4-core CMP servers, so no two
+// neighbours share a shape. It uses only the public API, so the same
+// file runs unchanged against older kernels. The 100 000-machine tiers
+// are skipped under -short.
 func BenchmarkRoomStep(b *testing.B) {
-	for _, kind := range []string{"rack", "default"} {
+	type tier struct {
+		kind string
+		n    int
+	}
+	tiers := []tier{{"default", 1}, {"default", 41}}
+	for _, kind := range []string{"rack", "default", "mixed"} {
 		for _, n := range []int{40, 1000, 4000, 20000, 100000} {
-			b.Run(fmt.Sprintf("%s/machines=%d", kind, n), func(b *testing.B) {
-				if n > 20000 && testing.Short() {
-					b.Skip("100 000-machine tier skipped under -short")
-				}
-				var c *model.Cluster
-				var err error
-				if kind == "rack" {
-					c, err = model.RackCluster("room", n/40, 40, nil)
-				} else {
-					c, err = model.DefaultCluster("room", n)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := New(c, Config{Workers: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i, name := range s.Machines() {
-					if err := s.SetUtilization(name, model.UtilCPU, units.Fraction(i%10)/10); err != nil {
-						b.Fatal(err)
-					}
-				}
-				s.StepN(5)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.Step()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/machine-step")
-			})
+			tiers = append(tiers, tier{kind, n})
 		}
 	}
+	for _, tr := range tiers {
+		kind, n := tr.kind, tr.n
+		b.Run(fmt.Sprintf("%s/machines=%d", kind, n), func(b *testing.B) {
+			if n > 20000 && testing.Short() {
+				b.Skip("100 000-machine tier skipped under -short")
+			}
+			var c *model.Cluster
+			var err error
+			switch kind {
+			case "rack":
+				c, err = model.RackCluster("room", n/40, 40, nil)
+			case "default":
+				c, err = model.DefaultCluster("room", n)
+			case "mixed":
+				c, err = mixedRoom(n)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := New(c, Config{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, name := range s.Machines() {
+				src := model.UtilCPU
+				if kind == "mixed" && i%2 == 1 {
+					src = model.CoreUtil(0) // a CMP server loads one core
+				}
+				if err := s.SetUtilization(name, src, units.Fraction(i%10)/10); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s.StepN(5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/machine-step")
+		})
+	}
+}
+
+// mixedRoom is DefaultCluster's room with every second machine a
+// 4-core CMP server.
+func mixedRoom(n int) (*model.Cluster, error) {
+	c, err := model.DefaultCluster("room", n)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < n; i += 2 {
+		if c.Machines[i], err = model.CMPServer(c.Machines[i].Name, 4); err != nil {
+			return nil, err
+		}
+	}
+	return c, c.Validate()
 }

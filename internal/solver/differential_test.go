@@ -104,7 +104,7 @@ func genDiffOp(rng *rand.Rand, c *model.Cluster, inner bool) diffOp {
 	case k < 14:
 		op.kind = opUnpin
 	case k < 15:
-		op.kind, op.v = opSource, 16+14*rng.Float64()
+		op.kind, op.a, op.v = opSource, c.Sources[0].Name, 16+14*rng.Float64()
 	case k < 16:
 		e := m.HeatEdges[rng.Intn(len(m.HeatEdges))]
 		op.kind, op.a, op.b, op.v = opHeatK, e.A, e.B, 5*rng.Float64()
@@ -287,9 +287,9 @@ func (d *diffRun) apply(op diffOp) {
 		ref.unpinInlet(op.machine)
 	case opSource:
 		for _, p := range u.parts {
-			d.must(p.SetSourceTemperature(model.NodeAC, units.Celsius(op.v)))
+			d.must(p.SetSourceTemperature(op.a, units.Celsius(op.v)))
 		}
-		ref.setSourceTemperature(model.NodeAC, units.Celsius(op.v))
+		ref.setSourceTemperature(op.a, units.Celsius(op.v))
 	case opHeatK:
 		d.must(u.at(op.machine).SetHeatK(op.machine, op.a, op.b, units.WattsPerKelvin(op.v)))
 		ref.setHeatK(op.machine, op.a, op.b, units.WattsPerKelvin(op.v))
@@ -428,7 +428,11 @@ func mixedShapeCluster(t *testing.T) *model.Cluster {
 // TestKernelDifferential is the room kernel's contract with the kernel
 // it replaced: bit-identical observables through any mix of inputs, on
 // heterogeneous rooms, at every worker count, with the active set on
-// and off, and split across two regions.
+// and off, and split across two regions. The rooms cover every way the
+// pair kernel forms its pairs: even rooms of one shape, an odd room
+// whose last machine pairs with itself, a one-machine room, three
+// shapes that never sit side by side, and three workers, whose shard
+// cuts fall mid-pair.
 func TestKernelDifferential(t *testing.T) {
 	rooms := []struct {
 		name  string
@@ -449,6 +453,16 @@ func TestKernelDifferential(t *testing.T) {
 			}
 			return c
 		}, nil},
+		{"odd", func(t *testing.T) *model.Cluster {
+			c, err := model.RackCluster("room", 3, 5, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}, nil},
+		{"single", func(t *testing.T) *model.Cluster {
+			return singleRoom(model.DefaultServer("solo"))
+		}, nil},
 		{"mixed", mixedShapeCluster, []diffOp{
 			{kind: opPower, machine: model.RackMachine(1, 3), on: false},
 			{kind: opAirFrac, machine: model.RackMachine(2, 2), a: model.NodeInlet, b: model.NodeVoidAir, v: 0},
@@ -460,15 +474,20 @@ func TestKernelDifferential(t *testing.T) {
 	}{
 		{Config{Workers: 1}, 1},
 		{Config{Workers: 2}, 1},
+		{Config{Workers: 3}, 1},
 		{Config{Workers: 4}, 1},
 		{Config{Workers: 1, ActiveSet: true}, 1},
 		{Config{Workers: 2, ActiveSet: true}, 1},
+		{Config{Workers: 3, ActiveSet: true}, 1},
 		{Config{Workers: 4, ActiveSet: true}, 1},
 		{Config{Workers: 2}, 2},
 		{Config{Workers: 1, ActiveSet: true}, 2},
 	}
 	for _, room := range rooms {
 		for _, cc := range configs {
+			if room.name == "single" && cc.regions > 1 {
+				continue // one machine cannot be split
+			}
 			for _, seed := range []int64{1, 2} {
 				name := fmt.Sprintf("%s/workers=%d/activeset=%v/regions=%d/seed=%d",
 					room.name, cc.cfg.Workers, cc.cfg.ActiveSet, cc.regions, seed)

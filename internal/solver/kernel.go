@@ -32,6 +32,16 @@ import (
 // scratch, because each cached value is computed by the same
 // expression, in the same order, as the historical per-step code.
 //
+// One function advances temperatures: stepPair steps two machines of
+// one shape as interleaved lanes (docs/performance.md, "Pair kernel").
+// Within a machine each air step is a chain of dependent divisions, so
+// one machine alone leaves the core waiting on latency; two independent
+// chains give it two to overlap. Each lane keeps its own windows,
+// scratch and expression order, so each machine's bits are exactly
+// those of stepping it alone. The step phase pairs the stepping
+// machines of a shard, which groups them by shape (groupByShape); a
+// machine with no partner is stepped as a pair with itself.
+//
 // Cache invalidation rules (see the refresh* methods):
 //
 //	refreshFlowCoef — flow weights and per-step wSum/fCoef/fkSum; stale
@@ -600,50 +610,70 @@ func (r *room) invalidate(mi int) {
 	r.quiet[mi] = false
 }
 
-// stepMachine performs heat-flow and intra-machine air-flow traversals
-// for machine mi and returns the largest absolute temperature change of
-// any of its nodes during the step. It reads only the machine's shape
-// and windows; snap and netQ are the calling shard's scratch, at least
-// as long as the machine's node count. It allocates nothing.
-func (r *room) stepMachine(mi int, dt float64, snap, netQ []float64) float64 {
-	m := &r.ms[mi]
-	sh := m.shape
+// stepPair performs the heat-flow and intra-machine air-flow traversals
+// for machines a and b, which must share one shape, and returns the
+// largest absolute temperature change of any node of each during the
+// step. Every loop runs both machines as interleaved lanes, so the
+// dependent divisions of one machine's air chain overlap the other's.
+// Each lane reads only its own machine's windows and its own scratch
+// lane (snap[0], netQ[0] for a; snap[1], netQ[1] for b), and performs
+// exactly the expressions, in exactly the order, of stepping that
+// machine alone. A machine without a partner is stepped as a == b: both
+// lanes read the same snapshot and write identical values to the same
+// windows, because every lane writes after both lanes' reads of it. The
+// scratch lanes must be at least as long as the shape's node count. It
+// allocates nothing.
+func (r *room) stepPair(a, b int, dt float64, snap, netQ [2][]float64) (float64, float64) {
+	ma, mb := &r.ms[a], &r.ms[b]
+	sh := ma.shape
 	n := len(sh.names)
-	temps := win(r.temps, m.node, n)
-	snap = snap[:n]
-	copy(snap, temps)
-	netQ = netQ[:n]
-	for i := range netQ {
-		netQ[i] = 0
+	tA, tB := win(r.temps, ma.node, n), win(r.temps, mb.node, n)
+	sA, sB := snap[0][:n], snap[1][:n]
+	copy(sA, tA)
+	copy(sB, tB)
+	qA, qB := netQ[0][:n], netQ[1][:n]
+	for i := range qA {
+		qA[i] = 0
+		qB[i] = 0
 	}
 
 	// Traversal 1: inter-component heat flow (Equations 1, 2, 3).
-	heatK := win(r.heatK, m.heat, len(sh.heatEdges))
+	ne := len(sh.heatEdges)
+	hA, hB := win(r.heatK, ma.heat, ne), win(r.heatK, mb.heat, ne)
 	for i, e := range sh.heatEdges {
-		q := heatK[i] * (snap[e.a] - snap[e.b]) * dt
-		netQ[e.a] -= q
-		netQ[e.b] += q
+		xa := hA[i] * (sA[e.a] - sA[e.b]) * dt
+		xb := hB[i] * (sB[e.a] - sB[e.b]) * dt
+		qA[e.a] -= xa
+		qA[e.b] += xa
+		qB[e.a] -= xb
+		qB[e.b] += xb
 	}
 	// Power dissipation plus component temperature updates (Equation
 	// 5). Each component owns its node, and all heat-edge contributions
 	// are in, so its netQ is final once its own draw is added — the
 	// temperature update fuses into the same pass. Energy accrues
 	// through a register with the same per-component addition sequence
-	// the accumulator would see.
-	energy := r.energy[mi]
-	ck := win(r.compK, m.comp, len(sh.compNode))
-	for i := range ck {
-		c := &ck[i]
-		node := sh.compNode[i]
-		draw := c.draw
-		c.cur = draw
-		q := draw * dt
-		nq := netQ[node] + q
-		netQ[node] = nq
-		energy += q
-		temps[node] = snap[node] + nq*c.invThermal
+	// the accumulator would see; both counters are read before either
+	// is written, so a self-pair accrues once.
+	eA, eB := r.energy[a], r.energy[b]
+	nc := len(sh.compNode)
+	cA, cB := win(r.compK, ma.comp, nc), win(r.compK, mb.comp, nc)
+	for i, node := range sh.compNode {
+		ca, cb := &cA[i], &cB[i]
+		da, db := ca.draw, cb.draw
+		ca.cur = da
+		cb.cur = db
+		xa, xb := da*dt, db*dt
+		na, nb := qA[node]+xa, qB[node]+xb
+		qA[node] = na
+		qB[node] = nb
+		eA += xa
+		eB += xb
+		tA[node] = sA[node] + na*ca.invThermal
+		tB[node] = sB[node] + nb*cb.invThermal
 	}
-	r.energy[mi] = energy
+	r.energy[a] = eA
+	r.energy[b] = eB
 
 	// Traversal 2: intra-machine air movement. Air regions are
 	// processed in topological order so each region mixes the
@@ -665,62 +695,85 @@ func (r *room) stepMachine(mi int, dt float64, snap, netQ []float64) float64 {
 	// refreshCoupleK); only the temperature-dependent sums run here.
 	// The inlet is assigned up front: it precedes every reader in
 	// topological order, so airSteps never needs the branch.
-	temps[sh.inletIdx] = r.inlet[mi]
-	w := win(r.flowW, m.air, len(sh.airEdges))
-	k := win(r.coupleK, m.couple, len(sh.coupleOther))
-	coefs := win(r.airCoefs, m.step, len(sh.airSteps))
+	tA[sh.inletIdx] = r.inlet[a]
+	tB[sh.inletIdx] = r.inlet[b]
+	na, nk, ns := len(sh.airEdges), len(sh.coupleOther), len(sh.airSteps)
+	wA, wB := win(r.flowW, ma.air, na), win(r.flowW, mb.air, na)
+	kA, kB := win(r.coupleK, ma.couple, nk), win(r.coupleK, mb.couple, nk)
+	fA, fB := win(r.airCoefs, ma.step, ns), win(r.airCoefs, mb.step, ns)
 	airInOff, flowFrom := sh.airInOff, sh.flowFrom
 	coupleOff, coupleOther := sh.coupleOff, sh.coupleOther
-	for j, n := range sh.airSteps {
-		var tsum float64
-		for p := airInOff[n]; p < airInOff[n+1]; p++ {
-			tsum += w[p] * temps[flowFrom[p]]
+	for j, nd := range sh.airSteps {
+		var tsA, tsB float64
+		for p := airInOff[nd]; p < airInOff[nd+1]; p++ {
+			from := flowFrom[p]
+			tsA += wA[p] * tA[from]
+			tsB += wB[p] * tB[from]
 		}
-		ac := &coefs[j]
-		mix := snap[n] // stagnant region keeps its old temperature
-		if ac.wSum > 0 {
-			mix = tsum / ac.wSum
+		acA, acB := &fA[j], &fB[j]
+		mixA, mixB := sA[nd], sB[nd] // a stagnant region keeps its old temperature
+		if acA.wSum > 0 {
+			mixA = tsA / acA.wSum
 		}
-		var kT float64
-		for p := coupleOff[n]; p < coupleOff[n+1]; p++ {
-			kT += k[p] * temps[coupleOther[p]]
+		if acB.wSum > 0 {
+			mixB = tsB / acB.wSum
 		}
-		if ac.fkSum > 0 {
-			temps[n] = (ac.fCoef*mix + kT) / ac.fkSum
-		} else {
-			temps[n] = mix
+		var kTA, kTB float64
+		for p := coupleOff[nd]; p < coupleOff[nd+1]; p++ {
+			other := coupleOther[p]
+			kTA += kA[p] * tA[other]
+			kTB += kB[p] * tB[other]
 		}
+		if acA.fkSum > 0 {
+			mixA = (acA.fCoef*mixA + kTA) / acA.fkSum
+		}
+		if acB.fkSum > 0 {
+			mixB = (acB.fCoef*mixB + kTB) / acB.fkSum
+		}
+		tA[nd] = mixA
+		tB[nd] = mixB
 	}
 
 	// Exhaust mix for the room-level traversal of the next step.
-	rel := win(r.relFlow, m.node, n)
-	var wsum, tsum float64
+	rA, rB := win(r.relFlow, ma.node, n), win(r.relFlow, mb.node, n)
+	var wsA, tsA, wsB, tsB float64
 	for _, x := range sh.exhaustIdx {
-		f := rel[x]
-		wsum += f
-		tsum += f * temps[x]
+		fa, fb := rA[x], rB[x]
+		wsA += fa
+		tsA += fa * tA[x]
+		wsB += fb
+		tsB += fb * tB[x]
 	}
-	if wsum > 0 {
-		r.exhaust[mi] = tsum / wsum
+	if wsA > 0 {
+		r.exhaust[a] = tsA / wsA
+	}
+	if wsB > 0 {
+		r.exhaust[b] = tsB / wsB
 	}
 
-	var maxDelta float64
-	for i, t := range temps {
-		d := t - snap[i]
-		if d < 0 {
-			d = -d
+	var maxA, maxB float64
+	for i := range tA {
+		da, db := tA[i]-sA[i], tB[i]-sB[i]
+		if da < 0 {
+			da = -da
 		}
-		if d > maxDelta {
-			maxDelta = d
+		if db < 0 {
+			db = -db
+		}
+		if da > maxA {
+			maxA = da
+		}
+		if db > maxB {
+			maxB = db
 		}
 	}
-	return maxDelta
+	return maxA, maxB
 }
 
 // stepQuiescent advances a machine that Config.ActiveSet proved to be
 // at a bitwise fixed point: temperatures, exhaust mix, and per-step
 // deltas are unchanged by construction, so only the energy accrual
-// runs — as the same per-component sequential additions stepMachine
+// runs — as the same per-component sequential additions stepPair
 // performs, keeping the energy counter bit-identical too.
 func (r *room) stepQuiescent(mi int, dt float64) {
 	m := &r.ms[mi]

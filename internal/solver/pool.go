@@ -34,23 +34,53 @@ import (
 // Everything here is allocation-free after construction.
 
 // shard is a fixed subset of the machine list owned by one stepping
-// participant. Machines appear in ascending index order; every machine
-// is in exactly one shard (TestShardPartition). snap and netQ are the
-// step kernel's scratch, owned by the shard's participant so machines
-// carry none of their own.
+// participant. Every machine is in exactly one shard
+// (TestShardPartition); within a shard, machines of one shape are
+// adjacent (groupByShape), so the step phase pairs them. snap and netQ
+// are the step kernel's scratch, one lane per machine of a pair, owned
+// by the shard's participant so machines carry none of their own.
 type shard struct {
 	idx        []int32
-	snap, netQ []float64
+	snap, netQ [2][]float64
 }
 
-// allocScratch gives the shard kernel scratch for machines of up to
-// nodes nodes, in one allocation padded by a cache line at each end so
-// no other shard's scratch shares a line with it.
+// allocScratch gives the shard two kernel scratch lanes for machines
+// of up to nodes nodes, in one allocation padded by a cache line at
+// each end so no other shard's scratch shares a line with it.
 func (sh *shard) allocScratch(nodes int) {
 	const pad = 8 // float64s per 64-byte cache line
-	buf := make([]float64, pad+2*nodes+pad)
-	sh.snap = buf[pad : pad+nodes]
-	sh.netQ = buf[pad+nodes : pad+2*nodes]
+	buf := make([]float64, pad+4*nodes+pad)
+	lane := func(i int) []float64 {
+		lo := pad + i*nodes
+		return buf[lo : lo+nodes : lo+nodes]
+	}
+	sh.snap = [2][]float64{lane(0), lane(1)}
+	sh.netQ = [2][]float64{lane(2), lane(3)}
+}
+
+// groupByShape reorders a shard's machines so that machines of one
+// shape are adjacent: shapes in order of first appearance, machines in
+// their partition order within a shape. Temperatures do not depend on
+// the order machines step in within a phase; the step phase pairs only
+// neighbours of one shape, so this is what lets a room of alternating
+// shapes pair at all.
+func (sh *shard) groupByShape(ms []machine) {
+	var order []*kernelShape
+	groups := map[*kernelShape][]int32{}
+	for _, mi := range sh.idx {
+		k := ms[mi].shape
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], mi)
+	}
+	// Rewrite in place: the groups are copies holding exactly
+	// len(sh.idx) entries, so the appends stay inside this shard's part
+	// of the partition's shared backing array.
+	sh.idx = sh.idx[:0]
+	for _, k := range order {
+		sh.idx = append(sh.idx, groups[k]...)
+	}
 }
 
 // shardBounds splits [0,n) into at most workers contiguous chunks of

@@ -358,3 +358,29 @@ func TestActiveSetSourceChange(t *testing.T) {
 	exhaustive.StepN(500)
 	assertBitIdentical(t, "after AC setpoint change", active, exhaustive)
 }
+
+// TestShardsGroupShapes pins what lets a room whose shapes never sit
+// side by side pair at all: within every shard, the machines of each
+// shape are adjacent, so the step phase finds a same-shape partner for
+// all but at most one machine of each shape.
+func TestShardsGroupShapes(t *testing.T) {
+	c := mixedShapeCluster(t)
+	for _, workers := range []int{1, 2, 3} {
+		s, err := New(c, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, sh := range s.shards {
+			runs, shapes := 0, map[*kernelShape]bool{}
+			for k, mi := range sh.idx {
+				if k == 0 || s.ms[sh.idx[k-1]].shape != s.ms[mi].shape {
+					runs++
+				}
+				shapes[s.ms[mi].shape] = true
+			}
+			if runs != len(shapes) {
+				t.Errorf("workers=%d: shard %d has %d runs of %d shapes: %v", workers, si, runs, len(shapes), sh.idx)
+			}
+		}
+	}
+}

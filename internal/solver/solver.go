@@ -288,6 +288,7 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 		core.shards = core.partitionOwnedShards()
 	}
 	for i := range core.shards {
+		core.shards[i].groupByShape(core.ms)
 		core.shards[i].allocScratch(maxNodes)
 	}
 	core.deltas = make([]shardDelta, len(core.shards))
@@ -307,7 +308,12 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 // named "room_exhaust") and compiles it. This is the convenient entry
 // point for single-server emulation, Section 3's validation setup.
 func NewSingle(m *model.Machine, cfg Config) (*Solver, error) {
-	c := &model.Cluster{
+	return New(singleRoom(m), cfg)
+}
+
+// singleRoom is the one-machine room NewSingle compiles.
+func singleRoom(m *model.Machine) *model.Cluster {
+	return &model.Cluster{
 		Name:     m.Name + "-room",
 		Machines: []*model.Machine{m},
 		Sources:  []model.ClusterSource{{Name: "room", SupplyTemp: m.InletTemp}},
@@ -317,7 +323,6 @@ func NewSingle(m *model.Machine, cfg Config) (*Solver, error) {
 			{From: m.Name, To: "room_exhaust", Fraction: 1},
 		},
 	}
-	return New(c, cfg)
 }
 
 // markDirty re-activates machine mi after a mutation and records the
@@ -493,7 +498,10 @@ func (s *solverCore) runInletPhase(sh int) {
 // runStepPhase is phase 2 over one shard: the per-machine heat and air
 // traversals. With Config.ActiveSet, quiet machines with unchanged
 // inputs are at a bitwise fixed point and only accrue energy;
-// everything else runs the full kernel. Each shard tracks its own
+// everything else runs the full kernel, two machines of one shape per
+// call. A stepping machine waits for the next stepping machine of its
+// shape; one left without a partner (at a shape boundary or the end of
+// the shard) steps paired with itself. Each shard tracks its own
 // maximum temperature delta; the reduction in stepN is
 // order-independent, so steady-state detection is deterministic across
 // worker counts. The kernel's scratch is the shard's own.
@@ -501,17 +509,41 @@ func (s *solverCore) runStepPhase(sh int) {
 	var d float64
 	skip := s.cfg.ActiveSet
 	shd := &s.shards[sh]
+	held := int32(-1) // a stepping machine waiting for a partner
 	for _, mi := range shd.idx {
 		if skip && s.quiet[mi] && !s.dirty[mi] {
 			s.stepQuiescent(int(mi), s.dt)
 			continue
 		}
-		md := s.stepMachine(int(mi), s.dt, shd.snap, shd.netQ)
-		s.quiet[mi] = md == 0
-		s.dirty[mi] = false
-		if md > d {
-			d = md
+		switch {
+		case held < 0:
+			held = mi
+		case s.ms[held].shape == s.ms[mi].shape:
+			d = s.stepLanes(shd, held, mi, d)
+			held = -1
+		default:
+			d = s.stepLanes(shd, held, held, d)
+			held = mi
 		}
 	}
+	if held >= 0 {
+		d = s.stepLanes(shd, held, held, d)
+	}
 	s.deltas[sh].v = d
+}
+
+// stepLanes steps machines a and b through the kernel as one pair
+// (a == b for a machine without a partner), records each one's
+// quiescence, clears its dirt, and returns d raised to their deltas.
+func (s *solverCore) stepLanes(shd *shard, a, b int32, d float64) float64 {
+	da, db := s.stepPair(int(a), int(b), s.dt, shd.snap, shd.netQ)
+	s.quiet[a], s.dirty[a] = da == 0, false
+	s.quiet[b], s.dirty[b] = db == 0, false
+	if da > d {
+		d = da
+	}
+	if db > d {
+		d = db
+	}
+	return d
 }

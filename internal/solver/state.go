@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"github.com/darklab/mercury/internal/model"
@@ -95,15 +96,20 @@ func (s *Solver) SaveState() *State {
 
 // RestoreState applies a snapshot to a solver compiled from the same
 // model topology: every machine, node, edge, and utilization source in
-// the state must exist in the solver. On success the solver continues
-// exactly where the snapshot left off.
+// the state must exist in the solver, and every value must pass the
+// rule the matching fiddle operation applies. On success the solver
+// continues exactly where the snapshot left off; on error it is left
+// untouched.
 func (s *Solver) RestoreState(st *State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Validate topology first so a mismatch leaves the solver intact.
-	for name := range st.Sources {
+	// Validate everything first so a bad state leaves the solver intact.
+	for name, temp := range st.Sources {
 		if _, ok := s.srcIdx[name]; !ok {
 			return fmt.Errorf("solver: restore: unknown source %q", name)
+		}
+		if !temp.Valid() {
+			return fmt.Errorf("solver: restore: invalid temperature %v for source %q", temp, name)
 		}
 	}
 	for mname, ms := range st.Machines {
@@ -111,23 +117,8 @@ func (s *Solver) RestoreState(st *State) error {
 		if !ok {
 			return fmt.Errorf("solver: restore: unknown machine %q", mname)
 		}
-		sh := s.ms[mi].shape
-		if len(ms.Temps) != len(sh.names) {
-			return fmt.Errorf("solver: restore: machine %q has %d nodes, snapshot has %d",
-				mname, len(sh.names), len(ms.Temps))
-		}
-		for node, temp := range ms.Temps {
-			if _, ok := sh.index[node]; !ok {
-				return fmt.Errorf("solver: restore: machine %q has no node %q", mname, node)
-			}
-			if !temp.Valid() {
-				return fmt.Errorf("solver: restore: invalid temperature %v for %s/%s", temp, mname, node)
-			}
-		}
-		for src := range ms.Utils {
-			if _, ok := sh.utilPos[src]; !ok {
-				return fmt.Errorf("solver: restore: machine %q has no utilization source %q", mname, src)
-			}
+		if err := validateMachineState(s.ms[mi].shape, ms); err != nil {
+			return fmt.Errorf("solver: restore: machine %q: %w", mname, err)
 		}
 	}
 
@@ -165,13 +156,7 @@ func (s *Solver) RestoreState(st *State) error {
 			powers[i].scale = 1
 		}
 		for node, scale := range ms.PowerScales {
-			idx, ok := sh.index[node]
-			if !ok {
-				continue
-			}
-			if ci := sh.compOf[idx]; ci >= 0 {
-				powers[ci].scale = float64(scale.Clamp())
-			}
+			powers[sh.compOf[sh.index[node]]].scale = float64(scale)
 		}
 		heatK := win(s.heatK, m.heat, len(sh.heatEdges))
 		for key, k := range ms.HeatKs {
@@ -205,6 +190,59 @@ func (s *Solver) RestoreState(st *State) error {
 	// trajectory no longer describes the live physics. WhatIf undoes
 	// this bump after its round trip.
 	s.fiddleGen++
+	return nil
+}
+
+// validateMachineState checks one machine's slice of a State against
+// its shape: the node set must be exactly the shape's, every key must
+// name one of its utilization sources, components, heat edges or air
+// edges, and every value must pass the rule of the fiddle operation
+// that sets it (SetNodeTemperature, PinInlet, SetPowerScale, SetHeatK,
+// SetAirFraction).
+func validateMachineState(sh *kernelShape, ms MachineState) error {
+	if len(ms.Temps) != len(sh.names) {
+		return fmt.Errorf("has %d nodes, snapshot has %d", len(sh.names), len(ms.Temps))
+	}
+	for node, temp := range ms.Temps {
+		if _, ok := sh.index[node]; !ok {
+			return fmt.Errorf("no node %q", node)
+		}
+		if !temp.Valid() {
+			return fmt.Errorf("invalid temperature %v for node %q", temp, node)
+		}
+	}
+	for src := range ms.Utils {
+		if _, ok := sh.utilPos[src]; !ok {
+			return fmt.Errorf("no utilization source %q", src)
+		}
+	}
+	if ms.InletPinned && !ms.InletPin.Valid() {
+		return fmt.Errorf("invalid inlet pin %v", ms.InletPin)
+	}
+	for node, scale := range ms.PowerScales {
+		if idx, ok := sh.index[node]; !ok || sh.compOf[idx] < 0 {
+			return fmt.Errorf("no component %q", node)
+		}
+		if !scale.Valid() {
+			return fmt.Errorf("invalid power scale %v for %q", float64(scale), node)
+		}
+	}
+	for key, k := range ms.HeatKs {
+		if !slices.Contains(sh.heatKeys, key) {
+			return fmt.Errorf("no heat edge %q", key)
+		}
+		if k < 0 {
+			return fmt.Errorf("negative heat constant %v for %q", k, key)
+		}
+	}
+	for key, f := range ms.AirFractions {
+		if !slices.Contains(sh.airKeys, key) {
+			return fmt.Errorf("no air edge %q", key)
+		}
+		if !f.Valid() {
+			return fmt.Errorf("invalid air fraction %v for %q", float64(f), key)
+		}
+	}
 	return nil
 }
 

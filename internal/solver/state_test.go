@@ -170,3 +170,75 @@ func TestStateUtilsClampedOnRestore(t *testing.T) {
 		t.Errorf("restored util = %v, want clamped 1", u)
 	}
 }
+
+// TestRestoreRejectsInvalidValues holds RestoreState to the value rules
+// of the fiddle operations and to the unknown-key rule of its node
+// check: each case corrupts one field of a saved state, the restore
+// must fail, and the solver must be left exactly as it was — the same
+// saved state and the same trajectory as an untouched twin. The
+// unmodified state and a WhatIf round trip must still restore cleanly.
+func TestRestoreRejectsInvalidValues(t *testing.T) {
+	edit := func(fn func(ms *MachineState)) func(st *State) {
+		return func(st *State) {
+			ms := st.Machines["machine1"]
+			fn(&ms)
+			st.Machines["machine1"] = ms
+		}
+	}
+	cpuAir := edgeKey(model.NodeCPU, model.NodeCPUAir)
+	inletDisk := edgeKey(model.NodeInlet, model.NodeDiskAir)
+	cases := []struct {
+		name    string
+		corrupt func(st *State)
+	}{
+		{"negative heat k", edit(func(ms *MachineState) { ms.HeatKs[cpuAir] = -40 })},
+		{"unknown heat edge", edit(func(ms *MachineState) { ms.HeatKs["no|such_edge"] = 1 })},
+		{"reversed heat key", edit(func(ms *MachineState) { ms.HeatKs[edgeKey(model.NodeCPUAir, model.NodeCPU)] = 1 })},
+		{"air fraction above 1", edit(func(ms *MachineState) { ms.AirFractions[inletDisk] = 7 })},
+		{"negative air fraction", edit(func(ms *MachineState) { ms.AirFractions[inletDisk] = -0.5 })},
+		{"unknown air edge", edit(func(ms *MachineState) { ms.AirFractions["inlet|nowhere"] = 0.5 })},
+		{"inlet pin below absolute zero", edit(func(ms *MachineState) { ms.InletPin = -500 })},
+		{"power scale above 1", edit(func(ms *MachineState) { ms.PowerScales[model.NodeCPU] = 2 })},
+		{"power scale on an unknown node", edit(func(ms *MachineState) { ms.PowerScales["ghost"] = 0.5 })},
+		{"power scale on an air node", edit(func(ms *MachineState) { ms.PowerScales[model.NodeCPUAir] = 0.5 })},
+		{"source below absolute zero", func(st *State) { st.Sources[model.NodeAC] = -300 }},
+	}
+	saved := func(s *Solver) string {
+		var buf bytes.Buffer
+		if err := WriteState(&buf, s.SaveState()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, twin := preparedSolver(t), preparedSolver(t)
+			bad := s.SaveState()
+			tc.corrupt(bad)
+			before := saved(s)
+			if err := s.RestoreState(bad); err == nil {
+				t.Fatal("restore accepted the corrupted state")
+			}
+			if after := saved(s); after != before {
+				t.Fatalf("rejected restore changed the solver:\n%s\nwant\n%s", after, before)
+			}
+			s.StepN(600)
+			twin.StepN(600)
+			assertBitIdentical(t, "after a rejected restore", s, twin)
+		})
+	}
+
+	s := preparedSolver(t)
+	st := s.SaveState()
+	if err := s.RestoreState(st); err != nil {
+		t.Fatalf("restore of an unmodified state: %v", err)
+	}
+	if err := s.WhatIf(func(w *Solver) error {
+		return w.SetHeatK("machine1", model.NodeCPU, model.NodeCPUAir, 0)
+	}); err != nil {
+		t.Fatalf("WhatIf round trip: %v", err)
+	}
+	if err := s.RestoreState(s.SaveState()); err != nil {
+		t.Fatalf("restore after WhatIf: %v", err)
+	}
+}
