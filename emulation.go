@@ -22,6 +22,8 @@ type (
 	Request = workload.Request
 	// WebConfig shapes the diurnal synthetic trace.
 	WebConfig = workload.WebConfig
+	// WebGen draws the same trace incrementally, one window at a time.
+	WebGen = workload.WebGen
 	// TwoTier composes a frontend web tier with a backend tier behind
 	// its own balancer (the paper's multi-tier future work).
 	TwoTier = webcluster.TwoTier
@@ -39,6 +41,10 @@ func NewWebCluster(bal *Balancer, machines []string, cfg WebClusterConfig) (*Web
 
 // GenerateWeb produces a reproducible diurnal request trace.
 func GenerateWeb(cfg WebConfig) []Request { return workload.GenerateWeb(cfg) }
+
+// NewWebGen starts GenerateWeb's trace as a stream: each Next call
+// returns the arrivals before its limit that no earlier call returned.
+func NewWebGen(cfg WebConfig) *WebGen { return workload.NewWebGen(cfg) }
 
 // NewTwoTier builds a frontend+backend emulation; machine names must
 // be unique across tiers.

@@ -51,7 +51,7 @@ func main() {
 
 	// The diurnal trace, peaking at 70% utilization across 4 servers.
 	meanCPU := mercury.WebClusterConfig{}.MeanCPUPerRequest(0.3)
-	requests := mercury.GenerateWeb(mercury.WebConfig{
+	web := mercury.NewWebGen(mercury.WebConfig{
 		Duration: duration * time.Second,
 		PeakRPS:  4 * 0.7 / meanCPU,
 		Seed:     1,
@@ -76,7 +76,7 @@ fiddle machine3 temperature inlet 35.6
 	schedule := script.Schedule()
 	nextOp := 0
 
-	reqIdx := 0
+	var batch []mercury.Request
 	for sec := 0; sec < duration; sec++ {
 		now := time.Duration(sec) * time.Second
 		for nextOp < len(schedule) && schedule[nextOp].At <= now {
@@ -88,11 +88,7 @@ fiddle machine3 temperature inlet 35.6
 		}
 
 		// This second's arrivals through the balancer.
-		var batch []mercury.Request
-		for reqIdx < len(requests) && requests[reqIdx].At < now+time.Second {
-			batch = append(batch, requests[reqIdx])
-			reqIdx++
-		}
+		batch = web.Next(batch[:0], now+time.Second)
 		cluster.TickSecond(batch)
 
 		// Utilizations feed the thermal model (monitord's role).

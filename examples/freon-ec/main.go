@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	requests := mercury.GenerateWeb(mercury.WebConfig{
+	web := mercury.NewWebGen(mercury.WebConfig{
 		Duration: duration * time.Second,
 		PeakRPS:  4 * 0.7 / mercury.WebClusterConfig{}.MeanCPUPerRequest(0.3),
 		Seed:     1,
@@ -66,7 +66,8 @@ fiddle machine3 temperature inlet 35.6
 		log.Fatal(err)
 	}
 	schedule := script.Schedule()
-	nextOp, reqIdx := 0, 0
+	nextOp := 0
+	var batch []mercury.Request
 
 	fmt.Println("time    active  dropped  phases")
 	for sec := 0; sec < duration; sec++ {
@@ -77,11 +78,7 @@ fiddle machine3 temperature inlet 35.6
 			}
 			nextOp++
 		}
-		var batch []mercury.Request
-		for reqIdx < len(requests) && requests[reqIdx].At < now+time.Second {
-			batch = append(batch, requests[reqIdx])
-			reqIdx++
-		}
+		batch = web.Next(batch[:0], now+time.Second)
 		cluster.TickSecond(batch)
 		for _, m := range machines {
 			utils, err := cluster.Utilizations(m)

@@ -68,8 +68,9 @@ type Sim struct {
 	// fresh clock on first Run.
 	Clock *clock.Virtual
 
-	// Requests is the full arrival trace.
-	Requests []workload.Request
+	// Web generates the arrival trace, drawn one second per iteration;
+	// nil serves no requests.
+	Web *workload.WebGen
 	// Fiddle is the scheduled emergency script.
 	Fiddle []fiddle.TimedOp
 
@@ -84,7 +85,7 @@ type Sim struct {
 	PollEvery   time.Duration
 	PeriodEvery time.Duration
 
-	reqIdx    int
+	arrivals  []workload.Request // this second's, reused every iteration
 	fiddleIdx int
 }
 
@@ -116,17 +117,16 @@ func NewSim(machines int, seed int64, duration time.Duration) (*Sim, error) {
 	// spare capacity to handle unexpected load increases or a server
 	// failure."
 	peak := float64(machines) * 0.7 / webcluster.Config{}.MeanCPUPerRequest(0.3)
-	reqs := workload.GenerateWeb(workload.WebConfig{
-		Duration: duration,
-		PeakRPS:  peak,
-		Seed:     seed,
-	})
 	return &Sim{
-		Solver:      sol,
-		Cluster:     wc,
-		Bal:         bal,
-		Clock:       clock.NewVirtual(),
-		Requests:    reqs,
+		Solver:  sol,
+		Cluster: wc,
+		Bal:     bal,
+		Clock:   clock.NewVirtual(),
+		Web: workload.NewWebGen(workload.WebConfig{
+			Duration: duration,
+			PeakRPS:  peak,
+			Seed:     seed,
+		}),
 		PollEvery:   5 * time.Second,
 		PeriodEvery: time.Minute,
 	}, nil
@@ -180,12 +180,10 @@ func (s *Sim) Run(duration time.Duration) error {
 			s.fiddleIdx++
 		}
 
-		limit := now + time.Second
-		first := s.reqIdx
-		for s.reqIdx < len(s.Requests) && s.Requests[s.reqIdx].At < limit {
-			s.reqIdx++
+		if s.Web != nil {
+			s.arrivals = s.Web.Next(s.arrivals[:0], now+time.Second)
 		}
-		tick := s.Cluster.TickSecond(s.Requests[first:s.reqIdx])
+		tick := s.Cluster.TickSecond(s.arrivals)
 
 		// Feed the tick's utilizations to the thermal model, the role
 		// monitord plays on a live system.

@@ -16,7 +16,9 @@
 //	t = k+1.5   Freon's TickPoll and TickPeriod when due, poll first
 //
 // Every other step is done when its call returns, so two runs with the
-// same seed produce bit-identical trajectories.
+// same seed produce bit-identical trajectories. Only the request trace
+// is produced beside the harness, on a goroutine that reads no clock
+// and emits nothing.
 package online
 
 import (
@@ -409,11 +411,25 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	peak := float64(cfg.Machines) * 0.7 / webcluster.Config{}.MeanCPUPerRequest(0.3)
-	reqs := workload.GenerateWeb(workload.WebConfig{
-		Duration: cfg.Duration,
-		PeakRPS:  peak,
-		Seed:     cfg.Seed,
-	})
+
+	// The request trace runs ahead of the loop on its own goroutine: it
+	// depends on nothing the loop computes, so it is drawn on another
+	// core while the stack boots and steps. Each second goes out as a
+	// capped slice of one growing trace, and later appends touch only
+	// elements past every slice sent. The channel holds every second, so
+	// the producer never blocks and, should Run return early, simply
+	// finishes. It reads no clock and emits nothing.
+	secs := int(cfg.Duration / time.Second)
+	arrivals := make(chan []workload.Request, secs)
+	go func() {
+		gen := workload.NewWebGen(workload.WebConfig{Duration: cfg.Duration, PeakRPS: peak, Seed: cfg.Seed})
+		out := make([]workload.Request, 0, gen.SizeHint())
+		for sec := 1; sec <= secs; sec++ {
+			first := len(out)
+			out = gen.Next(out, time.Duration(sec)*time.Second)
+			arrivals <- out[first:len(out):len(out)]
+		}
+	}()
 
 	var ops []fiddle.TimedOp
 	if cfg.Script != "" {
@@ -508,10 +524,9 @@ func Run(cfg Config) (*Result, error) {
 	pollSecs := int(fr.Config().ConnPoll / time.Second)
 	periodSecs := int(fr.Config().Period / time.Second)
 	sampleSecs := int(cfg.SampleEvery / time.Second)
-	secs := int(cfg.Duration / time.Second)
 
 	res := &Result{Machines: names, MaxCPUTemp: map[string]units.Celsius{}, Adjustments: map[string]int{}}
-	reqIdx, opIdx := 0, 0
+	opIdx := 0
 	for sec := 0; sec < secs; sec++ {
 		// The harness's work for second sec happens at t = sec+0.5,
 		// before any daemon has observed the second.
@@ -522,12 +537,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			opIdx++
 		}
-		limit := now + time.Second
-		first := reqIdx
-		for reqIdx < len(reqs) && reqs[reqIdx].At < limit {
-			reqIdx++
-		}
-		tick := wc.TickSecond(reqs[first:reqIdx])
+		tick := wc.TickSecond(<-arrivals)
 		for _, m := range names {
 			st, syn := tick.PerServer[m], synths[m]
 			syn.Set(model.UtilCPU, st.CPUUtil)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -265,6 +266,33 @@ func TestOnlineFreonCadence(t *testing.T) {
 			t.Errorf("%d solver steps (%d missed), want 120 and none", res.SolverSteps, res.MissedTicks)
 		}
 	}
+}
+
+// TestRunStopsGenerator: the request trace's producer goroutine ends on
+// its own, so Run leaves no goroutine behind — after a complete run and
+// after one cut short by an error, here a fiddle op at t=5 s naming a
+// machine the cluster does not have.
+func TestRunStopsGenerator(t *testing.T) {
+	settled := func(when string, baseline int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want the baseline %d", when, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	baseline := runtime.NumGoroutine()
+	if _, err := online.Run(online.Config{Duration: 60 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	settled("after a complete run", baseline)
+	_, err := online.Run(online.Config{Duration: 60 * time.Second, Script: "sleep 5\nfiddle machine9 temperature inlet 30\n"})
+	if err == nil || !strings.Contains(err.Error(), "fiddle at 5s") {
+		t.Fatalf("Run = %v, want the t=5s fiddle to fail", err)
+	}
+	settled("after a failed run", baseline)
 }
 
 // TestOnlineFig11EventsGolden pins the full Figure 11 thermal event

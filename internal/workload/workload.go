@@ -107,17 +107,21 @@ type WebConfig struct {
 	Seed int64
 }
 
+// withDefaults fills every unset field. A non-finite PeakRPS,
+// ValleyShare or DynamicShare counts as unset: each check asks whether
+// the value is in range, which NaN never is, and an infinite rate would
+// make the trace unbounded.
 func (c WebConfig) withDefaults() WebConfig {
 	if c.Duration <= 0 {
 		c.Duration = 2000 * time.Second
 	}
-	if c.PeakRPS <= 0 {
+	if !(c.PeakRPS > 0) || math.IsInf(c.PeakRPS, 1) {
 		c.PeakRPS = 100
 	}
-	if c.ValleyShare <= 0 || c.ValleyShare > 1 {
+	if !(c.ValleyShare > 0 && c.ValleyShare <= 1) {
 		c.ValleyShare = 0.15
 	}
-	if c.DynamicShare <= 0 || c.DynamicShare > 1 {
+	if !(c.DynamicShare > 0 && c.DynamicShare <= 1) {
 		// The zero value selects the paper's 30% dynamic-content mix.
 		c.DynamicShare = 0.3
 	}
@@ -130,7 +134,11 @@ func (c WebConfig) withDefaults() WebConfig {
 // at the peak rate (Figure 11's utilizations stay high for several
 // hundred seconds before subsiding).
 func (c WebConfig) Rate(t time.Duration) float64 {
-	c = c.withDefaults()
+	return c.withDefaults().rate(t)
+}
+
+// rate is Rate on a config withDefaults has already filled.
+func (c WebConfig) rate(t time.Duration) float64 {
 	x := float64(t) / float64(c.Duration)
 	if x < 0 {
 		x = 0
@@ -160,38 +168,91 @@ func (c WebConfig) Rate(t time.Duration) float64 {
 	return valley + (c.PeakRPS-valley)*shape
 }
 
-// expectedRequests integrates Rate over the trace by the midpoint rule.
+// expectedRequests integrates the rate over the trace by the midpoint
+// rule.
 func (c WebConfig) expectedRequests() float64 {
 	const steps = 1024
 	dt := c.Duration / steps
 	var sum float64
 	for i := 0; i < steps; i++ {
-		sum += c.Rate(time.Duration(i)*dt + dt/2)
+		sum += c.rate(time.Duration(i)*dt + dt/2)
 	}
 	return sum * dt.Seconds()
 }
 
 // GenerateWeb produces the request arrivals via thinning of a Poisson
-// process at the peak rate.
+// process at the peak rate: the whole of a WebGen's stream in one call.
 func GenerateWeb(cfg WebConfig) []Request {
+	g := NewWebGen(cfg)
+	return g.Next(make([]Request, 0, g.SizeHint()), math.MaxInt64)
+}
+
+// WebGen generates the web trace incrementally, in arrival order, so a
+// consumer can take it one window at a time. Concatenating its Next
+// calls yields exactly GenerateWeb's trace for the same config, however
+// the limits are chosen.
+type WebGen struct {
+	cfg    WebConfig // defaulted
+	rng    *rand.Rand
+	valley float64 // cfg.rate's floor, PeakRPS * ValleyShare
+	end    float64 // cfg.Duration in seconds
+
+	t float64 // the last candidate's arrival, in seconds
+	// at is a candidate drawn but not yet thinned, when held: one Next
+	// call stopped at it because it falls at or after that call's limit.
+	at   time.Duration
+	held bool
+	done bool
+}
+
+// NewWebGen starts the trace for cfg at offset 0.
+func NewWebGen(cfg WebConfig) *WebGen {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Capacity only: the expected count is the integral of the rate
-	// curve, and four standard deviations of Poisson slack make a
-	// regrowing append a rare event. The draws do not depend on it.
-	n := cfg.expectedRequests()
-	out := make([]Request, 0, int(n+4*math.Sqrt(n))+1)
-	t := 0.0
-	end := cfg.Duration.Seconds()
+	return &WebGen{
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		valley: cfg.PeakRPS * cfg.ValleyShare,
+		end:    cfg.Duration.Seconds(),
+	}
+}
+
+// SizeHint is a capacity for the whole trace. The expected count is the
+// integral of the rate curve, and four standard deviations of Poisson
+// slack make a regrowing append a rare event. The draws do not depend
+// on it.
+func (g *WebGen) SizeHint() int {
+	n := g.cfg.expectedRequests()
+	return int(n+4*math.Sqrt(n)) + 1
+}
+
+// Next appends to dst every arrival not yet returned with At < limit,
+// and returns dst. A candidate at or after limit is held, before its
+// thinning draws are taken, for the next call, so the random stream
+// sees the same draws in the same order whatever the limits.
+func (g *WebGen) Next(dst []Request, limit time.Duration) []Request {
 	for {
-		t += rng.ExpFloat64() / cfg.PeakRPS
-		if t >= end {
-			return out
+		if !g.held {
+			if g.done {
+				return dst
+			}
+			g.t += g.rng.ExpFloat64() / g.cfg.PeakRPS
+			if g.t >= g.end {
+				g.done = true
+				return dst
+			}
+			g.at, g.held = time.Duration(g.t*float64(time.Second)), true
 		}
-		at := time.Duration(t * float64(time.Second))
-		if rng.Float64()*cfg.PeakRPS > cfg.Rate(at) {
+		if g.at >= limit {
+			return dst
+		}
+		g.held = false
+		// A draw at or below the valley rate is kept without evaluating
+		// the curve. That is exact: the rate is valley + (peak-valley) *
+		// shape with both factors >= 0, and adding a non-negative number
+		// never rounds below valley.
+		if u := g.rng.Float64() * g.cfg.PeakRPS; u > g.valley && u > g.cfg.rate(g.at) {
 			continue // thinned out
 		}
-		out = append(out, Request{At: at, Dynamic: rng.Float64() < cfg.DynamicShare})
+		dst = append(dst, Request{At: g.at, Dynamic: g.rng.Float64() < g.cfg.DynamicShare})
 	}
 }

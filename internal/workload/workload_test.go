@@ -3,6 +3,10 @@ package workload
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -168,6 +172,33 @@ func TestWebDefaults(t *testing.T) {
 	}
 }
 
+// TestWebConfigNonFinite: a NaN or infinite rate, valley share or
+// dynamic share counts as unset. NaN passed every range check and
+// infinity none, so such a config used to size the trace's capacity
+// out of range and panic.
+func TestWebConfigNonFinite(t *testing.T) {
+	base := WebConfig{Duration: 20 * time.Second, Seed: 3}
+	want := GenerateWeb(base)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, set := range map[string]func(*WebConfig){
+			"PeakRPS":      func(c *WebConfig) { c.PeakRPS = v },
+			"ValleyShare":  func(c *WebConfig) { c.ValleyShare = v },
+			"DynamicShare": func(c *WebConfig) { c.DynamicShare = v },
+		} {
+			cfg := base
+			set(&cfg)
+			for s := 0; s <= 20; s++ {
+				if r := cfg.Rate(time.Duration(s) * time.Second); math.IsNaN(r) || math.IsInf(r, 0) {
+					t.Errorf("%s = %v: Rate(%ds) = %v, want finite", field, v, s, r)
+				}
+			}
+			if got := GenerateWeb(cfg); !slices.Equal(got, want) {
+				t.Errorf("%s = %v: %d requests, want the default trace's %d", field, v, len(got), len(want))
+			}
+		}
+	}
+}
+
 // TestGenerateWebGolden pins the generated trace, element for element,
 // to what GenerateWeb produced before it presized its output (hashes
 // recorded from that commit), and checks the presizing itself: the
@@ -205,5 +236,75 @@ func TestGenerateWebGolden(t *testing.T) {
 			t.Errorf("%v seed %d: capacity %d for %d requests, want within 10%%",
 				tc.cfg.Duration, tc.cfg.Seed, c, len(reqs))
 		}
+	}
+}
+
+// webTraces are the web traces of the two online benchmark workloads,
+// as TestGenerateWebGolden pins them (seed left to the caller).
+var webTraces = []struct {
+	name string
+	cfg  WebConfig
+}{
+	{"fig11-stack", WebConfig{Duration: 2000 * time.Second, PeakRPS: 4 * 0.7 / 0.0089}},
+	{"room64-batch", WebConfig{Duration: 150 * time.Second, PeakRPS: 64 * 0.7 / 0.0089}},
+}
+
+// TestWebGenMatchesGenerateWeb: however a consumer chooses its limits,
+// each Next pull returns exactly the arrivals before its limit, and the
+// pulls concatenate to GenerateWeb's trace element for element.
+func TestWebGenMatchesGenerateWeb(t *testing.T) {
+	for _, tr := range webTraces {
+		for _, seed := range []int64{1, 7} {
+			cfg := tr.cfg
+			cfg.Seed = seed
+			want := GenerateWeb(cfg)
+			end := cfg.Duration
+			var whole, random, arrivals []time.Duration
+			for l := time.Second; l <= end; l += time.Second {
+				whole = append(whole, l)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for l := time.Duration(0); l < end; l += time.Duration(rng.Int63n(int64(3 * time.Second))) {
+				random = append(random, l)
+			}
+			// A limit equal to an arrival's At leaves that arrival for a
+			// later pull; the same limit again returns nothing new.
+			for i := 0; i < len(want); i += len(want)/97 + 1 {
+				arrivals = append(arrivals, want[i].At, want[i].At)
+			}
+			for name, limits := range map[string][]time.Duration{
+				"whole seconds":           whole,
+				"random limits":           random,
+				"arrival instants, twice": arrivals,
+			} {
+				limits = append(limits, end+time.Hour, end+time.Hour)
+				g := NewWebGen(cfg)
+				var got []Request
+				for _, limit := range limits {
+					got = g.Next(got, limit)
+					if n := sort.Search(len(want), func(i int) bool { return want[i].At >= limit }); len(got) != n {
+						t.Fatalf("%s seed %d, %s: %d arrivals before %v, want %d", tr.name, seed, name, len(got), limit, n)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s seed %d, %s: pulls differ from GenerateWeb", tr.name, seed, name)
+				}
+			}
+		}
+	}
+}
+
+var traceSink []Request
+
+func BenchmarkGenerateWeb(b *testing.B) {
+	for _, tr := range webTraces {
+		cfg := tr.cfg
+		cfg.Seed = 1
+		b.Run(tr.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				traceSink = GenerateWeb(cfg)
+			}
+		})
 	}
 }

@@ -47,6 +47,11 @@
 # sub-benchmark must stay at 0 allocs/op (docs/performance.md,
 # "Utilization report path").
 #
+# BenchmarkGenerateWeb (internal/workload) draws the whole web trace of
+# the fig11-stack and room64-batch workloads, the work online.Run moves
+# onto its producer goroutine (docs/performance.md, "Run-ahead
+# workload").
+#
 # Benchmarks run with -benchmem, so B/op and allocs/op land in each
 # entry's metrics; scripts/bench_diff.sh uses allocs/op to flag hot
 # paths that were allocation-free and have started allocating.
