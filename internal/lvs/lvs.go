@@ -44,15 +44,29 @@ type server struct {
 // request path (AssignIndex, DoneIndex) addresses servers by index;
 // names are for the control plane, which resolves them through one map
 // lookup per call.
+//
+// Each server has a cached scheduling key: active/weight while it may
+// take a request, +Inf while it may not (quiesced, zero weight, at its
+// connection cap, removed). The keys are the leaves of a tournament
+// tree whose root is the least key, ties going to the lower index, so
+// a pick reads the root and a change to one server re-keys one
+// leaf-to-root path.
 type Balancer struct {
 	mu      sync.Mutex
 	index   map[string]int
 	servers []server
-	// keys[i] is server i's scheduling key: active/weight while it may
-	// take a request, +Inf while it may not (quiesced, zero weight, at
-	// its connection cap, removed). Only the server an operation
-	// touched is re-keyed, so a pick is one scan over contiguous floats.
-	keys []float64
+	// tree is a 1-based min-tree: node p's children are 2p and 2p+1,
+	// and server i's key is leaf size+i. Leaves past the last server
+	// hold +Inf. size is a power of two, at least len(servers).
+	tree []node
+	size int
+}
+
+// node is one tournament-tree entry: the least key below it and the
+// server holding that key.
+type node struct {
+	key float64
+	idx int32
 }
 
 // New creates an empty balancer.
@@ -60,7 +74,8 @@ func New() *Balancer {
 	return &Balancer{index: map[string]int{}}
 }
 
-// AddServer registers a server with the given weight (must be > 0).
+// AddServer registers a server with the given weight (must be > 0 and
+// finite).
 func (b *Balancer) AddServer(name string, weight float64) error {
 	if name == "" {
 		return fmt.Errorf("lvs: empty server name")
@@ -68,15 +83,46 @@ func (b *Balancer) AddServer(name string, weight float64) error {
 	if weight <= 0 {
 		return fmt.Errorf("lvs: server %q needs positive weight, got %v", name, weight)
 	}
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return fmt.Errorf("lvs: server %q needs a finite weight, got %v", name, weight)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, dup := b.index[name]; dup {
 		return fmt.Errorf("lvs: server %q already registered", name)
 	}
-	b.index[name] = len(b.servers)
+	i := len(b.servers)
+	b.index[name] = i
 	b.servers = append(b.servers, server{name: name, weight: weight})
-	b.keys = append(b.keys, 0)
+	if i == b.size {
+		b.grow()
+	}
+	b.rekey(i)
 	return nil
+}
+
+// grow doubles the tree's leaf count and rebuilds it from the servers'
+// current keys.
+func (b *Balancer) grow() {
+	size := max(1, 2*b.size)
+	tree := make([]node, 2*size)
+	for i := range size {
+		tree[size+i] = node{key: math.Inf(1), idx: int32(i)}
+	}
+	copy(tree[size:], b.tree[b.size:])
+	for p := size - 1; p >= 1; p-- {
+		tree[p] = least(tree[2*p], tree[2*p+1])
+	}
+	b.tree, b.size = tree, size
+}
+
+// least is the tournament rule: the right child wins only with a
+// strictly smaller key, so equal keys go to the lower index.
+func least(l, r node) node {
+	if r.key < l.key {
+		return r
+	}
+	return l
 }
 
 // RemoveServer unregisters a server entirely. Its index is retired,
@@ -112,23 +158,36 @@ func (b *Balancer) lookup(name string) (int, error) {
 }
 
 // rekey recomputes server i's scheduling key after a change to
-// anything the key depends on.
+// anything the key depends on, and replays the tournament from its
+// leaf up to the first node whose winner does not change.
 func (b *Balancer) rekey(i int) {
 	s := &b.servers[i]
-	if s.removed || s.quiesced || s.weight <= 0 || (s.connCap > 0 && s.active >= s.connCap) {
-		b.keys[i] = math.Inf(1)
-		return
+	k := math.Inf(1)
+	if !s.removed && !s.quiesced && s.weight > 0 && (s.connCap == 0 || s.active < s.connCap) {
+		k = float64(s.active) / s.weight
+		if k > math.MaxFloat64 {
+			k = math.MaxFloat64 // an overflowed ratio is still eligible
+		}
 	}
-	k := float64(s.active) / s.weight
-	if k > math.MaxFloat64 {
-		k = math.MaxFloat64 // an overflowed ratio is still eligible
+	t := b.tree
+	p := b.size + i
+	t[p].key = k
+	for p > 1 {
+		w := least(t[p&^1], t[p|1])
+		p >>= 1
+		if t[p] == w {
+			return
+		}
+		t[p] = w
 	}
-	b.keys[i] = k
 }
 
 // SetWeight changes a server's scheduling weight. Weight 0 stops new
 // assignments (LVS semantics) without dropping existing connections.
 func (b *Balancer) SetWeight(name string, weight float64) error {
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return fmt.Errorf("lvs: server %q needs a finite weight, got %v", name, weight)
+	}
 	if weight < 0 {
 		return fmt.Errorf("lvs: negative weight %v", weight)
 	}
@@ -276,18 +335,18 @@ func (b *Balancer) AssignIndex(class string) (int, error) {
 	return b.assign(class)
 }
 
-// assign scans the keys for the first strict minimum, so ties go to
-// the earliest-registered server. The class-block map is consulted
-// only for a server that would otherwise take the lead.
+// assign takes the tree's root: the least key, ties going to the
+// earliest-registered server. Only when that server blocks the class
+// does it fall back to scan.
 func (b *Balancer) assign(class string) (int, error) {
-	best, bestKey := -1, math.Inf(1)
-	for i, k := range b.keys {
-		if k < bestKey && !b.servers[i].blocked[class] {
-			best, bestKey = i, k
-		}
-	}
-	if best < 0 {
+	if b.size == 0 || math.IsInf(b.tree[1].key, 1) {
 		return 0, ErrNoServer
+	}
+	best := int(b.tree[1].idx)
+	if b.servers[best].blocked[class] {
+		if best = b.scan(class); best < 0 {
+			return 0, ErrNoServer
+		}
 	}
 	s := &b.servers[best]
 	s.active++
@@ -297,6 +356,19 @@ func (b *Balancer) assign(class string) (int, error) {
 	}
 	b.rekey(best)
 	return best, nil
+}
+
+// scan returns the first strict minimum among the servers that accept
+// class, or -1 if none is eligible. The class-block map is consulted
+// only for a server that would otherwise take the lead.
+func (b *Balancer) scan(class string) int {
+	best, bestKey := -1, math.Inf(1)
+	for i, leaf := range b.tree[b.size : b.size+len(b.servers)] {
+		if leaf.key < bestKey && !b.servers[i].blocked[class] {
+			best, bestKey = i, leaf.key
+		}
+	}
+	return best
 }
 
 // SetClassBlocked marks a request class as refused (or accepted again)
@@ -361,26 +433,34 @@ func (b *Balancer) Done(name string) error {
 	if err != nil {
 		return err
 	}
-	return b.done(i)
+	return b.done(i, 1)
 }
 
-// DoneIndex is Done for a server addressed by index.
-func (b *Balancer) DoneIndex(i int) error {
+// DoneIndex releases n connections (n >= 1) on a server addressed by
+// index, as n calls of Done would: if fewer than n are active it
+// releases them all and reports that the server has none left. A
+// release never raises the peak, so a caller that makes no assignment
+// between completions may release them in one call.
+func (b *Balancer) DoneIndex(i, n int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if i < 0 || i >= len(b.servers) || b.servers[i].removed {
 		return fmt.Errorf("lvs: unknown server index %d", i)
 	}
-	return b.done(i)
+	if n < 1 {
+		return fmt.Errorf("lvs: release count %d, want at least 1", n)
+	}
+	return b.done(i, n)
 }
 
-func (b *Balancer) done(i int) error {
+func (b *Balancer) done(i, n int) error {
 	s := &b.servers[i]
-	if s.active <= 0 {
+	released := min(n, s.active)
+	s.active -= released
+	b.rekey(i)
+	if released < n {
 		return fmt.Errorf("lvs: server %q has no active connections", s.name)
 	}
-	s.active--
-	b.rekey(i)
 	return nil
 }
 

@@ -3,6 +3,8 @@ package lvs
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -42,6 +44,58 @@ func TestAddRemove(t *testing.T) {
 	}
 	if len(b.Servers()) != 0 {
 		t.Error("server not removed")
+	}
+}
+
+// Non-finite weights would turn TotalWeight, and every key the
+// tournament compares, into NaN; both registration and reweighting
+// refuse them, naming the server, and leave the balancer as it was.
+func TestNonFiniteWeightsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		what, name string // name is the server the error must mention
+		call       func(b *Balancer) error
+	}{
+		{"AddServer NaN", "a", func(b *Balancer) error { return b.AddServer("a", nan) }},
+		{"AddServer +Inf", "a", func(b *Balancer) error { return b.AddServer("a", inf) }},
+		{"AddServer -Inf", "a", func(b *Balancer) error { return b.AddServer("a", -inf) }},
+		{"SetWeight NaN", "b", func(b *Balancer) error { return b.SetWeight("b", nan) }},
+		{"SetWeight +Inf", "b", func(b *Balancer) error { return b.SetWeight("b", inf) }},
+		{"SetWeight -Inf", "b", func(b *Balancer) error { return b.SetWeight("b", -inf) }},
+	} {
+		b := newB(t, "b")
+		if err := tc.call(b); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.name)) {
+			t.Errorf("%s: error %v, want one naming %q", tc.what, err, tc.name)
+		}
+		if got := b.TotalWeight(); got != 1 {
+			t.Errorf("%s: TotalWeight = %v, want 1", tc.what, got)
+		}
+		if got := b.Servers(); len(got) != 1 {
+			t.Errorf("%s: Servers = %v, want [b]", tc.what, got)
+		}
+		if name, err := b.Assign(); name != "b" || err != nil {
+			t.Errorf("%s: Assign = %q, %v, want b", tc.what, name, err)
+		}
+	}
+}
+
+func TestEmptyBalancerHasNoServer(t *testing.T) {
+	b := New()
+	if _, err := b.Assign(); !errors.Is(err, ErrNoServer) {
+		t.Errorf("Assign on an empty balancer: %v, want ErrNoServer", err)
+	}
+	if _, err := b.AssignIndex("dynamic"); !errors.Is(err, ErrNoServer) {
+		t.Errorf("AssignIndex on an empty balancer: %v, want ErrNoServer", err)
+	}
+	if err := b.DoneIndex(0, 1); err == nil {
+		t.Error("DoneIndex on an empty balancer: want error")
+	}
+	b = newB(t, "s1")
+	if err := b.RemoveServer("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Assign(); !errors.Is(err, ErrNoServer) {
+		t.Errorf("Assign after removing every server: %v, want ErrNoServer", err)
 	}
 }
 
@@ -271,38 +325,42 @@ func loaded(tb testing.TB, n int) *Balancer {
 		}
 	}
 	for i := 0; i < n; i += 3 {
-		if err := b.DoneIndex(i); err != nil {
+		if err := b.DoneIndex(i, 1); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return b
 }
 
+// Both picks, the tree's root and the scan behind a blocked leader,
+// and both forms of each call must not allocate.
 func TestAssignDoneDoNotAllocate(t *testing.T) {
 	b := loaded(t, 64)
 	if err := b.SetClassBlocked("machine1", "dynamic", true); err != nil {
 		t.Fatal(err)
 	}
-	byName := testing.AllocsPerRun(1000, func() {
-		name, err := b.AssignClass("dynamic")
-		if err != nil {
-			t.Fatal(err)
+	for _, class := range []string{"static", "dynamic"} {
+		byName := testing.AllocsPerRun(1000, func() {
+			name, err := b.AssignClass(class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Done(name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		byIndex := testing.AllocsPerRun(1000, func() {
+			i, err := b.AssignIndex(class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.DoneIndex(i, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if byName != 0 || byIndex != 0 {
+			t.Errorf("%s: allocations per assign+done: %v by name, %v by index, want 0", class, byName, byIndex)
 		}
-		if err := b.Done(name); err != nil {
-			t.Fatal(err)
-		}
-	})
-	byIndex := testing.AllocsPerRun(1000, func() {
-		i, err := b.AssignIndex("dynamic")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.DoneIndex(i); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if byName != 0 || byIndex != 0 {
-		t.Errorf("allocations per assign+done: %v by name, %v by index, want 0", byName, byIndex)
 	}
 }
 
@@ -317,11 +375,14 @@ func TestIndexIsStableAcrossRemoval(t *testing.T) {
 	if _, ok := b.Index("s2"); ok {
 		t.Error("removed server still has an index")
 	}
-	if err := b.DoneIndex(1); err == nil {
+	if err := b.DoneIndex(1, 1); err == nil {
 		t.Error("DoneIndex on a removed server: want error")
 	}
-	if err := b.DoneIndex(3); err == nil {
+	if err := b.DoneIndex(3, 1); err == nil {
 		t.Error("DoneIndex out of range: want error")
+	}
+	if err := b.DoneIndex(0, 0); err == nil {
+		t.Error("DoneIndex releasing 0 connections: want error")
 	}
 	for n := 0; n < 4; n++ {
 		if i, err := b.AssignIndex(""); err != nil || i == 1 {
@@ -340,7 +401,9 @@ func TestIndexIsStableAcrossRemoval(t *testing.T) {
 // BenchmarkAssignDone is the balancer's layer benchmark: one request
 // assigned and released, through the name-based calls the control
 // plane and the whole-stack benchmark use and through the index-based
-// calls webcluster.TickSecond uses.
+// calls webcluster.TickSecond uses. The blocked-leader variant prices
+// the scan a pick falls back to when the least-loaded server refuses
+// the request's class (Freon's content-aware stage).
 func BenchmarkAssignDone(b *testing.B) {
 	for _, n := range []int{4, 64, 1024} {
 		b.Run(fmt.Sprintf("servers=%d/by=name", n), func(b *testing.B) {
@@ -358,8 +421,20 @@ func BenchmarkAssignDone(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s, _ := bal.AssignIndex("dynamic")
-				_ = bal.DoneIndex(s)
+				_ = bal.DoneIndex(s, 1)
 			}
 		})
 	}
+	b.Run("servers=64/blocked-leader", func(b *testing.B) {
+		bal := loaded(b, 64)
+		if err := bal.SetClassBlocked("machine1", "dynamic", true); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s, _ := bal.AssignIndex("dynamic")
+			_ = bal.DoneIndex(s, 1)
+		}
+	})
 }

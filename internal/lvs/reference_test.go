@@ -1,6 +1,7 @@
 package lvs
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -202,109 +203,213 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		for i := range pool {
 			pool[i] = fmt.Sprintf("s%d", i)
 		}
-		weights := []float64{0, 0.25, 0.5, 1, 1, 1, 1.5, 2, 3}
-		classes := []string{"", "dynamic", "static"}
 		for _, n := range pool[:12] {
 			if g, w := got.AddServer(n, 1), want.AddServer(n, 1); !sameErr(g, w) {
 				t.Fatalf("seed %d: AddServer(%s): %v vs reference %v", seed, n, g, w)
 			}
 		}
-		picks := 0
-		for op := 0; op < ops; op++ {
-			name := pool[rng.Intn(len(pool))]
-			var g, w error
-			what := ""
-			switch r := rng.Intn(1000); {
-			case r < 420:
-				class := classes[rng.Intn(len(classes))]
-				what = "Assign(" + class + ")"
-				var gn, wn string
-				wn, w = want.AssignClass(class)
-				if op%2 == 0 {
-					gn, g = got.AssignClass(class)
-				} else {
-					var gi int
-					if gi, g = got.AssignIndex(class); g == nil {
-						if wi, ok := got.Index(wn); !ok || wi != gi {
-							t.Fatalf("seed %d op %d: AssignIndex picked %d, reference %q has index %d (%v)", seed, op, gi, wn, wi, ok)
-						}
-						gn = wn
-					}
-				}
-				if gn != wn {
-					t.Fatalf("seed %d op %d: %s picked %q, reference %q", seed, op, what, gn, wn)
-				}
-				if w == nil {
-					picks++
-				}
-			case r < 800:
-				what = "Done(" + name + ")"
-				w = want.Done(name)
-				if i, ok := got.Index(name); ok && op%2 == 1 {
-					g = got.DoneIndex(i)
-				} else {
-					g = got.Done(name)
-				}
-			case r < 850:
-				wt := weights[rng.Intn(len(weights))]
-				if rng.Intn(20) == 0 {
-					wt = -1
-				}
-				what = fmt.Sprintf("SetWeight(%s, %v)", name, wt)
-				g, w = got.SetWeight(name, wt), want.SetWeight(name, wt)
-			case r < 890:
-				limit := rng.Intn(6) - 1 // -1 is rejected, 0 lifts the cap
-				what = fmt.Sprintf("SetConnLimit(%s, %d)", name, limit)
-				g, w = got.SetConnLimit(name, limit), want.SetConnLimit(name, limit)
-			case r < 910:
-				what = "Quiesce(" + name + ")"
-				g, w = got.Quiesce(name), want.setQuiesced(name, true)
-			case r < 930:
-				what = "Resume(" + name + ")"
-				g, w = got.Resume(name), want.setQuiesced(name, false)
-			case r < 960:
-				class, blocked := classes[rng.Intn(len(classes))], rng.Intn(2) == 0
-				what = fmt.Sprintf("SetClassBlocked(%s, %q, %v)", name, class, blocked)
-				g, w = got.SetClassBlocked(name, class, blocked), want.SetClassBlocked(name, class, blocked)
-			case r < 975:
-				wt := weights[rng.Intn(len(weights))]
-				what = fmt.Sprintf("AddServer(%s, %v)", name, wt)
-				g, w = got.AddServer(name, wt), want.AddServer(name, wt)
-			case r < 980:
-				what = "RemoveServer(" + name + ")"
-				g, w = got.RemoveServer(name), want.RemoveServer(name)
-			default:
-				what = "counters(" + name + ")"
-				gp, ge := got.TakePeakConns(name)
-				wp, we := want.TakePeakConns(name)
-				g, w = ge, we
-				if gp != wp {
-					t.Fatalf("seed %d op %d: TakePeakConns(%s) = %d, reference %d", seed, op, name, gp, wp)
-				}
-				if ws, ok := want.servers[name]; ok {
-					if a, _ := got.ActiveConns(name); a != ws.active {
-						t.Fatalf("seed %d op %d: ActiveConns(%s) = %d, reference %d", seed, op, name, a, ws.active)
-					}
-					if a, _ := got.Assigned(name); a != ws.assigned {
-						t.Fatalf("seed %d op %d: Assigned(%s) = %d, reference %d", seed, op, name, a, ws.assigned)
-					}
-				}
-				if gw, ww := got.TotalWeight(), want.TotalWeight(); gw != ww {
-					t.Fatalf("seed %d op %d: TotalWeight = %v, reference %v", seed, op, gw, ww)
-				}
-			}
-			if !sameErr(g, w) {
-				t.Fatalf("seed %d op %d: %s: error %v, reference %v", seed, op, what, g, w)
-			}
-		}
-		if gs := got.Servers(); fmt.Sprint(gs) != fmt.Sprint(want.order) {
-			t.Fatalf("seed %d: Servers = %v, reference %v", seed, gs, want.order)
-		}
+		label := fmt.Sprintf("seed %d", seed)
+		picks := drive(t, label, rng, got, want, pool, ops)
 		// A stream that mostly fails to assign would prove little.
 		if picks < ops/4 {
-			t.Fatalf("seed %d: only %d successful picks in %d ops", seed, picks, ops)
+			t.Fatalf("%s: only %d successful picks in %d ops", label, picks, ops)
 		}
 	}
+}
+
+// TestTreeSizesAgainstReference runs the same operation stream on
+// balancers whose server count lands on, just past and well beyond
+// powers of two, so the tree is grown and rebuilt under every shape
+// and its padding leaves sit next to live ones. Each balancer is
+// grown one AddServer at a time, with a server removed each time the
+// count reaches a power of two.
+func TestTreeSizesAgainstReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 5, 64, 65, 1024} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		got, want := New(), newRef()
+		pool := make([]string, n+4) // four names start unregistered
+		for i := range pool {
+			pool[i] = fmt.Sprintf("s%d", i)
+		}
+		label := fmt.Sprintf("servers=%d", n)
+		for i, name := range pool[:n] {
+			if g, w := got.AddServer(name, 1), want.AddServer(name, 1); !sameErr(g, w) {
+				t.Fatalf("%s: AddServer(%s): %v vs reference %v", label, name, g, w)
+			}
+			if k := i + 1; k&(k-1) == 0 {
+				victim := pool[rng.Intn(k)]
+				if g, w := got.RemoveServer(victim), want.RemoveServer(victim); !sameErr(g, w) {
+					t.Fatalf("%s: RemoveServer(%s): %v vs reference %v", label, victim, g, w)
+				}
+			}
+		}
+		drive(t, label, rng, got, want, pool, 20_000)
+	}
+}
+
+// drive applies ops seeded operations to both balancers, failing on
+// the first pick, error or counter that differs, then compares every
+// live server's counters. It returns the number of successful picks.
+func drive(t *testing.T, label string, rng *rand.Rand, got *Balancer, want *refBalancer, pool []string, ops int) (picks int) {
+	t.Helper()
+	weights := []float64{0, 0.25, 0.5, 1, 1, 1, 1.5, 2, 3}
+	classes := []string{"", "dynamic", "static"}
+	for op := 0; op < ops; op++ {
+		name := pool[rng.Intn(len(pool))]
+		var g, w error
+		what := ""
+		switch r := rng.Intn(1000); {
+		case r < 420:
+			class := classes[rng.Intn(len(classes))]
+			what = "Assign(" + class + ")"
+			var gn, wn string
+			wn, w = want.AssignClass(class)
+			if op%2 == 0 {
+				gn, g = got.AssignClass(class)
+			} else {
+				var gi int
+				if gi, g = got.AssignIndex(class); g == nil {
+					if wi, ok := got.Index(wn); !ok || wi != gi {
+						t.Fatalf("%s op %d: AssignIndex picked %d, reference %q has index %d (%v)", label, op, gi, wn, wi, ok)
+					}
+					gn = wn
+				}
+			}
+			if gn != wn {
+				t.Fatalf("%s op %d: %s picked %q, reference %q", label, op, what, gn, wn)
+			}
+			if w == nil {
+				picks++
+			}
+		case r < 800:
+			// DoneIndex(i, n) must equal n reference Dones, stopping at
+			// the first error: n sometimes exceeds the active count.
+			n := 1
+			if op%2 == 1 {
+				n = 1 + rng.Intn(3)
+			}
+			what = fmt.Sprintf("Done(%s) x%d", name, n)
+			for k := 0; k < n && w == nil; k++ {
+				w = want.Done(name)
+			}
+			if i, ok := got.Index(name); ok && op%2 == 1 {
+				g = got.DoneIndex(i, n)
+			} else {
+				g = got.Done(name)
+			}
+		case r < 850:
+			wt := weights[rng.Intn(len(weights))]
+			if rng.Intn(20) == 0 {
+				wt = -1
+			}
+			what = fmt.Sprintf("SetWeight(%s, %v)", name, wt)
+			g, w = got.SetWeight(name, wt), want.SetWeight(name, wt)
+		case r < 890:
+			limit := rng.Intn(6) - 1 // -1 is rejected, 0 lifts the cap
+			what = fmt.Sprintf("SetConnLimit(%s, %d)", name, limit)
+			g, w = got.SetConnLimit(name, limit), want.SetConnLimit(name, limit)
+		case r < 910:
+			what = "Quiesce(" + name + ")"
+			g, w = got.Quiesce(name), want.setQuiesced(name, true)
+		case r < 930:
+			what = "Resume(" + name + ")"
+			g, w = got.Resume(name), want.setQuiesced(name, false)
+		case r < 960:
+			class, blocked := classes[rng.Intn(len(classes))], rng.Intn(2) == 0
+			what = fmt.Sprintf("SetClassBlocked(%s, %q, %v)", name, class, blocked)
+			g, w = got.SetClassBlocked(name, class, blocked), want.SetClassBlocked(name, class, blocked)
+		case r < 975:
+			wt := weights[rng.Intn(len(weights))]
+			what = fmt.Sprintf("AddServer(%s, %v)", name, wt)
+			g, w = got.AddServer(name, wt), want.AddServer(name, wt)
+		case r < 980:
+			what = "RemoveServer(" + name + ")"
+			g, w = got.RemoveServer(name), want.RemoveServer(name)
+		default:
+			what = "counters(" + name + ")"
+			gp, ge := got.TakePeakConns(name)
+			wp, we := want.TakePeakConns(name)
+			g, w = ge, we
+			if gp != wp {
+				t.Fatalf("%s op %d: TakePeakConns(%s) = %d, reference %d", label, op, name, gp, wp)
+			}
+			if ws, ok := want.servers[name]; ok {
+				sameCounters(t, fmt.Sprintf("%s op %d", label, op), got, ws)
+			}
+			if gw, ww := got.TotalWeight(), want.TotalWeight(); gw != ww {
+				t.Fatalf("%s op %d: TotalWeight = %v, reference %v", label, op, gw, ww)
+			}
+		}
+		if !sameErr(g, w) {
+			t.Fatalf("%s op %d: %s: error %v, reference %v", label, op, what, g, w)
+		}
+	}
+	if gs := got.Servers(); fmt.Sprint(gs) != fmt.Sprint(want.order) {
+		t.Fatalf("%s: Servers = %v, reference %v", label, gs, want.order)
+	}
+	for _, name := range want.order {
+		ws := want.servers[name]
+		sameCounters(t, label+" end", got, ws)
+		gp, _ := got.TakePeakConns(name)
+		if wp, _ := want.TakePeakConns(name); gp != wp {
+			t.Fatalf("%s end: TakePeakConns(%s) = %d, reference %d", label, name, gp, wp)
+		}
+	}
+	return picks
+}
+
+func sameCounters(t *testing.T, at string, got *Balancer, ws *refServer) {
+	t.Helper()
+	if a, _ := got.ActiveConns(ws.name); a != ws.active {
+		t.Fatalf("%s: ActiveConns(%s) = %d, reference %d", at, ws.name, a, ws.active)
+	}
+	if a, _ := got.Assigned(ws.name); a != ws.assigned {
+		t.Fatalf("%s: Assigned(%s) = %d, reference %d", at, ws.name, a, ws.assigned)
+	}
+}
+
+// A leader that blocks the request's class sends the pick to the
+// fallback scan, which must choose what the reference chooses: the
+// least key among servers that accept the class, or none.
+func TestBlockedLeaderFallsBack(t *testing.T) {
+	got, want := New(), newRef()
+	both := func(g, w error) {
+		t.Helper()
+		if g != nil || w != nil {
+			t.Fatal(g, w)
+		}
+	}
+	pick := func(class, wantName string, wantErr error) {
+		t.Helper()
+		g, gerr := got.AssignClass(class)
+		w, werr := want.AssignClass(class)
+		if g != w || !sameErr(gerr, werr) {
+			t.Fatalf("AssignClass(%q) = %q (%v), reference %q (%v)", class, g, gerr, w, werr)
+		}
+		if g != wantName || !errors.Is(gerr, wantErr) {
+			t.Fatalf("AssignClass(%q) = %q (%v), want %q (%v)", class, g, gerr, wantName, wantErr)
+		}
+	}
+	servers := []string{"s1", "s2", "s3", "s4"}
+	for _, n := range servers {
+		both(got.AddServer(n, 1), want.AddServer(n, 1))
+	}
+	for _, n := range servers {
+		pick("", n, nil) // one connection each
+	}
+	both(got.Done("s1"), want.Done("s1"))
+	both(got.Done("s3"), want.Done("s3"))
+	both(got.SetClassBlocked("s1", "dynamic", true), want.SetClassBlocked("s1", "dynamic", true))
+	// s1 leads with no connections but blocks dynamic: the scan must
+	// pick s3, the other idle server, over s2 before it.
+	pick("dynamic", "s3", nil)
+	pick("", "s1", nil) // the empty class still takes the leader
+	// With s2-s4 at their caps, dynamic has nowhere to go.
+	for _, n := range servers[1:] {
+		both(got.SetConnLimit(n, 1), want.SetConnLimit(n, 1))
+	}
+	both(got.Done("s1"), want.Done("s1"))
+	pick("dynamic", "", ErrNoServer)
 }
 
 // A weight small enough that active/weight overflows must leave the

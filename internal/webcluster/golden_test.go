@@ -24,14 +24,18 @@ func roomNames(n int) []string {
 // reaches every branch of TickSecond — an unquiesced power-off (every
 // pick refused), a quiesced one, throttled servers whose queues fill
 // to QueueCap and carry over, a connection cap, a blocked class — and
-// hashes every field of every Tick in machine order.
-func goldenRun(t *testing.T) (hash uint64, totals Totals, peakConns int) {
+// hashes every field of every Tick in machine order. after, if not
+// nil, is called after every TickSecond and every SetPower.
+func goldenRun(t *testing.T, after func(c *Cluster, at string)) (hash uint64, totals Totals, peakConns int) {
 	t.Helper()
 	names := roomNames(64)
 	bal := lvs.New()
 	c, err := New(bal, names, Config{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if after == nil {
+		after = func(*Cluster, string) {}
 	}
 	reqs := workload.GenerateWeb(workload.WebConfig{
 		Duration:    150 * time.Second,
@@ -45,6 +49,11 @@ func goldenRun(t *testing.T) (hash uint64, totals Totals, peakConns int) {
 			t.Fatal(err)
 		}
 	}
+	power := func(sec int, m string, on bool) {
+		t.Helper()
+		must(c.SetPower(m, on))
+		after(c, fmt.Sprintf("second %d, SetPower(%s, %v)", sec, m, on))
+	}
 	h := fnv.New64a()
 	var word [8]byte
 	put := func(v uint64) {
@@ -55,7 +64,7 @@ func goldenRun(t *testing.T) (hash uint64, totals Totals, peakConns int) {
 	for sec := 0; sec < 150; sec++ {
 		switch sec {
 		case 30:
-			must(c.SetPower("machine5", false))
+			power(sec, "machine5", false)
 			must(c.SetSpeed("machine9", 0.5))
 			must(bal.SetWeight("machine2", 0.5))
 			must(bal.SetConnLimit("machine3", 4))
@@ -67,9 +76,9 @@ func goldenRun(t *testing.T) (hash uint64, totals Totals, peakConns int) {
 				must(c.SetSpeed(names[i], 0.4))
 			}
 		case 90:
-			must(c.SetPower("machine5", true))
+			power(sec, "machine5", true)
 			must(bal.Resume("machine5"))
-			must(c.SetPower("machine20", false))
+			power(sec, "machine20", false)
 			must(bal.Quiesce("machine20"))
 		case 110:
 			for i := 10; i <= 40; i++ {
@@ -82,6 +91,7 @@ func goldenRun(t *testing.T) (hash uint64, totals Totals, peakConns int) {
 			idx++
 		}
 		tick := c.TickSecond(reqs[first:idx])
+		after(c, fmt.Sprintf("second %d, TickSecond", sec))
 		put(uint64(tick.Arrived))
 		put(uint64(tick.Dropped))
 		put(uint64(tick.Completed))
@@ -113,13 +123,32 @@ func goldenRun(t *testing.T) (hash uint64, totals Totals, peakConns int) {
 // before the request path became index-addressed).
 func TestTickGolden(t *testing.T) {
 	const want = uint64(0xd32c1de9fa151670)
-	hash, totals, peakConns := goldenRun(t)
+	hash, totals, peakConns := goldenRun(t, nil)
 	if totals.Dropped == 0 || totals.Completed == 0 || peakConns < 190 {
 		t.Errorf("trace no longer covers drops and full queues: %+v, peak conns %d", totals, peakConns)
 	}
 	if hash != want {
 		t.Errorf("tick hash = %#x, want %#x", hash, want)
 	}
+}
+
+// TestBalancerMatchesQueues holds the invariant that lets TickSecond
+// release a slot's completions in one call and SetPower a dropped
+// queue in one call: between ticks and power changes, the balancer's
+// active count for every server is that server's queue length.
+func TestBalancerMatchesQueues(t *testing.T) {
+	goldenRun(t, func(c *Cluster, at string) {
+		t.Helper()
+		for _, m := range c.Machines() {
+			active, err := c.Balancer().ActiveConns(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if queued, _ := c.Conns(m); active != queued {
+				t.Fatalf("%s: balancer has %d active on %s, queue holds %d", at, active, m, queued)
+			}
+		}
+	})
 }
 
 // steadySecond is one second of evenly spaced arrivals loading n
@@ -164,7 +193,7 @@ func TestTickSecondAllocatesOnlyItsResult(t *testing.T) {
 }
 
 func BenchmarkTickSecond(b *testing.B) {
-	for _, n := range []int{4, 64} {
+	for _, n := range []int{4, 64, 1024} {
 		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
 			c, err := New(lvs.New(), roomNames(n), Config{})
 			if err != nil {

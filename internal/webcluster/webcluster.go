@@ -254,9 +254,11 @@ func (c *Cluster) SetPower(name string, on bool) error {
 	}
 	s.on = on
 	if !on {
-		for n := s.conns(); n > 0; n-- {
-			_ = c.bal.Done(name)
-			c.totals.Dropped++
+		if n := s.conns(); n > 0 {
+			// The balancer holds one connection per queued request, so
+			// releasing the whole queue cannot fail.
+			_ = c.bal.DoneIndex(c.index[name], n)
+			c.totals.Dropped += uint64(n)
 		}
 		s.queue, s.head = s.queue[:0], 0
 		s.disk = 0
@@ -285,7 +287,9 @@ func (c *Cluster) Totals() Totals { return c.totals }
 // SlotsPerSecond service sub-slots: each arrival is assigned through
 // the balancer in its arrival sub-slot, and every powered server then
 // executes that slot's share of CPU and disk service, releasing
-// completed connections at the slot boundary.
+// completed connections at the slot boundary. No assignment happens
+// while servers serve, so each server's completions in a slot are
+// released in one call.
 func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 	tick := Tick{PerServer: make(map[string]ServerTick, len(c.servers))}
 	for i := range c.servers {
@@ -303,6 +307,8 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 		}
 		return s
 	}
+	static := pending{cpuLeft: c.cfg.StaticCPU.Seconds(), disk: c.cfg.StaticDisk.Seconds()}
+	dynamic := pending{cpuLeft: c.cfg.DynamicCPU.Seconds(), dynamic: true}
 
 	idx := 0
 	for slot := 0; slot < slots; slot++ {
@@ -327,15 +333,15 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 				// Powered-off servers should be quiesced or
 				// zero-weighted; if one is still picked, or the queue
 				// is full, refuse.
-				_ = c.bal.DoneIndex(i)
+				_ = c.bal.DoneIndex(i, 1)
 				tick.Dropped++
 				c.totals.Dropped++
 				s.tick.Dropped++
 				continue
 			}
-			p := pending{cpuLeft: c.cfg.StaticCPU.Seconds(), disk: c.cfg.StaticDisk.Seconds()}
+			p := static
 			if req.Dynamic {
-				p = pending{cpuLeft: c.cfg.DynamicCPU.Seconds(), dynamic: true}
+				p = dynamic
 			}
 			s.queue = append(s.queue, p)
 			s.tick.Assigned++
@@ -348,6 +354,7 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 				continue
 			}
 			budget := slotDur * s.speed
+			done := 0
 			for s.head < len(s.queue) && budget > 0 {
 				head := &s.queue[s.head]
 				if head.cpuLeft <= budget {
@@ -357,14 +364,17 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 						s.tick.CompletedDynamic++
 					}
 					s.head++
-					s.tick.Completed++
-					c.totals.Completed++
-					tick.Completed++
-					_ = c.bal.DoneIndex(i)
+					done++
 				} else {
 					head.cpuLeft -= budget
 					budget = 0
 				}
+			}
+			if done > 0 {
+				s.tick.Completed += done
+				c.totals.Completed += uint64(done)
+				tick.Completed += done
+				_ = c.bal.DoneIndex(i, done) // each completed request held a connection
 			}
 			s.busyCPU += (slotDur*s.speed - budget) / s.speed
 

@@ -34,10 +34,12 @@
 #
 # BenchmarkAssignDone (internal/lvs) and BenchmarkTickSecond
 # (internal/webcluster) are the request path's layer benchmarks: one
-# assign+done pair at 4/64/1024 servers, by name and by index, and one
-# emulated second of a 4- and a 64-machine cluster at the paper's 70 %
-# peak (docs/performance.md, "Request path"). AssignDone must stay at
-# 0 allocs/op; TickSecond allocates only the map it returns.
+# assign+done pair at 4/64/1024 servers, by name and by index, plus a
+# 64-server pick whose least-loaded server blocks the class (the
+# fallback scan), and one emulated second of a 4-, 64- and 1024-machine
+# cluster at the paper's 70 % peak (docs/performance.md, "Request path"
+# and "Least-connections pick"). AssignDone must stay at 0 allocs/op;
+# TickSecond allocates only the map it returns.
 #
 # BenchmarkUtilReportPath is the utilization report path's layer
 # benchmark: one interval's reports for a rack of 16 and of 96 machines
