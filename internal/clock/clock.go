@@ -21,10 +21,16 @@ type Clock interface {
 	// Sleep blocks until the clock has advanced by d.
 	Sleep(d time.Duration)
 	// After returns a channel that receives the clock's time once the
-	// clock has advanced by d. The channel is buffered: abandoning it
-	// (the udprpc retry loop does, when the reply wins the race) leaks
-	// nothing and blocks nobody.
+	// clock has advanced by d. The channel is buffered, so a receiver
+	// that loses interest blocks nobody; on a Virtual clock the waiter
+	// still stays queued until its deadline passes, so a timeout that
+	// is usually cancelled belongs in AfterFunc.
 	After(d time.Duration) <-chan time.Time
+	// AfterFunc calls f once the clock has advanced by d. stop cancels
+	// the call and reports whether it did; false means f has run or is
+	// running. A Virtual clock calls f on the goroutine that advances
+	// it, so f must be short and must not advance the clock.
+	AfterFunc(d time.Duration, f func()) (stop func() bool)
 	// NewTicker returns a ticker that fires every d on this clock.
 	// Like time.NewTicker, d must be positive.
 	NewTicker(d time.Duration) Ticker
@@ -51,6 +57,9 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+// AfterFunc implements Clock.
+func (Real) AfterFunc(d time.Duration, f func()) func() bool { return time.AfterFunc(d, f).Stop }
 
 // NewTicker implements Clock.
 func (Real) NewTicker(d time.Duration) Ticker { return realTicker{time.NewTicker(d)} }

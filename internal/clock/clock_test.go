@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -244,5 +245,67 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestRealAfterFunc(t *testing.T) {
+	fired := make(chan struct{})
+	Real{}.AfterFunc(time.Millisecond, func() { close(fired) })
+	select {
+	case <-fired:
+	case <-time.After(time.Second):
+		t.Fatal("Real.AfterFunc never fired")
+	}
+	stop := Real{}.AfterFunc(time.Hour, func() { t.Error("stopped func ran") })
+	if !stop() {
+		t.Error("stop of a pending func = false, want true")
+	}
+}
+
+// TestVirtualAfterFunc: callbacks run on the advancing goroutine in
+// (deadline, registration) order, interleaved with other waiters, and
+// a stopped one leaves the queue at once.
+func TestVirtualAfterFunc(t *testing.T) {
+	v := NewVirtual()
+	var order []string
+	v.AfterFunc(2*time.Second, func() { order = append(order, "b2") })
+	stopA := v.AfterFunc(2*time.Second, func() { order = append(order, "a2") })
+	after := v.After(time.Second)
+	v.AfterFunc(time.Second, func() {
+		order = append(order, "c1")
+		if v.Elapsed() != time.Second {
+			t.Errorf("c1 ran at %v, want 1s", v.Elapsed())
+		}
+	})
+	if v.Waiters() != 4 {
+		t.Fatalf("Waiters = %d, want 4", v.Waiters())
+	}
+	if !stopA() {
+		t.Error("stop of a queued func = false, want true")
+	}
+	if stopA() {
+		t.Error("second stop = true, want false")
+	}
+	if v.Waiters() != 3 {
+		t.Errorf("Waiters after stop = %d, want 3", v.Waiters())
+	}
+	v.Advance(3 * time.Second)
+	<-after
+	if got := strings.Join(order, ","); got != "c1,b2" {
+		t.Errorf("order = %s, want c1,b2", got)
+	}
+	if v.Waiters() != 0 {
+		t.Errorf("Waiters after firing = %d, want 0", v.Waiters())
+	}
+
+	stop := v.AfterFunc(time.Second, func() {})
+	v.Advance(time.Second)
+	if stop() {
+		t.Error("stop after the func ran = true, want false")
+	}
+	ran := false
+	v.AfterFunc(0, func() { ran = true })
+	if !ran {
+		t.Error("AfterFunc(0) should run f before returning")
 	}
 }

@@ -2,6 +2,7 @@ package clock
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,8 +19,9 @@ import (
 // Delivery semantics differ by waiter kind, deliberately:
 //
 //   - After/Sleep waiters get a buffered send. They are transient;
-//     a receiver that lost interest (udprpc's retry race) costs
-//     nothing.
+//     a receiver that lost interest costs nothing.
+//   - AfterFunc callbacks run on the advancing goroutine, in queue
+//     order, and can be cancelled before they are due.
 //   - Ticker fires are delivered synchronously: Advance blocks until
 //     the consuming daemon has received the tick (or the ticker is
 //     stopped). Virtual tickers therefore never coalesce or drop
@@ -46,7 +48,16 @@ type waiter struct {
 	deadline time.Time
 	seq      uint64
 	ch       chan time.Time // After/Sleep: buffered(1)
+	fn       func()         // AfterFunc callback when non-nil
 	tk       *vticker       // ticker waiter when non-nil
+}
+
+// before orders waiters by deadline, then by registration.
+func (w *waiter) before(o *waiter) bool {
+	if !w.deadline.Equal(o.deadline) {
+		return w.deadline.Before(o.deadline)
+	}
+	return w.seq < o.seq
 }
 
 // NewVirtual returns a virtual clock at a fixed epoch (the Unix zero
@@ -95,6 +106,34 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
+// AfterFunc implements Clock: Advance calls f when the deadline falls
+// inside its window, without holding the clock's lock. A non-positive
+// d calls f before AfterFunc returns. stop dequeues the waiter, so a
+// cancelled timeout leaves nothing behind in Waiters.
+func (v *Virtual) AfterFunc(d time.Duration, f func()) (stop func() bool) {
+	if d <= 0 {
+		f()
+		return func() bool { return false }
+	}
+	v.mu.Lock()
+	w := &waiter{deadline: v.now.Add(d), seq: v.seq, fn: f}
+	v.insertLocked(w)
+	v.mu.Unlock()
+	return func() bool { return v.remove(w) }
+}
+
+// remove dequeues w and reports whether it was still queued.
+func (v *Virtual) remove(w *waiter) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	i := sort.Search(len(v.waiters), func(i int) bool { return !v.waiters[i].before(w) })
+	if i == len(v.waiters) || v.waiters[i] != w {
+		return false
+	}
+	v.waiters = slices.Delete(v.waiters, i, i+1)
+	return true
+}
+
 // Sleep implements Clock: it blocks until the clock advances past the
 // deadline. Some other goroutine must be driving Advance (or a warp
 // pacer must be running), or Sleep blocks forever.
@@ -120,13 +159,7 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 // insertLocked queues w in (deadline, seq) order and bumps seq.
 func (v *Virtual) insertLocked(w *waiter) {
 	v.seq++
-	i := sort.Search(len(v.waiters), func(i int) bool {
-		o := v.waiters[i]
-		if !o.deadline.Equal(w.deadline) {
-			return o.deadline.After(w.deadline)
-		}
-		return o.seq > w.seq
-	})
+	i := sort.Search(len(v.waiters), func(i int) bool { return w.before(v.waiters[i]) })
 	v.waiters = append(v.waiters, nil)
 	copy(v.waiters[i+1:], v.waiters[i:])
 	v.waiters[i] = w
@@ -135,7 +168,8 @@ func (v *Virtual) insertLocked(w *waiter) {
 // Advance moves the clock forward by d, firing every waiter whose
 // deadline falls inside the window in deterministic order. Ticker
 // deliveries are synchronous (see the type comment); After deliveries
-// are buffered. Advance returns with the clock exactly d later.
+// are buffered; AfterFunc callbacks run here, in order. Advance
+// returns with the clock exactly d later.
 func (v *Virtual) Advance(d time.Duration) {
 	if d <= 0 {
 		return
@@ -158,9 +192,12 @@ func (v *Virtual) Advance(d time.Duration) {
 		}
 		v.mu.Unlock()
 
-		if w.tk == nil {
+		switch {
+		case w.fn != nil:
+			w.fn()
+		case w.tk == nil:
 			w.ch <- w.deadline
-		} else {
+		default:
 			select {
 			case w.tk.c <- w.deadline:
 				v.mu.Lock()

@@ -2,6 +2,7 @@ package fiddle
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/darklab/mercury/internal/clock"
@@ -11,8 +12,9 @@ import (
 )
 
 // Client sends fiddle operations to a remote solver daemon over UDP
-// and waits for acknowledgement.
+// and waits for acknowledgement. Concurrent Applies take turns.
 type Client struct {
+	mu  sync.Mutex // held from request to decoded reply
 	rpc *udprpc.Client
 }
 
@@ -38,6 +40,8 @@ func (c *Client) Apply(op *wire.FiddleOp) error {
 	if err != nil {
 		return err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	buf, err := c.rpc.Do(req)
 	if err != nil {
 		return fmt.Errorf("fiddle: %s: %w", wire.OpName(op.Op), err)

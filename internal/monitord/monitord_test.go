@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -328,5 +329,35 @@ func TestStateSnapshotFromSlice(t *testing.T) {
 	reg.WritePrometheus(&out)
 	if want := `mercury_monitor_utilization{machine="machine1",source="cpu"} 0.75`; !bytes.Contains(out.Bytes(), []byte(want)) {
 		t.Errorf("metrics lack %q:\n%s", want, out.String())
+	}
+}
+
+// TestSolverGoneCountsSendErrors: nothing reads the daemon's send-only
+// socket, so once the solver has gone away the refusal of one report
+// fails a later SampleOnce, and Errors counts it.
+func TestSolverGoneCountsSendErrors(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{Machine: "m", Sampler: procfs.NewSynthetic(model.UtilCPU), SolverAddr: conn.LocalAddr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.SampleOnce(); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	var sendErr error
+	for i := 0; i < 1000 && sendErr == nil; i++ {
+		time.Sleep(time.Millisecond)
+		sendErr = d.SampleOnce()
+	}
+	if !errors.Is(sendErr, syscall.ECONNREFUSED) {
+		t.Fatalf("SampleOnce after the solver went away = %v, want connection refused", sendErr)
+	}
+	if d.Errors() == 0 {
+		t.Error("refused send not counted in Errors")
 	}
 }

@@ -10,8 +10,9 @@
 // the virtual clock only supplies the stamps:
 //
 //	t = k+0.5   second k's fiddle ops and cluster tick
-//	t = k+1.0   SampleOnce on every monitord, then the one wait: until
-//	            every shard's UtilUpdates counts the reports applied
+//	t = k+1.0   SampleOnce on every monitord, then the one wait: the
+//	            harness parks in every shard's AwaitUtilUpdates until
+//	            the report that completes the second wakes it
 //	t = k+1.25  Tick on every shard in order, then the alert engine
 //	t = k+1.5   Freon's TickPoll and TickPeriod when due, poll first
 //
@@ -24,7 +25,6 @@ package online
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -49,6 +49,10 @@ import (
 	"github.com/darklab/mercury/internal/wire"
 	"github.com/darklab/mercury/internal/workload"
 )
+
+// utilGuard bounds, in real time, the wait for one second's
+// utilization reports: only a lost datagram takes that long.
+const utilGuard = 30 * time.Second
 
 // Fig11Script is the Section 5 emergency: at 480 s machine1's inlet
 // rises to 38.6 C and machine3's to 35.6 C for the rest of the run.
@@ -546,23 +550,18 @@ func Run(cfg Config) (*Result, error) {
 
 		// t -> sec+1.0: the monitords report the second's utilizations.
 		// A datagram inside the loopback socket is visible to nobody, so
-		// here alone the harness waits on a counter: every shard must
-		// have applied its own machines' reports.
+		// here alone the harness waits: it parks until every shard has
+		// applied its own machines' reports, woken by the last of them.
 		clk.Advance(500 * time.Millisecond)
 		for _, d := range mons {
 			if err := d.SampleOnce(); err != nil {
 				return nil, fmt.Errorf("online: emulated second %d: %w", sec, err)
 			}
 		}
-		if err := waitFor(sec, "utilization updates", func() bool {
-			for i, s := range servers {
-				if s.Stats().UtilUpdates.Load() < uint64(len(shardNames[i])*(sec+1)) {
-					return false
-				}
+		for i, s := range servers {
+			if err := s.AwaitUtilUpdates(uint64(len(shardNames[i])*(sec+1)), utilGuard); err != nil {
+				return nil, fmt.Errorf("online: timed out waiting for utilization updates at emulated second %d: %w", sec, err)
 			}
-			return true
-		}); err != nil {
-			return nil, err
 		}
 
 		// t -> sec+1.25: every shard consumes them and steps. Tick sec+1
@@ -710,29 +709,6 @@ func alertProbes(servers []*solverd.Server, names []string, comps []freon.Compon
 func wholeSeconds(field string, d time.Duration) error {
 	if d > 0 && d%time.Second != 0 {
 		return fmt.Errorf("online: %s = %v is not a whole multiple of the 1s lockstep tick", field, d)
-	}
-	return nil
-}
-
-// waitFor yields until cond holds: a short Gosched burst for the
-// common case where solverd finishes within microseconds, then
-// escalating sleeps so a single-core scheduler is not saturated by
-// the spin. A generous real-time guard turns a lost datagram into an
-// error.
-func waitFor(sec int, what string, cond func() bool) error {
-	deadline := time.Now().Add(30 * time.Second)
-	backoff := time.Microsecond
-	for i := 0; !cond(); i++ {
-		if i < 64 {
-			runtime.Gosched()
-			continue
-		}
-		time.Sleep(backoff)
-		if backoff < 128*time.Microsecond {
-			backoff *= 2
-		} else if time.Now().After(deadline) {
-			return fmt.Errorf("online: timed out waiting for %s at emulated second %d", what, sec)
-		}
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ package sensor
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/darklab/mercury/internal/causal"
@@ -29,6 +30,11 @@ type Sensor struct {
 	machine string
 	node    string
 	req     []byte // pre-marshaled read request
+
+	// mu serializes reads: a traced request is encoded into treq, and
+	// the reply is read into the client's buffer.
+	mu   sync.Mutex
+	treq []byte
 }
 
 // Options tune the UDP client.
@@ -55,7 +61,7 @@ func OpenOptions(addr, machine, node string, opts Options) (*Sensor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sensor: %w", err)
 	}
-	req, err := wire.MarshalSensorRead(&wire.SensorRead{Machine: machine, Node: node})
+	req, err := wire.AppendSensorRead(nil, &wire.SensorRead{Machine: machine, Node: node})
 	if err != nil {
 		client.Close()
 		return nil, fmt.Errorf("sensor: %w", err)
@@ -81,13 +87,15 @@ func (s *Sensor) Read() (units.Celsius, error) {
 // ReadCtx is Read carrying a trace context: the request travels as a
 // version-2 datagram whose context the solver daemon echoes in the
 // reply (and records as a sensor-serve span). The untraced path keeps
-// using the pre-marshaled version-1 request and allocates nothing for
-// tracing.
+// using the pre-marshaled version-1 request. Concurrent reads take
+// turns; a successful read on the real clock allocates nothing.
 func (s *Sensor) ReadCtx(tc causal.Context) (units.Celsius, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	req := s.req
 	if !tc.Zero() {
 		var err error
-		req, err = wire.MarshalSensorRead(&wire.SensorRead{
+		s.treq, err = wire.AppendSensorRead(s.treq[:0], &wire.SensorRead{
 			Machine: s.machine,
 			Node:    s.node,
 			Trace:   wire.TraceContext{Trace: tc.Trace, Span: tc.Span},
@@ -95,13 +103,14 @@ func (s *Sensor) ReadCtx(tc causal.Context) (units.Celsius, error) {
 		if err != nil {
 			return 0, fmt.Errorf("sensor: %s/%s: %w", s.machine, s.node, err)
 		}
+		req = s.treq
 	}
 	buf, err := s.client.DoCtx(tc, req)
 	if err != nil {
 		return 0, fmt.Errorf("sensor: %s/%s: %w", s.machine, s.node, err)
 	}
-	rep, err := wire.UnmarshalSensorReply(buf)
-	if err != nil {
+	var rep wire.SensorReply
+	if err := wire.UnmarshalSensorReplyInto(&rep, buf); err != nil {
 		return 0, fmt.Errorf("sensor: %s/%s: %w", s.machine, s.node, err)
 	}
 	if rep.Status != wire.StatusOK {

@@ -2,8 +2,11 @@ package sensor
 
 import (
 	"net"
+	"strings"
+	"sync"
 	"testing"
 
+	"github.com/darklab/mercury/internal/causal"
 	"github.com/darklab/mercury/internal/units"
 	"github.com/darklab/mercury/internal/wire"
 )
@@ -30,15 +33,15 @@ func fakeDaemon(t *testing.T, temp units.Celsius, names []string, failNode strin
 			}
 			switch typ {
 			case wire.MsgSensorRead:
-				req, err := wire.UnmarshalSensorRead(buf[:n])
-				if err != nil {
+				var req wire.SensorRead
+				if err := wire.UnmarshalSensorReadInto(&req, buf[:n], nil); err != nil {
 					continue
 				}
-				rep := &wire.SensorReply{Status: wire.StatusOK, Temp: temp}
+				rep := wire.SensorReply{Status: wire.StatusOK, Temp: temp}
 				if req.Node == failNode {
-					rep = &wire.SensorReply{Status: wire.StatusUnknown, Message: "unknown node"}
+					rep = wire.SensorReply{Status: wire.StatusUnknown, Message: "unknown node"}
 				}
-				out, _ := wire.MarshalSensorReply(rep)
+				out, _ := wire.AppendSensorReply(nil, &rep)
 				conn.WriteToUDP(out, peer)
 			case wire.MsgListNodes:
 				out, _ := wire.MarshalListReply(&wire.ListReply{Status: wire.StatusOK, Names: names})
@@ -91,8 +94,9 @@ func TestOpenNoDaemon(t *testing.T) {
 	}
 	addr := conn.LocalAddr().String()
 	conn.Close()
-	if _, err := OpenOptions(addr, "m1", "cpu", Options{Timeout: 10_000_000, Retries: 1}); err == nil {
-		t.Error("dead daemon: want error")
+	_, err = OpenOptions(addr, "m1", "cpu", Options{Timeout: 10_000_000, Retries: 1})
+	if err == nil || !strings.Contains(err.Error(), "m1/cpu") {
+		t.Errorf("dead daemon: err = %v, want an error naming m1/cpu", err)
 	}
 }
 
@@ -126,4 +130,34 @@ func TestOverLongNames(t *testing.T) {
 	if _, err := Open(addr, string(long), "cpu"); err == nil {
 		t.Error("overlong machine name: want error")
 	}
+}
+
+// TestConcurrentReadsTakeTurns: reads share the sensor's request and
+// reply scratch and the client's reply buffer, so concurrent readers,
+// traced and untraced, must take turns (run under -race).
+func TestConcurrentReadsTakeTurns(t *testing.T) {
+	addr := fakeDaemon(t, 42.5, nil, "")
+	sd, err := Open(addr, "m1", "cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sd.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		tc := causal.Context{}
+		if g%2 == 1 {
+			tc = causal.Context{Trace: uint64(g), Span: 1}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got, err := sd.ReadCtx(tc); err != nil || got != 42.5 {
+					t.Errorf("ReadCtx = %v, %v; want 42.5", got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -8,6 +8,7 @@ package solverd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
 	"sync"
@@ -103,6 +104,22 @@ type Server struct {
 	update   wire.UtilUpdate
 	batch    wire.UtilBatch
 	refs     []int32
+
+	// Lockstep wake-up (AwaitUtilUpdates): utilTarget is the parked
+	// waiter's UtilUpdates target, MaxUint64 while nobody waits, and
+	// applyUtil leaves a token in utilWake once the count reaches it.
+	// utilGuard is the waiter's real-time guard, reused across waits.
+	utilTarget atomic.Uint64
+	utilWake   chan struct{}
+	utilGuard  *time.Timer
+
+	// Sensor serving scratch, touched only by Serve's goroutine: the
+	// decoded request, whose names are interned against names and
+	// nodeNames (each node name a read has found), and the encoded
+	// reply.
+	nodeNames map[string]string
+	sensorReq wire.SensorRead
+	replyBuf  []byte
 
 	mu        sync.Mutex
 	lastSeq   []seqMark         // by machine position
@@ -213,10 +230,13 @@ func Listen(addr string, sol *solver.Solver, opts ...Option) (*Server, error) {
 		machines:  sol.Machines(),
 		strangers: map[string]uint32{},
 		stopTick:  make(chan struct{}),
+		utilWake:  make(chan struct{}, 1),
+		nodeNames: map[string]string{},
 	}
 	for i, m := range s.machines {
 		s.names[m] = int32(i)
 	}
+	s.utilTarget.Store(math.MaxUint64)
 	s.lastSeq = make([]seqMark, len(s.machines))
 	s.stepFn = sol.Step
 	for _, o := range opts {
@@ -482,6 +502,19 @@ func (s *Server) acceptSeq(ref int32, machine string, seq uint32) bool {
 	return true
 }
 
+// internName is the name table sensor reads are decoded against: the
+// solver's own string for an owned machine, the first copy of a node
+// name an earlier read found, a fresh copy for any other.
+func (s *Server) internName(b []byte) string {
+	if i, ok := s.names[string(b)]; ok {
+		return s.machines[i]
+	}
+	if n, ok := s.nodeNames[string(b)]; ok {
+		return n
+	}
+	return string(b)
+}
+
 // internMachine is the name table the wire decoder interns machine
 // names against: it returns the solver's own string for the name and
 // notes the machine's position in refs, so the name is looked up once
@@ -593,15 +626,65 @@ func (s *Server) applyUtil(ref int32, machine string, seq uint32, entries []wire
 			Step:    s.stats.SolverSteps.Load(),
 		})
 	}
-	// Bumped last: a lockstep harness advances the clock (and steps the
-	// solver) as soon as it sees the count, and the tick and span stamps
-	// above must not observe that.
-	s.stats.UtilUpdates.Add(1)
+	// Bumped last, and the waiter woken after it: a lockstep harness
+	// advances the clock (and steps the solver) as soon as it sees the
+	// count, and the tick and span stamps above must not observe that.
+	if s.stats.UtilUpdates.Add(1) >= s.utilTarget.Load() {
+		select {
+		case s.utilWake <- struct{}{}:
+		default:
+		}
+	}
 }
 
+// AwaitUtilUpdates parks until Stats().UtilUpdates reaches n, woken by
+// the report that gets it there. It fails when timeout passes in real
+// time first (a lost datagram) or the daemon closes. A wait allocates
+// nothing; one caller at a time.
+func (s *Server) AwaitUtilUpdates(n uint64, timeout time.Duration) error {
+	if s.stats.UtilUpdates.Load() >= n {
+		return nil
+	}
+	s.utilTarget.Store(n)
+	defer s.utilTarget.Store(math.MaxUint64)
+	// A report that landed before the target was published woke nobody.
+	if s.stats.UtilUpdates.Load() >= n {
+		return nil
+	}
+	if s.utilGuard == nil {
+		s.utilGuard = time.NewTimer(timeout)
+	} else {
+		s.utilGuard.Reset(timeout)
+	}
+	defer s.utilGuard.Stop()
+	deadline := time.Now().Add(timeout)
+	for {
+		select {
+		case <-s.utilWake:
+			// The token may be a stale one, left by a report after an
+			// earlier wait had already seen its count.
+			if s.stats.UtilUpdates.Load() >= n {
+				return nil
+			}
+		case <-s.utilGuard.C:
+			// So may the fire, left by an earlier wait's guard.
+			if left := time.Until(deadline); left > 0 {
+				s.utilGuard.Reset(left)
+				continue
+			}
+			return fmt.Errorf("solverd: %d of %d utilization updates applied after %v", s.stats.UtilUpdates.Load(), n, timeout)
+		case <-s.stopTick:
+			return fmt.Errorf("solverd: closed while awaiting utilization updates")
+		}
+	}
+}
+
+// handleSensor serves a read from Serve-owned scratch: once a node
+// name has been read, a read of it on an owned machine allocates
+// nothing.
 func (s *Server) handleSensor(buf []byte) []byte {
-	req, err := wire.UnmarshalSensorRead(buf)
-	if err != nil {
+	req := &s.sensorReq
+	if err := wire.UnmarshalSensorReadInto(req, buf, s.internName); err != nil {
 		s.stats.Malformed.Add(1)
 		return nil
 	}
@@ -612,13 +695,16 @@ func (s *Server) handleSensor(buf []byte) []byte {
 	}
 	// Echo the request's trace context so the exchange stays
 	// attributable at the client.
-	rep := &wire.SensorReply{Status: wire.StatusOK, Trace: req.Trace}
+	rep := wire.SensorReply{Status: wire.StatusOK, Trace: req.Trace}
 	temp, err := s.sol.Temperature(req.Machine, req.Node)
 	if err != nil {
 		rep.Status = wire.StatusUnknown
 		rep.Message = err.Error()
 	} else {
 		rep.Temp = temp
+		if _, ok := s.nodeNames[req.Node]; !ok {
+			s.nodeNames[req.Node] = req.Node
+		}
 	}
 	if s.tracer != nil && req.Trace.Trace != 0 {
 		s.tracer.Emit(causal.Span{
@@ -633,10 +719,11 @@ func (s *Server) handleSensor(buf []byte) []byte {
 			Step:    s.stats.SolverSteps.Load(),
 		})
 	}
-	out, err := wire.MarshalSensorReply(rep)
+	out, err := wire.AppendSensorReply(s.replyBuf[:0], &rep)
 	if err != nil {
 		return nil
 	}
+	s.replyBuf = out
 	return out
 }
 

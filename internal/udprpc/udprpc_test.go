@@ -18,7 +18,9 @@ func echoServer(t *testing.T, drop int) string {
 		buf := make([]byte, 2048)
 		dropped := 0
 		for {
-			n, peer, err := conn.ReadFromUDP(buf)
+			// The AddrPort forms allocate nothing, so an echo costs the
+			// allocation tests nothing either.
+			n, peer, err := conn.ReadFromUDPAddrPort(buf)
 			if err != nil {
 				return
 			}
@@ -26,7 +28,7 @@ func echoServer(t *testing.T, drop int) string {
 				dropped++
 				continue
 			}
-			conn.WriteToUDP(buf[:n], peer)
+			conn.WriteToUDPAddrPort(buf[:n], peer)
 		}
 	}()
 	return conn.LocalAddr().String()
@@ -112,5 +114,61 @@ func TestDefaults(t *testing.T) {
 	defer c.Close()
 	if c.timeout != DefaultTimeout || c.retries != DefaultRetries {
 		t.Errorf("defaults = %v/%d", c.timeout, c.retries)
+	}
+}
+
+func TestDoRealClockDoesNotAllocate(t *testing.T) {
+	addr := echoServer(t, 0)
+	c, err := Dial(addr, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	req := []byte("ping")
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := c.Do(req); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Do: %v allocs/op, want 0", n)
+	}
+}
+
+// TestDoDrainsStaleReply: a reply that arrives after its call timed out
+// is still queued when the next call starts, and must not answer it.
+func TestDoDrainsStaleReply(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		buf := make([]byte, 2048)
+		for first := true; ; first = false {
+			n, peer, err := conn.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			if first {
+				time.Sleep(60 * time.Millisecond) // answer after the caller gave up
+			}
+			conn.WriteToUDP(buf[:n], peer)
+		}
+	}()
+	c, err := Dial(conn.LocalAddr().String(), 20*time.Millisecond, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do([]byte("slow")); err == nil {
+		t.Fatal("want the first call to time out")
+	}
+	time.Sleep(100 * time.Millisecond) // the late "slow" reply is now queued
+	got, err := c.Do([]byte("fresh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "fresh" {
+		t.Errorf("reply = %q, want %q (a stale reply answered the call)", got, "fresh")
 	}
 }

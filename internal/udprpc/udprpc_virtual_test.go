@@ -144,3 +144,112 @@ func TestDoAfterClose(t *testing.T) {
 		t.Error("Do on closed client: want error")
 	}
 }
+
+// TestDoVirtualLeavesNoWaiter: a reply cancels its attempt's timeout,
+// so successful reads leave nothing queued on the clock.
+func TestDoVirtualLeavesNoWaiter(t *testing.T) {
+	addr, _ := countingServer(t, 0)
+	clk := clock.NewVirtual()
+	c, err := DialClock(addr, time.Second, 3, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 100; i++ {
+		if _, err := c.Do([]byte("read")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := clk.Waiters(); n != 0 {
+		t.Errorf("Waiters after 100 reads = %d, want 0", n)
+	}
+}
+
+// TestDoVirtualBackstop: when nothing advances the clock (a lockstep
+// harness blocked in Do is the only goroutine that would), a lost reply
+// fails the call after the real-time backstop instead of hanging it.
+func TestDoVirtualBackstop(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	clk := clock.NewVirtual()
+	c, err := DialClock(conn.LocalAddr().String(), time.Second, 3, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.backstop = 50 * time.Millisecond
+	start := time.Now()
+	_, err = c.Do([]byte("lost"))
+	if err == nil || !strings.Contains(err.Error(), "of real time") {
+		t.Fatalf("err = %v, want the real-time backstop error", err)
+	}
+	if errors.Is(err, ErrTimeout) {
+		t.Errorf("err = %v: the backstop is not a clock timeout to retry", err)
+	}
+	if waited := time.Since(start); waited < 50*time.Millisecond || waited > 5*time.Second {
+		t.Errorf("returned after %v, want one 50ms backstop", waited)
+	}
+	if n := clk.Waiters(); n != 0 {
+		t.Errorf("Waiters after the backstop = %d, want 0", n)
+	}
+}
+
+// TestDoVirtualConcurrentAdvance races replies against timeouts fired
+// by a clock advancing on another goroutine. The server drops every
+// other request, so half the attempts must be timed out by the clock;
+// every call still completes and cancels or collects its timeout, and
+// the race detector watches the hand-off between the callback and Do.
+func TestDoVirtualConcurrentAdvance(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		buf := make([]byte, 2048)
+		for odd := true; ; odd = !odd {
+			n, peer, err := conn.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				return
+			}
+			if !odd {
+				conn.WriteToUDPAddrPort(buf[:n], peer)
+			}
+		}
+	}()
+	addr := conn.LocalAddr().String()
+	clk := clock.NewVirtual()
+	c, err := DialClock(addr, time.Millisecond, 1000, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				// Each advance times out the attempt in flight, if any.
+				clk.Advance(time.Millisecond)
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		if _, err := c.Do([]byte("race")); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+	}
+	close(stop)
+	<-done
+	if n := clk.Waiters(); n != 0 {
+		t.Errorf("Waiters = %d, want 0", n)
+	}
+}

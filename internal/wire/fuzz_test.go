@@ -15,9 +15,9 @@ func fuzzSeeds(f *testing.F) {
 		Entries: []UtilEntry{{Source: model.UtilCPU, Util: 0.5}},
 	})
 	f.Add(u)
-	r, _ := MarshalSensorRead(&SensorRead{Machine: "m", Node: "cpu"})
+	r, _ := AppendSensorRead(nil, &SensorRead{Machine: "m", Node: "cpu"})
 	f.Add(r)
-	rep, _ := MarshalSensorReply(&SensorReply{Status: StatusOK, Temp: 42})
+	rep, _ := AppendSensorReply(nil, &SensorReply{Status: StatusOK, Temp: 42})
 	f.Add(rep)
 	// Version-2 (traced) forms of the three messages that carry a
 	// trace context, so both encodings are always in the corpus.
@@ -28,9 +28,9 @@ func fuzzSeeds(f *testing.F) {
 		Trace:   tc,
 	})
 	f.Add(u2)
-	r2, _ := MarshalSensorRead(&SensorRead{Machine: "m", Node: "cpu", Trace: tc})
+	r2, _ := AppendSensorRead(nil, &SensorRead{Machine: "m", Node: "cpu", Trace: tc})
 	f.Add(r2)
-	rep2, _ := MarshalSensorReply(&SensorReply{Status: StatusOK, Temp: 42, Trace: tc})
+	rep2, _ := AppendSensorReply(nil, &SensorReply{Status: StatusOK, Temp: 42, Trace: tc})
 	f.Add(rep2)
 	op, _ := MarshalFiddleOp(&FiddleOp{Op: OpPinInlet, Strings: []string{"m"}, Floats: []float64{30}})
 	f.Add(op)
@@ -97,11 +97,11 @@ func FuzzUnmarshalUtilUpdate(f *testing.F) {
 func FuzzUnmarshalSensorRead(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := UnmarshalSensorRead(data)
-		if err != nil {
+		var r SensorRead
+		if err := UnmarshalSensorReadInto(&r, data, nil); err != nil {
 			return
 		}
-		if _, err := MarshalSensorRead(r); err != nil {
+		if _, err := AppendSensorRead(nil, &r); err != nil {
 			t.Fatalf("decoded read does not re-encode: %v", err)
 		}
 	})

@@ -210,6 +210,16 @@ func (d *decoder) str() (string, error) {
 	return string(b), err
 }
 
+// internStr decodes a length-prefixed string through intern, when
+// non-nil, instead of copying it.
+func (d *decoder) internStr(intern func([]byte) string) (string, error) {
+	b, err := d.name()
+	if err != nil || intern == nil {
+		return string(b), err
+	}
+	return intern(b), nil
+}
+
 // name decodes a length-prefixed string without copying it; the bytes
 // alias the datagram.
 func (d *decoder) name() ([]byte, error) {
@@ -473,39 +483,42 @@ type SensorRead struct {
 	Trace   TraceContext
 }
 
-// MarshalSensorRead encodes a read request.
-func MarshalSensorRead(r *SensorRead) ([]byte, error) {
-	e := traceHeader(nil, MsgSensorRead, r.Trace)
+// AppendSensorRead encodes a read request appended to dst. On error
+// dst is returned unchanged.
+func AppendSensorRead(dst []byte, r *SensorRead) ([]byte, error) {
+	e := traceHeader(dst, MsgSensorRead, r.Trace)
 	e.str(r.Machine)
 	e.str(r.Node)
 	if !r.Trace.Zero() {
 		e.trace(r.Trace)
 	}
 	if e.err != nil {
-		return nil, e.err
+		return dst, e.err
 	}
 	return e.buf, nil
 }
 
-// UnmarshalSensorRead decodes a read request.
-func UnmarshalSensorRead(buf []byte) (*SensorRead, error) {
+// UnmarshalSensorReadInto decodes a read request into r; intern, when
+// non-nil, maps the machine and node names' bytes to the receiver's
+// own strings for them. On error r's contents are unspecified.
+func UnmarshalSensorReadInto(r *SensorRead, buf []byte, intern func([]byte) string) error {
 	d, ver, err := checkHeaderVer(buf, MsgSensorRead)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &SensorRead{}
-	if r.Machine, err = d.str(); err != nil {
-		return nil, err
+	if r.Machine, err = d.internStr(intern); err != nil {
+		return err
 	}
-	if r.Node, err = d.str(); err != nil {
-		return nil, err
+	if r.Node, err = d.internStr(intern); err != nil {
+		return err
 	}
+	r.Trace = TraceContext{}
 	if ver == VersionTrace {
 		if r.Trace, err = d.trace(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return r, nil
+	return nil
 }
 
 // SensorReply answers a SensorRead, echoing the request's trace
@@ -517,9 +530,10 @@ type SensorReply struct {
 	Trace   TraceContext
 }
 
-// MarshalSensorReply encodes a reply.
-func MarshalSensorReply(r *SensorReply) ([]byte, error) {
-	e := traceHeader(nil, MsgSensorReply, r.Trace)
+// AppendSensorReply encodes a reply appended to dst. On error dst is
+// returned unchanged.
+func AppendSensorReply(dst []byte, r *SensorReply) ([]byte, error) {
+	e := traceHeader(dst, MsgSensorReply, r.Trace)
 	e.byte(r.Status)
 	e.f64(float64(r.Temp))
 	e.str(r.Message)
@@ -527,35 +541,37 @@ func MarshalSensorReply(r *SensorReply) ([]byte, error) {
 		e.trace(r.Trace)
 	}
 	if e.err != nil {
-		return nil, e.err
+		return dst, e.err
 	}
 	return e.buf, nil
 }
 
-// UnmarshalSensorReply decodes a reply.
-func UnmarshalSensorReply(buf []byte) (*SensorReply, error) {
+// UnmarshalSensorReplyInto decodes a reply into r; a reply with an
+// empty message allocates nothing. On error r's contents are
+// unspecified.
+func UnmarshalSensorReplyInto(r *SensorReply, buf []byte) error {
 	d, ver, err := checkHeaderVer(buf, MsgSensorReply)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &SensorReply{}
 	if r.Status, err = d.byte(); err != nil {
-		return nil, err
+		return err
 	}
 	v, err := d.f64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Temp = units.Celsius(v)
 	if r.Message, err = d.str(); err != nil {
-		return nil, err
+		return err
 	}
+	r.Trace = TraceContext{}
 	if ver == VersionTrace {
 		if r.Trace, err = d.trace(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return r, nil
+	return nil
 }
 
 // ListNodes asks the solver which nodes a machine has (or, with an

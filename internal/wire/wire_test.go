@@ -108,34 +108,34 @@ func TestUtilUpdateProperty(t *testing.T) {
 }
 
 func TestSensorReadRoundTrip(t *testing.T) {
-	r := &SensorRead{Machine: "machine1", Node: "disk_platters"}
-	buf, err := MarshalSensorRead(r)
+	r := SensorRead{Machine: "machine1", Node: "disk_platters"}
+	buf, err := AppendSensorRead(nil, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalSensorRead(buf)
-	if err != nil {
+	var got SensorRead
+	if err := UnmarshalSensorReadInto(&got, buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r, got) {
+	if got != r {
 		t.Errorf("round trip = %+v", got)
 	}
 }
 
 func TestSensorReplyRoundTrip(t *testing.T) {
-	for _, r := range []*SensorReply{
+	for _, r := range []SensorReply{
 		{Status: StatusOK, Temp: 38.6},
 		{Status: StatusUnknown, Message: "unknown node \"ghost\""},
 	} {
-		buf, err := MarshalSensorReply(r)
+		buf, err := AppendSensorReply(nil, &r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := UnmarshalSensorReply(buf)
-		if err != nil {
+		var got SensorReply
+		if err := UnmarshalSensorReplyInto(&got, buf); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r, got) {
+		if got != r {
 			t.Errorf("round trip = %+v, want %+v", got, r)
 		}
 	}
@@ -235,7 +235,7 @@ func TestFiddleReplyRoundTrip(t *testing.T) {
 }
 
 func TestTypePeek(t *testing.T) {
-	buf, _ := MarshalSensorRead(&SensorRead{Machine: "m", Node: "cpu"})
+	buf, _ := AppendSensorRead(nil, &SensorRead{Machine: "m", Node: "cpu"})
 	typ, err := Type(buf)
 	if err != nil || typ != MsgSensorRead {
 		t.Errorf("Type = %v, %v", typ, err)
@@ -260,7 +260,7 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		}
 	}
 	// Wrong type for the decoder.
-	if _, err := UnmarshalSensorRead(good); err != ErrBadType {
+	if err := UnmarshalSensorReadInto(&SensorRead{}, good, nil); err != ErrBadType {
 		t.Errorf("wrong type: %v, want ErrBadType", err)
 	}
 	// A corrupted entry count past the buffer end.
@@ -383,49 +383,106 @@ func TestUtilUpdateTraceRejectsMalformed(t *testing.T) {
 }
 
 func TestSensorReadTraceRoundTrip(t *testing.T) {
-	r := &SensorRead{Machine: "machine1", Node: "cpu", Trace: TraceContext{Trace: 11, Span: 22}}
-	buf, err := MarshalSensorRead(r)
+	r := SensorRead{Machine: "machine1", Node: "cpu", Trace: TraceContext{Trace: 11, Span: 22}}
+	buf, err := AppendSensorRead(nil, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != VersionTrace {
 		t.Fatalf("version byte = %#x, want VersionTrace", buf[0])
 	}
-	got, err := UnmarshalSensorRead(buf)
-	if err != nil {
+	var got SensorRead
+	if err := UnmarshalSensorReadInto(&got, buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r, got) {
+	if got != r {
 		t.Errorf("round trip = %+v", got)
 	}
 	// Truncating the trace trailer must error, not fall back to v1.
-	if _, err := UnmarshalSensorRead(buf[:len(buf)-8]); err != ErrShort {
+	if err := UnmarshalSensorReadInto(&got, buf[:len(buf)-8], nil); err != ErrShort {
 		t.Errorf("truncated trailer: err = %v, want ErrShort", err)
 	}
 }
 
 func TestSensorReplyTraceEcho(t *testing.T) {
-	r := &SensorReply{Status: StatusOK, Temp: 66.5, Trace: TraceContext{Trace: 11, Span: 22}}
-	buf, err := MarshalSensorReply(r)
+	r := SensorReply{Status: StatusOK, Temp: 66.5, Trace: TraceContext{Trace: 11, Span: 22}}
+	buf, err := AppendSensorReply(nil, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != VersionTrace {
 		t.Fatalf("version byte = %#x, want VersionTrace", buf[0])
 	}
-	got, err := UnmarshalSensorReply(buf)
-	if err != nil {
+	var got SensorReply
+	if err := UnmarshalSensorReplyInto(&got, buf); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r, got) {
+	if got != r {
 		t.Errorf("round trip = %+v", got)
 	}
 }
 
 func TestTypePeekAcceptsTraceVersion(t *testing.T) {
-	buf, _ := MarshalSensorRead(&SensorRead{Machine: "m", Node: "cpu", Trace: TraceContext{Trace: 3, Span: 4}})
+	buf, _ := AppendSensorRead(nil, &SensorRead{Machine: "m", Node: "cpu", Trace: TraceContext{Trace: 3, Span: 4}})
 	typ, err := Type(buf)
 	if err != nil || typ != MsgSensorRead {
 		t.Errorf("Type(v2) = %v, %v", typ, err)
+	}
+}
+
+// TestSensorScratchCodecs: the Append and Into forms keep the wire
+// layout, reuse their storage, reset a previous trace, and with
+// interned names decode and encode without allocating.
+func TestSensorScratchCodecs(t *testing.T) {
+	traced := &SensorRead{Machine: "machine1", Node: "cpu", Trace: TraceContext{Trace: 11, Span: 22}}
+	plain := &SensorRead{Machine: "machine1", Node: "cpu"}
+	v1 := "\x01\x02\x08machine1\x03cpu"
+	layouts := map[*SensorRead]string{
+		plain:  v1,
+		traced: "\x02" + v1[1:] + "\x00\x00\x00\x00\x00\x00\x00\x0b\x00\x00\x00\x00\x00\x00\x00\x16",
+	}
+	var buf []byte
+	var r SensorRead
+	names := map[string]string{"machine1": "machine1", "cpu": "cpu"}
+	var interned []string
+	intern := func(b []byte) string {
+		interned = append(interned, string(b))
+		return names[string(b)]
+	}
+	for _, want := range []*SensorRead{traced, plain} {
+		var err error
+		if buf, err = AppendSensorRead(buf[:0], want); err != nil {
+			t.Fatal(err)
+		}
+		if string(buf) != layouts[want] {
+			t.Errorf("AppendSensorRead = %x, want %x", buf, layouts[want])
+		}
+		if err := UnmarshalSensorReadInto(&r, buf, intern); err != nil || r != *want {
+			t.Errorf("UnmarshalSensorReadInto = %+v, %v; want %+v", r, err, *want)
+		}
+	}
+	if got := strings.Join(interned, ","); got != "machine1,cpu,machine1,cpu" {
+		t.Errorf("intern saw %s, want machine then node per read", got)
+	}
+
+	var rep SensorReply
+	out, _ := AppendSensorReply(nil, &SensorReply{Status: StatusOK, Temp: 40, Trace: traced.Trace})
+	if err := UnmarshalSensorReplyInto(&rep, out); err != nil || rep.Trace != traced.Trace {
+		t.Fatalf("traced reply = %+v, %v", rep, err)
+	}
+	hit := func(b []byte) string { return names[string(b)] }
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = AppendSensorRead(buf[:0], plain)
+		_ = UnmarshalSensorReadInto(&r, buf, hit)
+		out, _ = AppendSensorReply(out[:0], &SensorReply{Status: StatusOK, Temp: 41})
+		_ = UnmarshalSensorReplyInto(&rep, out)
+	}); n != 0 {
+		t.Errorf("sensor scratch codecs: %v allocs/op, want 0", n)
+	}
+	if rep != (SensorReply{Status: StatusOK, Temp: 41}) {
+		t.Errorf("reused reply = %+v, want its trace reset", rep)
+	}
+	if _, err := AppendSensorReply(out[:0], &SensorReply{Message: strings.Repeat("x", 256)}); err != ErrStringSize {
+		t.Errorf("oversized message: err = %v, want ErrStringSize", err)
 	}
 }
