@@ -88,68 +88,72 @@ func (c *Cluster) Validate() error {
 	if len(c.Sinks) == 0 {
 		return fmt.Errorf("model: cluster %s has no air sinks", c.Name)
 	}
-	kind := map[string]string{} // name -> "machine"|"source"|"sink"
-	for _, m := range c.Machines {
-		if err := m.Validate(); err != nil {
+	// One index over every vertex: machines at [0, nm), sources at
+	// [nm, ns), sinks from ns on.
+	nm, ns := len(c.Machines), len(c.Machines)+len(c.Sources)
+	var names nameTable
+	names.reset(ns + len(c.Sinks))
+	var v validator
+	for i, m := range c.Machines {
+		if err := v.machine(m); err != nil {
 			return err
 		}
-		if _, dup := kind[m.Name]; dup {
+		if names.put(m.Name, i) != i {
 			return fmt.Errorf("model: cluster %s: duplicate vertex name %q", c.Name, m.Name)
 		}
-		kind[m.Name] = "machine"
 	}
-	for _, s := range c.Sources {
+	for i, s := range c.Sources {
 		if err := validName(s.Name); err != nil {
 			return fmt.Errorf("model: cluster %s: %w", c.Name, err)
 		}
-		if _, dup := kind[s.Name]; dup {
+		if names.put(s.Name, nm+i) != nm+i {
 			return fmt.Errorf("model: cluster %s: duplicate vertex name %q", c.Name, s.Name)
 		}
 		if !s.SupplyTemp.Valid() {
 			return fmt.Errorf("model: cluster %s: source %q has invalid supply temperature", c.Name, s.Name)
 		}
-		kind[s.Name] = "source"
 	}
-	for _, s := range c.Sinks {
+	for i, s := range c.Sinks {
 		if err := validName(s.Name); err != nil {
 			return fmt.Errorf("model: cluster %s: %w", c.Name, err)
 		}
-		if _, dup := kind[s.Name]; dup {
+		if names.put(s.Name, ns+i) != ns+i {
 			return fmt.Errorf("model: cluster %s: duplicate vertex name %q", c.Name, s.Name)
 		}
-		kind[s.Name] = "sink"
 	}
 
-	in := map[string]float64{}
-	out := map[string]float64{}
+	// Fraction sums into and out of each machine.
+	in, out := make([]float64, nm), make([]float64, nm)
 	for _, e := range c.Edges {
-		kf, okF := kind[e.From]
-		kt, okT := kind[e.To]
-		if !okF || !okT {
+		f, t := names.find(e.From), names.find(e.To)
+		if f < 0 || t < 0 {
 			return fmt.Errorf("model: cluster %s: edge %s->%s references unknown vertex", c.Name, e.From, e.To)
 		}
 		if e.From == e.To {
 			return fmt.Errorf("model: cluster %s: edge %s->%s is a self-loop", c.Name, e.From, e.To)
 		}
-		if kf == "sink" {
+		if f >= ns {
 			return fmt.Errorf("model: cluster %s: edge %s->%s flows out of a sink", c.Name, e.From, e.To)
 		}
-		if kt == "source" {
+		if nm <= t && t < ns {
 			return fmt.Errorf("model: cluster %s: edge %s->%s flows into a source", c.Name, e.From, e.To)
 		}
 		if !e.Fraction.Valid() || e.Fraction == 0 {
 			return fmt.Errorf("model: cluster %s: edge %s->%s has invalid fraction %v", c.Name, e.From, e.To, float64(e.Fraction))
 		}
-		out[e.From] += float64(e.Fraction)
-		in[e.To] += float64(e.Fraction)
+		if f < nm {
+			out[f] += float64(e.Fraction)
+		}
+		if t < nm {
+			in[t] += float64(e.Fraction)
+		}
 	}
 	const tol = 1e-6
-	for _, m := range c.Machines {
-		if in[m.Name] == 0 {
+	for i, m := range c.Machines {
+		if in[i] == 0 {
 			return fmt.Errorf("model: cluster %s: machine %q receives no air", c.Name, m.Name)
 		}
-		sum := out[m.Name]
-		if sum < 1-tol || sum > 1+tol {
+		if sum := out[i]; sum < 1-tol || sum > 1+tol {
 			return fmt.Errorf("model: cluster %s: machine %q outgoing fractions sum to %.6f, want 1", c.Name, m.Name, sum)
 		}
 	}

@@ -11,6 +11,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -161,46 +162,61 @@ func (m *Machine) NodeNames() []string {
 // at least one exhaust, an acyclic air graph reaching every non-inlet
 // air node, per-node outgoing fractions summing to at most 1 (and
 // exactly 1 for nodes that have any outgoing edge, within tolerance),
-// positive masses and heat capacities, non-negative k constants, and a
-// positive fan flow.
+// finite positive masses and heat capacities, finite power ranges,
+// finite non-negative k constants, and a finite positive fan flow.
 func (m *Machine) Validate() error {
+	var v validator
+	return v.machine(m)
+}
+
+// machine checks m as (*Machine).Validate documents; every check runs
+// in the order its error takes precedence.
+func (v *validator) machine(m *Machine) error {
 	if m.Name == "" {
 		return fmt.Errorf("model: machine has no name")
 	}
 	if strings.ContainsAny(m.Name, " \t\n") {
 		return fmt.Errorf("model: machine name %q contains whitespace", m.Name)
 	}
-	seen := map[string]bool{}
-	for _, c := range m.Components {
+	nc := len(m.Components)
+	v.names.reset(nc + len(m.AirNodes))
+	for i, c := range m.Components {
 		if err := validName(c.Name); err != nil {
 			return fmt.Errorf("model: machine %s: %w", m.Name, err)
 		}
-		if seen[c.Name] {
+		if v.names.put(c.Name, i) != i {
 			return fmt.Errorf("model: machine %s: duplicate node name %q", m.Name, c.Name)
 		}
-		seen[c.Name] = true
+		if !finite(float64(c.Mass)) {
+			return fmt.Errorf("model: machine %s: component %q has non-finite mass %v", m.Name, c.Name, c.Mass)
+		}
 		if c.Mass <= 0 {
 			return fmt.Errorf("model: machine %s: component %q has non-positive mass %v", m.Name, c.Name, c.Mass)
+		}
+		if !finite(float64(c.SpecificHeat)) {
+			return fmt.Errorf("model: machine %s: component %q has non-finite specific heat %v", m.Name, c.Name, c.SpecificHeat)
 		}
 		if c.SpecificHeat <= 0 {
 			return fmt.Errorf("model: machine %s: component %q has non-positive specific heat %v", m.Name, c.Name, c.SpecificHeat)
 		}
 		if c.Power != nil {
-			if c.Power.Base() < 0 || c.Power.Max() < c.Power.Base() {
-				return fmt.Errorf("model: machine %s: component %q has invalid power range %v..%v",
-					m.Name, c.Name, c.Power.Base(), c.Power.Max())
+			lo, hi := c.Power.Base(), c.Power.Max()
+			if !finite(float64(lo)) || !finite(float64(hi)) {
+				return fmt.Errorf("model: machine %s: component %q has non-finite power range %v..%v", m.Name, c.Name, lo, hi)
+			}
+			if lo < 0 || hi < lo {
+				return fmt.Errorf("model: machine %s: component %q has invalid power range %v..%v", m.Name, c.Name, lo, hi)
 			}
 		}
 	}
 	inlets, exhausts := 0, 0
-	for _, a := range m.AirNodes {
+	for i, a := range m.AirNodes {
 		if err := validName(a.Name); err != nil {
 			return fmt.Errorf("model: machine %s: %w", m.Name, err)
 		}
-		if seen[a.Name] {
+		if v.names.put(a.Name, nc+i) != nc+i {
 			return fmt.Errorf("model: machine %s: duplicate node name %q", m.Name, a.Name)
 		}
-		seen[a.Name] = true
 		if a.Inlet {
 			inlets++
 		}
@@ -217,6 +233,9 @@ func (m *Machine) Validate() error {
 	if exhausts < 1 {
 		return fmt.Errorf("model: machine %s: need at least 1 exhaust air node", m.Name)
 	}
+	if !finite(float64(m.FanFlow)) {
+		return fmt.Errorf("model: machine %s: non-finite fan flow %v", m.Name, m.FanFlow)
+	}
 	if m.FanFlow <= 0 {
 		return fmt.Errorf("model: machine %s: non-positive fan flow %v", m.Name, m.FanFlow)
 	}
@@ -225,27 +244,28 @@ func (m *Machine) Validate() error {
 	}
 
 	for _, e := range m.HeatEdges {
-		if !seen[e.A] || !seen[e.B] {
+		if v.names.find(e.A) < 0 || v.names.find(e.B) < 0 {
 			return fmt.Errorf("model: machine %s: heat edge %s--%s references unknown node", m.Name, e.A, e.B)
 		}
 		if e.A == e.B {
 			return fmt.Errorf("model: machine %s: heat edge %s--%s is a self-loop", m.Name, e.A, e.B)
+		}
+		if !finite(float64(e.K)) {
+			return fmt.Errorf("model: machine %s: heat edge %s--%s has non-finite k %v", m.Name, e.A, e.B, e.K)
 		}
 		if e.K < 0 {
 			return fmt.Errorf("model: machine %s: heat edge %s--%s has negative k %v", m.Name, e.A, e.B, e.K)
 		}
 	}
 
-	air := map[string]*AirNode{}
-	for i := range m.AirNodes {
-		air[m.AirNodes[i].Name] = &m.AirNodes[i]
-	}
-	out := map[string]float64{}
-	indeg := map[string]int{}
+	na := len(m.AirNodes)
+	v.out = zeroed(v.out, na)
+	v.has = zeroed(v.has, na)
+	v.from, v.to = slices.Grow(v.from[:0], len(m.AirEdges)), slices.Grow(v.to[:0], len(m.AirEdges))
 	for _, e := range m.AirEdges {
-		from, okF := air[e.From]
-		to, okT := air[e.To]
-		if !okF || !okT {
+		// Components sit below nc, so only air nodes land at 0 or above.
+		f, t := v.names.find(e.From)-nc, v.names.find(e.To)-nc
+		if f < 0 || t < 0 {
 			return fmt.Errorf("model: machine %s: air edge %s->%s must connect air nodes", m.Name, e.From, e.To)
 		}
 		if e.From == e.To {
@@ -254,33 +274,39 @@ func (m *Machine) Validate() error {
 		if !e.Fraction.Valid() || e.Fraction == 0 {
 			return fmt.Errorf("model: machine %s: air edge %s->%s has invalid fraction %v", m.Name, e.From, e.To, float64(e.Fraction))
 		}
-		if to.Inlet {
+		if m.AirNodes[t].Inlet {
 			return fmt.Errorf("model: machine %s: air edge %s->%s flows into the inlet", m.Name, e.From, e.To)
 		}
-		if from.Exhaust {
+		if m.AirNodes[f].Exhaust {
 			return fmt.Errorf("model: machine %s: air edge %s->%s flows out of an exhaust", m.Name, e.From, e.To)
 		}
-		out[e.From] += float64(e.Fraction)
-		indeg[e.To]++
+		v.out[f] += float64(e.Fraction)
+		v.has[f] = true
+		v.from = append(v.from, int32(f))
+		v.to = append(v.to, int32(t))
 	}
+	v.seeds = zeroed(v.seeds, na)
+	for i := range v.seeds {
+		v.seeds[i] = int32(i)
+	}
+	v.link(na)
 	const tol = 1e-6
-	for _, a := range m.AirNodes {
-		sum, has := out[a.Name]
+	for i, a := range m.AirNodes {
 		if a.Exhaust {
 			continue
 		}
-		if !has {
+		if !v.has[i] {
 			return fmt.Errorf("model: machine %s: air node %q has no outgoing flow and is not an exhaust", m.Name, a.Name)
 		}
-		if sum < 1-tol || sum > 1+tol {
+		if sum := v.out[i]; sum < 1-tol || sum > 1+tol {
 			return fmt.Errorf("model: machine %s: air node %q outgoing fractions sum to %.6f, want 1", m.Name, a.Name, sum)
 		}
-		if !a.Inlet && indeg[a.Name] == 0 {
+		if !a.Inlet && v.indeg[i] == 0 {
 			return fmt.Errorf("model: machine %s: air node %q has no incoming flow and is not the inlet", m.Name, a.Name)
 		}
 	}
-	if _, err := m.AirTopoOrder(); err != nil {
-		return err
+	if !v.topo() {
+		return errAirCycle(m)
 	}
 	return nil
 }
@@ -290,36 +316,36 @@ func (m *Machine) Validate() error {
 // The solver processes air regions in this order so each region mixes
 // the temperatures its upstream regions computed in the same step.
 func (m *Machine) AirTopoOrder() ([]string, error) {
-	indeg := map[string]int{}
-	adj := map[string][]string{}
+	var v validator
+	return v.airTopoOrder(m)
+}
+
+// airTopoOrder runs the same Kahn pass on any machine, valid or not.
+// Every name an air node or air edge mentions gets an index, duplicates
+// and unknown endpoints included, so the order and the cycle verdict
+// are those of a pass keyed by name.
+func (v *validator) airTopoOrder(m *Machine) ([]string, error) {
+	v.names.reset(len(m.AirNodes) + 2*len(m.AirEdges))
+	v.ids = slices.Grow(v.ids[:0], len(m.AirNodes))
+	v.seeds = slices.Grow(v.seeds[:0], len(m.AirNodes))
+	v.from, v.to = slices.Grow(v.from[:0], len(m.AirEdges)), slices.Grow(v.to[:0], len(m.AirEdges))
 	for _, a := range m.AirNodes {
-		indeg[a.Name] = 0
+		v.seeds = append(v.seeds, v.id(a.Name))
 	}
 	for _, e := range m.AirEdges {
-		adj[e.From] = append(adj[e.From], e.To)
-		indeg[e.To]++
+		v.from = append(v.from, v.id(e.From))
+		v.to = append(v.to, v.id(e.To))
 	}
-	// Deterministic order: seed the queue in declaration order.
-	var queue []string
-	for _, a := range m.AirNodes {
-		if indeg[a.Name] == 0 {
-			queue = append(queue, a.Name)
-		}
+	v.link(len(v.ids))
+	if !v.topo() {
+		return nil, errAirCycle(m)
 	}
-	var order []string
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, to := range adj[n] {
-			indeg[to]--
-			if indeg[to] == 0 {
-				queue = append(queue, to)
-			}
-		}
+	if len(v.queue) == 0 {
+		return nil, nil
 	}
-	if len(order) != len(m.AirNodes) {
-		return nil, fmt.Errorf("model: machine %s: air-flow graph has a cycle", m.Name)
+	order := make([]string, len(v.queue))
+	for i, n := range v.queue {
+		order[i] = v.ids[n]
 	}
 	return order, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/darklab/mercury/internal/model"
+	"github.com/darklab/mercury/internal/thermo"
 	"github.com/darklab/mercury/internal/units"
 )
 
@@ -85,4 +86,73 @@ func mixedRoom(n int) (*model.Cluster, error) {
 		}
 	}
 	return c, c.Validate()
+}
+
+// BenchmarkRoomBuild times building a room from nothing: the model
+// (RackCluster, racks of 40, validated once), the compile (solver.New,
+// which validates again) and the probe list, as a solver daemon or the
+// room-kernel benchmark boots one. The wide tier is a room of 40
+// machines of 512 nodes each, so a name lookup that scans its machine
+// shows as a quadratic jump there. The 100 000-machine tier is skipped
+// under -short.
+func BenchmarkRoomBuild(b *testing.B) {
+	type tier struct {
+		name  string
+		build func() (*model.Cluster, error)
+	}
+	var tiers []tier
+	for _, n := range []int{1000, 20000, 100000} {
+		tiers = append(tiers, tier{fmt.Sprintf("rack/machines=%d", n), func() (*model.Cluster, error) {
+			return model.RackCluster("room", n/40, 40, nil)
+		}})
+	}
+	tiers = append(tiers, tier{"wide/nodes=512", func() (*model.Cluster, error) {
+		c, err := model.DefaultCluster("room", 40)
+		if err != nil {
+			return nil, err
+		}
+		for i, m := range c.Machines {
+			c.Machines[i] = wideServer(m.Name, 512)
+		}
+		return c, c.Validate()
+	}})
+	for _, tr := range tiers {
+		b.Run(tr.name, func(b *testing.B) {
+			if tr.name == "rack/machines=100000" && testing.Short() {
+				b.Skip("100 000-machine tier skipped under -short")
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := tr.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := New(c, Config{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchProbes, _ = s.Probes()
+			}
+		})
+	}
+}
+
+// benchProbes keeps BenchmarkRoomBuild's Probes result live.
+var benchProbes []string
+
+// wideServer is a machine of n nodes: n/2 components, each heating its
+// own air region, the regions chained inlet to exhaust.
+func wideServer(name string, n int) *model.Machine {
+	m := &model.Machine{Name: name, InletTemp: model.Table1.InletTemp, FanFlow: model.Table1.FanFlow}
+	air := func(i int) string { return fmt.Sprintf("air%d", i) }
+	for i := 0; i < n/2; i++ {
+		part := fmt.Sprintf("part%d", i)
+		m.Components = append(m.Components, model.Component{Name: part, Mass: 0.1, SpecificHeat: 896, Power: thermo.Constant(1)})
+		m.AirNodes = append(m.AirNodes, model.AirNode{Name: air(i), Inlet: i == 0, Exhaust: i == n/2-1})
+		m.HeatEdges = append(m.HeatEdges, model.HeatEdge{A: part, B: air(i), K: 0.5})
+		if i > 0 {
+			m.AirEdges = append(m.AirEdges, model.AirEdge{From: air(i - 1), To: air(i), Fraction: 1})
+		}
+	}
+	return m
 }

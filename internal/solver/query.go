@@ -260,6 +260,11 @@ func (s *Solver) StepSize() time.Duration { return s.cfg.Step }
 func (s *Solver) Probes() (machines, nodes []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := 0
+	for _, run := range s.ownedTemps {
+		n += int(run[1] - run[0])
+	}
+	machines, nodes = make([]string, 0, n), make([]string, 0, n)
 	for _, mi := range s.owned {
 		m := &s.ms[mi]
 		for _, name := range m.shape.names {
