@@ -232,12 +232,12 @@ func run(policy string, machines int, duration time.Duration, seed int64, quiet 
 				return nil
 			}
 			fmt.Printf("t=%5ds", sec+1)
-			for _, m := range sim.Cluster.Machines() {
+			for i, m := range sim.Cluster.Machines() {
 				temp, err := sim.Solver.Temperature(m, model.NodeCPU)
 				if err != nil {
 					return err
 				}
-				fmt.Printf("  %s: %5.1fC %3.0f%%", m, float64(temp), tick.PerServer[m].CPUUtil.Percent())
+				fmt.Printf("  %s: %5.1fC %3.0f%%", m, float64(temp), tick.PerServer[i].CPUUtil.Percent())
 			}
 			if activeFn != nil {
 				fmt.Printf("  active=%d", activeFn())

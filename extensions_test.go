@@ -212,13 +212,13 @@ func TestFacadeMultiTierFreon(t *testing.T) {
 			idx++
 		}
 		tick := tt.TickSecond(batch)
-		for m, st := range tick.Front.PerServer {
-			sol.SetUtilization(m, mercury.UtilCPU, st.CPUUtil)
-			sol.SetUtilization(m, mercury.UtilDisk, st.DiskUtil)
+		for i, st := range tick.Front.PerServer {
+			sol.SetUtilization(frontMachines[i], mercury.UtilCPU, st.CPUUtil)
+			sol.SetUtilization(frontMachines[i], mercury.UtilDisk, st.DiskUtil)
 		}
-		for m, st := range tick.Back.PerServer {
-			sol.SetUtilization(m, mercury.UtilCPU, st.CPUUtil)
-			sol.SetUtilization(m, mercury.UtilDisk, st.DiskUtil)
+		for i, st := range tick.Back.PerServer {
+			sol.SetUtilization(backMachines[i], mercury.UtilCPU, st.CPUUtil)
+			sol.SetUtilization(backMachines[i], mercury.UtilDisk, st.DiskUtil)
 		}
 		sol.Step()
 		if (sec+1)%5 == 0 {

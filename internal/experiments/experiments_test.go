@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"github.com/darklab/mercury/internal/freon"
 )
 
 func run(t *testing.T, fn func() (*Result, error)) *Result {
@@ -311,6 +314,72 @@ func TestExperimentsAreRepeatable(t *testing.T) {
 			if vb, ok := b.Metrics[k]; !ok || va != vb {
 				t.Errorf("%s: metric %s differs across runs: %v vs %v", name, k, va, vb)
 			}
+		}
+	}
+}
+
+// The balancer and the web cluster have no lock: the lockstep loop is
+// their only writer. The freon command's control plane reads a policy's
+// StateSnapshot from an HTTP goroutine while that loop runs, and the
+// snapshot reaches the balancer only through Weight, under the policy
+// mutex that also orders every SetWeight. Run under -race, this drives
+// the emergency run for both policies with a snapshot reader alongside.
+func TestSnapshotDuringRunSharesNoBalancerState(t *testing.T) {
+	for _, policy := range []string{"twostage", "ec"} {
+		sim, err := NewSim(4, 1, 900*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Fiddle, err = emergencyOps(); err != nil {
+			t.Fatal(err)
+		}
+		var snapshot func() freon.Snapshot
+		switch policy {
+		case "twostage":
+			fr, err := freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(), freon.Config{TwoStage: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.OnPoll, sim.OnPeriod, snapshot = fr.TickPoll, fr.TickPeriod, fr.StateSnapshot
+		case "ec":
+			regions := map[string]int{}
+			for i, m := range sim.Cluster.Machines() {
+				regions[m] = i % 2
+			}
+			ec, err := freon.NewEC(sim.Cluster.Machines(), sim.Solver, sim.Solver, sim.Bal, sim.Power(),
+				freon.ECConfig{Regions: regions})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.OnPoll, sim.OnPeriod, snapshot = ec.TickPoll, ec.TickPeriod, ec.StateSnapshot
+		}
+		// The reader takes its first snapshot before the run starts and
+		// keeps reading until the run ends.
+		first, done := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				if len(snapshot().Machines) != 4 {
+					t.Errorf("%s: snapshot without its 4 machines", policy)
+				}
+				if n == 0 {
+					close(first)
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+		<-first
+		err = sim.Run(900 * time.Second)
+		close(done)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
 		}
 	}
 }

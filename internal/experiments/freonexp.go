@@ -42,7 +42,8 @@ type freonRun struct {
 	temps     map[string]*stats.Series // CPU temperature per machine
 	utils     map[string]*stats.Series // minute-average CPU utilization
 	active    *stats.Series            // active server count (EC)
-	utilAccum map[string]float64
+	machines  []string
+	utilAccum []float64 // CPU utilization sums, in machines order
 	utilTicks int
 	activeFn  func() int
 }
@@ -58,13 +59,14 @@ func newFreonRun() (*freonRun, error) {
 	}
 	sim.Fiddle = ops
 	r := &freonRun{
-		sim:       sim,
-		temps:     map[string]*stats.Series{},
-		utils:     map[string]*stats.Series{},
-		active:    stats.NewSeries("active servers"),
-		utilAccum: map[string]float64{},
+		sim:      sim,
+		temps:    map[string]*stats.Series{},
+		utils:    map[string]*stats.Series{},
+		active:   stats.NewSeries("active servers"),
+		machines: sim.Cluster.Machines(),
 	}
-	for _, m := range sim.Cluster.Machines() {
+	r.utilAccum = make([]float64, len(r.machines))
+	for _, m := range r.machines {
 		r.temps[m] = stats.NewSeries(m)
 		r.utils[m] = stats.NewSeries(m)
 	}
@@ -74,8 +76,8 @@ func newFreonRun() (*freonRun, error) {
 
 func (r *freonRun) sample(sec int, tick webcluster.Tick) error {
 	at := time.Duration(sec) * time.Second
-	for m, st := range tick.PerServer {
-		r.utilAccum[m] += float64(st.CPUUtil)
+	for i, st := range tick.PerServer {
+		r.utilAccum[i] += float64(st.CPUUtil)
 	}
 	r.utilTicks++
 	if (sec+1)%10 == 0 {
@@ -88,9 +90,9 @@ func (r *freonRun) sample(sec int, tick webcluster.Tick) error {
 		}
 	}
 	if r.utilTicks == 60 {
-		for m, s := range r.utils {
-			s.Add(at, r.utilAccum[m]/60*100)
-			r.utilAccum[m] = 0
+		for i, m := range r.machines {
+			r.utils[m].Add(at, r.utilAccum[i]/60*100)
+			r.utilAccum[i] = 0
 		}
 		r.utilTicks = 0
 	}

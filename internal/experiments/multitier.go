@@ -75,8 +75,9 @@ func MultiTier() (*Result, error) {
 			idx++
 		}
 		tick := tt.TickSecond(batch)
-		feed := func(per map[string]webcluster.ServerTick) error {
-			for m, st := range per {
+		feed := func(machines []string, per []webcluster.ServerTick) error {
+			for i, m := range machines {
+				st := per[i]
 				if err := sol.SetUtilization(m, model.UtilCPU, st.CPUUtil); err != nil {
 					return err
 				}
@@ -86,10 +87,10 @@ func MultiTier() (*Result, error) {
 			}
 			return nil
 		}
-		if err := feed(tick.Front.PerServer); err != nil {
+		if err := feed(frontMachines, tick.Front.PerServer); err != nil {
 			return nil, err
 		}
-		if err := feed(tick.Back.PerServer); err != nil {
+		if err := feed(backMachines, tick.Back.PerServer); err != nil {
 			return nil, err
 		}
 		sol.Step()

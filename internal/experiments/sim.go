@@ -187,8 +187,8 @@ func (s *Sim) Run(duration time.Duration) error {
 
 		// Feed the tick's utilizations to the thermal model, the role
 		// monitord plays on a live system.
-		for _, m := range machines {
-			st := tick.PerServer[m]
+		for i, m := range machines {
+			st := tick.PerServer[i]
 			if err := s.Solver.SetUtilization(m, model.UtilCPU, st.CPUUtil); err != nil {
 				return err
 			}

@@ -6,13 +6,15 @@
 // connection limits to move load away from hot servers ("remote
 // throttling"), and Freon-EC quiesces and drains servers before
 // turning them off.
+//
+// A Balancer belongs to one goroutine: it has no lock, and the request
+// path costs one tournament replay per assign or release.
 package lvs
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // ErrNoServer is returned by Assign when no server can take the
@@ -35,8 +37,12 @@ type server struct {
 	blocked map[string]bool
 }
 
-// Balancer is a weighted least-connections scheduler. Safe for
-// concurrent use.
+// Balancer is a weighted least-connections scheduler. It is not safe
+// for concurrent use: one goroutine makes every call, in this module
+// the lockstep loop that runs both the web cluster's requests and
+// Freon's policies. The one reader on another goroutine, Freon's
+// control-plane snapshot, calls only Weight, under the policy mutex
+// that also orders every SetWeight.
 //
 // Servers live in a slice in registration order, and a server's
 // position in it is its index for the balancer's lifetime:
@@ -51,23 +57,24 @@ type server struct {
 // tree whose root is the least key, ties going to the lower index, so
 // a pick reads the root and a change to one server re-keys one
 // leaf-to-root path.
+//
+// A key is stored as its math.Float64bits. Keys are never negative or
+// NaN, and the bits of non-negative floats, +Inf included, order as
+// the floats do, so the tournament compares integers.
 type Balancer struct {
-	mu      sync.Mutex
 	index   map[string]int
 	servers []server
-	// tree is a 1-based min-tree: node p's children are 2p and 2p+1,
-	// and server i's key is leaf size+i. Leaves past the last server
-	// hold +Inf. size is a power of two, at least len(servers).
-	tree []node
+	// keys and idxs are a 1-based min-tree: node p's children are 2p
+	// and 2p+1, and it holds the least key below it and the server
+	// holding that key. Server i's key is leaf size+i; leaves past the
+	// last server hold +Inf. size is a power of two, at least
+	// len(servers).
+	keys []uint64
+	idxs []int32
 	size int
 }
 
-// node is one tournament-tree entry: the least key below it and the
-// server holding that key.
-type node struct {
-	key float64
-	idx int32
-}
+var infBits = math.Float64bits(math.Inf(1))
 
 // New creates an empty balancer.
 func New() *Balancer {
@@ -86,8 +93,6 @@ func (b *Balancer) AddServer(name string, weight float64) error {
 	if math.IsNaN(weight) || math.IsInf(weight, 0) {
 		return fmt.Errorf("lvs: server %q needs a finite weight, got %v", name, weight)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if _, dup := b.index[name]; dup {
 		return fmt.Errorf("lvs: server %q already registered", name)
 	}
@@ -102,34 +107,28 @@ func (b *Balancer) AddServer(name string, weight float64) error {
 }
 
 // grow doubles the tree's leaf count and rebuilds it from the servers'
-// current keys.
+// current keys. The right child wins only with a strictly smaller key,
+// so equal keys go to the lower index.
 func (b *Balancer) grow() {
 	size := max(1, 2*b.size)
-	tree := make([]node, 2*size)
+	keys, idxs := make([]uint64, 2*size), make([]int32, 2*size)
 	for i := range size {
-		tree[size+i] = node{key: math.Inf(1), idx: int32(i)}
+		keys[size+i], idxs[size+i] = infBits, int32(i)
 	}
-	copy(tree[size:], b.tree[b.size:])
+	copy(keys[size:], b.keys[b.size:])
 	for p := size - 1; p >= 1; p-- {
-		tree[p] = least(tree[2*p], tree[2*p+1])
+		w := 2 * p
+		if keys[w+1] < keys[w] {
+			w++
+		}
+		keys[p], idxs[p] = keys[w], idxs[w]
 	}
-	b.tree, b.size = tree, size
-}
-
-// least is the tournament rule: the right child wins only with a
-// strictly smaller key, so equal keys go to the lower index.
-func least(l, r node) node {
-	if r.key < l.key {
-		return r
-	}
-	return l
+	b.keys, b.idxs, b.size = keys, idxs, size
 }
 
 // RemoveServer unregisters a server entirely. Its index is retired,
 // not reused: registering the name again appends a new server.
 func (b *Balancer) RemoveServer(name string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return err
@@ -143,8 +142,6 @@ func (b *Balancer) RemoveServer(name string) error {
 // Index returns a server's index: its position in registration order,
 // counting removed servers.
 func (b *Balancer) Index(name string) (int, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, ok := b.index[name]
 	return i, ok
 }
@@ -159,7 +156,11 @@ func (b *Balancer) lookup(name string) (int, error) {
 
 // rekey recomputes server i's scheduling key after a change to
 // anything the key depends on, and replays the tournament from its
-// leaf up to the first node whose winner does not change.
+// leaf to the root. The path's winner rides up in registers and each
+// level reads only the sibling, which wins with a strictly smaller key
+// or, from the left (lower indices), an equal one. The replay has no
+// early exit and no branch on the keys: the compiler selects with
+// CMOV.
 func (b *Balancer) rekey(i int) {
 	s := &b.servers[i]
 	k := math.Inf(1)
@@ -169,16 +170,20 @@ func (b *Balancer) rekey(i int) {
 			k = math.MaxFloat64 // an overflowed ratio is still eligible
 		}
 	}
-	t := b.tree
+	keys := b.keys
+	idxs := b.idxs[:len(keys)] // the same length, so keys' bounds checks cover idxs
 	p := b.size + i
-	t[p].key = k
+	key, idx := math.Float64bits(k), int32(i)
+	keys[p] = key
 	for p > 1 {
-		w := least(t[p&^1], t[p|1])
-		p >>= 1
-		if t[p] == w {
-			return
+		sk, si := keys[p^1], idxs[p^1]
+		// p&1 is 1 when the sibling is the left child, which also wins a
+		// tie. key <= infBits, so adding it cannot overflow.
+		if sk < key+uint64(p&1) {
+			key, idx = sk, si
 		}
-		t[p] = w
+		p >>= 1
+		keys[p], idxs[p] = key, idx
 	}
 }
 
@@ -191,8 +196,6 @@ func (b *Balancer) SetWeight(name string, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("lvs: negative weight %v", weight)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return err
@@ -204,8 +207,6 @@ func (b *Balancer) SetWeight(name string, weight float64) error {
 
 // Weight returns a server's current weight.
 func (b *Balancer) Weight(name string) (float64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return 0, err
@@ -220,8 +221,6 @@ func (b *Balancer) SetConnLimit(name string, limit int) error {
 	if limit < 0 {
 		return fmt.Errorf("lvs: negative connection limit %d", limit)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return err
@@ -233,8 +232,6 @@ func (b *Balancer) SetConnLimit(name string, limit int) error {
 
 // ConnLimit returns a server's connection cap (0 = unlimited).
 func (b *Balancer) ConnLimit(name string) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return 0, err
@@ -250,8 +247,6 @@ func (b *Balancer) Quiesce(name string) error { return b.setQuiesced(name, true)
 func (b *Balancer) Resume(name string) error { return b.setQuiesced(name, false) }
 
 func (b *Balancer) setQuiesced(name string, q bool) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return err
@@ -263,8 +258,6 @@ func (b *Balancer) setQuiesced(name string, q bool) error {
 
 // Quiesced reports whether a server is quiesced.
 func (b *Balancer) Quiesced(name string) (bool, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return false, err
@@ -274,8 +267,6 @@ func (b *Balancer) Quiesced(name string) (bool, error) {
 
 // ActiveConns returns a server's current connection count.
 func (b *Balancer) ActiveConns(name string) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return 0, err
@@ -285,8 +276,6 @@ func (b *Balancer) ActiveConns(name string) (int, error) {
 
 // Assigned returns the total requests ever assigned to a server.
 func (b *Balancer) Assigned(name string) (uint64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return 0, err
@@ -296,8 +285,6 @@ func (b *Balancer) Assigned(name string) (uint64, error) {
 
 // Servers returns the registered server names in registration order.
 func (b *Balancer) Servers() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	names := make([]string, 0, len(b.index))
 	for i := range b.servers {
 		if s := &b.servers[i]; !s.removed {
@@ -318,8 +305,6 @@ func (b *Balancer) Assign() (string, error) { return b.AssignClass("") }
 // empty class is never blocked. This is the content-aware distribution
 // Section 4.3 calls for; plain Assign is AssignClass("").
 func (b *Balancer) AssignClass(class string) (string, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.assign(class)
 	if err != nil {
 		return "", err
@@ -330,8 +315,6 @@ func (b *Balancer) AssignClass(class string) (string, error) {
 // AssignIndex is AssignClass returning the server's index instead of
 // its name, for callers that keep per-server state in a slice.
 func (b *Balancer) AssignIndex(class string) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.assign(class)
 }
 
@@ -339,10 +322,10 @@ func (b *Balancer) AssignIndex(class string) (int, error) {
 // earliest-registered server. Only when that server blocks the class
 // does it fall back to scan.
 func (b *Balancer) assign(class string) (int, error) {
-	if b.size == 0 || math.IsInf(b.tree[1].key, 1) {
+	if b.size == 0 || b.keys[1] == infBits {
 		return 0, ErrNoServer
 	}
-	best := int(b.tree[1].idx)
+	best := int(b.idxs[1])
 	if b.servers[best].blocked[class] {
 		if best = b.scan(class); best < 0 {
 			return 0, ErrNoServer
@@ -362,10 +345,10 @@ func (b *Balancer) assign(class string) (int, error) {
 // class, or -1 if none is eligible. The class-block map is consulted
 // only for a server that would otherwise take the lead.
 func (b *Balancer) scan(class string) int {
-	best, bestKey := -1, math.Inf(1)
-	for i, leaf := range b.tree[b.size : b.size+len(b.servers)] {
-		if leaf.key < bestKey && !b.servers[i].blocked[class] {
-			best, bestKey = i, leaf.key
+	best, bestKey := -1, infBits
+	for i, k := range b.keys[b.size : b.size+len(b.servers)] {
+		if k < bestKey && !b.servers[i].blocked[class] {
+			best, bestKey = i, k
 		}
 	}
 	return best
@@ -377,8 +360,6 @@ func (b *Balancer) SetClassBlocked(name, class string, blocked bool) error {
 	if class == "" {
 		return fmt.Errorf("lvs: empty class")
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return err
@@ -397,8 +378,6 @@ func (b *Balancer) SetClassBlocked(name, class string, blocked bool) error {
 
 // ClassBlocked reports whether a server refuses a class.
 func (b *Balancer) ClassBlocked(name, class string) (bool, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return false, err
@@ -413,8 +392,6 @@ func (b *Balancer) ClassBlocked(name, class string) (bool, error) {
 // the last time interval", measured where it peaks rather than at the
 // idle instants between batches).
 func (b *Balancer) TakePeakConns(name string) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return 0, err
@@ -427,8 +404,6 @@ func (b *Balancer) TakePeakConns(name string) (int, error) {
 
 // Done releases one connection on a server.
 func (b *Balancer) Done(name string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i, err := b.lookup(name)
 	if err != nil {
 		return err
@@ -442,8 +417,6 @@ func (b *Balancer) Done(name string) error {
 // release never raises the peak, so a caller that makes no assignment
 // between completions may release them in one call.
 func (b *Balancer) DoneIndex(i, n int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if i < 0 || i >= len(b.servers) || b.servers[i].removed {
 		return fmt.Errorf("lvs: unknown server index %d", i)
 	}
@@ -467,8 +440,6 @@ func (b *Balancer) done(i, n int) error {
 // TotalWeight sums the weights of non-quiesced servers; Freon's weight
 // arithmetic accounts "for the weights of all servers".
 func (b *Balancer) TotalWeight() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var sum float64
 	for i := range b.servers {
 		if s := &b.servers[i]; !s.quiesced {

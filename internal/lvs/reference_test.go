@@ -429,3 +429,113 @@ func TestOverflowedRatioStaysEligible(t *testing.T) {
 		}
 	}
 }
+
+// FuzzBalancerDifferential decodes a byte stream into balancer
+// operations and runs them against the reference, requiring every
+// pick, error and counter to agree. The first byte registers up to 79
+// servers of weight 1, so the tree is grown past 1, 2, 4, ... 64
+// leaves before the stream's own AddServer calls grow it further.
+// Each operation is three bytes: opcode, server, argument. Weights run
+// down to the subnormal 5e-324, whose active/weight overflows to the
+// MaxFloat64 clamp, and 1e-308, which overflows from two connections.
+func FuzzBalancerDifferential(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 1+3*400)
+		rng.Read(data)
+		data[0] = byte(rng.Intn(80))
+		f.Add(data)
+	}
+	weights := []float64{5e-324, 1e-308, 1e-300, 1e-3, 0.25, 0.5, 1, 1.5, 3, 0, -1}
+	classes := []string{"", "dynamic", "static"}
+	ops := []string{"AddServer", "RemoveServer", "SetWeight", "SetConnLimit", "Quiesce", "Resume",
+		"SetClassBlocked", "AssignClass", "AssignIndex", "DoneIndex", "counters"}
+	pool := make([]string, 96)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("s%d", i)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		got, want := New(), newRef()
+		for _, name := range pool[:int(data[0])%80] {
+			if g, w := got.AddServer(name, 1), want.AddServer(name, 1); !sameErr(g, w) {
+				t.Fatalf("AddServer(%s): %v vs reference %v", name, g, w)
+			}
+		}
+		for op, rest := 0, data[1:]; len(rest) >= 3; op, rest = op+1, rest[3:] {
+			code, name, arg := int(rest[0])%len(ops), pool[int(rest[1])%len(pool)], rest[2]
+			wt, class := weights[int(arg)%len(weights)], classes[int(arg)%len(classes)]
+			var g, w error
+			switch code {
+			case 0:
+				g, w = got.AddServer(name, wt), want.AddServer(name, wt)
+			case 1:
+				g, w = got.RemoveServer(name), want.RemoveServer(name)
+			case 2:
+				g, w = got.SetWeight(name, wt), want.SetWeight(name, wt)
+			case 3:
+				limit := int(arg)%6 - 1 // -1 is rejected, 0 lifts the cap
+				g, w = got.SetConnLimit(name, limit), want.SetConnLimit(name, limit)
+			case 4:
+				g, w = got.Quiesce(name), want.setQuiesced(name, true)
+			case 5:
+				g, w = got.Resume(name), want.setQuiesced(name, false)
+			case 6:
+				g, w = got.SetClassBlocked(name, class, arg&4 != 0), want.SetClassBlocked(name, class, arg&4 != 0)
+			case 7:
+				var gn, wn string
+				gn, g = got.AssignClass(class)
+				wn, w = want.AssignClass(class)
+				if gn != wn {
+					t.Fatalf("op %d: AssignClass(%q) picked %q, reference %q", op, class, gn, wn)
+				}
+			case 8:
+				var gi int
+				var wn string
+				gi, g = got.AssignIndex(class)
+				wn, w = want.AssignClass(class)
+				if g == nil && w == nil {
+					if wi, ok := got.Index(wn); !ok || wi != gi {
+						t.Fatalf("op %d: AssignIndex(%q) picked %d, reference %q has index %d (%v)", op, class, gi, wn, wi, ok)
+					}
+				}
+			case 9:
+				// DoneIndex(i, n) must equal n reference Dones, stopping
+				// at the first error.
+				n := 1 + int(arg)%4
+				for k := 0; k < n && w == nil; k++ {
+					w = want.Done(name)
+				}
+				if i, ok := got.Index(name); ok {
+					g = got.DoneIndex(i, n)
+				} else {
+					g = got.Done(name)
+				}
+			default:
+				gp, ge := got.TakePeakConns(name)
+				wp, we := want.TakePeakConns(name)
+				g, w = ge, we
+				if gp != wp {
+					t.Fatalf("op %d: TakePeakConns(%s) = %d, reference %d", op, name, gp, wp)
+				}
+				if ws, ok := want.servers[name]; ok {
+					sameCounters(t, "counters", got, ws)
+				}
+				if gw, ww := got.TotalWeight(), want.TotalWeight(); gw != ww {
+					t.Fatalf("op %d: TotalWeight = %v, reference %v", op, gw, ww)
+				}
+			}
+			if !sameErr(g, w) {
+				t.Fatalf("op %d: %s(%s, arg %d): error %v, reference %v", op, ops[code], name, arg, g, w)
+			}
+		}
+		if gs := got.Servers(); fmt.Sprint(gs) != fmt.Sprint(want.order) {
+			t.Fatalf("Servers = %v, reference %v", gs, want.order)
+		}
+		for _, name := range want.order {
+			sameCounters(t, "end", got, want.servers[name])
+		}
+	})
+}

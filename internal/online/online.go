@@ -542,8 +542,8 @@ func Run(cfg Config) (*Result, error) {
 			opIdx++
 		}
 		tick := wc.TickSecond(<-arrivals)
-		for _, m := range names {
-			st, syn := tick.PerServer[m], synths[m]
+		for i, m := range names {
+			st, syn := tick.PerServer[i], synths[m]
 			syn.Set(model.UtilCPU, st.CPUUtil)
 			syn.Set(model.UtilDisk, st.DiskUtil)
 		}

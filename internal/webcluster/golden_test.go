@@ -98,8 +98,8 @@ func goldenRun(t *testing.T, after func(c *Cluster, at string)) (hash uint64, to
 		if len(tick.PerServer) != len(names) {
 			t.Fatalf("second %d: PerServer has %d entries, want %d", sec, len(tick.PerServer), len(names))
 		}
-		for _, m := range names {
-			st := tick.PerServer[m]
+		for i, m := range names {
+			st := tick.PerServer[i]
 			put(math.Float64bits(float64(st.CPUUtil)))
 			put(math.Float64bits(float64(st.DiskUtil)))
 			put(uint64(st.Assigned))
@@ -164,31 +164,63 @@ func steadySecond(n int) []workload.Request {
 	return reqs
 }
 
-var sinkMap map[string]ServerTick // keeps the comparison map on the heap
-
-// TestTickSecondAllocatesOnlyItsResult: once the queues have grown to
-// their working size, a tick's only allocations are the PerServer map
-// it returns.
-func TestTickSecondAllocatesOnlyItsResult(t *testing.T) {
-	names := roomNames(64)
-	c, err := New(lvs.New(), names, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := steadySecond(len(names))
-	for i := 0; i < 5; i++ {
-		c.TickSecond(reqs)
-	}
-	resultOnly := testing.AllocsPerRun(20, func() {
-		m := make(map[string]ServerTick, len(names))
-		for _, n := range names {
-			m[n] = ServerTick{}
+// TickSecond allocates nothing once the queues have grown to their
+// working size: PerServer is the cluster's own slice.
+func TestTickSecondDoesNotAllocate(t *testing.T) {
+	for _, n := range []int{4, 64, 1024} {
+		c, err := New(lvs.New(), roomNames(n), Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sinkMap = m
-	})
-	got := testing.AllocsPerRun(20, func() { c.TickSecond(reqs) })
-	if got > resultOnly {
-		t.Errorf("TickSecond allocates %v times a tick, its result map alone %v", got, resultOnly)
+		reqs := steadySecond(n)
+		for i := 0; i < 5; i++ {
+			c.TickSecond(reqs)
+		}
+		if got := testing.AllocsPerRun(10, func() { c.TickSecond(reqs) }); got != 0 {
+			t.Errorf("machines=%d: TickSecond allocates %v times a tick, want 0", n, got)
+		}
+	}
+}
+
+// refSlotOf is the sub-slot rule TickSecond applied to every arrival
+// before the bounds replaced it, frozen here as the oracle for them.
+func refSlotOf(at time.Duration, slots int) int {
+	frac := float64(at%time.Second) / float64(time.Second)
+	s := int(frac * float64(slots))
+	if s >= slots {
+		s = slots - 1
+	}
+	return s
+}
+
+// The integer bounds must put every offset in the sub-slot the float
+// rule does. Both are monotone, so checking every boundary and the
+// nanoseconds either side of it covers every offset.
+func TestSlotBoundsMatchSlotOf(t *testing.T) {
+	for _, slots := range []int{1, 2, 3, 7, 10, 60, 1000} {
+		end := slotBounds(slots)
+		if len(end) != slots || end[slots-1] != time.Second {
+			t.Fatalf("slots=%d: %d bounds ending at %v, want %d ending at 1s", slots, len(end), end[len(end)-1], slots)
+		}
+		slot := func(r time.Duration) int {
+			s := 0
+			for r >= end[s] {
+				s++
+			}
+			return s
+		}
+		offsets := []time.Duration{0, time.Second - 1}
+		for _, b := range end {
+			offsets = append(offsets, b-1, b, b+1)
+		}
+		for _, r := range offsets {
+			if r < 0 || r >= time.Second {
+				continue
+			}
+			if got, want := slot(r), refSlotOf(r, slots); got != want {
+				t.Fatalf("slots=%d: offset %d ns falls in sub-slot %d, slotOf says %d", slots, r, got, want)
+			}
+		}
 	}
 }
 

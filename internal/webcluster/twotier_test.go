@@ -65,9 +65,9 @@ func TestTwoTierStaticStaysInFrontend(t *testing.T) {
 	if tick.BackendJobs != 0 {
 		t.Errorf("static requests issued %d backend jobs", tick.BackendJobs)
 	}
-	for name, st := range tick.Back.PerServer {
+	for i, st := range tick.Back.PerServer {
 		if st.CPUUtil != 0 {
-			t.Errorf("backend %s busy on static traffic", name)
+			t.Errorf("backend %s busy on static traffic", tt.Back().Machines()[i])
 		}
 	}
 	if tt.Totals().Dropped != 0 {
@@ -105,8 +105,8 @@ func TestTwoTierFreonShiftsBackendLoad(t *testing.T) {
 	var app1, app2 float64
 	for i := 0; i < 20; i++ {
 		tick := tt.TickSecond(burst(60, true))
-		app1 += float64(tick.Back.PerServer["app1"].CPUUtil)
-		app2 += float64(tick.Back.PerServer["app2"].CPUUtil)
+		app1 += float64(tick.Back.PerServer[0].CPUUtil)
+		app2 += float64(tick.Back.PerServer[1].CPUUtil)
 	}
 	if app1 >= app2/2 {
 		t.Errorf("deweighted backend still loaded: app1=%v app2=%v", app1, app2)

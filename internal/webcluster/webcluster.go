@@ -10,6 +10,7 @@ package webcluster
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/darklab/mercury/internal/lvs"
@@ -70,7 +71,9 @@ func (c Config) withDefaults() Config {
 // size arrival rates for a target utilization.
 func (c Config) MeanCPUPerRequest(dynamicShare float64) float64 {
 	c = c.withDefaults()
-	return dynamicShare*c.DynamicCPU.Seconds() + (1-dynamicShare)*c.StaticCPU.Seconds()
+	// The conversions round each product, so no architecture fuses
+	// the sum into a multiply-add.
+	return float64(dynamicShare*c.DynamicCPU.Seconds()) + float64((1-dynamicShare)*c.StaticCPU.Seconds())
 }
 
 type pending struct {
@@ -93,8 +96,7 @@ type server struct {
 	lastCPU  units.Fraction
 	lastDisk units.Fraction
 
-	// Accumulators for the tick in progress, reset by TickSecond.
-	tick     ServerTick
+	// Busy time in the tick in progress, reset by TickSecond.
 	busyCPU  float64
 	busyDisk float64
 }
@@ -119,7 +121,10 @@ type Tick struct {
 	Arrived   int
 	Dropped   int
 	Completed int
-	PerServer map[string]ServerTick
+	// PerServer holds one entry per server in registration order, the
+	// order of the machines New was given. The cluster owns it: it is
+	// valid until the next TickSecond.
+	PerServer []ServerTick
 }
 
 // Totals accumulates over a whole run.
@@ -140,12 +145,18 @@ func (t Totals) DropRate() float64 {
 // Cluster is the emulated web cluster. Servers are addressed by their
 // position in registration order, which New makes equal to their
 // index on the balancer; names are resolved once per control-plane
-// call.
+// call. Like its balancer, a Cluster is driven from one goroutine.
 type Cluster struct {
 	cfg     Config
 	bal     *lvs.Balancer
 	index   map[string]int
 	servers []server
+	// ticks is the tick in progress, one entry per server, and
+	// TickSecond's PerServer.
+	ticks []ServerTick
+	// slotEnd[s] is the least offset into a second that lies past
+	// sub-slot s (see slotBounds).
+	slotEnd []time.Duration
 	totals  Totals
 }
 
@@ -156,11 +167,14 @@ func New(bal *lvs.Balancer, machines []string, cfg Config) (*Cluster, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("webcluster: no machines")
 	}
+	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		bal:     bal,
 		index:   make(map[string]int, len(machines)),
 		servers: make([]server, 0, len(machines)),
+		ticks:   make([]ServerTick, len(machines)),
+		slotEnd: slotBounds(cfg.SlotsPerSecond),
 	}
 	for i, m := range machines {
 		if _, dup := c.index[m]; dup {
@@ -219,14 +233,14 @@ func (c *Cluster) On(name string) (bool, error) {
 // SetSpeed scales a server's CPU service rate, emulating local
 // voltage/frequency scaling (Section 4.3's comparison point): a server
 // at speed 0.5 needs twice the CPU time per request. Speed must be in
-// (0, 1].
+// (0, 1], which NaN is not.
 func (c *Cluster) SetSpeed(name string, speed float64) error {
 	s, err := c.server(name)
 	if err != nil {
 		return err
 	}
-	if speed <= 0 || speed > 1 {
-		return fmt.Errorf("webcluster: speed %v outside (0,1]", speed)
+	if !(speed > 0 && speed <= 1) {
+		return fmt.Errorf("webcluster: machine %q speed %v outside (0,1]", name, speed)
 	}
 	s.speed = speed
 	return nil
@@ -283,6 +297,33 @@ func (c *Cluster) Utilizations(name string) (map[model.UtilSource]units.Fraction
 // Totals returns the run's cumulative counts.
 func (c *Cluster) Totals() Totals { return c.totals }
 
+// slotOf is the service sub-slot, of slots per second, that an arrival
+// at offset at into its second falls in.
+func slotOf(at time.Duration, slots int) int {
+	frac := float64(at%time.Second) / float64(time.Second)
+	s := int(frac * float64(slots))
+	if s >= slots {
+		s = slots - 1
+	}
+	return s
+}
+
+// slotBounds returns, for each of slots sub-slots s, the least offset
+// into a second whose slotOf is past s, so an arrival belongs to s or
+// an earlier sub-slot iff its offset is below bound s. The last bound
+// is a whole second. slotOf is monotone in the offset, so bisection
+// finds each bound exactly.
+func slotBounds(slots int) []time.Duration {
+	end := make([]time.Duration, slots)
+	for s := range slots - 1 {
+		end[s] = time.Duration(sort.Search(int(time.Second), func(r int) bool {
+			return slotOf(time.Duration(r), slots) > s
+		}))
+	}
+	end[slots-1] = time.Second
+	return end
+}
+
 // TickSecond advances the cluster by one second, split into
 // SlotsPerSecond service sub-slots: each arrival is assigned through
 // the balancer in its arrival sub-slot, and every powered server then
@@ -291,29 +332,21 @@ func (c *Cluster) Totals() Totals { return c.totals }
 // while servers serve, so each server's completions in a slot are
 // released in one call.
 func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
-	tick := Tick{PerServer: make(map[string]ServerTick, len(c.servers))}
+	tick := Tick{PerServer: c.ticks}
+	clear(c.ticks)
 	for i := range c.servers {
 		s := &c.servers[i]
-		s.tick, s.busyCPU, s.busyDisk = ServerTick{}, 0, 0
+		s.busyCPU, s.busyDisk = 0, 0
 	}
 
-	slots := c.cfg.SlotsPerSecond
-	slotDur := 1.0 / float64(slots)
-	slotOf := func(at time.Duration) int {
-		frac := float64(at%time.Second) / float64(time.Second)
-		s := int(frac * float64(slots))
-		if s >= slots {
-			s = slots - 1
-		}
-		return s
-	}
+	slotDur := 1.0 / float64(c.cfg.SlotsPerSecond)
 	static := pending{cpuLeft: c.cfg.StaticCPU.Seconds(), disk: c.cfg.StaticDisk.Seconds()}
 	dynamic := pending{cpuLeft: c.cfg.DynamicCPU.Seconds(), dynamic: true}
 
 	idx := 0
-	for slot := 0; slot < slots; slot++ {
+	for _, end := range c.slotEnd {
 		// Assign this sub-slot's arrivals.
-		for idx < len(arrivals) && slotOf(arrivals[idx].At) <= slot {
+		for idx < len(arrivals) && arrivals[idx].At%time.Second < end {
 			req := arrivals[idx]
 			idx++
 			tick.Arrived++
@@ -336,7 +369,7 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 				_ = c.bal.DoneIndex(i, 1)
 				tick.Dropped++
 				c.totals.Dropped++
-				s.tick.Dropped++
+				c.ticks[i].Dropped++
 				continue
 			}
 			p := static
@@ -344,12 +377,12 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 				p = dynamic
 			}
 			s.queue = append(s.queue, p)
-			s.tick.Assigned++
+			c.ticks[i].Assigned++
 		}
 
 		// Serve one sub-slot on every powered server.
 		for i := range c.servers {
-			s := &c.servers[i]
+			s, st := &c.servers[i], &c.ticks[i]
 			if !s.on {
 				continue
 			}
@@ -361,7 +394,7 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 					budget -= head.cpuLeft
 					s.disk += head.disk
 					if head.dynamic {
-						s.tick.CompletedDynamic++
+						st.CompletedDynamic++
 					}
 					s.head++
 					done++
@@ -371,12 +404,14 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 				}
 			}
 			if done > 0 {
-				s.tick.Completed += done
+				st.Completed += done
 				c.totals.Completed += uint64(done)
 				tick.Completed += done
 				_ = c.bal.DoneIndex(i, done) // each completed request held a connection
 			}
-			s.busyCPU += (slotDur*s.speed - budget) / s.speed
+			// The conversion rounds the product, so no architecture
+			// fuses it into a multiply-subtract.
+			s.busyCPU += (float64(slotDur*s.speed) - budget) / s.speed
 
 			diskServed := s.disk
 			if diskServed > slotDur {
@@ -388,14 +423,13 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 	}
 
 	for i := range c.servers {
-		s := &c.servers[i]
+		s, st := &c.servers[i], &c.ticks[i]
 		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
 		s.head = 0
-		s.tick.CPUUtil = units.Fraction(s.busyCPU).Clamp()
-		s.tick.DiskUtil = units.Fraction(s.busyDisk).Clamp()
-		s.lastCPU, s.lastDisk = s.tick.CPUUtil, s.tick.DiskUtil
-		s.tick.Conns = len(s.queue)
-		tick.PerServer[s.name] = s.tick
+		st.CPUUtil = units.Fraction(s.busyCPU).Clamp()
+		st.DiskUtil = units.Fraction(s.busyDisk).Clamp()
+		s.lastCPU, s.lastDisk = st.CPUUtil, st.DiskUtil
+		st.Conns = len(s.queue)
 	}
 	return tick
 }

@@ -2,6 +2,7 @@ package webcluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func TestUtilizationMatchesLoad(t *testing.T) {
 	c := newCluster(t, 1)
 	// 20 dynamic requests at 25ms = 500ms of CPU: 50% utilization.
 	tick := c.TickSecond(burst(20, true))
-	st := tick.PerServer["machine1"]
+	st := tick.PerServer[0]
 	if math.Abs(float64(st.CPUUtil)-0.5) > 1e-9 {
 		t.Errorf("cpu util = %v, want 0.50", st.CPUUtil)
 	}
@@ -66,7 +67,7 @@ func TestUtilizationMatchesLoad(t *testing.T) {
 	}
 	// Static requests exercise the disk: 50 static = 100ms cpu, 400ms disk.
 	tick = c.TickSecond(burst(50, false))
-	st = tick.PerServer["machine1"]
+	st = tick.PerServer[0]
 	if math.Abs(float64(st.CPUUtil)-0.1) > 1e-9 {
 		t.Errorf("cpu util = %v, want 0.10", st.CPUUtil)
 	}
@@ -80,7 +81,7 @@ func TestOverloadQueuesAndCarriesOver(t *testing.T) {
 	// 60 dynamic requests = 1.5s of work: one second's worth completes,
 	// the rest stays queued.
 	tick := c.TickSecond(burst(60, true))
-	st := tick.PerServer["machine1"]
+	st := tick.PerServer[0]
 	if st.CPUUtil < 0.999 {
 		t.Errorf("cpu util = %v, want saturated", st.CPUUtil)
 	}
@@ -89,7 +90,7 @@ func TestOverloadQueuesAndCarriesOver(t *testing.T) {
 	}
 	// Next tick with no arrivals drains the backlog.
 	tick = c.TickSecond(nil)
-	st = tick.PerServer["machine1"]
+	st = tick.PerServer[0]
 	if st.Conns != 0 {
 		t.Errorf("backlog not drained: %d", st.Conns)
 	}
@@ -121,8 +122,8 @@ func TestQueueCapDrops(t *testing.T) {
 func TestLoadSpreadsAcrossServers(t *testing.T) {
 	c := newCluster(t, 4)
 	tick := c.TickSecond(burst(80, true))
-	for _, name := range c.Machines() {
-		st := tick.PerServer[name]
+	for i, name := range c.Machines() {
+		st := tick.PerServer[i]
 		// 80 requests x 25ms over 4 servers = 0.5 each.
 		if math.Abs(float64(st.CPUUtil)-0.5) > 0.1 {
 			t.Errorf("%s cpu = %v, want ~0.5", name, st.CPUUtil)
@@ -136,8 +137,8 @@ func TestWeightShiftsUtilization(t *testing.T) {
 	var u1, u2 float64
 	for i := 0; i < 10; i++ {
 		tick := c.TickSecond(burst(40, true))
-		u1 += float64(tick.PerServer["machine1"].CPUUtil)
-		u2 += float64(tick.PerServer["machine2"].CPUUtil)
+		u1 += float64(tick.PerServer[0].CPUUtil)
+		u2 += float64(tick.PerServer[1].CPUUtil)
 	}
 	if u1 >= u2*0.5 {
 		t.Errorf("deweighted server still loaded: %v vs %v", u1, u2)
@@ -163,7 +164,7 @@ func TestPowerOffDropsQueueAndRefuses(t *testing.T) {
 	// Off server picked by the balancer refuses requests (caller is
 	// expected to quiesce; this is the safety net).
 	tick := c.TickSecond(burst(10, true))
-	if tick.PerServer["machine1"].CPUUtil != 0 {
+	if tick.PerServer[0].CPUUtil != 0 {
 		t.Error("off server did work")
 	}
 	// Power back on.
@@ -186,7 +187,7 @@ func TestQuiescedServerDrains(t *testing.T) {
 	}
 	// All later requests go to machine2.
 	tick := c.TickSecond(burst(10, true))
-	if tick.PerServer["machine1"].Assigned != 0 {
+	if tick.PerServer[0].Assigned != 0 {
 		t.Error("quiesced server got assignments")
 	}
 }
@@ -278,7 +279,7 @@ func TestSetSpeedThrottlesService(t *testing.T) {
 	// 30 dynamic requests = 750ms of work; at half speed only ~375ms
 	// worth completes in a second and the rest queues.
 	tick := c.TickSecond(burst(30, true))
-	st := tick.PerServer["machine1"]
+	st := tick.PerServer[0]
 	if st.Conns == 0 {
 		t.Error("half-speed server should have a backlog")
 	}
@@ -299,14 +300,42 @@ func TestSetSpeedThrottlesService(t *testing.T) {
 	}
 }
 
+// A speed outside (0, 1], NaN and the infinities included, is refused
+// with an error naming the machine and leaves the speed as it was.
 func TestSetSpeedValidation(t *testing.T) {
+	for _, tc := range []struct {
+		speed float64
+		ok    bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{0, false},
+		{1.5, false},
+		{0.5, true},
+		{1, true},
+	} {
+		c := newCluster(t, 1)
+		if err := c.SetSpeed("machine1", 0.75); err != nil {
+			t.Fatal(err)
+		}
+		err := c.SetSpeed("machine1", tc.speed)
+		if tc.ok != (err == nil) {
+			t.Errorf("SetSpeed(%v): error %v, want ok=%v", tc.speed, err, tc.ok)
+			continue
+		}
+		want := tc.speed
+		if !tc.ok {
+			want = 0.75
+			if !strings.Contains(err.Error(), `"machine1"`) {
+				t.Errorf("SetSpeed(%v): error %q does not name the machine", tc.speed, err)
+			}
+		}
+		if got, _ := c.Speed("machine1"); got != want {
+			t.Errorf("after SetSpeed(%v): Speed = %v, want %v", tc.speed, got, want)
+		}
+	}
 	c := newCluster(t, 1)
-	if err := c.SetSpeed("machine1", 0); err == nil {
-		t.Error("zero speed: want error")
-	}
-	if err := c.SetSpeed("machine1", 1.5); err == nil {
-		t.Error("speed > 1: want error")
-	}
 	if err := c.SetSpeed("ghost", 0.5); err == nil {
 		t.Error("unknown machine: want error")
 	}

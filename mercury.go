@@ -267,7 +267,8 @@ type (
 	// ComponentSpec names a monitored component and its thresholds.
 	ComponentSpec = freon.ComponentSpec
 	// Balancer is the LVS-style weighted least-connections load
-	// balancer substrate.
+	// balancer substrate. It has no lock: drive it, and the web
+	// cluster over it, from one goroutine.
 	Balancer = lvs.Balancer
 )
 
