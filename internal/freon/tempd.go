@@ -16,7 +16,9 @@ import (
 // component is higher than Th and force[s] output to be non-negative";
 // callers gate on the threshold.
 func PDOutput(kp, kd float64, curr, last, high units.Celsius) float64 {
-	out := kp*float64(curr-high) + kd*float64(curr-last)
+	// Each product is rounded on its own, so arm64 cannot fuse one into
+	// the sum and the output is bit-identical on every architecture.
+	out := float64(kp*float64(curr-high)) + float64(kd*float64(curr-last))
 	return math.Max(out, 0)
 }
 
@@ -66,6 +68,11 @@ type Tempd struct {
 	kp, kd     float64
 	comps      []compState
 	restricted bool
+
+	// nodes are the components' node names in configuration order and
+	// temps the scratch a check reads them into.
+	nodes []string
+	temps []units.Celsius
 }
 
 // NewTempd builds a tempd for one machine.
@@ -77,7 +84,9 @@ func NewTempd(machine string, sensors Sensors, cfg Config) (*Tempd, error) {
 	t := &Tempd{machine: machine, sensors: sensors, kp: cfg.Kp, kd: cfg.Kd}
 	for _, spec := range cfg.Components {
 		t.comps = append(t.comps, compState{spec: spec})
+		t.nodes = append(t.nodes, spec.Node)
 	}
+	t.temps = make([]units.Celsius, len(t.nodes))
 	return t, nil
 }
 
@@ -85,16 +94,16 @@ func NewTempd(machine string, sensors Sensors, cfg Config) (*Tempd, error) {
 func (t *Tempd) Machine() string { return t.machine }
 
 // Check performs one observation period: read every monitored
-// component, run the PD controller for components above High, and
-// classify the machine's state.
+// component (readMachine), run the PD controller for components above
+// High, and classify the machine's state.
 func (t *Tempd) Check() (Report, error) {
+	if err := readMachine(t.sensors, t.machine, t.nodes, t.temps); err != nil {
+		return Report{}, fmt.Errorf("freon: tempd %s: %w", t.machine, err)
+	}
 	r := Report{Machine: t.machine, Temps: map[string]units.Celsius{}, AllBelowLow: true}
 	for i := range t.comps {
 		c := &t.comps[i]
-		curr, err := t.sensors.Temperature(t.machine, c.spec.Node)
-		if err != nil {
-			return Report{}, fmt.Errorf("freon: tempd %s: %w", t.machine, err)
-		}
+		curr := t.temps[i]
 		r.Temps[c.spec.Node] = curr
 		last := c.last
 		if !c.seen {

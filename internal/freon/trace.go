@@ -15,6 +15,35 @@ type ContextSensors interface {
 	TemperatureCtx(tc causal.Context, machine, node string) (units.Celsius, error)
 }
 
+// MachineSensors is implemented by sensor backends that read several
+// components of one machine in one call — the online harness's UDP
+// sensors put them in one datagram. Tempd.Check reads its machine
+// through it when the backend has it; temps[i] receives nodes[i]'s
+// temperature.
+type MachineSensors interface {
+	Sensors
+	MachineTemperatures(machine string, nodes []string, temps []units.Celsius) error
+}
+
+// readMachine reads machine's nodes into temps: in one call when s is
+// a MachineSensors, else node by node in order.
+func readMachine(s Sensors, machine string, nodes []string, temps []units.Celsius) error {
+	if ms, ok := s.(MachineSensors); ok {
+		return ms.MachineTemperatures(machine, nodes, temps)
+	}
+	return readNodes(s, machine, nodes, temps)
+}
+
+func readNodes(s Sensors, machine string, nodes []string, temps []units.Celsius) error {
+	for i, node := range nodes {
+		var err error
+		if temps[i], err = s.Temperature(machine, node); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // emTracer tracks the active thermal-emergency trace per machine for
 // one policy instance (Freon or EC). A machine's JustHot report roots
 // a new trace with an emergency span; while the emergency lasts,
@@ -130,7 +159,8 @@ func (et *emTracer) drop(machine string) {
 // with an active emergency are recorded as sensor-read spans parented
 // to the emergency root, and the context is forwarded over the wire
 // when the backend supports it. Reads for cool machines pass through
-// untouched. Calls happen under the owning policy's mutex (tempd
+// untouched, a whole machine's at once when the backend is a
+// MachineSensors. Calls happen under the owning policy's mutex (tempd
 // checks run inside TickPeriod), which also guards the emTracer map.
 type tracedSensors struct {
 	inner Sensors
@@ -172,4 +202,15 @@ func (ts tracedSensors) Temperature(machine, node string) (units.Celsius, error)
 	span.Value = float64(temp)
 	ts.et.t.Emit(span)
 	return temp, err
+}
+
+// MachineTemperatures implements MachineSensors: a machine with an
+// active emergency is read node by node, so each read keeps its span
+// and its serving span; any other goes to the backend's batch read
+// when it has one.
+func (ts tracedSensors) MachineTemperatures(machine string, nodes []string, temps []units.Celsius) error {
+	if ts.et.ctx(machine).Zero() {
+		return readMachine(ts.inner, machine, nodes, temps)
+	}
+	return readNodes(ts, machine, nodes, temps)
 }

@@ -481,24 +481,19 @@ func Run(cfg Config) (*Result, error) {
 	clk.Advance(500 * time.Millisecond)
 
 	// Freon, reading temperatures through the emulated sensor library
-	// (one UDP round trip per read, as on live hardware) and actuating
-	// the balancer locally, as admd does on the LVS machine.
-	sens := udpSensors{sensors: map[string]map[string]*sensor.Sensor{}}
-	nodes := map[string]bool{model.NodeCPU: true}
-	for _, comp := range comps {
-		nodes[comp.Node] = true
-	}
-	for _, m := range names {
-		sens.sensors[m] = map[string]*sensor.Sensor{}
-		for node := range nodes {
-			s, err := sensor.OpenOptions(servers[owner[m]].Addr().String(), m, node, sensor.Options{Clock: clk})
-			if err != nil {
-				return nil, err
-			}
-			defer s.Close()
-			s.SetTracer(tracer)
-			sens.sensors[m][node] = s
+	// and actuating the balancer locally, as admd does on the LVS
+	// machine. One sensor reader per shard serves every read: Freon's
+	// (a machine's components in one round trip, node by node while the
+	// machine's emergency is traced) and the harness's samples.
+	sens := udpSensors{readers: make([]*sensor.Reader, cfg.Shards), owner: owner}
+	for i, s := range servers {
+		r, err := dialSensors(s.Addr().String(), sensor.Options{Clock: clk})
+		if err != nil {
+			return nil, err
 		}
+		defer r.Close()
+		r.SetTracer(tracer)
+		sens.readers[i] = r
 	}
 	// One fiddle client per shard, routed like the control plane's.
 	fcs := make([]*fiddle.Client, cfg.Shards)
@@ -513,7 +508,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	cfg.Freon.Events = events
 	cfg.Freon.Tracer = tracer
-	fr, err := freon.New(names, sens, bal, power{wc: wc, apply: routeOp}, cfg.Freon)
+	fr, err := freon.New(names, &sens, bal, power{wc: wc, apply: routeOp}, cfg.Freon)
 	if err != nil {
 		return nil, err
 	}
@@ -525,6 +520,7 @@ func Run(cfg Config) (*Result, error) {
 			func() float64 { return float64(periods.Load()) })
 	}
 
+	cpus := newCPUProbes(names, shardNames)
 	pollSecs := int(fr.Config().ConnPoll / time.Second)
 	periodSecs := int(fr.Config().Period / time.Second)
 	sampleSecs := int(cfg.SampleEvery / time.Second)
@@ -598,13 +594,11 @@ func Run(cfg Config) (*Result, error) {
 
 		if (sec+1)%sampleSecs == 0 {
 			sample := Sample{Sec: sec, Temps: make([]units.Celsius, len(names))}
+			if err := cpus.read(sens.readers, sample.Temps); err != nil {
+				return nil, err
+			}
 			for i, m := range names {
-				temp, err := sens.Temperature(m, model.NodeCPU)
-				if err != nil {
-					return nil, err
-				}
-				sample.Temps[i] = temp
-				if temp > res.MaxCPUTemp[m] {
+				if temp := sample.Temps[i]; temp > res.MaxCPUTemp[m] {
 					res.MaxCPUTemp[m] = temp
 				}
 			}
@@ -713,25 +707,79 @@ func wholeSeconds(field string, d time.Duration) error {
 	return nil
 }
 
-// udpSensors adapts per-(machine, node) sensor clients to
-// freon.Sensors: every Temperature call is a UDP round trip.
+// dialSensors opens a shard's sensor reader; tests count the sockets
+// a run opens through it.
+var dialSensors = sensor.Dial
+
+// udpSensors adapts the shards' sensor readers to freon.Sensors: every
+// read is a UDP round trip to the machine's owner shard (shard 0, which
+// says so, for a machine nobody owns).
 type udpSensors struct {
-	sensors map[string]map[string]*sensor.Sensor
+	readers []*sensor.Reader
+	owner   map[string]int
+	probes  []sensor.Probe // MachineTemperatures' request scratch
 }
 
-func (u udpSensors) Temperature(machine, node string) (units.Celsius, error) {
+func (u *udpSensors) Temperature(machine, node string) (units.Celsius, error) {
 	return u.TemperatureCtx(causal.Context{}, machine, node)
 }
 
 // TemperatureCtx implements freon.ContextSensors: the trace context
 // rides the sensor request so solverd's serving span joins the
 // emergency's trace.
-func (u udpSensors) TemperatureCtx(tc causal.Context, machine, node string) (units.Celsius, error) {
-	s := u.sensors[machine][node]
-	if s == nil {
-		return 0, fmt.Errorf("online: no sensor open for %s/%s", machine, node)
+func (u *udpSensors) TemperatureCtx(tc causal.Context, machine, node string) (units.Celsius, error) {
+	return u.readers[u.owner[machine]].ReadCtx(tc, machine, node)
+}
+
+// MachineTemperatures implements freon.MachineSensors: one round trip
+// reads all of a machine's nodes.
+func (u *udpSensors) MachineTemperatures(machine string, nodes []string, temps []units.Celsius) error {
+	u.probes = u.probes[:0]
+	for _, n := range nodes {
+		u.probes = append(u.probes, sensor.Probe{Machine: machine, Node: n})
 	}
-	return s.ReadCtx(tc)
+	return u.readers[u.owner[machine]].ReadMany(u.probes, temps)
+}
+
+// cpuProbes is the harness's temperature sample: every machine's CPU,
+// read with one ReadMany per shard and scattered into cluster order.
+type cpuProbes struct {
+	probes [][]sensor.Probe  // by shard, in the shard's machine order
+	at     [][]int           // at[s][j]: probes[s][j]'s position in cluster order
+	temps  [][]units.Celsius // by shard, the read's scratch
+}
+
+func newCPUProbes(names []string, shardNames [][]string) *cpuProbes {
+	pos := make(map[string]int, len(names))
+	for i, m := range names {
+		pos[m] = i
+	}
+	c := &cpuProbes{}
+	for _, ms := range shardNames {
+		probes := make([]sensor.Probe, len(ms))
+		at := make([]int, len(ms))
+		for j, m := range ms {
+			probes[j] = sensor.Probe{Machine: m, Node: model.NodeCPU}
+			at[j] = pos[m]
+		}
+		c.probes = append(c.probes, probes)
+		c.at = append(c.at, at)
+		c.temps = append(c.temps, make([]units.Celsius, len(ms)))
+	}
+	return c
+}
+
+// read fills dst, in cluster order, from the shards' readers.
+func (c *cpuProbes) read(readers []*sensor.Reader, dst []units.Celsius) error {
+	for s, r := range readers {
+		if err := r.ReadMany(c.probes[s], c.temps[s]); err != nil {
+			return err
+		}
+		for j, t := range c.temps[s] {
+			dst[c.at[s][j]] = t
+		}
+	}
+	return nil
 }
 
 // power switches a machine off in the emulated web cluster directly

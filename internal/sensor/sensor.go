@@ -9,7 +9,10 @@
 //
 // Each Read is one UDP round trip to the solver daemon, analogous to
 // probing a hardware sensor; the paper measures ~300 us per read
-// against ~500 us for a real SCSI in-disk sensor.
+// against ~500 us for a real SCSI in-disk sensor. A Reader serves a
+// program that reads many sensors of one daemon: one socket for all of
+// them, and ReadMany to read up to wire.MaxSensorProbes of them in one
+// round trip.
 package sensor
 
 import (
@@ -24,17 +27,22 @@ import (
 	"github.com/darklab/mercury/internal/wire"
 )
 
-// Sensor is an open emulated temperature sensor.
-type Sensor struct {
-	client  *udprpc.Client
-	machine string
-	node    string
-	req     []byte // pre-marshaled read request
+// Probe names one sensor: a machine and one of its thermal nodes.
+type Probe = wire.Probe
 
-	// mu serializes reads: a traced request is encoded into treq, and
-	// the reply is read into the client's buffer.
+// Reader reads the sensors of one solver daemon over one socket: a
+// probe at a time, as the paper's readsensor() does, or many probes in
+// one round trip per wire.MaxSensorProbes. Concurrent reads take
+// turns; a successful read on the real clock allocates nothing.
+type Reader struct {
+	client *udprpc.Client
+
+	// mu serializes reads, which encode into req and decode into rep
+	// or many, and read the reply into the client's buffer.
 	mu   sync.Mutex
-	treq []byte
+	req  []byte
+	rep  wire.SensorReply
+	many wire.SensorReplyMany
 }
 
 // Options tune the UDP client.
@@ -48,6 +56,111 @@ type Options struct {
 	Clock clock.Clock
 }
 
+// Dial connects a Reader to the solver daemon at addr. It reads
+// nothing: a bad probe shows up on the read that names it.
+func Dial(addr string, opts Options) (*Reader, error) {
+	client, err := udprpc.DialClock(addr, opts.Timeout, opts.Retries, opts.Clock)
+	if err != nil {
+		return nil, fmt.Errorf("sensor: %w", err)
+	}
+	return &Reader{client: client}, nil
+}
+
+// SetTracer attaches a causal tracer to the reader's UDP client so
+// ReadCtx exchanges record rpc spans. Call before the first traced
+// read.
+func (r *Reader) SetTracer(t *causal.Tracer) { r.client.SetTracer(t) }
+
+// ReadCtx returns one node's current emulated temperature. A live
+// trace context makes the request a version-2 datagram whose context
+// the solver daemon echoes in the reply (and records as a sensor-serve
+// span); an untraced read is a version-1 datagram.
+func (r *Reader) ReadCtx(tc causal.Context, machine, node string) (units.Celsius, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var err error
+	r.req, err = wire.AppendSensorRead(r.req[:0], &wire.SensorRead{
+		Machine: machine,
+		Node:    node,
+		Trace:   wire.TraceContext{Trace: tc.Trace, Span: tc.Span},
+	})
+	if err != nil {
+		return 0, fmt.Errorf("sensor: %s/%s: %w", machine, node, err)
+	}
+	buf, err := r.client.DoCtx(tc, r.req)
+	if err != nil {
+		return 0, fmt.Errorf("sensor: %s/%s: %w", machine, node, err)
+	}
+	if err := wire.UnmarshalSensorReplyInto(&r.rep, buf); err != nil {
+		return 0, fmt.Errorf("sensor: %s/%s: %w", machine, node, err)
+	}
+	if r.rep.Status != wire.StatusOK {
+		return 0, fmt.Errorf("sensor: %s/%s: %s", machine, node, r.rep.Message)
+	}
+	return r.rep.Temp, nil
+}
+
+// ReadMany reads every probe, dst[i] receiving probes[i]'s
+// temperature, in as few round trips as the wire allows (untraced).
+// The first unknown probe fails the read, named in the error; dst is
+// then partly written.
+func (r *Reader) ReadMany(probes []Probe, dst []units.Celsius) error {
+	if len(dst) < len(probes) {
+		return fmt.Errorf("sensor: %d probes, room for %d temperatures", len(probes), len(dst))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for len(probes) > 0 {
+		chunk := probes[:wire.SensorReadManyFit(probes)]
+		if err := r.readChunk(chunk, dst); err != nil {
+			return err
+		}
+		probes, dst = probes[len(chunk):], dst[len(chunk):]
+	}
+	return nil
+}
+
+// readChunk reads the probes of one request into dst.
+func (r *Reader) readChunk(chunk []Probe, dst []units.Celsius) error {
+	fail := func(err error) error {
+		return fmt.Errorf("sensor: read of %d probes from %s/%s: %w", len(chunk), chunk[0].Machine, chunk[0].Node, err)
+	}
+	var err error
+	if r.req, err = wire.AppendSensorReadMany(r.req[:0], &wire.SensorReadMany{Probes: chunk}); err != nil {
+		return fail(err)
+	}
+	buf, err := r.client.Do(r.req)
+	if err != nil {
+		return fail(err)
+	}
+	rep := &r.many
+	if err := wire.UnmarshalSensorReplyManyInto(rep, buf); err != nil {
+		return fail(err)
+	}
+	switch {
+	case rep.Status != wire.StatusOK && rep.Failed < len(chunk):
+		p := chunk[rep.Failed]
+		return fmt.Errorf("sensor: %s/%s: %s", p.Machine, p.Node, rep.Message)
+	case rep.Status != wire.StatusOK:
+		return fmt.Errorf("sensor: reply blames probe %d of %d: %s", rep.Failed, len(chunk), rep.Message)
+	case len(rep.Temps) != len(chunk):
+		return fmt.Errorf("sensor: reply carries %d temperatures for %d probes", len(rep.Temps), len(chunk))
+	}
+	copy(dst, rep.Temps)
+	return nil
+}
+
+// Close releases the reader's socket.
+func (r *Reader) Close() error { return r.client.Close() }
+
+// Sensor is an open emulated temperature sensor: a Reader of its own
+// bound to one probe.
+type Sensor struct {
+	r       *Reader
+	machine string
+	node    string
+}
+
 // Open connects to the solver daemon at addr and validates that the
 // machine/node pair exists by performing one read. It mirrors the
 // paper's opensensor(host, port, component).
@@ -57,18 +170,13 @@ func Open(addr, machine, node string) (*Sensor, error) {
 
 // OpenOptions is Open with explicit client options.
 func OpenOptions(addr, machine, node string, opts Options) (*Sensor, error) {
-	client, err := udprpc.DialClock(addr, opts.Timeout, opts.Retries, opts.Clock)
+	r, err := Dial(addr, opts)
 	if err != nil {
-		return nil, fmt.Errorf("sensor: %w", err)
+		return nil, err
 	}
-	req, err := wire.AppendSensorRead(nil, &wire.SensorRead{Machine: machine, Node: node})
-	if err != nil {
-		client.Close()
-		return nil, fmt.Errorf("sensor: %w", err)
-	}
-	s := &Sensor{client: client, machine: machine, node: node, req: req}
+	s := &Sensor{r: r, machine: machine, node: node}
 	if _, err := s.Read(); err != nil {
-		client.Close()
+		r.Close()
 		return nil, err
 	}
 	return s, nil
@@ -77,46 +185,16 @@ func OpenOptions(addr, machine, node string, opts Options) (*Sensor, error) {
 // SetTracer attaches a causal tracer to the sensor's UDP client so
 // ReadCtx exchanges record rpc spans. Call before the first traced
 // read.
-func (s *Sensor) SetTracer(t *causal.Tracer) { s.client.SetTracer(t) }
+func (s *Sensor) SetTracer(t *causal.Tracer) { s.r.SetTracer(t) }
 
 // Read returns the node's current emulated temperature.
 func (s *Sensor) Read() (units.Celsius, error) {
-	return s.ReadCtx(causal.Context{})
+	return s.r.ReadCtx(causal.Context{}, s.machine, s.node)
 }
 
-// ReadCtx is Read carrying a trace context: the request travels as a
-// version-2 datagram whose context the solver daemon echoes in the
-// reply (and records as a sensor-serve span). The untraced path keeps
-// using the pre-marshaled version-1 request. Concurrent reads take
-// turns; a successful read on the real clock allocates nothing.
+// ReadCtx is Read carrying a trace context (see Reader.ReadCtx).
 func (s *Sensor) ReadCtx(tc causal.Context) (units.Celsius, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	req := s.req
-	if !tc.Zero() {
-		var err error
-		s.treq, err = wire.AppendSensorRead(s.treq[:0], &wire.SensorRead{
-			Machine: s.machine,
-			Node:    s.node,
-			Trace:   wire.TraceContext{Trace: tc.Trace, Span: tc.Span},
-		})
-		if err != nil {
-			return 0, fmt.Errorf("sensor: %s/%s: %w", s.machine, s.node, err)
-		}
-		req = s.treq
-	}
-	buf, err := s.client.DoCtx(tc, req)
-	if err != nil {
-		return 0, fmt.Errorf("sensor: %s/%s: %w", s.machine, s.node, err)
-	}
-	var rep wire.SensorReply
-	if err := wire.UnmarshalSensorReplyInto(&rep, buf); err != nil {
-		return 0, fmt.Errorf("sensor: %s/%s: %w", s.machine, s.node, err)
-	}
-	if rep.Status != wire.StatusOK {
-		return 0, fmt.Errorf("sensor: %s/%s: %s", s.machine, s.node, rep.Message)
-	}
-	return rep.Temp, nil
+	return s.r.ReadCtx(tc, s.machine, s.node)
 }
 
 // Machine returns the sensor's machine name.
@@ -126,7 +204,7 @@ func (s *Sensor) Machine() string { return s.machine }
 func (s *Sensor) Node() string { return s.node }
 
 // Close releases the sensor's socket.
-func (s *Sensor) Close() error { return s.client.Close() }
+func (s *Sensor) Close() error { return s.r.Close() }
 
 // ListMachines asks the daemon for its machine names.
 func ListMachines(addr string, opts Options) ([]string, error) {

@@ -196,3 +196,84 @@ func TestSensorRoundTripDoesNotAllocate(t *testing.T) {
 		t.Errorf("sensor read: %v allocs/op, want 0", n)
 	}
 }
+
+// TestHandleSensorManyDoesNotAllocate: a many-read of known probes is
+// decoded into Serve's scratch and answered from its reply buffer.
+func TestHandleSensorManyDoesNotAllocate(t *testing.T) {
+	c, err := model.DefaultCluster("room", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := solver.New(c, solver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ms, ns := sol.Probes()
+	probes := make([]wire.Probe, wire.MaxSensorProbes)
+	for i := range probes {
+		probes[i] = wire.Probe{Machine: ms[i*7%len(ms)], Node: ns[i*7%len(ns)]}
+	}
+	req, err := wire.AppendSensorReadMany(nil, &wire.SensorReadMany{Probes: probes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep wire.SensorReplyMany
+	if err := wire.UnmarshalSensorReplyManyInto(&rep, srv.handleSensorMany(req)); err != nil || rep.Status != wire.StatusOK || len(rep.Temps) != len(probes) {
+		t.Fatalf("reply = %+v, %v", rep, err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := wire.UnmarshalSensorReplyManyInto(&rep, srv.handleSensorMany(req)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("handleSensorMany: %v allocs/op, want 0", n)
+	}
+}
+
+// TestLongUnknownNameAnswered: a reply whose error text names a
+// 240-byte unknown machine is clipped to fit a wire string and sent,
+// so the client learns of the unknown probe on its first attempt
+// instead of waiting out every retry.
+func TestLongUnknownNameAnswered(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := udprpc.Dial(addr, 5*time.Second, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	long := strings.Repeat("m", 240)
+
+	read, _ := wire.AppendSensorRead(nil, &wire.SensorRead{Machine: long, Node: model.NodeCPU})
+	buf, err := c.Do(read)
+	if err != nil {
+		t.Fatalf("sensor read: %v", err)
+	}
+	var rep wire.SensorReply
+	if err := wire.UnmarshalSensorReplyInto(&rep, buf); err != nil || rep.Status != wire.StatusUnknown {
+		t.Errorf("sensor read reply = %+v, %v; want StatusUnknown", rep, err)
+	}
+
+	many, _ := wire.AppendSensorReadMany(nil, &wire.SensorReadMany{Probes: []wire.Probe{
+		{Machine: "machine1", Node: model.NodeCPU}, {Machine: long, Node: model.NodeCPU},
+	}})
+	if buf, err = c.Do(many); err != nil {
+		t.Fatalf("many-read: %v", err)
+	}
+	var mrep wire.SensorReplyMany
+	if err := wire.UnmarshalSensorReplyManyInto(&mrep, buf); err != nil || mrep.Status != wire.StatusUnknown || mrep.Failed != 1 {
+		t.Errorf("many-read reply = %+v, %v; want StatusUnknown at probe 1", mrep, err)
+	}
+
+	op, _ := wire.MarshalFiddleOp(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{long}, Floats: []float64{30}})
+	if buf, err = c.Do(op); err != nil {
+		t.Fatalf("fiddle op: %v", err)
+	}
+	if frep, err := wire.UnmarshalFiddleReply(buf); err != nil || frep.Status != wire.StatusUnknown {
+		t.Errorf("fiddle reply = %+v, %v; want StatusUnknown", frep, err)
+	}
+}

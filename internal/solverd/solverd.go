@@ -114,11 +114,13 @@ type Server struct {
 	utilGuard  *time.Timer
 
 	// Sensor serving scratch, touched only by Serve's goroutine: the
-	// decoded request, whose names are interned against names and
-	// nodeNames (each node name a read has found), and the encoded
-	// reply.
+	// decoded requests, whose names are interned against names and
+	// nodeNames (each node name a read has found), the many-read's
+	// reply, and the encoded reply.
 	nodeNames map[string]string
 	sensorReq wire.SensorRead
+	manyReq   wire.SensorReadMany
+	manyRep   wire.SensorReplyMany
 	replyBuf  []byte
 
 	mu        sync.Mutex
@@ -265,7 +267,7 @@ func (s *Server) registerMetrics() {
 	cf("mercury_solver_steps_total", "solver iterations taken by the stepping ticker", &s.stats.SolverSteps)
 	cf("mercury_solver_missed_ticks_total", "ticker fires made up after step overrun", &s.stats.MissedTicks)
 	cf("mercury_solver_util_updates_total", "utilization update datagrams applied", &s.stats.UtilUpdates)
-	cf("mercury_solver_sensor_reads_total", "sensor read requests served", &s.stats.SensorReads)
+	cf("mercury_solver_sensor_reads_total", "sensor probes read, one per probe of a many-read", &s.stats.SensorReads)
 	cf("mercury_solver_fiddle_ops_total", "fiddle operations received", &s.stats.FiddleOps)
 	cf("mercury_solver_list_requests_total", "list requests served", &s.stats.ListRequests)
 	cf("mercury_solver_malformed_total", "malformed or unknown datagrams", &s.stats.Malformed)
@@ -540,6 +542,8 @@ func (s *Server) handle(buf []byte, peer netip.AddrPort) {
 		s.handleUtil(buf)
 	case wire.MsgSensorRead:
 		s.reply(peer, s.handleSensor(buf))
+	case wire.MsgSensorReadMany:
+		s.reply(peer, s.handleSensorMany(buf))
 	case wire.MsgFiddleOp:
 		s.reply(peer, s.handleFiddle(buf))
 	case wire.MsgListNodes:
@@ -727,6 +731,40 @@ func (s *Server) handleSensor(buf []byte) []byte {
 	return out
 }
 
+// handleSensorMany serves a many-read from Serve-owned scratch, probe
+// by probe in request order, and stops at the first unknown probe,
+// whose index the reply carries. SensorReads counts each probe read,
+// so it means the same whether a client batches its reads or not.
+// Many-reads are untraced: a traced read travels alone (MsgSensorRead).
+func (s *Server) handleSensorMany(buf []byte) []byte {
+	req, rep := &s.manyReq, &s.manyRep
+	if err := wire.UnmarshalSensorReadManyInto(req, buf, s.internName); err != nil {
+		s.stats.Malformed.Add(1)
+		return nil
+	}
+	*rep = wire.SensorReplyMany{Status: wire.StatusOK, Temps: rep.Temps[:0]}
+	read := len(req.Probes)
+	for i, p := range req.Probes {
+		temp, err := s.sol.Temperature(p.Machine, p.Node)
+		if err != nil {
+			*rep = wire.SensorReplyMany{Status: wire.StatusUnknown, Temps: rep.Temps[:0], Failed: i, Message: err.Error()}
+			read = i + 1
+			break
+		}
+		rep.Temps = append(rep.Temps, temp)
+		if _, ok := s.nodeNames[p.Node]; !ok {
+			s.nodeNames[p.Node] = p.Node
+		}
+	}
+	s.stats.SensorReads.Add(uint64(read))
+	out, err := wire.AppendSensorReplyMany(s.replyBuf[:0], rep)
+	if err != nil {
+		return nil
+	}
+	s.replyBuf = out
+	return out
+}
+
 // ApplyFiddle applies one fiddle operation through the same counting
 // and event-logging path as the UDP handler; the HTTP control plane's
 // POST /fiddle routes here so both entry points behave identically.
@@ -783,10 +821,11 @@ func (s *Server) handleFiddle(buf []byte) []byte {
 		}
 		rep.Message = err.Error()
 	}
-	out, err := wire.MarshalFiddleReply(rep)
+	out, err := wire.AppendFiddleReply(s.replyBuf[:0], rep)
 	if err != nil {
 		return nil
 	}
+	s.replyBuf = out
 	return out
 }
 

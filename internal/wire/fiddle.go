@@ -169,12 +169,15 @@ type FiddleReply struct {
 
 // MarshalFiddleReply encodes a reply.
 func MarshalFiddleReply(r *FiddleReply) ([]byte, error) {
-	e := header(MsgFiddleReply)
+	return AppendFiddleReply(nil, r)
+}
+
+// AppendFiddleReply is MarshalFiddleReply appending to dst; a message
+// longer than a wire string is clipped, so every reply encodes.
+func AppendFiddleReply(dst []byte, r *FiddleReply) ([]byte, error) {
+	e := traceHeader(dst, MsgFiddleReply, TraceContext{})
 	e.byte(r.Status)
-	e.str(r.Message)
-	if e.err != nil {
-		return nil, e.err
-	}
+	e.message(r.Message)
 	return e.buf, nil
 }
 

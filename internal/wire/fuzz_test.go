@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/darklab/mercury/internal/model"
+	"github.com/darklab/mercury/internal/units"
 )
 
 // Fuzz targets for every decoder: arbitrary datagrams must yield an
@@ -60,6 +61,15 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(ub1[:len(ub1)-3])
 	f.Add(append(append([]byte(nil), ub2...), 0))
 	f.Add([]byte{Version, MsgUtilBatch, 0})
+	rm, _ := AppendSensorReadMany(nil, &SensorReadMany{Probes: []Probe{{"m1", "cpu"}, {"m2", "disk_platters"}}})
+	f.Add(rm)
+	f.Add(rm[:len(rm)-2])
+	f.Add([]byte{Version, MsgSensorReadMany, 0})
+	rmOK, _ := AppendSensorReplyMany(nil, &SensorReplyMany{Status: StatusOK, Temps: []units.Celsius{40.5, 38}})
+	f.Add(rmOK)
+	rmBad, _ := AppendSensorReplyMany(nil, &SensorReplyMany{Status: StatusUnknown, Failed: 1, Message: "unknown node"})
+	f.Add(rmBad)
+	f.Add(append(append([]byte(nil), rmOK...), 0))
 	f.Add([]byte{})
 	f.Add([]byte{Version})
 	f.Add([]byte{Version, 0xEE, 1, 2, 3})
@@ -187,6 +197,52 @@ func FuzzUnmarshalListReply(f *testing.F) {
 		}
 		if len(r.Names) > 255 {
 			t.Fatalf("decoded %d names", len(r.Names))
+		}
+	})
+}
+
+func FuzzUnmarshalSensorReadMany(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r SensorReadMany
+		if err := UnmarshalSensorReadManyInto(&r, data, nil); err != nil {
+			return
+		}
+		if len(r.Probes) == 0 || len(r.Probes) > MaxSensorProbes {
+			t.Fatalf("decoder accepted %d probes", len(r.Probes))
+		}
+		if SensorReadManyFit(r.Probes) != len(r.Probes) {
+			t.Fatalf("decoded request of %d probes does not fit one request", len(r.Probes))
+		}
+		buf, err := AppendSensorReadMany(nil, &r)
+		if err != nil {
+			t.Fatalf("decoded request does not re-encode: %v", err)
+		}
+		if string(buf) != string(data) {
+			t.Fatalf("re-encoding differs: %x -> %x", data, buf)
+		}
+	})
+}
+
+func FuzzUnmarshalSensorReplyMany(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r SensorReplyMany
+		if err := UnmarshalSensorReplyManyInto(&r, data); err != nil {
+			return
+		}
+		if r.Status == StatusOK && (len(r.Temps) == 0 || len(r.Temps) > MaxSensorProbes) {
+			t.Fatalf("decoder accepted %d temperatures", len(r.Temps))
+		}
+		buf, err := AppendSensorReplyMany(nil, &r)
+		if err != nil {
+			t.Fatalf("decoded reply does not re-encode: %v", err)
+		}
+		if len(buf) > MaxReplySize {
+			t.Fatalf("reply of %d bytes exceeds MaxReplySize", len(buf))
+		}
+		if string(buf) != string(data) {
+			t.Fatalf("re-encoding differs: %x -> %x", data, buf)
 		}
 	})
 }

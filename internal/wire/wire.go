@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unicode/utf8"
 
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/units"
@@ -35,6 +36,10 @@ const (
 	// MsgUtilBatch carries many machines' utilization reports in one
 	// datagram (batch.go).
 	MsgUtilBatch = 0x09
+	// MsgSensorReadMany asks for several probes' temperatures in one
+	// datagram, and MsgSensorReplyMany answers it (sensormany.go).
+	MsgSensorReadMany  = 0x0A
+	MsgSensorReplyMany = 0x0B
 )
 
 // Version is the baseline protocol version byte leading every
@@ -162,6 +167,20 @@ func (e *encoder) str(s string) {
 	}
 	e.byte(byte(len(s)))
 	e.buf = append(e.buf, s...)
+}
+
+// message encodes a reply's error detail, clipped to a wire string at
+// a UTF-8 boundary: a long unknown name must not cost the reply that
+// reports it.
+func (e *encoder) message(s string) {
+	if len(s) > 255 {
+		n := 255
+		for n > 0 && !utf8.RuneStart(s[n]) {
+			n--
+		}
+		s = s[:n]
+	}
+	e.str(s)
 }
 
 type decoder struct {
@@ -530,13 +549,13 @@ type SensorReply struct {
 	Trace   TraceContext
 }
 
-// AppendSensorReply encodes a reply appended to dst. On error dst is
-// returned unchanged.
+// AppendSensorReply encodes a reply appended to dst; a message longer
+// than a wire string is clipped. On error dst is returned unchanged.
 func AppendSensorReply(dst []byte, r *SensorReply) ([]byte, error) {
 	e := traceHeader(dst, MsgSensorReply, r.Trace)
 	e.byte(r.Status)
 	e.f64(float64(r.Temp))
-	e.str(r.Message)
+	e.message(r.Message)
 	if !r.Trace.Zero() {
 		e.trace(r.Trace)
 	}

@@ -482,7 +482,13 @@ func TestSensorScratchCodecs(t *testing.T) {
 	if rep != (SensorReply{Status: StatusOK, Temp: 41}) {
 		t.Errorf("reused reply = %+v, want its trace reset", rep)
 	}
-	if _, err := AppendSensorReply(out[:0], &SensorReply{Message: strings.Repeat("x", 256)}); err != ErrStringSize {
-		t.Errorf("oversized message: err = %v, want ErrStringSize", err)
+	// An over-long message is clipped, not refused: the reply that
+	// reports a failure must always go out.
+	out, err := AppendSensorReply(out[:0], &SensorReply{Status: StatusUnknown, Message: strings.Repeat("x", 256)})
+	if err != nil {
+		t.Fatalf("oversized message: %v", err)
+	}
+	if err := UnmarshalSensorReplyInto(&rep, out); err != nil || rep.Message != strings.Repeat("x", 255) {
+		t.Errorf("oversized message decodes as %d bytes, %v; want the first 255", len(rep.Message), err)
 	}
 }
