@@ -10,13 +10,16 @@ import (
 )
 
 // BenchmarkRoomStep is the serial kernel size sweep behind
-// docs/performance.md's "Room layout" and "Pair kernel": ns per
-// machine-step at Workers:1 on RackCluster (racks of 40),
-// DefaultCluster and mixed rooms from in-cache sizes to far beyond the
-// last-level cache, plus the pairing edges — one machine, which steps
-// paired with itself, and an odd room, whose last machine does. A mixed
-// room alternates DefaultServers and 4-core CMP servers, so no two
-// neighbours share a shape. It uses only the public API, so the same
+// docs/performance.md's "Room layout", "Pair kernel" and "Quad kernel
+// over shared coefficient sets": ns per machine-step at Workers:1 on
+// RackCluster (racks of 40), DefaultCluster, mixed and distinct rooms
+// from in-cache sizes to far beyond the last-level cache, plus the
+// grouping edges — one machine, which steps paired with itself, and 41
+// machines, which leave one. A mixed room alternates DefaultServers and
+// 4-core CMP servers, so no two neighbours share a shape. A distinct
+// room is DefaultCluster's with every machine given its own fan flow,
+// so no two machines share a coefficient set and every machine steps
+// through the pair kernel. It uses only the public API, so the same
 // file runs unchanged against older kernels. The 100 000-machine tiers
 // are skipped under -short.
 func BenchmarkRoomStep(b *testing.B) {
@@ -25,7 +28,7 @@ func BenchmarkRoomStep(b *testing.B) {
 		n    int
 	}
 	tiers := []tier{{"default", 1}, {"default", 41}}
-	for _, kind := range []string{"rack", "default", "mixed"} {
+	for _, kind := range []string{"rack", "default", "mixed", "distinct"} {
 		for _, n := range []int{40, 1000, 4000, 20000, 100000} {
 			tiers = append(tiers, tier{kind, n})
 		}
@@ -41,7 +44,7 @@ func BenchmarkRoomStep(b *testing.B) {
 			switch kind {
 			case "rack":
 				c, err = model.RackCluster("room", n/40, 40, nil)
-			case "default":
+			case "default", "distinct":
 				c, err = model.DefaultCluster("room", n)
 			case "mixed":
 				c, err = mixedRoom(n)
@@ -60,6 +63,12 @@ func BenchmarkRoomStep(b *testing.B) {
 				}
 				if err := s.SetUtilization(name, src, units.Fraction(i%10)/10); err != nil {
 					b.Fatal(err)
+				}
+				if kind == "distinct" {
+					flow := model.Table1.FanFlow * units.CubicFeetPerMinute(1+float64(i)/float64(n))
+					if err := s.SetFanFlow(name, flow); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			s.StepN(5)

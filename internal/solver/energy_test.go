@@ -21,7 +21,7 @@ func exhaustHeatFlow(t *testing.T, s *Solver, machine string, temps map[string]u
 	}
 	m := &s.ms[mi]
 	sh := m.shape
-	rel := win(s.relFlow, m.node, len(sh.names))
+	rel := m.set.relFlow
 	var out float64
 	for _, x := range sh.exhaustIdx {
 		F := units.AirDensity * rel[x] * m.fanM3s * float64(units.AirSpecificHeat)

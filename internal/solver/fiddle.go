@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/darklab/mercury/internal/units"
 )
@@ -13,8 +14,11 @@ import (
 // loop runs.
 //
 // Every mutation refreshes the kernel's cached coefficients it staled
-// (kernel.go documents the rules) in the machine's own windows only,
-// and marks the machine dirty so the active set re-steps it.
+// (kernel.go documents the rules): a changed constant moves the machine
+// to the set of its new constants (room.bind), leaving its set-mates
+// and their set untouched, and a changed input refreshes its own
+// windows only. Every mutation marks the machine dirty so the active
+// set re-steps it.
 
 // SetNodeTemperature forces a node to the given temperature
 // immediately (a one-shot assignment; the physics evolves it from
@@ -125,8 +129,8 @@ func (s *Solver) SourceTemperature(source string) (units.Celsius, error) {
 // nodes. The edge may be named in either direction (heat edges are
 // undirected).
 func (s *Solver) SetHeatK(machine, a, b string, k units.WattsPerKelvin) error {
-	if k < 0 {
-		return fmt.Errorf("solver: negative heat constant %v", k)
+	if !validHeatK(k) {
+		return fmt.Errorf("solver: invalid heat constant %v", float64(k))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -144,8 +148,8 @@ func (s *Solver) SetHeatK(machine, a, b string, k units.WattsPerKelvin) error {
 		return &ErrUnknown{Kind: "node", Name: machine + "/" + b}
 	}
 	if i := m.shape.heatEdgeIndex(ia, ib); i >= 0 {
-		s.heatK[int(m.heat)+i] = float64(k)
-		s.refreshCoupleK(mi)
+		s.stage(mi).heatK[i] = float64(k)
+		s.bind(mi)
 		s.fiddleGen++
 		s.markDirty(mi)
 		return nil
@@ -168,7 +172,7 @@ func (s *Solver) HeatK(machine, a, b string) (units.WattsPerKelvin, error) {
 		return 0, &ErrUnknown{Kind: "node", Name: machine + "/" + a + "--" + b}
 	}
 	if i := m.shape.heatEdgeIndex(ia, ib); i >= 0 {
-		return units.WattsPerKelvin(s.heatK[int(m.heat)+i]), nil
+		return units.WattsPerKelvin(m.set.heatK[i]), nil
 	}
 	return 0, &ErrUnknown{Kind: "heat edge", Name: machine + "/" + a + "--" + b}
 }
@@ -192,10 +196,10 @@ func (s *Solver) SetAirFraction(machine, from, to string, f units.Fraction) erro
 	sh := m.shape
 	for i, e := range sh.airEdges {
 		if sh.names[e.a] == from && sh.names[e.b] == to {
-			s.airFrac[int(m.air)+i] = float64(f)
+			s.stage(mi).airFrac[i] = float64(f)
+			s.bind(mi)
 			s.fiddleGen++
 			s.markDirty(mi)
-			s.recompileAirFlow(mi)
 			return nil
 		}
 	}
@@ -205,8 +209,8 @@ func (s *Solver) SetAirFraction(machine, from, to string, f units.Fraction) erro
 // SetFanFlow changes a machine's fan throughput, emulating multi-speed
 // fans.
 func (s *Solver) SetFanFlow(machine string, flow units.CubicFeetPerMinute) error {
-	if flow <= 0 {
-		return fmt.Errorf("solver: non-positive fan flow %v", flow)
+	if !validFanFlow(flow) {
+		return fmt.Errorf("solver: invalid fan flow %v", float64(flow))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -216,7 +220,8 @@ func (s *Solver) SetFanFlow(machine string, flow units.CubicFeetPerMinute) error
 	}
 	s.ms[mi].fanM3s = flow.CubicMetersPerSecond()
 	s.ms[mi].nomCFM = flow
-	s.refreshFlowCoef(mi)
+	s.stage(mi)
+	s.bind(mi)
 	s.fiddleGen++
 	s.markDirty(mi)
 	return nil
@@ -255,7 +260,7 @@ func (s *Solver) SetPowerScale(machine, component string, scale units.Fraction) 
 	if ci < 0 {
 		return &ErrUnknown{Kind: "component", Name: machine + "/" + component}
 	}
-	s.powers[m.comp+ci].scale = float64(scale)
+	s.scalesOf(mi)[ci] = float64(scale)
 	s.refreshDraws(mi)
 	s.fiddleGen++
 	s.markDirty(mi)
@@ -275,9 +280,22 @@ func (s *Solver) SetMachinePower(machine string, on bool) error {
 	}
 	if s.ms[mi].on != on {
 		s.ms[mi].on = on
-		s.refreshFlowCoef(mi)
+		s.stage(mi)
+		s.bind(mi)
 		s.refreshDraws(mi)
 		s.markDirty(mi)
 	}
 	return nil
+}
+
+// validHeatK is SetHeatK's rule for a heat constant, which RestoreState
+// applies too: finite and not negative.
+func validHeatK(k units.WattsPerKelvin) bool {
+	return k >= 0 && !math.IsInf(float64(k), 0)
+}
+
+// validFanFlow is SetFanFlow's rule for a fan flow: finite and
+// positive.
+func validFanFlow(flow units.CubicFeetPerMinute) bool {
+	return flow > 0 && !math.IsInf(float64(flow), 0)
 }

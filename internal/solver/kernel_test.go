@@ -9,17 +9,22 @@ import (
 	"github.com/darklab/mercury/internal/units"
 )
 
-// rebuildCaches rebuilds every cached kernel table of every machine
-// from scratch — the reference the incremental refreshes performed by
-// the fiddle operations are measured against. The shapes hold no
-// cached numbers, only the immutable topology.
+// rebuildCaches recompiles every coefficient set's derived
+// coefficients and every machine's draws from scratch — the reference
+// the rebinding and refreshes performed by the fiddle operations are
+// measured against. The shapes hold no cached numbers, only the
+// immutable topology.
 func rebuildCaches(t *testing.T, s *Solver) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, set := range s.sets.sets {
+		set.compile()
+	}
 	for mi := range s.ms {
-		s.recompileAirFlow(mi)
-		s.invalidate(mi)
+		s.refreshDraws(mi)
+		s.dirty[mi] = true
+		s.quiet[mi] = false
 	}
 }
 

@@ -36,50 +36,63 @@ import (
 // shard is a fixed subset of the machine list owned by one stepping
 // participant. Every machine is in exactly one shard
 // (TestShardPartition); within a shard, machines of one shape are
-// adjacent (groupByShape), so the step phase pairs them. snap and netQ
-// are the step kernel's scratch, one lane per machine of a pair, owned
-// by the shard's participant so machines carry none of their own.
+// adjacent and, within a shape, machines of one coefficient set
+// (groupBySet), so the step phase steps them four at a time and pairs
+// the rest. The kernels' scratch is owned by the shard's participant so
+// machines carry none of their own: snap, cur and netQ hold stepQuad's
+// four interleaved lanes, and pairSnap, pairNetQ stepPair's two lanes
+// in the same memory (a shard runs one kernel at a time).
 type shard struct {
-	idx        []int32
-	snap, netQ [2][]float64
+	idx                []int32
+	snap, cur, netQ    []float64
+	pairSnap, pairNetQ [2][]float64
 }
 
-// allocScratch gives the shard two kernel scratch lanes for machines
-// of up to nodes nodes, in one allocation padded by a cache line at
-// each end so no other shard's scratch shares a line with it.
+// allocScratch gives the shard the kernels' scratch for machines of up
+// to nodes nodes, in one allocation padded by a cache line at each end
+// so no other shard's scratch shares a line with it.
 func (sh *shard) allocScratch(nodes int) {
 	const pad = 8 // float64s per 64-byte cache line
-	buf := make([]float64, pad+4*nodes+pad)
-	lane := func(i int) []float64 {
+	buf := make([]float64, pad+12*nodes+pad)
+	part := func(i, n int) []float64 {
 		lo := pad + i*nodes
-		return buf[lo : lo+nodes : lo+nodes]
+		return buf[lo : lo+n : lo+n]
 	}
-	sh.snap = [2][]float64{lane(0), lane(1)}
-	sh.netQ = [2][]float64{lane(2), lane(3)}
+	sh.snap, sh.cur, sh.netQ = part(0, 4*nodes), part(4, 4*nodes), part(8, 4*nodes)
+	sh.pairSnap = [2][]float64{part(0, nodes), part(1, nodes)}
+	sh.pairNetQ = [2][]float64{part(2, nodes), part(3, nodes)}
 }
 
-// groupByShape reorders a shard's machines so that machines of one
-// shape are adjacent: shapes in order of first appearance, machines in
-// their partition order within a shape. Temperatures do not depend on
-// the order machines step in within a phase; the step phase pairs only
-// neighbours of one shape, so this is what lets a room of alternating
-// shapes pair at all.
-func (sh *shard) groupByShape(ms []machine) {
-	var order []*kernelShape
-	groups := map[*kernelShape][]int32{}
+// groupBySet reorders a shard's machines so that machines of one shape
+// are adjacent and, within a shape, machines bound to one coefficient
+// set: shapes and sets in order of first appearance, machines in their
+// partition order within a set. Temperatures do not depend on the order
+// machines step in within a phase; the step phase runs groups of four
+// only over neighbours of one set and pairs only neighbours of one
+// shape, so this is what lets a room of alternating shapes group at
+// all. Fiddles move machines between sets later; the order stays.
+func (sh *shard) groupBySet(ms []machine) {
+	var shapes []*kernelShape
+	sets := map[*kernelShape][]*coefSet{}
+	groups := map[*coefSet][]int32{}
 	for _, mi := range sh.idx {
-		k := ms[mi].shape
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		m := &ms[mi]
+		if _, ok := groups[m.set]; !ok {
+			if _, ok := sets[m.shape]; !ok {
+				shapes = append(shapes, m.shape)
+			}
+			sets[m.shape] = append(sets[m.shape], m.set)
 		}
-		groups[k] = append(groups[k], mi)
+		groups[m.set] = append(groups[m.set], mi)
 	}
 	// Rewrite in place: the groups are copies holding exactly
 	// len(sh.idx) entries, so the appends stay inside this shard's part
 	// of the partition's shared backing array.
 	sh.idx = sh.idx[:0]
-	for _, k := range order {
-		sh.idx = append(sh.idx, groups[k]...)
+	for _, k := range shapes {
+		for _, set := range sets[k] {
+			sh.idx = append(sh.idx, groups[set]...)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"github.com/darklab/mercury/internal/model"
+	"github.com/darklab/mercury/internal/units"
 )
 
 // This file holds the horizontal partitioning machinery: a room graph
@@ -326,7 +327,9 @@ func (s *Solver) ExportBoundary(peer int, dst []float64) int {
 // ImportBoundaryTemps installs boundary exhaust temperatures received
 // from peer. idx and temps are parallel; every index must belong to
 // peer's BoundaryInFrom set, but any subset is accepted, so a large
-// boundary may arrive chunked across datagrams. A bitwise change
+// boundary may arrive chunked across datagrams. Every temperature must
+// be valid (units.Celsius.Valid), and an import with one that is not
+// applies none of them. A bitwise change
 // re-activates the all-quiescent fast path (anyDirty), and the next
 // inlet phase re-activates exactly the downstream machines whose mix
 // actually moved — quiescence stays bit-exact across the cut.
@@ -338,9 +341,12 @@ func (s *Solver) ImportBoundaryTemps(peer int, idx []int32, temps []float64) err
 	if p == nil {
 		return fmt.Errorf("solver: region %d is not a boundary peer", peer)
 	}
-	for _, mi := range idx {
+	for k, mi := range idx {
 		if !p.inSet[mi] {
 			return fmt.Errorf("solver: machine index %d is not in region %d's boundary set", mi, peer)
+		}
+		if t := units.Celsius(temps[k]); !t.Valid() {
+			return fmt.Errorf("solver: invalid boundary exhaust %v for machine index %d", float64(t), mi)
 		}
 	}
 	s.mu.Lock()

@@ -288,7 +288,7 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 		core.shards = core.partitionOwnedShards()
 	}
 	for i := range core.shards {
-		core.shards[i].groupByShape(core.ms)
+		core.shards[i].groupBySet(core.ms)
 		core.shards[i].allocScratch(maxNodes)
 	}
 	core.deltas = make([]shardDelta, len(core.shards))
@@ -355,7 +355,7 @@ func (s *solverCore) mixInlet(mi int) float64 {
 			t = s.exhaust[e.ref]
 		}
 		wsum += e.frac
-		tsum += e.frac * t
+		tsum += float64(e.frac * t)
 	}
 	if wsum == 0 {
 		return s.inlet[mi] // isolated machine keeps its last inlet
@@ -498,33 +498,43 @@ func (s *solverCore) runInletPhase(sh int) {
 // runStepPhase is phase 2 over one shard: the per-machine heat and air
 // traversals. With Config.ActiveSet, quiet machines with unchanged
 // inputs are at a bitwise fixed point and only accrue energy;
-// everything else runs the full kernel, two machines of one shape per
-// call. A stepping machine waits for the next stepping machine of its
-// shape; one left without a partner (at a shape boundary or the end of
-// the shard) steps paired with itself. Each shard tracks its own
-// maximum temperature delta; the reduction in stepN is
-// order-independent, so steady-state detection is deterministic across
-// worker counts. The kernel's scratch is the shard's own.
+// everything else runs the full kernel. Consecutive stepping machines
+// of one coefficient set step four per call (stepQuad); quiet machines
+// between them do not break a group. What a run of one set leaves short
+// of four goes to the pair kernel, where a machine waits for the next
+// such machine of its shape, and one left without a partner (at a shape
+// boundary or the end of the shard) steps paired with itself. Each
+// shard tracks its own maximum temperature delta; the reduction in
+// stepN is order-independent, so steady-state detection is
+// deterministic across worker counts. The kernels' scratch is the
+// shard's own.
 func (s *solverCore) runStepPhase(sh int) {
 	var d float64
 	skip := s.cfg.ActiveSet
 	shd := &s.shards[sh]
+	var quad [4]int32 // stepping machines of set, waiting for a group
+	var set *coefSet
+	n := 0
 	held := int32(-1) // a stepping machine waiting for a partner
 	for _, mi := range shd.idx {
 		if skip && s.quiet[mi] && !s.dirty[mi] {
 			s.stepQuiescent(int(mi), s.dt)
 			continue
 		}
-		switch {
-		case held < 0:
-			held = mi
-		case s.ms[held].shape == s.ms[mi].shape:
-			d = s.stepLanes(shd, held, mi, d)
-			held = -1
-		default:
-			d = s.stepLanes(shd, held, held, d)
-			held = mi
+		if ms := s.ms[mi].set; ms != set {
+			for _, p := range quad[:n] {
+				held, d = s.pairWith(shd, held, p, d)
+			}
+			set, n = ms, 0
 		}
+		quad[n] = mi
+		if n++; n == len(quad) {
+			d = s.stepGroup(shd, quad, d)
+			n = 0
+		}
+	}
+	for _, p := range quad[:n] {
+		held, d = s.pairWith(shd, held, p, d)
 	}
 	if held >= 0 {
 		d = s.stepLanes(shd, held, held, d)
@@ -532,11 +542,39 @@ func (s *solverCore) runStepPhase(sh int) {
 	s.deltas[sh].v = d
 }
 
+// pairWith steps machine mi through the pair kernel: with the held
+// machine when they share a shape, else the held machine alone and mi
+// held instead. It returns the machine left waiting for a partner (or
+// -1) and d raised to the stepped deltas.
+func (s *solverCore) pairWith(shd *shard, held, mi int32, d float64) (int32, float64) {
+	switch {
+	case held < 0:
+		return mi, d
+	case s.ms[held].shape == s.ms[mi].shape:
+		return -1, s.stepLanes(shd, held, mi, d)
+	}
+	return mi, s.stepLanes(shd, held, held, d)
+}
+
+// stepGroup steps four machines of one set through stepQuad, records
+// each one's quiescence, clears its dirt, and returns d raised to their
+// deltas.
+func (s *solverCore) stepGroup(shd *shard, q [4]int32, d float64) float64 {
+	ds := s.stepQuad(s.ms[q[0]].set, q, s.dt, shd.snap, shd.cur, shd.netQ)
+	for l, mi := range q {
+		s.quiet[mi], s.dirty[mi] = ds[l] == 0, false
+		if ds[l] > d {
+			d = ds[l]
+		}
+	}
+	return d
+}
+
 // stepLanes steps machines a and b through the kernel as one pair
 // (a == b for a machine without a partner), records each one's
 // quiescence, clears its dirt, and returns d raised to their deltas.
 func (s *solverCore) stepLanes(shd *shard, a, b int32, d float64) float64 {
-	da, db := s.stepPair(int(a), int(b), s.dt, shd.snap, shd.netQ)
+	da, db := s.stepPair(int(a), int(b), s.dt, shd.pairSnap, shd.pairNetQ)
 	s.quiet[a], s.dirty[a] = da == 0, false
 	s.quiet[b], s.dirty[b] = db == 0, false
 	if da > d {

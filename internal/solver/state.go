@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"time"
 
@@ -75,18 +76,18 @@ func (s *Solver) SaveState() *State {
 			ms.InletPinned = true
 			ms.InletPin = units.Celsius(m.pin)
 		}
-		for i, p := range win(s.powers, m.comp, len(sh.compNode)) {
-			if p.scale != 1 {
+		for i, scale := range s.scalesOf(mi) {
+			if scale != 1 {
 				if ms.PowerScales == nil {
 					ms.PowerScales = map[string]units.Fraction{}
 				}
-				ms.PowerScales[sh.names[sh.compNode[i]]] = units.Fraction(p.scale)
+				ms.PowerScales[sh.names[sh.compNode[i]]] = units.Fraction(scale)
 			}
 		}
-		for i, k := range win(s.heatK, m.heat, len(sh.heatEdges)) {
+		for i, k := range m.set.heatK {
 			ms.HeatKs[sh.heatKeys[i]] = units.WattsPerKelvin(k)
 		}
-		for i, f := range win(s.airFrac, m.air, len(sh.airEdges)) {
+		for i, f := range m.set.airFrac {
 			ms.AirFractions[sh.airKeys[i]] = units.Fraction(f)
 		}
 		st.Machines[m.name] = ms
@@ -151,38 +152,36 @@ func (s *Solver) RestoreState(st *State) error {
 		}
 		s.energy[mi] = float64(ms.Energy)
 		s.exhaust[mi] = float64(ms.ExhaustTemp)
-		powers := win(s.powers, m.comp, len(sh.compNode))
-		for i := range powers {
-			powers[i].scale = 1
+		scales := s.scalesOf(mi)
+		for i := range scales {
+			scales[i] = 1
 		}
 		for node, scale := range ms.PowerScales {
-			powers[sh.compOf[sh.index[node]]].scale = float64(scale)
+			scales[sh.compOf[sh.index[node]]] = float64(scale)
 		}
-		heatK := win(s.heatK, m.heat, len(sh.heatEdges))
+		st := s.stage(mi)
 		for key, k := range ms.HeatKs {
 			for i, hk := range sh.heatKeys {
 				if hk == key {
-					heatK[i] = float64(k)
+					st.heatK[i] = float64(k)
 				}
 			}
 		}
-		frac := win(s.airFrac, m.air, len(sh.airEdges))
-		changedAir := false
 		for key, f := range ms.AirFractions {
 			for i, ak := range sh.airKeys {
-				if ak == key && units.Fraction(frac[i]) != f {
-					frac[i] = float64(f)
-					changedAir = true
+				if ak == key && units.Fraction(st.airFrac[i]) != f {
+					st.airFrac[i] = float64(f)
 				}
 			}
 		}
-		if changedAir {
-			s.recompileAirFlow(mi)
-		}
-		// The restore may have rewritten any input the kernel caches
-		// coefficients for, so rebuild them all and re-activate the
-		// machine (kernel.go documents the invalidation rules).
-		s.invalidate(mi)
+		// The restore may have rewritten any constant or input the
+		// kernel caches, so rebind the machine — constants that match
+		// a set rejoin it — refresh its draws and re-activate it
+		// (kernel.go documents the invalidation rules).
+		s.bind(mi)
+		s.refreshDraws(mi)
+		s.dirty[mi] = true
+		s.quiet[mi] = false
 		s.anyDirty = true
 	}
 	// A restore can rewrite dynamics constants (heat Ks, fan flows,
@@ -198,7 +197,8 @@ func (s *Solver) RestoreState(st *State) error {
 // name one of its utilization sources, components, heat edges or air
 // edges, and every value must pass the rule of the fiddle operation
 // that sets it (SetNodeTemperature, PinInlet, SetPowerScale, SetHeatK,
-// SetAirFraction).
+// SetAirFraction, SetFanFlow). A fan flow of zero or less is not a
+// recorded flow and leaves the machine's fan as it is.
 func validateMachineState(sh *kernelShape, ms MachineState) error {
 	if len(ms.Temps) != len(sh.names) {
 		return fmt.Errorf("has %d nodes, snapshot has %d", len(sh.names), len(ms.Temps))
@@ -216,6 +216,9 @@ func validateMachineState(sh *kernelShape, ms MachineState) error {
 			return fmt.Errorf("no utilization source %q", src)
 		}
 	}
+	if f := float64(ms.FanFlow); math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("invalid fan flow %v", f)
+	}
 	if ms.InletPinned && !ms.InletPin.Valid() {
 		return fmt.Errorf("invalid inlet pin %v", ms.InletPin)
 	}
@@ -231,8 +234,8 @@ func validateMachineState(sh *kernelShape, ms MachineState) error {
 		if !slices.Contains(sh.heatKeys, key) {
 			return fmt.Errorf("no heat edge %q", key)
 		}
-		if k < 0 {
-			return fmt.Errorf("negative heat constant %v for %q", k, key)
+		if !validHeatK(k) {
+			return fmt.Errorf("invalid heat constant %v for %q", float64(k), key)
 		}
 	}
 	for key, f := range ms.AirFractions {

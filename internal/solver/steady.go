@@ -92,10 +92,7 @@ func (s *Solver) SteadyState(machine string) (map[string]units.Celsius, error) {
 	}
 
 	inlet := s.mixInlet(mi)
-	fan := m.fanM3s
-	if !m.on {
-		fan *= float64(s.cfg.OffFanFraction)
-	}
+	set := m.set
 
 	// Heat-edge coupling contributes to both component and air rows.
 	type coupling struct {
@@ -103,7 +100,7 @@ func (s *Solver) SteadyState(machine string) (map[string]units.Celsius, error) {
 		k float64
 	}
 	couplings := make([][]coupling, n)
-	for i, k := range win(s.heatK, m.heat, len(sh.heatEdges)) {
+	for i, k := range set.heatK {
 		e := sh.heatEdges[i]
 		couplings[e.a] = append(couplings[e.a], coupling{j: e.b, k: k})
 		couplings[e.b] = append(couplings[e.b], coupling{j: e.a, k: k})
@@ -111,21 +108,20 @@ func (s *Solver) SteadyState(machine string) (map[string]units.Celsius, error) {
 
 	isComp := make([]bool, n)
 	power := make([]float64, n)
-	powers := win(s.powers, m.comp, len(sh.compNode))
+	scales := s.scalesOf(mi)
 	utils := s.utilsOf(mi)
 	for i, node := range sh.compNode {
 		isComp[node] = true
-		if p := &powers[i]; m.on && p.model != nil {
+		if pm := set.models[i]; m.on && pm != nil {
 			var u units.Fraction // 0 for UtilNone
 			if ui := sh.compUtil[i]; ui >= 0 {
 				u = units.Fraction(utils[ui])
 			}
-			power[node] = float64(p.model.Power(u)) * p.scale
+			power[node] = float64(pm.Power(u)) * scales[i]
 		}
 	}
 
-	rel := win(s.relFlow, m.node, n)
-	frac := win(s.airFrac, m.air, len(sh.airEdges))
+	rel, frac := set.relFlow, set.airFrac
 	for i := 0; i < n; i++ {
 		row := A[i*n : (i+1)*n : (i+1)*n]
 		switch {
@@ -152,7 +148,7 @@ func (s *Solver) SteadyState(machine string) (map[string]units.Celsius, error) {
 			// Air region: T_a - mix - sum k (T_j - T_a)/F = 0.
 			var wsum float64
 			for p := sh.airInOff[i]; p < sh.airInOff[i+1]; p++ {
-				wsum += frac[sh.flowEdge[p]] * rel[sh.flowFrom[p]]
+				wsum += float64(frac[sh.flowEdge[p]] * rel[sh.flowFrom[p]])
 			}
 			row[i] = 1
 			if wsum > 0 {
@@ -160,7 +156,7 @@ func (s *Solver) SteadyState(machine string) (map[string]units.Celsius, error) {
 					row[sh.flowFrom[p]] -= frac[sh.flowEdge[p]] * rel[sh.flowFrom[p]] / wsum
 				}
 			}
-			F := units.AirDensity * rel[i] * fan * float64(units.AirSpecificHeat)
+			F := units.AirDensity * rel[i] * set.fan * float64(units.AirSpecificHeat)
 			if F > 0 {
 				for _, cpl := range couplings[i] {
 					row[i] += cpl.k / F
@@ -218,15 +214,15 @@ func solveLinear(A, b, x []float64, n int) error {
 				continue
 			}
 			for c := col; c < n; c++ {
-				A[r*n+c] -= f * A[col*n+c]
+				A[r*n+c] -= float64(f * A[col*n+c])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	for r := n - 1; r >= 0; r-- {
 		sum := b[r]
 		for c := r + 1; c < n; c++ {
-			sum -= A[r*n+c] * x[c]
+			sum -= float64(A[r*n+c] * x[c])
 		}
 		x[r] = sum / A[r*n+r]
 	}

@@ -248,7 +248,11 @@ func (s *Server) awaitBoundary(tick uint64) bool {
 		if len(st.idx) != len(l.in) {
 			s.stats.BoundaryMissed.Add(1)
 		} else if err := s.sol.ImportBoundaryTemps(l.region, st.idx, st.temps); err != nil {
+			// A rejected import (a non-finite exhaust, say) leaves the
+			// tick without the peer's exhausts, exactly as a lost frame
+			// does, so it counts as missed as well as malformed.
 			s.stats.Malformed.Add(1)
+			s.stats.BoundaryMissed.Add(1)
 		} else if s.rec != nil {
 			s.rec.RecordBoundary(tick, l.region, st.idx, st.temps)
 		}

@@ -1,6 +1,7 @@
 package solverd_test
 
 import (
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/solver"
 	"github.com/darklab/mercury/internal/solverd"
+	"github.com/darklab/mercury/internal/units"
 	"github.com/darklab/mercury/internal/wire"
 )
 
@@ -214,5 +216,88 @@ func TestUtilBatchApplied(t *testing.T) {
 	}
 	if got := srv.Stats().UtilUpdates.Load(); got != 2 {
 		t.Errorf("UtilUpdates = %d after stale replay, want 2", got)
+	}
+}
+
+// TestNonFiniteBoundaryCountsAsMissed: a boundary frame carrying a NaN
+// exhaust is refused by the solver, and the tick that steps without it
+// counts the boundary as missed (the health alert's counter) as well
+// as malformed; no NaN reaches a temperature.
+func TestNonFiniteBoundaryCountsAsMissed(t *testing.T) {
+	c, err := model.RackCluster("room", 3, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions, err := solver.PartitionRegions(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := solver.New(c, solver.Config{Workers: 1, Regions: regions, RegionIndex: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	s, err := solverd.Listen("127.0.0.1:0", sol, solverd.WithClock(clock.NewVirtual()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.SetPeers(map[int]string{0: peer.LocalAddr().String()}); err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+
+	if !s.Tick() {
+		t.Fatal("tick 1 refused")
+	}
+	in := sol.BoundaryInFrom(0)
+	if len(in) == 0 {
+		t.Fatal("region 1 imports nothing from region 0")
+	}
+	be := wire.BoundaryExchange{Region: 0, Tick: 1}
+	for i, mi := range in {
+		temp := units.Celsius(30)
+		if i == len(in)-1 {
+			temp = units.Celsius(math.NaN())
+		}
+		be.Records = append(be.Records, wire.BoundaryRecord{Machine: uint32(mi), Temp: temp})
+	}
+	frame, err := wire.MarshalBoundaryExchange(&be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.WriteToUDP(frame, s.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().BoundaryIn.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the frame was never staged")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !s.Tick() {
+		t.Fatal("tick 2 refused")
+	}
+	if n := s.Stats().BoundaryMissed.Load(); n != 1 {
+		t.Errorf("BoundaryMissed = %d, want 1", n)
+	}
+	if n := s.Stats().Malformed.Load(); n != 1 {
+		t.Errorf("Malformed = %d, want 1", n)
+	}
+	for _, name := range sol.Machines() {
+		temps, err := sol.Temperatures(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for node, v := range temps {
+			if !v.Valid() {
+				t.Fatalf("%s/%s = %v after the refused import", name, node, v)
+			}
+		}
 	}
 }

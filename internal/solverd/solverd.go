@@ -50,8 +50,9 @@ type Stats struct {
 	// to and staged from peer regions (sharded runs only).
 	BoundaryOut atomic.Uint64
 	BoundaryIn  atomic.Uint64
-	// BoundaryMissed counts barrier waits abandoned at the deadline;
-	// any nonzero value means the run lost lockstep bit-identity.
+	// BoundaryMissed counts barrier waits abandoned at the deadline and
+	// staged boundaries the solver refused to import; any nonzero value
+	// means the run lost lockstep bit-identity.
 	BoundaryMissed atomic.Uint64
 }
 
@@ -274,7 +275,7 @@ func (s *Server) registerMetrics() {
 	cf("mercury_solver_util_batches_total", "batched utilization datagrams applied", &s.stats.UtilBatches)
 	cf("mercury_solver_boundary_out_total", "boundary exchange datagrams sent to peer regions", &s.stats.BoundaryOut)
 	cf("mercury_solver_boundary_in_total", "boundary exchange datagrams staged from peer regions", &s.stats.BoundaryIn)
-	cf("mercury_solver_boundary_missed_total", "boundary barrier waits abandoned at the deadline", &s.stats.BoundaryMissed)
+	cf("mercury_solver_boundary_missed_total", "boundary barrier waits abandoned at the deadline or boundaries refused", &s.stats.BoundaryMissed)
 	r.GaugeFunc("mercury_solver_energy_joules_total", "cluster-wide cumulative energy drawn",
 		func() float64 { return float64(s.sol.TotalEnergy()) })
 	if s.surro != nil {
