@@ -225,46 +225,39 @@ func BenchmarkStepTracingOn(b *testing.B) {
 	benchStepTracing(b, causal.NewTracer(4096, clock.Real{}))
 }
 
-// BenchmarkActiveSetIdle measures quiescence-based stepping
-// (solver.Config.ActiveSet) on a fully converged room: every machine
-// sits at its exact thermal fixed point, so with the active set on
-// each step only accrues energy, while off it re-runs the full kernel.
-// Temperatures are bit-identical either way (TestActiveSetQuiescence);
-// the benchmark measures the skip path's speedup on idle rooms.
+// BenchmarkActiveSetIdle measures stepping a fully converged room:
+// every machine sits at its exact thermal fixed point, so the active
+// set skips every machine and each step only accrues energy
+// (TestActiveSetQuiescence holds that to exhaustive stepping). The tier
+// keeps its activeset=on name because the CI bench gate matches it
+// against the recorded baseline.
 func BenchmarkActiveSetIdle(b *testing.B) {
 	const n = 1000
-	for _, as := range []struct {
-		name      string
-		activeSet bool
-	}{
-		{"off", false}, {"on", true},
-	} {
-		b.Run(fmt.Sprintf("machines=%d/activeset=%s", n, as.name), func(b *testing.B) {
-			c, err := model.DefaultCluster("room", n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := solver.New(c, solver.Config{Workers: 1, ActiveSet: as.activeSet})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Idle room: no utilization, but base power still warms the
-			// machines. Drive to the exact fixed point before timing.
+	b.Run(fmt.Sprintf("machines=%d/activeset=on", n), func(b *testing.B) {
+		c, err := model.DefaultCluster("room", n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := solver.New(c, solver.Config{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Idle room: no utilization, but base power still warms the
+		// machines. Drive to the exact fixed point before timing.
+		s.Step()
+		for i := 0; i < 40 && s.LastStepDelta() != 0; i++ {
+			s.StepN(2000)
+		}
+		if s.LastStepDelta() != 0 {
+			b.Fatal("room did not reach its exact fixed point")
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			s.Step()
-			for i := 0; i < 40 && s.LastStepDelta() != 0; i++ {
-				s.StepN(2000)
-			}
-			if s.LastStepDelta() != 0 {
-				b.Fatal("room did not reach its exact fixed point")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "machine-steps/s")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "machine-steps/s")
+	})
 }
 
 // Section 2.3: readsensor() averages ~300us over UDP in the paper

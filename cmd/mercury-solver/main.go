@@ -88,7 +88,6 @@ type runConfig struct {
 	loadState string
 	saveState string
 	warp      float64
-	activeSet bool
 	probes    probeList
 	regions   int
 	region    int
@@ -116,7 +115,6 @@ func main() {
 	flag.StringVar(&cfg.loadState, "load-state", "", "solver state checkpoint to restore before starting")
 	flag.StringVar(&cfg.saveState, "save-state", "", "write a state checkpoint here on SIGINT/SIGTERM (on-line mode)")
 	flag.Float64Var(&cfg.warp, "warp", 0, "on-line virtual-time warp factor: emulated seconds per wall second (0 = real time)")
-	flag.BoolVar(&cfg.activeSet, "active-set", false, "skip machines at exact thermal fixed points (bit-identical; see docs/performance.md)")
 	flag.Var(&cfg.probes, "probe", "machine/node to record off-line (repeatable)")
 	flag.IntVar(&cfg.regions, "regions", 0, "shard the room across this many cooperating solverds (0 = whole room); every shard must get the same -model and -regions")
 	flag.IntVar(&cfg.region, "region", 0, "this daemon's region index, 0..regions-1")
@@ -193,9 +191,6 @@ func run(cfg runConfig) error {
 	// wire (MsgBoundaryExchange carries indices, not names).
 	var regions [][]string
 	if cfg.regions > 1 {
-		if cfg.region < 0 || cfg.region >= cfg.regions {
-			return fmt.Errorf("-region %d outside 0..%d", cfg.region, cfg.regions-1)
-		}
 		if regions, err = solver.PartitionRegions(cluster, cfg.regions); err != nil {
 			return err
 		}
@@ -203,7 +198,6 @@ func run(cfg runConfig) error {
 	sol, err := solver.New(cluster, solver.Config{
 		Step:        cfg.step,
 		Workers:     cfg.workers,
-		ActiveSet:   cfg.activeSet,
 		Regions:     regions,
 		RegionIndex: cfg.region,
 	})

@@ -45,33 +45,27 @@ func TestQuadDifferential(t *testing.T) {
 		{Config{Workers: 1}, 1},
 		{Config{Workers: 2}, 1},
 		{Config{Workers: 4}, 1},
-		{Config{Workers: 1, ActiveSet: true}, 1},
-		{Config{Workers: 2, ActiveSet: true}, 1},
+		{Config{Workers: 1}, 2},
 		{Config{Workers: 2}, 2},
-		{Config{Workers: 1, ActiveSet: true}, 2},
+		{Config{Workers: 4}, 2},
 	}
 	for n := 1; n <= 9; n++ {
 		for _, cc := range configs {
 			if cc.regions > n {
 				continue
 			}
-			name := fmt.Sprintf("machines=%d/workers=%d/activeset=%v/regions=%d", n, cc.cfg.Workers, cc.cfg.ActiveSet, cc.regions)
+			name := fmt.Sprintf("machines=%d/workers=%d/regions=%d", n, cc.cfg.Workers, cc.regions)
 			t.Run(name, func(t *testing.T) {
 				c, err := model.RackCluster("room", 1, n, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := newRefRoom(c, cc.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d := &diffRun{t: t, sut: newDiffSUT(t, c, cc.cfg, cc.regions), ref: ref, label: "initial state"}
+				var load []diffOp
 				for i, m := range c.Machines {
-					if err := d.sut.at(m.Name).SetUtilization(m.Name, model.UtilCPU, units.Fraction(i%5)/4); err != nil {
-						t.Fatal(err)
-					}
-					ref.setUtilization(m.Name, model.UtilCPU, units.Fraction(i%5)/4)
+					load = append(load, diffOp{kind: opUtil, machine: m.Name,
+						entries: []model.UtilSample{{Source: model.UtilCPU, Util: units.Fraction(i%5) / 4}}})
 				}
+				d := newDiffRun(t, c, cc.cfg, cc.regions, load...)
 				step := func(k int) { d.apply(diffOp{kind: opStepN, n: k}) }
 				step(3)
 				// Split the shape: every third machine to a second fan
@@ -85,7 +79,7 @@ func TestQuadDifferential(t *testing.T) {
 				step(5)
 				split(float64(model.Table1.FanFlow)) // and back: A→B→A
 				step(5)
-				if cc.cfg.ActiveSet && cc.cfg.Workers == 1 {
+				if cc.cfg.Workers == 1 {
 					// Settle every machine to its fixed point, then wake
 					// some: the stepping machines of one set are no longer
 					// adjacent. Serial only, as in TestKernelDifferential:

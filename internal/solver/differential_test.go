@@ -15,7 +15,9 @@ import (
 // seeded random sequences of every fiddle op, utilization updates,
 // source setpoints, save/restore and what-if rewinds, and compares
 // temperatures, energy, exhaust, inlet, Power and LastStepDelta bit for
-// bit after every step.
+// bit after every step. The reference steps every machine every step,
+// so every comparison also holds the solver's active set to exhaustive
+// stepping.
 
 type diffKind int
 
@@ -23,6 +25,7 @@ const (
 	opStep diffKind = iota
 	opStepN
 	opSettle
+	opQuiesce
 	opUtil
 	opApply
 	opNodeTemp
@@ -158,7 +161,7 @@ type diffSUT struct {
 	buf   []float64
 }
 
-func newDiffSUT(t *testing.T, c *model.Cluster, cfg Config, regions int) *diffSUT {
+func newDiffSUT(t testing.TB, c *model.Cluster, cfg Config, regions int) *diffSUT {
 	t.Helper()
 	u := &diffSUT{owner: map[string]int{}, pos: map[string]int{}}
 	var regs [][]string
@@ -186,7 +189,7 @@ func newDiffSUT(t *testing.T, c *model.Cluster, cfg Config, regions int) *diffSU
 	return u
 }
 
-func (u *diffSUT) exchange(t *testing.T) {
+func (u *diffSUT) exchange(t testing.TB) {
 	for i, p := range u.parts {
 		for _, peer := range p.BoundaryPeers() {
 			out := p.BoundaryOutTo(peer)
@@ -201,7 +204,7 @@ func (u *diffSUT) exchange(t *testing.T) {
 	}
 }
 
-func (u *diffSUT) stepN(t *testing.T, n int) {
+func (u *diffSUT) stepN(t testing.TB, n int) {
 	if len(u.parts) == 1 {
 		u.parts[0].StepN(n)
 		return
@@ -217,7 +220,7 @@ func (u *diffSUT) stepN(t *testing.T, n int) {
 func (u *diffSUT) at(machine string) *Solver { return u.parts[u.owner[machine]] }
 
 // whatIf runs fn inside every part's WhatIf at once.
-func (u *diffSUT) whatIf(t *testing.T, fn func()) {
+func (u *diffSUT) whatIf(t testing.TB, fn func()) {
 	var nest func(i int) error
 	nest = func(i int) error {
 		if i == len(u.parts) {
@@ -232,12 +235,32 @@ func (u *diffSUT) whatIf(t *testing.T, fn func()) {
 }
 
 type diffRun struct {
-	t     *testing.T
+	t     testing.TB
 	sut   *diffSUT
 	ref   *refRoom
 	saved *State
 	label string
 }
+
+// newDiffRun builds room c as the kernel under test — one solver under
+// cfg, or the instances of its split into regions — beside the frozen
+// reference, checks that both start equal, and applies setup to both.
+func newDiffRun(t testing.TB, c *model.Cluster, cfg Config, regions int, setup ...diffOp) *diffRun {
+	t.Helper()
+	ref, err := newRefRoom(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &diffRun{t: t, sut: newDiffSUT(t, c, cfg, regions), ref: ref, label: "initial state"}
+	d.compare()
+	for _, op := range setup {
+		d.apply(op)
+	}
+	return d
+}
+
+// solver is the kernel under test when it is one unpartitioned solver.
+func (d *diffRun) solver() *Solver { return d.sut.parts[0] }
 
 func (d *diffRun) must(err error) {
 	d.t.Helper()
@@ -260,6 +283,17 @@ func (d *diffRun) apply(op diffOp) {
 		u.stepN(t, op.n)
 		ref.stepN(op.n)
 		d.compare()
+	case opQuiesce:
+		// Step to the room's exact fixed point, where every machine is
+		// quiet and stepN skips even the inlet sweep.
+		for k := 0; k < 25 && (k == 0 || ref.lastDelta != 0); k++ {
+			u.stepN(t, 2000)
+			ref.stepN(2000)
+		}
+		d.compare()
+		if ref.lastDelta != 0 {
+			t.Fatalf("%s: no exact fixed point within 50000 steps (delta %v)", d.label, ref.lastDelta)
+		}
 	case opUtil:
 		e := op.entries[0]
 		d.must(u.at(op.machine).SetUtilization(op.machine, e.Source, e.Util))
@@ -425,19 +459,98 @@ func mixedShapeCluster(t *testing.T) *model.Cluster {
 	return c
 }
 
+// quietMutator is one mutator kind applied from an all-quiet room,
+// named for its subtest.
+type quietMutator struct {
+	name string
+	op   diffOp
+}
+
+// quietMutators lists every mutator kind once, for applying to an
+// all-quiet room (diffRun.quietOps). An all-quiet room skips the inlet
+// sweep, so a mutator that does not mark what it changes would leave
+// the room frozen. The mutators target a machine whose exhaust crosses
+// the cut between two regions, so in a two-region SUT every step after
+// one also imports a changed boundary exhaust into the peer region.
+func quietMutators(t *testing.T, c *model.Cluster) []quietMutator {
+	t.Helper()
+	regs, err := PartitionRegions(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := map[string]bool{}
+	for _, name := range regs[0] {
+		first[name] = true
+	}
+	var m *model.Machine
+	for _, e := range c.Edges {
+		if first[e.From] && !first[e.To] && e.To != model.NodeClusterExhaust {
+			m = c.Machine(e.From)
+			break
+		}
+	}
+	if m == nil {
+		t.Fatal("no air edge crosses the two-region cut")
+	}
+	heat, air := m.HeatEdges[0], m.AirEdges[0]
+	mutators := []quietMutator{
+		{"util", diffOp{kind: opUtil, entries: cpuUtil(0.7)}},
+		{"apply", diffOp{kind: opApply, entries: append(cpuUtil(0.2), model.UtilSample{Source: model.UtilDisk, Util: 0.4})}},
+		{"nodetemp", diffOp{kind: opNodeTemp, a: model.NodeCPU, v: 60}},
+		{"pin", diffOp{kind: opPin, v: 30}},
+		{"unpin", diffOp{kind: opUnpin}},
+		{"source", diffOp{kind: opSource, a: model.NodeAC, v: 25}},
+		{"heatk", diffOp{kind: opHeatK, a: heat.A, b: heat.B, v: 3}},
+		{"airfrac", diffOp{kind: opAirFrac, a: air.From, b: air.To, v: 0.5}},
+		{"fan", diffOp{kind: opFan, v: 40}},
+		{"scale", diffOp{kind: opScale, a: model.NodeCPU, v: 0.5}},
+		{"power", diffOp{kind: opPower, on: false}},
+		{"restore", diffOp{kind: opRestore}},
+		{"whatif", diffOp{kind: opWhatIf, inner: []diffOp{{kind: opUtil, machine: m.Name, entries: cpuUtil(1)}, {kind: opStepN, n: 3}}}},
+	}
+	for i := range mutators {
+		mutators[i].op.machine = m.Name
+	}
+	return mutators
+}
+
+// quietOps applies every mutator kind once, each in its own subtest:
+// it steps the room to its exact fixed point before each one and a few
+// steps after it. The state restored is the initial one, mid-transient,
+// so the restore must wake the room.
+func (d *diffRun) quietOps(t *testing.T, c *model.Cluster) {
+	t.Helper()
+	d.apply(diffOp{kind: opSave})
+	parent := d.t
+	defer func() { d.t = parent }()
+	for _, q := range quietMutators(t, c) {
+		ok := t.Run("quiet/"+q.name, func(t *testing.T) {
+			d.t = t
+			d.apply(diffOp{kind: opQuiesce})
+			d.apply(q.op)
+			d.apply(diffOp{kind: opStepN, n: 3})
+		})
+		if !ok {
+			t.FailNow()
+		}
+	}
+}
+
 // TestKernelDifferential is the room kernel's contract with the kernel
 // it replaced: bit-identical observables through any mix of inputs, on
-// heterogeneous rooms, at every worker count, with the active set on
-// and off, and split across two regions. The rooms cover every way the
-// pair kernel forms its pairs: even rooms of one shape, an odd room
-// whose last machine pairs with itself, a one-machine room, three
-// shapes that never sit side by side, and three workers, whose shard
-// cuts fall mid-pair.
+// heterogeneous rooms, at every worker count, and split across two
+// regions. The rooms cover every way the pair kernel forms its pairs:
+// even rooms of one shape, an odd room whose last machine pairs with
+// itself, a one-machine room, three shapes that never sit side by
+// side, and three workers, whose shard cuts fall mid-pair. The odd
+// room, stepped serially, also applies every mutator from an all-quiet
+// room (diffRun.quietOps).
 func TestKernelDifferential(t *testing.T) {
 	rooms := []struct {
-		name  string
-		build func(t *testing.T) *model.Cluster
-		setup []diffOp
+		name      string
+		build     func(t *testing.T) *model.Cluster
+		setup     []diffOp
+		fromQuiet bool
 	}{
 		{"default", func(t *testing.T) *model.Cluster {
 			c, err := model.DefaultCluster("room", 8)
@@ -445,28 +558,28 @@ func TestKernelDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			return c
-		}, nil},
+		}, nil, false},
 		{"rack", func(t *testing.T) *model.Cluster {
 			c, err := model.RackCluster("room", 2, 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
-		}, nil},
+		}, nil, false},
 		{"odd", func(t *testing.T) *model.Cluster {
 			c, err := model.RackCluster("room", 3, 5, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
-		}, nil},
+		}, nil, true},
 		{"single", func(t *testing.T) *model.Cluster {
 			return singleRoom(model.DefaultServer("solo"))
-		}, nil},
+		}, nil, false},
 		{"mixed", mixedShapeCluster, []diffOp{
 			{kind: opPower, machine: model.RackMachine(1, 3), on: false},
 			{kind: opAirFrac, machine: model.RackMachine(2, 2), a: model.NodeInlet, b: model.NodeVoidAir, v: 0},
-		}},
+		}, false},
 	}
 	configs := []struct {
 		cfg     Config
@@ -476,12 +589,10 @@ func TestKernelDifferential(t *testing.T) {
 		{Config{Workers: 2}, 1},
 		{Config{Workers: 3}, 1},
 		{Config{Workers: 4}, 1},
-		{Config{Workers: 1, ActiveSet: true}, 1},
-		{Config{Workers: 2, ActiveSet: true}, 1},
-		{Config{Workers: 3, ActiveSet: true}, 1},
-		{Config{Workers: 4, ActiveSet: true}, 1},
+		{Config{Workers: 1}, 2},
 		{Config{Workers: 2}, 2},
-		{Config{Workers: 1, ActiveSet: true}, 2},
+		{Config{Workers: 3}, 2},
+		{Config{Workers: 4}, 2},
 	}
 	for _, room := range rooms {
 		for _, cc := range configs {
@@ -489,29 +600,24 @@ func TestKernelDifferential(t *testing.T) {
 				continue // one machine cannot be split
 			}
 			for _, seed := range []int64{1, 2} {
-				name := fmt.Sprintf("%s/workers=%d/activeset=%v/regions=%d/seed=%d",
-					room.name, cc.cfg.Workers, cc.cfg.ActiveSet, cc.regions, seed)
+				name := fmt.Sprintf("%s/workers=%d/regions=%d/seed=%d", room.name, cc.cfg.Workers, cc.regions, seed)
 				t.Run(name, func(t *testing.T) {
 					c := room.build(t)
-					ref, err := newRefRoom(c, cc.cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					d := &diffRun{t: t, sut: newDiffSUT(t, c, cc.cfg, cc.regions), ref: ref, label: "initial state"}
-					d.compare()
-					for _, op := range room.setup {
-						d.apply(op)
+					d := newDiffRun(t, c, cc.cfg, cc.regions, room.setup...)
+					// Serial only, on one seed: quiescence is per machine,
+					// and the pool's barriers would make the long settles
+					// the whole test's cost under the race detector.
+					serial := cc.cfg.Workers == 1 && seed == 1
+					if serial && room.fromQuiet {
+						d.quietOps(t, c)
 					}
 					rng := rand.New(rand.NewSource(seed))
 					const ops = 400
 					for i := 0; i < ops; i++ {
-						if i == ops/2 && cc.cfg.ActiveSet && cc.cfg.Workers == 1 && seed == 1 {
+						if i == ops/2 && serial {
 							// Long enough for most machines to reach their
 							// exact fixed point, so the quiescent paths
-							// and the all-quiet fast path run too. Serial
-							// only: quiescence is per machine, and the
-							// pool's barriers would make this the whole
-							// test's cost under the race detector.
+							// and the all-quiet fast path run too.
 							d.apply(diffOp{kind: opSettle, n: 20000})
 						}
 						d.apply(genDiffOp(rng, c, false))

@@ -66,8 +66,7 @@ import (
 //	    SetPowerScale, SetMachinePower, RestoreState.
 //
 // Every mutation above also sets the machine's dirty flag, which
-// re-activates it for the quiescence-based active set
-// (Config.ActiveSet).
+// re-activates it for the quiescence-based active set (stepN).
 
 // edge is a compiled graph edge: two node indices of one shape.
 type edge struct {
@@ -180,9 +179,8 @@ type machine struct {
 // to. Windows of different machines never overlap, so shard owners
 // write disjoint elements.
 type room struct {
-	ms     []machine
-	sets   setTable
-	offFan float64 // Config.OffFanFraction
+	ms   []machine
+	sets setTable
 
 	temps    []float64    // node windows, in global machine order
 	compK    []compKernel // comp windows
@@ -190,12 +188,12 @@ type room struct {
 	utilVals []float64    // util windows, utilKeys order
 
 	// Per machine: cumulative joules drawn, effective inlet of this
-	// step, flow-weighted exhaust mix of the last step, and the
-	// active-set flags. quiet is true when the last executed step moved
+	// step, flow-weighted exhaust mix of the last step, and the active
+	// set's flags. quiet is true when the last executed step moved
 	// no node (max delta exactly 0); dirty is set by any input change
 	// (fiddle op, utilization update, inlet movement) and cleared when
 	// the machine steps. A quiet, clean machine is at a bitwise fixed
-	// point of the step map, so Config.ActiveSet skips it.
+	// point of the step map, so the step skips it.
 	energy  []float64
 	inlet   []float64
 	exhaust []float64
@@ -204,11 +202,10 @@ type room struct {
 }
 
 // newRoom sizes every array for n machines whose windows end at total.
-func newRoom(n int, total bases, offFan float64) room {
+func newRoom(n int, total bases) room {
 	return room{
 		ms:       make([]machine, n),
 		sets:     newSetTable(),
-		offFan:   offFan,
 		temps:    make([]float64, total.node),
 		compK:    make([]compKernel, total.comp),
 		scales:   make([]float64, total.comp),
@@ -756,6 +753,11 @@ func (r *room) stage(mi int) *coefSet {
 	return st
 }
 
+// offFanFraction is the share of nominal fan flow that still moves
+// through a machine that is powered off: 10 %, natural draft through
+// the chassis.
+const offFanFraction = 0.1
+
 // bind moves machine mi to the set of the staged constants, with the
 // fan flow and draft of its current fan and power state. This is the
 // one path by which a machine's set changes (kernel.go's invalidation
@@ -764,7 +766,7 @@ func (r *room) bind(mi int) {
 	m := &r.ms[mi]
 	fan := m.fanM3s
 	if !m.on {
-		fan *= r.offFan
+		fan *= offFanFraction
 	}
 	r.sets.stage.fan = fan
 	m.set = r.sets.intern(m.set)
@@ -1118,8 +1120,8 @@ func (r *room) stepPair(a, b int, dt float64, snap, netQ [2][]float64) (float64,
 	return maxA, maxB
 }
 
-// stepQuiescent advances a machine that Config.ActiveSet proved to be
-// at a bitwise fixed point: temperatures, exhaust mix, and per-step
+// stepQuiescent advances a machine that the active set proved to be at
+// a bitwise fixed point: temperatures, exhaust mix, and per-step
 // deltas are unchanged by construction, so only the energy accrual
 // runs — as the same per-component sequential additions the kernels
 // perform, keeping the energy counter bit-identical too.

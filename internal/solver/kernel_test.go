@@ -155,29 +155,30 @@ func TestFiddleInvalidation(t *testing.T) {
 	}
 }
 
-// activeSetPair builds the same busy room twice, with and without
-// Config.ActiveSet, and steps both in lockstep via the returned
-// functions.
-func activeSetPair(t *testing.T, n int) (active, exhaustive *Solver) {
+// quiescenceRun builds an n-machine room under cpuLoad beside the
+// frozen reference, which steps every machine every step.
+func quiescenceRun(t *testing.T, n int) *diffRun {
 	t.Helper()
-	build := func(activeSet bool) *Solver {
-		c, err := model.DefaultCluster("room", n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(c, Config{ActiveSet: activeSet})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= n; i++ {
-			if err := s.SetUtilization(fmt.Sprintf("machine%d", i), model.UtilCPU,
-				units.Fraction(float64(i%10)/10)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
+	c, err := model.DefaultCluster("room", n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return build(true), build(false)
+	return newDiffRun(t, c, Config{}, 1, cpuLoad(n)...)
+}
+
+// cpuLoad sets machine i of a DefaultCluster room to CPU utilization
+// (i mod 10)/10.
+func cpuLoad(n int) []diffOp {
+	var ops []diffOp
+	for i := 1; i <= n; i++ {
+		ops = append(ops, diffOp{kind: opUtil, machine: fmt.Sprintf("machine%d", i), entries: cpuUtil(float64(i%10) / 10)})
+	}
+	return ops
+}
+
+// cpuUtil is a one-entry report setting the CPU stream to u.
+func cpuUtil(u float64) []model.UtilSample {
+	return []model.UtilSample{{Source: model.UtilCPU, Util: units.Fraction(u)}}
 }
 
 // quietCount reports how many machines the active set currently skips.
@@ -201,70 +202,35 @@ func quietCount(s *Solver) int {
 // bit-identical through the transient.
 func TestActiveSetQuiescence(t *testing.T) {
 	const n = 4
-	active, exhaustive := activeSetPair(t, n)
-
-	// Drive both to the exact fixed point (~17k steps for the default
-	// server; bounded so a regression fails rather than hangs).
-	const chunk, maxChunks = 2000, 20
-	converged := false
-	for i := 0; i < maxChunks; i++ {
-		active.StepN(chunk)
-		exhaustive.StepN(chunk)
-		if active.LastStepDelta() == 0 && exhaustive.LastStepDelta() == 0 {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		t.Fatalf("no exact fixed point within %d steps (delta %v)", chunk*maxChunks, active.LastStepDelta())
-	}
-	assertBitIdentical(t, "at fixed point", active, exhaustive)
-	if q := quietCount(active); q != n {
+	d := quiescenceRun(t, n)
+	s := d.solver()
+	d.apply(diffOp{kind: opQuiesce})
+	if q := quietCount(s); q != n {
 		t.Errorf("at fixed point: %d of %d machines quiet", q, n)
 	}
 
 	// Steps while quiet must advance time and energy identically.
-	active.StepN(500)
-	exhaustive.StepN(500)
-	assertBitIdentical(t, "after 500 quiet steps", active, exhaustive)
-	if q := quietCount(active); q != n {
+	d.apply(diffOp{kind: opStepN, n: 500})
+	if q := quietCount(s); q != n {
 		t.Errorf("after quiet steps: %d of %d machines quiet", q, n)
 	}
 
 	// A utilization change re-activates machine1; the others stay
 	// quiet. Trajectories must stay bit-identical through the new
 	// transient.
-	for _, s := range []*Solver{active, exhaustive} {
-		if err := s.SetUtilization("machine1", model.UtilCPU, 0.95); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if q := quietCount(active); q != n-1 {
+	d.apply(diffOp{kind: opUtil, machine: "machine1", entries: cpuUtil(0.95)})
+	if q := quietCount(s); q != n-1 {
 		t.Errorf("after utilization change: %d machines quiet, want %d", q, n-1)
 	}
-	active.StepN(200)
-	exhaustive.StepN(200)
-	assertBitIdentical(t, "after reactivating transient", active, exhaustive)
+	d.apply(diffOp{kind: opStepN, n: 200})
 
 	// An inlet pin re-activates via the inlet phase's bitwise compare.
-	for _, s := range []*Solver{active, exhaustive} {
-		if err := s.PinInlet("machine2", 33.3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	active.StepN(200)
-	exhaustive.StepN(200)
-	assertBitIdentical(t, "after inlet pin", active, exhaustive)
+	d.apply(diffOp{kind: opPin, machine: "machine2", v: 33.3})
+	d.apply(diffOp{kind: opStepN, n: 200})
 
 	// A fiddled conductance re-activates machine3.
-	for _, s := range []*Solver{active, exhaustive} {
-		if err := s.SetHeatK("machine3", model.NodeCPU, model.NodeCPUAir, 2.6); err != nil {
-			t.Fatal(err)
-		}
-	}
-	active.StepN(200)
-	exhaustive.StepN(200)
-	assertBitIdentical(t, "after conductance change", active, exhaustive)
+	d.apply(diffOp{kind: opHeatK, machine: "machine3", a: model.NodeCPU, b: model.NodeCPUAir, v: 2.6})
+	d.apply(diffOp{kind: opStepN, n: 200})
 }
 
 // TestActiveSetRepeatedIdenticalSamples checks that re-submitting the
@@ -272,24 +238,14 @@ func TestActiveSetQuiescence(t *testing.T) {
 // wake a quiet machine: SetUtilization compares bitwise before
 // invalidating.
 func TestActiveSetRepeatedIdenticalSamples(t *testing.T) {
-	active, _ := activeSetPair(t, 2)
-	for i := 0; i < 20; i++ {
-		active.StepN(2000)
-		if active.LastStepDelta() == 0 {
-			break
-		}
-	}
-	if active.LastStepDelta() != 0 {
-		t.Fatal("room did not reach its fixed point")
-	}
-	if err := active.SetUtilization("machine1", model.UtilCPU, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if q := quietCount(active); q != 2 {
+	d := quiescenceRun(t, 2)
+	d.apply(diffOp{kind: opQuiesce})
+	d.apply(diffOp{kind: opUtil, machine: "machine1", entries: cpuUtil(0.1)})
+	if q := quietCount(d.solver()); q != 2 {
 		t.Errorf("identical re-sample woke a machine: %d of 2 quiet", q)
 	}
-	active.Step()
-	if q := quietCount(active); q != 2 {
+	d.apply(diffOp{kind: opStep})
+	if q := quietCount(d.solver()); q != 2 {
 		t.Errorf("after step: %d of 2 quiet", q)
 	}
 }
@@ -298,22 +254,13 @@ func TestActiveSetRepeatedIdenticalSamples(t *testing.T) {
 // machines (restored state may be anywhere, including mid-transient)
 // and stays bit-identical to exhaustive stepping afterwards.
 func TestActiveSetRestoreState(t *testing.T) {
-	active, exhaustive := activeSetPair(t, 2)
-	active.StepN(500)
-	exhaustive.StepN(500)
-	st := active.SaveState()
-	active.StepN(100)
-	exhaustive.StepN(100)
-	if err := active.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := exhaustive.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if q := quietCount(active); q != 0 {
+	d := quiescenceRun(t, 2)
+	d.apply(diffOp{kind: opStepN, n: 500})
+	d.apply(diffOp{kind: opSave})
+	d.apply(diffOp{kind: opStepN, n: 100})
+	d.apply(diffOp{kind: opRestore})
+	if q := quietCount(d.solver()); q != 0 {
 		t.Errorf("after restore: %d machines still quiet", q)
 	}
-	active.StepN(200)
-	exhaustive.StepN(200)
-	assertBitIdentical(t, "after restore", active, exhaustive)
+	d.apply(diffOp{kind: opStepN, n: 200})
 }

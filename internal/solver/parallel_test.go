@@ -16,69 +16,36 @@ import (
 // wrong: mixed utilizations, an off machine, a pinned inlet, and a
 // fiddled conductance.
 func buildBusyRoom(t testing.TB, n, workers int) *Solver {
-	return buildBusyRoomCfg(t, n, Config{Workers: workers})
+	return busyRun(t, n, Config{Workers: workers}).solver()
 }
 
-func buildBusyRoomCfg(t testing.TB, n int, cfg Config) *Solver {
+// busyRun builds buildBusyRoom's room beside the frozen reference.
+func busyRun(t testing.TB, n int, cfg Config) *diffRun {
 	t.Helper()
 	c, err := model.DefaultCluster("room", n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= n; i++ {
-		name := fmt.Sprintf("machine%d", i)
-		if err := s.SetUtilization(name, model.UtilCPU, units.Fraction(float64(i%10)/10)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ops := cpuLoad(n)
 	if n >= 3 {
-		if err := s.SetMachinePower("machine2", false); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.PinInlet("machine3", 31.5); err != nil {
-			t.Fatal(err)
-		}
+		ops = append(ops,
+			diffOp{kind: opPower, machine: "machine2", on: false},
+			diffOp{kind: opPin, machine: "machine3", v: 31.5})
 	}
-	if err := s.SetHeatK("machine1", model.NodeCPU, model.NodeCPUAir, 2.2); err != nil {
-		t.Fatal(err)
-	}
-	return s
+	ops = append(ops, diffOp{kind: opHeatK, machine: "machine1", a: model.NodeCPU, b: model.NodeCPUAir, v: 2.2})
+	return newDiffRun(t, c, cfg, 1, ops...)
 }
 
-// TestParallelDeterminism asserts the ISSUE's core guarantee: after
-// 1000 steps, node temperatures are bit-identical between the legacy
-// serial loop (Workers=1) and every parallel worker count — with the
-// quiescence-based active set both off and on (the reference is always
-// exhaustive serial stepping, so this also proves ActiveSet changes
-// nothing).
+// TestParallelDeterminism asserts the solver's core guarantee: after
+// 1000 steps, node temperatures are bit-identical between exhaustive
+// serial stepping (the frozen reference) and every worker count, each
+// skipping the machines the active set proves quiet.
 func TestParallelDeterminism(t *testing.T) {
 	const n, steps = 16, 1000
-	ref := buildBusyRoom(t, n, 1)
-	ref.StepN(steps)
-	want := ref.Snapshot()
-
-	for _, activeSet := range []bool{false, true} {
-		for _, workers := range []int{0, 1, 2, 3, 5, 8} {
-			s := buildBusyRoomCfg(t, n, Config{Workers: workers, ActiveSet: activeSet})
-			s.StepN(steps)
-			got := s.Snapshot()
-			for machine, nodes := range want {
-				for node, wt := range nodes {
-					gt := got[machine][node]
-					if math.Float64bits(float64(gt)) != math.Float64bits(float64(wt)) {
-						t.Errorf("activeset=%v workers=%d: %s/%s = %v, serial %v (not bit-identical)",
-							activeSet, workers, machine, node, gt, wt)
-					}
-				}
-			}
-			if got, want := s.LastStepDelta(), ref.LastStepDelta(); got != want {
-				t.Errorf("activeset=%v workers=%d: LastStepDelta %v, serial %v", activeSet, workers, got, want)
-			}
-		}
+	for _, workers := range []int{0, 1, 2, 3, 5, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			busyRun(t, n, Config{Workers: workers}).apply(diffOp{kind: opStepN, n: steps})
+		})
 	}
 }
 
@@ -132,24 +99,21 @@ func TestShardBounds(t *testing.T) {
 	}
 }
 
-// TestConfigValidation covers the New-time error paths: the
-// previously-clamped OffFanFraction is now rejected, as are negative
-// worker counts; boundary values still work.
+// TestConfigValidation covers the New-time error paths: negative
+// worker counts and a region index without regions are rejected;
+// boundary values still work.
 func TestConfigValidation(t *testing.T) {
 	m := model.DefaultServer("m1")
 	for _, bad := range []Config{
-		{OffFanFraction: -0.1},
-		{OffFanFraction: 1.5},
 		{Workers: -1},
+		{RegionIndex: 3},
 	} {
 		if _, err := NewSingle(m, bad); err == nil {
 			t.Errorf("New(%+v) succeeded, want error", bad)
 		}
 	}
 	for _, good := range []Config{
-		{},                    // zero value: defaults
-		{OffFanFraction: 1},   // inclusive upper bound
-		{OffFanFraction: 0.5}, // in range
+		{}, // zero value: defaults
 		{Workers: 7},
 	} {
 		if _, err := NewSingle(m, good); err != nil {

@@ -66,24 +66,17 @@ func buildIrregularCluster(t testing.TB) *model.Cluster {
 	return c
 }
 
-// perturbIrregular gives the irregular room asymmetric work so a wrong
+// irregularLoad gives the irregular room asymmetric work so a wrong
 // phase ordering would actually change temperatures.
-func perturbIrregular(t testing.TB, s *Solver) {
-	t.Helper()
-	for i, m := range s.Machines() {
-		if err := s.SetUtilization(m, model.UtilCPU, units.Fraction(float64(i%7)/7)); err != nil {
-			t.Fatal(err)
-		}
+func irregularLoad(c *model.Cluster) []diffOp {
+	var ops []diffOp
+	for i, m := range c.Machines {
+		ops = append(ops, diffOp{kind: opUtil, machine: m.Name, entries: cpuUtil(float64(i%7) / 7)})
 	}
-	if err := s.SetMachinePower("r2m2", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PinInlet("solo2", 29.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetHeatK("r1m5", model.NodeCPU, model.NodeCPUAir, 2.4); err != nil {
-		t.Fatal(err)
-	}
+	return append(ops,
+		diffOp{kind: opPower, machine: "r2m2", on: false},
+		diffOp{kind: opPin, machine: "solo2", v: 29.5},
+		diffOp{kind: opHeatK, machine: "r1m5", a: model.NodeCPU, b: model.NodeCPUAir, v: 2.4})
 }
 
 // TestShardPartition checks the compile-time partition invariants on
@@ -233,40 +226,23 @@ func TestSenseBarrierStress(t *testing.T) {
 	}
 }
 
-// TestIrregularTopologyDeterminism is the ISSUE's determinism matrix:
-// workers ∈ {1, 2, 4, auto} × active set {off, on} on the irregular
-// multi-room topology, stepped through fiddle perturbations, must stay
-// bit-identical to exhaustive serial stepping — including a mid-run
-// source setpoint change, which exercises re-activation through the
-// room-level mix rather than through any single machine's dirty flag.
+// TestIrregularTopologyDeterminism is the determinism matrix:
+// workers ∈ {1, 2, 4, auto} on the irregular multi-room topology,
+// stepped through fiddle perturbations, must stay bit-identical to
+// exhaustive serial stepping (the frozen reference) — including a
+// mid-run source setpoint change, which exercises re-activation through
+// the room-level mix rather than through any single machine's dirty
+// flag.
 func TestIrregularTopologyDeterminism(t *testing.T) {
 	c := buildIrregularCluster(t)
-	run := func(cfg Config) *Solver {
-		s, err := New(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perturbIrregular(t, s)
-		s.StepN(400)
-		if err := s.SetSourceTemperature(model.NodeAC, 24.5); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetMachinePower("r2m2", true); err != nil {
-			t.Fatal(err)
-		}
-		s.StepN(400)
-		return s
-	}
-	ref := run(Config{Workers: 1})
-	for _, activeSet := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4, 0} {
-			got := run(Config{Workers: workers, ActiveSet: activeSet})
-			assertBitIdentical(t, fmt.Sprintf("workers=%d activeset=%v", workers, activeSet), got, ref)
-			if got.LastStepDelta() != ref.LastStepDelta() {
-				t.Errorf("workers=%d activeset=%v: LastStepDelta %v, reference %v",
-					workers, activeSet, got.LastStepDelta(), ref.LastStepDelta())
-			}
-		}
+	for _, workers := range []int{1, 2, 4, 0} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			d := newDiffRun(t, c, Config{Workers: workers}, 1, irregularLoad(c)...)
+			d.apply(diffOp{kind: opStepN, n: 400})
+			d.apply(diffOp{kind: opSource, a: model.NodeAC, v: 24.5})
+			d.apply(diffOp{kind: opPower, machine: "r2m2", on: true})
+			d.apply(diffOp{kind: opStepN, n: 400})
+		})
 	}
 }
 
@@ -274,24 +250,18 @@ func TestIrregularTopologyDeterminism(t *testing.T) {
 // bit-identical: StepN(n) and Run(n*step) publish the whole batch to
 // the workers in one release, while n calls to Step pay one release
 // each — all three must produce the same bits, with the pool both off
-// and on, active set both off and on.
+// and on.
 func TestTickBatching(t *testing.T) {
 	const steps = 300
 	c := buildIrregularCluster(t)
 	build := func(cfg Config) *Solver {
-		s, err := New(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perturbIrregular(t, s)
-		return s
+		return newDiffRun(t, c, cfg, 1, irregularLoad(c)...).solver()
 	}
 	for _, cfg := range []Config{
 		{Workers: 1},
 		{Workers: 4},
-		{Workers: 4, ActiveSet: true},
 	} {
-		label := fmt.Sprintf("workers=%d activeset=%v", cfg.Workers, cfg.ActiveSet)
+		label := fmt.Sprintf("workers=%d", cfg.Workers)
 		single := build(cfg)
 		for i := 0; i < steps; i++ {
 			single.Step()
@@ -318,45 +288,19 @@ func TestTickBatching(t *testing.T) {
 // sweep forever if the setter did not record the change. The room is
 // driven to its exact fixed point (so the fast path is active), the AC
 // setpoint moves, and the trajectory must track exhaustive stepping
-// bit-for-bit through the new transient.
+// (the frozen reference) bit-for-bit through the new transient.
 func TestActiveSetSourceChange(t *testing.T) {
-	build := func(activeSet bool) *Solver {
-		s := buildBusyRoomCfg(t, 4, Config{ActiveSet: activeSet})
-		return s
-	}
-	active, exhaustive := build(true), build(false)
-	const chunk, maxChunks = 2000, 25
-	converged := false
-	for i := 0; i < maxChunks; i++ {
-		active.StepN(chunk)
-		exhaustive.StepN(chunk)
-		if active.LastStepDelta() == 0 && exhaustive.LastStepDelta() == 0 {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		t.Fatalf("no exact fixed point within %d steps (delta %v)", chunk*maxChunks, active.LastStepDelta())
-	}
+	d := busyRun(t, 4, Config{})
+	d.apply(diffOp{kind: opQuiesce})
 	// A few fully-quiescent batches first, so the fast path has
 	// genuinely engaged before the setpoint moves.
-	active.StepN(100)
-	exhaustive.StepN(100)
-	assertBitIdentical(t, "while quiescent", active, exhaustive)
-
-	for _, s := range []*Solver{active, exhaustive} {
-		if err := s.SetSourceTemperature(model.NodeAC, 26); err != nil {
-			t.Fatal(err)
-		}
-	}
-	active.Step()
-	exhaustive.Step()
-	if active.LastStepDelta() == 0 {
+	d.apply(diffOp{kind: opStepN, n: 100})
+	d.apply(diffOp{kind: opSource, a: model.NodeAC, v: 26})
+	d.apply(diffOp{kind: opStep})
+	if d.solver().LastStepDelta() == 0 {
 		t.Error("AC setpoint change did not wake the quiescent room")
 	}
-	active.StepN(500)
-	exhaustive.StepN(500)
-	assertBitIdentical(t, "after AC setpoint change", active, exhaustive)
+	d.apply(diffOp{kind: opStepN, n: 500})
 }
 
 // TestShardsGroupShapes pins what lets a room whose shapes never sit

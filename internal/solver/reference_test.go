@@ -14,12 +14,14 @@ import (
 // machine a heap island holding its own compiled topology and numbers —
 // as the test-only reference the shape-shared, room-contiguous kernel
 // is held to (differential_test.go). It is the parent's compileMachine,
-// refresh functions, stepMachine, stepQuiescent, mixInlet, the serial
-// stepN, the fiddle mutators and SaveState/RestoreState, with every
-// type renamed ref* and the room reduced to one serial, unpartitioned
-// instance (sharding and regions only decide where a machine steps,
-// never what it computes). Do not "fix" it: its value is that it is the
-// old code.
+// refresh functions, stepMachine, mixInlet, the serial stepN, the
+// fiddle mutators and SaveState/RestoreState, with every type renamed
+// ref* and the room reduced to one serial, unpartitioned instance
+// (sharding and regions only decide where a machine steps, never what
+// it computes). Its stepN steps every machine every step: it is the
+// exhaustive stepping the solver's active set must reproduce bit for
+// bit, so it carries no skip of its own. Do not "fix" it: its value is
+// that it is the old code.
 
 type refComp struct {
 	node       int
@@ -107,22 +109,18 @@ type refMachine struct {
 
 	energy   float64
 	airEdges []model.AirEdge
-
-	quiet bool
-	dirty bool
 }
 
-func refCompileMachine(m *model.Machine, cfg Config) (*refMachine, error) {
+func refCompileMachine(m *model.Machine) (*refMachine, error) {
 	cm := &refMachine{
 		name:    m.Name,
 		on:      true,
 		fanM3s:  m.FanFlow.CubicMetersPerSecond(),
-		offFan:  float64(cfg.OffFanFraction),
+		offFan:  0.1,
 		nomCFM:  m.FanFlow,
 		index:   map[string]int{},
 		compOf:  map[int]int{},
 		utilPos: map[model.UtilSource]int{},
-		dirty:   true,
 	}
 	add := func(name string, air bool) int {
 		idx := len(cm.names)
@@ -336,8 +334,6 @@ func (cm *refMachine) invalidate() {
 	cm.refreshCoupleK()
 	cm.refreshFlowCoef()
 	cm.refreshDraws()
-	cm.dirty = true
-	cm.quiet = false
 }
 
 func refStepMachine(cm *refMachine, dt float64) float64 {
@@ -412,14 +408,6 @@ func refStepMachine(cm *refMachine, dt float64) float64 {
 	return maxDelta
 }
 
-func refStepQuiescent(cm *refMachine, dt float64) {
-	energy := cm.energy
-	for i := range cm.compK {
-		energy += cm.compK[i].draw * dt
-	}
-	cm.energy = energy
-}
-
 // refRoom is the parent's solverCore reduced to one serial,
 // unpartitioned instance.
 type refRoom struct {
@@ -432,8 +420,6 @@ type refRoom struct {
 	now       time.Duration
 	steps     uint64
 	lastDelta float64
-	anyDirty  bool
-	allQuiet  bool
 }
 
 func newRefRoom(c *model.Cluster, cfg Config) (*refRoom, error) {
@@ -441,14 +427,14 @@ func newRefRoom(c *model.Cluster, cfg Config) (*refRoom, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &refRoom{cfg: cfg, dt: cfg.Step.Seconds(), byName: map[string]*refMachine{}, srcIdx: map[string]int{}, anyDirty: true}
+	r := &refRoom{cfg: cfg, dt: cfg.Step.Seconds(), byName: map[string]*refMachine{}, srcIdx: map[string]int{}}
 	for i, src := range c.Sources {
 		r.sources = append(r.sources, &sourceState{name: src.Name, supply: float64(src.SupplyTemp)})
 		r.srcIdx[src.Name] = i
 	}
 	midx := map[string]int{}
 	for i, m := range c.Machines {
-		cm, err := refCompileMachine(m, cfg)
+		cm, err := refCompileMachine(m)
 		if err != nil {
 			return nil, err
 		}
@@ -469,12 +455,8 @@ func newRefRoom(c *model.Cluster, cfg Config) (*refRoom, error) {
 	}
 	for _, cm := range r.machines {
 		cm.inletTemp = r.mixInlet(cm)
-		t := cm.inletTemp
-		if cfg.InitialTemp != nil {
-			t = float64(*cfg.InitialTemp)
-		}
 		for i := range cm.temps {
-			cm.temps[i] = t
+			cm.temps[i] = cm.inletTemp
 		}
 		cm.exhaustTemp = cm.temps[cm.exhaustIdx[0]]
 	}
@@ -503,50 +485,21 @@ func (r *refRoom) mixInlet(cm *refMachine) float64 {
 }
 
 func (r *refRoom) stepN(n int) {
-	if r.cfg.ActiveSet && r.allQuiet && !r.anyDirty {
-		for _, cm := range r.machines {
-			for k := 0; k < n; k++ {
-				refStepQuiescent(cm, r.dt)
-			}
-		}
-		r.lastDelta = 0
-		r.now += time.Duration(n) * r.cfg.Step
-		r.steps += uint64(n)
-		return
-	}
 	var d float64
 	for k := 0; k < n; k++ {
 		for _, cm := range r.machines {
-			in := r.mixInlet(cm)
-			if math.Float64bits(in) != math.Float64bits(cm.inletTemp) {
-				cm.inletTemp = in
-				cm.dirty = true
-			}
+			cm.inletTemp = r.mixInlet(cm)
 		}
 		d = 0
 		for _, cm := range r.machines {
-			if r.cfg.ActiveSet && cm.quiet && !cm.dirty {
-				refStepQuiescent(cm, r.dt)
-				continue
-			}
-			md := refStepMachine(cm, r.dt)
-			cm.quiet = md == 0
-			cm.dirty = false
-			if md > d {
+			if md := refStepMachine(cm, r.dt); md > d {
 				d = md
 			}
 		}
 	}
 	r.lastDelta = d
-	r.anyDirty = false
-	r.allQuiet = d == 0
 	r.now += time.Duration(n) * r.cfg.Step
 	r.steps += uint64(n)
-}
-
-func (r *refRoom) markDirty(cm *refMachine) {
-	cm.dirty = true
-	r.anyDirty = true
 }
 
 func (r *refRoom) setUtilization(machine string, src model.UtilSource, u units.Fraction) {
@@ -556,14 +509,12 @@ func (r *refRoom) setUtilization(machine string, src model.UtilSource, u units.F
 	if math.Float64bits(v) != math.Float64bits(cm.utilVals[pos]) {
 		cm.utilVals[pos] = v
 		cm.refreshDraws()
-		r.markDirty(cm)
 	}
 }
 
 func (r *refRoom) setNodeTemperature(machine, node string, t units.Celsius) {
 	cm := r.byName[machine]
 	cm.temps[cm.index[node]] = float64(t)
-	r.markDirty(cm)
 }
 
 func (r *refRoom) pinInlet(machine string, t units.Celsius) {
@@ -571,18 +522,15 @@ func (r *refRoom) pinInlet(machine string, t units.Celsius) {
 	v := float64(t)
 	cm.inletPin = &v
 	cm.inletTemp = v
-	r.markDirty(cm)
 }
 
 func (r *refRoom) unpinInlet(machine string) {
 	cm := r.byName[machine]
 	cm.inletPin = nil
-	r.markDirty(cm)
 }
 
 func (r *refRoom) setSourceTemperature(source string, t units.Celsius) {
 	r.sources[r.srcIdx[source]].supply = float64(t)
-	r.anyDirty = true
 }
 
 func (r *refRoom) setHeatK(machine, a, b string, k units.WattsPerKelvin) {
@@ -593,7 +541,6 @@ func (r *refRoom) setHeatK(machine, a, b string, k units.WattsPerKelvin) {
 		if (int(e.a) == ia && int(e.b) == ib) || (int(e.a) == ib && int(e.b) == ia) {
 			e.k = float64(k)
 			cm.refreshCoupleK()
-			r.markDirty(cm)
 			return
 		}
 	}
@@ -605,7 +552,6 @@ func (r *refRoom) setAirFraction(machine, from, to string, f units.Fraction) err
 		e := &cm.airEdges[i]
 		if e.From == from && e.To == to {
 			e.Fraction = f
-			r.markDirty(cm)
 			return cm.recompileAirFlow()
 		}
 	}
@@ -617,14 +563,12 @@ func (r *refRoom) setFanFlow(machine string, flow units.CubicFeetPerMinute) {
 	cm.fanM3s = flow.CubicMetersPerSecond()
 	cm.nomCFM = flow
 	cm.refreshFlowCoef()
-	r.markDirty(cm)
 }
 
 func (r *refRoom) setPowerScale(machine, component string, scale units.Fraction) {
 	cm := r.byName[machine]
 	cm.comps[cm.compOf[cm.index[component]]].powerScale = float64(scale)
 	cm.refreshDraws()
-	r.markDirty(cm)
 }
 
 func (r *refRoom) setMachinePower(machine string, on bool) {
@@ -633,7 +577,6 @@ func (r *refRoom) setMachinePower(machine string, on bool) {
 		cm.on = on
 		cm.refreshFlowCoef()
 		cm.refreshDraws()
-		r.markDirty(cm)
 	}
 }
 
@@ -754,7 +697,6 @@ func (r *refRoom) restoreState(st *State) error {
 			}
 		}
 		cm.invalidate()
-		r.anyDirty = true
 	}
 	return nil
 }

@@ -111,15 +111,15 @@ func PartitionRegions(c *model.Cluster, n int) ([][]string, error) {
 // boundary sets induced by cross-region room edges.
 func (s *solverCore) compileRegions() error {
 	regs := s.cfg.Regions
+	if i := s.cfg.RegionIndex; i != 0 && (i < 0 || i >= len(regs)) {
+		return fmt.Errorf("solver: RegionIndex %d out of range for %d regions", i, len(regs))
+	}
 	if len(regs) == 0 {
 		s.owned = make([]int32, len(s.ms))
 		for i := range s.owned {
 			s.owned[i] = int32(i)
 		}
 		return nil
-	}
-	if s.cfg.RegionIndex < 0 || s.cfg.RegionIndex >= len(regs) {
-		return fmt.Errorf("solver: RegionIndex %d out of range for %d regions", s.cfg.RegionIndex, len(regs))
 	}
 	regionOf := make([]int32, len(s.ms))
 	for i := range regionOf {

@@ -139,8 +139,7 @@ func TestRegionQueries(t *testing.T) {
 // 8-machine recirculation chain split across two region instances,
 // exchanging boundary exhausts each tick, stays bit-identical to the
 // unpartitioned solver — through utilization changes, a mid-run AC
-// setpoint change crossing the cut, and every worker/active-set
-// combination.
+// setpoint change crossing the cut, serially and on the worker pool.
 func TestRegionBoundaryBitIdentical(t *testing.T) {
 	c, err := model.RackCluster("room", 1, 8, nil)
 	if err != nil {
@@ -152,11 +151,11 @@ func TestRegionBoundaryBitIdentical(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Workers: 1},
-		{Workers: 2, ActiveSet: true},
+		{Workers: 2},
 	} {
 		cfg := cfg
-		t.Run(fmt.Sprintf("workers=%d activeset=%v", cfg.Workers, cfg.ActiveSet), func(t *testing.T) {
-			full, err := New(c, Config{Workers: cfg.Workers, ActiveSet: cfg.ActiveSet})
+		t.Run(fmt.Sprintf("workers=%d", cfg.Workers), func(t *testing.T) {
+			full, err := New(c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

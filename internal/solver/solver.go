@@ -32,24 +32,16 @@ import (
 	"time"
 
 	"github.com/darklab/mercury/internal/model"
-	"github.com/darklab/mercury/internal/units"
 )
 
 // Config controls solver behaviour. The zero value selects the paper's
-// defaults (1-second iterations; everything starts at the inlet
-// temperature; machines that are switched off retain 10% of fan flow
-// as natural draft).
+// defaults: 1-second iterations over the whole, unpartitioned room,
+// every machine starting at its inlet temperature. Every step skips
+// the machines at a bitwise fixed point of the step map (stepN), so
+// temperatures stay bit-identical to stepping every machine.
 type Config struct {
 	// Step is the emulated duration of one iteration. Default 1s.
 	Step time.Duration
-	// InitialTemp is the temperature every object and air region starts
-	// at. When nil, each machine starts at its inlet temperature.
-	InitialTemp *units.Celsius
-	// OffFanFraction is the share of nominal fan flow that still moves
-	// through a machine that is powered off (natural draft through the
-	// chassis). Must be in (0, 1]. Default 0.1. New rejects values
-	// outside (0, 1] rather than guessing.
-	OffFanFraction units.Fraction
 	// Workers is the number of goroutines that step machines in
 	// parallel. 0 picks one per available CPU, but never fewer than
 	// ~256 machines per worker: small rooms fall back to the serial
@@ -72,30 +64,14 @@ type Config struct {
 	// one region (PartitionRegions builds such a cover along
 	// recirculation components). Empty means unpartitioned.
 	Regions [][]string
-	// RegionIndex selects this instance's region in Regions.
+	// RegionIndex selects this instance's region in Regions. It must be
+	// 0 when Regions is empty.
 	RegionIndex int
-	// ActiveSet enables quiescence-based stepping: a machine whose last
-	// executed step moved no node (max delta exactly 0) and whose
-	// inputs — effective inlet, utilizations, fiddled constants, power
-	// state — have not changed since is at a bitwise fixed point of the
-	// step map, so the solver skips its traversals and only accrues its
-	// (constant) power draw and energy. The machine re-activates the
-	// moment any input changes. Because only true fixed points are
-	// skipped, temperatures remain bit-identical to exhaustive
-	// stepping; mostly-idle rooms step dramatically faster (see
-	// docs/performance.md). When the whole room is quiescent the
-	// stepping goroutine does not even wake the worker shards.
-	ActiveSet bool
 }
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Step <= 0 {
 		c.Step = time.Second
-	}
-	if c.OffFanFraction == 0 {
-		c.OffFanFraction = 0.1
-	} else if c.OffFanFraction < 0 || c.OffFanFraction > 1 {
-		return c, fmt.Errorf("solver: OffFanFraction %v out of range (0, 1]", c.OffFanFraction)
 	}
 	if c.Workers < 0 {
 		return c, fmt.Errorf("solver: Workers %d must be >= 0", c.Workers)
@@ -246,7 +222,7 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 		maxNodes = max(maxNodes, len(sh.names))
 		core.byName[m.Name] = int32(i)
 	}
-	core.room = newRoom(len(c.Machines), total, float64(cfg.OffFanFraction))
+	core.room = newRoom(len(c.Machines), total)
 	var at bases
 	for i, m := range c.Machines {
 		core.place(i, m, machineShape[i], at)
@@ -267,13 +243,9 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 	// Effective inlet temperatures for step 0 queries.
 	for mi := range core.ms {
 		core.inlet[mi] = core.mixInlet(mi)
-		t := core.inlet[mi]
-		if cfg.InitialTemp != nil {
-			t = float64(*cfg.InitialTemp)
-		}
 		temps := core.tempsOf(mi)
 		for i := range temps {
-			temps[i] = t
+			temps[i] = core.inlet[mi]
 		}
 		core.exhaust[mi] = temps[core.ms[mi].shape.exhaustIdx[0]]
 	}
@@ -409,13 +381,12 @@ func (s *Solver) Steps() uint64 {
 // stepN advances the emulation by n steps with s.mu held. It is the
 // single stepping entry point: serial rooms run the phases inline,
 // sharded rooms publish the batch to the worker pool, and a fully
-// quiescent room (Config.ActiveSet) reduces to pure energy accrual
-// without waking anyone.
+// quiescent room reduces to pure energy accrual without waking anyone.
 func (s *solverCore) stepN(n int) {
 	if n <= 0 {
 		return
 	}
-	if s.cfg.ActiveSet && s.allQuiet && !s.anyDirty {
+	if s.allQuiet && !s.anyDirty {
 		// Every machine is at a bitwise fixed point and no input —
 		// fiddle, utilization, source supply, restore — has changed,
 		// so inlet mixes recompute to identical bits and every step of
@@ -496,28 +467,26 @@ func (s *solverCore) runInletPhase(sh int) {
 }
 
 // runStepPhase is phase 2 over one shard: the per-machine heat and air
-// traversals. With Config.ActiveSet, quiet machines with unchanged
-// inputs are at a bitwise fixed point and only accrue energy;
-// everything else runs the full kernel. Consecutive stepping machines
-// of one coefficient set step four per call (stepQuad); quiet machines
-// between them do not break a group. What a run of one set leaves short
-// of four goes to the pair kernel, where a machine waits for the next
-// such machine of its shape, and one left without a partner (at a shape
-// boundary or the end of the shard) steps paired with itself. Each
-// shard tracks its own maximum temperature delta; the reduction in
-// stepN is order-independent, so steady-state detection is
-// deterministic across worker counts. The kernels' scratch is the
-// shard's own.
+// traversals. Quiet machines with unchanged inputs are at a bitwise
+// fixed point and only accrue energy; everything else runs the full
+// kernel. Consecutive stepping machines of one coefficient set step
+// four per call (stepQuad); quiet machines between them do not break a
+// group. What a run of one set leaves short of four goes to the pair
+// kernel, where a machine waits for the next such machine of its
+// shape, and one left without a partner (at a shape boundary or the
+// end of the shard) steps paired with itself. Each shard tracks its
+// own maximum temperature delta; the reduction in stepN is
+// order-independent, so steady-state detection is deterministic across
+// worker counts. The kernels' scratch is the shard's own.
 func (s *solverCore) runStepPhase(sh int) {
 	var d float64
-	skip := s.cfg.ActiveSet
 	shd := &s.shards[sh]
 	var quad [4]int32 // stepping machines of set, waiting for a group
 	var set *coefSet
 	n := 0
 	held := int32(-1) // a stepping machine waiting for a partner
 	for _, mi := range shd.idx {
-		if skip && s.quiet[mi] && !s.dirty[mi] {
+		if s.quiet[mi] && !s.dirty[mi] {
 			s.stepQuiescent(int(mi), s.dt)
 			continue
 		}

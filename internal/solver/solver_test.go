@@ -39,17 +39,12 @@ func passiveServer(name string) *model.Machine {
 	return m
 }
 
-func TestInitialTemperatures(t *testing.T) {
+func TestMachinesStartAtInlet(t *testing.T) {
 	s := newTestSolver(t, Config{})
 	for _, node := range []string{model.NodeCPU, model.NodeDiskPlatters, model.NodeCPUAir, model.NodeExhaust} {
 		if got := mustTemp(t, s, "m1", node); got != 21.6 {
 			t.Errorf("initial %s = %v, want 21.6", node, got)
 		}
-	}
-	init := units.Celsius(30)
-	s2 := newTestSolver(t, Config{InitialTemp: &init})
-	if got := mustTemp(t, s2, "m1", model.NodeCPU); got != 30 {
-		t.Errorf("initial CPU with override = %v, want 30", got)
 	}
 }
 
@@ -253,10 +248,14 @@ func TestMachineOffCoolsDown(t *testing.T) {
 func TestAirMixingConvexity(t *testing.T) {
 	// With no component power, every air temperature must stay inside
 	// the convex hull of the initial temperatures and the inlet.
-	init := units.Celsius(45)
-	s, err := NewSingle(passiveServer("m1"), Config{InitialTemp: &init})
+	s, err := NewSingle(passiveServer("m1"), Config{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for node := range mustTemps(t, s, "m1") {
+		if err := s.SetNodeTemperature("m1", node, 45); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 2000; i++ {
 		s.Step()

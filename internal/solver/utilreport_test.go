@@ -33,7 +33,7 @@ func refSetUtilization(s *Solver, machine string, src model.UtilSource, u units.
 }
 
 // assertSameInputs compares the state a utilization write touches —
-// stream values, cached draws, the active-set flags — bit for bit.
+// stream values, cached draws, the quiet and dirty flags — bit for bit.
 func assertSameInputs(t *testing.T, label string, got, want *Solver) {
 	t.Helper()
 	got.mu.Lock()
@@ -72,7 +72,7 @@ func TestApplyUtilizationMatchesSetUtilization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(c, Config{ActiveSet: true})
+		s, err := New(c, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -140,7 +140,7 @@ func NewPiecewisePower(utils []Fraction, powers []Watts) (*PiecewisePower, error
 type (
 	// Solver advances a thermal model through emulated time.
 	Solver = solver.Solver
-	// SolverConfig tunes the solver (step size, initial temperature).
+	// SolverConfig tunes the solver (step size, workers, region).
 	SolverConfig = solver.Config
 )
 
