@@ -32,7 +32,7 @@ func fakeSolverd(t *testing.T) string {
 			if len(op.Strings) > 0 && op.Strings[0] == "ghost" {
 				rep = &wire.FiddleReply{Status: wire.StatusUnknown, Message: "unknown machine \"ghost\""}
 			}
-			out, _ := wire.MarshalFiddleReply(rep)
+			out, _ := wire.AppendFiddleReply(nil, rep)
 			conn.WriteToUDP(out, peer)
 		}
 	}()

@@ -69,24 +69,10 @@ func roomNames(n int, pad int) []string {
 	return names
 }
 
-// readOne is the reference: a Sensor opened on the probe alone.
-func readOne(t *testing.T, addr string, p sensor.Probe) units.Celsius {
-	t.Helper()
-	s, err := sensor.Open(addr, p.Machine, p.Node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	v, err := s.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
 // TestReadManyMatchesRead: every temperature a many-read returns is
-// bit-equal to a single-probe Sensor.Read of the same probe, for probe
-// sets on both sides of each chunk edge (63 probes or 2048 bytes).
+// bit-equal to the solver's own reading of the same probe, taken in
+// process, for probe sets on both sides of each chunk edge (63 probes
+// or 2048 bytes).
 func TestReadManyMatchesRead(t *testing.T) {
 	for _, room := range []struct {
 		name  string
@@ -100,12 +86,15 @@ func TestReadManyMatchesRead(t *testing.T) {
 	} {
 		t.Run(room.name, func(t *testing.T) {
 			srv, all := startRoom(t, room.names)
-			addr := srv.Addr().String()
 			want := map[sensor.Probe]units.Celsius{}
 			for _, p := range all {
-				want[p] = readOne(t, addr, p)
+				v, err := srv.Solver().Temperature(p.Machine, p.Node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[p] = v
 			}
-			r, err := sensor.Dial(addr, sensor.Options{})
+			r, err := sensor.Dial(srv.Addr().String(), sensor.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +114,7 @@ func TestReadManyMatchesRead(t *testing.T) {
 					}
 					for i, p := range probes {
 						if math.Float64bits(float64(dst[i])) != math.Float64bits(float64(want[p])) {
-							t.Fatalf("%d probes: probe %d (%s/%s) = %v, Sensor.Read = %v", n, i, p.Machine, p.Node, dst[i], want[p])
+							t.Fatalf("%d probes: probe %d (%s/%s) = %v, solver reads %v", n, i, p.Machine, p.Node, dst[i], want[p])
 						}
 						distinct[dst[i]] = true
 					}

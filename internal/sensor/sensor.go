@@ -9,10 +9,11 @@
 //
 // Each Read is one UDP round trip to the solver daemon, analogous to
 // probing a hardware sensor; the paper measures ~300 us per read
-// against ~500 us for a real SCSI in-disk sensor. A Reader serves a
-// program that reads many sensors of one daemon: one socket for all of
-// them, and ReadMany to read up to wire.MaxSensorProbes of them in one
-// round trip.
+// against ~500 us for a real SCSI in-disk sensor. Every read travels as
+// the wire's sensor read message: a single read names one probe, and
+// ReadMany names up to wire.MaxSensorProbes in one round trip. A Reader
+// serves a program that reads many sensors of one daemon over one
+// socket.
 package sensor
 
 import (
@@ -37,11 +38,10 @@ type Probe = wire.Probe
 type Reader struct {
 	client *udprpc.Client
 
-	// mu serializes reads, which encode into req and decode into rep
-	// or many, and read the reply into the client's buffer.
+	// mu serializes reads, which encode into req and decode into many,
+	// and read the reply into the client's buffer.
 	mu   sync.Mutex
 	req  []byte
-	rep  wire.SensorReply
 	many wire.SensorReplyMany
 }
 
@@ -71,33 +71,17 @@ func Dial(addr string, opts Options) (*Reader, error) {
 // read.
 func (r *Reader) SetTracer(t *causal.Tracer) { r.client.SetTracer(t) }
 
-// ReadCtx returns one node's current emulated temperature. A live
-// trace context makes the request a version-2 datagram whose context
-// the solver daemon echoes in the reply (and records as a sensor-serve
-// span); an untraced read is a version-1 datagram.
+// ReadCtx returns one node's current emulated temperature: a read of
+// one probe. A live trace context makes the request a version-2
+// datagram, whose context parents the solver daemon's sensor-serve
+// span and, with a tracer attached, the reader's rpc span.
 func (r *Reader) ReadCtx(tc causal.Context, machine, node string) (units.Celsius, error) {
+	probe := [1]Probe{{Machine: machine, Node: node}}
+	var temp [1]units.Celsius
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var err error
-	r.req, err = wire.AppendSensorRead(r.req[:0], &wire.SensorRead{
-		Machine: machine,
-		Node:    node,
-		Trace:   wire.TraceContext{Trace: tc.Trace, Span: tc.Span},
-	})
-	if err != nil {
-		return 0, fmt.Errorf("sensor: %s/%s: %w", machine, node, err)
-	}
-	buf, err := r.client.DoCtx(tc, r.req)
-	if err != nil {
-		return 0, fmt.Errorf("sensor: %s/%s: %w", machine, node, err)
-	}
-	if err := wire.UnmarshalSensorReplyInto(&r.rep, buf); err != nil {
-		return 0, fmt.Errorf("sensor: %s/%s: %w", machine, node, err)
-	}
-	if r.rep.Status != wire.StatusOK {
-		return 0, fmt.Errorf("sensor: %s/%s: %s", machine, node, r.rep.Message)
-	}
-	return r.rep.Temp, nil
+	err := r.readChunk(tc, probe[:], temp[:])
+	return temp[0], err
 }
 
 // ReadMany reads every probe, dst[i] receiving probes[i]'s
@@ -112,7 +96,7 @@ func (r *Reader) ReadMany(probes []Probe, dst []units.Celsius) error {
 	defer r.mu.Unlock()
 	for len(probes) > 0 {
 		chunk := probes[:wire.SensorReadManyFit(probes)]
-		if err := r.readChunk(chunk, dst); err != nil {
+		if err := r.readChunk(causal.Context{}, chunk, dst); err != nil {
 			return err
 		}
 		probes, dst = probes[len(chunk):], dst[len(chunk):]
@@ -120,16 +104,20 @@ func (r *Reader) ReadMany(probes []Probe, dst []units.Celsius) error {
 	return nil
 }
 
-// readChunk reads the probes of one request into dst.
-func (r *Reader) readChunk(chunk []Probe, dst []units.Celsius) error {
+// readChunk reads the probes of one request into dst, carrying tc.
+func (r *Reader) readChunk(tc causal.Context, chunk []Probe, dst []units.Celsius) error {
 	fail := func(err error) error {
+		if len(chunk) == 1 {
+			return fmt.Errorf("sensor: %s/%s: %w", chunk[0].Machine, chunk[0].Node, err)
+		}
 		return fmt.Errorf("sensor: read of %d probes from %s/%s: %w", len(chunk), chunk[0].Machine, chunk[0].Node, err)
 	}
 	var err error
-	if r.req, err = wire.AppendSensorReadMany(r.req[:0], &wire.SensorReadMany{Probes: chunk}); err != nil {
+	req := wire.SensorReadMany{Probes: chunk, Trace: wire.TraceContext{Trace: tc.Trace, Span: tc.Span}}
+	if r.req, err = wire.AppendSensorReadMany(r.req[:0], &req); err != nil {
 		return fail(err)
 	}
-	buf, err := r.client.Do(r.req)
+	buf, err := r.client.DoCtx(tc, r.req)
 	if err != nil {
 		return fail(err)
 	}

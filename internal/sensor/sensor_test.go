@@ -32,16 +32,20 @@ func fakeDaemon(t *testing.T, temp units.Celsius, names []string, failNode strin
 				continue
 			}
 			switch typ {
-			case wire.MsgSensorRead:
-				var req wire.SensorRead
-				if err := wire.UnmarshalSensorReadInto(&req, buf[:n], nil); err != nil {
+			case wire.MsgSensorReadMany:
+				var req wire.SensorReadMany
+				if err := wire.UnmarshalSensorReadManyInto(&req, buf[:n], nil); err != nil {
 					continue
 				}
-				rep := wire.SensorReply{Status: wire.StatusOK, Temp: temp}
-				if req.Node == failNode {
-					rep = wire.SensorReply{Status: wire.StatusUnknown, Message: "unknown node"}
+				rep := wire.SensorReplyMany{Status: wire.StatusOK}
+				for i, p := range req.Probes {
+					if p.Node == failNode {
+						rep = wire.SensorReplyMany{Status: wire.StatusUnknown, Failed: i, Message: "unknown node"}
+						break
+					}
+					rep.Temps = append(rep.Temps, temp)
 				}
-				out, _ := wire.AppendSensorReply(nil, &rep)
+				out, _ := wire.AppendSensorReplyMany(nil, &rep)
 				conn.WriteToUDP(out, peer)
 			case wire.MsgListNodes:
 				out, _ := wire.MarshalListReply(&wire.ListReply{Status: wire.StatusOK, Names: names})

@@ -140,44 +140,6 @@ func TestAwaitUtilUpdates(t *testing.T) {
 	})
 }
 
-// TestHandleSensorDoesNotAllocate: a read of a known machine and node
-// is decoded into Serve's scratch and answered from its reply buffer.
-func TestHandleSensorDoesNotAllocate(t *testing.T) {
-	c, err := model.DefaultCluster("room", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := solver.New(c, solver.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Listen("127.0.0.1:0", sol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	req, err := wire.AppendSensorRead(nil, &wire.SensorRead{Machine: "machine3", Node: model.NodeCPU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep wire.SensorReply
-	if err := wire.UnmarshalSensorReplyInto(&rep, srv.handleSensor(req)); err != nil || rep.Status != wire.StatusOK || rep.Temp != 21.6 {
-		t.Fatalf("reply = %+v, %v", rep, err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := wire.UnmarshalSensorReplyInto(&rep, srv.handleSensor(req)); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("handleSensor: %v allocs/op, want 0", n)
-	}
-	// Unknown names are answered, not interned.
-	bad, _ := wire.AppendSensorRead(nil, &wire.SensorRead{Machine: "machine3", Node: "ghost"})
-	if err := wire.UnmarshalSensorReplyInto(&rep, srv.handleSensor(bad)); err != nil || rep.Status != wire.StatusUnknown {
-		t.Errorf("unknown node: reply = %+v, %v", rep, err)
-	}
-}
-
 // TestSensorRoundTripDoesNotAllocate pins both ends of a real-clock
 // sensor read over loopback: client request, solverd decode, lookup and
 // reply, client decode.
@@ -194,6 +156,52 @@ func TestSensorRoundTripDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("sensor read: %v allocs/op, want 0", n)
+	}
+}
+
+// TestHandleSensorDoesNotAllocate: a read of one known machine and
+// node, the datagram every single-sensor read sends, is decoded into
+// Serve's scratch and answered from its reply buffer, traced or not.
+func TestHandleSensorDoesNotAllocate(t *testing.T) {
+	c, err := model.DefaultCluster("room", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := solver.New(c, solver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	one := []wire.Probe{{Machine: "machine3", Node: model.NodeCPU}}
+	for _, tc := range []wire.TraceContext{{}, {Trace: 11, Span: 22}} {
+		req, err := wire.AppendSensorReadMany(nil, &wire.SensorReadMany{Probes: one, Trace: tc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep wire.SensorReplyMany
+		if err := wire.UnmarshalSensorReplyManyInto(&rep, srv.handleSensorMany(req)); err != nil || rep.Status != wire.StatusOK || len(rep.Temps) != 1 || rep.Temps[0] != 21.6 {
+			t.Fatalf("trace %+v: reply = %+v, %v", tc, rep, err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := wire.UnmarshalSensorReplyManyInto(&rep, srv.handleSensorMany(req)); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("trace %+v: single-probe read: %v allocs/op, want 0", tc, n)
+		}
+	}
+	// Unknown names are answered, not interned.
+	bad, _ := wire.AppendSensorReadMany(nil, &wire.SensorReadMany{Probes: []wire.Probe{{Machine: "machine3", Node: "ghost"}}})
+	var rep wire.SensorReplyMany
+	if err := wire.UnmarshalSensorReplyManyInto(&rep, srv.handleSensorMany(bad)); err != nil || rep.Status != wire.StatusUnknown {
+		t.Errorf("unknown node: reply = %+v, %v", rep, err)
+	}
+	if _, ok := srv.nodeNames["ghost"]; ok {
+		t.Error("unknown node name was interned")
 	}
 }
 
@@ -233,6 +241,14 @@ func TestHandleSensorManyDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("handleSensorMany: %v allocs/op, want 0", n)
 	}
+	// Unknown names are answered, not interned.
+	bad, _ := wire.AppendSensorReadMany(nil, &wire.SensorReadMany{Probes: []wire.Probe{{Machine: "machine3", Node: "ghost"}}})
+	if err := wire.UnmarshalSensorReplyManyInto(&rep, srv.handleSensorMany(bad)); err != nil || rep.Status != wire.StatusUnknown || rep.Failed != 0 {
+		t.Errorf("unknown node: reply = %+v, %v", rep, err)
+	}
+	if _, ok := srv.nodeNames["ghost"]; ok {
+		t.Error("unknown node name was interned")
+	}
 }
 
 // TestLongUnknownNameAnswered: a reply whose error text names a
@@ -248,20 +264,11 @@ func TestLongUnknownNameAnswered(t *testing.T) {
 	defer c.Close()
 	long := strings.Repeat("m", 240)
 
-	read, _ := wire.AppendSensorRead(nil, &wire.SensorRead{Machine: long, Node: model.NodeCPU})
-	buf, err := c.Do(read)
-	if err != nil {
-		t.Fatalf("sensor read: %v", err)
-	}
-	var rep wire.SensorReply
-	if err := wire.UnmarshalSensorReplyInto(&rep, buf); err != nil || rep.Status != wire.StatusUnknown {
-		t.Errorf("sensor read reply = %+v, %v; want StatusUnknown", rep, err)
-	}
-
 	many, _ := wire.AppendSensorReadMany(nil, &wire.SensorReadMany{Probes: []wire.Probe{
 		{Machine: "machine1", Node: model.NodeCPU}, {Machine: long, Node: model.NodeCPU},
 	}})
-	if buf, err = c.Do(many); err != nil {
+	buf, err := c.Do(many)
+	if err != nil {
 		t.Fatalf("many-read: %v", err)
 	}
 	var mrep wire.SensorReplyMany

@@ -115,11 +115,10 @@ type Server struct {
 	utilGuard  *time.Timer
 
 	// Sensor serving scratch, touched only by Serve's goroutine: the
-	// decoded requests, whose names are interned against names and
-	// nodeNames (each node name a read has found), the many-read's
-	// reply, and the encoded reply.
+	// decoded request, whose names are interned against names and
+	// nodeNames (each node name a read has found), its reply, and the
+	// encoded reply.
 	nodeNames map[string]string
-	sensorReq wire.SensorRead
 	manyReq   wire.SensorReadMany
 	manyRep   wire.SensorReplyMany
 	replyBuf  []byte
@@ -154,9 +153,9 @@ func WithTelemetry(reg *telemetry.Registry, events *telemetry.EventLog) Option {
 
 // WithTracer attaches a causal tracer: utilization updates carrying a
 // trace context get an apply span parented to the originating sample,
-// traced sensor reads get a serve span (and their reply echoes the
-// context), and every ticker step gets its own step span. With no
-// tracer the datagram and stepping paths are untouched.
+// traced sensor reads get a serve span per probe, and every ticker
+// step gets its own step span. With no tracer the datagram and
+// stepping paths are untouched.
 func WithTracer(t *causal.Tracer) Option {
 	return func(s *Server) { s.tracer = t }
 }
@@ -541,8 +540,6 @@ func (s *Server) handle(buf []byte, peer netip.AddrPort) {
 	switch typ {
 	case wire.MsgUtilUpdate:
 		s.handleUtil(buf)
-	case wire.MsgSensorRead:
-		s.reply(peer, s.handleSensor(buf))
 	case wire.MsgSensorReadMany:
 		s.reply(peer, s.handleSensorMany(buf))
 	case wire.MsgFiddleOp:
@@ -684,69 +681,41 @@ func (s *Server) AwaitUtilUpdates(n uint64, timeout time.Duration) error {
 	}
 }
 
-// handleSensor serves a read from Serve-owned scratch: once a node
-// name has been read, a read of it on an owned machine allocates
-// nothing.
-func (s *Server) handleSensor(buf []byte) []byte {
-	req := &s.sensorReq
-	if err := wire.UnmarshalSensorReadInto(req, buf, s.internName); err != nil {
-		s.stats.Malformed.Add(1)
-		return nil
-	}
-	s.stats.SensorReads.Add(1)
-	var begin time.Duration
-	if s.tracer != nil {
-		begin = s.tracer.Now()
-	}
-	// Echo the request's trace context so the exchange stays
-	// attributable at the client.
-	rep := wire.SensorReply{Status: wire.StatusOK, Trace: req.Trace}
-	temp, err := s.sol.Temperature(req.Machine, req.Node)
-	if err != nil {
-		rep.Status = wire.StatusUnknown
-		rep.Message = err.Error()
-	} else {
-		rep.Temp = temp
-		if _, ok := s.nodeNames[req.Node]; !ok {
-			s.nodeNames[req.Node] = req.Node
-		}
-	}
-	if s.tracer != nil && req.Trace.Trace != 0 {
-		s.tracer.Emit(causal.Span{
-			Trace:   req.Trace.Trace,
-			Parent:  req.Trace.Span,
-			Kind:    causal.KindSensorServe,
-			Begin:   begin,
-			End:     s.tracer.Now(),
-			Machine: req.Machine,
-			Node:    req.Node,
-			Value:   float64(rep.Temp),
-			Step:    s.stats.SolverSteps.Load(),
-		})
-	}
-	out, err := wire.AppendSensorReply(s.replyBuf[:0], &rep)
-	if err != nil {
-		return nil
-	}
-	s.replyBuf = out
-	return out
-}
-
-// handleSensorMany serves a many-read from Serve-owned scratch, probe
+// handleSensorMany serves a sensor read from Serve-owned scratch, probe
 // by probe in request order, and stops at the first unknown probe,
-// whose index the reply carries. SensorReads counts each probe read,
-// so it means the same whether a client batches its reads or not.
-// Many-reads are untraced: a traced read travels alone (MsgSensorRead).
+// whose index the reply carries; once a node name has been read, a
+// read of it on an owned machine allocates nothing. SensorReads counts
+// each probe read, so it means the same whether a client batches its
+// reads or not. A traced read gets one serve span per probe read,
+// parented to the request's context.
 func (s *Server) handleSensorMany(buf []byte) []byte {
 	req, rep := &s.manyReq, &s.manyRep
 	if err := wire.UnmarshalSensorReadManyInto(req, buf, s.internName); err != nil {
 		s.stats.Malformed.Add(1)
 		return nil
 	}
+	traced := s.tracer != nil && req.Trace.Trace != 0
 	*rep = wire.SensorReplyMany{Status: wire.StatusOK, Temps: rep.Temps[:0]}
 	read := len(req.Probes)
 	for i, p := range req.Probes {
+		var begin time.Duration
+		if traced {
+			begin = s.tracer.Now()
+		}
 		temp, err := s.sol.Temperature(p.Machine, p.Node)
+		if traced {
+			s.tracer.Emit(causal.Span{
+				Trace:   req.Trace.Trace,
+				Parent:  req.Trace.Span,
+				Kind:    causal.KindSensorServe,
+				Begin:   begin,
+				End:     s.tracer.Now(),
+				Machine: p.Machine,
+				Node:    p.Node,
+				Value:   float64(temp),
+				Step:    s.stats.SolverSteps.Load(),
+			})
+		}
 		if err != nil {
 			*rep = wire.SensorReplyMany{Status: wire.StatusUnknown, Temps: rep.Temps[:0], Failed: i, Message: err.Error()}
 			read = i + 1

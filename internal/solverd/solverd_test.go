@@ -406,7 +406,9 @@ func TestMalformedDatagramsCounted(t *testing.T) {
 	defer c.Close()
 	c.Send([]byte{0xFF})             // short
 	c.Send([]byte{0x01, 0xEE, 0x00}) // unknown type
-	waitFor(t, func() bool { return srv.Stats().Malformed.Load() >= 2 })
+	// The retired single-probe sensor read (type 0x02).
+	c.Send([]byte("\x01\x02\x08machine1\x03cpu"))
+	waitFor(t, func() bool { return srv.Stats().Malformed.Load() >= 3 })
 }
 
 func TestTickerAdvancesSolver(t *testing.T) {

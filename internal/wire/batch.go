@@ -155,21 +155,6 @@ func ParseBoundaryExchange(buf []byte) (BoundaryFrame, error) {
 	return f, nil
 }
 
-// UnmarshalBoundaryExchange decodes an exchange datagram, with
-// ParseBoundaryExchange's strictness, into a message that owns its
-// records.
-func UnmarshalBoundaryExchange(buf []byte) (*BoundaryExchange, error) {
-	f, err := ParseBoundaryExchange(buf)
-	if err != nil {
-		return nil, err
-	}
-	b := &BoundaryExchange{Region: f.Region, Tick: f.Tick, Trace: f.Trace, Records: make([]BoundaryRecord, f.Len())}
-	for i := range b.Records {
-		b.Records[i] = f.Record(i)
-	}
-	return b, nil
-}
-
 // MaxBatchMachines bounds the machines of one utilization batch; with
 // up to 8 entries per machine the worst case stays inside MaxBatchSize.
 const MaxBatchMachines = 16

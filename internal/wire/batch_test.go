@@ -33,14 +33,24 @@ func TestBoundaryExchangeRoundTrip(t *testing.T) {
 		if buf[0] != wantVer {
 			t.Fatalf("version byte = %#x, want %#x", buf[0], wantVer)
 		}
-		got, err := UnmarshalBoundaryExchange(buf)
+		f, err := ParseBoundaryExchange(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(b, got) {
+		if got := exchangeOf(f); !reflect.DeepEqual(b, got) {
 			t.Errorf("round trip = %+v, want %+v", got, b)
 		}
 	}
+}
+
+// exchangeOf copies a parsed frame into a message that owns its
+// records.
+func exchangeOf(f BoundaryFrame) *BoundaryExchange {
+	b := &BoundaryExchange{Region: f.Region, Tick: f.Tick, Trace: f.Trace, Records: make([]BoundaryRecord, f.Len())}
+	for i := range b.Records {
+		b.Records[i] = f.Record(i)
+	}
+	return b
 }
 
 func TestBoundaryExchangeRejectsMalformed(t *testing.T) {
@@ -50,11 +60,11 @@ func TestBoundaryExchangeRejectsMalformed(t *testing.T) {
 	}
 	// Every truncation must fail — there is no valid prefix.
 	for n := 0; n < len(good); n++ {
-		if _, err := UnmarshalBoundaryExchange(good[:n]); err == nil {
+		if _, err := ParseBoundaryExchange(good[:n]); err == nil {
 			t.Errorf("truncated to %d bytes: want error", n)
 		}
 	}
-	if _, err := UnmarshalBoundaryExchange(append(append([]byte(nil), good...), 0)); err != ErrTrailingBytes {
+	if _, err := ParseBoundaryExchange(append(append([]byte(nil), good...), 0)); err != ErrTrailingBytes {
 		t.Errorf("trailing byte: err = %v, want ErrTrailingBytes", err)
 	}
 	if _, err := MarshalBoundaryExchange(&BoundaryExchange{Region: 1, Tick: 1}); err != ErrEmptyBoundary {
@@ -63,7 +73,7 @@ func TestBoundaryExchangeRejectsMalformed(t *testing.T) {
 	empty := append([]byte(nil), good[:boundaryHeaderLen]...)
 	empty[0] = Version // drop the trace so the count is the last field
 	empty[boundaryHeaderLen-2], empty[boundaryHeaderLen-1] = 0, 0
-	if _, err := UnmarshalBoundaryExchange(empty); err != ErrEmptyBoundary {
+	if _, err := ParseBoundaryExchange(empty); err != ErrEmptyBoundary {
 		t.Errorf("zero records: err = %v, want ErrEmptyBoundary", err)
 	}
 	big := &BoundaryExchange{Region: 0, Tick: 1, Records: make([]BoundaryRecord, MaxBoundaryRecords+1)}
@@ -76,7 +86,7 @@ func TestBoundaryExchangeRejectsMalformed(t *testing.T) {
 	for i := len(zeroed) - 16; i < len(zeroed)-8; i++ {
 		zeroed[i] = 0
 	}
-	if _, err := UnmarshalBoundaryExchange(zeroed); err != ErrBadTrace {
+	if _, err := ParseBoundaryExchange(zeroed); err != ErrBadTrace {
 		t.Errorf("zero trace id: err = %v, want ErrBadTrace", err)
 	}
 }

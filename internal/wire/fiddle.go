@@ -167,13 +167,8 @@ type FiddleReply struct {
 	Message string
 }
 
-// MarshalFiddleReply encodes a reply.
-func MarshalFiddleReply(r *FiddleReply) ([]byte, error) {
-	return AppendFiddleReply(nil, r)
-}
-
-// AppendFiddleReply is MarshalFiddleReply appending to dst; a message
-// longer than a wire string is clipped, so every reply encodes.
+// AppendFiddleReply encodes a reply appended to dst; a message longer
+// than a wire string is clipped, so every reply encodes.
 func AppendFiddleReply(dst []byte, r *FiddleReply) ([]byte, error) {
 	e := traceHeader(dst, MsgFiddleReply, TraceContext{})
 	e.byte(r.Status)

@@ -16,12 +16,13 @@ func fuzzSeeds(f *testing.F) {
 		Entries: []UtilEntry{{Source: model.UtilCPU, Util: 0.5}},
 	})
 	f.Add(u)
-	r, _ := AppendSensorRead(nil, &SensorRead{Machine: "m", Node: "cpu"})
+	one := []Probe{{Machine: "m", Node: "cpu"}}
+	r, _ := AppendSensorReadMany(nil, &SensorReadMany{Probes: one})
 	f.Add(r)
-	rep, _ := AppendSensorReply(nil, &SensorReply{Status: StatusOK, Temp: 42})
+	rep, _ := AppendSensorReplyMany(nil, &SensorReplyMany{Status: StatusOK, Temps: []units.Celsius{42}})
 	f.Add(rep)
-	// Version-2 (traced) forms of the three messages that carry a
-	// trace context, so both encodings are always in the corpus.
+	// Version-2 (traced) forms of the messages that carry a trace
+	// context, so both encodings are always in the corpus.
 	tc := TraceContext{Trace: 0xFEEDFACE, Span: 0xBEEF}
 	u2, _ := MarshalUtilUpdate(&UtilUpdate{
 		Machine: "machine1", Seq: 8,
@@ -29,10 +30,9 @@ func fuzzSeeds(f *testing.F) {
 		Trace:   tc,
 	})
 	f.Add(u2)
-	r2, _ := AppendSensorRead(nil, &SensorRead{Machine: "m", Node: "cpu", Trace: tc})
+	r2, _ := AppendSensorReadMany(nil, &SensorReadMany{Probes: one, Trace: tc})
 	f.Add(r2)
-	rep2, _ := AppendSensorReply(nil, &SensorReply{Status: StatusOK, Temp: 42, Trace: tc})
-	f.Add(rep2)
+	f.Add(r2[:len(r2)-1])
 	op, _ := MarshalFiddleOp(&FiddleOp{Op: OpPinInlet, Strings: []string{"m"}, Floats: []float64{30}})
 	f.Add(op)
 	lr, _ := MarshalListReply(&ListReply{Status: StatusOK, Names: []string{"a", "b"}})
@@ -104,15 +104,35 @@ func FuzzUnmarshalUtilUpdate(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalSensorRead fuzzes the read of one probe, the form every
+// single-sensor read takes: the retired single-probe types 0x02 and
+// 0x03 never decode as a sensor read or reply, and a decoded read of
+// one probe is a 0x0A datagram that re-encodes byte for byte.
 func FuzzUnmarshalSensorRead(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var r SensorRead
-		if err := UnmarshalSensorReadInto(&r, data, nil); err != nil {
+		var r SensorReadMany
+		err := UnmarshalSensorReadManyInto(&r, data, nil)
+		if len(data) > 1 && (data[1] == 0x02 || data[1] == 0x03) {
+			var rep SensorReplyMany
+			if err == nil || UnmarshalSensorReplyManyInto(&rep, data) == nil {
+				t.Fatalf("retired type %#x decoded: %x", data[1], data)
+			}
 			return
 		}
-		if _, err := AppendSensorRead(nil, &r); err != nil {
+		if err != nil || len(r.Probes) != 1 {
+			return
+		}
+		if typ, err := Type(data); err != nil || typ != MsgSensorReadMany {
+			t.Fatalf("Type = %#x, %v", typ, err)
+		}
+		one := SensorReadMany{Probes: []Probe{r.Probes[0]}, Trace: r.Trace}
+		buf, err := AppendSensorReadMany(nil, &one)
+		if err != nil {
 			t.Fatalf("decoded read does not re-encode: %v", err)
+		}
+		if string(buf) != string(data) {
+			t.Fatalf("re-encoding differs: %x -> %x", data, buf)
 		}
 	})
 }
@@ -136,23 +156,23 @@ func FuzzUnmarshalFiddleOp(f *testing.F) {
 func FuzzUnmarshalBoundaryExchange(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := UnmarshalBoundaryExchange(data)
+		fr, err := ParseBoundaryExchange(data)
 		if err != nil {
 			return
 		}
-		if len(b.Records) == 0 || len(b.Records) > MaxBoundaryRecords {
-			t.Fatalf("decoder accepted %d records", len(b.Records))
+		if fr.Len() == 0 || fr.Len() > MaxBoundaryRecords {
+			t.Fatalf("decoder accepted %d records", fr.Len())
 		}
-		buf, err := MarshalBoundaryExchange(b)
+		buf, err := MarshalBoundaryExchange(exchangeOf(fr))
 		if err != nil {
 			t.Fatalf("decoded exchange does not re-encode: %v", err)
 		}
-		again, err := UnmarshalBoundaryExchange(buf)
+		again, err := ParseBoundaryExchange(buf)
 		if err != nil {
 			t.Fatalf("re-encoded exchange does not decode: %v", err)
 		}
-		if again.Trace != b.Trace || again.Tick != b.Tick || len(again.Records) != len(b.Records) {
-			t.Fatalf("exchange unstable: %+v -> %+v", b, again)
+		if again.Trace != fr.Trace || again.Tick != fr.Tick || again.Len() != fr.Len() {
+			t.Fatalf("exchange unstable: %+v -> %+v", fr, again)
 		}
 	})
 }

@@ -1,11 +1,10 @@
 package wire
 
-// This file holds the multi-probe sensor read: one request naming up
-// to MaxSensorProbes (machine, node) pairs, answered by one reply that
-// carries their temperatures in request order. It is version 1 only:
-// a traced read stays on the single-probe MsgSensorRead, whose
-// version-2 form carries the context the serving span is parented to,
-// so batching reads never changes what a trace records.
+// This file holds the sensor read: one request naming up to
+// MaxSensorProbes (machine, node) pairs, answered by one reply that
+// carries their temperatures in request order. A traced request is
+// version 2, with the context after the probes; the reply is always
+// version 1 and echoes no context.
 
 import (
 	"errors"
@@ -44,15 +43,18 @@ type Probe struct {
 }
 
 // SensorReadMany asks the solver for several nodes' temperatures in
-// one round trip.
+// one round trip. A non-zero Trace selects the version-2 encoding,
+// which appends the context after the probes; the solver parents a
+// serve span per probe to it.
 type SensorReadMany struct {
 	Probes []Probe
+	Trace  TraceContext
 }
 
 // SensorReadManyFit returns how many of probes, from the first, one
 // request carries: at most MaxSensorProbes, in at most
-// MaxSensorReadManySize bytes, and at least one. A sender chunks a
-// longer list by it.
+// MaxSensorReadManySize bytes untraced, and at least one. A sender
+// chunks a longer list by it.
 func SensorReadManyFit(probes []Probe) int {
 	size := 3 // version, type, count
 	for i, p := range probes {
@@ -73,11 +75,14 @@ func AppendSensorReadMany(dst []byte, r *SensorReadMany) ([]byte, error) {
 	case len(r.Probes) > MaxSensorProbes:
 		return dst, ErrTooManyProbes
 	}
-	e := traceHeader(dst, MsgSensorReadMany, TraceContext{})
+	e := traceHeader(dst, MsgSensorReadMany, r.Trace)
 	e.byte(byte(len(r.Probes)))
 	for _, p := range r.Probes {
 		e.str(p.Machine)
 		e.str(p.Node)
+	}
+	if !r.Trace.Zero() {
+		e.trace(r.Trace)
 	}
 	if e.err != nil {
 		return dst, e.err
@@ -91,13 +96,14 @@ func AppendSensorReadMany(dst []byte, r *SensorReadMany) ([]byte, error) {
 // UnmarshalSensorReadManyInto decodes a many-read request into r,
 // reusing its probe storage; intern, when non-nil, maps each machine
 // and node name's bytes to the receiver's own string for it. Empty,
-// oversized, short and slack-carrying requests are rejected. On error
-// r's contents are unspecified.
+// oversized, short and slack-carrying requests are rejected, as is a
+// version-2 request whose trace ID is zero. On error r's contents are
+// unspecified.
 func UnmarshalSensorReadManyInto(r *SensorReadMany, buf []byte, intern func([]byte) string) error {
 	if len(buf) > MaxSensorReadManySize {
 		return ErrOversize
 	}
-	d, err := checkHeader(buf, MsgSensorReadMany)
+	d, ver, err := checkHeaderVer(buf, MsgSensorReadMany)
 	if err != nil {
 		return err
 	}
@@ -118,6 +124,12 @@ func UnmarshalSensorReadManyInto(r *SensorReadMany, buf []byte, intern func([]by
 			return err
 		}
 		if p.Node, err = d.internStr(intern); err != nil {
+			return err
+		}
+	}
+	r.Trace = TraceContext{}
+	if ver == VersionTrace {
+		if r.Trace, err = d.trace(); err != nil {
 			return err
 		}
 	}

@@ -182,18 +182,25 @@ func TestSensorReadManyRoundTrip(t *testing.T) {
 // error, never a partial decode.
 func TestSensorReadManyRejects(t *testing.T) {
 	good, _ := AppendSensorReadMany(nil, &SensorReadMany{Probes: []Probe{{"m1", "cpu"}}})
+	traced, _ := AppendSensorReadMany(nil, &SensorReadMany{Probes: []Probe{{"m1", "cpu"}}, Trace: TraceContext{Trace: 5, Span: 6}})
+	zeroTrace := append([]byte(nil), traced...)
+	clear(zeroTrace[len(zeroTrace)-16 : len(zeroTrace)-8])
 	var req SensorReadMany
 	for name, tc := range map[string]struct {
 		buf  []byte
 		want error
 	}{
-		"traced version": {append([]byte{VersionTrace}, good[1:]...), ErrBadVersion},
-		"wrong type":     {append([]byte{Version, MsgSensorRead}, good[2:]...), ErrBadType},
-		"zero probes":    {[]byte{Version, MsgSensorReadMany, 0}, ErrNoProbes},
-		"64 probes":      {[]byte{Version, MsgSensorReadMany, 64}, ErrTooManyProbes},
-		"truncated":      {good[:len(good)-1], ErrShort},
-		"trailing":       {append(append([]byte(nil), good...), 0), ErrTrailingBytes},
-		"oversize":       {append(append([]byte(nil), good...), make([]byte, MaxSensorReadManySize)...), ErrOversize},
+		"version 3":            {append([]byte{VersionTrace + 1}, good[1:]...), ErrBadVersion},
+		"traced, no trailer":   {append([]byte{VersionTrace}, good[1:]...), ErrShort},
+		"short trailer":        {traced[:len(traced)-1], ErrShort},
+		"zero trace id":        {zeroTrace, ErrBadTrace},
+		"trailing after trace": {append(append([]byte(nil), traced...), 0), ErrTrailingBytes},
+		"wrong type":           {append([]byte{Version, MsgSensorReplyMany}, good[2:]...), ErrBadType},
+		"zero probes":          {[]byte{Version, MsgSensorReadMany, 0}, ErrNoProbes},
+		"64 probes":            {[]byte{Version, MsgSensorReadMany, 64}, ErrTooManyProbes},
+		"truncated":            {good[:len(good)-1], ErrShort},
+		"trailing":             {append(append([]byte(nil), good...), 0), ErrTrailingBytes},
+		"oversize":             {append(append([]byte(nil), good...), make([]byte, MaxSensorReadManySize)...), ErrOversize},
 	} {
 		if err := UnmarshalSensorReadManyInto(&req, tc.buf, nil); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
@@ -205,6 +212,7 @@ func TestSensorReadManyRejects(t *testing.T) {
 		buf  []byte
 		want error
 	}{
+		"traced reply":      {append([]byte{VersionTrace}, okRep[1:]...), ErrBadVersion},
 		"empty OK":          {[]byte{Version, MsgSensorReplyMany, StatusOK, 0}, ErrNoProbes},
 		"64 temps":          {[]byte{Version, MsgSensorReplyMany, StatusOK, 64}, ErrTooManyProbes},
 		"short temps":       {okRep[:len(okRep)-1], ErrShort},
@@ -239,14 +247,6 @@ func TestReplyMessagesClip(t *testing.T) {
 		{strings.Repeat("a", 254) + "€" + strings.Repeat("b", 40), strings.Repeat("a", 254)},
 		{strings.Repeat("y", 255), strings.Repeat("y", 255)},
 	} {
-		sr, err := AppendSensorReply(nil, &SensorReply{Status: StatusUnknown, Message: tc.msg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var srep SensorReply
-		if err := UnmarshalSensorReplyInto(&srep, sr); err != nil || srep.Message != tc.want {
-			t.Errorf("sensor reply message = %d bytes, %v; want %d", len(srep.Message), err, len(tc.want))
-		}
 		fr, err := AppendFiddleReply(nil, &FiddleReply{Status: StatusUnknown, Message: tc.msg})
 		if err != nil {
 			t.Fatal(err)

@@ -22,9 +22,10 @@ import (
 
 // Message type bytes.
 const (
-	MsgUtilUpdate  = 0x01
-	MsgSensorRead  = 0x02
-	MsgSensorReply = 0x03
+	MsgUtilUpdate = 0x01
+	// 0x02 and 0x03 stay unassigned: an older client may still send a
+	// single-probe sensor read there, which solverd must count as
+	// malformed, not misread as another message.
 	MsgFiddleOp    = 0x04
 	MsgFiddleReply = 0x05
 	MsgListNodes   = 0x06
@@ -45,11 +46,11 @@ const (
 // Version is the baseline protocol version byte leading every
 // datagram. VersionTrace marks the extended encoding that carries a
 // causal trace context: utilization updates place it in the spare
-// padding bytes of the fixed 128-byte datagram, sensor reads and
-// replies append it after the version-1 payload. A message without a
-// trace context is always emitted as version 1, byte-identical to the
-// pre-trace protocol, so old and new daemons interoperate: a version-1
-// receiver simply never learns about traces.
+// padding bytes of the fixed 128-byte datagram, sensor reads append it
+// after the version-1 payload. A message without a trace context is
+// always emitted as version 1, byte-identical to the pre-trace
+// protocol, so old and new daemons interoperate: a version-1 receiver
+// simply never learns about traces.
 const (
 	Version      = 0x01
 	VersionTrace = 0x02
@@ -487,106 +488,6 @@ func UnmarshalUtilUpdateInto(u *UtilUpdate, buf []byte, intern func([]byte) stri
 		}
 		d.pos = UtilTraceOffset + 1
 		if u.Trace, err = d.trace(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SensorRead asks the solver for one node's emulated temperature. A
-// non-zero Trace selects the version-2 encoding, which appends the
-// context after the node name; the reply echoes it back.
-type SensorRead struct {
-	Machine string
-	Node    string
-	Trace   TraceContext
-}
-
-// AppendSensorRead encodes a read request appended to dst. On error
-// dst is returned unchanged.
-func AppendSensorRead(dst []byte, r *SensorRead) ([]byte, error) {
-	e := traceHeader(dst, MsgSensorRead, r.Trace)
-	e.str(r.Machine)
-	e.str(r.Node)
-	if !r.Trace.Zero() {
-		e.trace(r.Trace)
-	}
-	if e.err != nil {
-		return dst, e.err
-	}
-	return e.buf, nil
-}
-
-// UnmarshalSensorReadInto decodes a read request into r; intern, when
-// non-nil, maps the machine and node names' bytes to the receiver's
-// own strings for them. On error r's contents are unspecified.
-func UnmarshalSensorReadInto(r *SensorRead, buf []byte, intern func([]byte) string) error {
-	d, ver, err := checkHeaderVer(buf, MsgSensorRead)
-	if err != nil {
-		return err
-	}
-	if r.Machine, err = d.internStr(intern); err != nil {
-		return err
-	}
-	if r.Node, err = d.internStr(intern); err != nil {
-		return err
-	}
-	r.Trace = TraceContext{}
-	if ver == VersionTrace {
-		if r.Trace, err = d.trace(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SensorReply answers a SensorRead, echoing the request's trace
-// context (if any) so a traced exchange is attributable end to end.
-type SensorReply struct {
-	Status  byte
-	Temp    units.Celsius
-	Message string // error detail when Status != StatusOK
-	Trace   TraceContext
-}
-
-// AppendSensorReply encodes a reply appended to dst; a message longer
-// than a wire string is clipped. On error dst is returned unchanged.
-func AppendSensorReply(dst []byte, r *SensorReply) ([]byte, error) {
-	e := traceHeader(dst, MsgSensorReply, r.Trace)
-	e.byte(r.Status)
-	e.f64(float64(r.Temp))
-	e.message(r.Message)
-	if !r.Trace.Zero() {
-		e.trace(r.Trace)
-	}
-	if e.err != nil {
-		return dst, e.err
-	}
-	return e.buf, nil
-}
-
-// UnmarshalSensorReplyInto decodes a reply into r; a reply with an
-// empty message allocates nothing. On error r's contents are
-// unspecified.
-func UnmarshalSensorReplyInto(r *SensorReply, buf []byte) error {
-	d, ver, err := checkHeaderVer(buf, MsgSensorReply)
-	if err != nil {
-		return err
-	}
-	if r.Status, err = d.byte(); err != nil {
-		return err
-	}
-	v, err := d.f64()
-	if err != nil {
-		return err
-	}
-	r.Temp = units.Celsius(v)
-	if r.Message, err = d.str(); err != nil {
-		return err
-	}
-	r.Trace = TraceContext{}
-	if ver == VersionTrace {
-		if r.Trace, err = d.trace(); err != nil {
 			return err
 		}
 	}

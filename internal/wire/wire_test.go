@@ -3,6 +3,7 @@ package wire
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,34 +109,34 @@ func TestUtilUpdateProperty(t *testing.T) {
 }
 
 func TestSensorReadRoundTrip(t *testing.T) {
-	r := SensorRead{Machine: "machine1", Node: "disk_platters"}
-	buf, err := AppendSensorRead(nil, &r)
+	r := SensorReadMany{Probes: []Probe{{Machine: "machine1", Node: "disk_platters"}}}
+	buf, err := AppendSensorReadMany(nil, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got SensorRead
-	if err := UnmarshalSensorReadInto(&got, buf, nil); err != nil {
+	var got SensorReadMany
+	if err := UnmarshalSensorReadManyInto(&got, buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got != r {
+	if !reflect.DeepEqual(got, r) {
 		t.Errorf("round trip = %+v", got)
 	}
 }
 
 func TestSensorReplyRoundTrip(t *testing.T) {
-	for _, r := range []SensorReply{
-		{Status: StatusOK, Temp: 38.6},
+	for _, r := range []SensorReplyMany{
+		{Status: StatusOK, Temps: []units.Celsius{38.6}},
 		{Status: StatusUnknown, Message: "unknown node \"ghost\""},
 	} {
-		buf, err := AppendSensorReply(nil, &r)
+		buf, err := AppendSensorReplyMany(nil, &r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got SensorReply
-		if err := UnmarshalSensorReplyInto(&got, buf); err != nil {
+		var got SensorReplyMany
+		if err := UnmarshalSensorReplyManyInto(&got, buf); err != nil {
 			t.Fatal(err)
 		}
-		if got != r {
+		if got.Status != r.Status || !slices.Equal(got.Temps, r.Temps) || got.Message != r.Message {
 			t.Errorf("round trip = %+v, want %+v", got, r)
 		}
 	}
@@ -221,7 +222,7 @@ func TestFiddleOpValidation(t *testing.T) {
 
 func TestFiddleReplyRoundTrip(t *testing.T) {
 	r := &FiddleReply{Status: StatusBadOp, Message: "negative k"}
-	buf, err := MarshalFiddleReply(r)
+	buf, err := AppendFiddleReply(nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,15 +236,15 @@ func TestFiddleReplyRoundTrip(t *testing.T) {
 }
 
 func TestTypePeek(t *testing.T) {
-	buf, _ := AppendSensorRead(nil, &SensorRead{Machine: "m", Node: "cpu"})
+	buf, _ := AppendSensorReadMany(nil, &SensorReadMany{Probes: []Probe{{Machine: "m", Node: "cpu"}}})
 	typ, err := Type(buf)
-	if err != nil || typ != MsgSensorRead {
+	if err != nil || typ != MsgSensorReadMany {
 		t.Errorf("Type = %v, %v", typ, err)
 	}
 	if _, err := Type([]byte{Version}); err != ErrShort {
 		t.Errorf("short: %v", err)
 	}
-	if _, err := Type([]byte{0x99, MsgSensorRead}); err != ErrBadVersion {
+	if _, err := Type([]byte{0x99, MsgSensorReadMany}); err != ErrBadVersion {
 		t.Errorf("bad version: %v", err)
 	}
 }
@@ -260,7 +261,7 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		}
 	}
 	// Wrong type for the decoder.
-	if err := UnmarshalSensorReadInto(&SensorRead{}, good, nil); err != ErrBadType {
+	if err := UnmarshalSensorReadManyInto(&SensorReadMany{}, good, nil); err != ErrBadType {
 		t.Errorf("wrong type: %v, want ErrBadType", err)
 	}
 	// A corrupted entry count past the buffer end.
@@ -383,112 +384,122 @@ func TestUtilUpdateTraceRejectsMalformed(t *testing.T) {
 }
 
 func TestSensorReadTraceRoundTrip(t *testing.T) {
-	r := SensorRead{Machine: "machine1", Node: "cpu", Trace: TraceContext{Trace: 11, Span: 22}}
-	buf, err := AppendSensorRead(nil, &r)
+	r := SensorReadMany{Probes: []Probe{{Machine: "machine1", Node: "cpu"}}, Trace: TraceContext{Trace: 11, Span: 22}}
+	buf, err := AppendSensorReadMany(nil, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != VersionTrace {
 		t.Fatalf("version byte = %#x, want VersionTrace", buf[0])
 	}
-	var got SensorRead
-	if err := UnmarshalSensorReadInto(&got, buf, nil); err != nil {
+	var got SensorReadMany
+	if err := UnmarshalSensorReadManyInto(&got, buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got != r {
+	if !reflect.DeepEqual(got, r) {
 		t.Errorf("round trip = %+v", got)
 	}
 	// Truncating the trace trailer must error, not fall back to v1.
-	if err := UnmarshalSensorReadInto(&got, buf[:len(buf)-8], nil); err != ErrShort {
+	if err := UnmarshalSensorReadManyInto(&got, buf[:len(buf)-8], nil); err != ErrShort {
 		t.Errorf("truncated trailer: err = %v, want ErrShort", err)
 	}
 }
 
+// TestSensorReplyTraceEcho: a reply to a traced read does not echo the
+// trace context. It is version 1 whatever the request carried, and a
+// version-2 reply with a trace trailer, the echo older servers sent,
+// is rejected rather than read as temperatures.
 func TestSensorReplyTraceEcho(t *testing.T) {
-	r := SensorReply{Status: StatusOK, Temp: 66.5, Trace: TraceContext{Trace: 11, Span: 22}}
-	buf, err := AppendSensorReply(nil, &r)
+	r := SensorReplyMany{Status: StatusOK, Temps: []units.Celsius{66.5}}
+	buf, err := AppendSensorReplyMany(nil, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buf[0] != VersionTrace {
-		t.Fatalf("version byte = %#x, want VersionTrace", buf[0])
+	if buf[0] != Version {
+		t.Fatalf("version byte = %#x, want Version", buf[0])
 	}
-	var got SensorReply
-	if err := UnmarshalSensorReplyInto(&got, buf); err != nil {
-		t.Fatal(err)
+	var got SensorReplyMany
+	if err := UnmarshalSensorReplyManyInto(&got, buf); err != nil || !reflect.DeepEqual(got, r) {
+		t.Fatalf("round trip = %+v, %v", got, err)
 	}
-	if got != r {
-		t.Errorf("round trip = %+v", got)
+	echo := append([]byte{VersionTrace}, buf[1:]...)
+	echo = append(echo, 0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0, 22)
+	if err := UnmarshalSensorReplyManyInto(&got, echo); err != ErrBadVersion {
+		t.Errorf("echoing reply: err = %v, want ErrBadVersion", err)
 	}
 }
 
 func TestTypePeekAcceptsTraceVersion(t *testing.T) {
-	buf, _ := AppendSensorRead(nil, &SensorRead{Machine: "m", Node: "cpu", Trace: TraceContext{Trace: 3, Span: 4}})
+	buf, _ := AppendSensorReadMany(nil, &SensorReadMany{Probes: []Probe{{Machine: "m", Node: "cpu"}}, Trace: TraceContext{Trace: 3, Span: 4}})
 	typ, err := Type(buf)
-	if err != nil || typ != MsgSensorRead {
+	if err != nil || typ != MsgSensorReadMany {
 		t.Errorf("Type(v2) = %v, %v", typ, err)
 	}
 }
 
-// TestSensorScratchCodecs: the Append and Into forms keep the wire
-// layout, reuse their storage, reset a previous trace, and with
-// interned names decode and encode without allocating.
+// TestSensorScratchCodecs: a read of one probe, the form every
+// single-sensor read takes, keeps its wire layout in the Append and
+// Into forms, which reuse their storage, reset a previous trace, and
+// with interned names decode and encode without allocating.
 func TestSensorScratchCodecs(t *testing.T) {
-	traced := &SensorRead{Machine: "machine1", Node: "cpu", Trace: TraceContext{Trace: 11, Span: 22}}
-	plain := &SensorRead{Machine: "machine1", Node: "cpu"}
-	v1 := "\x01\x02\x08machine1\x03cpu"
-	layouts := map[*SensorRead]string{
+	one := []Probe{{Machine: "machine1", Node: "cpu"}}
+	traced := &SensorReadMany{Probes: one, Trace: TraceContext{Trace: 11, Span: 22}}
+	plain := &SensorReadMany{Probes: one}
+	v1 := "\x01\x0a\x01\x08machine1\x03cpu"
+	layouts := map[*SensorReadMany]string{
 		plain:  v1,
 		traced: "\x02" + v1[1:] + "\x00\x00\x00\x00\x00\x00\x00\x0b\x00\x00\x00\x00\x00\x00\x00\x16",
 	}
 	var buf []byte
-	var r SensorRead
+	var r SensorReadMany
 	names := map[string]string{"machine1": "machine1", "cpu": "cpu"}
 	var interned []string
 	intern := func(b []byte) string {
 		interned = append(interned, string(b))
 		return names[string(b)]
 	}
-	for _, want := range []*SensorRead{traced, plain} {
+	for _, want := range []*SensorReadMany{traced, plain} {
 		var err error
-		if buf, err = AppendSensorRead(buf[:0], want); err != nil {
+		if buf, err = AppendSensorReadMany(buf[:0], want); err != nil {
 			t.Fatal(err)
 		}
 		if string(buf) != layouts[want] {
-			t.Errorf("AppendSensorRead = %x, want %x", buf, layouts[want])
+			t.Errorf("AppendSensorReadMany = %x, want %x", buf, layouts[want])
 		}
-		if err := UnmarshalSensorReadInto(&r, buf, intern); err != nil || r != *want {
-			t.Errorf("UnmarshalSensorReadInto = %+v, %v; want %+v", r, err, *want)
+		if err := UnmarshalSensorReadManyInto(&r, buf, intern); err != nil || !reflect.DeepEqual(r, *want) {
+			t.Errorf("UnmarshalSensorReadManyInto = %+v, %v; want %+v", r, err, *want)
 		}
 	}
 	if got := strings.Join(interned, ","); got != "machine1,cpu,machine1,cpu" {
 		t.Errorf("intern saw %s, want machine then node per read", got)
 	}
 
-	var rep SensorReply
-	out, _ := AppendSensorReply(nil, &SensorReply{Status: StatusOK, Temp: 40, Trace: traced.Trace})
-	if err := UnmarshalSensorReplyInto(&rep, out); err != nil || rep.Trace != traced.Trace {
-		t.Fatalf("traced reply = %+v, %v", rep, err)
-	}
+	var rep SensorReplyMany
+	var out []byte
 	hit := func(b []byte) string { return names[string(b)] }
 	if n := testing.AllocsPerRun(100, func() {
-		buf, _ = AppendSensorRead(buf[:0], plain)
-		_ = UnmarshalSensorReadInto(&r, buf, hit)
-		out, _ = AppendSensorReply(out[:0], &SensorReply{Status: StatusOK, Temp: 41})
-		_ = UnmarshalSensorReplyInto(&rep, out)
+		buf, _ = AppendSensorReadMany(buf[:0], traced)
+		_ = UnmarshalSensorReadManyInto(&r, buf, hit)
+		buf, _ = AppendSensorReadMany(buf[:0], plain)
+		_ = UnmarshalSensorReadManyInto(&r, buf, hit)
+		out, _ = AppendSensorReplyMany(out[:0], &SensorReplyMany{Status: StatusOK, Temps: []units.Celsius{41}})
+		_ = UnmarshalSensorReplyManyInto(&rep, out)
 	}); n != 0 {
 		t.Errorf("sensor scratch codecs: %v allocs/op, want 0", n)
 	}
-	if rep != (SensorReply{Status: StatusOK, Temp: 41}) {
-		t.Errorf("reused reply = %+v, want its trace reset", rep)
+	if !r.Trace.Zero() {
+		t.Errorf("reused request = %+v, want its trace reset", r)
+	}
+	if rep.Status != StatusOK || len(rep.Temps) != 1 || rep.Temps[0] != 41 {
+		t.Errorf("reused reply = %+v", rep)
 	}
 	// An over-long message is clipped, not refused: the reply that
 	// reports a failure must always go out.
-	out, err := AppendSensorReply(out[:0], &SensorReply{Status: StatusUnknown, Message: strings.Repeat("x", 256)})
+	out, err := AppendSensorReplyMany(out[:0], &SensorReplyMany{Status: StatusUnknown, Message: strings.Repeat("x", 256)})
 	if err != nil {
 		t.Fatalf("oversized message: %v", err)
 	}
-	if err := UnmarshalSensorReplyInto(&rep, out); err != nil || rep.Message != strings.Repeat("x", 255) {
+	if err := UnmarshalSensorReplyManyInto(&rep, out); err != nil || rep.Message != strings.Repeat("x", 255) {
 		t.Errorf("oversized message decodes as %d bytes, %v; want the first 255", len(rep.Message), err)
 	}
 }
