@@ -1,7 +1,7 @@
 // Command monitord is Mercury's monitoring daemon: it samples this
 // machine's CPU, disk, and network utilizations from /proc and reports
-// them to the solver daemon once per interval in 128-byte UDP
-// datagrams (Section 2.3).
+// them to the solver daemon once per interval in one UDP utilization
+// batch datagram (Section 2.3).
 //
 //	monitord -machine machine1 -solver 10.0.0.5:8367
 //

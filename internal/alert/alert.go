@@ -59,9 +59,10 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Clock stamps the transitions log's epoch (nil = real clock).
 	Clock clock.Clock
-	// TransitionsCap bounds the transitions ring (default 1024).
-	TransitionsCap int
 }
+
+// transitionsCap bounds the transitions ring.
+const transitionsCap = 1024
 
 // State is one alert instance's position in the pending→firing→
 // resolved state machine.
@@ -193,11 +194,7 @@ func New(cfg Config) (*Engine, error) {
 		events:     cfg.Events,
 		temps:      make([]float64, len(cfg.Probes)),
 	}
-	tcap := cfg.TransitionsCap
-	if tcap <= 0 {
-		tcap = 1024
-	}
-	e.transitions = telemetry.NewEventLog(tcap, cfg.Clock)
+	e.transitions = telemetry.NewEventLog(transitionsCap, cfg.Clock)
 	for i := range cfg.Probes {
 		m := cfg.Probes[i].Machine
 		if _, ok := e.machineIdx[m]; !ok {

@@ -1,6 +1,6 @@
 // Package causal is the tracing layer that connects the hops of the
-// thermal control loop: a monitord utilization sample, the 128-byte
-// UDP update it becomes, the solverd apply and solver step, the sensor
+// thermal control loop: a monitord utilization sample, the UDP
+// utilization batch it becomes, the solverd apply and solver step, the sensor
 // reads tempd issues, the PD controller's decision, admd's weight and
 // connection actuation, and Freon-EC's power transitions. One trace ID
 // links a thermal emergency's onset to every action it caused and to
@@ -107,8 +107,8 @@ func (s Span) String() string {
 }
 
 // Context is the trace context that crosses process hops: it rides in
-// the spare padding bytes of the 128-byte utilization update and in
-// version-2 sensor datagrams (internal/wire).
+// the trailer of version-2 utilization batch and sensor datagrams
+// (internal/wire).
 type Context struct {
 	Trace uint64
 	Span  uint64

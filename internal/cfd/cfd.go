@@ -157,43 +157,28 @@ type Result struct {
 	Residual   float64
 }
 
-// SolveOptions tunes the iteration.
-type SolveOptions struct {
-	// MaxIterations before giving up; default 50000.
-	MaxIterations int
-	// Tolerance on the max per-sweep temperature change; default 1e-6.
-	Tolerance float64
-	// Omega is the SOR relaxation factor in (0,2); default 1.0
-	// (plain Gauss-Seidel: over-relaxation destabilizes the upwind
-	// advection terms).
-	Omega float64
-}
-
-func (o SolveOptions) withDefaults() SolveOptions {
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 50000
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-6
-	}
-	if o.Omega <= 0 || o.Omega >= 2 {
-		o.Omega = 1.0
-	}
-	return o
-}
-
-// solidOmega over-relaxes pure-conduction (solid) cells, which are the
-// stiff part of the system; air cells use the caller's omega.
-const solidOmega = 1.85
+// The iteration's constants.
+const (
+	// maxIterations before giving up.
+	maxIterations = 50000
+	// tolerance on the max per-sweep temperature change.
+	tolerance = 1e-6
+	// airOmega is the SOR relaxation factor of air cells: 1.0, plain
+	// Gauss-Seidel, because over-relaxation destabilizes the upwind
+	// advection terms.
+	airOmega = 1.0
+	// solidOmega over-relaxes pure-conduction (solid) cells, which are
+	// the stiff part of the system.
+	solidOmega = 1.85
+)
 
 // Solve computes the steady-state temperature field with the blocks'
 // powers overridden by powers (by block name; missing names keep the
 // case's value).
-func (c *Case) Solve(powers map[string]units.Watts, opts SolveOptions) (*Result, error) {
+func (c *Case) Solve(powers map[string]units.Watts) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	W, H := c.W, c.H
 	n := W * H
 	idx := func(x, y int) int { return y*W + x }
@@ -277,7 +262,7 @@ func (c *Case) Solve(powers map[string]units.Watts, opts SolveOptions) (*Result,
 
 	var iter int
 	var residual float64
-	for iter = 1; iter <= opts.MaxIterations; iter++ {
+	for iter = 1; iter <= maxIterations; iter++ {
 		residual = 0
 		for y := 0; y < H; y++ {
 			for x := 0; x < W; x++ {
@@ -312,7 +297,7 @@ func (c *Case) Solve(powers map[string]units.Watts, opts SolveOptions) (*Result,
 				next := num / den
 				// Solids take full SOR; air cells stay at the stable
 				// Gauss-Seidel update because of the advection terms.
-				omega := opts.Omega
+				omega := airOmega
 				if mat[i] != Air {
 					omega = solidOmega
 				}
@@ -326,12 +311,12 @@ func (c *Case) Solve(powers map[string]units.Watts, opts SolveOptions) (*Result,
 				T[i] = next
 			}
 		}
-		if residual < opts.Tolerance {
+		if residual < tolerance {
 			break
 		}
 	}
-	if residual >= opts.Tolerance {
-		return nil, fmt.Errorf("cfd: no convergence after %d iterations (residual %g)", opts.MaxIterations, residual)
+	if residual >= tolerance {
+		return nil, fmt.Errorf("cfd: no convergence after %d iterations (residual %g)", maxIterations, residual)
 	}
 	return &Result{c: c, Temps: T, Iterations: iter, Residual: residual}, nil
 }

@@ -10,7 +10,7 @@ import (
 
 func solve(t *testing.T, c *Case, powers map[string]units.Watts) *Result {
 	t.Helper()
-	res, err := c.Solve(powers, SolveOptions{})
+	res, err := c.Solve(powers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestValidateRejects(t *testing.T) {
 func TestFullyBlockedColumn(t *testing.T) {
 	c := DefaultCase()
 	c.Blocks = append(c.Blocks, Block{Name: "wall", X0: 30, Y0: 0, X1: 31, Y1: c.H, Mat: Steel})
-	if _, err := c.Solve(nil, SolveOptions{}); err == nil {
+	if _, err := c.Solve(nil); err == nil {
 		t.Error("fully blocked column: want error")
 	}
 }

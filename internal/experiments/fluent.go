@@ -36,7 +36,7 @@ func Fluent() (*Result, error) {
 	type ref struct{ cpu, disk, ps units.Celsius }
 	refs := make([]ref, len(combos))
 	for i, cb := range combos {
-		res, err := c.Solve(map[string]units.Watts{"cpu": cb.CPU, "disk": cb.Disk}, cfd.SolveOptions{})
+		res, err := c.Solve(map[string]units.Watts{"cpu": cb.CPU, "disk": cb.Disk})
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ func RackCluster(name string, racks, perRack int, recirc []units.Fraction) (*Clu
 	if recirc == nil {
 		recirc = make([]units.Fraction, perRack-1)
 		for i := range recirc {
-			f := 0.15 + 0.10*float64(i)
+			f := 0.15 + float64(0.10*float64(i))
 			if f > 0.45 {
 				f = 0.45
 			}

@@ -1,7 +1,9 @@
 // Package monitord implements Mercury's monitoring daemon (Section
 // 2.3): it "periodically samples the utilization of the components of
 // the machine on which it is running and reports that information to
-// the solver" in 128-byte UDP datagrams, once per second by default.
+// the solver" once per second by default. Every report is one
+// MsgUtilBatch datagram: a per-machine daemon sends a batch of one, a
+// rack or shard daemon a batch of many.
 package monitord
 
 import (
@@ -24,7 +26,6 @@ import (
 // solver daemon.
 type Daemon struct {
 	machine  string
-	sampler  procfs.Sampler
 	batch    []BatchMachine
 	client   *udprpc.Client
 	interval time.Duration
@@ -43,8 +44,11 @@ type Daemon struct {
 	reports []wire.UtilReport
 	dgram   []byte
 
+	// single marks a daemon configured with Machine+Sampler: it keeps
+	// its latest sample for /state and mirrors it into gauges.
+	single   bool
 	mu       sync.Mutex
-	lastUtil []model.UtilSample // single mode's latest sample, for /state
+	lastUtil []model.UtilSample
 }
 
 // BatchMachine is one machine of a batched daemon: its model name and
@@ -57,11 +61,12 @@ type BatchMachine struct {
 // Config configures a Daemon.
 type Config struct {
 	// Machine is the name this daemon reports as; it must match a
-	// machine in the solver's model. In batch mode it is only a label
-	// for metrics and tracing (e.g. "rack1").
+	// machine in the solver's model. With Batch it is only a label for
+	// metrics and tracing (e.g. "rack1").
 	Machine string
 	// Sampler provides the utilizations (procfs.New for a live Linux
-	// host, procfs.NewSynthetic for emulation). Unused in batch mode.
+	// host, procfs.NewSynthetic for emulation); the daemon sends them as
+	// a batch of one. Set it or Batch, not both.
 	Sampler procfs.Sampler
 	// Batch, when non-empty, makes the daemon report for many machines
 	// at once — one of it per rack or shard instead of one daemon per
@@ -82,8 +87,8 @@ type Config struct {
 	// sent, sample errors, and one utilization gauge per stream.
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, records a causal span for every sample and
-	// embeds its trace context in the update datagram's padding bytes,
-	// so the solver can attribute its apply back to this sample.
+	// embeds its trace context in the batch datagram's trailer, so the
+	// solver can attribute its apply back to this sample.
 	Tracer *causal.Tracer
 }
 
@@ -92,8 +97,12 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Machine == "" {
 		return nil, fmt.Errorf("monitord: machine name required")
 	}
-	if cfg.Sampler == nil && len(cfg.Batch) == 0 {
-		return nil, fmt.Errorf("monitord: sampler required")
+	if (cfg.Sampler == nil) == (len(cfg.Batch) == 0) {
+		return nil, fmt.Errorf("monitord: exactly one of sampler and batch required")
+	}
+	single := cfg.Sampler != nil
+	if single {
+		cfg.Batch = []BatchMachine{{Machine: cfg.Machine, Sampler: cfg.Sampler}}
 	}
 	for _, bm := range cfg.Batch {
 		if bm.Machine == "" || bm.Sampler == nil {
@@ -112,7 +121,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		machine:  cfg.Machine,
-		sampler:  cfg.Sampler,
 		batch:    cfg.Batch,
 		client:   client,
 		interval: cfg.Interval,
@@ -121,6 +129,7 @@ func New(cfg Config) (*Daemon, error) {
 		reg:      cfg.Registry,
 		gauges:   map[model.UtilSource]*telemetry.Gauge{},
 		reports:  make([]wire.UtilReport, len(cfg.Batch)),
+		single:   single,
 	}
 	if d.reg != nil {
 		d.reg.CounterFunc("mercury_monitor_updates_sent_total",
@@ -133,25 +142,16 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// SampleOnce takes one sample and sends one update datagram (or, in
-// batch mode, samples every batch machine and sends the batched
-// datagrams). With a tracer attached, each sample roots a fresh trace:
-// the sample span's context rides in the datagram so the solver's
-// apply (and anything it causes) links back here. It reuses the
-// daemon's report and datagram scratch — in steady state a sample
-// allocates nothing — so it must not be called concurrently.
+// SampleOnce samples every batch machine and ships the reports as
+// MsgUtilBatch datagrams, MaxBatchMachines per datagram, all sharing
+// one sequence number. With a tracer attached, each sample roots a
+// fresh trace: one sample span covers the whole batch, and its context
+// rides in every datagram so the solver's apply (and anything it
+// causes) links back here. It reuses the daemon's report and datagram
+// scratch — in steady state a sample allocates nothing — so it must not
+// be called concurrently.
 func (d *Daemon) SampleOnce() error {
-	var begin time.Duration
-	if d.tracer != nil {
-		begin = d.tracer.Now()
-	}
-	var err error
-	if len(d.batch) > 0 {
-		err = d.sampleBatch(begin)
-	} else {
-		err = d.sampleSingle(begin)
-	}
-	if err != nil {
+	if err := d.sample(); err != nil {
 		d.errs.Add(1)
 		return err
 	}
@@ -188,10 +188,11 @@ func (d *Daemon) traceSample(begin time.Duration) wire.TraceContext {
 	return wire.TraceContext{Trace: span.Trace, Span: span.ID}
 }
 
-// sampleBatch samples every batch machine and ships the reports as
-// MsgUtilBatch datagrams, MaxBatchMachines per datagram, all sharing
-// one sequence number. One sample span covers the whole batch.
-func (d *Daemon) sampleBatch(begin time.Duration) error {
+func (d *Daemon) sample() error {
+	var begin time.Duration
+	if d.tracer != nil {
+		begin = d.tracer.Now()
+	}
 	seq := d.nextSeq()
 	for i, bm := range d.batch {
 		utils, err := bm.Sampler.Sample()
@@ -201,6 +202,9 @@ func (d *Daemon) sampleBatch(begin time.Duration) error {
 		d.reports[i] = wire.UtilReport{Machine: bm.Machine, Seq: seq, Entries: utils}
 	}
 	tc := d.traceSample(begin)
+	if d.single {
+		d.record(d.reports[0].Entries)
+	}
 	for off := 0; off < len(d.reports); off += wire.MaxBatchMachines {
 		chunk := wire.UtilBatch{Reports: d.reports[off:min(off+wire.MaxBatchMachines, len(d.reports))], Trace: tc}
 		var err error
@@ -210,23 +214,6 @@ func (d *Daemon) sampleBatch(begin time.Duration) error {
 		if err := d.client.Send(d.dgram); err != nil {
 			return fmt.Errorf("monitord: %w", err)
 		}
-	}
-	return nil
-}
-
-func (d *Daemon) sampleSingle(begin time.Duration) error {
-	utils, err := d.sampler.Sample()
-	if err != nil {
-		return fmt.Errorf("monitord: sample: %w", err)
-	}
-	u := wire.UtilUpdate{Machine: d.machine, Seq: d.nextSeq(), Entries: utils}
-	u.Trace = d.traceSample(begin)
-	d.record(utils)
-	if d.dgram, err = wire.AppendUtilUpdate(d.dgram[:0], &u); err != nil {
-		return fmt.Errorf("monitord: %w", err)
-	}
-	if err := d.client.Send(d.dgram); err != nil {
-		return fmt.Errorf("monitord: %w", err)
 	}
 	return nil
 }

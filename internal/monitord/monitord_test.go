@@ -18,15 +18,16 @@ import (
 	"github.com/darklab/mercury/internal/wire"
 )
 
-// captureServer collects utilization updates it receives.
-func captureServer(t *testing.T) (string, chan *wire.UtilUpdate) {
+// captureServer collects the machine reports of the utilization
+// datagrams it receives.
+func captureServer(t *testing.T) (string, chan wire.UtilReport) {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	ch := make(chan *wire.UtilUpdate, 64)
+	ch := make(chan wire.UtilReport, 64)
 	go func() {
 		buf := make([]byte, 2048)
 		for {
@@ -34,8 +35,10 @@ func captureServer(t *testing.T) (string, chan *wire.UtilUpdate) {
 			if err != nil {
 				return
 			}
-			if u, err := wire.UnmarshalUtilUpdate(buf[:n]); err == nil {
-				ch <- u
+			if b, err := wire.UnmarshalUtilBatch(buf[:n]); err == nil {
+				for _, r := range b.Reports {
+					ch <- r
+				}
 			}
 		}
 	}()
@@ -52,6 +55,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Machine: "m", Sampler: synth, SolverAddr: "bad::::addr"}); err == nil {
 		t.Error("bad address: want error")
+	}
+	both := Config{Machine: "m", Sampler: synth, Batch: []BatchMachine{{Machine: "m2", Sampler: synth}}, SolverAddr: "127.0.0.1:1"}
+	if _, err := New(both); err == nil {
+		t.Error("sampler and batch both set: want error")
 	}
 }
 
@@ -263,7 +270,8 @@ func TestBatchDatagramsMatchMarshal(t *testing.T) {
 
 // TestSampleOnceBatchDoesNotAllocate: 96 machines through a live
 // loopback socket, the rack-sharded shape — sampling, the six encodes
-// and the six sends are free once the scratch is warm.
+// and the six sends are free once the scratch is warm — and a
+// per-machine daemon's batch of one, /state copy included.
 func TestSampleOnceBatchDoesNotAllocate(t *testing.T) {
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -284,28 +292,38 @@ func TestSampleOnceBatchDoesNotAllocate(t *testing.T) {
 		synths[i] = procfs.NewSynthetic(model.UtilCPU, model.UtilDisk)
 		batch[i] = BatchMachine{Machine: fmt.Sprintf("machine%d", i+1), Sampler: synths[i]}
 	}
-	d, err := New(Config{Machine: "shard0", Batch: batch, SolverAddr: conn.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.SampleOnce(); err != nil {
-		t.Fatal(err)
-	}
-	k := 0
-	if n := testing.AllocsPerRun(50, func() {
-		k++
-		synths[k%len(synths)].Set(model.UtilCPU, units.Fraction(k%7)/7)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"batch", Config{Machine: "shard0", Batch: batch}},
+		{"per-machine", Config{Machine: "machine1", Sampler: synths[0]}},
+	} {
+		tc.cfg.SolverAddr = conn.LocalAddr().String()
+		d, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
 		if err := d.SampleOnce(); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("batch SampleOnce: %v allocs/op, want 0", n)
+		k := 0
+		if n := testing.AllocsPerRun(50, func() {
+			k++
+			synths[k%len(synths)].Set(model.UtilCPU, units.Fraction(k%7)/7)
+			if err := d.SampleOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s SampleOnce: %v allocs/op, want 0", tc.name, n)
+		}
 	}
 }
 
-// TestStateSnapshotFromSlice: single mode still serves its latest
-// sample on /state and as gauges now that samples arrive as slices.
+// TestStateSnapshotFromSlice: a Machine+Sampler daemon still serves its
+// latest sample on /state and as gauges now that samples arrive as
+// slices and leave as a batch of one.
 func TestStateSnapshotFromSlice(t *testing.T) {
 	addr, _ := captureServer(t)
 	synth := procfs.NewSynthetic(model.UtilCPU, model.UtilDisk)

@@ -54,6 +54,10 @@ import (
 // utilization reports: only a lost datagram takes that long.
 const utilGuard = 30 * time.Second
 
+// sampleSecs is the temperature sampling period in emulated seconds,
+// matching the experiment harness's series.
+const sampleSecs = 10
+
 // Fig11Script is the Section 5 emergency: at 480 s machine1's inlet
 // rises to 38.6 C and machine3's to 35.6 C for the rest of the run.
 const Fig11Script = `#!/bin/bash
@@ -70,9 +74,6 @@ type Config struct {
 	Seed int64
 	// Duration of emulated time; default 2000s, the Figure 11 span.
 	Duration time.Duration
-	// SampleEvery is the temperature sampling period; default 10s,
-	// matching the experiment harness's series.
-	SampleEvery time.Duration
 	// Script is a fiddle script scheduling emergencies (e.g.
 	// Fig11Script); empty means no emergency.
 	Script string
@@ -151,9 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.Duration <= 0 {
 		c.Duration = 2000 * time.Second
 	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 10 * time.Second
-	}
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
@@ -189,8 +187,9 @@ type Result struct {
 	SensorReads uint64
 	FreonPolls  uint64
 	FreonPeriod uint64
-	// UtilBatches counts batched utilization datagrams (Config.Batch),
-	// BoundaryExchanges the boundary datagrams staged between shards.
+	// UtilBatches counts utilization datagrams (a per-machine monitord
+	// sends a batch of one), BoundaryExchanges the boundary datagrams
+	// staged between shards.
 	UtilBatches       uint64
 	BoundaryExchanges uint64
 
@@ -523,7 +522,6 @@ func Run(cfg Config) (*Result, error) {
 	cpus := newCPUProbes(names, shardNames)
 	pollSecs := int(fr.Config().ConnPoll / time.Second)
 	periodSecs := int(fr.Config().Period / time.Second)
-	sampleSecs := int(cfg.SampleEvery / time.Second)
 
 	res := &Result{Machines: names, MaxCPUTemp: map[string]units.Celsius{}, Adjustments: map[string]int{}}
 	opIdx := 0

@@ -17,7 +17,7 @@ import (
 type reporter struct {
 	t      *testing.T
 	client *udprpc.Client
-	u      wire.UtilUpdate
+	b      wire.UtilBatch
 	buf    []byte
 }
 
@@ -28,16 +28,16 @@ func newReporter(t *testing.T, addr string) *reporter {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return &reporter{t: t, client: c, u: wire.UtilUpdate{
+	return &reporter{t: t, client: c, b: wire.UtilBatch{Reports: []wire.UtilReport{{
 		Machine: "machine1",
 		Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: 0.5}},
-	}}
+	}}}}
 }
 
 func (r *reporter) send() {
-	r.u.Seq++
+	r.b.Reports[0].Seq++
 	var err error
-	if r.buf, err = wire.AppendUtilUpdate(r.buf[:0], &r.u); err != nil {
+	if r.buf, err = wire.AppendUtilBatch(r.buf[:0], &r.b); err != nil {
 		r.t.Fatal(err)
 	}
 	if err := r.client.Send(r.buf); err != nil {

@@ -152,8 +152,8 @@ func TestShardedDaemonsBitIdentical(t *testing.T) {
 }
 
 // TestUtilBatchApplied checks the batched utilization path end to end:
-// one MsgUtilBatch datagram updates several machines through the same
-// sequence dedupe as standalone updates.
+// one MsgUtilBatch datagram updates several machines through the
+// per-machine sequence dedupe.
 func TestUtilBatchApplied(t *testing.T) {
 	c, err := model.RackCluster("room", 1, 4, nil)
 	if err != nil {

@@ -43,7 +43,8 @@ type Stats struct {
 	// made up by a catch-up step, so SolverSteps still tracks elapsed
 	// clock time.
 	MissedTicks atomic.Uint64
-	// UtilBatches counts batched utilization datagrams; the individual
+	// UtilBatches counts utilization datagrams (every monitord sends
+	// MsgUtilBatch, a per-machine one a batch of one); the individual
 	// machine reports inside them are counted in UtilUpdates.
 	UtilBatches atomic.Uint64
 	// BoundaryOut / BoundaryIn count boundary exchange datagrams sent
@@ -96,13 +97,12 @@ type Server struct {
 	// Utilization ingest: names maps a machine name to its position in
 	// machines (= sol.Machines()), the one string-keyed lookup a report
 	// costs; everything after it — dedupe, apply, the UTL record, the
-	// apply span — goes by that position and that string. update, batch
-	// and refs are the decode scratch of handleUtil/handleUtilBatch,
-	// touched only by Serve's goroutine; refs[i] is the position of the
-	// i-th decoded report's machine, -1 for one this solver does not own.
+	// apply span — goes by that position and that string. batch and
+	// refs are handleUtilBatch's decode scratch, touched only by Serve's
+	// goroutine; refs[i] is the position of the i-th decoded report's
+	// machine, -1 for one this solver does not own.
 	names    map[string]int32
 	machines []string
-	update   wire.UtilUpdate
 	batch    wire.UtilBatch
 	refs     []int32
 
@@ -271,7 +271,7 @@ func (s *Server) registerMetrics() {
 	cf("mercury_solver_fiddle_ops_total", "fiddle operations received", &s.stats.FiddleOps)
 	cf("mercury_solver_list_requests_total", "list requests served", &s.stats.ListRequests)
 	cf("mercury_solver_malformed_total", "malformed or unknown datagrams", &s.stats.Malformed)
-	cf("mercury_solver_util_batches_total", "batched utilization datagrams applied", &s.stats.UtilBatches)
+	cf("mercury_solver_util_batches_total", "utilization datagrams applied (a per-machine report is a batch of one)", &s.stats.UtilBatches)
 	cf("mercury_solver_boundary_out_total", "boundary exchange datagrams sent to peer regions", &s.stats.BoundaryOut)
 	cf("mercury_solver_boundary_in_total", "boundary exchange datagrams staged from peer regions", &s.stats.BoundaryIn)
 	cf("mercury_solver_boundary_missed_total", "boundary barrier waits abandoned at the deadline or boundaries refused", &s.stats.BoundaryMissed)
@@ -538,8 +538,6 @@ func (s *Server) handle(buf []byte, peer netip.AddrPort) {
 		return
 	}
 	switch typ {
-	case wire.MsgUtilUpdate:
-		s.handleUtil(buf)
 	case wire.MsgSensorReadMany:
 		s.reply(peer, s.handleSensorMany(buf))
 	case wire.MsgFiddleOp:
@@ -563,19 +561,9 @@ func (s *Server) reply(peer netip.AddrPort, buf []byte) {
 	_, _ = s.conn.WriteToUDPAddrPort(buf, peer)
 }
 
-func (s *Server) handleUtil(buf []byte) {
-	s.refs = s.refs[:0]
-	u := &s.update
-	if err := wire.UnmarshalUtilUpdateInto(u, buf, s.internMachine); err != nil {
-		s.stats.Malformed.Add(1)
-		return
-	}
-	s.applyUtil(s.refs[0], u.Machine, u.Seq, u.Entries, u.Trace)
-}
-
-// handleUtilBatch applies a batched utilization datagram: each report
-// runs through the same per-machine sequence dedupe as a standalone
-// update, so mixing batched and unbatched monitords is safe.
+// handleUtilBatch applies a utilization datagram: each report runs
+// through applyUtil's per-machine sequence dedupe, so a machine's
+// reports are ordered whichever daemon and datagram carry them.
 func (s *Server) handleUtilBatch(buf []byte) {
 	s.refs = s.refs[:0]
 	b := &s.batch
@@ -590,10 +578,9 @@ func (s *Server) handleUtilBatch(buf []byte) {
 	}
 }
 
-// applyUtil installs one machine's utilization report — the shared path
-// behind standalone updates and batched reports, so both get identical
-// dedupe, counting and tracing. ref is the machine's position in the
-// solver, -1 if the solver does not own it.
+// applyUtil installs one machine's utilization report: dedupe,
+// counting, the UTL record and the apply span. ref is the machine's
+// position in the solver, -1 if the solver does not own it.
 func (s *Server) applyUtil(ref int32, machine string, seq uint32, entries []wire.UtilEntry, tc wire.TraceContext) {
 	if !s.acceptSeq(ref, machine, seq) {
 		return

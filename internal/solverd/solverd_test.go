@@ -131,15 +131,21 @@ func TestMonitordFeedsSolver(t *testing.T) {
 	}
 }
 
+// marshalReport encodes one machine's cpu utilization as a batch of
+// one, the datagram a per-machine monitord sends.
+func marshalReport(machine string, seq uint32, cpu float64) ([]byte, error) {
+	return wire.MarshalUtilBatch(&wire.UtilBatch{Reports: []wire.UtilReport{{
+		Machine: machine,
+		Seq:     seq,
+		Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: units.Fraction(cpu)}},
+	}}})
+}
+
 func TestStaleUpdatesDropped(t *testing.T) {
 	srv, addr := startServer(t)
 	send := func(seq uint32, util float64) {
 		t.Helper()
-		buf, err := wire.MarshalUtilUpdate(&wire.UtilUpdate{
-			Machine: "machine1",
-			Seq:     seq,
-			Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: units.Fraction(util)}},
-		})
+		buf, err := marshalReport("machine1", seq, util)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,11 +187,7 @@ func TestRestartedMonitordAccepted(t *testing.T) {
 	defer c.Close()
 	send := func(seq uint32, util float64) {
 		t.Helper()
-		buf, err := wire.MarshalUtilUpdate(&wire.UtilUpdate{
-			Machine: "machine1",
-			Seq:     seq,
-			Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: units.Fraction(util)}},
-		})
+		buf, err := marshalReport("machine1", seq, util)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,8 +208,7 @@ func TestRestartedMonitordAccepted(t *testing.T) {
 	// Reordering inside the window is still dropped after the restart.
 	send(reorderWindow+2, 0.6)
 	before := srv.Stats().UtilUpdates.Load()
-	buf, _ := wire.MarshalUtilUpdate(&wire.UtilUpdate{Machine: "machine1", Seq: 3,
-		Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: 0.1}}})
+	buf, _ := marshalReport("machine1", 3, 0.1)
 	if err := c.Send(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestBatchWithStrangerMachine(t *testing.T) {
 }
 
 // TestUtilHandlersDoNotAllocate: on a server with no tracer and no
-// recorder, a batch and a standalone update are decoded into the
+// recorder, a full batch and a batch of one are decoded into the
 // server's scratch and applied without allocating.
 func TestUtilHandlersDoNotAllocate(t *testing.T) {
 	c, err := model.DefaultCluster("room", wire.MaxBatchMachines)
@@ -275,8 +276,8 @@ func TestUtilHandlersDoNotAllocate(t *testing.T) {
 			{Source: model.UtilCPU, Util: 0.5}, {Source: model.UtilDisk, Util: 0.25},
 		}})
 	}
-	u := &wire.UtilUpdate{Machine: "machine2", Entries: b.Reports[1].Entries}
-	var batchBuf, updBuf []byte
+	one := &wire.UtilBatch{Reports: []wire.UtilReport{{Machine: "machine2", Entries: b.Reports[1].Entries}}}
+	var batchBuf, oneBuf []byte
 	seq := uint32(0)
 	tick := func() {
 		seq++
@@ -287,13 +288,13 @@ func TestUtilHandlersDoNotAllocate(t *testing.T) {
 		batchBuf, _ = wire.AppendUtilBatch(batchBuf[:0], b)
 		srv.handleUtilBatch(batchBuf)
 		seq++
-		u.Seq = seq
-		updBuf, _ = wire.AppendUtilUpdate(updBuf[:0], u)
-		srv.handleUtil(updBuf)
+		one.Reports[0].Seq = seq
+		oneBuf, _ = wire.AppendUtilBatch(oneBuf[:0], one)
+		srv.handleUtilBatch(oneBuf)
 	}
 	tick()
 	if n := testing.AllocsPerRun(50, tick); n != 0 {
-		t.Errorf("handleUtilBatch+handleUtil: %v allocs/op, want 0", n)
+		t.Errorf("handleUtilBatch of %d and of one: %v allocs/op, want 0", len(b.Reports), n)
 	}
 	if got, want := srv.Stats().UtilUpdates.Load(), uint64(seq/2)*(wire.MaxBatchMachines+1); got != want {
 		t.Errorf("UtilUpdates = %d, want %d", got, want)
@@ -409,6 +410,22 @@ func TestMalformedDatagramsCounted(t *testing.T) {
 	// The retired single-probe sensor read (type 0x02).
 	c.Send([]byte("\x01\x02\x08machine1\x03cpu"))
 	waitFor(t, func() bool { return srv.Stats().Malformed.Load() >= 3 })
+	// The retired 128-byte utilization update (type 0x01), well formed:
+	// counted as malformed, never applied.
+	before := srv.Stats().UtilUpdates.Load()
+	upd, err := wire.MarshalUtilUpdate(&wire.UtilUpdate{Machine: "machine1", Seq: 1,
+		Entries: []wire.UtilEntry{{Source: model.UtilCPU, Util: 0.9}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Send(upd)
+	waitFor(t, func() bool { return srv.Stats().Malformed.Load() >= 4 })
+	if got := srv.Stats().UtilUpdates.Load(); got != before {
+		t.Errorf("UtilUpdates went %d -> %d on a 0x01 update, want unchanged", before, got)
+	}
+	if u, _ := srv.Solver().Utilization("machine1", model.UtilCPU); u != 0 {
+		t.Errorf("machine1 cpu = %v after a 0x01 update, want 0", u)
+	}
 }
 
 func TestTickerAdvancesSolver(t *testing.T) {

@@ -77,12 +77,12 @@ func (m *Model) Fit() FitStats {
 	sc.gens = sc.gens[:count]
 	start := m.head - count
 	if start < 0 {
-		start += m.cfg.Capacity
+		start += capacity
 	}
 	for t := 0; t < count; t++ {
 		i := start + t
-		if i >= m.cfg.Capacity {
-			i -= m.cfg.Capacity
+		if i >= capacity {
+			i -= capacity
 		}
 		copy(sc.data[t*m.rowLen:(t+1)*m.rowLen], m.data[i*m.rowLen:(i+1)*m.rowLen])
 		sc.steps[t] = m.steps[i]
@@ -123,10 +123,9 @@ func (m *Model) fitMachine(sc *fitScratch, mi, count int, gen uint64) machineFit
 	tempAt := off + 2 + k
 	exAt := off + 2 + k + n
 
-	minPairs := m.cfg.MinPairs
-	if minPairs <= 0 {
-		minPairs = 2*q + 8
-	}
+	// A machine's fit is usable from 2q+8 training pairs, q being its
+	// regressor count (nodes + 2 + utilization streams).
+	minPairs := 2*q + 8
 
 	sc.G = ensure(sc.G, q*q)
 	sc.R = ensure(sc.R, q*nout)
@@ -197,13 +196,13 @@ func (m *Model) fitMachine(sc *fitScratch, mi, count int, gen uint64) machineFit
 			}
 			grow := sc.G[r*q:]
 			for c := 0; c < q; c++ {
-				grow[c] += zr * sc.z[c]
+				grow[c] += float64(zr * sc.z[c])
 			}
 			rrow := sc.R[r*nout:]
 			for c := 0; c < n; c++ {
-				rrow[c] += zr * b[tempAt+c]
+				rrow[c] += float64(zr * b[tempAt+c])
 			}
-			rrow[n] += zr * b[exAt]
+			rrow[n] += float64(zr * b[exAt])
 		}
 	}
 
@@ -217,7 +216,7 @@ func (m *Model) fitMachine(sc *fitScratch, mi, count int, gen uint64) machineFit
 	for i := 0; i < q; i++ {
 		tr += sc.G[i*q+i]
 	}
-	lam := m.cfg.Ridge * tr / float64(q)
+	lam := ridge * tr / float64(q)
 	sc.Gw = ensure(sc.Gw, q*q)
 	copy(sc.Gw, sc.G[:q*q])
 	for i := 0; i < q; i++ {
@@ -259,7 +258,7 @@ func (m *Model) fitMachine(sc *fitScratch, mi, count int, gen uint64) machineFit
 	for j := 0; j < p; j++ {
 		v := sc.W[(n+j)*nout+n]
 		for r := 0; r < n; r++ {
-			v += sc.W[r*nout+n] * mf.M[r*p+j]
+			v += float64(sc.W[r*nout+n] * mf.M[r*p+j])
 		}
 		mf.exGain[j] = v
 	}
@@ -281,25 +280,25 @@ func (m *Model) fitMachine(sc *fitScratch, mi, count int, gen uint64) machineFit
 		for c := 0; c < n; c++ {
 			var pred float64
 			for r := 0; r < q; r++ {
-				pred += sc.W[r*nout+c] * sc.z[r]
+				pred += float64(sc.W[r*nout+c] * sc.z[r])
 			}
 			d := pred - b[tempAt+c]
-			sse += d * d
+			sse += float64(d * d)
 		}
 	}
 	mf.resid = math.Sqrt(sse / float64(mf.pairs*n))
-	if mf.resid > m.cfg.ResidualTol {
+	if mf.resid > residualTol {
 		mf.reason = "one-step residual above tolerance"
 		return mf
 	}
 
 	// Expand the envelope: fractional slack plus an absolute floor so
 	// a flat input still admits nearby queries.
-	mTemp := m.cfg.EnvelopeFrac*(mf.envHi[0]-mf.envLo[0]) + m.cfg.EnvelopeAbsTemp
+	mTemp := float64(envelopeFrac*(mf.envHi[0]-mf.envLo[0])) + envelopeAbsTemp
 	mf.envLo[0] -= mTemp
 	mf.envHi[0] += mTemp
 	for j := 0; j < k; j++ {
-		mu := m.cfg.EnvelopeFrac*(mf.envHi[1+j]-mf.envLo[1+j]) + m.cfg.EnvelopeAbsUtil
+		mu := float64(envelopeFrac*(mf.envHi[1+j]-mf.envLo[1+j])) + envelopeAbsUtil
 		mf.envLo[1+j] -= mu
 		mf.envHi[1+j] += mu
 	}
@@ -339,11 +338,11 @@ func solveMulti(A, B []float64, n, nrhs int) bool {
 				continue
 			}
 			for c := col; c < n; c++ {
-				A[r*n+c] -= f * A[col*n+c]
+				A[r*n+c] -= float64(f * A[col*n+c])
 			}
 			rb, cb := B[r*nrhs:(r+1)*nrhs], B[col*nrhs:(col+1)*nrhs]
 			for c := 0; c < nrhs; c++ {
-				rb[c] -= f * cb[c]
+				rb[c] -= float64(f * cb[c])
 			}
 		}
 	}
@@ -357,7 +356,7 @@ func solveMulti(A, B []float64, n, nrhs int) bool {
 			}
 			cb := B[c*nrhs:]
 			for j := 0; j < nrhs; j++ {
-				rb[j] -= f * cb[j]
+				rb[j] -= float64(f * cb[j])
 			}
 		}
 		for j := 0; j < nrhs; j++ {

@@ -192,7 +192,7 @@ func (m *Model) Predict(q *Query) (*Answer, error) {
 		}
 		converged := false
 		iters := 0
-		for it := 0; it < m.cfg.MaxIter; it++ {
+		for it := 0; it < maxIter; it++ {
 			iters++
 			var worst float64
 			for mi := range m.layout {
@@ -203,11 +203,11 @@ func (m *Model) Predict(q *Query) (*Answer, error) {
 					ex = inlet
 				} else {
 					mf := &fit.machines[mi]
-					ex = mf.exGain[0] + mf.exGain[1]*inlet
+					ex = mf.exGain[0] + float64(mf.exGain[1]*inlet)
 					k := len(m.layout[mi].Utils)
 					uoff := m.ioffs[mi] + 2
 					for j := 0; j < k; j++ {
-						ex += mf.exGain[2+j] * sc.row[uoff+j]
+						ex += float64(mf.exGain[2+j] * sc.row[uoff+j])
 					}
 				}
 				if d := math.Abs(ex - sc.ex[mi]); d > worst {
@@ -280,9 +280,9 @@ func (m *Model) Predict(q *Query) (*Answer, error) {
 		uoff := m.ioffs[mi] + 2
 		M := mf.M
 		for c, off := 0, 0; c < n; c, off = c+1, off+p {
-			t := M[off] + M[off+1]*in
+			t := M[off] + float64(M[off+1]*in)
 			for j := 0; j < k; j++ {
-				t += M[off+2+j] * sc.row[uoff+j]
+				t += float64(M[off+2+j] * sc.row[uoff+j])
 			}
 			if t > best {
 				best, bestM, bestN = t, l.Name, l.Nodes[c]
@@ -315,7 +315,7 @@ func (m *Model) mixInlet(sc *queryScratch, mi int) float64 {
 			t = sc.ex[e.ref]
 		}
 		wsum += e.frac
-		tsum += e.frac * t
+		tsum += float64(e.frac * t)
 	}
 	if wsum == 0 {
 		return sc.row[m.ioffs[mi]+1]
@@ -343,7 +343,7 @@ func (m *Model) WhatIf(q *Query, kernelFallback bool) (*Answer, error) {
 		return ans, nil
 	}
 	m.fallbacks.Add(1)
-	kans, err := KernelWhatIf(m.sol, q, m.cfg.KernelTol, m.cfg.KernelHorizon)
+	kans, err := KernelWhatIf(m.sol, q, kernelTol, kernelHorizon)
 	if err != nil {
 		return nil, err
 	}

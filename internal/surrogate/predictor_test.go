@@ -50,7 +50,7 @@ func TestPredictiveRankingKernelVerified(t *testing.T) {
 			t.Fatalf("PowerImpact declined for %s", name)
 		}
 		q := &Query{PowerOff: []string{name}}
-		k, err := KernelWhatIf(sol, q, 1e-4, m.cfg.KernelHorizon)
+		k, err := KernelWhatIf(sol, q, 1e-4, kernelHorizon)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,11 +18,12 @@
 // M·u evaluation per machine — no linear solves on the query path.
 //
 // Every fit self-reports its validity: the one-step residual must stay
-// under Config.ResidualTol and queries must stay inside the fitted
-// input envelope (per-input min/max expanded by Config.EnvelopeFrac
-// plus an absolute margin). Outside that regime the model declines and
-// the caller falls back to the real kernel (KernelWhatIf), so the fast
-// path can never silently return extrapolated garbage.
+// under residualTol (0.1 °C) and queries must stay inside the fitted
+// input envelope (per-input min/max expanded by envelopeFrac of its
+// range plus an absolute margin). Outside that regime the model
+// declines and the caller falls back to the real kernel
+// (KernelWhatIf), so the fast path can never silently return
+// extrapolated garbage.
 package surrogate
 
 import (
@@ -36,12 +37,9 @@ import (
 	"github.com/darklab/mercury/internal/units"
 )
 
-// Config tunes recording, fitting, and validity checking. The zero
-// value selects workable defaults for 1-second solver steps.
+// Config tunes recording. The zero value selects a workable stride
+// for 1-second solver steps.
 type Config struct {
-	// Capacity is the trajectory ring size in stored samples. Default
-	// 256.
-	Capacity int
 	// Every is the recording stride: Record stores one sample per
 	// Every calls (solver ticks). Training pairs span Every steps, so
 	// a larger stride sees more of the slow thermal modes per pair —
@@ -50,69 +48,41 @@ type Config struct {
 	// long, so 1-step pairs amplify any fit bias by ~1/(1−ρ) ≈ 10³.
 	// Default 60 (one emulated minute per pair).
 	Every int
-	// MinPairs is the minimum number of training pairs a machine needs
-	// before its fit is usable. Default 2q+8 where q is the machine's
-	// regressor count (nodes + 2 + utilization streams).
-	MinPairs int
-	// Ridge scales the Tikhonov term added to the Gram diagonal,
+}
+
+// Fitting and validity constants.
+const (
+	// capacity is the trajectory ring size in stored samples.
+	capacity = 256
+	// ridge scales the Tikhonov term added to the Gram diagonal,
 	// relative to trace(G)/q. Near-steady trajectories are strongly
 	// collinear; the ridge keeps the solve stable, but any ridge bias
 	// in A is amplified ~1/(1−ρ(A)) in the steady gain, so it must
-	// stay tiny — just enough to break exact singularity. Default
-	// 1e-10.
-	Ridge float64
-	// ResidualTol is the largest acceptable one-step RMS prediction
-	// error (°C) for a machine's fit. Default 0.1.
-	ResidualTol float64
-	// EnvelopeFrac expands each input's fitted [min,max] envelope by
-	// this fraction of its range on both sides. Default 0.25.
-	EnvelopeFrac float64
-	// EnvelopeAbsTemp and EnvelopeAbsUtil are absolute envelope margins
+	// stay tiny — just enough to break exact singularity.
+	ridge = 1e-10
+	// residualTol is the largest acceptable one-step RMS prediction
+	// error (°C) for a machine's fit.
+	residualTol = 0.1
+	// envelopeFrac expands each input's fitted [min,max] envelope by
+	// this fraction of its range on both sides.
+	envelopeFrac = 0.25
+	// envelopeAbsTemp and envelopeAbsUtil are absolute envelope margins
 	// for inlet temperatures (°C) and utilizations. They matter when an
-	// input barely moved during recording (range ≈ 0). Defaults 1.0
-	// and 0.05.
-	EnvelopeAbsTemp float64
-	EnvelopeAbsUtil float64
-	// MaxIter bounds the room fixed-point iteration over exhaust
-	// mixes. Default 100 (feed-forward rooms converge in a handful).
-	MaxIter int
-	// KernelTol and KernelHorizon parameterize the kernel fallback:
+	// input barely moved during recording (range ≈ 0).
+	envelopeAbsTemp = 1.0
+	envelopeAbsUtil = 0.05
+	// maxIter bounds the room fixed-point iteration over exhaust
+	// mixes (feed-forward rooms converge in a handful).
+	maxIter = 100
+	// kernelTol and kernelHorizon parameterize the kernel fallback:
 	// RunUntilSteady's convergence tolerance and emulated-time cap.
-	// Defaults 1e-3 °C and 4 h.
-	KernelTol     units.Celsius
-	KernelHorizon time.Duration
-}
+	kernelTol     units.Celsius = 1e-3
+	kernelHorizon               = 4 * time.Hour
+)
 
 func (c Config) withDefaults() Config {
-	if c.Capacity <= 0 {
-		c.Capacity = 256
-	}
 	if c.Every <= 0 {
 		c.Every = 60
-	}
-	if c.Ridge <= 0 {
-		c.Ridge = 1e-10
-	}
-	if c.ResidualTol <= 0 {
-		c.ResidualTol = 0.1
-	}
-	if c.EnvelopeFrac <= 0 {
-		c.EnvelopeFrac = 0.25
-	}
-	if c.EnvelopeAbsTemp <= 0 {
-		c.EnvelopeAbsTemp = 1.0
-	}
-	if c.EnvelopeAbsUtil <= 0 {
-		c.EnvelopeAbsUtil = 0.05
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 100
-	}
-	if c.KernelTol <= 0 {
-		c.KernelTol = 1e-3
-	}
-	if c.KernelHorizon <= 0 {
-		c.KernelHorizon = 4 * time.Hour
 	}
 	return c
 }
@@ -230,9 +200,9 @@ func New(sol *solver.Solver, cfg Config) (*Model, error) {
 			m.feedForward = false
 		}
 	}
-	m.data = make([]float64, m.cfg.Capacity*m.rowLen)
-	m.steps = make([]uint64, m.cfg.Capacity)
-	m.gens = make([]uint64, m.cfg.Capacity)
+	m.data = make([]float64, capacity*m.rowLen)
+	m.steps = make([]uint64, capacity)
+	m.gens = make([]uint64, capacity)
 	m.qpool.New = func() any { return m.newQueryScratch() }
 	return m, nil
 }
@@ -258,10 +228,10 @@ func (m *Model) Record() {
 	m.steps[m.head] = step
 	m.gens[m.head] = gen
 	m.head++
-	if m.head == m.cfg.Capacity {
+	if m.head == capacity {
 		m.head = 0
 	}
-	if m.count < m.cfg.Capacity {
+	if m.count < capacity {
 		m.count++
 	}
 	m.mu.Unlock()
@@ -344,12 +314,12 @@ func (m *Model) Stats() FitStats {
 	return st
 }
 
-// Counters for daemon metric export (monotonic).
-// ResidualTolerance returns the configured acceptable one-step RMS
-// prediction error (Config.ResidualTol after defaulting) — the line
-// the model-health alert rule compares fit residuals against.
-func (m *Model) ResidualTolerance() float64 { return m.cfg.ResidualTol }
+// ResidualTolerance returns the acceptable one-step RMS prediction
+// error (residualTol) — the line the model-health alert rule compares
+// fit residuals against.
+func (m *Model) ResidualTolerance() float64 { return residualTol }
 
+// Counters for daemon metric export (monotonic).
 func (m *Model) SamplesTotal() uint64         { return m.samples.Load() }
 func (m *Model) FitsTotal() uint64            { return m.fits.Load() }
 func (m *Model) QueriesTotal() uint64         { return m.queries.Load() }

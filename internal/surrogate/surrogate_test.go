@@ -111,7 +111,7 @@ func TestPredictMatchesKernel(t *testing.T) {
 			if !fast.Valid {
 				t.Fatalf("surrogate declined: %s", fast.Reason)
 			}
-			slow, err := KernelWhatIf(sol, q, 1e-4, m.cfg.KernelHorizon)
+			slow, err := KernelWhatIf(sol, q, 1e-4, kernelHorizon)
 			if err != nil {
 				t.Fatalf("kernel: %v", err)
 			}
@@ -237,7 +237,7 @@ func TestPredictUnknownNames(t *testing.T) {
 // TestKernelWhatIfRestores: the slow path must leave the solver — and
 // the model generation the surrogate depends on — bit-identical.
 func TestKernelWhatIfRestores(t *testing.T) {
-	sol, m := fitted(t, 3, 60, Config{})
+	sol, _ := fitted(t, 3, 60, Config{})
 	before := sol.SaveState()
 	gen := sol.ModelGeneration()
 	q := &Query{
@@ -245,7 +245,7 @@ func TestKernelWhatIfRestores(t *testing.T) {
 		PinInlet:  []InletPin{{Machine: "machine2", TempC: 30}},
 		SetSource: []SourceChange{{Source: "ac", TempC: 20}},
 	}
-	if _, err := KernelWhatIf(sol, q, 1e-3, m.cfg.KernelHorizon); err != nil {
+	if _, err := KernelWhatIf(sol, q, 1e-3, kernelHorizon); err != nil {
 		t.Fatal(err)
 	}
 	after := sol.SaveState()

@@ -113,12 +113,12 @@ func (m *Model) TimeToThreshold(machine, node string, threshold float64, horizon
 	W := mf.onestep
 	for s := 1; s <= maxSteps; s++ {
 		for c := 0; c < n; c++ {
-			v := W[n*nout+c] + W[(n+1)*nout+c]*inlet
+			v := W[n*nout+c] + float64(W[(n+1)*nout+c]*inlet)
 			for r := 0; r < n; r++ {
-				v += W[r*nout+c] * x[r]
+				v += float64(W[r*nout+c] * x[r])
 			}
 			for j := 0; j < k; j++ {
-				v += W[(n+2+j)*nout+c] * utils[j]
+				v += float64(W[(n+2+j)*nout+c] * utils[j])
 			}
 			xn[c] = v
 		}

@@ -122,7 +122,7 @@ func TestSurrogateValidation(t *testing.T) {
 					if !fast.Valid {
 						t.Fatalf("surrogate declined: %s", fast.Reason)
 					}
-					slow, err := KernelWhatIf(sol, q, 1e-4, m.cfg.KernelHorizon)
+					slow, err := KernelWhatIf(sol, q, 1e-4, kernelHorizon)
 					if err != nil {
 						t.Fatalf("kernel: %v", err)
 					}

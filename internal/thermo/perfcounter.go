@@ -71,7 +71,7 @@ func (m *PerfCounterModel) EstimatePower(s PerfCounterSample) (units.Watts, erro
 		if !ok {
 			continue
 		}
-		energy += units.Joules(float64(n)) * cost / 1 // per-event cost times count
+		energy += units.Joules(float64(n) * float64(cost)) // per-event cost times count
 	}
 	return m.IdlePower + energy.Over(s.Interval), nil
 }

@@ -171,7 +171,7 @@ func (p *Piecewise) Power(util units.Fraction) units.Watts {
 		return units.Watts(p0)
 	}
 	frac := (float64(u) - u0) / (u1 - u0)
-	return units.Watts(p0 + frac*(p1-p0))
+	return units.Watts(p0 + float64(frac*(p1-p0)))
 }
 
 // Breakpoints returns copies of the utilization grid and the power

@@ -2,8 +2,8 @@ package wire
 
 // This file holds the scale-out messages: boundary exhaust exchange
 // between peer solver daemons of a horizontally partitioned cluster,
-// and batched utilization updates that put many machines in one
-// datagram instead of one 128-byte datagram each. Both are strict
+// and utilization batches, the one datagram every monitord reports in
+// (a per-machine daemon sends a batch of one). Both are strict
 // about their framing — wrong counts, short buffers, slack bytes, and
 // malformed trace trailers are all rejected with typed errors —
 // because a partitioned run's determinism rests on every applied
@@ -164,20 +164,20 @@ const MaxBatchMachines = 16
 const MaxBatchSize = 2048
 
 // UtilReport is one machine's slice of a utilization batch — the same
-// (machine, seq, entries) triple a standalone UtilUpdate carries,
-// without the per-machine padding and headers.
+// (machine, seq, entries) triple a UtilUpdate carries, without its
+// padding.
 type UtilReport struct {
 	Machine string
 	Seq     uint32
 	Entries []UtilEntry
 }
 
-// UtilBatch carries many machines' utilization reports in one
-// datagram. A monitord responsible for a whole rack sends one of these
-// per interval instead of one 128-byte datagram per machine: for a
-// 16-machine rack that is ~6x fewer bytes and 16x fewer system calls.
+// UtilBatch carries one or more machines' utilization reports in one
+// datagram. A per-machine monitord sends a batch of one each interval;
+// one responsible for a whole rack sends one batch instead of one
+// datagram per machine, 16x fewer system calls for a 16-machine rack.
 // The receiver applies each report through the same per-machine
-// sequence dedupe as standalone updates.
+// sequence dedupe.
 type UtilBatch struct {
 	Reports []UtilReport
 	// Trace optionally attributes the whole batch (version-2 trailer).

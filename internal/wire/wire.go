@@ -1,8 +1,10 @@
 // Package wire defines the UDP datagram formats spoken between the
 // Mercury solver daemon, the monitoring daemons, the sensor library,
-// and the fiddle tool. Utilization updates are padded to exactly 128
-// bytes, matching the paper's "128-byte UDP messages"; replies are at
-// most 512 bytes.
+// and the fiddle tool. Every monitord reports utilizations in a
+// MsgUtilBatch, a per-machine daemon in a batch of one; the paper's
+// fixed 128-byte update (MsgUtilUpdate) is no longer sent or applied,
+// and its codec stays only as the benchmark ledger's twin. Replies are
+// at most 512 bytes.
 //
 // All multi-byte integers are big-endian. Strings are length-prefixed
 // with one byte (maximum 255 bytes). Floats travel as IEEE-754 bits.
@@ -127,10 +129,12 @@ type UtilEntry = model.UtilSample
 // update and in a batch alike.
 const maxUtilEntries = 8
 
-// UtilUpdate is the periodic report monitord sends to the solver: the
-// monitored machine's component utilizations for the last interval.
-// A non-zero Trace selects the version-2 encoding, which carries the
-// context in the datagram's spare padding bytes (see UtilTraceOffset).
+// UtilUpdate is the paper's fixed 128-byte utilization report: one
+// machine's component utilizations for the last interval. No daemon
+// sends or applies it any more (monitord sends a UtilBatch of one);
+// the codec stays as the benchmark ledger's twin. A non-zero Trace
+// selects the version-2 encoding, which carries the context in the
+// datagram's spare padding bytes (see UtilTraceOffset).
 type UtilUpdate struct {
 	Machine string
 	Seq     uint32

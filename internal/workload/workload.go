@@ -157,15 +157,15 @@ func (c WebConfig) rate(t time.Duration) float64 {
 		shape = 0
 	case x < plateauStart:
 		f := (x - rampStart) / (plateauStart - rampStart)
-		shape = 0.5 - 0.5*math.Cos(math.Pi*f)
+		shape = 0.5 - float64(0.5*math.Cos(math.Pi*f))
 	case x < plateauEnd:
 		shape = 1
 	default:
 		f := (x - plateauEnd) / (1 - plateauEnd)
-		shape = 0.5 + 0.5*math.Cos(math.Pi*f)
+		shape = 0.5 + float64(0.5*math.Cos(math.Pi*f))
 	}
-	valley := c.PeakRPS * c.ValleyShare
-	return valley + (c.PeakRPS-valley)*shape
+	valley := float64(c.PeakRPS * c.ValleyShare)
+	return valley + float64((c.PeakRPS-valley)*shape)
 }
 
 // expectedRequests integrates the rate over the trace by the midpoint
@@ -222,7 +222,7 @@ func NewWebGen(cfg WebConfig) *WebGen {
 // on it.
 func (g *WebGen) SizeHint() int {
 	n := g.cfg.expectedRequests()
-	return int(n+4*math.Sqrt(n)) + 1
+	return int(n+float64(4*math.Sqrt(n))) + 1
 }
 
 // Next appends to dst every arrival not yet returned with At < limit,

@@ -176,7 +176,8 @@ type (
 	// SensorOptions tunes sensor transport behaviour.
 	SensorOptions = sensor.Options
 	// Monitord samples component utilizations and streams them to the
-	// solver daemon in 128-byte UDP datagrams.
+	// solver daemon in UDP utilization batches (a batch of one for a
+	// single machine).
 	Monitord = monitord.Daemon
 	// MonitordConfig configures a monitoring daemon.
 	MonitordConfig = monitord.Config
