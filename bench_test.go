@@ -349,10 +349,11 @@ func BenchmarkFig12FreonEC(b *testing.B) {
 
 // ---- Ablations (DESIGN.md section 5) ----
 
-// freonVariantRun executes the Figure 11 rig with a configurable
-// per-period hook and returns (dropRate, maxCPUTemp over the hot
-// machines).
-func freonVariantRun(b *testing.B, setup func(*experiments.Sim) (onPoll, onPeriod func() error, err error)) (float64, float64) {
+// freonVariantRun executes the Figure 11 rig under the variant setup
+// installs — a sim.Policy, or a controller tick run every emulated
+// second after the solver step — and returns (dropRate, maxCPUTemp
+// over the hot machines).
+func freonVariantRun(b *testing.B, setup func(*experiments.Sim) (tick func(sec int) error, err error)) (float64, float64) {
 	b.Helper()
 	sim, err := experiments.NewSim(4, 1, 2000*time.Second)
 	if err != nil {
@@ -363,14 +364,17 @@ func freonVariantRun(b *testing.B, setup func(*experiments.Sim) (onPoll, onPerio
 		b.Fatal(err)
 	}
 	sim.Fiddle = script.Schedule()
-	onPoll, onPeriod, err := setup(sim)
+	tick, err := setup(sim)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim.OnPoll = onPoll
-	sim.OnPeriod = onPeriod
 	maxTemp := 0.0
-	sim.OnSecond = func(sec int, tick webcluster.Tick) error {
+	sim.OnSecond = func(sec int, _ webcluster.Tick) error {
+		if tick != nil {
+			if err := tick(sec); err != nil {
+				return err
+			}
+		}
 		for _, m := range []string{"machine1", "machine3"} {
 			t, err := sim.Solver.Temperature(m, model.NodeCPU)
 			if err != nil {
@@ -388,6 +392,16 @@ func freonVariantRun(b *testing.B, setup func(*experiments.Sim) (onPoll, onPerio
 	return sim.Cluster.Totals().DropRate(), maxTemp
 }
 
+// every runs fn on each n-th emulated second.
+func every(n int, fn func() error) func(sec int) error {
+	return func(sec int) error {
+		if (sec+1)%n != 0 {
+			return nil
+		}
+		return fn()
+	}
+}
+
 // BenchmarkAblationController compares the paper's PD admission
 // controller against P-only and an aggressive high-gain variant.
 func BenchmarkAblationController(b *testing.B) {
@@ -403,13 +417,11 @@ func BenchmarkAblationController(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			var drop, maxTemp float64
 			for i := 0; i < b.N; i++ {
-				drop, maxTemp = freonVariantRun(b, func(sim *experiments.Sim) (func() error, func() error, error) {
+				drop, maxTemp = freonVariantRun(b, func(sim *experiments.Sim) (func(int) error, error) {
 					fr, err := freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(),
 						freon.Config{Kp: v.kp, Kd: v.kd})
-					if err != nil {
-						return nil, nil, err
-					}
-					return fr.TickPoll, fr.TickPeriod, nil
+					sim.Policy = fr
+					return nil, err
 				})
 			}
 			b.ReportMetric(drop*100, "drop_%")
@@ -428,12 +440,10 @@ func BenchmarkAblationLocalThrottle(b *testing.B) {
 	b.Run("remote-freon", func(b *testing.B) {
 		var drop, maxTemp float64
 		for i := 0; i < b.N; i++ {
-			drop, maxTemp = freonVariantRun(b, func(sim *experiments.Sim) (func() error, func() error, error) {
+			drop, maxTemp = freonVariantRun(b, func(sim *experiments.Sim) (func(int) error, error) {
 				fr, err := freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(), freon.Config{})
-				if err != nil {
-					return nil, nil, err
-				}
-				return fr.TickPoll, fr.TickPeriod, nil
+				sim.Policy = fr
+				return nil, err
 			})
 		}
 		b.ReportMetric(drop*100, "drop_%")
@@ -442,7 +452,7 @@ func BenchmarkAblationLocalThrottle(b *testing.B) {
 	b.Run("local-dvfs", func(b *testing.B) {
 		var drop, maxTemp float64
 		for i := 0; i < b.N; i++ {
-			drop, maxTemp = freonVariantRun(b, func(sim *experiments.Sim) (func() error, func() error, error) {
+			drop, maxTemp = freonVariantRun(b, func(sim *experiments.Sim) (func(int) error, error) {
 				scale := map[string]float64{}
 				for _, m := range sim.Cluster.Machines() {
 					scale[m] = 1
@@ -473,7 +483,7 @@ func BenchmarkAblationLocalThrottle(b *testing.B) {
 					}
 					return nil
 				}
-				return nil, onPeriod, nil
+				return every(60, onPeriod), nil
 			})
 		}
 		b.ReportMetric(drop*100, "drop_%")
@@ -487,13 +497,11 @@ func BenchmarkAblationLocalThrottle(b *testing.B) {
 // emergency's blast radius.
 func BenchmarkAblationRegionBlind(b *testing.B) {
 	run := func(b *testing.B, regions map[string]int) (float64, float64) {
-		return freonVariantRun(b, func(sim *experiments.Sim) (func() error, func() error, error) {
+		return freonVariantRun(b, func(sim *experiments.Sim) (func(int) error, error) {
 			ec, err := freon.NewEC(sim.Cluster.Machines(), sim.Solver, sim.Solver, sim.Bal, sim.Power(),
 				freon.ECConfig{Regions: regions})
-			if err != nil {
-				return nil, nil, err
-			}
-			return ec.TickPoll, ec.TickPeriod, nil
+			sim.Policy = ec
+			return nil, err
 		})
 	}
 	b.Run("region-aware", func(b *testing.B) {
@@ -616,13 +624,11 @@ func BenchmarkAblationPowerModel(b *testing.B) {
 // escalation).
 func BenchmarkAblationTwoStage(b *testing.B) {
 	run := func(b *testing.B, twoStage bool) (float64, float64) {
-		return freonVariantRun(b, func(sim *experiments.Sim) (func() error, func() error, error) {
+		return freonVariantRun(b, func(sim *experiments.Sim) (func(int) error, error) {
 			fr, err := freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(),
 				freon.Config{TwoStage: twoStage})
-			if err != nil {
-				return nil, nil, err
-			}
-			return fr.TickPoll, fr.TickPeriod, nil
+			sim.Policy = fr
+			return nil, err
 		})
 	}
 	for _, twoStage := range []bool{false, true} {
@@ -647,15 +653,15 @@ func BenchmarkAblationTwoStage(b *testing.B) {
 // management at all.
 func BenchmarkAblationFanControl(b *testing.B) {
 	run := func(b *testing.B, withFans bool) (float64, float64) {
-		return freonVariantRun(b, func(sim *experiments.Sim) (func() error, func() error, error) {
+		return freonVariantRun(b, func(sim *experiments.Sim) (func(int) error, error) {
 			if !withFans {
-				return nil, nil, nil
+				return nil, nil
 			}
 			var ctls []*fanctl.Controller
 			for _, m := range sim.Cluster.Machines() {
 				c, err := fanctl.New(m, sim.Solver, sim.Solver, fanctl.DefaultConfig())
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				ctls = append(ctls, c)
 			}
@@ -667,7 +673,7 @@ func BenchmarkAblationFanControl(b *testing.B) {
 				}
 				return nil
 			}
-			return onPoll, nil, nil
+			return every(5, onPoll), nil
 		})
 	}
 	for _, withFans := range []bool{false, true} {

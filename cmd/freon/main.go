@@ -161,41 +161,29 @@ func run(policy string, machines int, duration time.Duration, seed int64, quiet 
 	defer st.CloseAndReport("freon")
 
 	var activeFn func() int
-	var stateFn func() any
+	cfg := freon.Config{TwoStage: policy == "twostage", Events: st.Events, Tracer: st.Tracer}
+	names := sim.Cluster.Machines()
 	switch policy {
 	case "base", "twostage":
-		fr, err := freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(),
-			freon.Config{TwoStage: policy == "twostage", Events: st.Events, Tracer: st.Tracer})
-		if err != nil {
-			return err
-		}
-		sim.OnPoll = fr.TickPoll
-		sim.OnPeriod = fr.TickPeriod
-		stateFn = func() any { return fr.StateSnapshot() }
+		sim.Policy, err = freon.New(names, sim.Solver, sim.Bal, sim.Power(), cfg)
 	case "ec":
 		regions := map[string]int{}
-		for i, m := range sim.Cluster.Machines() {
+		for i, m := range names {
 			regions[m] = i % 2
 		}
-		ec, err := freon.NewEC(sim.Cluster.Machines(), sim.Solver, sim.Solver, sim.Bal, sim.Power(),
-			freon.ECConfig{Config: freon.Config{Events: st.Events, Tracer: st.Tracer}, Regions: regions})
-		if err != nil {
-			return err
-		}
-		sim.OnPoll = ec.TickPoll
-		sim.OnPeriod = ec.TickPeriod
-		activeFn = ec.ActiveCount
-		stateFn = func() any { return ec.StateSnapshot() }
+		var ec *freon.EC
+		ec, err = freon.NewEC(names, sim.Solver, sim.Solver, sim.Bal, sim.Power(),
+			freon.ECConfig{Config: cfg, Regions: regions})
+		sim.Policy, activeFn = ec, ec.ActiveCount
 	case "traditional":
-		tr, err := freon.NewTraditional(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(), freon.Config{})
-		if err != nil {
-			return err
-		}
-		sim.OnPeriod = tr.TickPeriod
+		sim.Policy, err = freon.NewTraditional(names, sim.Solver, sim.Bal, sim.Power(), cfg)
 	case "none":
 		// No management: temperatures go where they go.
 	default:
 		return fmt.Errorf("unknown policy %q", policy)
+	}
+	if err != nil {
+		return err
 	}
 
 	// Alerting over the in-process rig: the engine watches the sim's
@@ -214,8 +202,8 @@ func run(policy string, machines int, duration time.Duration, seed int64, quiet 
 	eng := st.Alerts
 
 	var ctlOpts []ctl.Option
-	if stateFn != nil {
-		ctlOpts = append(ctlOpts, ctl.WithState(stateFn))
+	if p := sim.Policy; p != nil {
+		ctlOpts = append(ctlOpts, ctl.WithState(func() any { return p.StateSnapshot() }))
 	}
 	bound, err := st.Serve(ctlOpts...)
 	if err != nil {

@@ -133,22 +133,12 @@ func run(logPath, modelPath string, machines, workers, maxReport int, verifyOnly
 }
 
 // loadCluster rebuilds the model the capture was made against: an
-// explicit -model file, or the default Table 1 room at -machines (the
-// recorded machine count when -machines is 0).
+// explicit -model file, loaded as mercury-solver loads it, or the
+// default Table 1 room at -machines (the recorded machine count when
+// -machines is 0).
 func loadCluster(modelPath string, machines, recorded int) (*model.Cluster, error) {
 	if modelPath != "" {
-		src, err := os.ReadFile(modelPath)
-		if err != nil {
-			return nil, err
-		}
-		f, err := dotlang.Parse(string(src))
-		if err != nil {
-			return nil, err
-		}
-		if f.Cluster == nil {
-			return nil, fmt.Errorf("model %s has no cluster block", modelPath)
-		}
-		return f.Cluster, nil
+		return dotlang.LoadRoom(modelPath)
 	}
 	if machines == 0 {
 		machines = recorded

@@ -9,8 +9,31 @@ import (
 	"time"
 
 	"github.com/darklab/mercury/internal/clock"
+	"github.com/darklab/mercury/internal/dotlang"
+	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/recordlog"
+	"github.com/darklab/mercury/internal/solver"
 )
+
+// TestLoadClusterFromSingleMachineFile: mercury-solver serves a file
+// holding one machine and no cluster block, so a capture of that run
+// must load the same room here, not be refused.
+func TestLoadClusterFromSingleMachineFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "server.mdot")
+	if err := os.WriteFile(path, []byte(dotlang.PrintMachine(model.DefaultServer("box"))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := loadCluster(path, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Machines) != 1 || c.Machines[0].Name != "box" || c.Name != "box-room" {
+		t.Errorf("room %q with machines %v, want box-room holding box", c.Name, c.Machines)
+	}
+	if _, err := solver.New(c, solver.Config{}); err != nil {
+		t.Errorf("the loaded room does not compile: %v", err)
+	}
+}
 
 // TestRunRefusesEmptyCapture: a well-formed capture with no temperature
 // rows and no events gives the replay nothing to compare, which is not

@@ -398,31 +398,7 @@ func loadCluster(modelPath string, machines int) (*model.Cluster, error) {
 	if modelPath == "" {
 		return model.DefaultCluster("room", machines)
 	}
-	src, err := os.ReadFile(modelPath)
-	if err != nil {
-		return nil, err
-	}
-	f, err := dotlang.Parse(string(src))
-	if err != nil {
-		return nil, err
-	}
-	if f.Cluster != nil {
-		return f.Cluster, nil
-	}
-	if len(f.Machines) == 1 {
-		m := f.Machines[0]
-		return &model.Cluster{
-			Name:     m.Name + "-room",
-			Machines: f.Machines,
-			Sources:  []model.ClusterSource{{Name: "room", SupplyTemp: m.InletTemp}},
-			Sinks:    []model.ClusterSink{{Name: "room_exhaust"}},
-			Edges: []model.ClusterEdge{
-				{From: "room", To: m.Name, Fraction: 1},
-				{From: m.Name, To: "room_exhaust", Fraction: 1},
-			},
-		}, nil
-	}
-	return nil, fmt.Errorf("model %s has %d machines but no cluster block", modelPath, len(f.Machines))
+	return dotlang.LoadRoom(modelPath)
 }
 
 func runOffline(sol *solver.Solver, tracePath, outPath string, sample time.Duration, probes probeList) error {

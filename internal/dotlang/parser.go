@@ -2,6 +2,7 @@ package dotlang
 
 import (
 	"fmt"
+	"os"
 	"strconv"
 
 	"github.com/darklab/mercury/internal/model"
@@ -89,6 +90,27 @@ func ParseCluster(src string) (*model.Cluster, error) {
 		return nil, fmt.Errorf("dotlang: no cluster block in input")
 	}
 	return f.Cluster, nil
+}
+
+// LoadRoom reads a model file as a room: its cluster block, or its
+// one machine in model.SingleRoom. A file of several machines and no
+// cluster block is ambiguous and refused.
+func LoadRoom(path string) (*model.Cluster, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	f, err := Parse(string(src))
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case f.Cluster != nil:
+		return f.Cluster, nil
+	case len(f.Machines) == 1:
+		return model.SingleRoom(f.Machines[0]), nil
+	}
+	return nil, fmt.Errorf("dotlang: model %s has %d machines but no cluster block", path, len(f.Machines))
 }
 
 func (f *File) machine(name string) *model.Machine {

@@ -256,31 +256,34 @@ func TestSimValidation(t *testing.T) {
 	}
 }
 
-// TestSimRejectsFractionalCadence: a hook cadence the one-second loop
-// cannot honour is an error naming the field, not a hook that runs at
-// the wrong rate or never; a cadence with no hook is not looked at.
+// TestSimRejectsFractionalCadence: a policy cadence the one-second
+// loop cannot honour is an error naming the field, not a tick that
+// runs at the wrong rate or never; a zero cadence is Freon's default,
+// and a sim with no policy looks at none.
 func TestSimRejectsFractionalCadence(t *testing.T) {
-	hook := func() error { return nil }
 	cases := []struct {
 		name         string
 		poll, period time.Duration
-		onPoll       func() error
-		onPeriod     func() error
+		policy       bool
 		want         string // "" = runs
 	}{
-		{"defaults", 5 * time.Second, time.Minute, hook, hook, ""},
-		{"half-second poll", 500 * time.Millisecond, time.Minute, hook, hook, "PollEvery"},
-		{"zero poll", 0, time.Minute, hook, hook, "PollEvery"},
-		{"1500ms period", 5 * time.Second, 1500 * time.Millisecond, hook, hook, "PeriodEvery"},
-		{"unhooked cadences ignored", 0, 1500 * time.Millisecond, nil, nil, ""},
+		{"defaults", 5 * time.Second, time.Minute, true, ""},
+		{"half-second poll", 500 * time.Millisecond, time.Minute, true, "ConnPoll"},
+		{"zero poll", 0, time.Minute, true, ""},
+		{"1500ms period", 5 * time.Second, 1500 * time.Millisecond, true, "Period"},
+		{"no policy", 0, 1500 * time.Millisecond, false, ""},
 	}
 	for _, c := range cases {
 		sim, err := NewSim(2, 1, 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim.PollEvery, sim.PeriodEvery = c.poll, c.period
-		sim.OnPoll, sim.OnPeriod = c.onPoll, c.onPeriod
+		if c.policy {
+			if sim.Policy, err = freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(),
+				freon.Config{ConnPoll: c.poll, Period: c.period}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		err = sim.Run(10 * time.Second)
 		switch {
 		case c.want == "" && err != nil:
@@ -333,26 +336,22 @@ func TestSnapshotDuringRunSharesNoBalancerState(t *testing.T) {
 		if sim.Fiddle, err = emergencyOps(); err != nil {
 			t.Fatal(err)
 		}
-		var snapshot func() freon.Snapshot
 		switch policy {
 		case "twostage":
-			fr, err := freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(), freon.Config{TwoStage: true})
-			if err != nil {
+			if sim.Policy, err = freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(), freon.Config{TwoStage: true}); err != nil {
 				t.Fatal(err)
 			}
-			sim.OnPoll, sim.OnPeriod, snapshot = fr.TickPoll, fr.TickPeriod, fr.StateSnapshot
 		case "ec":
 			regions := map[string]int{}
 			for i, m := range sim.Cluster.Machines() {
 				regions[m] = i % 2
 			}
-			ec, err := freon.NewEC(sim.Cluster.Machines(), sim.Solver, sim.Solver, sim.Bal, sim.Power(),
-				freon.ECConfig{Regions: regions})
-			if err != nil {
+			if sim.Policy, err = freon.NewEC(sim.Cluster.Machines(), sim.Solver, sim.Solver, sim.Bal, sim.Power(),
+				freon.ECConfig{Regions: regions}); err != nil {
 				t.Fatal(err)
 			}
-			sim.OnPoll, sim.OnPeriod, snapshot = ec.TickPoll, ec.TickPeriod, ec.StateSnapshot
 		}
+		snapshot := sim.Policy.StateSnapshot
 		// The reader takes its first snapshot before the run starts and
 		// keeps reading until the run ends.
 		first, done := make(chan struct{}), make(chan struct{})

@@ -145,8 +145,7 @@ func Fig11() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim.OnPoll = fr.TickPoll
-	sim.OnPeriod = fr.TickPeriod
+	sim.Policy = fr
 	if err := sim.Run(freonDuration); err != nil {
 		return nil, err
 	}
@@ -187,7 +186,7 @@ func Traditional() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim.OnPeriod = tr.TickPeriod
+	sim.Policy = tr
 	if err := sim.Run(freonDuration); err != nil {
 		return nil, err
 	}
@@ -225,8 +224,7 @@ func Fig12() (*Result, error) {
 		return nil, err
 	}
 	run.activeFn = ec.ActiveCount
-	sim.OnPoll = ec.TickPoll
-	sim.OnPeriod = ec.TickPeriod
+	sim.Policy = ec
 	if err := sim.Run(freonDuration); err != nil {
 		return nil, err
 	}

@@ -47,6 +47,12 @@ func MultiTier() (*Result, error) {
 		return nil, err
 	}
 
+	// Both tiers run Freon's default cadences.
+	pollEvery, periodEvery, err := frontFreon.Config().Ticks()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: policy %w", err)
+	}
+
 	reqs := workload.GenerateWeb(workload.WebConfig{
 		Duration:     duration,
 		PeakRPS:      100,
@@ -94,7 +100,7 @@ func MultiTier() (*Result, error) {
 			return nil, err
 		}
 		sol.Step()
-		if (sec+1)%5 == 0 {
+		if (sec+1)%pollEvery == 0 {
 			if err := frontFreon.TickPoll(); err != nil {
 				return nil, err
 			}
@@ -102,7 +108,7 @@ func MultiTier() (*Result, error) {
 				return nil, err
 			}
 		}
-		if (sec+1)%60 == 0 {
+		if (sec+1)%periodEvery == 0 {
 			if err := frontFreon.TickPeriod(); err != nil {
 				return nil, err
 			}

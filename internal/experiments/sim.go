@@ -11,6 +11,7 @@ import (
 
 	"github.com/darklab/mercury/internal/clock"
 	"github.com/darklab/mercury/internal/fiddle"
+	"github.com/darklab/mercury/internal/freon"
 	"github.com/darklab/mercury/internal/lvs"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/solver"
@@ -54,7 +55,7 @@ func (r *Result) Render() string {
 // and a thermal-management policy, advancing everything in lockstep
 // emulated seconds: the cluster serves the second's arrivals, its
 // utilizations feed the solver (as monitord would), the solver steps,
-// and the policy's daemons run at their own periods.
+// and the policy ticks at the cadences its Config names.
 type Sim struct {
 	Solver  *solver.Solver
 	Cluster *webcluster.Cluster
@@ -74,16 +75,13 @@ type Sim struct {
 	// Fiddle is the scheduled emergency script.
 	Fiddle []fiddle.TimedOp
 
-	// OnPoll runs every PollEvery (default 5s): Freon's admd sampling.
-	OnPoll func() error
-	// OnPeriod runs every PeriodEvery (default 60s): tempd/admd cycle.
-	OnPeriod func() error
+	// Policy, when non-nil, manages the room: its TickPoll runs every
+	// Config().ConnPoll and its TickPeriod every Config().Period, poll
+	// first, after the second's solver step.
+	Policy freon.Policy
 	// OnSecond runs after every emulated second with the tick's stats;
 	// experiments sample their series here.
 	OnSecond func(sec int, tick webcluster.Tick) error
-
-	PollEvery   time.Duration
-	PeriodEvery time.Duration
 
 	arrivals  []workload.Request // this second's, reused every iteration
 	fiddleIdx int
@@ -127,8 +125,6 @@ func NewSim(machines int, seed int64, duration time.Duration) (*Sim, error) {
 			PeakRPS:  peak,
 			Seed:     seed,
 		}),
-		PollEvery:   5 * time.Second,
-		PeriodEvery: time.Minute,
 	}, nil
 }
 
@@ -156,17 +152,14 @@ func (s *Sim) Run(duration time.Duration) error {
 	if s.Clock == nil {
 		s.Clock = clock.NewVirtual()
 	}
-	// A hook's cadence must be a positive whole number of one-second
-	// ticks; anything else would run at the wrong rate, or never.
-	if s.OnPoll != nil && (s.PollEvery <= 0 || s.PollEvery%time.Second != 0) {
-		return fmt.Errorf("experiments: PollEvery = %v is not a positive whole multiple of the 1s tick", s.PollEvery)
-	}
-	if s.OnPeriod != nil && (s.PeriodEvery <= 0 || s.PeriodEvery%time.Second != 0) {
-		return fmt.Errorf("experiments: PeriodEvery = %v is not a positive whole multiple of the 1s tick", s.PeriodEvery)
+	var pollEvery, periodEvery int
+	if s.Policy != nil {
+		var err error
+		if pollEvery, periodEvery, err = s.Policy.Config().Ticks(); err != nil {
+			return fmt.Errorf("experiments: policy %w", err)
+		}
 	}
 	secs := int(duration / time.Second)
-	pollEvery := int(s.PollEvery / time.Second)
-	periodEvery := int(s.PeriodEvery / time.Second)
 	base := int(s.Clock.Elapsed() / time.Second)
 	machines := s.Cluster.Machines()
 	for i := 0; i < secs; i++ {
@@ -198,13 +191,13 @@ func (s *Sim) Run(duration time.Duration) error {
 		}
 		s.Solver.Step()
 
-		if s.OnPoll != nil && (sec+1)%pollEvery == 0 {
-			if err := s.OnPoll(); err != nil {
+		if s.Policy != nil && (sec+1)%pollEvery == 0 {
+			if err := s.Policy.TickPoll(); err != nil {
 				return err
 			}
 		}
-		if s.OnPeriod != nil && (sec+1)%periodEvery == 0 {
-			if err := s.OnPeriod(); err != nil {
+		if s.Policy != nil && (sec+1)%periodEvery == 0 {
+			if err := s.Policy.TickPeriod(); err != nil {
 				return err
 			}
 		}

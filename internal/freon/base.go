@@ -10,28 +10,29 @@ import (
 	"github.com/darklab/mercury/internal/telemetry"
 )
 
-// Freon is the base thermal-emergency manager: one tempd per server
-// plus the admission controller. Drive it with TickPoll every ConnPoll
-// period and TickPeriod every Period; experiment harnesses call these
-// from emulated time, the freon command from wall-clock tickers.
+// core is the skeleton every policy shares: one tempd per machine in
+// machine order, one admd, the config's event log and tracer, and each
+// machine's last report. A policy embeds it and adds only its
+// reaction to the reports.
 //
 // Ticks and snapshots share one mutex, so the HTTP control plane may
-// read StateSnapshot concurrently with a running ticker.
-type Freon struct {
+// read StateSnapshot concurrently with a running driver.
+type core struct {
 	mu      sync.Mutex
 	cfg     Config
-	tempds  map[string]*Tempd
 	order   []string
+	tempds  map[string]*Tempd
 	admd    *Admd
+	bal     Balancer
 	power   Power
-	offline map[string]bool
+	off     map[string]bool // powered off: shut down, or drained by Freon-EC
 	reports map[string]Report
 	events  *telemetry.EventLog
 	trace   *emTracer
 }
 
-// New builds the base Freon over the given machines.
-func New(machines []string, sensors Sensors, bal Balancer, power Power, cfg Config) (*Freon, error) {
+// newCore validates and defaults cfg and builds the tempds and admd.
+func newCore(machines []string, sensors Sensors, bal Balancer, power Power, cfg Config) (*core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -50,75 +51,84 @@ func New(machines []string, sensors Sensors, bal Balancer, power Power, cfg Conf
 		}
 		admd.EnableTwoStage(shed)
 	}
-	f := &Freon{
+	admd.events = cfg.Events
+	admd.tracer = cfg.Tracer
+	c := &core{
 		cfg:     cfg,
 		tempds:  map[string]*Tempd{},
 		admd:    admd,
+		bal:     bal,
 		power:   power,
-		offline: map[string]bool{},
+		off:     map[string]bool{},
 		reports: map[string]Report{},
 		events:  cfg.Events,
 		trace:   newEmTracer(cfg.Tracer),
 	}
-	admd.events = cfg.Events
-	admd.tracer = cfg.Tracer
-	sensors = wrapSensors(sensors, f.trace)
+	sensors = wrapSensors(sensors, c.trace)
 	for _, m := range machines {
 		td, err := NewTempd(m, sensors, cfg)
 		if err != nil {
 			return nil, err
 		}
-		f.tempds[m] = td
-		f.order = append(f.order, m)
+		c.tempds[m] = td
+		c.order = append(c.order, m)
 	}
-	return f, nil
+	return c, nil
 }
 
 // Config returns the effective configuration.
-func (f *Freon) Config() Config { return f.cfg }
+func (c *core) Config() Config { return c.cfg }
 
 // Admd exposes the admission controller (for statistics).
-func (f *Freon) Admd() *Admd { return f.admd }
+func (c *core) Admd() *Admd { return c.admd }
 
-// TickPoll samples LVS connection statistics for every online server.
-func (f *Freon) TickPoll() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, m := range f.order {
-		if f.offline[m] {
+// TickPoll samples LVS connection statistics for every powered server.
+func (c *core) TickPoll() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, m := range c.order {
+		if c.off[m] {
 			continue
 		}
-		if err := f.admd.PollConns(m); err != nil {
+		if err := c.admd.PollConns(m); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// TickPeriod runs one observation period: every tempd checks its
-// machine and admd reacts. Servers whose components red-line are
-// turned off (the action of last resort even under the base policy).
-func (f *Freon) TickPeriod() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, m := range f.order {
-		if f.offline[m] {
+// check runs one machine's tempd, keeps the report as the machine's
+// last, and logs and traces it. Actions the report causes are traced
+// under the returned context.
+func (c *core) check(m string) (Report, causal.Context, error) {
+	r, err := c.tempds[m].Check()
+	if err != nil {
+		return Report{}, causal.Context{}, err
+	}
+	c.reports[m] = r
+	emitReport(c.events, r)
+	return r, c.trace.report(r), nil
+}
+
+// sweep checks every powered machine in order: a red-lined one is shut
+// down, any other is handed to react (nil: no reaction).
+func (c *core) sweep(react func(causal.Context, Report) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, m := range c.order {
+		if c.off[m] {
 			continue
 		}
-		r, err := f.tempds[m].Check()
+		r, tc, err := c.check(m)
 		if err != nil {
 			return err
 		}
-		f.reports[m] = r
-		emitReport(f.events, r)
-		actCtx := f.trace.report(r)
 		if r.RedLine {
-			if err := f.shutdown(m, r); err != nil {
-				return err
-			}
-			continue
+			err = c.shutdown(m, r)
+		} else if react != nil {
+			err = react(tc, r)
 		}
-		if err := f.admd.HandleReportCtx(actCtx, r); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -145,57 +155,54 @@ func emitReport(events *telemetry.EventLog, r Report) {
 	}
 }
 
+// maxTemp is the hottest component of a report (0 for an empty one).
+func maxTemp(r Report) float64 {
+	var hottest float64
+	for _, t := range r.Temps {
+		if float64(t) > hottest {
+			hottest = float64(t)
+		}
+	}
+	return hottest
+}
+
 // shutdown powers a red-lined server off and excludes it from load.
-func (f *Freon) shutdown(machine string, r Report) error {
-	if err := f.admd.bal.Quiesce(machine); err != nil {
+func (c *core) shutdown(machine string, r Report) error {
+	if err := c.bal.Quiesce(machine); err != nil {
 		return err
 	}
-	if f.power != nil {
-		if err := f.power.SetPower(machine, false); err != nil {
+	if c.power != nil {
+		if err := c.power.SetPower(machine, false); err != nil {
 			return err
 		}
 	}
-	f.offline[machine] = true
-	var maxTemp float64
-	for _, t := range r.Temps {
-		if float64(t) > maxTemp {
-			maxTemp = float64(t)
-		}
+	c.off[machine] = true
+	if c.events != nil {
+		c.events.Emit(telemetry.EvRedLine, machine, "", maxTemp(r), "")
 	}
-	if f.events != nil {
-		f.events.Emit(telemetry.EvRedLine, machine, "", maxTemp, "")
-	}
-	f.trace.action(f.trace.ctx(machine), causal.KindRedLine, machine, maxTemp)
-	f.trace.drop(machine)
+	c.trace.action(c.trace.ctx(machine), causal.KindRedLine, machine, maxTemp(r))
+	c.trace.drop(machine)
 	return nil
 }
 
-// Offline reports whether Freon has shut a machine down.
-func (f *Freon) Offline(machine string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.offline[machine]
+// Offline reports whether a machine is powered off.
+func (c *core) Offline(machine string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.off[machine]
 }
 
-// OfflineCount returns the number of shut-down machines.
-func (f *Freon) OfflineCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// OfflineCount returns the number of powered-off machines.
+func (c *core) OfflineCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
-	for _, off := range f.offline {
+	for _, off := range c.off {
 		if off {
 			n++
 		}
 	}
 	return n
-}
-
-// LastReport returns the most recent tempd report for a machine.
-func (f *Freon) LastReport(machine string) (Report, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r, ok := f.reports[machine]
-	return r, ok
 }
 
 // MachineState is one server's row in a policy snapshot.
@@ -220,18 +227,6 @@ type ComponentThresholds struct {
 	RedLine float64 `json:"redline"`
 }
 
-// componentThresholds renders a (defaulted) Config's component table
-// for a snapshot.
-func componentThresholds(cfg Config) []ComponentThresholds {
-	out := make([]ComponentThresholds, 0, len(cfg.Components))
-	for _, c := range cfg.Components {
-		out = append(out, ComponentThresholds{
-			Node: c.Node, Low: float64(c.Low), High: float64(c.High), RedLine: float64(c.RedLine),
-		})
-	}
-	return out
-}
-
 // Snapshot is a policy's /state document.
 type Snapshot struct {
 	Machines     []MachineState        `json:"machines"`
@@ -244,27 +239,37 @@ type Snapshot struct {
 	TurnOffs     int `json:"turn_offs,omitempty"`
 }
 
-// StateSnapshot captures the base policy's view of every machine; the
+// StateSnapshot captures the policy's view of every machine; the
 // control plane serves it at /state. Safe to call concurrently with
 // ticks.
-func (f *Freon) StateSnapshot() Snapshot {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	snap := Snapshot{Thresholds: componentThresholds(f.cfg)}
-	for _, m := range f.order {
-		ms := MachineState{Machine: m, Offline: f.offline[m]}
-		if r, ok := f.reports[m]; ok {
+func (c *core) StateSnapshot() Snapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.snapshot()
+}
+
+// snapshot builds the shared part of a snapshot; call under c.mu.
+func (c *core) snapshot() Snapshot {
+	var snap Snapshot
+	for _, comp := range c.cfg.Components {
+		snap.Thresholds = append(snap.Thresholds, ComponentThresholds{
+			Node: comp.Node, Low: float64(comp.Low), High: float64(comp.High), RedLine: float64(comp.RedLine),
+		})
+	}
+	for _, m := range c.order {
+		ms := MachineState{Machine: m, Offline: c.off[m]}
+		if r, ok := c.reports[m]; ok {
 			ms.Temps = map[string]float64{}
 			for node, t := range r.Temps {
 				ms.Temps[node] = float64(t)
 			}
 			ms.Hot = r.Hot
 		}
-		ms.Restricted = f.tempds[m].Restricted()
-		if w, err := f.admd.bal.Weight(m); err == nil {
+		ms.Restricted = c.tempds[m].Restricted()
+		if w, err := c.bal.Weight(m); err == nil {
 			ms.Weight = w
 		}
-		ms.Blocked = f.admd.BlockedClasses(m)
+		ms.Blocked = c.admd.BlockedClasses(m)
 		if ms.Offline {
 			snap.OfflineCount++
 		}
@@ -273,80 +278,51 @@ func (f *Freon) StateSnapshot() Snapshot {
 	return snap
 }
 
-// Machines returns the managed machine names.
-func (f *Freon) Machines() []string { return append([]string(nil), f.order...) }
+// Freon is the base thermal-emergency manager: one tempd per server
+// plus the admission controller, which reacts to every report; a
+// red-lined server is turned off (the action of last resort even
+// under the base policy). Drive it with TickPoll every ConnPoll period
+// and TickPeriod every Period; experiment harnesses call these from
+// emulated time, the freon command from wall-clock tickers.
+type Freon struct{ *core }
+
+// New builds the base Freon over the given machines.
+func New(machines []string, sensors Sensors, bal Balancer, power Power, cfg Config) (*Freon, error) {
+	c, err := newCore(machines, sensors, bal, power, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Freon{c}, nil
+}
+
+// TickPeriod runs one observation period: every tempd checks its
+// machine and admd reacts.
+func (f *Freon) TickPeriod() error { return f.sweep(f.admd.HandleReportCtx) }
 
 // Traditional is the baseline the paper compares against: no load
 // shifting at all, just "turning servers off when the temperature of
-// their CPUs crossed Tr". Drive TickPeriod once per observation
-// period.
-type Traditional struct {
-	cfg     Config
-	tempds  map[string]*Tempd
-	order   []string
-	bal     Balancer
-	power   Power
-	offline map[string]bool
-}
+// their CPUs crossed Tr".
+type Traditional struct{ *core }
 
 // NewTraditional builds the baseline policy.
 func NewTraditional(machines []string, sensors Sensors, bal Balancer, power Power, cfg Config) (*Traditional, error) {
-	if err := cfg.Validate(); err != nil {
+	c, err := newCore(machines, sensors, bal, power, cfg)
+	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	tr := &Traditional{
-		cfg:     cfg,
-		tempds:  map[string]*Tempd{},
-		bal:     bal,
-		power:   power,
-		offline: map[string]bool{},
-	}
-	for _, m := range machines {
-		td, err := NewTempd(m, sensors, cfg)
-		if err != nil {
-			return nil, err
-		}
-		tr.tempds[m] = td
-		tr.order = append(tr.order, m)
-	}
-	return tr, nil
+	return &Traditional{c}, nil
 }
 
-// TickPeriod checks every online machine and shuts down red-lined
+// TickPeriod checks every powered machine and shuts down red-lined
 // ones.
-func (t *Traditional) TickPeriod() error {
-	for _, m := range t.order {
-		if t.offline[m] {
-			continue
-		}
-		r, err := t.tempds[m].Check()
-		if err != nil {
-			return err
-		}
-		if !r.RedLine {
-			continue
-		}
-		if err := t.bal.Quiesce(m); err != nil {
-			return err
-		}
-		if t.power != nil {
-			if err := t.power.SetPower(m, false); err != nil {
-				return err
-			}
-		}
-		t.offline[m] = true
-	}
-	return nil
-}
-
-// Offline reports whether the baseline shut a machine down.
-func (t *Traditional) Offline(machine string) bool { return t.offline[machine] }
+func (t *Traditional) TickPeriod() error { return t.sweep(nil) }
 
 // OfflineMachines returns the shut-down machines, sorted.
 func (t *Traditional) OfflineMachines() []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var out []string
-	for m, off := range t.offline {
+	for m, off := range t.off {
 		if off {
 			out = append(out, m)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/darklab/mercury/internal/causal"
@@ -84,20 +83,12 @@ func (p machinePhase) String() string {
 }
 
 // EC is Freon-EC: the base thermal policy combined with region-aware
-// cluster reconfiguration (the pseudo-code of Figure 10). Ticks and
-// snapshots share one mutex so the control plane can read state while
-// a runner ticks.
+// cluster reconfiguration (the pseudo-code of Figure 10). It "falls
+// back to the base Freon policy when all servers are needed".
 type EC struct {
-	mu     sync.Mutex
-	cfg    ECConfig
-	order  []string
-	tempds map[string]*Tempd
-	admd   *Admd
-	bal    Balancer
-	power  Power
-	utils  Utils
-	events *telemetry.EventLog
-	trace  *emTracer
+	*core
+	cfg   ECConfig
+	utils Utils
 
 	phase       map[string]machinePhase
 	bootLeft    map[string]int
@@ -114,15 +105,13 @@ type EC struct {
 
 // NewEC builds Freon-EC. All machines start active.
 func NewEC(machines []string, sensors Sensors, utils Utils, bal Balancer, power Power, cfg ECConfig) (*EC, error) {
-	if err := cfg.Config.Validate(); err != nil {
+	c, err := newCore(machines, sensors, bal, power, cfg.Config)
+	if err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	if !cfg.Uh.Valid() || !cfg.Ul.Valid() || cfg.Ul >= cfg.Uh {
 		return nil, fmt.Errorf("freon: need 0 <= Ul < Uh <= 1, got Ul=%v Uh=%v", cfg.Ul, cfg.Uh)
-	}
-	if len(machines) == 0 {
-		return nil, fmt.Errorf("freon: no machines")
 	}
 	if power == nil {
 		return nil, fmt.Errorf("freon: Freon-EC requires power control")
@@ -131,38 +120,20 @@ func NewEC(machines []string, sensors Sensors, utils Utils, bal Balancer, power 
 		return nil, fmt.Errorf("freon: Freon-EC requires utilization feeds")
 	}
 	e := &EC{
+		core:        c,
 		cfg:         cfg,
-		tempds:      map[string]*Tempd{},
-		bal:         bal,
-		power:       power,
 		utils:       utils,
-		events:      cfg.Events,
-		trace:       newEmTracer(cfg.Tracer),
 		phase:       map[string]machinePhase{},
 		bootLeft:    map[string]int{},
 		emergencies: map[int]int{},
 		histPrev:    map[model.UtilSource]float64{},
 		histCur:     map[model.UtilSource]float64{},
 	}
-	admd, err := NewAdmd(bal, 1)
-	if err != nil {
-		return nil, err
-	}
-	admd.events = cfg.Events
-	admd.tracer = cfg.Tracer
-	e.admd = admd
-	sensors = wrapSensors(sensors, e.trace)
 	regionSet := map[int]bool{}
 	for _, m := range machines {
-		td, err := NewTempd(m, sensors, cfg.Config)
-		if err != nil {
-			return nil, err
-		}
 		if _, ok := cfg.Regions[m]; !ok {
 			return nil, fmt.Errorf("freon: machine %q has no region", m)
 		}
-		e.tempds[m] = td
-		e.order = append(e.order, m)
 		e.phase[m] = phaseActive
 		regionSet[cfg.Regions[m]] = true
 	}
@@ -173,20 +144,25 @@ func NewEC(machines []string, sensors Sensors, utils Utils, bal Balancer, power 
 	return e, nil
 }
 
-// Admd exposes the admission controller.
-func (e *EC) Admd() *Admd { return e.admd }
+// setPhase moves a machine through its lifecycle; an off machine is
+// off for the shared skeleton too, which neither polls nor checks it.
+func (e *EC) setPhase(m string, p machinePhase) {
+	e.phase[m] = p
+	e.off[m] = p == phaseOff
+}
 
 // ActiveCount returns the machines currently serving (active phase).
 func (e *EC) ActiveCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.activeCount()
+	return e.count(phaseActive)
 }
 
-func (e *EC) activeCount() int {
+// count returns the machines in phase p.
+func (e *EC) count(p machinePhase) int {
 	n := 0
 	for _, m := range e.order {
-		if e.phase[m] == phaseActive {
+		if e.phase[m] == p {
 			n++
 		}
 	}
@@ -198,13 +174,7 @@ func (e *EC) activeCount() int {
 func (e *EC) PoweredCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := 0
-	for _, m := range e.order {
-		if e.phase[m] != phaseOff {
-			n++
-		}
-	}
-	return n
+	return len(e.order) - e.count(phaseOff)
 }
 
 // Phase returns a machine's lifecycle phase as a string (for logs and
@@ -228,21 +198,6 @@ func (e *EC) TurnOffs() int {
 	return e.turnOffs
 }
 
-// TickPoll samples connection statistics for powered machines.
-func (e *EC) TickPoll() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, m := range e.order {
-		if e.phase[m] == phaseOff {
-			continue
-		}
-		if err := e.admd.PollConns(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // bootTicks converts the boot delay to observation periods.
 func (e *EC) bootTicks() int {
 	t := int(math.Ceil(float64(e.cfg.BootDelay) / float64(e.cfg.Period)))
@@ -260,78 +215,61 @@ func (e *EC) TickPeriod() error {
 	e.observeUtilization()
 
 	// Gather reports from every powered machine.
-	reports := map[string]Report{}
 	ctxs := map[string]causal.Context{}
 	for _, m := range e.order {
-		if e.phase[m] == phaseOff {
+		if e.off[m] {
 			continue
 		}
-		r, err := e.tempds[m].Check()
+		_, tc, err := e.check(m)
 		if err != nil {
 			return err
 		}
-		reports[m] = r
-		emitReport(e.events, r)
-		ctxs[m] = e.trace.report(r)
+		ctxs[m] = tc
 	}
 
 	// "if (need to add a server) and (at least one server is off)".
-	if e.needAdd() && e.offCount() > 0 {
+	if e.needAdd() && e.count(phaseOff) > 0 {
 		if err := e.turnOnOne(causal.Context{}); err != nil {
 			return err
 		}
 	}
 
+	// Every machine still active was active, so checked, above.
 	for _, m := range e.order {
-		r, ok := reports[m]
-		if !ok || e.phase[m] != phaseActive {
+		if e.phase[m] != phaseActive {
 			continue
 		}
-		region := e.cfg.Regions[m]
-		switch {
-		case r.JustHot:
+		r, region := e.reports[m], e.cfg.Regions[m]
+		if r.JustHot {
 			e.emergencies[region]++
-			if e.offCount() == 0 && !e.canRemove(1) {
-				// "all servers in the cluster need to be active":
-				// manage in place with the base policy.
-				if err := e.admd.HandleReportCtx(ctxs[m], r); err != nil {
+			if e.count(phaseOff) > 0 || e.canRemove(1) {
+				if !e.canRemove(1) {
+					// "if (cannot remove a server) turn on a server".
+					// The replacement's power-on belongs to the
+					// emergency that forced it.
+					if err := e.turnOnOne(ctxs[m]); err != nil {
+						return err
+					}
+				}
+				// "turn off the hot server".
+				if err := e.beginDrain(m, ctxs[m]); err != nil {
 					return err
 				}
 				continue
 			}
-			if !e.canRemove(1) {
-				// "if (cannot remove a server) turn on a server". The
-				// replacement's power-on belongs to the emergency that
-				// forced it.
-				if err := e.turnOnOne(ctxs[m]); err != nil {
-					return err
-				}
-			}
-			// "turn off the hot server".
-			if err := e.beginDrain(m, ctxs[m]); err != nil {
-				return err
-			}
-		case r.JustCool:
-			e.emergencies[region]--
-			if e.emergencies[region] < 0 {
-				e.emergencies[region] = 0
-			}
-			if err := e.admd.HandleReportCtx(ctxs[m], r); err != nil {
-				return err
-			}
-		default:
-			if err := e.admd.HandleReportCtx(ctxs[m], r); err != nil {
-				return err
-			}
+			// "all servers in the cluster need to be active": manage
+			// in place with the base policy.
+		} else if r.JustCool {
+			e.emergencies[region] = max(e.emergencies[region]-1, 0)
+		}
+		if err := e.admd.HandleReportCtx(ctxs[m], r); err != nil {
+			return err
 		}
 	}
 
 	// "if (can still remove servers) turn off as many servers as
 	// possible in increasing order of current processing capacity."
-	if err := e.shrink(); err != nil {
-		return err
-	}
-	return nil
+	return e.shrink()
 }
 
 // advanceLifecycles finishes boots and drains.
@@ -341,14 +279,14 @@ func (e *EC) advanceLifecycles() {
 		case phaseBooting:
 			e.bootLeft[m]--
 			if e.bootLeft[m] <= 0 {
-				e.phase[m] = phaseActive
+				e.setPhase(m, phaseActive)
 				_ = e.admd.Release(m) // nominal weight, no cap
 				_ = e.bal.Resume(m)
 			}
 		case phaseDraining:
 			if n, err := e.bal.ActiveConns(m); err == nil && n == 0 {
 				_ = e.power.SetPower(m, false)
-				e.phase[m] = phaseOff
+				e.setPhase(m, phaseOff)
 				if e.events != nil {
 					e.events.Emit(telemetry.EvPowerOff, m, "", 0, "drain-complete")
 				}
@@ -424,7 +362,7 @@ func (e *EC) needAdd() bool {
 // configuration with the average utilization of every component still
 // below Ul.
 func (e *EC) canRemove(k int) bool {
-	active := e.activeCount()
+	active := e.count(phaseActive)
 	if active-k < e.cfg.MinActive {
 		return false
 	}
@@ -438,16 +376,6 @@ func (e *EC) canRemove(k int) bool {
 		}
 	}
 	return true
-}
-
-func (e *EC) offCount() int {
-	n := 0
-	for _, m := range e.order {
-		if e.phase[m] == phaseOff {
-			n++
-		}
-	}
-	return n
 }
 
 // turnOnOne selects a region round-robin — requiring an off server,
@@ -492,7 +420,7 @@ func (e *EC) turnOnOne(tc causal.Context) error {
 	if err := e.power.SetPower(m, true); err != nil {
 		return err
 	}
-	e.phase[m] = phaseBooting
+	e.setPhase(m, phaseBooting)
 	e.bootLeft[m] = e.bootTicks()
 	e.turnOns++
 	if e.events != nil {
@@ -547,7 +475,7 @@ func (e *EC) beginDrain(machine string, tc causal.Context) error {
 	if err := e.bal.Quiesce(machine); err != nil {
 		return err
 	}
-	e.phase[machine] = phaseDraining
+	e.setPhase(machine, phaseDraining)
 	e.turnOffs++
 	if e.events != nil {
 		e.events.Emit(telemetry.EvDrain, machine, "", 0, "")
@@ -580,15 +508,7 @@ func (e *EC) shrink() error {
 			if err != nil {
 				return err
 			}
-			var maxTemp float64
-			if r, ok := e.lastReport(m); ok {
-				for _, t := range r.Temps {
-					if float64(t) > maxTemp {
-						maxTemp = float64(t)
-					}
-				}
-			}
-			cands = append(cands, cand{name: m, weight: w, temp: maxTemp})
+			cands = append(cands, cand{name: m, weight: w, temp: maxTemp(e.reports[m])})
 		}
 		if len(cands) <= e.cfg.MinActive {
 			return nil
@@ -626,52 +546,16 @@ func (e *EC) shrink() error {
 }
 
 // StateSnapshot captures Freon-EC's view of every machine for the
-// control plane. Safe to call concurrently with ticks.
+// control plane: the shared rows plus each machine's phase and the
+// configuration counts. Safe to call concurrently with ticks.
 func (e *EC) StateSnapshot() Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	snap := Snapshot{
-		Thresholds:  componentThresholds(e.cfg.Config),
-		ActiveCount: e.activeCount(),
-		TurnOns:     e.turnOns,
-		TurnOffs:    e.turnOffs,
-	}
-	for _, m := range e.order {
-		ms := MachineState{Machine: m, Phase: e.phase[m].String(), Offline: e.phase[m] == phaseOff}
-		if r, ok := e.lastReport(m); ok {
-			ms.Temps = map[string]float64{}
-			for node, t := range r.Temps {
-				ms.Temps[node] = float64(t)
-			}
-		}
-		ms.Restricted = e.tempds[m].Restricted()
-		if w, err := e.bal.Weight(m); err == nil {
-			ms.Weight = w
-		}
-		ms.Blocked = e.admd.BlockedClasses(m)
-		if ms.Offline {
-			snap.OfflineCount++
-		} else {
-			snap.PoweredCount++
-		}
-		snap.Machines = append(snap.Machines, ms)
+	snap := e.snapshot()
+	snap.ActiveCount, snap.TurnOns, snap.TurnOffs = e.count(phaseActive), e.turnOns, e.turnOffs
+	snap.PoweredCount = len(snap.Machines) - snap.OfflineCount
+	for i := range snap.Machines {
+		snap.Machines[i].Phase = e.phase[snap.Machines[i].Machine].String()
 	}
 	return snap
-}
-
-// lastReport pulls the most recent report out of a tempd's state.
-func (e *EC) lastReport(machine string) (Report, bool) {
-	td, ok := e.tempds[machine]
-	if !ok {
-		return Report{}, false
-	}
-	r := Report{Machine: machine, Temps: map[string]units.Celsius{}}
-	for i := range td.comps {
-		c := &td.comps[i]
-		if !c.seen {
-			return Report{}, false
-		}
-		r.Temps[c.spec.Node] = c.last
-	}
-	return r, true
 }

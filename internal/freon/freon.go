@@ -8,6 +8,12 @@
 // when projected utilization allows, choosing machines by physical
 // region so replacements dodge the emergency. The traditional baseline
 // policy simply turns servers off when a component red-lines.
+//
+// The three policies share one skeleton — the tempds, the admd, the
+// report log and trace, the red-line shutdown and the /state rows —
+// and each adds only its reaction to the reports. Each is a Policy: a
+// driver calls TickPoll and TickPeriod at the cadences its Config
+// names (Config.Ticks).
 package freon
 
 import (
@@ -19,6 +25,16 @@ import (
 	"github.com/darklab/mercury/internal/telemetry"
 	"github.com/darklab/mercury/internal/units"
 )
+
+// Policy is what a driver runs: TickPoll every Config().ConnPoll and
+// TickPeriod every Config().Period, with StateSnapshot readable from
+// another goroutine. *Freon, *EC and *Traditional implement it.
+type Policy interface {
+	TickPoll() error
+	TickPeriod() error
+	Config() Config
+	StateSnapshot() Snapshot
+}
 
 // Sensors reads component temperatures. The solver (direct or through
 // the sensor library) implements this.
@@ -159,6 +175,21 @@ func (c Config) withDefaults() Config {
 		c.ConnPoll = 5 * time.Second
 	}
 	return c
+}
+
+// Ticks returns the configuration's ConnPoll and Period, defaults
+// applied, as whole numbers of one-second ticks, the only cadences a
+// lockstep driver can honour. The error names the field that is not
+// one; callers prefix it.
+func (c Config) Ticks() (poll, period int, err error) {
+	c = c.withDefaults()
+	if c.ConnPoll%time.Second != 0 {
+		return 0, 0, fmt.Errorf("ConnPoll = %v is not a whole multiple of the 1s tick", c.ConnPoll)
+	}
+	if c.Period%time.Second != 0 {
+		return 0, 0, fmt.Errorf("Period = %v is not a whole multiple of the 1s tick", c.Period)
+	}
+	return int(c.ConnPoll / time.Second), int(c.Period / time.Second), nil
 }
 
 // Validate checks the configuration.

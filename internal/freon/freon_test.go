@@ -307,12 +307,8 @@ func TestFreonAdjustsHotServer(t *testing.T) {
 	if w >= 1 {
 		t.Errorf("hot server weight = %v, want reduced", w)
 	}
-	r, ok := f.LastReport("m1")
-	if !ok || !r.Hot {
-		t.Errorf("report = %+v", r)
-	}
-	if got := f.Machines(); len(got) != 4 {
-		t.Errorf("machines = %v", got)
+	if snap := f.StateSnapshot(); len(snap.Machines) != 4 || !snap.Machines[0].Hot {
+		t.Errorf("snapshot = %+v, want 4 machines with m1 hot", snap.Machines)
 	}
 
 	// Cooling below Tl restores the weight.

@@ -141,3 +141,33 @@ func TestAssignClassRespectsBlocks(t *testing.T) {
 		t.Error("unknown server: want error")
 	}
 }
+
+// TestECTwoStageInPlace: Freon-EC manages a hot machine in place when
+// every server is needed and none is off to swap in, and there it runs
+// the base policy — two-stage included when the config asks for it, so
+// the first hot report blocks the component's ShedClass and leaves the
+// weight alone.
+func TestECTwoStageInPlace(t *testing.T) {
+	env := newFakeEnv("m1", "m2", "m3", "m4")
+	bal := lvs.New()
+	// Load high enough that no server can leave: 0.5 over three servers
+	// is above Ul.
+	setAllUtil(env, 0.5)
+	e := newEC(t, env, bal, ECConfig{Config: Config{TwoStage: true}})
+	if err := e.TickPeriod(); err != nil {
+		t.Fatal(err)
+	}
+	env.temps["m1"][model.NodeCPU] = 68
+	if err := e.TickPeriod(); err != nil {
+		t.Fatal(err)
+	}
+	if e.ActiveCount() != 4 || e.Phase("m1") != "active" {
+		t.Fatalf("m1 %s with %d active, want it managed in place with all 4 active", e.Phase("m1"), e.ActiveCount())
+	}
+	if blocked, _ := bal.ClassBlocked("m1", "dynamic"); !blocked {
+		t.Error("first hot report did not block the dynamic class")
+	}
+	if w, _ := bal.Weight("m1"); w != 1 {
+		t.Errorf("stage one touched the weight: %v", w)
+	}
+}

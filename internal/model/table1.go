@@ -136,6 +136,22 @@ func DefaultServer(name string) *Machine {
 	}
 }
 
+// SingleRoom wraps a standalone machine in a minimal room: one source
+// named "room" supplying the machine's inlet temperature, one sink
+// named "room_exhaust". It is how a single-machine model runs.
+func SingleRoom(m *Machine) *Cluster {
+	return &Cluster{
+		Name:     m.Name + "-room",
+		Machines: []*Machine{m},
+		Sources:  []ClusterSource{{Name: "room", SupplyTemp: m.InletTemp}},
+		Sinks:    []ClusterSink{{Name: "room_exhaust"}},
+		Edges: []ClusterEdge{
+			{From: "room", To: m.Name, Fraction: 1},
+			{From: m.Name, To: "room_exhaust", Fraction: 1},
+		},
+	}
+}
+
 // DefaultCluster builds the Figure 1(c) machine room: n identical
 // validation servers named machine1..machineN fed by a single air
 // conditioner with equal shares, all exhausting into one return plenum.

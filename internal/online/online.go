@@ -23,7 +23,6 @@
 package online
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -225,11 +224,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Record != "" && cfg.Shards > 1 {
 		return nil, fmt.Errorf("online: Record requires a single shard, got %d", cfg.Shards)
 	}
-	if err := errors.Join(
-		wholeSeconds("Freon.ConnPoll", cfg.Freon.ConnPoll),
-		wholeSeconds("Freon.Period", cfg.Freon.Period),
-	); err != nil {
-		return nil, err
+	pollSecs, periodSecs, err := cfg.Freon.Ticks()
+	if err != nil {
+		return nil, fmt.Errorf("online: Freon.%w", err)
 	}
 	clk := clock.NewVirtual()
 
@@ -520,8 +517,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	cpus := newCPUProbes(names, shardNames)
-	pollSecs := int(fr.Config().ConnPoll / time.Second)
-	periodSecs := int(fr.Config().Period / time.Second)
 
 	res := &Result{Machines: names, MaxCPUTemp: map[string]units.Celsius{}, Adjustments: map[string]int{}}
 	opIdx := 0
@@ -694,15 +689,6 @@ func alertProbes(servers []*solverd.Server, names []string, comps []freon.Compon
 		return n
 	}
 	return daemon.ThermalProbes(ms, ns, comps), fill
-}
-
-// wholeSeconds rejects a Freon cadence the one-second lockstep tick
-// cannot honour; zero or negative selects Freon's whole-second default.
-func wholeSeconds(field string, d time.Duration) error {
-	if d > 0 && d%time.Second != 0 {
-		return fmt.Errorf("online: %s = %v is not a whole multiple of the 1s lockstep tick", field, d)
-	}
-	return nil
 }
 
 // dialSensors opens a shard's sensor reader; tests count the sockets

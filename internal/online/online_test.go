@@ -41,8 +41,7 @@ func simFig11(t *testing.T, duration time.Duration) (samples [][]units.Celsius, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.OnPoll = fr.TickPoll
-	sim.OnPeriod = fr.TickPeriod
+	sim.Policy = fr
 	machines := sim.Cluster.Machines()
 	sim.OnSecond = func(sec int, _ webcluster.Tick) error {
 		if (sec+1)%10 != 0 {

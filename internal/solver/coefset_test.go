@@ -147,7 +147,7 @@ func TestGeneratedRoomsShareOneSetPerShape(t *testing.T) {
 		{"rack", func() (*model.Cluster, error) { return model.RackCluster("room", 3, 40, nil) }, 1},
 		{"cmp", func() (*model.Cluster, error) { return cmpRoom(9) }, 1},
 		{"mixed", func() (*model.Cluster, error) { return mixedShapeCluster(t), nil }, 3},
-		{"single", func() (*model.Cluster, error) { return singleRoom(model.DefaultServer("solo")), nil }, 1},
+		{"single", func() (*model.Cluster, error) { return model.SingleRoom(model.DefaultServer("solo")), nil }, 1},
 	}
 	for _, r := range rooms {
 		c, err := r.build()

@@ -574,7 +574,7 @@ func TestKernelDifferential(t *testing.T) {
 			return c
 		}, nil, true},
 		{"single", func(t *testing.T) *model.Cluster {
-			return singleRoom(model.DefaultServer("solo"))
+			return model.SingleRoom(model.DefaultServer("solo"))
 		}, nil, false},
 		{"mixed", mixedShapeCluster, []diffOp{
 			{kind: opPower, machine: model.RackMachine(1, 3), on: false},

@@ -275,26 +275,11 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 	return s, nil
 }
 
-// NewSingle wraps a standalone machine in a minimal room (one source
-// named "room" supplying the machine's inlet temperature, one sink
-// named "room_exhaust") and compiles it. This is the convenient entry
-// point for single-server emulation, Section 3's validation setup.
+// NewSingle compiles a standalone machine in model.SingleRoom. This is
+// the convenient entry point for single-server emulation, Section 3's
+// validation setup.
 func NewSingle(m *model.Machine, cfg Config) (*Solver, error) {
-	return New(singleRoom(m), cfg)
-}
-
-// singleRoom is the one-machine room NewSingle compiles.
-func singleRoom(m *model.Machine) *model.Cluster {
-	return &model.Cluster{
-		Name:     m.Name + "-room",
-		Machines: []*model.Machine{m},
-		Sources:  []model.ClusterSource{{Name: "room", SupplyTemp: m.InletTemp}},
-		Sinks:    []model.ClusterSink{{Name: "room_exhaust"}},
-		Edges: []model.ClusterEdge{
-			{From: "room", To: m.Name, Fraction: 1},
-			{From: m.Name, To: "room_exhaust", Fraction: 1},
-		},
-	}
+	return New(model.SingleRoom(m), cfg)
 }
 
 // markDirty re-activates machine mi after a mutation and records the

@@ -62,7 +62,9 @@ func (s *Series) At(t time.Duration) float64 {
 		return b.Value
 	}
 	frac := float64(t-a.At) / float64(b.At-a.At)
-	return a.Value + frac*(b.Value-a.Value)
+	// Each product is rounded on its own, here and below, so arm64
+	// cannot fuse it into the sum it feeds.
+	return a.Value + float64(frac*(b.Value-a.Value))
 }
 
 // Min returns the smallest value (NaN if empty).
@@ -133,14 +135,14 @@ func Quantile(values []float64, q float64) float64 {
 		return math.NaN()
 	}
 	sort.Float64s(clean)
-	pos := q * float64(len(clean)-1)
+	pos := float64(q * float64(len(clean)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return clean[lo]
 	}
 	frac := pos - float64(lo)
-	return clean[lo] + frac*(clean[hi]-clean[lo])
+	return clean[lo] + float64(frac*(clean[hi]-clean[lo]))
 }
 
 // Compare holds error metrics between an emulated series and a
@@ -163,7 +165,7 @@ func CompareSeries(emulated, reference *Series) Compare {
 			continue
 		}
 		d := p.Value - ref
-		sumSq += d * d
+		sumSq += float64(d * d)
 		a := math.Abs(d)
 		sumAbs += a
 		if a > c.MaxAbs {

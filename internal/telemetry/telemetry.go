@@ -99,7 +99,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if total == 0 {
 		return math.NaN()
 	}
-	rank := q * float64(total)
+	// Rounded on its own, so arm64 cannot fuse it into rank-seen and
+	// the estimate is bit-identical on every architecture.
+	rank := float64(q * float64(total))
 	var seen float64
 	for i, b := range h.bounds {
 		n := float64(h.buckets[i].Load())
