@@ -112,8 +112,8 @@ func Calibrate(base *model.Machine, tr *trace.Trace, targets []Target, params []
 			p := &params[pi]
 			cur := p.Get(m)
 			span := (p.Max - p.Min) * shrink
-			lo := math.Max(p.Min, cur-span/2)
-			hi := math.Min(p.Max, cur+span/2)
+			lo := math.Max(p.Min, cur-float64(span/2))
+			hi := math.Min(p.Max, cur+float64(span/2))
 			bestV := cur
 			for g := 0; g < opts.GridPoints; g++ {
 				v := lo + (hi-lo)*float64(g)/float64(opts.GridPoints-1)
@@ -177,7 +177,7 @@ func Evaluate(m *model.Machine, tr *trace.Trace, targets []Target, sampleEvery, 
 			return 0, 0, fmt.Errorf("calibrate: no emulated samples for node %q", t.Node)
 		}
 		c := stats.CompareSeries(em, t.Measured)
-		sumSq += c.RMSE * c.RMSE * float64(c.N)
+		sumSq += float64(c.RMSE * c.RMSE * float64(c.N))
 		n += c.N
 		if c.MaxAbs > maxAbs {
 			maxAbs = c.MaxAbs

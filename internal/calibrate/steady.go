@@ -54,7 +54,7 @@ func EvaluateSteady(m *model.Machine, cases []SteadyCase) (rmse, maxAbs float64,
 				return 0, 0, fmt.Errorf("calibrate: case %d references unknown node %q", ci, node)
 			}
 			d := float64(got - want)
-			sumSq += d * d
+			sumSq += float64(d * d)
 			if a := math.Abs(d); a > maxAbs {
 				maxAbs = a
 			}
@@ -98,8 +98,8 @@ func CalibrateSteady(base *model.Machine, cases []SteadyCase, params []Param, op
 			p := &params[pi]
 			cur := p.Get(m)
 			span := (p.Max - p.Min) * shrink
-			lo := math.Max(p.Min, cur-span/2)
-			hi := math.Min(p.Max, cur+span/2)
+			lo := math.Max(p.Min, cur-float64(span/2))
+			hi := math.Min(p.Max, cur+float64(span/2))
 			bestV := cur
 			for g := 0; g < opts.GridPoints; g++ {
 				v := lo + (hi-lo)*float64(g)/float64(opts.GridPoints-1)

@@ -272,14 +272,14 @@ func (c *Case) Solve(powers map[string]units.Watts) (*Result, error) {
 				}
 				var num, den float64
 				for _, e := range neighbors[i] {
-					num += e.g * T[e.j]
+					num += float64(e.g * T[e.j])
 					den += e.g
 				}
 				num += source[i]
 				if mat[i] == Air && x > 0 {
 					// Upwind advection from the left; mass flux through
 					// the cell face.
-					mdot := rhoCp * vel[x] * area
+					mdot := float64(rhoCp * vel[x] * area)
 					up := idx(x-1, y)
 					if mat[up] != Air {
 						// Flow detours around solids; take the nearest
@@ -287,7 +287,7 @@ func (c *Case) Solve(powers map[string]units.Watts) (*Result, error) {
 						up = nearestAirUp(mat, W, H, x-1, y)
 					}
 					if up >= 0 {
-						num += mdot * T[up]
+						num += float64(mdot * T[up])
 						den += mdot
 					}
 				}
@@ -301,7 +301,7 @@ func (c *Case) Solve(powers map[string]units.Watts) (*Result, error) {
 				if mat[i] != Air {
 					omega = solidOmega
 				}
-				next = T[i] + omega*(next-T[i])
+				next = T[i] + float64(omega*(next-T[i]))
 				if math.IsNaN(next) || math.IsInf(next, 0) {
 					return nil, fmt.Errorf("cfd: diverged at iteration %d (omega too high?)", iter)
 				}

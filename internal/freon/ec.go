@@ -67,6 +67,9 @@ const (
 	phaseBooting
 	phaseDraining
 	phaseOff
+	// phaseRedLined is a server shut down at its red line. Like the
+	// base policy's shutdown it is final: a turn-on never picks it.
+	phaseRedLined
 )
 
 func (p machinePhase) String() string {
@@ -77,6 +80,8 @@ func (p machinePhase) String() string {
 		return "booting"
 	case phaseDraining:
 		return "draining"
+	case phaseRedLined:
+		return "red-lined"
 	default:
 		return "off"
 	}
@@ -148,7 +153,7 @@ func NewEC(machines []string, sensors Sensors, utils Utils, bal Balancer, power 
 // off for the shared skeleton too, which neither polls nor checks it.
 func (e *EC) setPhase(m string, p machinePhase) {
 	e.phase[m] = p
-	e.off[m] = p == phaseOff
+	e.off[m] = p == phaseOff || p == phaseRedLined
 }
 
 // ActiveCount returns the machines currently serving (active phase).
@@ -174,7 +179,7 @@ func (e *EC) count(p machinePhase) int {
 func (e *EC) PoweredCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.order) - e.count(phaseOff)
+	return len(e.order) - e.count(phaseOff) - e.count(phaseRedLined)
 }
 
 // Phase returns a machine's lifecycle phase as a string (for logs and
@@ -214,15 +219,23 @@ func (e *EC) TickPeriod() error {
 	e.advanceLifecycles()
 	e.observeUtilization()
 
-	// Gather reports from every powered machine.
+	// Gather reports from every powered machine. A red-lined one is
+	// shut down, whatever its phase, and leaves the configuration.
 	ctxs := map[string]causal.Context{}
 	for _, m := range e.order {
 		if e.off[m] {
 			continue
 		}
-		_, tc, err := e.check(m)
+		r, tc, err := e.check(m)
 		if err != nil {
 			return err
+		}
+		if r.RedLine {
+			if err := e.shutdown(m, r); err != nil {
+				return err
+			}
+			e.setPhase(m, phaseRedLined)
+			continue
 		}
 		ctxs[m] = tc
 	}

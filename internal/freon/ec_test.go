@@ -6,6 +6,7 @@ import (
 
 	"github.com/darklab/mercury/internal/lvs"
 	"github.com/darklab/mercury/internal/model"
+	"github.com/darklab/mercury/internal/telemetry"
 	"github.com/darklab/mercury/internal/units"
 )
 
@@ -180,6 +181,49 @@ func TestECHotFallsBackToBasePolicyWhenAllNeeded(t *testing.T) {
 	w, _ := bal.Weight("m1")
 	if w >= 1 {
 		t.Errorf("weight = %v, want reduced by base policy", w)
+	}
+}
+
+// TestECRedLineShutsDown: a red-lined active server is shut down once,
+// as under the base policy, even when every server is needed, and
+// leaves the active configuration for good.
+func TestECRedLineShutsDown(t *testing.T) {
+	env := newFakeEnv("m1", "m2", "m3", "m4")
+	bal := lvs.New()
+	events := telemetry.NewEventLog(0, nil)
+	e := newEC(t, env, bal, ECConfig{Config: Config{Events: events}})
+	// All four needed: 0.5 * 4/3 is above Ul, and nothing projects
+	// past Uh.
+	setAllUtil(env, 0.5)
+	env.temps["m1"][model.NodeCPU] = 75 // red line 71
+	for i := 0; i < 3; i++ {
+		if err := e.TickPeriod(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if env.power["m1"] {
+		t.Error("red-lined m1 still powered")
+	}
+	if q, _ := bal.Quiesced("m1"); !q {
+		t.Error("red-lined m1 still receives load")
+	}
+	redLines := 0
+	for _, ev := range events.Since(0) {
+		if ev.Type == telemetry.EvRedLine {
+			redLines++
+			if ev.Machine != "m1" {
+				t.Errorf("red line on %s, want m1", ev.Machine)
+			}
+		}
+	}
+	if redLines != 1 {
+		t.Errorf("%d red-line events, want 1", redLines)
+	}
+	if got := e.Phase("m1"); got != "red-lined" {
+		t.Errorf("m1 phase = %s, want red-lined", got)
+	}
+	if e.ActiveCount() != 3 || e.PoweredCount() != 3 {
+		t.Errorf("active/powered = %d/%d, want 3/3", e.ActiveCount(), e.PoweredCount())
 	}
 }
 

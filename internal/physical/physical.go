@@ -75,12 +75,12 @@ func (s *Sensor) observe(truth, dt float64) {
 		return
 	}
 	alpha := dt / (s.tau + dt)
-	s.lagged += alpha * (truth - s.lagged)
+	s.lagged += float64(alpha * (truth - s.lagged))
 }
 
 // Read returns the sensor's current reading.
 func (s *Sensor) Read() units.Celsius {
-	v := s.lagged + (s.rng.Float64()*2-1)*s.noiseAmp
+	v := s.lagged + float64(symmetric(s.rng)*s.noiseAmp)
 	return units.Celsius(math.Round(v/s.quantum) * s.quantum)
 }
 
@@ -114,9 +114,17 @@ type RefServer struct {
 
 const substep = 100 * time.Millisecond
 
+// symmetric returns a draw in [-1, 1). The draw is rounded before it is
+// doubled: math/rand forms it as a product, and the doubling, which the
+// compiler may rewrite as a sum, would otherwise fuse with it.
+func symmetric(rng *rand.Rand) float64 {
+	f := float64(rng.Float64())
+	return float64(f*2) - 1
+}
+
 // perturb returns v scaled by a deterministic factor in [1-amp, 1+amp].
 func perturb(rng *rand.Rand, v, amp float64) float64 {
-	return v * (1 + (rng.Float64()*2-1)*amp)
+	return v * (1 + float64(symmetric(rng)*amp))
 }
 
 // NewRefServer builds the reference machine. The seed perturbs the
@@ -128,7 +136,7 @@ func NewRefServer(seed int64) *RefServer {
 		index:     map[string]int{},
 		inletTemp: 21.6,
 		fanM3s:    units.CubicFeetPerMinute(perturb(rng, 38.6, 0.05)).CubicMetersPerSecond(),
-		mixRetain: 0.10 + rng.Float64()*0.08,
+		mixRetain: 0.10 + float64(rng.Float64()*0.08),
 		utils:     map[model.UtilSource]float64{model.UtilCPU: 0, model.UtilDisk: 0},
 		rng:       rng,
 	}
@@ -198,7 +206,7 @@ func NewRefServer(seed int64) *RefServer {
 	// starts from.
 	r.cpuBase = perturb(rng, 7, 0.08)
 	r.cpuSpan = perturb(rng, 24, 0.08)
-	r.cpuExp = 1.05 + rng.Float64()*0.08
+	r.cpuExp = 1.05 + float64(rng.Float64()*0.08)
 	r.diskBase = perturb(rng, 9, 0.08)
 	r.diskSpan = perturb(rng, 5, 0.1)
 	r.psPower = perturb(rng, 40, 0.05)
@@ -230,7 +238,7 @@ func (r *RefServer) computeFlows() {
 	for _, n := range r.airOrder {
 		for _, e := range r.airEdges {
 			if e.from == n {
-				r.relFlow[e.to] += r.relFlow[n] * e.frac
+				r.relFlow[e.to] += float64(r.relFlow[n] * e.frac)
 			}
 		}
 	}
@@ -250,18 +258,18 @@ func (r *RefServer) Now() time.Duration { return r.now }
 // kEff models the mild dependence of convective transfer on the
 // temperature difference: up to +20% at large deltas.
 func kEff(k0, dT float64) float64 {
-	scale := 0.9 + 0.2*math.Min(math.Abs(dT)/40, 1)
+	scale := 0.9 + float64(0.2*math.Min(math.Abs(dT)/40, 1))
 	return k0 * scale
 }
 
 // cpuPower is the true (slightly super-linear) CPU draw.
 func (r *RefServer) cpuPower() float64 {
 	u := r.utils[model.UtilCPU]
-	return r.cpuBase + r.cpuSpan*math.Pow(u, r.cpuExp)
+	return r.cpuBase + float64(r.cpuSpan*math.Pow(u, r.cpuExp))
 }
 
 func (r *RefServer) diskPower() float64 {
-	return r.diskBase + r.diskSpan*r.utils[model.UtilDisk]
+	return r.diskBase + float64(r.diskSpan*r.utils[model.UtilDisk])
 }
 
 // Step advances the machine by 1 s of emulated time (ten 100 ms
@@ -291,14 +299,14 @@ func (r *RefServer) substepOnce(dt float64) {
 	netQ := make([]float64, n)
 	for _, e := range r.heatEdges {
 		dT := snap[e.a] - snap[e.b]
-		q := kEff(e.k0, dT) * dT * dt
+		q := float64(kEff(e.k0, dT) * dT * dt)
 		netQ[e.a] -= q
 		netQ[e.b] += q
 	}
-	netQ[r.index[NodeCPUDie]] += r.cpuPower() * dt
-	netQ[r.index[model.NodeDiskPlatters]] += r.diskPower() * dt
-	netQ[r.index[model.NodePowerSupply]] += r.psPower * dt
-	netQ[r.index[model.NodeMotherboard]] += r.mbPower * dt
+	netQ[r.index[NodeCPUDie]] += float64(r.cpuPower() * dt)
+	netQ[r.index[model.NodeDiskPlatters]] += float64(r.diskPower() * dt)
+	netQ[r.index[model.NodePowerSupply]] += float64(r.psPower * dt)
+	netQ[r.index[model.NodeMotherboard]] += float64(r.mbPower * dt)
 
 	for i := range r.nodes {
 		if r.nodes[i].mc > 0 {
@@ -316,14 +324,14 @@ func (r *RefServer) substepOnce(dt float64) {
 			if e.to != ni {
 				continue
 			}
-			w := e.frac * r.relFlow[e.from]
+			w := float64(e.frac * r.relFlow[e.from])
 			wsum += w
-			tsum += w * r.nodes[e.from].temp
+			tsum += float64(w * r.nodes[e.from].temp)
 		}
 		mix := snap[ni]
 		if wsum > 0 {
 			fresh := tsum / wsum
-			mix = r.mixRetain*snap[ni] + (1-r.mixRetain)*fresh
+			mix = float64(r.mixRetain*snap[ni]) + float64((1-r.mixRetain)*fresh)
 		}
 		flow := r.relFlow[ni] * r.fanM3s
 		mc := units.AirDensity * flow * dt * float64(units.AirSpecificHeat)

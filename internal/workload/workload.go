@@ -146,11 +146,19 @@ func (c WebConfig) rate(t time.Duration) float64 {
 	if x > 1 {
 		x = 1
 	}
-	const (
-		rampStart    = 0.12 // end of the night valley
-		plateauStart = 0.42 // morning ramp complete
-		plateauEnd   = 0.80 // evening decline begins
-	)
+	return c.curve(x)
+}
+
+// The curve's breakpoints, as shares of the trace.
+const (
+	rampStart    = 0.12 // end of the night valley
+	plateauStart = 0.42 // morning ramp complete
+	plateauEnd   = 0.80 // evening decline begins
+)
+
+// curve is the rate at the share x in [0, 1] of the trace. It is
+// continuous, and monotone between consecutive breakpoints.
+func (c WebConfig) curve(x float64) float64 {
 	var shape float64
 	switch {
 	case x < rampStart:
@@ -192,10 +200,9 @@ func GenerateWeb(cfg WebConfig) []Request {
 // calls yields exactly GenerateWeb's trace for the same config, however
 // the limits are chosen.
 type WebGen struct {
-	cfg    WebConfig // defaulted
-	rng    *rand.Rand
-	valley float64 // cfg.rate's floor, PeakRPS * ValleyShare
-	end    float64 // cfg.Duration in seconds
+	cfg WebConfig // defaulted
+	rng *rand.Rand
+	end float64 // cfg.Duration in seconds
 
 	t float64 // the last candidate's arrival, in seconds
 	// at is a candidate drawn but not yet thinned, when held: one Next
@@ -203,17 +210,78 @@ type WebGen struct {
 	at   time.Duration
 	held bool
 	done bool
+
+	// env bounds cfg.rate over each of envBuckets equal slices of the
+	// trace; scale maps an arrival's nanoseconds to its slice.
+	env   [envBuckets]envelope
+	scale float64
 }
+
+// envBuckets is the number of slices of the rate envelope.
+const envBuckets = 1024
+
+// envMargin widens each envelope bound, relative to its value, by far
+// more than the rounding of cfg.rate (a few ulps).
+const envMargin = 1e-9
+
+// envelope holds a slice's bounds: cfg.rate(at) is in [lo, hi] for
+// every arrival at that falls in the slice.
+type envelope struct{ lo, hi float64 }
 
 // NewWebGen starts the trace for cfg at offset 0.
 func NewWebGen(cfg WebConfig) *WebGen {
 	cfg = cfg.withDefaults()
-	return &WebGen{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		valley: cfg.PeakRPS * cfg.ValleyShare,
-		end:    cfg.Duration.Seconds(),
+	g := &WebGen{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		end:   cfg.Duration.Seconds(),
+		scale: envBuckets / float64(cfg.Duration),
 	}
+	g.fillEnvelope()
+	return g
+}
+
+// fillEnvelope bounds the rate over each slice of the trace. The curve
+// is monotone between breakpoints, so over an interval it takes its
+// extremes at the interval's ends or at a breakpoint inside. Each
+// slice's interval is widened by one slice on either side, which covers
+// an arrival whose slice index rounds into a neighbour, and each bound
+// by envMargin, which covers cfg.rate's rounding. The lower bound is
+// never below the valley rate, as the rate never is: it is valley +
+// (peak-valley) * shape with both factors >= 0, and adding a
+// non-negative number never rounds below valley.
+func (g *WebGen) fillEnvelope() {
+	c := &g.cfg
+	valley := c.PeakRPS * c.ValleyShare
+	var edge [envBuckets + 1]float64
+	for k := range edge {
+		edge[k] = c.curve(float64(k) / envBuckets)
+	}
+	breaks := [...]float64{rampStart, plateauStart, plateauEnd}
+	for b := range g.env {
+		first, last := max(b-1, 0), min(b+2, envBuckets)
+		lo, hi := edge[first], edge[first]
+		for k := first + 1; k <= last; k++ {
+			lo, hi = min(lo, edge[k]), max(hi, edge[k])
+		}
+		from, to := float64(first)/envBuckets, float64(last)/envBuckets
+		for _, x := range breaks {
+			if from <= x && x <= to {
+				r := c.curve(x)
+				lo, hi = min(lo, r), max(hi, r)
+			}
+		}
+		g.env[b] = envelope{
+			lo: max(lo-float64(lo*envMargin), valley),
+			hi: hi + float64(hi*envMargin),
+		}
+	}
+}
+
+// bucket is the envelope slice that holds an arrival at offset at; an
+// arrival that rounds to the trace's end falls in the last.
+func (g *WebGen) bucket(at time.Duration) int {
+	return min(int(float64(at)*g.scale), envBuckets-1)
 }
 
 // SizeHint is a capacity for the whole trace. The expected count is the
@@ -229,30 +297,37 @@ func (g *WebGen) SizeHint() int {
 // and returns dst. A candidate at or after limit is held, before its
 // thinning draws are taken, for the next call, so the random stream
 // sees the same draws in the same order whatever the limits.
+//
+// A candidate's thinning draw u is kept when u <= cfg.rate(at). The
+// envelope answers that comparison for every u outside its slice's
+// [lo, hi]; only a draw inside the band evaluates the curve. The
+// outcome, and so the trace, is the one a curve evaluation per
+// candidate gives.
 func (g *WebGen) Next(dst []Request, limit time.Duration) []Request {
+	if g.done {
+		return dst
+	}
+	rng, peak, end, dynamic := g.rng, g.cfg.PeakRPS, g.end, g.cfg.DynamicShare
+	t, at, held := g.t, g.at, g.held
 	for {
-		if !g.held {
-			if g.done {
-				return dst
-			}
-			g.t += g.rng.ExpFloat64() / g.cfg.PeakRPS
-			if g.t >= g.end {
+		if !held {
+			t += rng.ExpFloat64() / peak
+			if t >= end {
 				g.done = true
-				return dst
+				break
 			}
-			g.at, g.held = time.Duration(g.t*float64(time.Second)), true
+			at, held = time.Duration(t*float64(time.Second)), true
 		}
-		if g.at >= limit {
-			return dst
+		if at >= limit {
+			break
 		}
-		g.held = false
-		// A draw at or below the valley rate is kept without evaluating
-		// the curve. That is exact: the rate is valley + (peak-valley) *
-		// shape with both factors >= 0, and adding a non-negative number
-		// never rounds below valley.
-		if u := g.rng.Float64() * g.cfg.PeakRPS; u > g.valley && u > g.cfg.rate(g.at) {
+		held = false
+		u := rng.Float64() * peak
+		if e := &g.env[g.bucket(at)]; u > e.lo && (u > e.hi || u > g.cfg.rate(at)) {
 			continue // thinned out
 		}
-		dst = append(dst, Request{At: g.at, Dynamic: g.rng.Float64() < g.cfg.DynamicShare})
+		dst = append(dst, Request{At: at, Dynamic: rng.Float64() < dynamic})
 	}
+	g.t, g.at, g.held = t, at, held
+	return dst
 }

@@ -203,8 +203,8 @@ func TestWebConfigNonFinite(t *testing.T) {
 // to what GenerateWeb produced before it presized its output (hashes
 // recorded from that commit), and checks the presizing itself: the
 // capacity is close to the length, so nothing regrew and little is
-// wasted. Two shapes: the 4-machine Figure 11 trace and a short
-// 64-machine one.
+// wasted. Two shapes, the 4-machine Figure 11 trace and a short
+// 64-machine one, plus the envelope's edge cases.
 func TestGenerateWebGolden(t *testing.T) {
 	cases := []struct {
 		cfg  WebConfig
@@ -215,6 +215,16 @@ func TestGenerateWebGolden(t *testing.T) {
 		{WebConfig{Duration: 2000 * time.Second, PeakRPS: 4 * 0.7 / 0.0089, Seed: 7}, 431396, 0x37518934efb0acfb},
 		{WebConfig{Duration: 150 * time.Second, PeakRPS: 64 * 0.7 / 0.0089, Seed: 1}, 516742, 0xbe3c99caa0ba31e9},
 		{WebConfig{Duration: 150 * time.Second, PeakRPS: 64 * 0.7 / 0.0089, Seed: 7}, 517946, 0x9d5d48274e93c176},
+		// Envelope edges, recorded before the generator thinned against
+		// a precomputed rate envelope: a trace whose envelope buckets
+		// (Duration/1024) are narrower than the mean gap between
+		// candidates, a flat curve (ValleyShare 1), non-finite fields
+		// that withDefaults replaces, and a long high-peak trace whose
+		// buckets each span tens of thousands of candidates.
+		{WebConfig{Duration: 10 * time.Second, PeakRPS: 20, Seed: 3}, 123, 0xccaa3585440bcbad},
+		{WebConfig{Duration: 600 * time.Second, PeakRPS: 50, ValleyShare: 1, Seed: 5}, 30012, 0xe7bf59198e729790},
+		{WebConfig{PeakRPS: math.NaN(), ValleyShare: math.Inf(1), DynamicShare: math.Inf(-1), Seed: 11}, 136721, 0x20120f7af08d58eb},
+		{WebConfig{Duration: 6 * time.Hour, PeakRPS: 250, Seed: 13}, 3706314, 0x703bd09929903ce3},
 	}
 	for _, tc := range cases {
 		reqs := GenerateWeb(tc.cfg)
@@ -232,7 +242,9 @@ func TestGenerateWebGolden(t *testing.T) {
 			t.Errorf("%v seed %d: %d requests hashing to %#x, want %d and %#x",
 				tc.cfg.Duration, tc.cfg.Seed, len(reqs), h.Sum64(), tc.n, tc.hash)
 		}
-		if c := cap(reqs); float64(c) > 1.1*float64(len(reqs)) {
+		// Four standard deviations of slack are within 10% of the
+		// length only from about 1600 requests on.
+		if c := cap(reqs); len(reqs) >= 10000 && float64(c) > 1.1*float64(len(reqs)) {
 			t.Errorf("%v seed %d: capacity %d for %d requests, want within 10%%",
 				tc.cfg.Duration, tc.cfg.Seed, c, len(reqs))
 		}
@@ -306,5 +318,17 @@ func BenchmarkGenerateWeb(b *testing.B) {
 				traceSink = GenerateWeb(cfg)
 			}
 		})
+	}
+}
+
+var genSink *WebGen
+
+// BenchmarkNewWebGen prices a generator's construction, rate envelope
+// included, apart from the draws.
+func BenchmarkNewWebGen(b *testing.B) {
+	cfg := webTraces[0].cfg
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		genSink = NewWebGen(cfg)
 	}
 }
