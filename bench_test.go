@@ -18,6 +18,7 @@ import (
 	mercury "github.com/darklab/mercury"
 	"github.com/darklab/mercury/internal/causal"
 	"github.com/darklab/mercury/internal/clock"
+	"github.com/darklab/mercury/internal/dotlang"
 	"github.com/darklab/mercury/internal/experiments"
 	"github.com/darklab/mercury/internal/fanctl"
 	"github.com/darklab/mercury/internal/fiddle"
@@ -29,6 +30,7 @@ import (
 	"github.com/darklab/mercury/internal/solverd"
 	"github.com/darklab/mercury/internal/surrogate"
 	"github.com/darklab/mercury/internal/telemetry"
+	"github.com/darklab/mercury/internal/thermo"
 	"github.com/darklab/mercury/internal/units"
 	"github.com/darklab/mercury/internal/webcluster"
 	"github.com/darklab/mercury/internal/wire"
@@ -604,7 +606,7 @@ func BenchmarkAblationPowerModel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := model.DefaultServer("server")
 			// A bowed curve approximating u^1.1 between the endpoints.
-			pw, err := mercury.NewPiecewisePower(
+			pw, err := thermo.NewPiecewise(
 				[]units.Fraction{0, 0.25, 0.5, 0.75, 1},
 				[]units.Watts{7, 12.1, 18.0, 24.3, 31},
 			)
@@ -647,6 +649,17 @@ func BenchmarkAblationTwoStage(b *testing.B) {
 	}
 }
 
+// tableOneFans is a fan policy for the Table 1 server: nominal
+// 38.6 cfm, stepping up at CPU 60 and 67 C.
+func tableOneFans() fanctl.Config {
+	return fanctl.Config{
+		Node:       model.NodeCPU,
+		Base:       38.6,
+		Levels:     []fanctl.Level{{Above: 60, Flow: 55}, {Above: 67, Flow: 75}},
+		Hysteresis: 2,
+	}
+}
+
 // BenchmarkAblationFanControl measures how much a firmware-style
 // variable-speed fan (Section 7's extension) lowers the hot machines'
 // peak temperature under the Figure 11 emergencies, with no load
@@ -659,7 +672,7 @@ func BenchmarkAblationFanControl(b *testing.B) {
 			}
 			var ctls []*fanctl.Controller
 			for _, m := range sim.Cluster.Machines() {
-				c, err := fanctl.New(m, sim.Solver, sim.Solver, fanctl.DefaultConfig())
+				c, err := fanctl.New(m, sim.Solver, sim.Solver, tableOneFans())
 				if err != nil {
 					return nil, err
 				}
@@ -707,11 +720,11 @@ func BenchmarkRecirc(b *testing.B) {
 // BenchmarkDotParse measures the model language front end on the
 // Table 1 server description.
 func BenchmarkDotParse(b *testing.B) {
-	src := mercury.PrintMachine(mercury.DefaultServer("server"))
+	src := dotlang.PrintMachine(mercury.DefaultServer("server"))
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mercury.ParseMachine(src); err != nil {
+		if _, err := dotlang.Parse(src); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,9 +34,6 @@ type (
 	Measurements = physical.Measurements
 )
 
-// NewSeries creates an empty named series.
-func NewSeries(name string) *Series { return stats.NewSeries(name) }
-
 // Calibrate fits params on a copy of base so that replaying the
 // utilization trace reproduces the measured targets.
 func Calibrate(base *Machine, tr *UtilTrace, targets []CalibrationTarget,
@@ -48,9 +45,6 @@ func Calibrate(base *Machine, tr *UtilTrace, targets []CalibrationTarget,
 // (heat constants, power endpoints, fan flow).
 func DefaultCPUCalibrationParams() []CalibrationParam { return calibrate.DefaultCPUParams() }
 
-// DefaultDiskCalibrationParams returns the disk-side parameter set.
-func DefaultDiskCalibrationParams() []CalibrationParam { return calibrate.DefaultDiskParams() }
-
 // NewRefServer builds a reference machine; the seed perturbs its
 // hidden constants like manufacturing variation.
 func NewRefServer(seed int64) *RefServer { return physical.NewRefServer(seed) }
@@ -59,11 +53,6 @@ func NewRefServer(seed int64) *RefServer { return physical.NewRefServer(seed) }
 // stepped through utilization levels with idle gaps.
 func CPUCalibrationBenchmark(machine string) *UtilTrace {
 	return workload.CPUCalibration(machine)
-}
-
-// DiskCalibrationBenchmark is the Figure 6 microbenchmark.
-func DiskCalibrationBenchmark(machine string) *UtilTrace {
-	return workload.DiskCalibration(machine)
 }
 
 // CombinedBenchmark is the Figures 7/8 validation workload: both

@@ -39,11 +39,11 @@ func TestSmokeApply(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fiddle: %v\n%s", err, out)
 	}
-	pinned, temp, err := sol.InletPinned("machine1")
-	if err != nil || !pinned || temp != 30 {
-		t.Errorf("machine1 inlet after fiddle: pinned %v at %v (err %v), want pinned at 30", pinned, temp, err)
+	st := sol.SaveState()
+	if ms := st.Machines["machine1"]; !ms.InletPinned || ms.InletPin != 30 {
+		t.Errorf("machine1 inlet after fiddle: pinned %v at %v, want pinned at 30", ms.InletPinned, ms.InletPin)
 	}
-	if pinned, _, _ := sol.InletPinned("machine2"); pinned {
+	if st.Machines["machine2"].InletPinned {
 		t.Error("machine2 inlet pinned too")
 	}
 }

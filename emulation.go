@@ -24,13 +24,6 @@ type (
 	WebConfig = workload.WebConfig
 	// WebGen draws the same trace incrementally, one window at a time.
 	WebGen = workload.WebGen
-	// TwoTier composes a frontend web tier with a backend tier behind
-	// its own balancer (the paper's multi-tier future work).
-	TwoTier = webcluster.TwoTier
-	// TwoTierConfig sets both tiers' request cost models.
-	TwoTierConfig = webcluster.TwoTierConfig
-	// TwoTierTick reports one emulated second across both tiers.
-	TwoTierTick = webcluster.TwoTierTick
 )
 
 // NewWebCluster builds an emulated web cluster over a balancer,
@@ -39,15 +32,7 @@ func NewWebCluster(bal *Balancer, machines []string, cfg WebClusterConfig) (*Web
 	return webcluster.New(bal, machines, cfg)
 }
 
-// GenerateWeb produces a reproducible diurnal request trace.
-func GenerateWeb(cfg WebConfig) []Request { return workload.GenerateWeb(cfg) }
-
-// NewWebGen starts GenerateWeb's trace as a stream: each Next call
-// returns the arrivals before its limit that no earlier call returned.
+// NewWebGen starts a reproducible diurnal request trace as a stream:
+// each Next call returns the arrivals before its limit that no earlier
+// call returned.
 func NewWebGen(cfg WebConfig) *WebGen { return workload.NewWebGen(cfg) }
-
-// NewTwoTier builds a frontend+backend emulation; machine names must
-// be unique across tiers.
-func NewTwoTier(frontBal, backBal *Balancer, frontMachines, backMachines []string, cfg TwoTierConfig) (*TwoTier, error) {
-	return webcluster.NewTwoTier(frontBal, backBal, frontMachines, backMachines, cfg)
-}

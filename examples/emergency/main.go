@@ -48,9 +48,9 @@ func main() {
 	addr := daemon.Addr().String()
 	fmt.Println("solver daemon on", addr)
 
-	// monitord with a synthetic sampler standing in for /proc (on a
-	// Linux host, mercury.NewProcSampler(mercury.ProcConfig{}) samples
-	// the real machine instead).
+	// monitord with a synthetic sampler standing in for /proc (the
+	// monitord command, run without -synthetic-cpu, samples the real
+	// machine's /proc instead).
 	sampler := mercury.NewSyntheticSampler(mercury.UtilCPU, mercury.UtilDisk)
 	sampler.Set(mercury.UtilCPU, 0.7)
 	mon, err := mercury.NewMonitord(mercury.MonitordConfig{

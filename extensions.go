@@ -1,19 +1,13 @@
 package mercury
 
 import (
-	"io"
-
 	"github.com/darklab/mercury/internal/fanctl"
 	"github.com/darklab/mercury/internal/model"
-	"github.com/darklab/mercury/internal/procfs"
-	"github.com/darklab/mercury/internal/solver"
-	"github.com/darklab/mercury/internal/thermo"
 )
 
 // Extensions beyond the paper's core systems, implementing the
 // future-work items its Section 7 and Section 4.3 sketch: variable-
-// speed fan control, two-level chip-multiprocessor models,
-// performance-counter-driven monitoring, and solver checkpointing.
+// speed fan control and two-level chip-multiprocessor models.
 
 // Variable-speed fan control (Section 7: "we are currently extending
 // our models to consider ... variable-speed fans").
@@ -33,9 +27,6 @@ func NewFanController(machine string, sensors fanctl.Sensors, actuator fanctl.Ac
 	return fanctl.New(machine, sensors, actuator, cfg)
 }
 
-// DefaultFanConfig is a sensible policy for the Table 1 server.
-func DefaultFanConfig() FanConfig { return fanctl.DefaultConfig() }
-
 // Chip-multiprocessor modeling (Section 7: per-core and whole-chip
 // levels).
 
@@ -52,67 +43,6 @@ func CoreNode(i int) string { return model.CoreNode(i) }
 
 // CoreUtil returns the utilization source that drives core i.
 func CoreUtil(i int) UtilSource { return model.CoreUtil(i) }
-
-// Performance-counter monitoring (Section 2.3, "Mercury for modern
-// processors").
-type (
-	// PerfCounterModel converts performance-event counts to estimated
-	// power and a synthetic low-level utilization.
-	PerfCounterModel = thermo.PerfCounterModel
-	// EventCosts maps events to per-occurrence energy.
-	EventCosts = thermo.EventCosts
-	// PerfCounterSampler is a monitord sampler backed by counters.
-	PerfCounterSampler = procfs.PerfCounterSampler
-	// CounterSource reads cumulative counter values.
-	CounterSource = procfs.CounterSource
-	// SyntheticCounters is a programmable CounterSource.
-	SyntheticCounters = procfs.SyntheticCounters
-)
-
-// NewPerfCounterModel validates and builds a counter-to-power model.
-func NewPerfCounterModel(costs EventCosts, idle Watts, rng LinearPower) (*PerfCounterModel, error) {
-	return thermo.NewPerfCounterModel(costs, idle, rng)
-}
-
-// NewPerfCounterSampler builds the counter-driven monitord front end;
-// fallback (may be nil) provides non-CPU streams.
-func NewPerfCounterSampler(src CounterSource, pm *PerfCounterModel, fallback procfs.Sampler) (*PerfCounterSampler, error) {
-	return procfs.NewPerfCounterSampler(src, pm, fallback, nil)
-}
-
-// NewSyntheticCounters starts the named events at zero.
-func NewSyntheticCounters(events ...string) *SyntheticCounters {
-	return procfs.NewSyntheticCounters(events...)
-}
-
-// Solver checkpointing.
-type (
-	// SolverState is a complete JSON-serializable snapshot of a
-	// solver's mutable state.
-	SolverState = solver.State
-)
-
-// WriteSolverState serializes a snapshot as JSON.
-func WriteSolverState(w io.Writer, st *SolverState) error { return solver.WriteState(w, st) }
-
-// ReadSolverState parses a snapshot.
-func ReadSolverState(r io.Reader) (*SolverState, error) { return solver.ReadState(r) }
-
-// Rack modeling with intra-rack air recirculation: the introduction's
-// "hot spots at the top sections of computer racks".
-
-// RackCluster builds a machine room of racks whose exhaust partially
-// recirculates upward; nil recirc selects the default profile.
-func RackCluster(name string, racks, perRack int, recirc []Fraction) (*Cluster, error) {
-	return model.RackCluster(name, racks, perRack, recirc)
-}
-
-// RackMachine returns the machine name at a 1-based rack position.
-func RackMachine(rack, height int) string { return model.RackMachine(rack, height) }
-
-// RackRegions maps a RackCluster's machines to per-rack Freon-EC
-// regions.
-func RackRegions(racks, perRack int) map[string]int { return model.RackRegions(racks, perRack) }
 
 // Content classes for content-aware distribution (the two-stage policy
 // of Section 4.3; enable with FreonConfig.TwoStage).

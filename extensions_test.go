@@ -6,6 +6,9 @@ import (
 	"time"
 
 	mercury "github.com/darklab/mercury"
+	"github.com/darklab/mercury/internal/solver"
+	"github.com/darklab/mercury/internal/webcluster"
+	"github.com/darklab/mercury/internal/workload"
 )
 
 func TestFacadeCMP(t *testing.T) {
@@ -39,7 +42,7 @@ func TestFacadeFanController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := mercury.NewFanController("m1", sol, sol, mercury.DefaultFanConfig())
+	fc, err := mercury.NewFanController("m1", sol, sol, tableOneFans())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,33 +67,6 @@ func TestFacadeFanController(t *testing.T) {
 	}
 }
 
-func TestFacadePerfCounterSampler(t *testing.T) {
-	pm, err := mercury.NewPerfCounterModel(
-		mercury.EventCosts{"uops": 10e-9},
-		7,
-		mercury.LinearPower{PBase: 7, PMax: 31},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := mercury.NewSyntheticCounters("uops")
-	sampler, err := mercury.NewPerfCounterSampler(src, pm, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sampler.Sample(); err != nil {
-		t.Fatal(err)
-	}
-	src.Add("uops", 1<<30)
-	got, err := sampler.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Source != mercury.UtilCPU || got[0].Util <= 0 {
-		t.Errorf("counter-derived sample = %+v, want one positive cpu entry", got)
-	}
-}
-
 func TestFacadeStateCheckpoint(t *testing.T) {
 	sol, err := mercury.NewSolver(mercury.DefaultServer("m1"), mercury.SolverConfig{})
 	if err != nil {
@@ -99,10 +75,10 @@ func TestFacadeStateCheckpoint(t *testing.T) {
 	sol.SetUtilization("m1", mercury.UtilCPU, 0.6)
 	sol.Run(10 * time.Minute)
 	var buf bytes.Buffer
-	if err := mercury.WriteSolverState(&buf, sol.SaveState()); err != nil {
+	if err := solver.WriteState(&buf, sol.SaveState()); err != nil {
 		t.Fatal(err)
 	}
-	st, err := mercury.ReadSolverState(&buf)
+	st, err := solver.ReadState(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +150,7 @@ func TestFacadeMultiTierFreon(t *testing.T) {
 		t.Fatal(err)
 	}
 	frontBal, backBal := mercury.NewBalancer(), mercury.NewBalancer()
-	tt, err := mercury.NewTwoTier(frontBal, backBal, frontMachines, backMachines, mercury.TwoTierConfig{})
+	tt, err := webcluster.NewTwoTier(frontBal, backBal, frontMachines, backMachines, webcluster.TwoTierConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +167,7 @@ func TestFacadeMultiTierFreon(t *testing.T) {
 	// backends around 50% utilization, which under the 38.6C inlet
 	// emergency settles just above Th=67 — hot enough to trigger the
 	// backend Freon, cool enough to stay under the 71C red line.
-	reqs := mercury.GenerateWeb(mercury.WebConfig{
+	reqs := workload.GenerateWeb(workload.WebConfig{
 		Duration:     3000 * time.Second,
 		PeakRPS:      100,
 		ValleyShare:  0.95,

@@ -201,9 +201,6 @@ func NewTracer(capacity int, clk clock.Clock) *Tracer {
 	return &Tracer{clk: clk, epoch: clk.Now(), ring: make([]Span, capacity)}
 }
 
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Now returns the tracer's clock reading as a duration since its
 // construction, or 0 when disabled.
 func (t *Tracer) Now() time.Duration {

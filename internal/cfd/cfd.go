@@ -357,23 +357,6 @@ func (r *Result) BlockMean(name string) (units.Celsius, error) {
 	return units.Celsius(sum / float64(cells)), nil
 }
 
-// BlockMax returns a block's hottest cell temperature.
-func (r *Result) BlockMax(name string) (units.Celsius, error) {
-	b, err := r.c.block(name)
-	if err != nil {
-		return 0, err
-	}
-	max := math.Inf(-1)
-	for y := b.Y0; y < b.Y1; y++ {
-		for x := b.X0; x < b.X1; x++ {
-			if t := r.Temps[y*r.c.W+x]; t > max {
-				max = t
-			}
-		}
-	}
-	return units.Celsius(max), nil
-}
-
 // UpstreamAirMean returns the mean air temperature in the column just
 // upstream of a block — the local ambient the block sheds heat into.
 func (r *Result) UpstreamAirMean(name string) (units.Celsius, error) {

@@ -35,13 +35,6 @@ func TestComponentsAboveAmbient(t *testing.T) {
 		if mean <= c.InletTemp {
 			t.Errorf("%s mean %v not above inlet %v", b.Name, mean, c.InletTemp)
 		}
-		max, err := res.BlockMax(b.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if max < mean {
-			t.Errorf("%s max %v below mean %v", b.Name, max, mean)
-		}
 	}
 }
 

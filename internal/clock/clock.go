@@ -20,12 +20,6 @@ type Clock interface {
 	Now() time.Time
 	// Sleep blocks until the clock has advanced by d.
 	Sleep(d time.Duration)
-	// After returns a channel that receives the clock's time once the
-	// clock has advanced by d. The channel is buffered, so a receiver
-	// that loses interest blocks nobody; on a Virtual clock the waiter
-	// still stays queued until its deadline passes, so a timeout that
-	// is usually cancelled belongs in AfterFunc.
-	After(d time.Duration) <-chan time.Time
 	// AfterFunc calls f once the clock has advanced by d. stop cancels
 	// the call and reports whether it did; false means f has run or is
 	// running. A Virtual clock calls f on the goroutine that advances
@@ -54,9 +48,6 @@ func (Real) Now() time.Time { return time.Now() }
 
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // AfterFunc implements Clock.
 func (Real) AfterFunc(d time.Duration, f func()) func() bool { return time.AfterFunc(d, f).Stop }

@@ -181,10 +181,6 @@ func New(opts ...Option) *Server {
 	return s
 }
 
-// Handler returns the server's mux, for embedding in tests or an
-// existing http.Server.
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Start listens on addr (e.g. "127.0.0.1:9090"; ":0" picks a free
 // port) and serves in a background goroutine. It returns the bound
 // address.
@@ -199,14 +195,6 @@ func (s *Server) Start(addr string) (string, error) {
 		_ = s.hs.Serve(ln)
 	}()
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound address ("" before Start).
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Close stops the listener and drops active connections (including

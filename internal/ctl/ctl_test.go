@@ -39,7 +39,7 @@ func newTestServer(t *testing.T) (*Server, *telemetry.Registry, *telemetry.Event
 func TestHealthz(t *testing.T) {
 	srv, _, _, _ := newTestServer(t)
 	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
 	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "ok") {
 		t.Errorf("healthz = %d %q", rr.Code, rr.Body.String())
 	}
@@ -47,9 +47,12 @@ func TestHealthz(t *testing.T) {
 
 func TestMetrics(t *testing.T) {
 	srv, reg, _, _ := newTestServer(t)
-	reg.Counter("mercury_solver_steps_total", "steps").Add(7)
+	steps := reg.Counter("mercury_solver_steps_total", "steps")
+	for i := 0; i < 7; i++ {
+		steps.Inc()
+	}
 	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	if rr.Code != 200 {
 		t.Fatalf("metrics status = %d", rr.Code)
 	}
@@ -64,7 +67,7 @@ func TestMetrics(t *testing.T) {
 func TestState(t *testing.T) {
 	srv, _, _, _ := newTestServer(t)
 	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/state", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/state", nil))
 	if rr.Code != 200 {
 		t.Fatalf("state status = %d", rr.Code)
 	}
@@ -80,7 +83,7 @@ func TestState(t *testing.T) {
 func TestStateWithoutProvider(t *testing.T) {
 	srv := New()
 	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/state", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/state", nil))
 	if rr.Code != 404 {
 		t.Errorf("state without provider = %d, want 404", rr.Code)
 	}
@@ -91,7 +94,7 @@ func TestEventsJSON(t *testing.T) {
 	log.Emit(telemetry.EvEmergencyRaised, "m1", "cpu", 67, "")
 	log.Emit(telemetry.EvEmergencyCleared, "m1", "", 0, "")
 	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events?format=json", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/events?format=json", nil))
 	var events []telemetry.Event
 	if err := json.Unmarshal(rr.Body.Bytes(), &events); err != nil {
 		t.Fatalf("events not JSON: %v\n%s", err, rr.Body.String())
@@ -101,7 +104,7 @@ func TestEventsJSON(t *testing.T) {
 	}
 	// Replay from a sequence point.
 	rr = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events?format=json&from=1", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/events?format=json&from=1", nil))
 	if err := json.Unmarshal(rr.Body.Bytes(), &events); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func TestSpans(t *testing.T) {
 	tr.Emit(causal.Span{Trace: id, Kind: causal.KindRecovery, Machine: "m1"})
 
 	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/spans", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/spans", nil))
 	if rr.Code != 200 {
 		t.Fatalf("spans status = %d", rr.Code)
 	}
@@ -259,7 +262,7 @@ func TestSpans(t *testing.T) {
 
 	// Incremental poll: only spans past the cursor.
 	rr = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/spans?from=1", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/spans?from=1", nil))
 	if err := json.Unmarshal(rr.Body.Bytes(), &spans); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +272,7 @@ func TestSpans(t *testing.T) {
 
 	// A caught-up cursor yields an empty array, not null.
 	rr = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/spans?from=99", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/spans?from=99", nil))
 	if body := strings.TrimSpace(rr.Body.String()); body != "[]" {
 		t.Errorf("caught-up spans body = %q, want []", body)
 	}
@@ -288,7 +291,7 @@ func TestPprofOptIn(t *testing.T) {
 	}
 	srv := New(WithPprof())
 	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "goroutine") {
 		t.Errorf("pprof index = %d %q", rr.Code, rr.Body.String())
 	}
@@ -296,7 +299,7 @@ func TestPprofOptIn(t *testing.T) {
 
 func getCode(srv *Server, path string) int {
 	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
 	return rr.Code
 }
 
@@ -306,7 +309,7 @@ func TestFiddle(t *testing.T) {
 	post := func(body string) *httptest.ResponseRecorder {
 		rr := httptest.NewRecorder()
 		req := httptest.NewRequest("POST", "/fiddle", strings.NewReader(body))
-		srv.Handler().ServeHTTP(rr, req)
+		srv.mux.ServeHTTP(rr, req)
 		return rr
 	}
 
@@ -329,7 +332,7 @@ func TestFiddle(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/fiddle", nil))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("GET", "/fiddle", nil))
 	if rr.Code != 405 {
 		t.Errorf("GET /fiddle = %d, want 405", rr.Code)
 	}
@@ -403,7 +406,7 @@ func TestEventsBadFrom(t *testing.T) {
 func TestAlertsNotFound(t *testing.T) {
 	srv := New()
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/alerts", nil))
+	srv.mux.ServeHTTP(rec, httptest.NewRequest("GET", "/alerts", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("GET /alerts with no engine = %d, want 404", rec.Code)
 	}
@@ -417,7 +420,7 @@ func TestAlertsJSONSnapshot(t *testing.T) {
 		return map[string]any{"rules": 9, "firing": 1}
 	}, transitions))
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/alerts?format=json", nil))
+	srv.mux.ServeHTTP(rec, httptest.NewRequest("GET", "/alerts?format=json", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /alerts?format=json = %d", rec.Code)
 	}

@@ -54,7 +54,7 @@ func TestWhatIfHandler(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rr := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rr, httptest.NewRequest(tc.method, "/whatif", strings.NewReader(tc.body)))
+			srv.mux.ServeHTTP(rr, httptest.NewRequest(tc.method, "/whatif", strings.NewReader(tc.body)))
 			if rr.Code != tc.status {
 				t.Fatalf("status = %d, want %d (body %q)", rr.Code, tc.status, rr.Body.String())
 			}
@@ -74,7 +74,7 @@ func TestWhatIfHandler(t *testing.T) {
 func TestWhatIfWithoutHandler(t *testing.T) {
 	srv := New()
 	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/whatif", strings.NewReader(`{}`)))
+	srv.mux.ServeHTTP(rr, httptest.NewRequest("POST", "/whatif", strings.NewReader(`{}`)))
 	if rr.Code != 404 {
 		t.Fatalf("status = %d, want 404 with no handler attached", rr.Code)
 	}
@@ -102,7 +102,7 @@ func TestFiddleStrictBody(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rr := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/fiddle", strings.NewReader(tc.body)))
+			srv.mux.ServeHTTP(rr, httptest.NewRequest("POST", "/fiddle", strings.NewReader(tc.body)))
 			if rr.Code != tc.status {
 				t.Fatalf("status = %d, want %d (body %q)", rr.Code, tc.status, rr.Body.String())
 			}

@@ -227,9 +227,6 @@ func New(targets []Target, reg *telemetry.Registry) *Aggregator {
 // Registry returns the aggregator's metrics registry.
 func (a *Aggregator) Registry() *telemetry.Registry { return a.reg }
 
-// Targets returns the configured targets.
-func (a *Aggregator) Targets() []Target { return append([]Target(nil), a.targets...) }
-
 // BackfillStats summarizes one historical load.
 type BackfillStats struct {
 	Files    int

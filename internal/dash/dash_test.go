@@ -47,7 +47,10 @@ func twoDaemons(t *testing.T) (targets []Target, logA, logB *telemetry.EventLog,
 	tr = causal.NewTracer(64, clk)
 
 	regA := telemetry.NewRegistry()
-	regA.Counter("mercury_solver_steps_total", "steps").Add(42)
+	steps := regA.Counter("mercury_solver_steps_total", "steps")
+	for i := 0; i < 42; i++ {
+		steps.Inc()
+	}
 	srvA := ctl.New(ctl.WithEvents(logA), ctl.WithTracer(tr), ctl.WithRegistry(regA),
 		ctl.WithState(func() any { return map[string]any{"machines": 4} }))
 	addrA, err := srvA.Start("127.0.0.1:0")

@@ -1,6 +1,7 @@
 package dotlang
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -286,4 +287,30 @@ func TestScientificNotation(t *testing.T) {
 	if m.Component("cpu").Mass != 0.151 {
 		t.Errorf("mass = %v", m.Component("cpu").Mass)
 	}
+}
+
+// ParseMachine parses a description expected to contain exactly one
+// machine and no cluster.
+func ParseMachine(src string) (*model.Machine, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(f.Machines) != 1 || f.Cluster != nil {
+		return nil, fmt.Errorf("dotlang: expected exactly one machine block, got %d machines (cluster: %v)",
+			len(f.Machines), f.Cluster != nil)
+	}
+	return f.Machines[0], nil
+}
+
+// ParseCluster parses a description expected to define a cluster.
+func ParseCluster(src string) (*model.Cluster, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if f.Cluster == nil {
+		return nil, fmt.Errorf("dotlang: no cluster block in input")
+	}
+	return f.Cluster, nil
 }

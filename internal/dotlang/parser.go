@@ -66,32 +66,6 @@ func Parse(src string) (*File, error) {
 	return f, nil
 }
 
-// ParseMachine parses a description expected to contain exactly one
-// machine and no cluster.
-func ParseMachine(src string) (*model.Machine, error) {
-	f, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(f.Machines) != 1 || f.Cluster != nil {
-		return nil, fmt.Errorf("dotlang: expected exactly one machine block, got %d machines (cluster: %v)",
-			len(f.Machines), f.Cluster != nil)
-	}
-	return f.Machines[0], nil
-}
-
-// ParseCluster parses a description expected to define a cluster.
-func ParseCluster(src string) (*model.Cluster, error) {
-	f, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if f.Cluster == nil {
-		return nil, fmt.Errorf("dotlang: no cluster block in input")
-	}
-	return f.Cluster, nil
-}
-
 // LoadRoom reads a model file as a room: its cluster block, or its
 // one machine in model.SingleRoom. A file of several machines and no
 // cluster block is ambiguous and refused.

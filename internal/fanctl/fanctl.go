@@ -77,20 +77,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DefaultConfig is a sensible policy for the Table 1 server: nominal
-// 38.6 cfm, stepping up at CPU 60 and 67 C.
-func DefaultConfig() Config {
-	return Config{
-		Node: "cpu",
-		Base: 38.6,
-		Levels: []Level{
-			{Above: 60, Flow: 55},
-			{Above: 67, Flow: 75},
-		},
-		Hysteresis: 2,
-	}
-}
-
 // Controller steps one machine's fan.
 type Controller struct {
 	machine  string
@@ -115,11 +101,6 @@ func New(machine string, sensors Sensors, actuator Actuator, cfg Config) (*Contr
 		return nil, err
 	}
 	return c, nil
-}
-
-// Level returns the current level index (-1 = base) and flow.
-func (c *Controller) Level() (int, units.CubicFeetPerMinute) {
-	return c.level, c.flowAt(c.level)
 }
 
 // Changes returns how many speed changes the controller has made.

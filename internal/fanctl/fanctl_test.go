@@ -29,8 +29,22 @@ func (f *fakeMachine) SetFanFlow(machine string, flow units.CubicFeetPerMinute) 
 	return nil
 }
 
+// flow is the last fan flow the controller commanded.
+func (f *fakeMachine) flow() units.CubicFeetPerMinute { return f.flows[len(f.flows)-1] }
+
+// tableOne is a policy for the Table 1 server: nominal 38.6 cfm,
+// stepping up at CPU 60 and 67 C.
+func tableOne() Config {
+	return Config{
+		Node:       "cpu",
+		Base:       38.6,
+		Levels:     []Level{{Above: 60, Flow: 55}, {Above: 67, Flow: 75}},
+		Hysteresis: 2,
+	}
+}
+
 func TestValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := tableOne().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
 	bad := []Config{
@@ -54,7 +68,7 @@ func TestValidate(t *testing.T) {
 
 func TestStepUpAndDownWithHysteresis(t *testing.T) {
 	fm := &fakeMachine{temp: 40}
-	c, err := New("m1", fm, fm, DefaultConfig())
+	c, err := New("m1", fm, fm, tableOne())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,39 +80,39 @@ func TestStepUpAndDownWithHysteresis(t *testing.T) {
 	if err := c.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if lvl, flow := c.Level(); lvl != -1 || flow != 38.6 {
-		t.Errorf("level = %d/%v", lvl, flow)
+	if flow := fm.flow(); flow != 38.6 {
+		t.Errorf("flow = %v, want 38.6", flow)
 	}
 
 	// Crosses first threshold.
 	fm.temp = 61
 	c.Tick()
-	if lvl, flow := c.Level(); lvl != 0 || flow != 55 {
-		t.Errorf("after 61C level = %d/%v, want 0/55", lvl, flow)
+	if flow := fm.flow(); flow != 55 {
+		t.Errorf("after 61C flow = %v, want 55", flow)
 	}
 	// Just inside hysteresis band (60-2=58): no step down.
 	fm.temp = 59
 	c.Tick()
-	if lvl, _ := c.Level(); lvl != 0 {
-		t.Errorf("hysteresis violated: level = %d", lvl)
+	if flow := fm.flow(); flow != 55 {
+		t.Errorf("hysteresis violated: flow = %v", flow)
 	}
 	// Below the band: back to base.
 	fm.temp = 57
 	c.Tick()
-	if lvl, flow := c.Level(); lvl != -1 || flow != 38.6 {
-		t.Errorf("after cooling level = %d/%v", lvl, flow)
+	if flow := fm.flow(); flow != 38.6 {
+		t.Errorf("after cooling flow = %v", flow)
 	}
 	// Jump straight to the top level.
 	fm.temp = 70
 	c.Tick()
-	if lvl, flow := c.Level(); lvl != 1 || flow != 75 {
-		t.Errorf("hot level = %d/%v, want 1/75", lvl, flow)
+	if flow := fm.flow(); flow != 75 {
+		t.Errorf("hot flow = %v, want 75", flow)
 	}
 	// Drop far: all the way back down in one tick.
 	fm.temp = 30
 	c.Tick()
-	if lvl, _ := c.Level(); lvl != -1 {
-		t.Errorf("cold level = %d", lvl)
+	if flow := fm.flow(); flow != 38.6 {
+		t.Errorf("cold flow = %v", flow)
 	}
 	if c.Changes() != 4 {
 		t.Errorf("changes = %d, want 4", c.Changes())
@@ -107,7 +121,7 @@ func TestStepUpAndDownWithHysteresis(t *testing.T) {
 
 func TestNoHuntingAtBoundary(t *testing.T) {
 	fm := &fakeMachine{temp: 40}
-	c, _ := New("m1", fm, fm, DefaultConfig())
+	c, _ := New("m1", fm, fm, tableOne())
 	// Oscillate right around the threshold inside the hysteresis band:
 	// exactly one change should happen.
 	before := c.Changes()
@@ -126,7 +140,7 @@ func TestNoHuntingAtBoundary(t *testing.T) {
 
 func TestSensorErrorPropagates(t *testing.T) {
 	fm := &fakeMachine{temp: 40}
-	c, _ := New("m1", fm, fm, DefaultConfig())
+	c, _ := New("m1", fm, fm, tableOne())
 	fm.fail = true
 	if err := c.Tick(); err == nil {
 		t.Error("sensor failure: want error")
@@ -144,7 +158,7 @@ func TestAgainstSolverCoolsHotCPU(t *testing.T) {
 		s.SetUtilization("m1", model.UtilCPU, 1)
 		var c *Controller
 		if withController {
-			c, err = New("m1", s, s, DefaultConfig())
+			c, err = New("m1", s, s, tableOne())
 			if err != nil {
 				t.Fatal(err)
 			}

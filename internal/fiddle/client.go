@@ -7,7 +7,6 @@ import (
 
 	"github.com/darklab/mercury/internal/clock"
 	"github.com/darklab/mercury/internal/udprpc"
-	"github.com/darklab/mercury/internal/units"
 	"github.com/darklab/mercury/internal/wire"
 )
 
@@ -58,29 +57,3 @@ func (c *Client) Apply(op *wire.FiddleOp) error {
 
 // Close releases the socket.
 func (c *Client) Close() error { return c.rpc.Close() }
-
-// Convenience wrappers mirroring the solver's fiddle surface.
-
-// PinInlet pins a machine's inlet temperature.
-func (c *Client) PinInlet(machine string, t units.Celsius) error {
-	return c.Apply(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{machine}, Floats: []float64{float64(t)}})
-}
-
-// UnpinInlet releases a machine's inlet pin.
-func (c *Client) UnpinInlet(machine string) error {
-	return c.Apply(&wire.FiddleOp{Op: wire.OpUnpinInlet, Strings: []string{machine}})
-}
-
-// SetSourceTemperature changes a room source's supply temperature.
-func (c *Client) SetSourceTemperature(source string, t units.Celsius) error {
-	return c.Apply(&wire.FiddleOp{Op: wire.OpSetSourceTemp, Strings: []string{source}, Floats: []float64{float64(t)}})
-}
-
-// SetMachinePower powers a machine on or off.
-func (c *Client) SetMachinePower(machine string, on bool) error {
-	v := 0.0
-	if on {
-		v = 1
-	}
-	return c.Apply(&wire.FiddleOp{Op: wire.OpSetMachinePower, Strings: []string{machine}, Floats: []float64{v}})
-}

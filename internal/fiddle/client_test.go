@@ -46,19 +46,19 @@ func TestClientConvenienceWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.PinInlet("m1", 38.6); err != nil {
+	if err := c.Apply(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{"m1"}, Floats: []float64{38.6}}); err != nil {
 		t.Error(err)
 	}
-	if err := c.UnpinInlet("m1"); err != nil {
+	if err := c.Apply(&wire.FiddleOp{Op: wire.OpUnpinInlet, Strings: []string{"m1"}}); err != nil {
 		t.Error(err)
 	}
-	if err := c.SetSourceTemperature("ac", 27); err != nil {
+	if err := c.Apply(&wire.FiddleOp{Op: wire.OpSetSourceTemp, Strings: []string{"ac"}, Floats: []float64{27}}); err != nil {
 		t.Error(err)
 	}
-	if err := c.SetMachinePower("m1", true); err != nil {
+	if err := c.Apply(&wire.FiddleOp{Op: wire.OpSetMachinePower, Strings: []string{"m1"}, Floats: []float64{1}}); err != nil {
 		t.Error(err)
 	}
-	if err := c.SetMachinePower("m1", false); err != nil {
+	if err := c.Apply(&wire.FiddleOp{Op: wire.OpSetMachinePower, Strings: []string{"m1"}, Floats: []float64{0}}); err != nil {
 		t.Error(err)
 	}
 }
@@ -70,7 +70,7 @@ func TestClientSurfacesRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.PinInlet("ghost", 30)
+	err = c.Apply(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{"ghost"}, Floats: []float64{30}})
 	if err == nil || !strings.Contains(err.Error(), "unknown machine") {
 		t.Errorf("rejection = %v", err)
 	}
@@ -101,7 +101,7 @@ func TestClientTimesOutOnDeadDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.PinInlet("m1", 30); err == nil {
+	if err := c.Apply(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{"m1"}, Floats: []float64{30}}); err == nil {
 		t.Error("dead daemon: want timeout error")
 	}
 }

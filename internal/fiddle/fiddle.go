@@ -17,20 +17,10 @@ import (
 	"github.com/darklab/mercury/internal/wire"
 )
 
-// Applier applies one fiddle operation. Direct (in-process) and Client
-// (UDP) both implement it, so scripts run identically against either.
+// Applier applies one fiddle operation. Client implements it over UDP;
+// a test drives a script against an in-process solver through Apply.
 type Applier interface {
 	Apply(op *wire.FiddleOp) error
-}
-
-// Direct applies operations straight to an in-process solver.
-type Direct struct {
-	Solver *solver.Solver
-}
-
-// Apply implements Applier.
-func (d Direct) Apply(op *wire.FiddleOp) error {
-	return Apply(d.Solver, op)
 }
 
 // Apply executes one validated fiddle operation against a solver.

@@ -25,7 +25,7 @@ func newSolver(t *testing.T) *solver.Solver {
 
 func TestApplyAllOps(t *testing.T) {
 	s := newSolver(t)
-	d := Direct{Solver: s}
+	d := direct{s}
 	apply := func(op *wire.FiddleOp) {
 		t.Helper()
 		if err := d.Apply(op); err != nil {
@@ -34,11 +34,11 @@ func TestApplyAllOps(t *testing.T) {
 	}
 
 	apply(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{"machine1"}, Floats: []float64{30}})
-	if pinned, temp, _ := s.InletPinned("machine1"); !pinned || temp != 30 {
-		t.Errorf("pin = %v %v", pinned, temp)
+	if ms := s.SaveState().Machines["machine1"]; !ms.InletPinned || ms.InletPin != 30 {
+		t.Errorf("pin = %v %v", ms.InletPinned, ms.InletPin)
 	}
 	apply(&wire.FiddleOp{Op: wire.OpUnpinInlet, Strings: []string{"machine1"}})
-	if pinned, _, _ := s.InletPinned("machine1"); pinned {
+	if s.SaveState().Machines["machine1"].InletPinned {
 		t.Error("still pinned")
 	}
 	apply(&wire.FiddleOp{Op: wire.OpSetNodeTemp, Strings: []string{"machine1", model.NodeCPU}, Floats: []float64{55}})
@@ -46,11 +46,11 @@ func TestApplyAllOps(t *testing.T) {
 		t.Errorf("node temp = %v", temp)
 	}
 	apply(&wire.FiddleOp{Op: wire.OpSetSourceTemp, Strings: []string{model.NodeAC}, Floats: []float64{25}})
-	if temp, _ := s.SourceTemperature(model.NodeAC); temp != 25 {
+	if temp := s.SaveState().Sources[model.NodeAC]; temp != 25 {
 		t.Errorf("source temp = %v", temp)
 	}
 	apply(&wire.FiddleOp{Op: wire.OpSetHeatK, Strings: []string{"machine1", model.NodeCPU, model.NodeCPUAir}, Floats: []float64{2}})
-	if k, _ := s.HeatK("machine1", model.NodeCPU, model.NodeCPUAir); k != 2 {
+	if k := s.SaveState().Machines["machine1"].HeatKs[model.NodeCPU+"|"+model.NodeCPUAir]; k != 2 {
 		t.Errorf("k = %v", k)
 	}
 	apply(&wire.FiddleOp{Op: wire.OpSetAirFraction, Strings: []string{"machine1", model.NodeInlet, model.NodeDiskAir}, Floats: []float64{0.3}})
@@ -60,11 +60,11 @@ func TestApplyAllOps(t *testing.T) {
 	}
 	apply(&wire.FiddleOp{Op: wire.OpSetPowerScale, Strings: []string{"machine1", model.NodeCPU}, Floats: []float64{0.5}})
 	apply(&wire.FiddleOp{Op: wire.OpSetMachinePower, Strings: []string{"machine2"}, Floats: []float64{0}})
-	if on, _ := s.MachineOn("machine2"); on {
+	if s.SaveState().Machines["machine2"].On {
 		t.Error("machine2 still on")
 	}
 	apply(&wire.FiddleOp{Op: wire.OpSetMachinePower, Strings: []string{"machine2"}, Floats: []float64{1}})
-	if on, _ := s.MachineOn("machine2"); !on {
+	if !s.SaveState().Machines["machine2"].On {
 		t.Error("machine2 still off")
 	}
 }
@@ -192,13 +192,13 @@ fiddle machine1 temperature inlet auto
 		t.Fatal(err)
 	}
 	var slept time.Duration
-	if err := script.Run(Direct{Solver: s}, func(d time.Duration) { slept += d }); err != nil {
+	if err := script.Run(direct{s}, func(d time.Duration) { slept += d }); err != nil {
 		t.Fatal(err)
 	}
 	if slept != 2*time.Second {
 		t.Errorf("slept = %v", slept)
 	}
-	if pinned, _, _ := s.InletPinned("machine1"); pinned {
+	if s.SaveState().Machines["machine1"].InletPinned {
 		t.Error("inlet should be unpinned at script end")
 	}
 	if f, _ := s.FanFlow("machine1"); f != 50 {
@@ -215,10 +215,15 @@ fiddle machine1 fanflow 50
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := script.Run(Direct{Solver: s}, func(time.Duration) {}); err == nil {
+	if err := script.Run(direct{s}, func(time.Duration) {}); err == nil {
 		t.Fatal("want error from unknown machine")
 	}
 	if f, _ := s.FanFlow("machine1"); f != 38.6 {
 		t.Error("script continued past error")
 	}
 }
+
+// direct applies operations straight to an in-process solver.
+type direct struct{ s *solver.Solver }
+
+func (d direct) Apply(op *wire.FiddleOp) error { return Apply(d.s, op) }

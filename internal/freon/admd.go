@@ -125,14 +125,9 @@ func (a *Admd) PollConns(machine string) error {
 	return nil
 }
 
-// HandleReport applies one tempd report.
-func (a *Admd) HandleReport(r Report) error {
-	return a.HandleReportCtx(causal.Context{}, r)
-}
-
-// HandleReportCtx is HandleReport under a trace context: actuations
-// the report causes (class blocks, weight changes, connection caps,
-// releases) are recorded as spans parented to it.
+// HandleReportCtx applies one tempd report under a trace context:
+// actuations the report causes (class blocks, weight changes,
+// connection caps, releases) are recorded as spans parented to it.
 func (a *Admd) HandleReportCtx(tc causal.Context, r Report) error {
 	switch {
 	case r.Hot:
@@ -275,9 +270,6 @@ func (a *Admd) releaseCtx(tc causal.Context, machine string) error {
 	a.span(tc, causal.KindRelease, machine, "", 0)
 	return nil
 }
-
-// Limited reports whether the machine currently has restrictions.
-func (a *Admd) Limited(machine string) bool { return a.limited[machine] }
 
 // Adjustments returns how many load-distribution adjustments a machine
 // has received (Section 5.1 reports "only one adjustment was

@@ -185,13 +185,6 @@ func (c *core) shutdown(machine string, r Report) error {
 	return nil
 }
 
-// Offline reports whether a machine is powered off.
-func (c *core) Offline(machine string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.off[machine]
-}
-
 // OfflineCount returns the number of powered-off machines.
 func (c *core) OfflineCount() int {
 	c.mu.Lock()

@@ -174,14 +174,6 @@ func (e *EC) count(p machinePhase) int {
 	return n
 }
 
-// PoweredCount returns machines drawing power (active, booting or
-// draining).
-func (e *EC) PoweredCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.order) - e.count(phaseOff) - e.count(phaseRedLined)
-}
-
 // Phase returns a machine's lifecycle phase as a string (for logs and
 // experiment output).
 func (e *EC) Phase(machine string) string {

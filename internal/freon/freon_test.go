@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/darklab/mercury/internal/causal"
 	"github.com/darklab/mercury/internal/lvs"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/units"
@@ -184,13 +185,13 @@ func TestAdmdWeightMath(t *testing.T) {
 	}
 	// Feed some connection samples so the cap has a basis.
 	for i := 0; i < 3; i++ {
-		bal.Assign() // load m-something; counts don't matter much
+		bal.AssignClass("") // load m-something; counts don't matter much
 		for _, m := range []string{"m1", "m2", "m3", "m4"} {
 			a.PollConns(m)
 		}
 	}
 	// Hot report with output 1: m1's share should halve from 1/4 to 1/8.
-	if err := a.HandleReport(Report{Machine: "m1", Hot: true, Output: 1}); err != nil {
+	if err := a.HandleReportCtx(causal.Context{}, Report{Machine: "m1", Hot: true, Output: 1}); err != nil {
 		t.Fatal(err)
 	}
 	w, _ := bal.Weight("m1")
@@ -199,7 +200,7 @@ func TestAdmdWeightMath(t *testing.T) {
 	if math.Abs(share-0.125) > 1e-9 {
 		t.Errorf("share = %v, want 0.125", share)
 	}
-	if !a.Limited("m1") {
+	if !a.limited["m1"] {
 		t.Error("no restriction recorded")
 	}
 	if lim, _ := bal.ConnLimit("m1"); lim < 1 {
@@ -210,7 +211,7 @@ func TestAdmdWeightMath(t *testing.T) {
 	}
 
 	// Cool report restores nominal weight and removes the cap.
-	if err := a.HandleReport(Report{Machine: "m1", AllBelowLow: true, JustCool: true}); err != nil {
+	if err := a.HandleReportCtx(causal.Context{}, Report{Machine: "m1", AllBelowLow: true, JustCool: true}); err != nil {
 		t.Fatal(err)
 	}
 	w, _ = bal.Weight("m1")
@@ -220,7 +221,7 @@ func TestAdmdWeightMath(t *testing.T) {
 	if lim, _ := bal.ConnLimit("m1"); lim != 0 {
 		t.Errorf("restored limit = %d", lim)
 	}
-	if a.Limited("m1") {
+	if a.limited["m1"] {
 		t.Error("restriction flag not cleared")
 	}
 }
@@ -231,9 +232,9 @@ func TestAdmdRepeatedAdjustments(t *testing.T) {
 	bal.AddServer("m2", 1)
 	a, _ := NewAdmd(bal, 1)
 	a.PollConns("m1")
-	a.HandleReport(Report{Machine: "m1", Hot: true, Output: 1})
+	a.HandleReportCtx(causal.Context{}, Report{Machine: "m1", Hot: true, Output: 1})
 	w1, _ := bal.Weight("m1")
-	a.HandleReport(Report{Machine: "m1", Hot: true, Output: 1})
+	a.HandleReportCtx(causal.Context{}, Report{Machine: "m1", Hot: true, Output: 1})
 	w2, _ := bal.Weight("m1")
 	if w2 >= w1 {
 		t.Errorf("repeated hot reports should keep shrinking the weight: %v -> %v", w1, w2)
@@ -247,7 +248,7 @@ func TestAdmdZeroOutputKeepsWeight(t *testing.T) {
 	a, _ := NewAdmd(bal, 1)
 	a.PollConns("m1")
 	// Output 0: share/(0+1) = share; weight must not change.
-	a.HandleReport(Report{Machine: "m1", Hot: true, Output: 0})
+	a.HandleReportCtx(causal.Context{}, Report{Machine: "m1", Hot: true, Output: 0})
 	w, _ := bal.Weight("m1")
 	if math.Abs(w-1) > 1e-9 {
 		t.Errorf("weight = %v, want unchanged 1", w)
@@ -273,7 +274,7 @@ func TestFreonShutsDownAtRedLine(t *testing.T) {
 	if err := f.TickPeriod(); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Offline("m1") || f.OfflineCount() != 1 {
+	if !f.off["m1"] || f.OfflineCount() != 1 {
 		t.Error("red-lined server not shut down")
 	}
 	if env.power["m1"] {
@@ -283,7 +284,7 @@ func TestFreonShutsDownAtRedLine(t *testing.T) {
 		t.Error("not quiesced")
 	}
 	// m2 unaffected.
-	if f.Offline("m2") {
+	if f.off["m2"] {
 		t.Error("m2 wrongly offline")
 	}
 }
@@ -343,7 +344,7 @@ func TestTraditionalPolicy(t *testing.T) {
 	// Hot but under red-line: the traditional policy does nothing.
 	env.temps["m1"][model.NodeCPU] = 69
 	tr.TickPeriod()
-	if tr.Offline("m1") {
+	if tr.off["m1"] {
 		t.Error("traditional policy acted below red-line")
 	}
 	w, _ := bal.Weight("m1")
@@ -353,7 +354,7 @@ func TestTraditionalPolicy(t *testing.T) {
 	// Red-line: shut down.
 	env.temps["m1"][model.NodeCPU] = 71.5
 	tr.TickPeriod()
-	if !tr.Offline("m1") {
+	if !tr.off["m1"] {
 		t.Error("red-lined server kept running")
 	}
 	if got := tr.OfflineMachines(); len(got) != 1 || got[0] != "m1" {

@@ -90,9 +90,6 @@ func NewTempd(machine string, sensors Sensors, cfg Config) (*Tempd, error) {
 	return t, nil
 }
 
-// Machine returns the monitored machine's name.
-func (t *Tempd) Machine() string { return t.machine }
-
 // Check performs one observation period: read every monitored
 // component (readMachine), run the PD controller for components above
 // High, and classify the machine's state.

@@ -17,7 +17,7 @@ import (
 	"math"
 )
 
-// ErrNoServer is returned by Assign when no server can take the
+// ErrNoServer is returned by AssignClass when no server can take the
 // request (all quiesced, zero-weighted, or at their connection caps).
 // The caller counts these as dropped requests.
 var ErrNoServer = errors.New("lvs: no eligible server")
@@ -274,36 +274,13 @@ func (b *Balancer) ActiveConns(name string) (int, error) {
 	return b.servers[i].active, nil
 }
 
-// Assigned returns the total requests ever assigned to a server.
-func (b *Balancer) Assigned(name string) (uint64, error) {
-	i, err := b.lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	return b.servers[i].assigned, nil
-}
-
-// Servers returns the registered server names in registration order.
-func (b *Balancer) Servers() []string {
-	names := make([]string, 0, len(b.index))
-	for i := range b.servers {
-		if s := &b.servers[i]; !s.removed {
-			names = append(names, s.name)
-		}
-	}
-	return names
-}
-
-// Assign picks the eligible server with the smallest active/weight
-// ratio, increments its connection count, and returns its name. LVS's
-// weighted least-connections: "LVS directs requests to the server i
-// with the lowest ratio of active connections and weight".
-func (b *Balancer) Assign() (string, error) { return b.AssignClass("") }
-
-// AssignClass assigns a request of the given content class (e.g.
-// "dynamic" or "static"), skipping servers that block the class. The
-// empty class is never blocked. This is the content-aware distribution
-// Section 4.3 calls for; plain Assign is AssignClass("").
+// AssignClass picks the eligible server with the smallest
+// active/weight ratio, increments its connection count, and returns
+// its name. LVS's weighted least-connections: "LVS directs requests to
+// the server i with the lowest ratio of active connections and
+// weight". Servers that block the request's content class (e.g.
+// "dynamic" or "static") are skipped, the content-aware distribution
+// Section 4.3 calls for; the empty class is never blocked.
 func (b *Balancer) AssignClass(class string) (string, error) {
 	i, err := b.assign(class)
 	if err != nil {

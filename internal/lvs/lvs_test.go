@@ -73,7 +73,7 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 		if got := b.Servers(); len(got) != 1 {
 			t.Errorf("%s: Servers = %v, want [b]", tc.what, got)
 		}
-		if name, err := b.Assign(); name != "b" || err != nil {
+		if name, err := b.AssignClass(""); name != "b" || err != nil {
 			t.Errorf("%s: Assign = %q, %v, want b", tc.what, name, err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 
 func TestEmptyBalancerHasNoServer(t *testing.T) {
 	b := New()
-	if _, err := b.Assign(); !errors.Is(err, ErrNoServer) {
+	if _, err := b.AssignClass(""); !errors.Is(err, ErrNoServer) {
 		t.Errorf("Assign on an empty balancer: %v, want ErrNoServer", err)
 	}
 	if _, err := b.AssignIndex("dynamic"); !errors.Is(err, ErrNoServer) {
@@ -94,7 +94,7 @@ func TestEmptyBalancerHasNoServer(t *testing.T) {
 	if err := b.RemoveServer("s1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Assign(); !errors.Is(err, ErrNoServer) {
+	if _, err := b.AssignClass(""); !errors.Is(err, ErrNoServer) {
 		t.Errorf("Assign after removing every server: %v, want ErrNoServer", err)
 	}
 }
@@ -105,7 +105,7 @@ func TestLeastConnections(t *testing.T) {
 	// they alternate as connections accumulate.
 	counts := map[string]int{}
 	for i := 0; i < 10; i++ {
-		name, err := b.Assign()
+		name, err := b.AssignClass("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestWeightedDistribution(t *testing.T) {
 	b.AddServer("small", 1)
 	counts := map[string]int{}
 	for i := 0; i < 400; i++ {
-		name, err := b.Assign()
+		name, err := b.AssignClass("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,8 +139,8 @@ func TestDoneRebalances(t *testing.T) {
 	b := newB(t, "s1", "s2")
 	// Load s1 with 5 connections directly.
 	for i := 0; i < 5; i++ {
-		b.Assign()
-		b.Assign()
+		b.AssignClass("")
+		b.AssignClass("")
 	}
 	// Drain s1 completely; next assignments should prefer it.
 	for i := 0; i < 5; i++ {
@@ -148,7 +148,7 @@ func TestDoneRebalances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	name, _ := b.Assign()
+	name, _ := b.AssignClass("")
 	if name != "s1" {
 		t.Errorf("after draining, assignment went to %s", name)
 	}
@@ -167,7 +167,7 @@ func TestZeroWeightExcludes(t *testing.T) {
 	b := newB(t, "s1", "s2")
 	b.SetWeight("s1", 0)
 	for i := 0; i < 5; i++ {
-		name, err := b.Assign()
+		name, err := b.AssignClass("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestWeightReductionShiftsLoad(t *testing.T) {
 	b.SetWeight("hot", 0.25)
 	counts := map[string]int{}
 	for i := 0; i < 900; i++ {
-		name, err := b.Assign()
+		name, err := b.AssignClass("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestConnectionCap(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 10; i++ {
-		name, err := b.Assign()
+		name, err := b.AssignClass("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,10 +230,10 @@ func TestConnectionCap(t *testing.T) {
 func TestAllCappedDrops(t *testing.T) {
 	b := newB(t, "s1")
 	b.SetConnLimit("s1", 1)
-	if _, err := b.Assign(); err != nil {
+	if _, err := b.AssignClass(""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Assign(); !errors.Is(err, ErrNoServer) {
+	if _, err := b.AssignClass(""); !errors.Is(err, ErrNoServer) {
 		t.Errorf("want ErrNoServer, got %v", err)
 	}
 }
@@ -247,7 +247,7 @@ func TestQuiesceAndResume(t *testing.T) {
 		t.Error("not quiesced")
 	}
 	for i := 0; i < 4; i++ {
-		name, err := b.Assign()
+		name, err := b.AssignClass("")
 		if err != nil || name != "s2" {
 			t.Fatalf("assignment during quiesce: %s %v", name, err)
 		}
@@ -255,7 +255,7 @@ func TestQuiesceAndResume(t *testing.T) {
 	if err := b.Resume("s1"); err != nil {
 		t.Fatal(err)
 	}
-	name, _ := b.Assign()
+	name, _ := b.AssignClass("")
 	if name != "s1" {
 		t.Errorf("resumed server not preferred (0 conns): got %s", name)
 	}
@@ -264,7 +264,7 @@ func TestQuiesceAndResume(t *testing.T) {
 func TestAllQuiescedDrops(t *testing.T) {
 	b := newB(t, "s1")
 	b.Quiesce("s1")
-	if _, err := b.Assign(); !errors.Is(err, ErrNoServer) {
+	if _, err := b.AssignClass(""); !errors.Is(err, ErrNoServer) {
 		t.Errorf("want ErrNoServer, got %v", err)
 	}
 }
@@ -284,8 +284,8 @@ func TestTotalWeight(t *testing.T) {
 
 func TestCountersAndErrors(t *testing.T) {
 	b := newB(t, "s1")
-	b.Assign()
-	b.Assign()
+	b.AssignClass("")
+	b.AssignClass("")
 	if n, _ := b.ActiveConns("s1"); n != 2 {
 		t.Errorf("ActiveConns = %d", n)
 	}
@@ -320,7 +320,7 @@ func loaded(tb testing.TB, n int) *Balancer {
 		}
 	}
 	for i := 0; i < 3*n; i++ {
-		if _, err := b.Assign(); err != nil {
+		if _, err := b.AssignClass(""); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -437,4 +437,24 @@ func BenchmarkAssignDone(b *testing.B) {
 			_ = bal.DoneIndex(s, 1)
 		}
 	})
+}
+
+// Assigned returns the total requests ever assigned to a server.
+func (b *Balancer) Assigned(name string) (uint64, error) {
+	i, err := b.lookup(name)
+	if err != nil {
+		return 0, err
+	}
+	return b.servers[i].assigned, nil
+}
+
+// Servers returns the registered server names in registration order.
+func (b *Balancer) Servers() []string {
+	names := make([]string, 0, len(b.index))
+	for i := range b.servers {
+		if s := &b.servers[i]; !s.removed {
+			names = append(names, s.name)
+		}
+	}
+	return names
 }

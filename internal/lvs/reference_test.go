@@ -422,7 +422,7 @@ func TestOverflowedRatioStaysEligible(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		g, gerr := got.Assign()
+		g, gerr := got.AssignClass("")
 		w, werr := want.AssignClass("")
 		if g != w || !sameErr(gerr, werr) {
 			t.Fatalf("pick %d: %q (%v), reference %q (%v)", i, g, gerr, w, werr)

@@ -133,16 +133,6 @@ func (m *Machine) Component(name string) *Component {
 	return nil
 }
 
-// AirNode returns the named air region, or nil.
-func (m *Machine) AirNode(name string) *AirNode {
-	for i := range m.AirNodes {
-		if m.AirNodes[i].Name == name {
-			return &m.AirNodes[i]
-		}
-	}
-	return nil
-}
-
 // NodeNames returns the sorted names of all nodes (components and air
 // regions) in the machine.
 func (m *Machine) NodeNames() []string {
@@ -348,29 +338,6 @@ func (v *validator) airTopoOrder(m *Machine) ([]string, error) {
 		order[i] = v.ids[n]
 	}
 	return order, nil
-}
-
-// Inlet returns the machine's inlet air node name. The machine must be
-// valid.
-func (m *Machine) Inlet() string {
-	for _, a := range m.AirNodes {
-		if a.Inlet {
-			return a.Name
-		}
-	}
-	return ""
-}
-
-// Exhausts returns the machine's exhaust air node names in declaration
-// order.
-func (m *Machine) Exhausts() []string {
-	var names []string
-	for _, a := range m.AirNodes {
-		if a.Exhaust {
-			names = append(names, a.Name)
-		}
-	}
-	return names
 }
 
 // Clone returns a deep copy of the machine with the given name.

@@ -206,19 +206,6 @@ func TestComponentLookup(t *testing.T) {
 	if m.Component("nope") != nil {
 		t.Error("Component(nope) != nil")
 	}
-	if m.AirNode("nope") != nil {
-		t.Error("AirNode(nope) != nil")
-	}
-	if m.AirNode(NodeCPUAir) == nil {
-		t.Error("AirNode(cpu_air) == nil")
-	}
-	if m.Inlet() != NodeInlet {
-		t.Errorf("Inlet() = %q", m.Inlet())
-	}
-	ex := m.Exhausts()
-	if len(ex) != 1 || ex[0] != NodeExhaust {
-		t.Errorf("Exhausts() = %v", ex)
-	}
 }
 
 func TestNodeNamesSorted(t *testing.T) {

@@ -249,9 +249,6 @@ func (r *RefServer) SetUtilization(src model.UtilSource, u units.Fraction) {
 	r.utils[src] = float64(u.Clamp())
 }
 
-// SetInletTemp changes the room air feeding the machine.
-func (r *RefServer) SetInletTemp(t units.Celsius) { r.inletTemp = float64(t) }
-
 // Now returns elapsed emulated time.
 func (r *RefServer) Now() time.Duration { return r.now }
 
@@ -281,13 +278,6 @@ func (r *RefServer) Step() {
 	r.now += time.Second
 	r.cpuAirSensor.observe(r.nodes[r.index[model.NodeCPUAir]].temp, 1)
 	r.diskSensor.observe(r.nodes[r.index[model.NodeDiskPlatters]].temp, 1)
-}
-
-// Run advances d of emulated time.
-func (r *RefServer) Run(d time.Duration) {
-	for i := 0; i < int(d/time.Second); i++ {
-		r.Step()
-	}
 }
 
 func (r *RefServer) substepOnce(dt float64) {
@@ -350,13 +340,3 @@ func (r *RefServer) ReadCPUAirSensor() units.Celsius { return r.cpuAirSensor.Rea
 
 // ReadDiskSensor returns the in-disk sensor's reading (Figures 6, 8).
 func (r *RefServer) ReadDiskSensor() units.Celsius { return r.diskSensor.Read() }
-
-// TrueTemp exposes a node's exact temperature for tests and analysis;
-// a real machine would not offer this.
-func (r *RefServer) TrueTemp(node string) (units.Celsius, bool) {
-	i, ok := r.index[node]
-	if !ok {
-		return 0, false
-	}
-	return units.Celsius(r.nodes[i].temp), true
-}

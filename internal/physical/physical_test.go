@@ -201,3 +201,23 @@ func TestNowAdvances(t *testing.T) {
 		t.Errorf("Now = %v", r.Now())
 	}
 }
+
+// SetInletTemp changes the room air feeding the machine.
+func (r *RefServer) SetInletTemp(t units.Celsius) { r.inletTemp = float64(t) }
+
+// Run advances d of emulated time.
+func (r *RefServer) Run(d time.Duration) {
+	for i := 0; i < int(d/time.Second); i++ {
+		r.Step()
+	}
+}
+
+// TrueTemp exposes a node's exact temperature for tests and analysis;
+// a real machine would not offer this.
+func (r *RefServer) TrueTemp(node string) (units.Celsius, bool) {
+	i, ok := r.index[node]
+	if !ok {
+		return 0, false
+	}
+	return units.Celsius(r.nodes[i].temp), true
+}

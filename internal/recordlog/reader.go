@@ -121,9 +121,6 @@ func (r *Reader) Header() Header { return r.hdr }
 // skipped so far.
 func (r *Reader) Skipped() uint64 { return r.skipped }
 
-// Offset returns the file offset of the next unread byte.
-func (r *Reader) Offset() int64 { return r.off }
-
 // Next returns the next decoded record. io.EOF marks a clean end of
 // file; *TruncatedError a frame cut off by EOF; *CorruptError
 // unrecoverable mid-file damage. Unknown record types with valid

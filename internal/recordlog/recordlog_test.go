@@ -679,3 +679,18 @@ func frame(typ byte, payload []byte) []byte {
 }
 
 func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
+
+// WithRingSize sets the record ring capacity (rounded up to a power
+// of two, minimum 8). A larger ring tolerates longer disk stalls
+// before records are dropped.
+func WithRingSize(n int) WriterOption {
+	return func(c *writerConfig) { c.ringSize = n }
+}
+
+// Truncated returns the number of string fields (or repeated groups)
+// that were cut to fit their fixed-width slot.
+func (w *Writer) Truncated() uint64 { return w.truncated.Load() }
+
+// Segments returns the number of rotations performed so far (0 means
+// everything is still in the base file).
+func (w *Writer) Segments() uint64 { return w.segments.Load() }

@@ -46,13 +46,6 @@ type writerConfig struct {
 	maxBytes  int64
 }
 
-// WithRingSize sets the record ring capacity (rounded up to a power
-// of two, minimum 8). A larger ring tolerates longer disk stalls
-// before records are dropped.
-func WithRingSize(n int) WriterOption {
-	return func(c *writerConfig) { c.ringSize = n }
-}
-
 // WithMaxBytes enables size-based rotation: once a segment file
 // exceeds n bytes the writer closes it and continues in the next
 // segment (base.mrl → base.1.mrl → base.2.mrl …). Each segment
@@ -178,14 +171,6 @@ func (w *Writer) Drops() uint64 { return w.drops.Load() }
 // Written returns the number of frames written to the file so far
 // (including the descriptor table).
 func (w *Writer) Written() uint64 { return w.written.Load() }
-
-// Truncated returns the number of string fields (or repeated groups)
-// that were cut to fit their fixed-width slot.
-func (w *Writer) Truncated() uint64 { return w.truncated.Load() }
-
-// Segments returns the number of rotations performed so far (0 means
-// everything is still in the base file).
-func (w *Writer) Segments() uint64 { return w.segments.Load() }
 
 // SegmentPath returns the path of rotation segment n (n ≥ 1) of the
 // log at path: "room.mrl" → "room.1.mrl". Segment 0 is path itself.

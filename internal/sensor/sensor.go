@@ -193,40 +193,3 @@ func (s *Sensor) Node() string { return s.node }
 
 // Close releases the sensor's socket.
 func (s *Sensor) Close() error { return s.r.Close() }
-
-// ListMachines asks the daemon for its machine names.
-func ListMachines(addr string, opts Options) ([]string, error) {
-	return list(addr, "", opts)
-}
-
-// ListNodes asks the daemon for a machine's node names.
-func ListNodes(addr, machine string, opts Options) ([]string, error) {
-	if machine == "" {
-		return nil, fmt.Errorf("sensor: machine name required")
-	}
-	return list(addr, machine, opts)
-}
-
-func list(addr, machine string, opts Options) ([]string, error) {
-	client, err := udprpc.DialClock(addr, opts.Timeout, opts.Retries, opts.Clock)
-	if err != nil {
-		return nil, fmt.Errorf("sensor: %w", err)
-	}
-	defer client.Close()
-	req, err := wire.MarshalListNodes(&wire.ListNodes{Machine: machine})
-	if err != nil {
-		return nil, fmt.Errorf("sensor: %w", err)
-	}
-	buf, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("sensor: %w", err)
-	}
-	rep, err := wire.UnmarshalListReply(buf)
-	if err != nil {
-		return nil, fmt.Errorf("sensor: %w", err)
-	}
-	if rep.Status != wire.StatusOK {
-		return nil, fmt.Errorf("sensor: list %q failed (status %d)", machine, rep.Status)
-	}
-	return rep.Names, nil
-}

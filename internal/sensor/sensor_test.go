@@ -11,9 +11,9 @@ import (
 	"github.com/darklab/mercury/internal/wire"
 )
 
-// fakeDaemon answers sensor reads with a fixed reply and list requests
-// with fixed names, without pulling in the full solver.
-func fakeDaemon(t *testing.T, temp units.Celsius, names []string, failNode string) string {
+// fakeDaemon answers sensor reads with a fixed reply, without pulling
+// in the full solver.
+func fakeDaemon(t *testing.T, temp units.Celsius, failNode string) string {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -27,37 +27,27 @@ func fakeDaemon(t *testing.T, temp units.Celsius, names []string, failNode strin
 			if err != nil {
 				return
 			}
-			typ, err := wire.Type(buf[:n])
-			if err != nil {
+			var req wire.SensorReadMany
+			if err := wire.UnmarshalSensorReadManyInto(&req, buf[:n], nil); err != nil {
 				continue
 			}
-			switch typ {
-			case wire.MsgSensorReadMany:
-				var req wire.SensorReadMany
-				if err := wire.UnmarshalSensorReadManyInto(&req, buf[:n], nil); err != nil {
-					continue
+			rep := wire.SensorReplyMany{Status: wire.StatusOK}
+			for i, p := range req.Probes {
+				if p.Node == failNode {
+					rep = wire.SensorReplyMany{Status: wire.StatusUnknown, Failed: i, Message: "unknown node"}
+					break
 				}
-				rep := wire.SensorReplyMany{Status: wire.StatusOK}
-				for i, p := range req.Probes {
-					if p.Node == failNode {
-						rep = wire.SensorReplyMany{Status: wire.StatusUnknown, Failed: i, Message: "unknown node"}
-						break
-					}
-					rep.Temps = append(rep.Temps, temp)
-				}
-				out, _ := wire.AppendSensorReplyMany(nil, &rep)
-				conn.WriteToUDP(out, peer)
-			case wire.MsgListNodes:
-				out, _ := wire.MarshalListReply(&wire.ListReply{Status: wire.StatusOK, Names: names})
-				conn.WriteToUDP(out, peer)
+				rep.Temps = append(rep.Temps, temp)
 			}
+			out, _ := wire.AppendSensorReplyMany(nil, &rep)
+			conn.WriteToUDP(out, peer)
 		}
 	}()
 	return conn.LocalAddr().String()
 }
 
 func TestOpenReadClose(t *testing.T) {
-	addr := fakeDaemon(t, 42.5, nil, "")
+	addr := fakeDaemon(t, 42.5, "")
 	sd, err := Open(addr, "m1", "cpu")
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +68,7 @@ func TestOpenReadClose(t *testing.T) {
 }
 
 func TestOpenValidatesNode(t *testing.T) {
-	addr := fakeDaemon(t, 42.5, nil, "ghost")
+	addr := fakeDaemon(t, 42.5, "ghost")
 	if _, err := Open(addr, "m1", "ghost"); err == nil {
 		t.Error("open of failing node: want error")
 	}
@@ -104,24 +94,26 @@ func TestOpenNoDaemon(t *testing.T) {
 	}
 }
 
+// TestListHelpers: the list helpers (ListMachines, ListNodes) are
+// retired with the list protocol; a tool that wants every node of a
+// machine names them from its model and reads them in one ReadMany,
+// one temperature per probe, in order.
 func TestListHelpers(t *testing.T) {
-	addr := fakeDaemon(t, 0, []string{"m1", "m2"}, "")
-	machines, err := ListMachines(addr, Options{})
+	addr := fakeDaemon(t, 33.5, "")
+	r, err := Dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(machines) != 2 {
-		t.Errorf("machines = %v", machines)
-	}
-	nodes, err := ListNodes(addr, "m1", Options{})
-	if err != nil {
+	defer r.Close()
+	probes := []Probe{{Machine: "m1", Node: "cpu"}, {Machine: "m1", Node: "disk_platters"}, {Machine: "m1", Node: "cpu_air"}}
+	dst := make([]units.Celsius, len(probes))
+	if err := r.ReadMany(probes, dst); err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) != 2 {
-		t.Errorf("nodes = %v", nodes)
-	}
-	if _, err := ListNodes(addr, "", Options{}); err == nil {
-		t.Error("empty machine: want error")
+	for i, c := range dst {
+		if c != 33.5 {
+			t.Errorf("probe %d = %v, want 33.5", i, c)
+		}
 	}
 }
 
@@ -130,7 +122,7 @@ func TestOverLongNames(t *testing.T) {
 	for i := range long {
 		long[i] = 'x'
 	}
-	addr := fakeDaemon(t, 0, nil, "")
+	addr := fakeDaemon(t, 0, "")
 	if _, err := Open(addr, string(long), "cpu"); err == nil {
 		t.Error("overlong machine name: want error")
 	}
@@ -140,7 +132,7 @@ func TestOverLongNames(t *testing.T) {
 // reply scratch and the client's reply buffer, so concurrent readers,
 // traced and untraced, must take turns (run under -race).
 func TestConcurrentReadsTakeTurns(t *testing.T) {
-	addr := fakeDaemon(t, 42.5, nil, "")
+	addr := fakeDaemon(t, 42.5, "")
 	sd, err := Open(addr, "m1", "cpu")
 	if err != nil {
 		t.Fatal(err)

@@ -151,10 +151,7 @@ func TestClusterEnergyAggregation(t *testing.T) {
 	s.StepN(10)
 	var sum units.Joules
 	for _, m := range s.Machines() {
-		e, err := s.Energy(m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := machineState(t, s, m).Energy
 		sum += e
 	}
 	if total := s.TotalEnergy(); math.Abs(float64(total-sum)) > 1e-9 {
@@ -170,8 +167,8 @@ func TestOffMachineSavesEnergy(t *testing.T) {
 	s := newClusterSolver(t, 2, Config{})
 	s.SetMachinePower("machine2", false)
 	s.StepN(100)
-	e1, _ := s.Energy("machine1")
-	e2, _ := s.Energy("machine2")
+	e1 := machineState(t, s, "machine1").Energy
+	e2 := machineState(t, s, "machine2").Energy
 	if e2 != 0 {
 		t.Errorf("off machine consumed %v", e2)
 	}

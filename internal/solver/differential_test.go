@@ -389,7 +389,7 @@ func (d *diffRun) compare() {
 				got  func(string) (float64, error)
 				want float64
 			}{
-				{"energy", func(m string) (float64, error) { v, err := p.Energy(m); return float64(v), err }, cm.energy},
+				{"energy", func(m string) (float64, error) { return float64(machineState(t, p, m).Energy), nil }, cm.energy},
 				{"exhaust", func(m string) (float64, error) { v, err := p.ExhaustTemperature(m); return float64(v), err }, cm.exhaustTemp},
 				{"inlet", func(m string) (float64, error) { v, err := p.InletTemperature(m); return float64(v), err }, cm.inletTemp},
 				{"power", func(m string) (float64, error) { v, err := p.Power(m); return float64(v), err }, cm.power()},

@@ -79,21 +79,6 @@ func (s *Solver) UnpinInlet(machine string) error {
 	return nil
 }
 
-// InletPinned reports whether the machine's inlet is currently
-// overridden and, if so, at what temperature.
-func (s *Solver) InletPinned(machine string) (bool, units.Celsius, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mi, err := s.machine(machine)
-	if err != nil {
-		return false, 0, err
-	}
-	if m := &s.ms[mi]; m.pinned {
-		return true, units.Celsius(m.pin), nil
-	}
-	return false, 0, nil
-}
-
 // SetSourceTemperature changes a room-level source's supply
 // temperature (e.g. the AC setpoint, or its failure).
 func (s *Solver) SetSourceTemperature(source string, t units.Celsius) error {
@@ -112,17 +97,6 @@ func (s *Solver) SetSourceTemperature(source string, t units.Celsius) error {
 	// all-quiescent fast path skips unless this records the change.
 	s.anyDirty = true
 	return nil
-}
-
-// SourceTemperature returns a source's current supply temperature.
-func (s *Solver) SourceTemperature(source string) (units.Celsius, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i, ok := s.srcIdx[source]
-	if !ok {
-		return 0, &ErrUnknown{Kind: "source", Name: source}
-	}
-	return units.Celsius(s.sources[i].supply), nil
 }
 
 // SetHeatK changes the heat-transfer constant of the edge between two
@@ -155,26 +129,6 @@ func (s *Solver) SetHeatK(machine, a, b string, k units.WattsPerKelvin) error {
 		return nil
 	}
 	return &ErrUnknown{Kind: "heat edge", Name: machine + "/" + a + "--" + b}
-}
-
-// HeatK returns the current heat-transfer constant between two nodes.
-func (s *Solver) HeatK(machine, a, b string) (units.WattsPerKelvin, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mi, err := s.machine(machine)
-	if err != nil {
-		return 0, err
-	}
-	m := &s.ms[mi]
-	ia, okA := m.shape.index[a]
-	ib, okB := m.shape.index[b]
-	if !okA || !okB {
-		return 0, &ErrUnknown{Kind: "node", Name: machine + "/" + a + "--" + b}
-	}
-	if i := m.shape.heatEdgeIndex(ia, ib); i >= 0 {
-		return units.WattsPerKelvin(m.set.heatK[i]), nil
-	}
-	return 0, &ErrUnknown{Kind: "heat edge", Name: machine + "/" + a + "--" + b}
 }
 
 // SetAirFraction changes the split fraction of a directed air edge.

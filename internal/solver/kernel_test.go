@@ -41,14 +41,8 @@ func assertBitIdentical(t *testing.T, label string, got, want *Solver) {
 					label, machine, node, gt, wt)
 			}
 		}
-		we, err := want.Energy(machine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ge, err := got.Energy(machine)
-		if err != nil {
-			t.Fatal(err)
-		}
+		we := machineState(t, want, machine).Energy
+		ge := machineState(t, got, machine).Energy
 		if math.Float64bits(float64(ge)) != math.Float64bits(float64(we)) {
 			t.Errorf("%s: %s energy = %v, reference %v", label, machine, ge, we)
 		}

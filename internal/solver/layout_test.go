@@ -148,22 +148,13 @@ func aliasQueries(t *testing.T, m string) []aliasQuery {
 	}
 	qs := []aliasQuery{
 		{"FanFlow", func(s *Solver) string { return must(s.FanFlow(m)) }},
-		{"InletPinned", func(s *Solver) string {
-			p, v, err := s.InletPinned(m)
-			return must(fmt.Sprint(p, v), err)
-		}},
-		{"Temperatures", func(s *Solver) string { return must(s.Temperatures(m)) }},
+		{"SaveState", func(s *Solver) string { return fmt.Sprint(machineState(t, s, m)) }},
 		{"SteadyState", func(s *Solver) string { return must(s.SteadyState(m)) }},
-		{"Energy", func(s *Solver) string { return must(s.Energy(m)) }},
 		{"Power", func(s *Solver) string { return must(s.Power(m)) }},
 		{"Exhaust", func(s *Solver) string { return must(s.ExhaustTemperature(m)) }},
-		{"MachineOn", func(s *Solver) string { return must(s.MachineOn(m)) }},
 	}
 	for _, src := range []model.UtilSource{model.UtilCPU, model.UtilDisk} {
 		qs = append(qs, aliasQuery{"Utilization " + string(src), func(s *Solver) string { return must(s.Utilization(m, src)) }})
-	}
-	for _, e := range model.DefaultServer(m).HeatEdges {
-		qs = append(qs, aliasQuery{"HeatK " + e.A + "--" + e.B, func(s *Solver) string { return must(s.HeatK(m, e.A, e.B)) }})
 	}
 	return qs
 }
@@ -230,10 +221,7 @@ func checkReadSurface(t *testing.T, s *Solver, layout []MachineLayout) {
 	var sampleEnds, inputEnds []int // row length after each machine
 	bestT, bestM, bestN := math.Inf(-1), "", ""
 	for _, l := range layout {
-		on, err := s.MachineOn(l.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		on := machineState(t, s, l.Name).On
 		head := []float64{0, must(s.InletTemperature(l.Name))}
 		if on {
 			head[0] = 1
@@ -289,8 +277,8 @@ func checkReadSurface(t *testing.T, s *Solver, layout []MachineLayout) {
 			}
 		}
 		got, step, gen := s.ReadSample(dst)
-		if want := wholeRows(sampleEnds, n); got != want || step != s.Steps() || gen != s.ModelGeneration() {
-			t.Fatalf("ReadSample(len %d) = %d, %d, %d; want %d, %d, %d", n, got, step, gen, want, s.Steps(), s.ModelGeneration())
+		if want := wholeRows(sampleEnds, n); got != want || step != s.SaveState().Steps || gen != s.ModelGeneration() {
+			t.Fatalf("ReadSample(len %d) = %d, %d, %d; want %d, %d, %d", n, got, step, gen, want, s.SaveState().Steps, s.ModelGeneration())
 		}
 		for i := 0; i < got; i++ {
 			if !same(dst[i], sample[i]) {

@@ -205,9 +205,7 @@ func TestConcurrentHammer(t *testing.T) {
 		}
 	})
 	hammer(func(i int) {
-		if _, err := s.Temperatures("machine4"); err != nil {
-			t.Error(err)
-		}
+		s.SaveState()
 		s.Snapshot()
 	})
 	hammer(func(i int) {
@@ -252,7 +250,7 @@ func TestConcurrentHammer(t *testing.T) {
 	wg.Wait()
 	// RestoreState may roll the step counter back to a stale snapshot,
 	// so only sanity-check that stepping happened at all.
-	if s.Steps() == 0 {
+	if s.SaveState().Steps == 0 {
 		t.Error("solver never stepped")
 	}
 }

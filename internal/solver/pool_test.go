@@ -269,15 +269,15 @@ func TestTickBatching(t *testing.T) {
 		batched := build(cfg)
 		batched.StepN(steps)
 		assertBitIdentical(t, label+" StepN vs Step loop", batched, single)
-		if batched.Steps() != single.Steps() || batched.Now() != single.Now() {
+		if batched.SaveState().Steps != single.SaveState().Steps || batched.Now() != single.Now() {
 			t.Errorf("%s: batched steps=%d now=%v, single steps=%d now=%v",
-				label, batched.Steps(), batched.Now(), single.Steps(), single.Now())
+				label, batched.SaveState().Steps, batched.Now(), single.SaveState().Steps, single.Now())
 		}
 		ran := build(cfg)
 		ran.Run(steps * time.Second)
 		assertBitIdentical(t, label+" Run vs Step loop", ran, single)
-		if ran.Steps() != single.Steps() {
-			t.Errorf("%s: Run performed %d steps, want %d", label, ran.Steps(), single.Steps())
+		if ran.SaveState().Steps != single.SaveState().Steps {
+			t.Errorf("%s: Run performed %d steps, want %d", label, ran.SaveState().Steps, single.SaveState().Steps)
 		}
 	}
 }

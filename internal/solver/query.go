@@ -74,17 +74,6 @@ func (s *Solver) Temperature(machine, node string) (units.Celsius, error) {
 	return units.Celsius(s.tempsOf(mi)[idx]), nil
 }
 
-// Temperatures returns a copy of all node temperatures of a machine.
-func (s *Solver) Temperatures(machine string) (map[string]units.Celsius, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mi, err := s.machine(machine)
-	if err != nil {
-		return nil, err
-	}
-	return s.tempMap(mi), nil
-}
-
 // tempMap is machine mi's node temperatures keyed by node name.
 func (s *solverCore) tempMap(mi int) map[string]units.Celsius {
 	names := s.ms[mi].shape.names
@@ -94,18 +83,6 @@ func (s *solverCore) tempMap(mi int) map[string]units.Celsius {
 		out[name] = units.Celsius(temps[i])
 	}
 	return out
-}
-
-// InletTemperature returns the machine's effective inlet temperature
-// for the current step (pin, or room-level mix).
-func (s *Solver) InletTemperature(machine string) (units.Celsius, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mi, err := s.machine(machine)
-	if err != nil {
-		return 0, err
-	}
-	return units.Celsius(s.inlet[mi]), nil
 }
 
 // ExhaustTemperature returns the machine's flow-weighted exhaust mix.
@@ -197,36 +174,6 @@ func (s *Solver) Utilization(machine string, src model.UtilSource) (units.Fracti
 	return units.Fraction(s.utilsOf(mi)[pos]), nil
 }
 
-// Power returns the machine's total power draw during the most recent
-// step (the sum of its components' draws; 0 when the machine is off).
-func (s *Solver) Power(machine string) (units.Watts, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mi, err := s.machine(machine)
-	if err != nil {
-		return 0, err
-	}
-	m := &s.ms[mi]
-	var w float64
-	for _, c := range win(s.compK, m.comp, len(m.shape.compNode)) {
-		w += c.cur
-	}
-	return units.Watts(w), nil
-}
-
-// Energy returns the machine's cumulative energy drawn since the
-// solver started. Freon-EC's evaluation uses this to report the energy
-// its reconfigurations save.
-func (s *Solver) Energy(machine string) (units.Joules, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mi, err := s.machine(machine)
-	if err != nil {
-		return 0, err
-	}
-	return units.Joules(s.energy[mi]), nil
-}
-
 // TotalEnergy returns the cumulative energy drawn by the owned
 // machines (the whole cluster unless partitioned by Config.Regions).
 func (s *Solver) TotalEnergy() units.Joules {
@@ -237,17 +184,6 @@ func (s *Solver) TotalEnergy() units.Joules {
 		e += s.energy[mi]
 	}
 	return units.Joules(e)
-}
-
-// MachineOn reports whether the machine is powered on.
-func (s *Solver) MachineOn(machine string) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mi, err := s.machine(machine)
-	if err != nil {
-		return false, err
-	}
-	return s.ms[mi].on, nil
 }
 
 // StepSize returns the emulated duration of one iteration.

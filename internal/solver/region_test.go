@@ -237,14 +237,8 @@ func TestRegionBoundaryBitIdentical(t *testing.T) {
 				}
 				exchange()
 				for _, m := range c.Machines {
-					want, err := full.Temperatures(m.Name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := owner[m.Name].Temperatures(m.Name)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := machineState(t, full, m.Name).Temps
+					got := machineState(t, owner[m.Name], m.Name).Temps
 					for node, w := range want {
 						if got[node] != w {
 							t.Fatalf("tick %d %s/%s: sharded %v != full %v", tick, m.Name, node, got[node], w)

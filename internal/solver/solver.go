@@ -356,13 +356,6 @@ func (s *Solver) Now() time.Duration {
 	return s.now
 }
 
-// Steps returns the number of iterations performed so far.
-func (s *Solver) Steps() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.steps
-}
-
 // stepN advances the emulation by n steps with s.mu held. It is the
 // single stepping entry point: serial rooms run the phases inline,
 // sharded rooms publish the batch to the worker pool, and a fully

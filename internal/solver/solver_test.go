@@ -139,10 +139,7 @@ func TestEnergyAccounting(t *testing.T) {
 	s := newTestSolver(t, Config{})
 	// Idle power: CPU 7 + disk 9 + PS 40 + MB 4 = 60 W.
 	s.StepN(100)
-	e, err := s.Energy("m1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := machineState(t, s, "m1").Energy
 	if math.Abs(float64(e)-6000) > 1e-6 {
 		t.Errorf("idle energy after 100s = %v, want 6000 J", e)
 	}
@@ -174,9 +171,8 @@ func TestInletPinRaisesTemperatures(t *testing.T) {
 	if err := s.PinInlet("m1", 38.6); err != nil {
 		t.Fatal(err)
 	}
-	pinned, temp, err := s.InletPinned("m1")
-	if err != nil || !pinned || temp != 38.6 {
-		t.Fatalf("InletPinned = %v %v %v", pinned, temp, err)
+	if ms := machineState(t, s, "m1"); !ms.InletPinned || ms.InletPin != 38.6 {
+		t.Fatalf("inlet pin = %v %v, want 38.6", ms.InletPinned, ms.InletPin)
 	}
 	s.Run(2 * time.Hour)
 	hot := mustTemp(t, s, "m1", model.NodeCPU)
@@ -207,9 +203,8 @@ func TestMachineOffCoolsDown(t *testing.T) {
 	if err := s.SetMachinePower("m1", false); err != nil {
 		t.Fatal(err)
 	}
-	on, err := s.MachineOn("m1")
-	if err != nil || on {
-		t.Fatalf("MachineOn = %v %v, want false", on, err)
+	if machineState(t, s, "m1").On {
+		t.Fatal("machine still on after SetMachinePower(false)")
 	}
 	s.Run(10 * time.Minute)
 	cooler := mustTemp(t, s, "m1", model.NodeCPU)
@@ -259,7 +254,7 @@ func TestAirMixingConvexity(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		s.Step()
-		temps, _ := s.Temperatures("m1")
+		temps := machineState(t, s, "m1").Temps
 		for node, temp := range temps {
 			if float64(temp) < 21.6-1e-9 || float64(temp) > 45+1e-9 {
 				t.Fatalf("step %d: %s = %v escaped [21.6, 45]", i, node, temp)
@@ -277,11 +272,49 @@ func TestAirMixingConvexity(t *testing.T) {
 
 func mustTemps(t *testing.T, s *Solver, machine string) map[string]units.Celsius {
 	t.Helper()
-	temps, err := s.Temperatures(machine)
-	if err != nil {
-		t.Fatal(err)
+	return machineState(t, s, machine).Temps
+}
+
+// machineState is machine m's slice of s.SaveState(): its node
+// temperatures, power state, inlet pin, energy and fiddled constants.
+func machineState(t testing.TB, s *Solver, m string) MachineState {
+	t.Helper()
+	ms, ok := s.SaveState().Machines[m]
+	if !ok {
+		t.Fatalf("no machine %q", m)
 	}
-	return temps
+	return ms
+}
+
+// Power is the machine's total draw during the most recent step: the
+// sum of its components' draws, 0 when the machine is off. Only tests
+// read it, against the reference kernel and the layout.
+func (s *Solver) Power(machine string) (units.Watts, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mi, err := s.machine(machine)
+	if err != nil {
+		return 0, err
+	}
+	m := &s.ms[mi]
+	var w float64
+	for _, c := range win(s.compK, m.comp, len(m.shape.compNode)) {
+		w += c.cur
+	}
+	return units.Watts(w), nil
+}
+
+// InletTemperature is the machine's effective inlet temperature for
+// the current step (pin, or room-level mix). Only tests read it,
+// against the reference kernel and the layout.
+func (s *Solver) InletTemperature(machine string) (units.Celsius, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mi, err := s.machine(machine)
+	if err != nil {
+		return 0, err
+	}
+	return units.Celsius(s.inlet[mi]), nil
 }
 
 func TestDeterminism(t *testing.T) {
@@ -383,8 +416,8 @@ func TestStepBookkeeping(t *testing.T) {
 	if s.Now() != 2*time.Second {
 		t.Errorf("Now = %v, want 2s", s.Now())
 	}
-	if s.Steps() != 4 {
-		t.Errorf("Steps = %v, want 4", s.Steps())
+	if s.SaveState().Steps != 4 {
+		t.Errorf("Steps = %v, want 4", s.SaveState().Steps)
 	}
 	s.Run(3 * time.Second)
 	if s.Now() != 5*time.Second {

@@ -50,46 +50,40 @@ func TestStateRoundTripContinuesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if restored.Now() != orig.Now() || restored.Steps() != orig.Steps() {
+	if restored.Now() != orig.Now() || restored.SaveState().Steps != orig.SaveState().Steps {
 		t.Errorf("time bookkeeping: %v/%d vs %v/%d",
-			restored.Now(), restored.Steps(), orig.Now(), orig.Steps())
+			restored.Now(), restored.SaveState().Steps, orig.Now(), orig.SaveState().Steps)
 	}
 	// Both continue for an hour: trajectories must match exactly.
 	orig.Run(time.Hour)
 	restored.Run(time.Hour)
 	for _, m := range orig.Machines() {
-		a, err := orig.Temperatures(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := restored.Temperatures(m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := machineState(t, orig, m).Temps
+		b := machineState(t, restored, m).Temps
 		for node, temp := range a {
 			if b[node] != temp {
 				t.Errorf("%s/%s diverged: %v vs %v", m, node, temp, b[node])
 			}
 		}
-		ea, _ := orig.Energy(m)
-		eb, _ := restored.Energy(m)
+		ea := machineState(t, orig, m).Energy
+		eb := machineState(t, restored, m).Energy
 		if ea != eb {
 			t.Errorf("%s energy diverged: %v vs %v", m, ea, eb)
 		}
 	}
-	if on, _ := restored.MachineOn("machine2"); on {
+	if on := machineState(t, restored, "machine2").On; on {
 		t.Error("machine2 power state lost")
 	}
-	if pinned, temp, _ := restored.InletPinned("machine1"); !pinned || temp != 35 {
-		t.Errorf("pin lost: %v %v", pinned, temp)
+	if ms := machineState(t, restored, "machine1"); !ms.InletPinned || ms.InletPin != 35 {
+		t.Errorf("pin lost: %v %v", ms.InletPinned, ms.InletPin)
 	}
-	if k, _ := restored.HeatK("machine1", model.NodeCPU, model.NodeCPUAir); k != 1.1 {
+	if k := machineState(t, restored, "machine1").HeatKs[edgeKey(model.NodeCPU, model.NodeCPUAir)]; k != 1.1 {
 		t.Errorf("fiddled k lost: %v", k)
 	}
 	if f, _ := restored.FanFlow("machine1"); f != 50 {
 		t.Errorf("fan flow lost: %v", f)
 	}
-	if src, _ := restored.SourceTemperature(model.NodeAC); src != 23 {
+	if src := restored.SaveState().Sources[model.NodeAC]; src != 23 {
 		t.Errorf("source temp lost: %v", src)
 	}
 }

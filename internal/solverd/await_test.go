@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/darklab/mercury/internal/clock"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/sensor"
 	"github.com/darklab/mercury/internal/solver"
@@ -23,7 +24,7 @@ type reporter struct {
 
 func newReporter(t *testing.T, addr string) *reporter {
 	t.Helper()
-	c, err := udprpc.Dial(addr, 0, 0)
+	c, err := udprpc.DialClock(addr, 0, 0, clock.Real{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestHandleSensorManyDoesNotAllocate(t *testing.T) {
 // instead of waiting out every retry.
 func TestLongUnknownNameAnswered(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := udprpc.Dial(addr, 5*time.Second, 1)
+	c, err := udprpc.DialClock(addr, 5*time.Second, 1, clock.Real{})
 	if err != nil {
 		t.Fatal(err)
 	}

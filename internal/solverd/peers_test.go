@@ -116,14 +116,8 @@ func TestShardedDaemonsBitIdentical(t *testing.T) {
 	// Compare at the end (any divergence compounds tick over tick, so
 	// a final bitwise match proves every intermediate tick matched).
 	for _, m := range c.Machines {
-		want, err := ref.Temperatures(m.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := owner[m.Name].Solver().Temperatures(m.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := ref.Snapshot()[m.Name]
+		got := owner[m.Name].Solver().Snapshot()[m.Name]
 		for node, w := range want {
 			if got[node] != w {
 				t.Fatalf("%s/%s: sharded %v != reference %v", m.Name, node, got[node], w)
@@ -290,10 +284,7 @@ func TestNonFiniteBoundaryCountsAsMissed(t *testing.T) {
 		t.Errorf("Malformed = %d, want 1", n)
 	}
 	for _, name := range sol.Machines() {
-		temps, err := sol.Temperatures(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		temps := sol.Snapshot()[name]
 		for node, v := range temps {
 			if !v.Valid() {
 				t.Fatalf("%s/%s = %v after the refused import", name, node, v)

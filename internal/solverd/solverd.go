@@ -28,11 +28,10 @@ import (
 // Stats counts the daemon's traffic and stepping progress; all fields
 // are updated atomically and safe to read while serving.
 type Stats struct {
-	UtilUpdates  atomic.Uint64
-	SensorReads  atomic.Uint64
-	FiddleOps    atomic.Uint64
-	ListRequests atomic.Uint64
-	Malformed    atomic.Uint64
+	UtilUpdates atomic.Uint64
+	SensorReads atomic.Uint64
+	FiddleOps   atomic.Uint64
+	Malformed   atomic.Uint64
 	// SolverSteps counts completed Ticks, whether StartTicker's loop or
 	// a lockstep harness made them; direct solver stepping is not
 	// included. Tick bumps it after the step's boundary publish and span,
@@ -269,7 +268,6 @@ func (s *Server) registerMetrics() {
 	cf("mercury_solver_util_updates_total", "utilization update datagrams applied", &s.stats.UtilUpdates)
 	cf("mercury_solver_sensor_reads_total", "sensor probes read, one per probe of a many-read", &s.stats.SensorReads)
 	cf("mercury_solver_fiddle_ops_total", "fiddle operations received", &s.stats.FiddleOps)
-	cf("mercury_solver_list_requests_total", "list requests served", &s.stats.ListRequests)
 	cf("mercury_solver_malformed_total", "malformed or unknown datagrams", &s.stats.Malformed)
 	cf("mercury_solver_util_batches_total", "utilization datagrams applied (a per-machine report is a batch of one)", &s.stats.UtilBatches)
 	cf("mercury_solver_boundary_out_total", "boundary exchange datagrams sent to peer regions", &s.stats.BoundaryOut)
@@ -297,10 +295,6 @@ func (s *Server) registerMetrics() {
 	s.fillFn = s.sol.ReadAllTemps
 }
 
-// Temps returns the daemon's temperature table (nil without
-// telemetry).
-func (s *Server) Temps() *telemetry.TempTable { return s.temps }
-
 // Addr returns the daemon's bound address.
 func (s *Server) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
 
@@ -309,14 +303,6 @@ func (s *Server) Stats() *Stats { return &s.stats }
 
 // Solver returns the wrapped solver (for co-located stepping loops).
 func (s *Server) Solver() *solver.Solver { return s.sol }
-
-// Surrogate returns the attached surrogate model (nil without
-// WithSurrogate).
-func (s *Server) Surrogate() *surrogate.Model { return s.surro }
-
-// Alerts returns the attached alert engine (nil without WithAlerts; a
-// nil engine is safe to call).
-func (s *Server) Alerts() *alert.Engine { return s.alerts }
 
 // WhatIf answers a steady-state query from the surrogate in
 // microseconds; when the surrogate declines and the caller allows it,
@@ -471,17 +457,6 @@ type seqMark struct {
 // intervals.
 const reorderWindow = 64
 
-// LastSeq returns the last utilization-update sequence number accepted
-// from a machine's monitord (0 if none).
-func (s *Server) LastSeq(machine string) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i, ok := s.names[machine]; ok {
-		return s.lastSeq[i].seq
-	}
-	return s.strangers[machine]
-}
-
 // acceptSeq runs the per-machine sequence dedupe: it reports whether
 // the report is fresh, and if so remembers its sequence number.
 func (s *Server) acceptSeq(ref int32, machine string, seq uint32) bool {
@@ -542,8 +517,6 @@ func (s *Server) handle(buf []byte, peer netip.AddrPort) {
 		s.reply(peer, s.handleSensorMany(buf))
 	case wire.MsgFiddleOp:
 		s.reply(peer, s.handleFiddle(buf))
-	case wire.MsgListNodes:
-		s.reply(peer, s.handleList(buf))
 	case wire.MsgUtilBatch:
 		s.handleUtilBatch(buf)
 	case wire.MsgBoundaryExchange:
@@ -856,33 +829,4 @@ func (s *Server) State() StateSnapshot {
 		snap.Alerts = &st
 	}
 	return snap
-}
-
-func (s *Server) handleList(buf []byte) []byte {
-	req, err := wire.UnmarshalListNodes(buf)
-	if err != nil {
-		s.stats.Malformed.Add(1)
-		return nil
-	}
-	s.stats.ListRequests.Add(1)
-	rep := &wire.ListReply{Status: wire.StatusOK}
-	if req.Machine == "" {
-		rep.Names = s.sol.Machines()
-	} else {
-		names, err := s.sol.Nodes(req.Machine)
-		if err != nil {
-			rep.Status = wire.StatusUnknown
-		} else {
-			rep.Names = names
-		}
-	}
-	out, err := wire.MarshalListReply(rep)
-	if err != nil {
-		// Too many nodes for one datagram; report as a bad op.
-		out, err = wire.MarshalListReply(&wire.ListReply{Status: wire.StatusBadOp})
-		if err != nil {
-			return nil
-		}
-	}
-	return out
 }

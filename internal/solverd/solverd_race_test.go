@@ -11,6 +11,7 @@ import (
 	"github.com/darklab/mercury/internal/sensor"
 	"github.com/darklab/mercury/internal/solver"
 	"github.com/darklab/mercury/internal/units"
+	"github.com/darklab/mercury/internal/wire"
 )
 
 // TestDaemonUnderParallelStepping is the end-to-end race regression
@@ -75,16 +76,16 @@ func TestDaemonUnderParallelStepping(t *testing.T) {
 	}
 	t.Cleanup(func() { cl.Close() })
 	hammer(func(i int) error {
-		if err := cl.PinInlet("machine5", units.Celsius(25+float64(i%10))); err != nil {
+		if err := cl.Apply(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{"machine5"}, Floats: []float64{25 + float64(i%10)}}); err != nil {
 			return err
 		}
-		return cl.UnpinInlet("machine5")
+		return cl.Apply(&wire.FiddleOp{Op: wire.OpUnpinInlet, Strings: []string{"machine5"}})
 	})
 	hammer(func(i int) error {
-		return cl.SetSourceTemperature(model.NodeAC, units.Celsius(20+float64(i%5)))
+		return cl.Apply(&wire.FiddleOp{Op: wire.OpSetSourceTemp, Strings: []string{model.NodeAC}, Floats: []float64{20 + float64(i%5)}})
 	})
 	hammer(func(i int) error {
-		return cl.SetMachinePower("machine6", i%2 == 0)
+		return cl.Apply(&wire.FiddleOp{Op: wire.OpSetMachinePower, Strings: []string{"machine6"}, Floats: []float64{float64(1 - i%2)}})
 	})
 
 	// Co-located in-process load, the solverd ticker's own pattern.
@@ -92,15 +93,13 @@ func TestDaemonUnderParallelStepping(t *testing.T) {
 		if err := sol.SetUtilization("machine7", model.UtilCPU, units.Fraction(float64(i%100)/100)); err != nil {
 			return err
 		}
-		if _, err := sol.Temperatures("machine8"); err != nil {
-			return err
-		}
+		sol.Snapshot()
 		sol.SaveState()
 		return nil
 	})
 
 	wg.Wait()
-	if sol.Steps() == 0 {
+	if sol.SaveState().Steps == 0 {
 		t.Error("ticker never stepped the solver")
 	}
 	if srv.Stats().SensorReads.Load() == 0 || srv.Stats().FiddleOps.Load() == 0 {

@@ -2,16 +2,19 @@ package solverd
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/darklab/mercury/internal/clock"
 	"github.com/darklab/mercury/internal/fiddle"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/monitord"
 	"github.com/darklab/mercury/internal/procfs"
 	"github.com/darklab/mercury/internal/sensor"
 	"github.com/darklab/mercury/internal/solver"
+	"github.com/darklab/mercury/internal/telemetry"
 	"github.com/darklab/mercury/internal/udprpc"
 	"github.com/darklab/mercury/internal/units"
 	"github.com/darklab/mercury/internal/wire"
@@ -312,34 +315,33 @@ func TestFiddleOverUDP(t *testing.T) {
 	}
 	defer cl.Close()
 
-	if err := cl.PinInlet("machine1", 38.6); err != nil {
+	if err := cl.Apply(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{"machine1"}, Floats: []float64{38.6}}); err != nil {
 		t.Fatal(err)
 	}
-	pinned, temp, err := srv.Solver().InletPinned("machine1")
-	if err != nil || !pinned || temp != 38.6 {
-		t.Errorf("pin did not apply: %v %v %v", pinned, temp, err)
+	if ms := srv.Solver().SaveState().Machines["machine1"]; !ms.InletPinned || ms.InletPin != 38.6 {
+		t.Errorf("pin did not apply: %v %v", ms.InletPinned, ms.InletPin)
 	}
-	if err := cl.UnpinInlet("machine1"); err != nil {
+	if err := cl.Apply(&wire.FiddleOp{Op: wire.OpUnpinInlet, Strings: []string{"machine1"}}); err != nil {
 		t.Fatal(err)
 	}
-	if pinned, _, _ := srv.Solver().InletPinned("machine1"); pinned {
+	if srv.Solver().SaveState().Machines["machine1"].InletPinned {
 		t.Error("unpin did not apply")
 	}
-	if err := cl.SetSourceTemperature(model.NodeAC, 27); err != nil {
+	if err := cl.Apply(&wire.FiddleOp{Op: wire.OpSetSourceTemp, Strings: []string{model.NodeAC}, Floats: []float64{27}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := srv.Solver().SourceTemperature(model.NodeAC); got != 27 {
+	if got := srv.Solver().SaveState().Sources[model.NodeAC]; got != 27 {
 		t.Errorf("AC = %v", got)
 	}
-	if err := cl.SetMachinePower("machine4", false); err != nil {
+	if err := cl.Apply(&wire.FiddleOp{Op: wire.OpSetMachinePower, Strings: []string{"machine4"}, Floats: []float64{0}}); err != nil {
 		t.Fatal(err)
 	}
-	if on, _ := srv.Solver().MachineOn("machine4"); on {
+	if srv.Solver().SaveState().Machines["machine4"].On {
 		t.Error("machine4 still on")
 	}
 
 	// Errors surface with the daemon's message.
-	err = cl.PinInlet("ghost", 30)
+	err = cl.Apply(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{"ghost"}, Floats: []float64{30}})
 	if err == nil || !strings.Contains(err.Error(), "unknown machine") {
 		t.Errorf("unknown machine error = %v", err)
 	}
@@ -368,33 +370,91 @@ fiddle machine1 temperature inlet 21.6
 	if slept != 3*time.Second {
 		t.Errorf("slept %v, want 3s", slept)
 	}
-	pinned, temp, _ := srv.Solver().InletPinned("machine1")
-	if !pinned || temp != 21.6 {
-		t.Errorf("final pin = %v %v, want 21.6", pinned, temp)
+	if ms := srv.Solver().SaveState().Machines["machine1"]; !ms.InletPinned || ms.InletPin != 21.6 {
+		t.Errorf("final pin = %v %v, want 21.6", ms.InletPinned, ms.InletPin)
 	}
 }
 
+// sendRetiredList sends a well-formed list-nodes request (0x06, the
+// retired list protocol) for machine to the daemon at addr, then a
+// many-read of reader/cpu on the same socket. The daemon handles one
+// socket's datagrams in order, so the first reply must be the
+// many-read's: the list request got none.
+func sendRetiredList(t *testing.T, addr, machine, reader string) {
+	t.Helper()
+	raw, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	list := append([]byte{wire.Version, 0x06, byte(len(machine))}, machine...)
+	if _, err := raw.Write(list); err != nil {
+		t.Fatal(err)
+	}
+	read, err := wire.AppendSensorReadMany(nil, &wire.SensorReadMany{
+		Probes: []wire.Probe{{Machine: reader, Node: model.NodeCPU}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write(read); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	buf := make([]byte, wire.MaxReplySize)
+	n, err := raw.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ, err := wire.Type(buf[:n]); err != nil || typ != wire.MsgSensorReplyMany {
+		t.Errorf("first reply after a 0x06 request has type %#x (%v), want the many-read's %#x", typ, err, wire.MsgSensorReplyMany)
+	}
+}
+
+// TestListOverUDP: the list protocol is retired, so a list request over
+// UDP is counted as malformed and never answered.
 func TestListOverUDP(t *testing.T) {
-	_, addr := startServer(t)
-	machines, err := sensor.ListMachines(addr, sensor.Options{})
+	srv, addr := startServer(t)
+	for _, machine := range []string{"", "machine1", "ghost"} {
+		before := srv.Stats().Malformed.Load()
+		sendRetiredList(t, addr, machine, "machine1")
+		if got := srv.Stats().Malformed.Load(); got != before+1 {
+			t.Errorf("list %q: Malformed %d -> %d, want one more", machine, before, got)
+		}
+	}
+}
+
+// TestListReplyTooLargeReportsBadOp: a machine with more nodes than fit
+// in one reply datagram once drew a StatusBadOp list reply. With the
+// list protocol retired, its list request too is counted as malformed
+// and gets no reply, while the machine still reads.
+func TestListReplyTooLargeReportsBadOp(t *testing.T) {
+	m := model.DefaultServer("m1")
+	for i := 0; i < 60; i++ {
+		name := fmt.Sprintf("filler_air_node_with_a_long_name_%02d", i)
+		m.AirNodes = append(m.AirNodes, model.AirNode{Name: name})
+		m.AirEdges = append(m.AirEdges, model.AirEdge{From: model.NodeCPUAirDS, To: name, Fraction: 0.0001})
+		m.AirEdges = append(m.AirEdges, model.AirEdge{From: name, To: model.NodeExhaust, Fraction: 1})
+	}
+	// Rebalance cpu_air_ds out fractions to sum to 1.
+	for i := range m.AirEdges {
+		if m.AirEdges[i].From == model.NodeCPUAirDS && m.AirEdges[i].To == model.NodeExhaust {
+			m.AirEdges[i].Fraction = units.Fraction(1 - 60*0.0001)
+		}
+	}
+	sol, err := solver.NewSingle(m, solver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(machines) != 4 {
-		t.Errorf("machines = %v", machines)
-	}
-	nodes, err := sensor.ListNodes(addr, "machine1", sensor.Options{})
+	srv, err := Listen("127.0.0.1:0", sol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) != 14 {
-		t.Errorf("nodes = %d, want 14", len(nodes))
-	}
-	if _, err := sensor.ListNodes(addr, "ghost", sensor.Options{}); err == nil {
-		t.Error("unknown machine: want error")
-	}
-	if _, err := sensor.ListNodes(addr, "", sensor.Options{}); err == nil {
-		t.Error("empty machine via ListNodes: want error")
+	go srv.Serve()
+	t.Cleanup(func() { srv.Close() })
+
+	sendRetiredList(t, srv.Addr().String(), "m1", "m1")
+	if got := srv.Stats().Malformed.Load(); got != 1 {
+		t.Errorf("Malformed = %d after a list request, want 1", got)
 	}
 }
 
@@ -426,6 +486,12 @@ func TestMalformedDatagramsCounted(t *testing.T) {
 	if u, _ := srv.Solver().Utilization("machine1", model.UtilCPU); u != 0 {
 		t.Errorf("machine1 cpu = %v after a 0x01 update, want 0", u)
 	}
+	// The retired list-nodes request (type 0x06), well formed: counted
+	// as malformed and never answered.
+	sendRetiredList(t, addr, "machine1", "machine1")
+	if got := srv.Stats().Malformed.Load(); got != 5 {
+		t.Errorf("Malformed = %d after a 0x06 request, want 5", got)
+	}
 }
 
 func TestTickerAdvancesSolver(t *testing.T) {
@@ -440,13 +506,13 @@ func TestTickerAdvancesSolver(t *testing.T) {
 	}
 	go srv.Serve()
 	srv.StartTicker()
-	waitFor(t, func() bool { return sol.Steps() >= 3 })
+	waitFor(t, func() bool { return sol.SaveState().Steps >= 3 })
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	after := sol.Steps()
+	after := sol.SaveState().Steps
 	time.Sleep(30 * time.Millisecond)
-	if sol.Steps() != after {
+	if sol.SaveState().Steps != after {
 		t.Error("ticker kept running after Close")
 	}
 }
@@ -454,7 +520,7 @@ func TestTickerAdvancesSolver(t *testing.T) {
 // Helpers.
 
 func dial(addr string) (*udprpc.Client, error) {
-	return udprpc.Dial(addr, 0, 0)
+	return udprpc.DialClock(addr, 0, 0, clock.Real{})
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -468,38 +534,6 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-func TestListReplyTooLargeReportsBadOp(t *testing.T) {
-	// A machine with more nodes than fit in one reply datagram makes
-	// the daemon answer with StatusBadOp instead of silence.
-	m := model.DefaultServer("m1")
-	for i := 0; i < 60; i++ {
-		name := fmt.Sprintf("filler_air_node_with_a_long_name_%02d", i)
-		m.AirNodes = append(m.AirNodes, model.AirNode{Name: name})
-		m.AirEdges = append(m.AirEdges, model.AirEdge{From: model.NodeCPUAirDS, To: name, Fraction: 0.0001})
-		m.AirEdges = append(m.AirEdges, model.AirEdge{From: name, To: model.NodeExhaust, Fraction: 1})
-	}
-	// Rebalance cpu_air_ds out fractions to sum to 1.
-	for i := range m.AirEdges {
-		if m.AirEdges[i].From == model.NodeCPUAirDS && m.AirEdges[i].To == model.NodeExhaust {
-			m.AirEdges[i].Fraction = units.Fraction(1 - 60*0.0001)
-		}
-	}
-	sol, err := solver.NewSingle(m, solver.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Listen("127.0.0.1:0", sol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-
-	if _, err := sensor.ListNodes(srv.Addr().String(), "m1", sensor.Options{}); err == nil {
-		t.Error("oversize node list should fail with a status error")
-	}
-}
-
 func TestFiddleBadOpStatus(t *testing.T) {
 	srv, addr := startServer(t)
 	cl, err := fiddle.Dial(addr, 0, 0)
@@ -509,7 +543,7 @@ func TestFiddleBadOpStatus(t *testing.T) {
 	defer cl.Close()
 	// A structurally valid op with a semantically invalid value (sub
 	// absolute zero) comes back as a rejection, not a transport error.
-	err = cl.PinInlet("machine1", -400)
+	err = cl.Apply(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{"machine1"}, Floats: []float64{-400}})
 	if err == nil || !strings.Contains(err.Error(), "rejected") {
 		t.Errorf("bad value error = %v", err)
 	}
@@ -542,4 +576,19 @@ func TestServeReturnsNilAfterClose(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Serve did not return after Close")
 	}
+}
+
+// Temps returns the daemon's temperature table (nil without
+// telemetry).
+func (s *Server) Temps() *telemetry.TempTable { return s.temps }
+
+// LastSeq returns the last utilization-update sequence number accepted
+// from a machine's monitord (0 if none).
+func (s *Server) LastSeq(machine string) uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i, ok := s.names[machine]; ok {
+		return s.lastSeq[i].seq
+	}
+	return s.strangers[machine]
 }

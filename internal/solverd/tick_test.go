@@ -181,7 +181,7 @@ func (r *tickRig) second(n uint64) {
 
 // tickOutcome is everything a driver can have changed.
 type tickOutcome struct {
-	stats    [][11]uint64
+	stats    [][10]uint64
 	spans    []causal.Span
 	series   [][][]float64 // shard, probe, sampled values
 	samples  uint64        // surrogate trajectory samples
@@ -222,8 +222,8 @@ func (r *tickRig) finish(ticks uint64) tickOutcome {
 			r.t.Fatal(err)
 		}
 		st := s.Stats()
-		o.stats = append(o.stats, [11]uint64{
-			st.UtilUpdates.Load(), st.SensorReads.Load(), st.FiddleOps.Load(), st.ListRequests.Load(),
+		o.stats = append(o.stats, [10]uint64{
+			st.UtilUpdates.Load(), st.SensorReads.Load(), st.FiddleOps.Load(),
 			st.Malformed.Load(), st.SolverSteps.Load(), st.MissedTicks.Load(), st.UtilBatches.Load(),
 			st.BoundaryOut.Load(), st.BoundaryIn.Load(), st.BoundaryMissed.Load(),
 		})
@@ -234,10 +234,7 @@ func (r *tickRig) finish(ticks uint64) tickOutcome {
 		}
 		o.series = append(o.series, series)
 		for _, m := range s.Solver().Machines() {
-			temps, err := s.Solver().Temperatures(m)
-			if err != nil {
-				r.t.Fatal(err)
-			}
+			temps := s.Solver().Snapshot()[m]
 			o.temps[m] = temps
 		}
 		if err := r.recs[i].Close(); err != nil {
@@ -266,7 +263,7 @@ func (r *tickRig) finish(ticks uint64) tickOutcome {
 		o.rows = append(o.rows, log.TempRows)
 		o.boundary = append(o.boundary, log.Boundary)
 	}
-	if got := o.stats[0][5]; got != ticks {
+	if got := o.stats[0][4]; got != ticks {
 		r.t.Fatalf("shard 0 took %d steps, want %d", got, ticks)
 	}
 	return o

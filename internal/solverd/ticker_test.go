@@ -41,7 +41,7 @@ func TestTickerCatchesUpMissedTicks(t *testing.T) {
 		t.Error("a 45ms stall across 10ms ticks should have missed ticks")
 	}
 	// Every counted step really ran the solver.
-	if got, counted := sol.Steps(), srv.Stats().SolverSteps.Load(); got < counted {
+	if got, counted := sol.SaveState().Steps, srv.Stats().SolverSteps.Load(); got < counted {
 		t.Errorf("solver stepped %d times but ticker counted %d", got, counted)
 	}
 }
@@ -72,8 +72,8 @@ func TestTickerVirtualDeterministic(t *testing.T) {
 	if got := srv.Stats().MissedTicks.Load(); got != 0 {
 		t.Errorf("MissedTicks = %d, want 0 under lockstep advances", got)
 	}
-	if sol.Steps() != 5 {
-		t.Errorf("solver steps = %d, want 5", sol.Steps())
+	if sol.SaveState().Steps != 5 {
+		t.Errorf("solver steps = %d, want 5", sol.SaveState().Steps)
 	}
 	if sol.Now() != 5*time.Second {
 		t.Errorf("emulated now = %v, want 5s", sol.Now())

@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -95,26 +94,6 @@ func (s *Series) Max() float64 {
 	return m
 }
 
-// Mean returns the arithmetic mean of the values (NaN if empty).
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, p := range s.Points {
-		sum += p.Value
-	}
-	return sum / float64(len(s.Points))
-}
-
-// Last returns the final value (NaN if empty).
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return math.NaN()
-	}
-	return s.Points[len(s.Points)-1].Value
-}
-
 // Quantile returns the q-quantile of values (0 <= q <= 1) using
 // linear interpolation between order statistics, the same estimate
 // spreadsheets and numpy default to. The input need not be sorted and
@@ -178,9 +157,4 @@ func CompareSeries(emulated, reference *Series) Compare {
 		c.MeanAbs = sumAbs / float64(c.N)
 	}
 	return c
-}
-
-// String formats the comparison for experiment output.
-func (c Compare) String() string {
-	return fmt.Sprintf("n=%d rmse=%.3f maxabs=%.3f meanabs=%.3f", c.N, c.RMSE, c.MaxAbs, c.MeanAbs)
 }

@@ -12,7 +12,7 @@ func sec(n float64) time.Duration { return time.Duration(n * float64(time.Second
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("cpu")
-	if !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) || !math.IsNaN(s.Mean()) || !math.IsNaN(s.Last()) {
+	if !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) {
 		t.Error("empty series stats should be NaN")
 	}
 	s.Add(0, 10)
@@ -21,11 +21,8 @@ func TestSeriesBasics(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	if s.Min() != 10 || s.Max() != 20 || s.Last() != 15 {
-		t.Errorf("min/max/last = %v/%v/%v", s.Min(), s.Max(), s.Last())
-	}
-	if s.Mean() != 15 {
-		t.Errorf("mean = %v", s.Mean())
+	if s.Min() != 10 || s.Max() != 20 {
+		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
 	}
 }
 
@@ -94,9 +91,6 @@ func TestCompareSeries(t *testing.T) {
 	}
 	if math.Abs(c.MaxAbs-0.5) > 1e-9 || math.Abs(c.RMSE-0.5) > 1e-9 || math.Abs(c.MeanAbs-0.5) > 1e-9 {
 		t.Errorf("compare = %+v", c)
-	}
-	if !strings.Contains(c.String(), "maxabs=0.500") {
-		t.Errorf("String = %q", c.String())
 	}
 }
 

@@ -25,16 +25,13 @@ import (
 )
 
 // Counter is a monotonically increasing metric. The zero value is
-// ready to use; Inc and Add are single atomic ops.
+// ready to use; Inc is a single atomic op.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -47,16 +44,6 @@ type Gauge struct {
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by d (a CAS loop; still allocation-free).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -54,13 +54,6 @@ func NewTempTable(probes []TempProbe, capacity int) *TempTable {
 // Probes returns the probe list in column order.
 func (t *TempTable) Probes() []TempProbe { return append([]TempProbe(nil), t.probes...) }
 
-// Len returns the number of samples currently retained.
-func (t *TempTable) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
 // Sample records one column: fill is handed the column's value slice
 // (length = number of probes) to populate in probe order and returns
 // the count written; solver.(*Solver).ReadAllTemps matches this

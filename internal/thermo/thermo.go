@@ -85,19 +85,6 @@ func (l Linear) Base() units.Watts { return l.PBase }
 // Max implements PowerModel.
 func (l Linear) Max() units.Watts { return l.PMax }
 
-// Utilization inverts the linear model: it returns the utilization at
-// which the model draws p. Used by the performance-counter front end,
-// which estimates power directly and reports a synthetic "low-level
-// utilization" in the [Pbase, Pmax] range (Section 2.3). For degenerate
-// models (Pmax == Pbase) it returns 0.
-func (l Linear) Utilization(p units.Watts) units.Fraction {
-	span := float64(l.PMax - l.PBase)
-	if span <= 0 {
-		return 0
-	}
-	return units.Fraction((float64(p) - float64(l.PBase)) / span).Clamp()
-}
-
 // Constant is a power model for components whose draw does not vary
 // with utilization, such as Table 1's power supply (40 W, 40 W) and
 // motherboard (4 W, 4 W).

@@ -151,27 +151,6 @@ func TestLinearMonotone(t *testing.T) {
 	}
 }
 
-func TestLinearUtilizationInverse(t *testing.T) {
-	l := Linear{PBase: 7, PMax: 31}
-	for _, u := range []units.Fraction{0, 0.25, 0.5, 0.75, 1} {
-		got := l.Utilization(l.Power(u))
-		if math.Abs(float64(got-u)) > 1e-12 {
-			t.Errorf("Utilization(Power(%v)) = %v", u, got)
-		}
-	}
-	// Out-of-range powers clamp.
-	if got := l.Utilization(5); got != 0 {
-		t.Errorf("Utilization(5W) = %v, want 0", got)
-	}
-	if got := l.Utilization(100); got != 1 {
-		t.Errorf("Utilization(100W) = %v, want 1", got)
-	}
-	// Degenerate model returns 0.
-	if got := (Linear{PBase: 40, PMax: 40}).Utilization(40); got != 0 {
-		t.Errorf("degenerate Utilization = %v, want 0", got)
-	}
-}
-
 func TestConstantModel(t *testing.T) {
 	c := Constant(40) // Table 1 power supply
 	for _, u := range []units.Fraction{0, 0.3, 1} {

@@ -110,20 +110,6 @@ func (t *Trace) Duration() time.Duration {
 	return t.Records[len(t.Records)-1].At
 }
 
-// Machines returns the sorted set of machine names in the trace.
-func (t *Trace) Machines() []string {
-	seen := map[string]bool{}
-	for _, r := range t.Records {
-		seen[r.Machine] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Replicate copies each machine's records onto its clones: mapping
 // maps an original machine name to the names that should replay its
 // utilizations (which may include the original). Records for machines

@@ -79,14 +79,9 @@ type Client struct {
 // interval. Must be called before the client is used.
 func (c *Client) SetTracer(t *causal.Tracer) { c.tracer = t }
 
-// Dial connects to a UDP address on the real clock. timeout <= 0 and
-// retries <= 0 select the defaults.
-func Dial(addr string, timeout time.Duration, retries int) (*Client, error) {
-	return DialClock(addr, timeout, retries, clock.Real{})
-}
-
-// DialClock is Dial with an explicit clock; reply timeouts elapse in
-// that clock's time.
+// DialClock connects to a UDP address; reply timeouts elapse in clk's
+// time (clock.Real{} for wall time). timeout <= 0 and retries <= 0
+// select the defaults.
 func DialClock(addr string, timeout time.Duration, retries int, clk clock.Clock) (*Client, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"github.com/darklab/mercury/internal/clock"
 )
 
 // echoServer replies to every datagram after skip initial drops.
@@ -36,7 +38,7 @@ func echoServer(t *testing.T, drop int) string {
 
 func TestDoEcho(t *testing.T) {
 	addr := echoServer(t, 0)
-	c, err := Dial(addr, 0, 0)
+	c, err := DialClock(addr, 0, 0, clock.Real{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestDoEcho(t *testing.T) {
 
 func TestDoRetriesThroughLoss(t *testing.T) {
 	addr := echoServer(t, 2) // first two requests vanish
-	c, err := Dial(addr, 50*time.Millisecond, 3)
+	c, err := DialClock(addr, 50*time.Millisecond, 3, clock.Real{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestDoTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	c, err := Dial(conn.LocalAddr().String(), 20*time.Millisecond, 2)
+	c, err := DialClock(conn.LocalAddr().String(), 20*time.Millisecond, 2, clock.Real{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestDoTimesOut(t *testing.T) {
 
 func TestSend(t *testing.T) {
 	addr := echoServer(t, 0)
-	c, err := Dial(addr, 0, 0)
+	c, err := DialClock(addr, 0, 0, clock.Real{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +102,14 @@ func TestSend(t *testing.T) {
 }
 
 func TestDialErrors(t *testing.T) {
-	if _, err := Dial("not-an-address::::", 0, 0); err == nil {
+	if _, err := DialClock("not-an-address::::", 0, 0, clock.Real{}); err == nil {
 		t.Error("bad address: want error")
 	}
 }
 
 func TestDefaults(t *testing.T) {
 	addr := echoServer(t, 0)
-	c, err := Dial(addr, 0, 0)
+	c, err := DialClock(addr, 0, 0, clock.Real{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestDefaults(t *testing.T) {
 
 func TestDoRealClockDoesNotAllocate(t *testing.T) {
 	addr := echoServer(t, 0)
-	c, err := Dial(addr, 0, 0)
+	c, err := DialClock(addr, 0, 0, clock.Real{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestDoDrainsStaleReply(t *testing.T) {
 			conn.WriteToUDP(buf[:n], peer)
 		}
 	}()
-	c, err := Dial(conn.LocalAddr().String(), 20*time.Millisecond, 1)
+	c, err := DialClock(conn.LocalAddr().String(), 20*time.Millisecond, 1, clock.Real{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func TestDoVirtualTimeExhaustsRetries(t *testing.T) {
 
 func TestDoAfterClose(t *testing.T) {
 	addr, _ := countingServer(t, 0)
-	c, err := Dial(addr, 0, 0)
+	c, err := DialClock(addr, 0, 0, clock.Real{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,9 +115,6 @@ func (f Fraction) Valid() bool {
 // Percent returns the fraction scaled to [0,100].
 func (f Fraction) Percent() float64 { return float64(f) * 100 }
 
-// FromPercent converts a percentage in [0,100] to a Fraction.
-func FromPercent(p float64) Fraction { return Fraction(p / 100) }
-
 // String renders the fraction as a percentage, e.g. "42.0%".
 func (f Fraction) String() string { return fmt.Sprintf("%.1f%%", f.Percent()) }
 

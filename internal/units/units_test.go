@@ -116,9 +116,6 @@ func TestFractionPercent(t *testing.T) {
 	if got := Fraction(0.42).Percent(); math.Abs(got-42) > 1e-12 {
 		t.Errorf("Percent = %v, want 42", got)
 	}
-	if got := FromPercent(42); math.Abs(float64(got)-0.42) > 1e-12 {
-		t.Errorf("FromPercent(42) = %v, want 0.42", got)
-	}
 }
 
 func TestCFMConversion(t *testing.T) {

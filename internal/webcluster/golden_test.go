@@ -110,7 +110,7 @@ func goldenRun(t *testing.T, after func(c *Cluster, at string)) (hash uint64, to
 			if st.Conns > peakConns {
 				peakConns = st.Conns
 			}
-			if n, _ := c.Conns(m); n != st.Conns {
+			if n := queueLen(c, m); n != st.Conns {
 				t.Fatalf("second %d: Conns(%s) = %d, tick says %d", sec, m, n, st.Conns)
 			}
 		}
@@ -140,11 +140,11 @@ func TestBalancerMatchesQueues(t *testing.T) {
 	goldenRun(t, func(c *Cluster, at string) {
 		t.Helper()
 		for _, m := range c.Machines() {
-			active, err := c.Balancer().ActiveConns(m)
+			active, err := c.bal.ActiveConns(m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if queued, _ := c.Conns(m); active != queued {
+			if queued := queueLen(c, m); active != queued {
 				t.Fatalf("%s: balancer has %d active on %s, queue holds %d", at, active, m, queued)
 			}
 		}

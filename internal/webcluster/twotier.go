@@ -86,12 +86,6 @@ func NewTwoTier(frontBal, backBal *lvs.Balancer, frontMachines, backMachines []s
 	return &TwoTier{front: front, back: back}, nil
 }
 
-// Front returns the frontend tier.
-func (t *TwoTier) Front() *Cluster { return t.front }
-
-// Back returns the backend tier.
-func (t *TwoTier) Back() *Cluster { return t.back }
-
 // TwoTierTick reports one emulated second across both tiers.
 type TwoTierTick struct {
 	Front Tick

@@ -67,7 +67,7 @@ func TestTwoTierStaticStaysInFrontend(t *testing.T) {
 	}
 	for i, st := range tick.Back.PerServer {
 		if st.CPUUtil != 0 {
-			t.Errorf("backend %s busy on static traffic", tt.Back().Machines()[i])
+			t.Errorf("backend %s busy on static traffic", tt.back.Machines()[i])
 		}
 	}
 	if tt.Totals().Dropped != 0 {
@@ -101,7 +101,7 @@ func TestTwoTierFreonShiftsBackendLoad(t *testing.T) {
 	// deweight it the way admd would) and new backend jobs shift to its
 	// peers, without touching the frontend.
 	tt := newTwoTier(t, TwoTierConfig{})
-	tt.Back().Balancer().SetWeight("app1", 0.1)
+	tt.back.bal.SetWeight("app1", 0.1)
 	var app1, app2 float64
 	for i := 0; i < 20; i++ {
 		tick := tt.TickSecond(burst(60, true))

@@ -192,9 +192,6 @@ func New(bal *lvs.Balancer, machines []string, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Balancer returns the underlying balancer (Freon's control surface).
-func (c *Cluster) Balancer() *lvs.Balancer { return c.bal }
-
 // Machines returns the machine names in registration order.
 func (c *Cluster) Machines() []string {
 	names := make([]string, len(c.servers))
@@ -212,24 +209,6 @@ func (c *Cluster) server(name string) (*server, error) {
 	return &c.servers[i], nil
 }
 
-// Conns returns a server's outstanding request count.
-func (c *Cluster) Conns(name string) (int, error) {
-	s, err := c.server(name)
-	if err != nil {
-		return 0, err
-	}
-	return s.conns(), nil
-}
-
-// On reports whether a server is powered.
-func (c *Cluster) On(name string) (bool, error) {
-	s, err := c.server(name)
-	if err != nil {
-		return false, err
-	}
-	return s.on, nil
-}
-
 // SetSpeed scales a server's CPU service rate, emulating local
 // voltage/frequency scaling (Section 4.3's comparison point): a server
 // at speed 0.5 needs twice the CPU time per request. Speed must be in
@@ -244,15 +223,6 @@ func (c *Cluster) SetSpeed(name string, speed float64) error {
 	}
 	s.speed = speed
 	return nil
-}
-
-// Speed returns a server's current service-rate factor.
-func (c *Cluster) Speed(name string) (float64, error) {
-	s, err := c.server(name)
-	if err != nil {
-		return 0, err
-	}
-	return s.speed, nil
 }
 
 // SetPower turns a server on or off. Turning a server off drops its

@@ -112,8 +112,8 @@ func TestQueueCapDrops(t *testing.T) {
 		t.Error("drop rate = 0")
 	}
 	// Balancer connection accounting stayed consistent.
-	conns, _ := c.Balancer().ActiveConns("machine1")
-	queued, _ := c.Conns("machine1")
+	conns, _ := c.bal.ActiveConns("machine1")
+	queued := queueLen(c, "machine1")
 	if conns != queued {
 		t.Errorf("balancer conns %d != queue %d", conns, queued)
 	}
@@ -133,7 +133,7 @@ func TestLoadSpreadsAcrossServers(t *testing.T) {
 
 func TestWeightShiftsUtilization(t *testing.T) {
 	c := newCluster(t, 2)
-	c.Balancer().SetWeight("machine1", 0.2)
+	c.bal.SetWeight("machine1", 0.2)
 	var u1, u2 float64
 	for i := 0; i < 10; i++ {
 		tick := c.TickSecond(burst(40, true))
@@ -152,13 +152,13 @@ func TestPowerOffDropsQueueAndRefuses(t *testing.T) {
 	if err := c.SetPower("machine1", false); err != nil {
 		t.Fatal(err)
 	}
-	if on, _ := c.On("machine1"); on {
+	if c.servers[c.index["machine1"]].on {
 		t.Error("still on")
 	}
 	if c.Totals().Dropped <= before {
 		t.Error("queued requests not counted as dropped on power-off")
 	}
-	if conns, _ := c.Balancer().ActiveConns("machine1"); conns != 0 {
+	if conns, _ := c.bal.ActiveConns("machine1"); conns != 0 {
 		t.Errorf("balancer conns = %d after power-off", conns)
 	}
 	// Off server picked by the balancer refuses requests (caller is
@@ -176,13 +176,16 @@ func TestPowerOffDropsQueueAndRefuses(t *testing.T) {
 	}
 }
 
+// queueLen is the named server's outstanding request count.
+func queueLen(c *Cluster, name string) int { return c.servers[c.index[name]].conns() }
+
 func TestQuiescedServerDrains(t *testing.T) {
 	c := newCluster(t, 2)
 	c.TickSecond(burst(90, true)) // ~1.1s of work each
-	c.Balancer().Quiesce("machine1")
+	c.bal.Quiesce("machine1")
 	c.TickSecond(nil)
 	c.TickSecond(nil)
-	if conns, _ := c.Conns("machine1"); conns != 0 {
+	if conns := queueLen(c, "machine1"); conns != 0 {
 		t.Errorf("quiesced server did not drain: %d conns", conns)
 	}
 	// All later requests go to machine2.
@@ -203,12 +206,6 @@ func TestUtilizationsAccessor(t *testing.T) {
 		t.Errorf("cpu = %v", utils[model.UtilCPU])
 	}
 	if _, err := c.Utilizations("ghost"); err == nil {
-		t.Error("unknown machine: want error")
-	}
-	if _, err := c.Conns("ghost"); err == nil {
-		t.Error("unknown machine: want error")
-	}
-	if _, err := c.On("ghost"); err == nil {
 		t.Error("unknown machine: want error")
 	}
 }
@@ -273,7 +270,7 @@ func TestSetSpeedThrottlesService(t *testing.T) {
 	if err := c.SetSpeed("machine1", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if sp, _ := c.Speed("machine1"); sp != 0.5 {
+	if sp := c.servers[c.index["machine1"]].speed; sp != 0.5 {
 		t.Errorf("Speed = %v", sp)
 	}
 	// 30 dynamic requests = 750ms of work; at half speed only ~375ms
@@ -295,7 +292,7 @@ func TestSetSpeedThrottlesService(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.TickSecond(nil)
-	if conns, _ := c.Conns("machine1"); conns != 0 {
+	if conns := queueLen(c, "machine1"); conns != 0 {
 		t.Errorf("backlog not drained: %d", conns)
 	}
 }
@@ -331,15 +328,12 @@ func TestSetSpeedValidation(t *testing.T) {
 				t.Errorf("SetSpeed(%v): error %q does not name the machine", tc.speed, err)
 			}
 		}
-		if got, _ := c.Speed("machine1"); got != want {
+		if got := c.servers[c.index["machine1"]].speed; got != want {
 			t.Errorf("after SetSpeed(%v): Speed = %v, want %v", tc.speed, got, want)
 		}
 	}
 	c := newCluster(t, 1)
 	if err := c.SetSpeed("ghost", 0.5); err == nil {
-		t.Error("unknown machine: want error")
-	}
-	if _, err := c.Speed("ghost"); err == nil {
 		t.Error("unknown machine: want error")
 	}
 }

@@ -35,8 +35,8 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(r2[:len(r2)-1])
 	op, _ := MarshalFiddleOp(&FiddleOp{Op: OpPinInlet, Strings: []string{"m"}, Floats: []float64{30}})
 	f.Add(op)
-	lr, _ := MarshalListReply(&ListReply{Status: StatusOK, Names: []string{"a", "b"}})
-	f.Add(lr)
+	// A retired list reply (type 0x07), which no decoder may accept.
+	f.Add([]byte{Version, 0x07, StatusOK, 2, 1, 'a', 1, 'b'})
 	// Scale-out messages, v1 and traced v2 forms plus the interesting
 	// rejections (truncated, oversized count, trailing slack, zero
 	// machines) so the corpus always walks the strict-decode branches.
@@ -208,15 +208,21 @@ func FuzzUnmarshalUtilBatch(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalListReply fuzzes the retired list protocol: whatever
+// follows the type byte, a datagram typed 0x06 (list request) or 0x07
+// (list reply) decodes as no live message.
 func FuzzUnmarshalListReply(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := UnmarshalListReply(data)
-		if err != nil {
+		if len(data) < 2 {
 			return
 		}
-		if len(r.Names) > 255 {
-			t.Fatalf("decoded %d names", len(r.Names))
+		for _, typ := range []byte{0x06, 0x07} {
+			d := append([]byte(nil), data...)
+			d[1] = typ
+			if name := liveDecoder(d); name != "" {
+				t.Fatalf("retired type %#x decodes as a %s: %x", typ, name, d)
+			}
 		}
 	})
 }

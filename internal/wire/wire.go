@@ -27,11 +27,11 @@ const (
 	MsgUtilUpdate = 0x01
 	// 0x02 and 0x03 stay unassigned: an older client may still send a
 	// single-probe sensor read there, which solverd must count as
-	// malformed, not misread as another message.
+	// malformed, not misread as another message. 0x06 and 0x07 (the
+	// retired list-machines/list-nodes request and reply) stay
+	// unassigned for the same reason.
 	MsgFiddleOp    = 0x04
 	MsgFiddleReply = 0x05
-	MsgListNodes   = 0x06
-	MsgListReply   = 0x07
 	// MsgBoundaryExchange carries one region's boundary exhaust
 	// temperatures to a peer solver daemon of a horizontally partitioned
 	// cluster (batch.go).
@@ -496,84 +496,4 @@ func UnmarshalUtilUpdateInto(u *UtilUpdate, buf []byte, intern func([]byte) stri
 		}
 	}
 	return nil
-}
-
-// ListNodes asks the solver which nodes a machine has (or, with an
-// empty machine name, which machines exist).
-type ListNodes struct {
-	Machine string
-}
-
-// MarshalListNodes encodes a list request.
-func MarshalListNodes(r *ListNodes) ([]byte, error) {
-	e := header(MsgListNodes)
-	e.str(r.Machine)
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.buf, nil
-}
-
-// UnmarshalListNodes decodes a list request.
-func UnmarshalListNodes(buf []byte) (*ListNodes, error) {
-	d, err := checkHeader(buf, MsgListNodes)
-	if err != nil {
-		return nil, err
-	}
-	r := &ListNodes{}
-	if r.Machine, err = d.str(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// ListReply answers ListNodes with up to 255 names.
-type ListReply struct {
-	Status byte
-	Names  []string
-}
-
-// MarshalListReply encodes a list reply; it fails if the reply would
-// exceed MaxReplySize.
-func MarshalListReply(r *ListReply) ([]byte, error) {
-	e := header(MsgListReply)
-	e.byte(r.Status)
-	if len(r.Names) > 255 {
-		return nil, fmt.Errorf("wire: too many names (%d)", len(r.Names))
-	}
-	e.byte(byte(len(r.Names)))
-	for _, n := range r.Names {
-		e.str(n)
-	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	if len(e.buf) > MaxReplySize {
-		return nil, fmt.Errorf("wire: list reply needs %d bytes, limit %d", len(e.buf), MaxReplySize)
-	}
-	return e.buf, nil
-}
-
-// UnmarshalListReply decodes a list reply.
-func UnmarshalListReply(buf []byte) (*ListReply, error) {
-	d, err := checkHeader(buf, MsgListReply)
-	if err != nil {
-		return nil, err
-	}
-	r := &ListReply{}
-	if r.Status, err = d.byte(); err != nil {
-		return nil, err
-	}
-	n, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(n); i++ {
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		r.Names = append(r.Names, name)
-	}
-	return r, nil
 }

@@ -142,40 +142,68 @@ func TestSensorReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// liveDecoder names the first decoder of a live message type that
+// accepts data, or returns "" when none does.
+func liveDecoder(data []byte) string {
+	var read SensorReadMany
+	var reply SensorReplyMany
+	var batch UtilBatch
+	var upd UtilUpdate
+	_, bxErr := ParseBoundaryExchange(data)
+	switch {
+	case UnmarshalSensorReadManyInto(&read, data, nil) == nil:
+		return "sensor read"
+	case UnmarshalSensorReplyManyInto(&reply, data) == nil:
+		return "sensor reply"
+	case UnmarshalUtilBatchInto(&batch, data, nil) == nil:
+		return "utilization batch"
+	case UnmarshalUtilUpdateInto(&upd, data, nil) == nil:
+		return "utilization update"
+	case bxErr == nil:
+		return "boundary exchange"
+	}
+	if _, err := UnmarshalFiddleOp(data); err == nil {
+		return "fiddle op"
+	}
+	if _, err := UnmarshalFiddleReply(data); err == nil {
+		return "fiddle reply"
+	}
+	return ""
+}
+
+// TestListRoundTrip replays the retired list protocol's request and
+// reply, byte for byte as the list client and solverd wrote them: no
+// decoder of a live message accepts either, and Type still reads the
+// retired type, which solverd counts as malformed.
 func TestListRoundTrip(t *testing.T) {
-	req := &ListNodes{Machine: "machine1"}
-	buf, err := MarshalListNodes(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotReq, err := UnmarshalListNodes(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotReq.Machine != "machine1" {
-		t.Errorf("machine = %q", gotReq.Machine)
-	}
-	rep := &ListReply{Status: StatusOK, Names: []string{"cpu", "disk_platters", "cpu_air"}}
-	buf, err = MarshalListReply(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRep, err := UnmarshalListReply(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, gotRep) {
-		t.Errorf("round trip = %+v", gotRep)
+	for _, d := range [][]byte{
+		[]byte("\x01\x06\x08machine1"), // list the nodes of machine1
+		{Version, 0x06, 0},             // list the machines
+		[]byte("\x01\x07\x00\x03\x03cpu\x0ddisk_platters\x07cpu_air"),
+	} {
+		if name := liveDecoder(d); name != "" {
+			t.Errorf("retired list datagram %x decodes as a %s", d, name)
+		}
+		if typ, err := Type(d); err != nil || typ != d[1] {
+			t.Errorf("Type(%x) = %#x, %v; want %#x", d, typ, err, d[1])
+		}
 	}
 }
 
+// TestListReplyTooBig checks the retired list reply that once failed to
+// encode, sixty long names past MaxReplySize: as bytes on the wire it
+// decodes as no live message either.
 func TestListReplyTooBig(t *testing.T) {
-	var names []string
+	d := []byte{Version, 0x07, StatusOK, 60}
 	for i := 0; i < 60; i++ {
-		names = append(names, "a-rather-long-node-name-padding-x")
+		name := "a-rather-long-node-name-padding-x"
+		d = append(append(d, byte(len(name))), name...)
 	}
-	if _, err := MarshalListReply(&ListReply{Names: names}); err == nil {
-		t.Error("oversize list reply: want error")
+	if len(d) <= MaxReplySize {
+		t.Fatalf("reply is %d bytes, want more than %d", len(d), MaxReplySize)
+	}
+	if name := liveDecoder(d); name != "" {
+		t.Errorf("oversize retired list reply decodes as a %s", name)
 	}
 }
 

@@ -128,15 +128,6 @@ func (c WebConfig) withDefaults() WebConfig {
 	return c
 }
 
-// Rate returns the instantaneous arrival rate at offset t. The shape
-// mimics the paper's Internet-service pattern: a quiet night at both
-// ends of the trace, a morning ramp, and a sustained afternoon plateau
-// at the peak rate (Figure 11's utilizations stay high for several
-// hundred seconds before subsiding).
-func (c WebConfig) Rate(t time.Duration) float64 {
-	return c.withDefaults().rate(t)
-}
-
 // rate is Rate on a config withDefaults has already filled.
 func (c WebConfig) rate(t time.Duration) float64 {
 	x := float64(t) / float64(c.Duration)

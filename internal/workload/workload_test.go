@@ -101,15 +101,15 @@ func TestCombinedBenchmark(t *testing.T) {
 
 func TestWebRateShape(t *testing.T) {
 	cfg := WebConfig{Duration: 2000 * time.Second, PeakRPS: 100, ValleyShare: 0.15, Seed: 1}
-	start := cfg.Rate(0)
-	end := cfg.Rate(2000 * time.Second)
+	start := cfg.withDefaults().rate(0)
+	end := cfg.withDefaults().rate(2000 * time.Second)
 	if start > 20 || end > 20 {
 		t.Errorf("valleys too high: start=%v end=%v", start, end)
 	}
 	// The peak approaches PeakRPS somewhere in the middle.
 	peak := 0.0
 	for s := 0; s <= 2000; s += 10 {
-		if r := cfg.Rate(time.Duration(s) * time.Second); r > peak {
+		if r := cfg.withDefaults().rate(time.Duration(s) * time.Second); r > peak {
 			peak = r
 		}
 	}
@@ -118,7 +118,7 @@ func TestWebRateShape(t *testing.T) {
 	}
 	// Rate stays within [valley, peak] everywhere.
 	for s := -100; s <= 2100; s += 7 {
-		r := cfg.Rate(time.Duration(s) * time.Second)
+		r := cfg.withDefaults().rate(time.Duration(s) * time.Second)
 		if r < 14.9 || r > 100.1 {
 			t.Errorf("rate(%ds) = %v escapes bounds", s, r)
 		}
@@ -188,7 +188,7 @@ func TestWebConfigNonFinite(t *testing.T) {
 			cfg := base
 			set(&cfg)
 			for s := 0; s <= 20; s++ {
-				if r := cfg.Rate(time.Duration(s) * time.Second); math.IsNaN(r) || math.IsInf(r, 0) {
+				if r := cfg.withDefaults().rate(time.Duration(s) * time.Second); math.IsNaN(r) || math.IsInf(r, 0) {
 					t.Errorf("%s = %v: Rate(%ds) = %v, want finite", field, v, s, r)
 				}
 			}

@@ -21,16 +21,16 @@
 //	sol.Run(30 * time.Minute) // emulated time
 //	temp, _ := sol.Temperature("server", mercury.NodeCPU)
 //
-// Models can also be written in the suite's modified dot language and
-// parsed with ParseMachine/ParseCluster; see the examples directory
-// for end-to-end scenarios including the networked daemons and the
-// Freon policies.
+// Models can also be written in the suite's modified dot language
+// (`mercury-dot` checks and prints them, `mercury-solver -model` loads
+// one); see the examples directory for end-to-end scenarios including
+// the networked daemons and the Freon policies. The facade exports what
+// the examples run.
 package mercury
 
 import (
 	"time"
 
-	"github.com/darklab/mercury/internal/dotlang"
 	"github.com/darklab/mercury/internal/fiddle"
 	"github.com/darklab/mercury/internal/freon"
 	"github.com/darklab/mercury/internal/lvs"
@@ -127,14 +127,7 @@ type (
 	LinearPower = thermo.Linear
 	// ConstantPower draws the same power at any utilization.
 	ConstantPower = thermo.Constant
-	// PiecewisePower interpolates over a utilization grid.
-	PiecewisePower = thermo.Piecewise
 )
-
-// NewPiecewisePower builds a piecewise-linear power model.
-func NewPiecewisePower(utils []Fraction, powers []Watts) (*PiecewisePower, error) {
-	return thermo.NewPiecewise(utils, powers)
-}
 
 // Solver types.
 type (
@@ -150,20 +143,6 @@ func NewSolver(m *Machine, cfg SolverConfig) (*Solver, error) { return solver.Ne
 
 // NewClusterSolver compiles a full machine-room model.
 func NewClusterSolver(c *Cluster, cfg SolverConfig) (*Solver, error) { return solver.New(c, cfg) }
-
-// Model description language (modified dot, Section 2.3).
-var (
-	// ParseMachine parses a single-machine description.
-	ParseMachine = dotlang.ParseMachine
-	// ParseCluster parses a description with a cluster block.
-	ParseCluster = dotlang.ParseCluster
-	// PrintMachine serializes a machine back to the language.
-	PrintMachine = dotlang.PrintMachine
-	// PrintCluster serializes a cluster.
-	PrintCluster = dotlang.PrintCluster
-	// Graphviz renders a machine's graphs as plain graphviz dot.
-	Graphviz = dotlang.Graphviz
-)
 
 // Networked suite: solver daemon, sensor library, monitord, fiddle.
 type (
@@ -187,10 +166,6 @@ type (
 	FiddleScript = fiddle.Script
 	// FiddleOp is one run-time mutation.
 	FiddleOp = wire.FiddleOp
-	// ProcSampler reads utilizations from /proc.
-	ProcSampler = procfs.ProcSampler
-	// ProcConfig configures a ProcSampler.
-	ProcConfig = procfs.Config
 	// SyntheticSampler is a programmable utilization source.
 	SyntheticSampler = procfs.Synthetic
 )
@@ -206,9 +181,6 @@ func OpenSensor(addr, machine, node string) (*Sensor, error) {
 
 // NewMonitord builds a monitoring daemon.
 func NewMonitord(cfg MonitordConfig) (*Monitord, error) { return monitord.New(cfg) }
-
-// NewProcSampler builds a /proc-backed utilization sampler.
-func NewProcSampler(cfg ProcConfig) *ProcSampler { return procfs.New(cfg) }
 
 // NewSyntheticSampler builds a programmable sampler for the given
 // sources.
@@ -245,8 +217,6 @@ type (
 var (
 	// ReadUtilTrace parses a utilization trace.
 	ReadUtilTrace = trace.ReadTrace
-	// ReadTempLog parses a temperature log.
-	ReadTempLog = trace.ReadTempLog
 	// Replay drives a solver through a trace, recording probes.
 	Replay = trace.Replay
 )
@@ -261,8 +231,6 @@ type (
 	FreonEC = freon.EC
 	// FreonECConfig adds regions and utilization thresholds.
 	FreonECConfig = freon.ECConfig
-	// TraditionalPolicy is the turn-off-at-red-line baseline.
-	TraditionalPolicy = freon.Traditional
 	// Thresholds are a component's control temperatures.
 	Thresholds = freon.Thresholds
 	// ComponentSpec names a monitored component and its thresholds.
@@ -284,9 +252,4 @@ func NewFreon(machines []string, sensors freon.Sensors, bal freon.Balancer, powe
 // NewFreonEC builds Freon-EC.
 func NewFreonEC(machines []string, sensors freon.Sensors, utils freon.Utils, bal freon.Balancer, power freon.Power, cfg FreonECConfig) (*FreonEC, error) {
 	return freon.NewEC(machines, sensors, utils, bal, power, cfg)
-}
-
-// NewTraditionalPolicy builds the red-line shutdown baseline.
-func NewTraditionalPolicy(machines []string, sensors freon.Sensors, bal freon.Balancer, power freon.Power, cfg FreonConfig) (*TraditionalPolicy, error) {
-	return freon.NewTraditional(machines, sensors, bal, power, cfg)
 }

@@ -6,10 +6,15 @@ import (
 	"time"
 
 	mercury "github.com/darklab/mercury"
+	"github.com/darklab/mercury/internal/dotlang"
+	"github.com/darklab/mercury/internal/trace"
+	"github.com/darklab/mercury/internal/wire"
+	"github.com/darklab/mercury/internal/workload"
 )
 
 // The facade tests exercise the public API surface end to end the way
-// a downstream user would, without touching internal packages.
+// a downstream user would. The facade exports only what an example
+// runs; a test of a behaviour beyond that calls the internal package.
 
 func TestFacadeQuickstart(t *testing.T) {
 	machine := mercury.DefaultServer("server")
@@ -38,15 +43,15 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeDotRoundTrip(t *testing.T) {
-	src := mercury.PrintMachine(mercury.DefaultServer("server"))
-	m, err := mercury.ParseMachine(src)
+	src := dotlang.PrintMachine(mercury.DefaultServer("server"))
+	f, err := dotlang.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name != "server" {
-		t.Errorf("name = %q", m.Name)
+	if len(f.Machines) != 1 || f.Machines[0].Name != "server" {
+		t.Fatalf("parsed %d machines, want one named server", len(f.Machines))
 	}
-	if !strings.Contains(mercury.Graphviz(m), "digraph server") {
+	if !strings.Contains(dotlang.Graphviz(f.Machines[0]), "digraph server") {
 		t.Error("graphviz output wrong")
 	}
 }
@@ -117,11 +122,11 @@ func TestFacadeNetworkedSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fc.Close()
-	if err := fc.PinInlet("m1", 30); err != nil {
+	if err := fc.Apply(&wire.FiddleOp{Op: wire.OpPinInlet, Strings: []string{"m1"}, Floats: []float64{30}}); err != nil {
 		t.Fatal(err)
 	}
-	if pinned, temp, _ := sol.InletPinned("m1"); !pinned || temp != 30 {
-		t.Errorf("pin = %v %v", pinned, temp)
+	if ms := sol.SaveState().Machines["m1"]; !ms.InletPinned || ms.InletPin != 30 {
+		t.Errorf("pin = %v %v", ms.InletPinned, ms.InletPin)
 	}
 }
 
@@ -140,7 +145,7 @@ func TestFacadeWebClusterAndFreon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := mercury.GenerateWeb(mercury.WebConfig{Duration: 60 * time.Second, PeakRPS: 50, Seed: 1})
+	reqs := workload.GenerateWeb(workload.WebConfig{Duration: 60 * time.Second, PeakRPS: 50, Seed: 1})
 	if len(reqs) == 0 {
 		t.Fatal("no requests")
 	}
@@ -214,7 +219,7 @@ func TestFacadeOfflineTrace(t *testing.T) {
 	if err := log.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := mercury.ReadTempLog(strings.NewReader(buf.String()))
+	back, err := trace.ReadTempLog(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
