@@ -95,7 +95,15 @@ func (c *Cluster) Validate() error {
 	names.reset(ns + len(c.Sinks))
 	var v validator
 	for i, m := range c.Machines {
-		if err := v.machine(m); err != nil {
+		// A machine whose body equals that of the machine before it,
+		// which passed, can fail only in its own scalars.
+		var err error
+		if i > 0 && m.SameBody(c.Machines[i-1]) {
+			err = scalarErr(m)
+		} else {
+			err = v.machine(m)
+		}
+		if err != nil {
 			return err
 		}
 		if names.put(m.Name, i) != i {

@@ -11,6 +11,8 @@ package model
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -162,11 +164,8 @@ func (m *Machine) Validate() error {
 // machine checks m as (*Machine).Validate documents; every check runs
 // in the order its error takes precedence.
 func (v *validator) machine(m *Machine) error {
-	if m.Name == "" {
-		return fmt.Errorf("model: machine has no name")
-	}
-	if strings.ContainsAny(m.Name, " \t\n") {
-		return fmt.Errorf("model: machine name %q contains whitespace", m.Name)
+	if err := nameErr(m); err != nil {
+		return err
 	}
 	nc := len(m.Components)
 	v.names.reset(nc + len(m.AirNodes))
@@ -223,14 +222,8 @@ func (v *validator) machine(m *Machine) error {
 	if exhausts < 1 {
 		return fmt.Errorf("model: machine %s: need at least 1 exhaust air node", m.Name)
 	}
-	if !finite(float64(m.FanFlow)) {
-		return fmt.Errorf("model: machine %s: non-finite fan flow %v", m.Name, m.FanFlow)
-	}
-	if m.FanFlow <= 0 {
-		return fmt.Errorf("model: machine %s: non-positive fan flow %v", m.Name, m.FanFlow)
-	}
-	if !m.InletTemp.Valid() {
-		return fmt.Errorf("model: machine %s: invalid inlet temperature %v", m.Name, m.InletTemp)
+	if err := flowErr(m); err != nil {
+		return err
 	}
 
 	for _, e := range m.HeatEdges {
@@ -299,6 +292,98 @@ func (v *validator) machine(m *Machine) error {
 		return errAirCycle(m)
 	}
 	return nil
+}
+
+// scalarErr runs the checks of validator.machine that m's body does not
+// decide — its name, fan flow and inlet temperature — in that method's
+// order. It is the whole check of a machine whose body equals that of
+// a machine that passed.
+func scalarErr(m *Machine) error {
+	if err := nameErr(m); err != nil {
+		return err
+	}
+	return flowErr(m)
+}
+
+// nameErr checks the machine's name, validator.machine's first check.
+func nameErr(m *Machine) error {
+	if m.Name == "" {
+		return fmt.Errorf("model: machine has no name")
+	}
+	if strings.ContainsAny(m.Name, " \t\n") {
+		return fmt.Errorf("model: machine name %q contains whitespace", m.Name)
+	}
+	return nil
+}
+
+// flowErr checks the fan flow and inlet temperature, which
+// validator.machine checks after the nodes and before the edges.
+func flowErr(m *Machine) error {
+	if !finite(float64(m.FanFlow)) {
+		return fmt.Errorf("model: machine %s: non-finite fan flow %v", m.Name, m.FanFlow)
+	}
+	if m.FanFlow <= 0 {
+		return fmt.Errorf("model: machine %s: non-positive fan flow %v", m.Name, m.FanFlow)
+	}
+	if !m.InletTemp.Valid() {
+		return fmt.Errorf("model: machine %s: invalid inlet temperature %v", m.Name, m.InletTemp)
+	}
+	return nil
+}
+
+// SameBody reports whether m and o have element-wise equal components,
+// air nodes, heat edges and air edges: names, utilization sources and
+// flags by ==, every float by its bits (so -0 and +0, or two NaN
+// payloads, never match), and power models by == when their dynamic
+// value is comparable, as the solver keys them; a model that is not
+// comparable never matches. The machines' names, inlet temperatures
+// and fan flows are not part of the body.
+//
+// A room replicates one server description, so a machine's body
+// usually equals the one before it; Cluster.Validate and solver.New
+// then reuse what they derived from that machine.
+func (m *Machine) SameBody(o *Machine) bool {
+	if len(m.Components) != len(o.Components) || len(m.AirNodes) != len(o.AirNodes) ||
+		len(m.HeatEdges) != len(o.HeatEdges) || len(m.AirEdges) != len(o.AirEdges) {
+		return false
+	}
+	for i := range m.Components {
+		a, b := &m.Components[i], &o.Components[i]
+		if a.Name != b.Name || a.Util != b.Util || !sameBits(float64(a.Mass), float64(b.Mass)) ||
+			!sameBits(float64(a.SpecificHeat), float64(b.SpecificHeat)) || !sameModel(a.Power, b.Power) {
+			return false
+		}
+	}
+	for i := range m.AirNodes {
+		if m.AirNodes[i] != o.AirNodes[i] {
+			return false
+		}
+	}
+	for i := range m.HeatEdges {
+		a, b := &m.HeatEdges[i], &o.HeatEdges[i]
+		if a.A != b.A || a.B != b.B || !sameBits(float64(a.K), float64(b.K)) {
+			return false
+		}
+	}
+	for i := range m.AirEdges {
+		a, b := &m.AirEdges[i], &o.AirEdges[i]
+		if a.From != b.From || a.To != b.To || !sameBits(float64(a.Fraction), float64(b.Fraction)) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameModel reports whether a and b are the same power model: both nil,
+// or == with a comparable dynamic value. Checking a alone suffices: ==
+// panics only where both hold one non-comparable type.
+func sameModel(a, b thermo.PowerModel) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return reflect.ValueOf(a).Comparable() && a == b
 }
 
 // AirTopoOrder returns the air nodes in a topological order of the

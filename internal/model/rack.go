@@ -60,6 +60,7 @@ func RackCluster(name string, racks, perRack int, recirc []units.Fraction) (*Clu
 	// s as the edge fraction and 1-s for the AC edge satisfies both
 	// sides at once.
 	for r := 1; r <= racks; r++ {
+		below := "" // the name of the machine at height h-1
 		for h := 1; h <= perRack; h++ {
 			mname := RackMachine(r, h)
 			c.Machines = append(c.Machines, DefaultServer(mname))
@@ -71,7 +72,7 @@ func RackCluster(name string, racks, perRack int, recirc []units.Fraction) (*Clu
 				if share > 0 {
 					c.Edges = append(c.Edges,
 						ClusterEdge{From: NodeAC, To: mname, Fraction: 1 - share},
-						ClusterEdge{From: RackMachine(r, h-1), To: mname, Fraction: share},
+						ClusterEdge{From: below, To: mname, Fraction: share},
 					)
 				} else {
 					c.Edges = append(c.Edges, ClusterEdge{From: NodeAC, To: mname, Fraction: 1})
@@ -86,6 +87,7 @@ func RackCluster(name string, racks, perRack int, recirc []units.Fraction) (*Clu
 				up = recirc[h-1]
 			}
 			c.Edges = append(c.Edges, ClusterEdge{From: mname, To: NodeClusterExhaust, Fraction: 1 - up})
+			below = mname
 		}
 	}
 	if err := c.Validate(); err != nil {

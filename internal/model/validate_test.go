@@ -90,15 +90,33 @@ func diffBase(t testing.TB, base uint8) *Cluster {
 }
 
 // Finite value pools the mutations draw from: in and out of range,
-// exact, and just inside and outside the 1e-6 sum tolerance.
+// exact, just inside and outside the 1e-6 sum tolerance, and a zero of
+// either sign.
 var (
 	diffFractions = []units.Fraction{0, 0.05, 0.1, 0.15, 0.25, 0.5, 0.85, 0.95, 1, 1.5, -0.5, 1e-7, 0.9999995, 0.999998}
-	diffScalars   = []float64{-1, 0, 1e-9, 0.15, 0.75, 38.6, 896}
+	diffScalars   = []float64{-1, 0, 1e-9, 0.15, 0.75, 38.6, 896, math.Copysign(0, -1)}
+	diffInlets    = []units.Celsius{21.6, units.AbsoluteZero, units.AbsoluteZero - 1, 1e6}
+)
+
+// The opcodes past the first 24.
+const (
+	opCopy      = 24 // copy machine a over the two machines after it
+	opInlet     = 25 // set the inlet temperature
+	opNaN       = 26 // a NaN mass, fan flow or inlet temperature
+	opPiecewise = 27 // a new *thermo.Piecewise of fixed points
+	numOps      = 28
 )
 
 // mutate applies the ops encoded in ops to c: each four-byte group is an
-// opcode and three operands. Every value it writes is finite.
+// opcode and three operands. The copy ops run first, so the others see
+// runs of identical machines and may break a later machine of a run.
+// Every value it writes is finite but opNaN's.
 func mutate(c *Cluster, ops []byte) {
+	for i := 0; i+4 <= len(ops); i += 4 {
+		if ops[i]%numOps == opCopy {
+			copyRun(c, int(ops[i+1]))
+		}
+	}
 	for len(ops) >= 4 {
 		op, a, b, k := ops[0], int(ops[1]), int(ops[2]), int(ops[3])
 		ops = ops[4:]
@@ -120,7 +138,7 @@ func mutate(c *Cluster, ops []byte) {
 		}
 		frac := diffFractions[k%len(diffFractions)]
 		scalar := diffScalars[k%len(diffScalars)]
-		switch op % 24 {
+		switch op % numOps {
 		case 0:
 			if n := len(m.Components); n > 0 {
 				m.Components[b%n].Name = name(k)
@@ -209,8 +227,79 @@ func mutate(c *Cluster, ops []byte) {
 			} else {
 				c.Sinks[0].Name = vertex(k)
 			}
+		case opInlet:
+			m.InletTemp = diffInlets[k%len(diffInlets)]
+		case opNaN:
+			nan := math.NaN()
+			switch k % 3 {
+			case 0:
+				if n := len(m.Components); n > 0 {
+					m.Components[b%n].Mass = units.Kilograms(nan)
+				}
+			case 1:
+				m.FanFlow = units.CubicFeetPerMinute(nan)
+			default:
+				m.InletTemp = units.Celsius(nan)
+			}
+		case opPiecewise:
+			// Equal points, a distinct pointer each time; an odd k makes
+			// the power fall with utilization, an invalid range.
+			powers := []units.Watts{5, 20}
+			if k%2 == 1 {
+				powers[0], powers[1] = 20, 5
+			}
+			pw, err := thermo.NewPiecewise([]units.Fraction{0, 1}, powers)
+			if err != nil {
+				panic(err)
+			}
+			if n := len(m.Components); n > 0 {
+				m.Components[b%n].Power = pw
+			}
 		}
 	}
+}
+
+// copyRun makes the two machines after machine a copies of it under
+// their own names. A copy past the end is a new machine, fed by the
+// first source and exhausting into the first sink.
+func copyRun(c *Cluster, a int) {
+	k := a % len(c.Machines)
+	src := c.Machines[k]
+	for j := k + 1; j <= k+2; j++ {
+		if j < len(c.Machines) {
+			c.Machines[j] = src.Clone(c.Machines[j].Name)
+			continue
+		}
+		name := "copy" + strconv.Itoa(j)
+		c.Machines = append(c.Machines, src.Clone(name))
+		c.Edges = append(c.Edges,
+			ClusterEdge{From: c.Sources[0].Name, To: name, Fraction: 1},
+			ClusterEdge{From: name, To: c.Sinks[0].Name, Fraction: 1})
+	}
+}
+
+// finiteMachine reports whether every constant of m is finite, the
+// frozen reference's contract.
+func finiteMachine(m *Machine) bool {
+	vals := []float64{float64(m.FanFlow), float64(m.InletTemp)}
+	for _, c := range m.Components {
+		vals = append(vals, float64(c.Mass), float64(c.SpecificHeat))
+		if c.Power != nil {
+			vals = append(vals, float64(c.Power.Base()), float64(c.Power.Max()))
+		}
+	}
+	for _, e := range m.HeatEdges {
+		vals = append(vals, float64(e.K))
+	}
+	for _, e := range m.AirEdges {
+		vals = append(vals, float64(e.Fraction))
+	}
+	for _, v := range vals {
+		if !finite(v) {
+			return false
+		}
+	}
+	return true
 }
 
 func errText(err error) string {
@@ -220,13 +309,18 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkAgainstReference holds every machine's Validate and
-// AirTopoOrder, and the cluster's Validate, to the frozen map-based
-// validator.
+// checkAgainstReference holds every finite machine's Validate, every
+// machine's AirTopoOrder, and the cluster's Validate to the frozen
+// map-based validator. The cluster's Validate, which checks only the
+// scalars of a machine whose body repeats the one before it, must also
+// say what checking every machine in full says, finite or not.
 func checkAgainstReference(t *testing.T, c *Cluster) {
 	t.Helper()
+	finite := true
 	for _, m := range c.Machines {
-		if got, want := errText(m.Validate()), errText(refMachineValidate(m)); got != want {
+		if !finiteMachine(m) {
+			finite = false
+		} else if got, want := errText(m.Validate()), errText(refMachineValidate(m)); got != want {
 			t.Fatalf("machine %q Validate:\n got %s\nwant %s", m.Name, got, want)
 		}
 		got, gerr := m.AirTopoOrder()
@@ -235,7 +329,11 @@ func checkAgainstReference(t *testing.T, c *Cluster) {
 			t.Fatalf("machine %q AirTopoOrder:\n got %q, %s\nwant %q, %s", m.Name, got, errText(gerr), want, errText(werr))
 		}
 	}
-	if got, want := errText(c.Validate()), errText(refClusterValidate(c)); got != want {
+	got := errText(c.Validate())
+	if want := errText(refClusterValidateWith(c, (*Machine).Validate)); got != want {
+		t.Fatalf("cluster Validate against every machine in full:\n got %s\nwant %s", got, want)
+	}
+	if want := errText(refClusterValidate(c)); finite && got != want {
 		t.Fatalf("cluster Validate:\n got %s\nwant %s", got, want)
 	}
 }
@@ -251,6 +349,19 @@ func FuzzValidateDifferential(f *testing.F) {
 	f.Add(uint8(0), []byte{5, 0, 3, 8})
 	f.Add(uint8(2), []byte{21, 0, 3, 0})
 	f.Add(uint8(2), []byte{18, 0, 0, 3})
+	// A later machine of a run of copies that differs from the one
+	// before it only by a heat constant of the other zero sign, a NaN
+	// mass, a renamed node, its own *thermo.Piecewise of equal points
+	// (valid, then falling) or a name with a space; then one that
+	// differs only by a NaN fan flow, and only by an inlet below
+	// absolute zero.
+	f.Add(uint8(0), []byte{opCopy, 0, 0, 0, 11, 0, 0, 1, 11, 1, 0, 1, 11, 2, 0, 7})
+	f.Add(uint8(0), []byte{opCopy, 0, 0, 0, opNaN, 2, 1, 0})
+	f.Add(uint8(2), []byte{1, 2, 3, 14})
+	f.Add(uint8(3), []byte{opCopy, 0, 0, 0, opPiecewise, 0, 2, 0, opPiecewise, 1, 2, 0, opPiecewise, 2, 2, 1})
+	f.Add(uint8(2), []byte{16, 4, 0, 9})
+	f.Add(uint8(1), []byte{opCopy, 0, 0, 0, opNaN, 1, 0, 1})
+	f.Add(uint8(1), []byte{opCopy, 0, 0, 0, opInlet, 2, 0, 2})
 	f.Fuzz(func(t *testing.T, base uint8, ops []byte) {
 		c := diffBase(t, base)
 		mutate(c, ops)
@@ -272,6 +383,10 @@ func TestValidateDifferentialRandom(t *testing.T) {
 		c := diffBase(t, uint8(rng.Intn(4)))
 		ops := make([]byte, 4*(1+rng.Intn(6)))
 		rng.Read(ops)
+		if i%2 == 0 {
+			// Half the rooms start with a run of copies.
+			ops[0] = opCopy
+		}
 		mutate(c, ops)
 		checkAgainstReference(t, c)
 		outcomes[errText(c.Validate())] = true

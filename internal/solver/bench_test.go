@@ -146,6 +146,50 @@ func BenchmarkRoomBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSolverNew times solver.New alone — validation, shape and set
+// interning, layout — on rooms built once outside the timer: the rooms
+// the rack-sharded (3 racks of 64) and room-kernel (500 racks of 40)
+// workloads boot, where every machine repeats the one before it and
+// takes its shape and set; a distinct room, DefaultCluster's with every
+// fan flow its own, where a machine takes its neighbour's shape but
+// keys its set; and a mixed room (mixedRoom), where no machine repeats
+// its neighbour.
+func BenchmarkSolverNew(b *testing.B) {
+	tiers := []struct {
+		name  string
+		build func() (*model.Cluster, error)
+	}{
+		{"rack/machines=192", func() (*model.Cluster, error) { return model.RackCluster("room", 3, 64, nil) }},
+		{"rack/machines=20000", func() (*model.Cluster, error) { return model.RackCluster("room", 500, 40, nil) }},
+		{"distinct/machines=20000", func() (*model.Cluster, error) {
+			c, err := model.DefaultCluster("room", 20000)
+			if err != nil {
+				return nil, err
+			}
+			for i, m := range c.Machines {
+				m.FanFlow = model.Table1.FanFlow * units.CubicFeetPerMinute(1+float64(i)/20000)
+			}
+			return c, nil
+		}},
+		{"mixed/machines=20000", func() (*model.Cluster, error) { return mixedRoom(20000) }},
+	}
+	for _, tr := range tiers {
+		b.Run(tr.name, func(b *testing.B) {
+			c, err := tr.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(c, Config{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchProbes keeps BenchmarkRoomBuild's Probes result live.
 var benchProbes []string
 

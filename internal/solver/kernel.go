@@ -237,8 +237,11 @@ func (r *room) scalesOf(mi int) []float64 {
 }
 
 // place fills machine mi's windows from its model and binds it to the
-// set of its constants. sh must be the shape interned for m.
-func (r *room) place(mi int, m *model.Machine, sh *kernelShape, at bases) {
+// set of its constants. sh must be the shape interned for m. repeat
+// says that m's body and fan flow equal those of machine mi-1's model:
+// its constants are then that machine's, so it joins that machine's
+// set without staging or keying them, as intern's hit path would.
+func (r *room) place(mi int, m *model.Machine, sh *kernelShape, at bases, repeat bool) {
 	r.ms[mi] = machine{
 		shape:  sh,
 		bases:  at,
@@ -247,25 +250,31 @@ func (r *room) place(mi int, m *model.Machine, sh *kernelShape, at bases) {
 		nomCFM: m.FanFlow,
 		name:   m.Name,
 	}
-	st := r.stageShape(sh)
-	for i, c := range m.Components {
-		st.invThermal[i] = 1 / float64(c.ThermalMass())
-		st.models[i] = c.Power
-		st.modelIDs[i] = r.sets.modelID(c.Power)
-	}
-	for i, e := range m.HeatEdges {
-		st.heatK[i] = float64(e.K)
-	}
-	for i, e := range m.AirEdges {
-		st.airFrac[i] = float64(e.Fraction)
-	}
 	scales := r.scalesOf(mi)
 	for i := range scales {
 		scales[i] = 1
 	}
 	r.inlet[mi] = float64(m.InletTemp)
 	r.dirty[mi] = true
-	r.bind(mi)
+	if repeat {
+		set := r.ms[mi-1].set
+		set.refs++
+		r.ms[mi].set = set
+	} else {
+		st := r.stageShape(sh)
+		for i, c := range m.Components {
+			st.invThermal[i] = 1 / float64(c.ThermalMass())
+			st.models[i] = c.Power
+			st.modelIDs[i] = r.sets.modelID(c.Power)
+		}
+		for i, e := range m.HeatEdges {
+			st.heatK[i] = float64(e.K)
+		}
+		for i, e := range m.AirEdges {
+			st.airFrac[i] = float64(e.Fraction)
+		}
+		r.bind(mi)
+	}
 	r.refreshDraws(mi)
 }
 

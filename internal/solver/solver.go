@@ -207,14 +207,20 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 		core.srcIdx[src.Name] = i
 	}
 	// Intern every machine's shape, size each room-wide array once, then
-	// lay the machines' windows out in machine order.
+	// lay the machines' windows out in machine order. A machine whose
+	// body equals the one before it has that machine's shape; with an
+	// equal fan flow too, it has that machine's set (repeat).
 	shapes := &shapeTable{shapes: map[string]*kernelShape{}}
 	machineShape := make([]*kernelShape, len(c.Machines))
+	repeat := make([]bool, len(c.Machines))
 	var total bases
 	maxNodes := 0
 	for i, m := range c.Machines {
-		sh, err := shapes.intern(m)
-		if err != nil {
+		var sh *kernelShape
+		if i > 0 && m.SameBody(c.Machines[i-1]) {
+			sh = machineShape[i-1]
+			repeat[i] = math.Float64bits(float64(m.FanFlow)) == math.Float64bits(float64(c.Machines[i-1].FanFlow))
+		} else if sh, err = shapes.intern(m); err != nil {
 			return nil, err
 		}
 		machineShape[i] = sh
@@ -225,7 +231,7 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 	core.room = newRoom(len(c.Machines), total)
 	var at bases
 	for i, m := range c.Machines {
-		core.place(i, m, machineShape[i], at)
+		core.place(i, m, machineShape[i], at, repeat[i])
 		at.advance(machineShape[i])
 	}
 	for _, e := range c.Edges {

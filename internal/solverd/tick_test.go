@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,7 +182,8 @@ func (r *tickRig) second(n uint64) {
 
 // tickOutcome is everything a driver can have changed.
 type tickOutcome struct {
-	stats    [][10]uint64
+	stats    []map[string]uint64 // per shard: every Stats counter by name
+	steps    uint64              // shard 0's SolverSteps
 	spans    []causal.Span
 	series   [][][]float64 // shard, probe, sampled values
 	samples  uint64        // surrogate trajectory samples
@@ -221,12 +223,10 @@ func (r *tickRig) finish(ticks uint64) tickOutcome {
 		if err := s.Close(); err != nil {
 			r.t.Fatal(err)
 		}
-		st := s.Stats()
-		o.stats = append(o.stats, [10]uint64{
-			st.UtilUpdates.Load(), st.SensorReads.Load(), st.FiddleOps.Load(),
-			st.Malformed.Load(), st.SolverSteps.Load(), st.MissedTicks.Load(), st.UtilBatches.Load(),
-			st.BoundaryOut.Load(), st.BoundaryIn.Load(), st.BoundaryMissed.Load(),
-		})
+		o.stats = append(o.stats, counters(r.t, s.Stats()))
+		if i == 0 {
+			o.steps = s.Stats().SolverSteps.Load()
+		}
 		var series [][]float64
 		for p := range s.Temps().Probes() {
 			_, vals := s.Temps().Series(p)
@@ -263,10 +263,27 @@ func (r *tickRig) finish(ticks uint64) tickOutcome {
 		o.rows = append(o.rows, log.TempRows)
 		o.boundary = append(o.boundary, log.Boundary)
 	}
-	if got := o.stats[0][4]; got != ticks {
-		r.t.Fatalf("shard 0 took %d steps, want %d", got, ticks)
+	if o.steps != ticks {
+		r.t.Fatalf("shard 0 took %d steps, want %d", o.steps, ticks)
 	}
 	return o
+}
+
+// counters reads every counter of st by its field name, so a counter
+// added to Stats is compared without a change here.
+func counters(t testing.TB, st *solverd.Stats) map[string]uint64 {
+	t.Helper()
+	v := reflect.ValueOf(st).Elem()
+	out := make(map[string]uint64, v.NumField())
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		c, ok := v.Field(i).Addr().Interface().(*atomic.Uint64)
+		if !ok {
+			t.Fatalf("Stats.%s is a %s, not an atomic.Uint64 counter", name, v.Field(i).Type())
+		}
+		out[name] = c.Load()
+	}
+	return out
 }
 
 // TestTickMatchesTicker: a harness that calls Tick after each Advance
@@ -300,11 +317,18 @@ func TestTickMatchesTicker(t *testing.T) {
 				got[i] = r.finish(ticks)
 			}
 			a, o := got[0], got[1]
+			for shard := range a.stats {
+				for name, n := range a.stats[shard] {
+					if m := o.stats[shard][name]; m != n {
+						t.Errorf("shard %d Stats.%s: %d by StartTicker, %d by Tick", shard, name, n, m)
+					}
+				}
+			}
 			for _, f := range []struct {
 				name             string
 				byTicker, byTick any
 			}{
-				{"Stats", a.stats, o.stats}, {"canonical spans", a.spans, o.spans},
+				{"canonical spans", a.spans, o.spans},
 				{"temperature series", a.series, o.series}, {"surrogate samples", a.samples, o.samples},
 				{"UTL/FDL records", a.inputs, o.inputs}, {"TMP records", a.rows, o.rows},
 				{"BND records", a.boundary, o.boundary}, {"final temperatures", a.temps, o.temps},

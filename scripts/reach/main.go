@@ -7,7 +7,10 @@
 // It builds every main package that `go list ./...` finds with inlining
 // off (-gcflags=all=-l, so a function that is called is a symbol of its
 // own), reads the linked symbols with `go tool nm`, and compares them
-// with the non-test FuncDecls of every package's build-selected files.
+// with the non-test FuncDecls of every package's build-selected files
+// and with their function-valued package vars (funcVar): a var that
+// holds a function, `var X = pkg.F`, is linked only if a binary reads
+// it, and is reported like a function when none does.
 // A function of a main package counts only in that binary. Each line of
 // scripts/reach/allow.txt names one function the census may report,
 // followed by the reason it stays; a line whose function is reachable
@@ -63,11 +66,11 @@ type pkg struct {
 	CgoFiles   []string
 }
 
-// fn is one declared function. Key is its module-relative name as the
-// report and the allowlist spell it: "internal/lvs.Balancer.Quiesce"
-// for a method (receiver type without pointer or type parameters),
-// "internal/model.RackCluster" for a function, ".Foo" in the module's
-// root package.
+// fn is one declared function or function-valued package var. Key is
+// its module-relative name as the report and the allowlist spell it:
+// "internal/lvs.Balancer.Quiesce" for a method (receiver type without
+// pointer or type parameters), "internal/model.RackCluster" for a
+// function or var, ".Foo" in the module's root package.
 type fn struct {
 	Key   string
 	Pos   string // file:line, relative to the module root
@@ -82,14 +85,29 @@ func census(dir string) ([]fn, error) {
 		return nil, err
 	}
 	decls := map[string]fn{}
+	var vars []funcVar
 	var mains []pkg
 	for _, p := range pkgs {
-		if err := declare(dir, p, decls); err != nil {
+		if err := declare(dir, p, decls, &vars); err != nil {
 			return nil, err
 		}
 		if p.Name == "main" {
 			mains = append(mains, p)
 		}
+	}
+	// A var's value may name a function of a package declared later, so
+	// vars are resolved once every function is known.
+	var held []fn
+	for _, v := range vars {
+		if _, isFunc := decls[v.target]; v.lit || isFunc {
+			held = append(held, v.fn)
+		}
+	}
+	for _, v := range held {
+		if prev, dup := decls[v.Key]; dup {
+			return nil, fmt.Errorf("%s declared twice (%s and %s)", v.Key, prev.Pos, v.Pos)
+		}
+		decls[v.Key] = v
 	}
 	if len(mains) == 0 {
 		return nil, fmt.Errorf("no main package under %s", dir)
@@ -109,7 +127,7 @@ func census(dir string) ([]fn, error) {
 		if err != nil {
 			return nil, fmt.Errorf("nm %s: %v\n%s", m.ImportPath, err, out)
 		}
-		for _, sym := range textSymbols(out) {
+		for _, sym := range definedSymbols(out) {
 			if strings.HasPrefix(sym, "main.") {
 				sym = m.ImportPath + sym[len("main"):]
 			}
@@ -162,10 +180,20 @@ func relPath(importPath, module string) (string, bool) {
 	return "", false
 }
 
-// declare adds the FuncDecls of p's build-selected, non-test files.
+// funcVar is a package-level var that may hold a function: one of a
+// function type or whose value is a function literal (lit), or one whose
+// value names target, the key of a function if one is declared under it.
+type funcVar struct {
+	fn
+	lit    bool
+	target string
+}
+
+// declare adds the FuncDecls of p's build-selected, non-test files to
+// decls and their package-level vars that may hold a function to vars.
 // GoFiles already honours build constraints: a file behind a tag the
 // build does not set (race_on.go under `race`) is not in it.
-func declare(dir string, p pkg, decls map[string]fn) error {
+func declare(dir string, p pkg, decls map[string]fn, vars *[]funcVar) error {
 	rel, ok := relPath(p.ImportPath, p.Module.Path)
 	if !ok {
 		return fmt.Errorf("package %s is not in module %s", p.ImportPath, p.Module.Path)
@@ -181,24 +209,111 @@ func declare(dir string, p pkg, decls map[string]fn) error {
 		if err != nil {
 			return err
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Name.Name == "_" || fd.Name.Name == "init" {
-				continue // an init runs whenever its package is linked
-			}
-			key := rel + "." + declName(fd)
-			start, end := fset.Position(fd.Pos()), fset.Position(fd.End())
+		at := func(key string, n ast.Node) fn {
+			start, end := fset.Position(n.Pos()), fset.Position(n.End())
 			pos, err := filepath.Rel(root, start.Filename)
 			if err != nil {
 				pos = start.Filename
 			}
-			if prev, dup := decls[key]; dup {
-				return fmt.Errorf("%s declared twice (%s and %s:%d)", key, prev.Pos, pos, start.Line)
+			return fn{Key: key, Pos: fmt.Sprintf("%s:%d", filepath.ToSlash(pos), start.Line), Lines: end.Line - start.Line + 1}
+		}
+		imports := fileImports(f, p.Module.Path)
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Name.Name == "_" || d.Name.Name == "init" {
+					continue // an init runs whenever its package is linked
+				}
+				fd := at(rel+"."+declName(d), d)
+				if prev, dup := decls[fd.Key]; dup {
+					return fmt.Errorf("%s declared twice (%s and %s)", fd.Key, prev.Pos, fd.Pos)
+				}
+				decls[fd.Key] = fd
+			case *ast.GenDecl:
+				if d.Tok != token.VAR {
+					continue
+				}
+				for _, s := range d.Specs {
+					vs := s.(*ast.ValueSpec)
+					_, typed := vs.Type.(*ast.FuncType)
+					for i, name := range vs.Names {
+						if name.Name == "_" {
+							continue
+						}
+						v := funcVar{fn: at(rel+"."+name.Name, vs), lit: typed}
+						if len(vs.Values) == len(vs.Names) {
+							lit, target := funcValue(vs.Values[i], rel, imports)
+							v.lit, v.target = v.lit || lit, target
+						}
+						if v.lit || v.target != "" {
+							*vars = append(*vars, v)
+						}
+					}
+				}
 			}
-			decls[key] = fn{Key: key, Pos: fmt.Sprintf("%s:%d", filepath.ToSlash(pos), start.Line), Lines: end.Line - start.Line + 1}
 		}
 	}
 	return nil
+}
+
+// fileImports maps the names f imports packages of the module under to
+// their module-relative paths.
+func fileImports(f *ast.File, module string) map[string]string {
+	out := map[string]string{}
+	for _, im := range f.Imports {
+		path := strings.Trim(im.Path.Value, `"`)
+		rel, ok := relPath(path, module)
+		if !ok {
+			continue
+		}
+		name := path[strings.LastIndex(path, "/")+1:]
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		out[name] = rel
+	}
+	return out
+}
+
+// funcValue reads a var's value: lit for a function literal, else the
+// key of the function it names if it names one of the module's —
+// F, pkg.F, T.M or (*T).M, with or without type arguments.
+func funcValue(e ast.Expr, rel string, imports map[string]string) (lit bool, target string) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.FuncLit:
+			return true, ""
+		case *ast.Ident:
+			return false, rel + "." + x.Name
+		case *ast.SelectorExpr:
+			recv := x.X
+			for {
+				if p, ok := recv.(*ast.ParenExpr); ok {
+					recv = p.X
+				} else if s, ok := recv.(*ast.StarExpr); ok {
+					recv = s.X
+				} else {
+					break
+				}
+			}
+			id, ok := recv.(*ast.Ident)
+			if !ok {
+				return false, ""
+			}
+			if path, ok := imports[id.Name]; ok {
+				return false, path + "." + x.Sel.Name
+			}
+			return false, rel + "." + id.Name + "." + x.Sel.Name
+		default:
+			return false, ""
+		}
+	}
 }
 
 // declName is "F" for a function and "T.M" for a method, whatever the
@@ -226,15 +341,17 @@ func declName(fd *ast.FuncDecl) string {
 	}
 }
 
-// textSymbols returns the names of the text (code) symbols in `go tool
-// nm` output, whose lines read "address type name".
-func textSymbols(nm []byte) []string {
+// definedSymbols returns the names of the symbols a binary defines —
+// text (code), data, bss and read-only data — in `go tool nm` output,
+// whose lines read "address type name". A package var is a data or bss
+// symbol of its own name.
+func definedSymbols(nm []byte) []string {
 	var syms []string
 	sc := bufio.NewScanner(bytes.NewReader(nm))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
-		if len(f) < 3 || (f[1] != "T" && f[1] != "t") {
+		if len(f) < 3 || !strings.Contains("TtDdBbRr", f[1]) || len(f[1]) != 1 {
 			continue
 		}
 		// A generic instantiation's name may hold spaces

@@ -52,7 +52,10 @@ func TestSymbolKey(t *testing.T) {
 // and a dead function of every shape: pointer and value receivers,
 // a value method linked only through its pointer wrapper, generic
 // receivers and functions, closures, two types sharing a method name,
-// a main package's own functions, and a file behind a build tag. The
+// a main package's own functions, a file behind a build tag, and
+// package vars holding a function (read, and never read: a function of
+// the package or of another, a literal, a method expression, a nil of
+// a function type) beside one holding a number. The
 // census must report exactly the dead ones: a mapping bug that reads a
 // live function as dead, or a dead one as live, changes the set.
 func TestCensusFixture(t *testing.T) {
@@ -71,8 +74,13 @@ func TestCensusFixture(t *testing.T) {
 		}
 	}
 	want := []string{
+		".flavorHook",
 		".unusedHelper",
 		"lib.B.Close",
+		"lib.DeadExpr",
+		"lib.DeadHook",
+		"lib.DeadLit",
+		"lib.DeadTyped",
 		"lib.DeadWithClosure",
 		"lib.G.Dead",
 		"lib.P.Dead",

@@ -62,3 +62,21 @@ func (A) Close() { fmt.Println("A.Close") }
 type B struct{}
 
 func (B) Close() { fmt.Println("B.Close") }
+
+// Package-level vars that hold functions: a var no binary reads is
+// reported like a function, whatever names the function it holds.
+var (
+	// Hook is read by main, so it and hookTarget are live.
+	Hook = hookTarget
+	// DeadHook, DeadLit, DeadExpr and DeadTyped hold functions no
+	// binary reads: a generic function of this package, a literal, a
+	// method expression and a nil of a function type.
+	DeadHook  = Unused[int]
+	DeadLit   = func() int { return 1 }
+	DeadExpr  = (*P).Dead
+	DeadTyped func()
+	// Count holds no function, so the census does not list it.
+	Count = 3
+)
+
+func hookTarget() { fmt.Println("hook") }

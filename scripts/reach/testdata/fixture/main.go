@@ -21,8 +21,13 @@ func main() {
 	fmt.Println(lib.WithClosure()(2))
 	fmt.Println(lib.Flavor())
 	lib.A{}.Close()
+	lib.Hook()
 	helper()
 }
+
+// flavorHook holds a function of another package of the module, and no
+// binary reads it.
+var flavorHook = lib.Flavor
 
 func helper() { fmt.Println("helper") }
 
