@@ -86,8 +86,8 @@ func BenchmarkSolverIteration(b *testing.B) {
 // matches workers=1 by design. Temperatures are bit-identical across
 // the variants (asserted by TestParallelDeterminism); the benchmark
 // exists to prove the speedup. On a multi-core runner
-// machines=10000/workers=4 must beat workers=1 — CI's scaling assert
-// enforces exactly that pair (.github/workflows/ci.yml).
+// machines=10000/workers=4 must beat workers=1 — the scaling assert of
+// scripts/ci.sh's bench stage enforces exactly that pair.
 //
 // The machines=100000 tier approaches the scale of whole-datacenter
 // thermal studies; model construction alone takes tens of seconds

@@ -75,7 +75,14 @@ func (c *Cluster) Source(name string) *ClusterSource {
 // sinks only receive, machines both), every machine receiving at least
 // one incoming edge, every machine's outgoing fractions summing to 1,
 // and at least one source and one sink.
-func (c *Cluster) Validate() error {
+func (c *Cluster) Validate() error { return c.ValidateRuns(nil) }
+
+// ValidateRuns is Validate that also records, for each machine i it
+// reaches, whether i's body equals machine i-1's
+// ((*Machine).SameBody) in sameBody[i], so a caller that builds per-body
+// state decides each run of repeated servers once. A nil sameBody
+// records nothing; otherwise it must have len(c.Machines) entries.
+func (c *Cluster) ValidateRuns(sameBody []bool) error {
 	if c.Name == "" {
 		return fmt.Errorf("model: cluster has no name")
 	}
@@ -97,8 +104,12 @@ func (c *Cluster) Validate() error {
 	for i, m := range c.Machines {
 		// A machine whose body equals that of the machine before it,
 		// which passed, can fail only in its own scalars.
+		same := i > 0 && m.SameBody(c.Machines[i-1])
+		if sameBody != nil {
+			sameBody[i] = same
+		}
 		var err error
-		if i > 0 && m.SameBody(c.Machines[i-1]) {
+		if same {
 			err = scalarErr(m)
 		} else {
 			err = v.machine(m)

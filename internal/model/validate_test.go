@@ -313,7 +313,8 @@ func errText(err error) string {
 // machine's AirTopoOrder, and the cluster's Validate to the frozen
 // map-based validator. The cluster's Validate, which checks only the
 // scalars of a machine whose body repeats the one before it, must also
-// say what checking every machine in full says, finite or not.
+// say what checking every machine in full says, finite or not, and
+// ValidateRuns must say the same and record SameBody's verdicts.
 func checkAgainstReference(t *testing.T, c *Cluster) {
 	t.Helper()
 	finite := true
@@ -335,6 +336,15 @@ func checkAgainstReference(t *testing.T, c *Cluster) {
 	}
 	if want := errText(refClusterValidate(c)); finite && got != want {
 		t.Fatalf("cluster Validate:\n got %s\nwant %s", got, want)
+	}
+	sameBody := make([]bool, len(c.Machines))
+	if runs := errText(c.ValidateRuns(sameBody)); runs != got {
+		t.Fatalf("cluster ValidateRuns:\n got %s\nwant %s", runs, got)
+	}
+	for i := 1; got == "<nil>" && i < len(c.Machines); i++ {
+		if want := c.Machines[i].SameBody(c.Machines[i-1]); sameBody[i] != want {
+			t.Fatalf("ValidateRuns sameBody[%d] = %v, SameBody says %v", i, sameBody[i], want)
+		}
 	}
 }
 

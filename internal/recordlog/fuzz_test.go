@@ -29,8 +29,8 @@ func sampleFileBytes(n int) []byte {
 // FuzzReadRecord throws arbitrary bytes at the reader: it must never
 // panic, never loop forever, and classify every input as clean EOF,
 // truncated tail, corrupt, or a header error. Committed seeds live in
-// testdata/fuzz/FuzzReadRecord; CI extends the corpus on a schedule
-// (.github/workflows/ci.yml).
+// testdata/fuzz/FuzzReadRecord; the fuzz stage of scripts/ci.sh extends
+// the corpus on every CI run.
 func FuzzReadRecord(f *testing.F) {
 	// Seed with a well-formed file, a truncated one, a corrupted one,
 	// and one carrying an unknown record type. Built in memory — fuzz

@@ -188,7 +188,10 @@ type Solver struct {
 // retained; later model mutations do not affect the solver (use the
 // fiddle methods instead).
 func New(c *model.Cluster, cfg Config) (*Solver, error) {
-	if err := c.Validate(); err != nil {
+	// repeat[i] starts as the validator's verdict that machine i's body
+	// equals machine i-1's and keeps it only if the fan flow does too.
+	repeat := make([]bool, len(c.Machines))
+	if err := c.ValidateRuns(repeat); err != nil {
 		return nil, err
 	}
 	cfg, err := cfg.withDefaults()
@@ -212,12 +215,11 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 	// equal fan flow too, it has that machine's set (repeat).
 	shapes := &shapeTable{shapes: map[string]*kernelShape{}}
 	machineShape := make([]*kernelShape, len(c.Machines))
-	repeat := make([]bool, len(c.Machines))
 	var total bases
 	maxNodes := 0
 	for i, m := range c.Machines {
 		var sh *kernelShape
-		if i > 0 && m.SameBody(c.Machines[i-1]) {
+		if repeat[i] {
 			sh = machineShape[i-1]
 			repeat[i] = math.Float64bits(float64(m.FanFlow)) == math.Float64bits(float64(c.Machines[i-1].FanFlow))
 		} else if sh, err = shapes.intern(m); err != nil {

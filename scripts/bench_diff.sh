@@ -16,9 +16,9 @@
 #   -enforce: min-ratio defaults to 0.9 (the documented 10% regression
 #   budget — see docs/performance.md and README.md) and any benchmark
 #   below it, or any allocation regression, emits `::error::` and makes
-#   the script exit 1. This is the PR bench gate wired up in
-#   .github/workflows/ci.yml; commits carrying `[bench-skip]` in their
-#   message bypass the gate there, not here.
+#   the script exit 1. This is the PR bench gate of scripts/ci.sh's
+#   bench stage; commits carrying `[bench-skip]` in their message
+#   bypass the gate there, not here.
 #
 # allocs/op is deterministic: when both files carry it (bench.sh runs
 # with -benchmem), any benchmark that was allocation-free in the
