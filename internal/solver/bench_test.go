@@ -10,18 +10,22 @@ import (
 )
 
 // BenchmarkRoomStep is the serial kernel size sweep behind
-// docs/performance.md's "Room layout", "Pair kernel" and "Quad kernel
-// over shared coefficient sets": ns per machine-step at Workers:1 on
-// RackCluster (racks of 40), DefaultCluster, mixed and distinct rooms
-// from in-cache sizes to far beyond the last-level cache, plus the
-// grouping edges — one machine, which steps paired with itself, and 41
-// machines, which leave one. A mixed room alternates DefaultServers and
-// 4-core CMP servers, so no two neighbours share a shape. A distinct
-// room is DefaultCluster's with every machine given its own fan flow,
-// so no two machines share a coefficient set and every machine steps
-// through the pair kernel. It uses only the public API, so the same
-// file runs unchanged against older kernels. The 100 000-machine tiers
-// are skipped under -short.
+// docs/performance.md's "Lane-major blocks": ns per machine-step at
+// Workers:1 on RackCluster (racks of 40), DefaultCluster, mixed and
+// distinct rooms from in-cache sizes to far beyond the last-level
+// cache, plus the block edges — one machine, a block with three idle
+// lanes, and 41 machines, whose last block has one lane. A mixed room alternates
+// DefaultServers and 4-core CMP servers, so no two neighbours share a
+// shape. A distinct room is DefaultCluster's with every machine given
+// its own fan flow, so no two machines share a coefficient set and
+// every block reads interleaved coefficients. Every iteration writes
+// one machine's utilization, by position and rotating through the
+// room, before the step: a room left alone settles to its exact fixed
+// point, where the active set skips the kernel, and a small room would
+// then price the skip, not the kernel, by an amount that depends on
+// b.N. It uses only the public API, so the same file runs unchanged
+// against older kernels. The 100 000-machine tiers are skipped under
+// -short.
 func BenchmarkRoomStep(b *testing.B) {
 	type tier struct {
 		kind string
@@ -56,11 +60,13 @@ func BenchmarkRoomStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			srcs := make([]model.UtilSource, n)
 			for i, name := range s.Machines() {
 				src := model.UtilCPU
 				if kind == "mixed" && i%2 == 1 {
 					src = model.CoreUtil(0) // a CMP server loads one core
 				}
+				srcs[i] = src
 				if err := s.SetUtilization(name, src, units.Fraction(i%10)/10); err != nil {
 					b.Fatal(err)
 				}
@@ -72,9 +78,14 @@ func BenchmarkRoomStep(b *testing.B) {
 				}
 			}
 			s.StepN(5)
+			entry := make([]model.UtilSample, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				// Visits alternate the machine between 1/4 and 1/2.
+				m := i % n
+				entry[0] = model.UtilSample{Source: srcs[m], Util: units.Fraction(1+(i/n)%2) / 4}
+				s.ApplyUtilization(m, entry)
 				s.Step()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/machine-step")

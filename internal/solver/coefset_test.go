@@ -31,9 +31,10 @@ func genRejoinOp(rng *rand.Rand, c *model.Cluster) diffOp {
 	return op
 }
 
-// TestQuadDifferential holds the grouped kernel to the frozen reference
-// on what decides its groups: runs of 1 to 9 stepping machines of one
-// set (one rack of n machines), one shape split across several sets,
+// TestQuadDifferential holds the block kernel to the frozen reference
+// on what decides its blocks and their coefficients: 1 to 9 machines of
+// one shape (one rack of n machines, so every count of idle lanes),
+// one shape split across several sets,
 // machines leaving their set and rejoining it (fan flow A→B→A, and
 // random fiddles raced with random restores of model values), gaps left
 // by the active set, 1, 2 and 4 workers, and two regions.
@@ -123,8 +124,8 @@ func setsOf(s *Solver) (count int, of []int) {
 }
 
 // TestGeneratedRoomsShareOneSetPerShape: every generated room compiles
-// exactly one coefficient set per shape, so every stepping machine of a
-// shape can step in a group of four.
+// exactly one coefficient set per shape, so every block reads its
+// set's broadcast coefficients.
 func TestGeneratedRoomsShareOneSetPerShape(t *testing.T) {
 	cmpRoom := func(n int) (*model.Cluster, error) {
 		c, err := model.DefaultCluster("room", n)
@@ -329,8 +330,8 @@ func TestFanTogglesReuseSets(t *testing.T) {
 }
 
 // TestStepDoesNotAllocate: stepping allocates nothing whatever mix of
-// groups of four and pairs the room's sets make, and neither does a
-// utilization update.
+// shared and interleaved coefficients the room's blocks read, and
+// neither does a utilization update.
 func TestStepDoesNotAllocate(t *testing.T) {
 	c, err := model.RackCluster("room", 2, 11, nil)
 	if err != nil {
@@ -477,35 +478,91 @@ func TestImportBoundaryRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestShardsGroupSets: New orders each shard's machines so that, within
-// a shape, the machines of one set are adjacent, so a room whose model
-// already splits a shape across sets still steps in groups of four.
-func TestShardsGroupSets(t *testing.T) {
-	c, err := model.DefaultCluster("room", 24)
+// TestShardBlocks pins the room's layout on rooms that split a shape
+// across sets or interleave shapes: each shard steps whole blocks of one
+// shape, four machines to a block but for the last of each shape, in
+// its idx order; every machine owns one lane of one block; a block
+// of four machines that share a set reads that set's broadcast copy and
+// any other reads its own; and a fiddle that moves machines between
+// sets moves none between blocks.
+func TestShardBlocks(t *testing.T) {
+	split, err := model.DefaultCluster("room", 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < len(c.Machines); i += 3 {
-		c.Machines[i].FanFlow = 50
+	for i := 0; i < len(split.Machines); i += 3 {
+		split.Machines[i].FanFlow = 50
 	}
-	for _, workers := range []int{1, 2, 3} {
-		s, err := New(c, Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, _ := setsOf(s); n != 2 {
-			t.Fatalf("%d sets, want 2", n)
-		}
-		for si, sh := range s.shards {
-			runs, sets := 0, map[*coefSet]bool{}
-			for k, mi := range sh.idx {
-				if k == 0 || s.ms[sh.idx[k-1]].set != s.ms[mi].set {
-					runs++
-				}
-				sets[s.ms[mi].set] = true
+	for name, c := range map[string]*model.Cluster{"split": split, "mixed": mixedShapeCluster(t)} {
+		for _, workers := range []int{1, 2, 3} {
+			s, err := New(c, Config{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if runs != len(sets) {
-				t.Errorf("workers=%d: shard %d has %d runs of %d sets: %v", workers, si, runs, len(sets), sh.idx)
+			label := fmt.Sprintf("%s/workers=%d", name, workers)
+			check := func(when string) {
+				t.Helper()
+				lanes := map[int32]bool{}
+				for si, sh := range s.shards {
+					var order []int32
+					for bi := sh.blocks[0]; bi < sh.blocks[1]; bi++ {
+						b := &s.blocks[bi]
+						last := bi+1 == sh.blocks[1] || s.blocks[bi+1].shape != b.shape
+						if b.lanes < 1 || b.lanes > 4 || (b.lanes < 4 && !last) {
+							t.Errorf("%s %s: shard %d block %d has %d lanes", label, when, si, bi, b.lanes)
+						}
+						shared := b.lanes == 4
+						for l, mi := range b.ms[:b.lanes] {
+							m := &s.ms[mi]
+							if m.shape != b.shape || m.blk != bi || m.lane != int32(l) || lanes[mi] {
+								t.Errorf("%s %s: machine %d in block %d lane %d", label, when, mi, bi, l)
+							}
+							lanes[mi] = true
+							shared = shared && m.set == s.ms[b.ms[0]].set
+							order = append(order, mi)
+						}
+						if want := s.ms[b.ms[0]].set.wide; shared != (b.coef == want) || shared == (b.coef == b.own) {
+							t.Errorf("%s %s: block %d shared %v reads the wrong coefficients", label, when, bi, shared)
+						}
+					}
+					if fmt.Sprint(order) != fmt.Sprint(sh.idx) {
+						t.Errorf("%s %s: shard %d steps %v, idx %v", label, when, si, order, sh.idx)
+					}
+				}
+				if len(lanes) != len(s.ms) {
+					t.Errorf("%s %s: %d of %d machines in a block", label, when, len(lanes), len(s.ms))
+				}
+			}
+			// members is every block's place and machines, not its
+			// coefficients, which fiddles rebind.
+			members := func() string {
+				var out []string
+				for _, b := range s.blocks {
+					out = append(out, fmt.Sprint(b.shape.id, b.node, b.comp, b.lanes, b.ms))
+				}
+				return strings.Join(out, ";")
+			}
+			check("after New")
+			before := members()
+			for i, m := range c.Machines {
+				if i%2 == 0 {
+					if err := s.SetFanFlow(m.Name, 44); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i%5 == 0 {
+					if err := s.SetMachinePower(m.Name, false); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			check("after fiddles")
+			if err := s.RestoreState(s.SaveState()); err != nil {
+				t.Fatal(err)
+			}
+			check("after a restore")
+			if after := members(); after != before {
+				t.Errorf("%s: the blocks changed: %s, before %s", label, after, before)
 			}
 		}
 	}

@@ -539,10 +539,10 @@ func (d *diffRun) quietOps(t *testing.T, c *model.Cluster) {
 // TestKernelDifferential is the room kernel's contract with the kernel
 // it replaced: bit-identical observables through any mix of inputs, on
 // heterogeneous rooms, at every worker count, and split across two
-// regions. The rooms cover every way the pair kernel forms its pairs:
-// even rooms of one shape, an odd room whose last machine pairs with
-// itself, a one-machine room, three shapes that never sit side by
-// side, and three workers, whose shard cuts fall mid-pair. The odd
+// regions. The rooms cover every way the blocks form: even rooms of
+// one shape, an odd room whose last block has idle lanes, a
+// one-machine room, three shapes that never sit side by side, and
+// three workers, whose shard cuts fall mid-block. The odd
 // room, stepped serially, also applies every mutator from an all-quiet
 // room (diffRun.quietOps).
 func TestKernelDifferential(t *testing.T) {

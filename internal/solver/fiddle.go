@@ -37,7 +37,8 @@ func (s *Solver) SetNodeTemperature(machine, node string, t units.Celsius) error
 	if !ok {
 		return &ErrUnknown{Kind: "node", Name: machine + "/" + node}
 	}
-	s.tempsOf(mi)[idx] = float64(t)
+	rows, l := s.tempsOf(mi)
+	rows[idx][l] = float64(t)
 	s.fiddleGen++ // a forced jump breaks trajectory continuity
 	s.markDirty(mi)
 	return nil
@@ -215,9 +216,8 @@ func (s *Solver) SetPowerScale(machine, component string, scale units.Fraction) 
 		return &ErrUnknown{Kind: "component", Name: machine + "/" + component}
 	}
 	s.scalesOf(mi)[ci] = float64(scale)
-	s.refreshDraws(mi)
+	s.markStale(mi)
 	s.fiddleGen++
-	s.markDirty(mi)
 	return nil
 }
 
@@ -236,8 +236,7 @@ func (s *Solver) SetMachinePower(machine string, on bool) error {
 		s.ms[mi].on = on
 		s.stage(mi)
 		s.bind(mi)
-		s.refreshDraws(mi)
-		s.markDirty(mi)
+		s.markStale(mi)
 	}
 	return nil
 }

@@ -12,8 +12,7 @@ import (
 )
 
 // This file holds the flat step kernel. A compiled machine has three
-// parts (docs/performance.md, "Room layout" and "Quad kernel over
-// shared coefficient sets"):
+// parts (docs/performance.md, "Lane-major blocks"):
 //
 //   - a kernelShape: everything a fiddle cannot change — node names,
 //     component and utilization bindings, heat- and air-edge endpoints,
@@ -30,11 +29,15 @@ import (
 //     immutable while bound: a fiddle builds the machine's new
 //     constants, interns them and moves the machine to the result, and
 //     a value that returns to the default rejoins the shared set.
-//   - the machine's own numbers, in room-wide arrays (room): machine mi
-//     owns one window of each array, starting at its per-kind base
-//     (bases) and as long as its shape's count of that kind —
-//     temperatures, draws, power scales and utilizations — plus its
-//     energy, inlet, exhaust, pin and flags.
+//   - the machine's own numbers. Each shard groups its machines by
+//     shape, in shard order, into blocks of four lanes (block), and a
+//     block stores its machines' temperatures and draws lane-major: one
+//     [4]float64 row per node (or component) in room-wide arrays, the
+//     machine's lane of each. The last block of a shape in a shard may
+//     have idle lanes. A machine's block depends only on its shape,
+//     which never changes, so no fiddle, restore or power-on moves it.
+//     Utilizations and power scales are machine-major windows (bases),
+//     and energy, inlet, exhaust, pin and flags are per machine.
 //
 // Every coefficient in a set is computed by the same expression, in
 // the same order, as the historical per-step code, so the step loop is
@@ -42,28 +45,28 @@ import (
 // allocations — and produces exactly the bits of recomputing
 // everything from scratch.
 //
-// Two functions advance temperatures. stepQuad steps four machines of
-// one set as interleaved lanes: each coefficient is loaded once for all
-// four, each branch on a coefficient is taken once, and the lanes'
-// temperatures are gathered into interleaved scratch so the air
-// traversal keeps one slice live rather than four. stepPair steps two
-// machines of one shape, each lane reading its own set; the step phase
-// uses it for whatever of a run of one set does not fill a group of
-// four, pairing such machines by shape, and a machine with no partner
-// steps as a pair with itself. In both, each lane performs exactly the
-// expressions, in exactly the order, of stepping its machine alone.
-// Every product that feeds a sum is written float64(x*y), which the Go
-// specification forbids fusing into a multiply-add, so the bits are the
-// same on every architecture.
+// One function advances temperatures: stepBlock steps a block's four
+// lanes where they lie. It reads every coefficient as four lanes
+// (laneSet): a block of four machines that share one set reads that
+// set's broadcast copy, and any other block reads an interleaved copy
+// of its own, which a rebind rebuilds in place. Idle lanes read zero
+// coefficients and nothing reads their results. Each lane performs exactly the expressions, in exactly the
+// order, of stepping its machine alone. Every product that feeds a sum
+// is written float64(x*y), which the Go specification forbids fusing
+// into a multiply-add, so the bits are the same on every architecture.
 //
 // Invalidation rules:
 //
-//	bind          — the machine's set; rerun after anything that
-//	    changes a set constant: SetHeatK, SetAirFraction, SetFanFlow,
-//	    SetMachinePower (the draft), RestoreState. A new set compiles
-//	    its derived coefficients (coefSet.compile) once.
-//	refreshDraws  — per-component draw; stale after SetUtilization,
-//	    SetPowerScale, SetMachinePower, RestoreState.
+//	bind          — the machine's set and its block's coefficients;
+//	    rerun after anything that changes a set constant: SetHeatK,
+//	    SetAirFraction, SetFanFlow, SetMachinePower (the draft),
+//	    RestoreState. A new set compiles its derived coefficients
+//	    (coefSet.compile) once.
+//	stale         — the machine's draws; set after SetUtilization,
+//	    SetPowerScale, SetMachinePower, RestoreState. The step phase
+//	    refreshes a stale machine's draws (refreshDraws) when it
+//	    reaches the machine's block, so the stored draws are always
+//	    those of the last step the machine executed, until its next.
 //
 // Every mutation above also sets the machine's dirty flag, which
 // re-activates it for the quiescence-based active set (stepN).
@@ -119,15 +122,14 @@ type kernelShape struct {
 	exhaustIdx []int32
 }
 
-// bases locates one machine's window in each room-wide array; a shape
-// gives every window's length.
+// bases locates one machine's window in each machine-major array; a
+// shape gives every window's length.
 type bases struct {
-	node, comp, util int32
+	comp, util int32
 }
 
 // advance moves b past one machine of shape sh.
 func (b *bases) advance(sh *kernelShape) {
-	b.node += int32(len(sh.names))
 	b.comp += int32(len(sh.compNode))
 	b.util += int32(len(sh.utilKeys))
 }
@@ -135,12 +137,6 @@ func (b *bases) advance(sh *kernelShape) {
 // win is one machine's window of a room-wide array.
 func win[T any](a []T, base int32, n int) []T {
 	return a[base : int(base)+n : int(base)+n]
-}
-
-// compKernel is one component's per-machine kernel numbers.
-type compKernel struct {
-	draw float64 // cached watts for the next step (refreshDraws)
-	cur  float64 // watts drawn during the last executed step (Power)
 }
 
 // airCoef bundles the cached per-air-step coefficients: the sum of
@@ -152,13 +148,15 @@ type airCoef struct {
 	fkSum float64
 }
 
-// machine is one machine's per-machine scalars and the bases of its
-// windows. The hot numbers live in the room arrays and its set, not
-// here.
+// machine is one machine's per-machine scalars, its place in its block
+// and the bases of its windows. The hot numbers live in the room arrays
+// and its set, not here.
 type machine struct {
 	shape *kernelShape
 	set   *coefSet
 	bases
+	blk    int32 // its block in room.blocks
+	lane   int32 // its lane in that block
 	pinned bool
 	on     bool
 	// Region ownership (region.go): a remote machine belongs to another
@@ -174,16 +172,34 @@ type machine struct {
 	name   string
 }
 
-// room holds every machine's own numbers in room-wide arrays, addressed
-// through the machine's bases, and the table of the sets they are bound
-// to. Windows of different machines never overlap, so shard owners
-// write disjoint elements.
-type room struct {
-	ms   []machine
-	sets setTable
+// block is up to four machines of one shape stepped as the lanes of one
+// kernel call (stepBlock). Its machines' temperatures are rows node..
+// node+len(names) of room.temps and their draws rows comp..comp+
+// len(compNode) of room.draws, machine ms[l] in lane l of each row. An
+// idle lane (l >= lanes) names lane 0's machine, whose inlet it reads,
+// and has zero coefficients and draws (bindBlock); nothing reads what
+// it computes.
+type block struct {
+	shape      *kernelShape
+	node, comp int32
+	lanes      int32
+	ms         [4]int32
+	probe      [4]int32 // where each owned lane's first node is in Probes order
+	coef       *laneSet // the lanes' coefficients (bindBlock)
+	own        *laneSet // the block's interleaved copy, once it needs one
+}
 
-	temps    []float64    // node windows, in global machine order
-	compK    []compKernel // comp windows
+// room holds every machine's own numbers — per machine, lane-major in
+// its block, or in machine-major windows — and the table of the sets
+// they are bound to. Blocks and windows of different machines never
+// overlap, so shard owners write disjoint elements.
+type room struct {
+	ms     []machine
+	sets   setTable
+	blocks []block
+
+	temps    [][4]float64 // block rows, one per node
+	draws    [][4]float64 // block rows, one per component: watts for the next step
 	scales   []float64    // comp windows: fiddle's CPU-throttle scale, 1 by default
 	utilVals []float64    // util windows, utilKeys order
 
@@ -193,21 +209,23 @@ type room struct {
 	// no node (max delta exactly 0); dirty is set by any input change
 	// (fiddle op, utilization update, inlet movement) and cleared when
 	// the machine steps. A quiet, clean machine is at a bitwise fixed
-	// point of the step map, so the step skips it.
+	// point of the step map, so the step skips it. stale says its draws
+	// predate its utilizations, power scales, power state or set, and
+	// implies dirty.
 	energy  []float64
 	inlet   []float64
 	exhaust []float64
 	quiet   []bool
 	dirty   []bool
+	stale   []bool
 }
 
-// newRoom sizes every array for n machines whose windows end at total.
+// newRoom sizes the machine-major arrays for n machines whose windows
+// end at total; the block arrays come with the blocks (layBlocks).
 func newRoom(n int, total bases) room {
 	return room{
 		ms:       make([]machine, n),
 		sets:     newSetTable(),
-		temps:    make([]float64, total.node),
-		compK:    make([]compKernel, total.comp),
 		scales:   make([]float64, total.comp),
 		utilVals: make([]float64, total.util),
 		energy:   make([]float64, n),
@@ -215,13 +233,23 @@ func newRoom(n int, total bases) room {
 		exhaust:  make([]float64, n),
 		quiet:    make([]bool, n),
 		dirty:    make([]bool, n),
+		stale:    make([]bool, n),
 	}
 }
 
-// tempsOf is machine mi's temperature window, in its shape's node order.
-func (r *room) tempsOf(mi int) []float64 {
+// tempsOf is machine mi's temperature rows, in its shape's node order,
+// and its lane in them: node j's temperature is rows[j][lane].
+func (r *room) tempsOf(mi int) (rows [][4]float64, lane int32) {
 	m := &r.ms[mi]
-	return win(r.temps, m.node, len(m.shape.names))
+	b := &r.blocks[m.blk]
+	return win(r.temps, b.node, len(m.shape.names)), m.lane
+}
+
+// drawsOf is machine mi's draw rows, in component order, and its lane.
+func (r *room) drawsOf(mi int) (rows [][4]float64, lane int32) {
+	m := &r.ms[mi]
+	b := &r.blocks[m.blk]
+	return win(r.draws, b.comp, len(m.shape.compNode)), m.lane
 }
 
 // utilsOf is machine mi's utilization window, in utilKeys order.
@@ -236,19 +264,20 @@ func (r *room) scalesOf(mi int) []float64 {
 	return win(r.scales, m.comp, len(m.shape.compNode))
 }
 
-// place fills machine mi's windows from its model and binds it to the
-// set of its constants. sh must be the shape interned for m. repeat
-// says that m's body and fan flow equal those of machine mi-1's model:
-// its constants are then that machine's, so it joins that machine's
-// set without staging or keying them, as intern's hit path would.
-func (r *room) place(mi int, m *model.Machine, sh *kernelShape, at bases, repeat bool) {
+// place fills machine mi's windows from its model, binds it to the set
+// of its constants and leaves its draws stale. sh must be the shape
+// interned for m and name m's name. repeat says that m's body and fan
+// flow equal those of machine mi-1's model: its constants are then that
+// machine's, so it joins that machine's set without staging or keying
+// them, as intern's hit path would.
+func (r *room) place(mi int, m *model.Machine, sh *kernelShape, at bases, repeat bool, name string) {
 	r.ms[mi] = machine{
 		shape:  sh,
 		bases:  at,
 		on:     true,
 		fanM3s: m.FanFlow.CubicMetersPerSecond(),
 		nomCFM: m.FanFlow,
-		name:   m.Name,
+		name:   name,
 	}
 	scales := r.scalesOf(mi)
 	for i := range scales {
@@ -256,26 +285,26 @@ func (r *room) place(mi int, m *model.Machine, sh *kernelShape, at bases, repeat
 	}
 	r.inlet[mi] = float64(m.InletTemp)
 	r.dirty[mi] = true
+	r.stale[mi] = true
 	if repeat {
 		set := r.ms[mi-1].set
 		set.refs++
 		r.ms[mi].set = set
-	} else {
-		st := r.stageShape(sh)
-		for i, c := range m.Components {
-			st.invThermal[i] = 1 / float64(c.ThermalMass())
-			st.models[i] = c.Power
-			st.modelIDs[i] = r.sets.modelID(c.Power)
-		}
-		for i, e := range m.HeatEdges {
-			st.heatK[i] = float64(e.K)
-		}
-		for i, e := range m.AirEdges {
-			st.airFrac[i] = float64(e.Fraction)
-		}
-		r.bind(mi)
+		return
 	}
-	r.refreshDraws(mi)
+	st := r.stageShape(sh)
+	for i, c := range m.Components {
+		st.invThermal[i] = 1 / float64(c.ThermalMass())
+		st.models[i] = c.Power
+		st.modelIDs[i] = r.sets.modelID(c.Power)
+	}
+	for i, e := range m.HeatEdges {
+		st.heatK[i] = float64(e.K)
+	}
+	for i, e := range m.AirEdges {
+		st.airFrac[i] = float64(e.Fraction)
+	}
+	r.bindSet(mi)
 }
 
 // shapeTable interns kernel shapes by structural equality. The key is
@@ -518,8 +547,9 @@ type coefSet struct {
 	modelIDs []uint64            // components: the models' key ids
 
 	shape *kernelShape
-	refs  int32  // machines bound to the set
-	key   string // its setTable key
+	refs  int32    // machines bound to the set
+	key   string   // its setTable key
+	wide  *laneSet // every coefficient four times, once a block reads it (broadcast)
 }
 
 // copyRaw makes s's raw constants those of src, which has s's shape.
@@ -577,6 +607,79 @@ func (s *coefSet) compile() {
 		ac.fCoef = float64(units.AirDensity * rel[n] * s.fan * float64(units.AirSpecificHeat))
 		ac.fkSum = ac.fCoef + ksum
 	}
+	if s.wide != nil {
+		s.wide.broadcast(s)
+	}
+}
+
+// laneSet is what the kernel reads of four lanes' sets: every
+// coefficient as a [4]float64, lane l's from lane l's set.
+type laneSet struct {
+	heatK      [][4]float64  // heat edges, model order
+	invThermal [][4]float64  // components
+	coupleK    [][4]float64  // couples
+	flowW      [][4]float64  // air edges, CSR order
+	exhaustW   [][4]float64  // exhaust nodes: relative flow
+	airCoefs   []laneAirCoef // airSteps order
+}
+
+// laneAirCoef is one air step's airCoef for four lanes.
+type laneAirCoef struct {
+	wSum, fCoef, fkSum [4]float64
+}
+
+// setLane makes lane l's coefficients those of set s.
+func (ls *laneSet) setLane(l int, s *coefSet) {
+	for i, v := range s.heatK {
+		ls.heatK[i][l] = v
+	}
+	for i, v := range s.invThermal {
+		ls.invThermal[i][l] = v
+	}
+	for i, v := range s.coupleK {
+		ls.coupleK[i][l] = v
+	}
+	for i, v := range s.flowW {
+		ls.flowW[i][l] = v
+	}
+	for i, x := range s.shape.exhaustIdx {
+		ls.exhaustW[i][l] = s.relFlow[x]
+	}
+	for j, ac := range s.airCoefs {
+		lc := &ls.airCoefs[j]
+		lc.wSum[l], lc.fCoef[l], lc.fkSum[l] = ac.wSum, ac.fCoef, ac.fkSum
+	}
+}
+
+// clearLane makes lane l's coefficients zero.
+func (ls *laneSet) clearLane(l int) {
+	for _, rows := range [...][][4]float64{ls.heatK, ls.invThermal, ls.coupleK, ls.flowW, ls.exhaustW} {
+		for i := range rows {
+			rows[i][l] = 0
+		}
+	}
+	for j := range ls.airCoefs {
+		lc := &ls.airCoefs[j]
+		lc.wSum[l], lc.fCoef[l], lc.fkSum[l] = 0, 0, 0
+	}
+}
+
+// broadcast makes every lane's coefficients those of set s.
+func (ls *laneSet) broadcast(s *coefSet) {
+	for l := 0; l < 4; l++ {
+		ls.setLane(l, s)
+	}
+}
+
+// lanes is s's broadcast copy, built on first use; compile keeps it
+// current from then on, and a set reused from the free list keeps its
+// copy.
+func (t *setTable) lanes(s *coefSet) *laneSet {
+	if s.wide == nil {
+		s.wide = t.newLaneSet(s.shape)
+		s.wide.broadcast(s)
+	}
+	return s.wide
 }
 
 // setTable interns coefficient sets by value. The key is the shape's id
@@ -594,10 +697,14 @@ type setTable struct {
 	models map[thermo.PowerModel]uint64 // comparable models -> id
 	nextID uint64
 
-	// The slabs new sets are carved from (newSet).
+	// The slabs new sets are carved from (newSet), and those lane sets
+	// are carved from (newLaneSet).
 	slab, coldSlab []float64
 	coefSlab       []airCoef
 	slabSets       int
+	laneSlab       [][4]float64
+	laneCoefSlab   []laneAirCoef
+	laneSlabSets   int
 }
 
 func newSetTable() setTable {
@@ -641,6 +748,27 @@ func (t *setTable) newSet(sh *kernelShape) *coefSet {
 		*dst = carve(&t.slab, lens[i])
 	}
 	return s
+}
+
+// newLaneSet carves a lane set for shape sh out of the table's lane
+// slabs, as newSet carves a set: lane sets made one after another — the
+// blocks of a room whose machines all differ — lie one after another.
+func (t *setTable) newLaneSet(sh *kernelShape) *laneSet {
+	lens := [...]int{len(sh.heatEdges), len(sh.compNode), len(sh.coupleOther), len(sh.airEdges), len(sh.exhaustIdx)}
+	rows, steps := 0, len(sh.airSteps)
+	for _, n := range lens {
+		rows += n
+	}
+	if cap(t.laneSlab)-len(t.laneSlab) < rows || cap(t.laneCoefSlab)-len(t.laneCoefSlab) < steps {
+		t.laneSlabSets = min(2*t.laneSlabSets+1, maxSlabSets)
+		t.laneSlab = make([][4]float64, 0, t.laneSlabSets*rows)
+		t.laneCoefSlab = make([]laneAirCoef, 0, t.laneSlabSets*steps)
+	}
+	ls := &laneSet{airCoefs: carve(&t.laneCoefSlab, steps)}
+	for i, dst := range [...]*[][4]float64{&ls.heatK, &ls.invThermal, &ls.coupleK, &ls.flowW, &ls.exhaustW} {
+		*dst = carve(&t.laneSlab, lens[i])
+	}
+	return ls
 }
 
 // carve takes the next n elements of slab's spare capacity.
@@ -768,10 +896,16 @@ func (r *room) stage(mi int) *coefSet {
 const offFanFraction = 0.1
 
 // bind moves machine mi to the set of the staged constants, with the
-// fan flow and draft of its current fan and power state. This is the
-// one path by which a machine's set changes (kernel.go's invalidation
-// rules).
+// fan flow and draft of its current fan and power state, and rebuilds
+// its block's coefficients. This is the one path by which a machine's
+// set changes after New (kernel.go's invalidation rules).
 func (r *room) bind(mi int) {
+	r.bindSet(mi)
+	r.bindBlock(&r.blocks[r.ms[mi].blk])
+}
+
+// bindSet moves machine mi to the set of the staged constants.
+func (r *room) bindSet(mi int) {
 	m := &r.ms[mi]
 	fan := m.fanM3s
 	if !m.on {
@@ -781,18 +915,45 @@ func (r *room) bind(mi int) {
 	m.set = r.sets.intern(m.set)
 }
 
-// refreshDraws recomputes machine mi's cached component draws from its
-// power state, utilization streams, power scales and its set's power
-// models. Must be called after any of those change. The cached value is
-// bit-equal to the historical per-step recomputation because power
-// models are pure functions of utilization.
+// bindBlock points block b at its lanes' coefficients: the broadcast
+// copy of their set when its four machines share one, else its own
+// interleaved copy, rebuilt in place. An idle lane's coefficients are
+// zero, so it holds its temperatures and takes none of the air steps'
+// divisions, which a lone machine's block would otherwise wait on.
+func (r *room) bindBlock(b *block) {
+	set := r.ms[b.ms[0]].set
+	shared := b.lanes == 4
+	for _, mi := range b.ms[1:b.lanes] {
+		shared = shared && r.ms[mi].set == set
+	}
+	if shared {
+		b.coef = r.sets.lanes(set)
+		return
+	}
+	if b.own == nil {
+		b.own = r.sets.newLaneSet(b.shape)
+	}
+	for l, mi := range b.ms[:b.lanes] {
+		b.own.setLane(l, r.ms[mi].set)
+	}
+	for l := int(b.lanes); l < 4; l++ {
+		b.own.clearLane(l)
+	}
+	b.coef = b.own
+}
+
+// refreshDraws recomputes machine mi's draws from its power state,
+// utilization streams, power scales and its set's power models, and
+// clears its stale flag. The draws are bit-equal to the historical
+// per-step recomputation because power models are pure functions of
+// utilization.
 func (r *room) refreshDraws(mi int) {
 	m := &r.ms[mi]
 	sh, models := m.shape, m.set.models
-	ck := win(r.compK, m.comp, len(models))
+	rows, l := r.drawsOf(mi)
 	scales := r.scalesOf(mi)
 	utils := r.utilsOf(mi)
-	for i := range ck {
+	for i := range rows {
 		draw := 0.0
 		if pm := models[i]; m.on && pm != nil {
 			var u units.Fraction // 0 for UtilNone
@@ -801,238 +962,92 @@ func (r *room) refreshDraws(mi int) {
 			}
 			draw = float64(pm.Power(u)) * scales[i]
 		}
-		ck[i].draw = draw
+		rows[i][l] = draw
 	}
+	r.stale[mi] = false
 }
 
-// stepQuad performs the heat-flow and intra-machine air-flow traversals
-// for the four machines of q, which must be distinct and bound to set,
-// and returns the largest absolute temperature change of any node of
-// each during the step. The lanes' temperatures are gathered into the
-// interleaved scratch — snap holds the step's starting temperatures and
-// cur the ones being computed, node j of lane l at 4*j+l, netQ alike —
-// and scattered back to the machines' windows at the end, so every loop
-// indexes one slice per quantity however many lanes it runs. Each
-// coefficient is loaded once for the four lanes and each branch on one
-// is taken once; each lane performs exactly the expressions, in exactly
-// the order, of stepping its machine alone. The scratch must hold four
-// lanes of the shape's node count. It allocates nothing.
-func (r *room) stepQuad(set *coefSet, q [4]int32, dt float64, snap, cur, netQ []float64) [4]float64 {
-	sh := set.shape
-	n := len(sh.names)
-	m0, m1, m2, m3 := &r.ms[q[0]], &r.ms[q[1]], &r.ms[q[2]], &r.ms[q[3]]
-	t0, t1, t2, t3 := win(r.temps, m0.node, n), win(r.temps, m1.node, n), win(r.temps, m2.node, n), win(r.temps, m3.node, n)
-	s, t, nq := snap[:4*n], cur[:4*n], netQ[:4*n]
-	for j := range t0 {
-		o := 4 * j
-		sj, tj, qj := s[o:o+4:o+4], t[o:o+4:o+4], nq[o:o+4:o+4]
-		sj[0], sj[1], sj[2], sj[3] = t0[j], t1[j], t2[j], t3[j]
-		tj[0], tj[1], tj[2], tj[3] = sj[0], sj[1], sj[2], sj[3]
-		qj[0], qj[1], qj[2], qj[3] = 0, 0, 0, 0
+// stepBlock performs the heat-flow and intra-machine air-flow
+// traversals for the lanes of block b, in place, and returns the
+// largest absolute temperature change of any node of each lane during
+// the step. Heat edges read the start-of-step temperatures before
+// anything is written; each node is then written once, and its change
+// taken as it is. Each coefficient row is loaded once for the four
+// lanes; each lane performs exactly the expressions, in exactly the
+// order, of stepping its machine alone, so a lane's bits do not depend
+// on the block or the lane it steps in. netQ is scratch of at least the
+// shape's node count. The draws of b's machines must be current. It
+// allocates nothing.
+func (r *room) stepBlock(b *block, dt float64, netQ [][4]float64) [4]float64 {
+	sh, c := b.shape, b.coef
+	n, nc := len(sh.names), len(sh.compNode)
+	t := win(r.temps, b.node, n)
+	q := netQ[:n:n]
+	for j := range q {
+		q[j] = [4]float64{}
 	}
 
-	// Traversal 1: inter-component heat flow (Equations 1, 2, 3).
-	hk := set.heatK[:len(sh.heatEdges)] // resliced to drop bounds checks, as in stepPair
+	// Traversal 1: inter-component heat flow (Equations 1, 2, 3). Every
+	// coefficient window is resliced to its shape's length, which lets
+	// the compiler drop the bounds checks of the loops over the shape.
+	hk := c.heatK[:len(sh.heatEdges)]
 	for i, e := range sh.heatEdges {
-		k := hk[i]
-		a, b := 4*int(e.a), 4*int(e.b)
-		sa, sb := s[a:a+4:a+4], s[b:b+4:b+4]
-		x0 := float64(k * (sa[0] - sb[0]) * dt)
-		x1 := float64(k * (sa[1] - sb[1]) * dt)
-		x2 := float64(k * (sa[2] - sb[2]) * dt)
-		x3 := float64(k * (sa[3] - sb[3]) * dt)
-		qa := nq[a : a+4 : a+4]
+		k, ta, tb := &hk[i], &t[e.a], &t[e.b]
+		x0 := float64(k[0] * (ta[0] - tb[0]) * dt)
+		x1 := float64(k[1] * (ta[1] - tb[1]) * dt)
+		x2 := float64(k[2] * (ta[2] - tb[2]) * dt)
+		x3 := float64(k[3] * (ta[3] - tb[3]) * dt)
+		qa, qb := &q[e.a], &q[e.b]
 		qa[0] -= x0
 		qa[1] -= x1
 		qa[2] -= x2
 		qa[3] -= x3
-		qb := nq[b : b+4 : b+4]
 		qb[0] += x0
 		qb[1] += x1
 		qb[2] += x2
 		qb[3] += x3
 	}
-	// Power dissipation plus component temperature updates (Equation 5),
-	// fused as in stepPair; energy accrues through one register per lane.
-	e0, e1, e2, e3 := r.energy[q[0]], r.energy[q[1]], r.energy[q[2]], r.energy[q[3]]
-	nc := len(sh.compNode)
-	c0, c1, c2, c3 := win(r.compK, m0.comp, nc), win(r.compK, m1.comp, nc), win(r.compK, m2.comp, nc), win(r.compK, m3.comp, nc)
-	inv := set.invThermal[:nc]
+
+	// Power dissipation plus component temperature updates (Equation
+	// 5). Each component owns its node, and all heat-edge contributions
+	// are in, so its net heat is final once its own draw is added — the
+	// temperature update fuses into the same pass. Energy accrues
+	// through one register per lane with the per-component addition
+	// sequence of stepQuiescent.
+	ms := &b.ms
+	e0, e1, e2, e3 := r.energy[ms[0]], r.energy[ms[1]], r.energy[ms[2]], r.energy[ms[3]]
+	var d0, d1, d2, d3 float64
+	draws, inv := win(r.draws, b.comp, nc), c.invThermal[:nc]
 	for i, node := range sh.compNode {
-		k := inv[i]
-		o := 4 * int(node)
-		sj, tj, qj := s[o:o+4:o+4], t[o:o+4:o+4], nq[o:o+4:o+4]
-		d0, d1, d2, d3 := c0[i].draw, c1[i].draw, c2[i].draw, c3[i].draw
-		c0[i].cur, c1[i].cur, c2[i].cur, c3[i].cur = d0, d1, d2, d3
-		x0, x1, x2, x3 := float64(d0*dt), float64(d1*dt), float64(d2*dt), float64(d3*dt)
-		n0, n1, n2, n3 := qj[0]+x0, qj[1]+x1, qj[2]+x2, qj[3]+x3
-		qj[0], qj[1], qj[2], qj[3] = n0, n1, n2, n3
+		w, k, qj, tj := &draws[i], &inv[i], &q[node], &t[node]
+		x0, x1, x2, x3 := float64(w[0]*dt), float64(w[1]*dt), float64(w[2]*dt), float64(w[3]*dt)
 		e0 += x0
 		e1 += x1
 		e2 += x2
 		e3 += x3
-		tj[0] = sj[0] + float64(n0*k)
-		tj[1] = sj[1] + float64(n1*k)
-		tj[2] = sj[2] + float64(n2*k)
-		tj[3] = sj[3] + float64(n3*k)
-	}
-	r.energy[q[0]], r.energy[q[1]], r.energy[q[2]], r.energy[q[3]] = e0, e1, e2, e3
-
-	// Traversal 2: intra-machine air movement, as in stepPair.
-	o := 4 * sh.inletIdx
-	ti := t[o : o+4 : o+4]
-	ti[0], ti[1], ti[2], ti[3] = r.inlet[q[0]], r.inlet[q[1]], r.inlet[q[2]], r.inlet[q[3]]
-	w, kk, coefs := set.flowW[:len(sh.airEdges)], set.coupleK[:len(sh.coupleOther)], set.airCoefs[:len(sh.airSteps)]
-	airInOff, flowFrom := sh.airInOff, sh.flowFrom
-	coupleOff, coupleOther := sh.coupleOff, sh.coupleOther
-	for j, nd := range sh.airSteps {
-		var ts0, ts1, ts2, ts3 float64
-		for p, end := airInOff[nd], airInOff[nd+1]; p < end; p++ {
-			f := 4 * int(flowFrom[p])
-			wp, tf := w[p], t[f:f+4:f+4]
-			ts0 += float64(wp * tf[0])
-			ts1 += float64(wp * tf[1])
-			ts2 += float64(wp * tf[2])
-			ts3 += float64(wp * tf[3])
-		}
-		ac := &coefs[j]
-		o := 4 * int(nd)
-		sj := s[o : o+4 : o+4]
-		mix0, mix1, mix2, mix3 := sj[0], sj[1], sj[2], sj[3] // a stagnant region keeps its old temperature
-		if ws := ac.wSum; ws > 0 {
-			mix0, mix1, mix2, mix3 = ts0/ws, ts1/ws, ts2/ws, ts3/ws
-		}
-		var k0, k1, k2, k3 float64
-		for p, end := coupleOff[nd], coupleOff[nd+1]; p < end; p++ {
-			f := 4 * int(coupleOther[p])
-			kp, tf := kk[p], t[f:f+4:f+4]
-			k0 += float64(kp * tf[0])
-			k1 += float64(kp * tf[1])
-			k2 += float64(kp * tf[2])
-			k3 += float64(kp * tf[3])
-		}
-		if fk := ac.fkSum; fk > 0 {
-			fc := ac.fCoef
-			mix0 = (float64(fc*mix0) + k0) / fk
-			mix1 = (float64(fc*mix1) + k1) / fk
-			mix2 = (float64(fc*mix2) + k2) / fk
-			mix3 = (float64(fc*mix3) + k3) / fk
-		}
-		tj := t[o : o+4 : o+4]
-		tj[0], tj[1], tj[2], tj[3] = mix0, mix1, mix2, mix3
-	}
-
-	// Exhaust mix for the room-level traversal of the next step. The
-	// weight sum is a function of the set alone, so every lane's equals
-	// the one computed here.
-	rel := set.relFlow[:n]
-	var ws, x0, x1, x2, x3 float64
-	for _, x := range sh.exhaustIdx {
-		f, o := rel[x], 4*int(x)
-		tx := t[o : o+4 : o+4]
-		ws += f
-		x0 += float64(f * tx[0])
-		x1 += float64(f * tx[1])
-		x2 += float64(f * tx[2])
-		x3 += float64(f * tx[3])
-	}
-	if ws > 0 {
-		r.exhaust[q[0]], r.exhaust[q[1]], r.exhaust[q[2]], r.exhaust[q[3]] = x0/ws, x1/ws, x2/ws, x3/ws
-	}
-
-	// Scatter back to the windows and take each lane's largest change.
-	// math.Abs differs from stepPair's negation only in the sign of a
-	// zero, which never raises a maximum that starts at zero.
-	var d0, d1, d2, d3 float64
-	for j := range t0 {
-		o := 4 * j
-		sj, tj := s[o:o+4:o+4], t[o:o+4:o+4]
-		v0, v1, v2, v3 := tj[0], tj[1], tj[2], tj[3]
-		t0[j], t1[j], t2[j], t3[j] = v0, v1, v2, v3
-		if x := math.Abs(v0 - sj[0]); x > d0 {
+		o0, o1, o2, o3 := tj[0], tj[1], tj[2], tj[3]
+		v0 := o0 + float64((qj[0]+x0)*k[0])
+		v1 := o1 + float64((qj[1]+x1)*k[1])
+		v2 := o2 + float64((qj[2]+x2)*k[2])
+		v3 := o3 + float64((qj[3]+x3)*k[3])
+		tj[0], tj[1], tj[2], tj[3] = v0, v1, v2, v3
+		if x := math.Abs(v0 - o0); x > d0 {
 			d0 = x
 		}
-		if x := math.Abs(v1 - sj[1]); x > d1 {
+		if x := math.Abs(v1 - o1); x > d1 {
 			d1 = x
 		}
-		if x := math.Abs(v2 - sj[2]); x > d2 {
+		if x := math.Abs(v2 - o2); x > d2 {
 			d2 = x
 		}
-		if x := math.Abs(v3 - sj[3]); x > d3 {
+		if x := math.Abs(v3 - o3); x > d3 {
 			d3 = x
 		}
 	}
-	return [4]float64{d0, d1, d2, d3}
-}
-
-// stepPair performs the heat-flow and intra-machine air-flow traversals
-// for machines a and b, which must share one shape, and returns the
-// largest absolute temperature change of any node of each during the
-// step. Every loop runs both machines as interleaved lanes, so the
-// dependent divisions of one machine's air chain overlap the other's.
-// Each lane reads only its own machine's windows, its own set and its
-// own scratch lane (snap[0], netQ[0] for a; snap[1], netQ[1] for b),
-// and performs exactly the expressions, in exactly the order, of
-// stepping that machine alone. A machine without a partner is stepped
-// as a == b: both lanes read the same snapshot and write identical
-// values to the same windows, because every lane writes after both
-// lanes' reads of it. The scratch lanes must be at least as long as the
-// shape's node count. It allocates nothing.
-func (r *room) stepPair(a, b int, dt float64, snap, netQ [2][]float64) (float64, float64) {
-	ma, mb := &r.ms[a], &r.ms[b]
-	setA, setB := ma.set, mb.set
-	sh := ma.shape
-	n := len(sh.names)
-	tA, tB := win(r.temps, ma.node, n), win(r.temps, mb.node, n)
-	sA, sB := snap[0][:n], snap[1][:n]
-	copy(sA, tA)
-	copy(sB, tB)
-	qA, qB := netQ[0][:n], netQ[1][:n]
-	for i := range qA {
-		qA[i] = 0
-		qB[i] = 0
+	es := [4]float64{e0, e1, e2, e3}
+	for l, mi := range ms[:b.lanes] {
+		r.energy[mi] = es[l]
 	}
-
-	// Traversal 1: inter-component heat flow (Equations 1, 2, 3). Every
-	// set window is resliced to its shape's length, which lets the
-	// compiler drop the bounds checks of the loops over the shape.
-	ne := len(sh.heatEdges)
-	hA, hB := setA.heatK[:ne], setB.heatK[:ne]
-	for i, e := range sh.heatEdges {
-		xa := float64(hA[i] * (sA[e.a] - sA[e.b]) * dt)
-		xb := float64(hB[i] * (sB[e.a] - sB[e.b]) * dt)
-		qA[e.a] -= xa
-		qA[e.b] += xa
-		qB[e.a] -= xb
-		qB[e.b] += xb
-	}
-	// Power dissipation plus component temperature updates (Equation
-	// 5). Each component owns its node, and all heat-edge contributions
-	// are in, so its netQ is final once its own draw is added — the
-	// temperature update fuses into the same pass. Energy accrues
-	// through a register with the same per-component addition sequence
-	// the accumulator would see; both counters are read before either
-	// is written, so a self-pair accrues once.
-	eA, eB := r.energy[a], r.energy[b]
-	nc := len(sh.compNode)
-	cA, cB := win(r.compK, ma.comp, nc), win(r.compK, mb.comp, nc)
-	iA, iB := setA.invThermal[:nc], setB.invThermal[:nc]
-	for i, node := range sh.compNode {
-		ca, cb := &cA[i], &cB[i]
-		da, db := ca.draw, cb.draw
-		ca.cur = da
-		cb.cur = db
-		xa, xb := float64(da*dt), float64(db*dt)
-		na, nb := qA[node]+xa, qB[node]+xb
-		qA[node] = na
-		qB[node] = nb
-		eA += xa
-		eB += xb
-		tA[node] = sA[node] + float64(na*iA[i])
-		tB[node] = sB[node] + float64(nb*iB[i])
-	}
-	r.energy[a] = eA
-	r.energy[b] = eB
 
 	// Traversal 2: intra-machine air movement. Air regions are
 	// processed in topological order so each region mixes the
@@ -1054,79 +1069,106 @@ func (r *room) stepPair(a, b int, dt float64, snap, netQ [2][]float64) (float64,
 	// the temperature-dependent sums run here. The inlet is assigned up
 	// front: it precedes every reader in topological order, so airSteps
 	// never needs the branch.
-	tA[sh.inletIdx] = r.inlet[a]
-	tB[sh.inletIdx] = r.inlet[b]
-	na, nk, ns := len(sh.airEdges), len(sh.coupleOther), len(sh.airSteps)
-	wA, wB := setA.flowW[:na], setB.flowW[:na]
-	kA, kB := setA.coupleK[:nk], setB.coupleK[:nk]
-	fA, fB := setA.airCoefs[:ns], setB.airCoefs[:ns]
+	ti := &t[sh.inletIdx]
+	{
+		v0, v1, v2, v3 := r.inlet[ms[0]], r.inlet[ms[1]], r.inlet[ms[2]], r.inlet[ms[3]]
+		o0, o1, o2, o3 := ti[0], ti[1], ti[2], ti[3]
+		ti[0], ti[1], ti[2], ti[3] = v0, v1, v2, v3
+		if x := math.Abs(v0 - o0); x > d0 {
+			d0 = x
+		}
+		if x := math.Abs(v1 - o1); x > d1 {
+			d1 = x
+		}
+		if x := math.Abs(v2 - o2); x > d2 {
+			d2 = x
+		}
+		if x := math.Abs(v3 - o3); x > d3 {
+			d3 = x
+		}
+	}
+	w, kk, coefs := c.flowW[:len(sh.airEdges)], c.coupleK[:len(sh.coupleOther)], c.airCoefs[:len(sh.airSteps)]
 	airInOff, flowFrom := sh.airInOff, sh.flowFrom
 	coupleOff, coupleOther := sh.coupleOff, sh.coupleOther
 	for j, nd := range sh.airSteps {
-		var tsA, tsB float64
-		for p := airInOff[nd]; p < airInOff[nd+1]; p++ {
-			from := flowFrom[p]
-			tsA += float64(wA[p] * tA[from])
-			tsB += float64(wB[p] * tB[from])
+		var ts0, ts1, ts2, ts3 float64
+		for p, end := airInOff[nd], airInOff[nd+1]; p < end; p++ {
+			wp, tf := &w[p], &t[flowFrom[p]]
+			ts0 += float64(wp[0] * tf[0])
+			ts1 += float64(wp[1] * tf[1])
+			ts2 += float64(wp[2] * tf[2])
+			ts3 += float64(wp[3] * tf[3])
 		}
-		acA, acB := &fA[j], &fB[j]
-		mixA, mixB := sA[nd], sB[nd] // a stagnant region keeps its old temperature
-		if acA.wSum > 0 {
-			mixA = tsA / acA.wSum
+		ac, tj := &coefs[j], &t[nd]
+		o0, o1, o2, o3 := tj[0], tj[1], tj[2], tj[3]
+		v0, v1, v2, v3 := o0, o1, o2, o3 // a stagnant region keeps its old temperature
+		if ws := ac.wSum[0]; ws > 0 {
+			v0 = ts0 / ws
 		}
-		if acB.wSum > 0 {
-			mixB = tsB / acB.wSum
+		if ws := ac.wSum[1]; ws > 0 {
+			v1 = ts1 / ws
 		}
-		var kTA, kTB float64
-		for p := coupleOff[nd]; p < coupleOff[nd+1]; p++ {
-			other := coupleOther[p]
-			kTA += float64(kA[p] * tA[other])
-			kTB += float64(kB[p] * tB[other])
+		if ws := ac.wSum[2]; ws > 0 {
+			v2 = ts2 / ws
 		}
-		if acA.fkSum > 0 {
-			mixA = (float64(acA.fCoef*mixA) + kTA) / acA.fkSum
+		if ws := ac.wSum[3]; ws > 0 {
+			v3 = ts3 / ws
 		}
-		if acB.fkSum > 0 {
-			mixB = (float64(acB.fCoef*mixB) + kTB) / acB.fkSum
+		var k0, k1, k2, k3 float64
+		for p, end := coupleOff[nd], coupleOff[nd+1]; p < end; p++ {
+			kp, tf := &kk[p], &t[coupleOther[p]]
+			k0 += float64(kp[0] * tf[0])
+			k1 += float64(kp[1] * tf[1])
+			k2 += float64(kp[2] * tf[2])
+			k3 += float64(kp[3] * tf[3])
 		}
-		tA[nd] = mixA
-		tB[nd] = mixB
+		if fk := ac.fkSum[0]; fk > 0 {
+			v0 = (float64(ac.fCoef[0]*v0) + k0) / fk
+		}
+		if fk := ac.fkSum[1]; fk > 0 {
+			v1 = (float64(ac.fCoef[1]*v1) + k1) / fk
+		}
+		if fk := ac.fkSum[2]; fk > 0 {
+			v2 = (float64(ac.fCoef[2]*v2) + k2) / fk
+		}
+		if fk := ac.fkSum[3]; fk > 0 {
+			v3 = (float64(ac.fCoef[3]*v3) + k3) / fk
+		}
+		tj[0], tj[1], tj[2], tj[3] = v0, v1, v2, v3
+		if x := math.Abs(v0 - o0); x > d0 {
+			d0 = x
+		}
+		if x := math.Abs(v1 - o1); x > d1 {
+			d1 = x
+		}
+		if x := math.Abs(v2 - o2); x > d2 {
+			d2 = x
+		}
+		if x := math.Abs(v3 - o3); x > d3 {
+			d3 = x
+		}
 	}
 
 	// Exhaust mix for the room-level traversal of the next step.
-	rA, rB := setA.relFlow[:n], setB.relFlow[:n]
-	var wsA, tsA, wsB, tsB float64
-	for _, x := range sh.exhaustIdx {
-		fa, fb := rA[x], rB[x]
-		wsA += fa
-		tsA += float64(fa * tA[x])
-		wsB += fb
-		tsB += float64(fb * tB[x])
+	var ws0, ws1, ws2, ws3, x0, x1, x2, x3 float64
+	for i, x := range sh.exhaustIdx {
+		f, tx := &c.exhaustW[i], &t[x]
+		ws0 += f[0]
+		ws1 += f[1]
+		ws2 += f[2]
+		ws3 += f[3]
+		x0 += float64(f[0] * tx[0])
+		x1 += float64(f[1] * tx[1])
+		x2 += float64(f[2] * tx[2])
+		x3 += float64(f[3] * tx[3])
 	}
-	if wsA > 0 {
-		r.exhaust[a] = tsA / wsA
-	}
-	if wsB > 0 {
-		r.exhaust[b] = tsB / wsB
-	}
-
-	var maxA, maxB float64
-	for i := range tA {
-		da, db := tA[i]-sA[i], tB[i]-sB[i]
-		if da < 0 {
-			da = -da
-		}
-		if db < 0 {
-			db = -db
-		}
-		if da > maxA {
-			maxA = da
-		}
-		if db > maxB {
-			maxB = db
+	ws, xs := [4]float64{ws0, ws1, ws2, ws3}, [4]float64{x0, x1, x2, x3}
+	for l, mi := range ms[:b.lanes] {
+		if ws[l] > 0 {
+			r.exhaust[mi] = xs[l] / ws[l]
 		}
 	}
-	return maxA, maxB
+	return [4]float64{d0, d1, d2, d3}
 }
 
 // stepQuiescent advances a machine that the active set proved to be at
@@ -1135,10 +1177,10 @@ func (r *room) stepPair(a, b int, dt float64, snap, netQ [2][]float64) (float64,
 // runs — as the same per-component sequential additions the kernels
 // perform, keeping the energy counter bit-identical too.
 func (r *room) stepQuiescent(mi int, dt float64) {
-	m := &r.ms[mi]
+	rows, l := r.drawsOf(mi)
 	energy := r.energy[mi]
-	for _, c := range win(r.compK, m.comp, len(m.shape.compNode)) {
-		energy += float64(c.draw * dt)
+	for i := range rows {
+		energy += float64(rows[i][l] * dt)
 	}
 	r.energy[mi] = energy
 }

@@ -21,6 +21,9 @@ func rebuildCaches(t *testing.T, s *Solver) {
 	for _, set := range s.sets.sets {
 		set.compile()
 	}
+	for i := range s.blocks {
+		s.bindBlock(&s.blocks[i])
+	}
 	for mi := range s.ms {
 		s.refreshDraws(mi)
 		s.dirty[mi] = true

@@ -145,7 +145,11 @@ func (s *solverCore) readRow(dst []float64, k, mi int, withTemps bool) int {
 	k += 2
 	k += copy(dst[k:], s.utilsOf(mi))
 	if withTemps {
-		k += copy(dst[k:], s.tempsOf(mi))
+		rows, l := s.tempsOf(mi)
+		for j := range rows {
+			dst[k+j] = rows[j][l]
+		}
+		k += len(rows)
 	}
 	dst[k] = s.exhaust[mi]
 	return k + 1
@@ -230,8 +234,9 @@ func (s *Solver) MaxComponentTemp() (units.Celsius, string, string) {
 	var bm, bn string
 	for _, mi := range s.owned {
 		m := &s.ms[mi]
-		for i, t := range s.tempsOf(int(mi)) {
-			if t > best {
+		rows, l := s.tempsOf(int(mi))
+		for i := range rows {
+			if t := rows[i][l]; t > best {
 				best, bm, bn = t, m.name, m.shape.names[i]
 			}
 		}

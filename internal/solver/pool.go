@@ -35,64 +35,107 @@ import (
 
 // shard is a fixed subset of the machine list owned by one stepping
 // participant. Every machine is in exactly one shard
-// (TestShardPartition); within a shard, machines of one shape are
-// adjacent and, within a shape, machines of one coefficient set
-// (groupBySet), so the step phase steps them four at a time and pairs
-// the rest. The kernels' scratch is owned by the shard's participant so
-// machines carry none of their own: snap, cur and netQ hold stepQuad's
-// four interleaved lanes, and pairSnap, pairNetQ stepPair's two lanes
-// in the same memory (a shard runs one kernel at a time).
+// (TestShardPartition). New groups a shard's machines by shape, in
+// shard order, into blocks of four lanes (layBlocks): the shard steps
+// blocks[0]..blocks[1] of room.blocks, and idx lists its machines in
+// block order. The kernel's scratch, netQ, is owned by the shard's
+// participant so machines carry none of their own.
 type shard struct {
-	idx                []int32
-	snap, cur, netQ    []float64
-	pairSnap, pairNetQ [2][]float64
+	idx    []int32
+	blocks [2]int32
+	netQ   [][4]float64
 }
 
-// allocScratch gives the shard the kernels' scratch for machines of up
-// to nodes nodes, in one allocation padded by a cache line at each end
-// so no other shard's scratch shares a line with it.
+// rowPad is two [4]float64 rows: one 64-byte cache line.
+const rowPad = 2
+
+// allocScratch gives the shard the kernel's scratch for machines of up
+// to nodes nodes, padded by a cache line at each end so no other
+// shard's scratch shares a line with it.
 func (sh *shard) allocScratch(nodes int) {
-	const pad = 8 // float64s per 64-byte cache line
-	buf := make([]float64, pad+12*nodes+pad)
-	part := func(i, n int) []float64 {
-		lo := pad + i*nodes
-		return buf[lo : lo+n : lo+n]
-	}
-	sh.snap, sh.cur, sh.netQ = part(0, 4*nodes), part(4, 4*nodes), part(8, 4*nodes)
-	sh.pairSnap = [2][]float64{part(0, nodes), part(1, nodes)}
-	sh.pairNetQ = [2][]float64{part(2, nodes), part(3, nodes)}
+	buf := make([][4]float64, rowPad+nodes+rowPad)
+	sh.netQ = buf[rowPad : rowPad+nodes : rowPad+nodes]
 }
 
-// groupBySet reorders a shard's machines so that machines of one shape
-// are adjacent and, within a shape, machines bound to one coefficient
-// set: shapes and sets in order of first appearance, machines in their
-// partition order within a set. Temperatures do not depend on the order
-// machines step in within a phase; the step phase runs groups of four
-// only over neighbours of one set and pairs only neighbours of one
-// shape, so this is what lets a room of alternating shapes group at
-// all. Fiddles move machines between sets later; the order stays.
-func (sh *shard) groupBySet(ms []machine) {
-	var shapes []*kernelShape
-	sets := map[*kernelShape][]*coefSet{}
-	groups := map[*coefSet][]int32{}
-	for _, mi := range sh.idx {
-		m := &ms[mi]
-		if _, ok := groups[m.set]; !ok {
-			if _, ok := sets[m.shape]; !ok {
-				shapes = append(shapes, m.shape)
+// layBlocks lays the room out in blocks: each shard's machines grouped
+// by shape, in shard order, four to a block, then the machines no shard
+// steps (other regions' placeholders) likewise in machine order. It
+// rewrites each shard's idx in block order, sizes the block arrays —
+// each shard's rows a cache line apart from the next shard's — and
+// binds every block's coefficients. A machine's block depends only on
+// its shape and its place in its shard, so it never changes.
+func (s *solverCore) layBlocks() {
+	var node, comp int32
+	add := func(group []int32) {
+		for lo := 0; lo < len(group); lo += 4 {
+			lanes := min(4, len(group)-lo)
+			sh := s.ms[group[lo]].shape
+			b := block{shape: sh, node: node, comp: comp, lanes: int32(lanes)}
+			for l := range b.ms {
+				b.ms[l] = group[lo]
+				if l < lanes {
+					mi := group[lo+l]
+					b.ms[l] = mi
+					s.ms[mi].blk, s.ms[mi].lane = int32(len(s.blocks)), int32(l)
+				}
 			}
-			sets[m.shape] = append(sets[m.shape], m.set)
+			s.blocks = append(s.blocks, b)
+			node += int32(len(sh.names))
+			comp += int32(len(sh.compNode))
 		}
-		groups[m.set] = append(groups[m.set], mi)
 	}
-	// Rewrite in place: the groups are copies holding exactly
-	// len(sh.idx) entries, so the appends stay inside this shard's part
-	// of the partition's shared backing array.
-	sh.idx = sh.idx[:0]
-	for _, k := range shapes {
-		for _, set := range sets[k] {
-			sh.idx = append(sh.idx, groups[set]...)
+	lay := func(idx []int32) {
+		groupByShape(s.ms, idx)
+		for lo := 0; lo < len(idx); {
+			hi := lo + 1
+			for hi < len(idx) && s.ms[idx[hi]].shape == s.ms[idx[lo]].shape {
+				hi++
+			}
+			add(idx[lo:hi])
+			lo = hi
 		}
+		node += rowPad
+		comp += rowPad
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.blocks[0] = int32(len(s.blocks))
+		lay(sh.idx)
+		sh.blocks[1] = int32(len(s.blocks))
+	}
+	var remote []int32
+	for mi := range s.ms {
+		if s.ms[mi].remote {
+			remote = append(remote, int32(mi))
+		}
+	}
+	lay(remote)
+	s.temps = make([][4]float64, node)
+	s.draws = make([][4]float64, comp)
+	for i := range s.blocks {
+		s.bindBlock(&s.blocks[i])
+	}
+}
+
+// groupByShape reorders idx so that machines of one shape are adjacent:
+// shapes in order of first appearance, machines in their idx order
+// within a shape.
+func groupByShape(ms []machine, idx []int32) {
+	var shapes []*kernelShape
+	groups := map[*kernelShape][]int32{}
+	for _, mi := range idx {
+		sh := ms[mi].shape
+		if _, ok := groups[sh]; !ok {
+			shapes = append(shapes, sh)
+		}
+		groups[sh] = append(groups[sh], mi)
+	}
+	if len(shapes) < 2 {
+		return
+	}
+	k := 0
+	for _, sh := range shapes {
+		k += copy(idx[k:], groups[sh])
 	}
 }
 

@@ -304,9 +304,9 @@ func TestActiveSetSourceChange(t *testing.T) {
 }
 
 // TestShardsGroupShapes pins what lets a room whose shapes never sit
-// side by side pair at all: within every shard, the machines of each
-// shape are adjacent, so the step phase finds a same-shape partner for
-// all but at most one machine of each shape.
+// side by side fill its blocks at all: within every shard, the
+// machines of each shape are adjacent, so all but the last block of
+// each shape have four lanes.
 func TestShardsGroupShapes(t *testing.T) {
 	c := mixedShapeCluster(t)
 	for _, workers := range []int{1, 2, 3} {

@@ -21,16 +21,16 @@ func (e *ErrUnknown) Error() string { return fmt.Sprintf("solver: unknown %s %q"
 
 // machine resolves an owned machine's global index.
 func (s *Solver) machine(name string) (int, error) {
-	mi, ok := s.byName[name]
+	ref, ok := s.byName[name]
 	if !ok {
 		return 0, &ErrUnknown{Kind: "machine", Name: name}
 	}
-	if m := &s.ms[mi]; m.remote {
+	if ref.remote {
 		// Partitioned cluster (Config.Regions): only the owning region's
 		// instance may read or fiddle this machine.
-		return 0, &ErrRemoteMachine{Machine: name, Region: int(m.region)}
+		return 0, &ErrRemoteMachine{Machine: name, Region: int(s.ms[ref.mi].region)}
 	}
-	return int(mi), nil
+	return int(ref.mi), nil
 }
 
 // Machines returns the owned machine names in compilation order (all
@@ -71,16 +71,17 @@ func (s *Solver) Temperature(machine, node string) (units.Celsius, error) {
 	if !ok {
 		return 0, &ErrUnknown{Kind: "node", Name: machine + "/" + node}
 	}
-	return units.Celsius(s.tempsOf(mi)[idx]), nil
+	rows, l := s.tempsOf(mi)
+	return units.Celsius(rows[idx][l]), nil
 }
 
 // tempMap is machine mi's node temperatures keyed by node name.
 func (s *solverCore) tempMap(mi int) map[string]units.Celsius {
 	names := s.ms[mi].shape.names
-	temps := s.tempsOf(mi)
+	rows, l := s.tempsOf(mi)
 	out := make(map[string]units.Celsius, len(names))
 	for i, name := range names {
-		out[name] = units.Celsius(temps[i])
+		out[name] = units.Celsius(rows[i][l])
 	}
 	return out
 }
@@ -103,11 +104,12 @@ func (s *Solver) ExhaustTemperature(machine string) (units.Celsius, error) {
 func (s *Solver) SetUtilization(machine string, src model.UtilSource, u units.Fraction) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mi, err := s.machine(machine)
-	if err != nil {
+	ref, ok := s.byName[machine]
+	if !ok || ref.remote {
+		_, err := s.machine(machine)
 		return err
 	}
-	if s.setUtils(mi, []model.UtilSample{{Source: src, Util: u}}) != 0 {
+	if s.setUtils(ref, []model.UtilSample{{Source: src, Util: u}}) != 0 {
 		return &ErrUnknown{Kind: "utilization source", Name: machine + "/" + string(src)}
 	}
 	return nil
@@ -126,14 +128,16 @@ func (s *Solver) ApplyUtilization(machine int, entries []model.UtilSample) (unkn
 	if machine < 0 || machine >= len(s.owned) {
 		return len(entries)
 	}
-	return s.setUtils(int(s.owned[machine]), entries)
+	mi := s.owned[machine]
+	m := &s.ms[mi]
+	return s.setUtils(nameRef{shape: m.shape, mi: mi, util: m.util}, entries)
 }
 
-// setUtils stores entries in machine mi's utilization streams and
-// reports how many named no stream of it.
-func (s *solverCore) setUtils(mi int, entries []model.UtilSample) (unknown int) {
-	keys := s.ms[mi].shape.utilKeys
-	vals := s.utilsOf(mi)
+// setUtils stores entries in the utilization streams of machine ref.mi
+// and reports how many named no stream of it.
+func (s *solverCore) setUtils(ref nameRef, entries []model.UtilSample) (unknown int) {
+	keys := ref.shape.utilKeys
+	vals := win(s.utilVals, ref.util, len(keys))
 	changed := false
 	for _, e := range entries {
 		pos := slices.Index(keys, e.Source)
@@ -151,10 +155,8 @@ func (s *solverCore) setUtils(mi int, entries []model.UtilSample) (unknown int) 
 		}
 	}
 	if changed {
-		// Once per report, not per entry: the draws are a pure function
-		// of the final utilVals.
-		s.refreshDraws(mi)
-		s.markDirty(mi)
+		// The step refreshes the draws, once, from the final utilVals.
+		s.markStale(int(ref.mi))
 	}
 	return unknown
 }
@@ -196,11 +198,7 @@ func (s *Solver) StepSize() time.Duration { return s.cfg.Step }
 func (s *Solver) Probes() (machines, nodes []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, run := range s.ownedTemps {
-		n += int(run[1] - run[0])
-	}
-	machines, nodes = make([]string, 0, n), make([]string, 0, n)
+	machines, nodes = make([]string, 0, s.probes), make([]string, 0, s.probes)
 	for _, mi := range s.owned {
 		m := &s.ms[mi]
 		for _, name := range m.shape.names {
@@ -214,18 +212,48 @@ func (s *Solver) Probes() (machines, nodes []string) {
 // ReadAllTemps copies every node temperature into dst in Probes
 // order, returning the count written (stopping early if dst is
 // short). It takes the solver lock once and performs no allocation,
-// so it is safe to call from a telemetry sampler between steps. The
-// owned machines' windows are contiguous in the room's temperature
-// array, so this is one copy per run of owned machines — one copy in
-// all when the cluster is unpartitioned.
+// so it is safe to call from a telemetry sampler between steps. Each
+// machine's temperatures are one lane of its block's rows, so a whole
+// read transposes the shards' blocks in memory order, each lane to its
+// machine's place in Probes order; a short one reads machine by
+// machine.
 func (s *Solver) ReadAllTemps(dst []float64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(dst) >= s.probes {
+		for _, sh := range s.shards {
+			for bi := sh.blocks[0]; bi < sh.blocks[1]; bi++ {
+				b := &s.blocks[bi]
+				n := len(b.shape.names)
+				rows := win(s.temps, b.node, n)
+				if at := b.probe; b.lanes == 4 {
+					d0, d1, d2, d3 := dst[at[0]:][:n], dst[at[1]:][:n], dst[at[2]:][:n], dst[at[3]:][:n]
+					for j := range rows {
+						r := &rows[j]
+						d0[j], d1[j], d2[j], d3[j] = r[0], r[1], r[2], r[3]
+					}
+					continue
+				}
+				for l, at := range b.probe[:b.lanes] {
+					out := dst[at:][:n]
+					for j := range out {
+						out[j] = rows[j][l]
+					}
+				}
+			}
+		}
+		return s.probes
+	}
 	k := 0
-	for _, run := range s.ownedTemps {
-		n := copy(dst[k:], s.temps[run[0]:run[1]])
-		k += n
-		if n < int(run[1]-run[0]) {
+	for _, mi := range s.owned {
+		rows, l := s.tempsOf(int(mi))
+		if len(rows) > len(dst)-k {
+			rows = rows[:len(dst)-k]
+		}
+		for j := range rows {
+			dst[k+j] = rows[j][l]
+		}
+		if k += len(rows); k == len(dst) {
 			break
 		}
 	}

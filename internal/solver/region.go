@@ -127,10 +127,11 @@ func (s *solverCore) compileRegions() error {
 	}
 	for r, names := range regs {
 		for _, name := range names {
-			mi, ok := s.byName[name]
+			ref, ok := s.byName[name]
 			if !ok {
 				return fmt.Errorf("solver: region %d lists unknown machine %q", r, name)
 			}
+			mi := ref.mi
 			if regionOf[mi] != -1 {
 				return fmt.Errorf("solver: machine %q is in regions %d and %d", name, regionOf[mi], r)
 			}
@@ -155,6 +156,10 @@ func (s *solverCore) compileRegions() error {
 		m.remote = regionOf[i] != me
 		if !m.remote {
 			s.owned = append(s.owned, int32(i))
+		} else {
+			ref := s.byName[m.name]
+			ref.remote = true
+			s.byName[m.name] = ref
 		}
 	}
 	peer := func(r int32) *boundaryPeer {
@@ -199,21 +204,6 @@ func (s *solverCore) compileRegions() error {
 		sortInt32(p.in)
 	}
 	return nil
-}
-
-// compileOwnedTemps merges the owned machines' temperature windows into
-// maximal contiguous ranges: one range when unpartitioned, one per run
-// of consecutive owned machines otherwise.
-func (s *solverCore) compileOwnedTemps() {
-	for _, mi := range s.owned {
-		m := &s.ms[mi]
-		lo, hi := m.node, m.node+int32(len(m.shape.names))
-		if k := len(s.ownedTemps) - 1; k >= 0 && s.ownedTemps[k][1] == lo {
-			s.ownedTemps[k][1] = hi
-			continue
-		}
-		s.ownedTemps = append(s.ownedTemps, [2]int32{lo, hi})
-	}
 }
 
 // partitionOwnedShards builds the worker-pool shards over the owned
@@ -262,11 +252,11 @@ func (s *Solver) Region() (index, total int) {
 // cluster is unpartitioned). Unlike the queries, it answers for remote
 // machines too: routers use it to pick the owning daemon.
 func (s *Solver) MachineRegion(name string) (int, error) {
-	mi, ok := s.byName[name]
+	ref, ok := s.byName[name]
 	if !ok {
 		return 0, &ErrUnknown{Kind: "machine", Name: name}
 	}
-	return int(s.ms[mi].region), nil
+	return int(s.ms[ref.mi].region), nil
 }
 
 // BoundaryPeers lists the regions this instance exchanges boundary

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -120,8 +121,8 @@ type solverCore struct {
 	// the room-wide arrays the kernel steps (kernel.go).
 	room
 	cfg     Config
-	dt      float64          // cfg.Step in seconds, fixed at New
-	byName  map[string]int32 // machine name -> global machine index
+	dt      float64            // cfg.Step in seconds, fixed at New
+	byName  map[string]nameRef // machine name -> global machine index and what a write needs
 	sources []*sourceState
 	srcIdx  map[string]int
 	now     time.Duration
@@ -142,13 +143,11 @@ type solverCore struct {
 
 	// Region partitioning (region.go): owned lists the global indices
 	// of the machines this instance steps and reports (every machine
-	// when unpartitioned), ascending; ownedTemps is the same set as
-	// maximal contiguous ranges of the temperature array, which is what
-	// ReadAllTemps copies. region carries ownership plus the boundary
-	// sets exchanged with peer instances.
-	owned      []int32
-	ownedTemps [][2]int32
-	region     regionState
+	// when unpartitioned), ascending. region carries ownership plus the
+	// boundary sets exchanged with peer instances.
+	owned  []int32
+	probes int // the owned machines' node count: Probes' length
+	region regionState
 
 	// anyDirty is set by every mutation that re-activates a machine
 	// (fiddle ops, utilization updates, source changes, restores) and
@@ -179,6 +178,15 @@ type solverCore struct {
 	steadyX []float64
 }
 
+// nameRef is byName's value: a machine's index and what a by-name
+// utilization write needs of it, so the write reads no machine record.
+type nameRef struct {
+	shape  *kernelShape
+	mi     int32
+	util   int32 // base of its utilization window
+	remote bool  // owned by another region (region.go)
+}
+
 // Solver advances a compiled cluster model through emulated time.
 type Solver struct {
 	*solverCore
@@ -201,7 +209,7 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 	core := &solverCore{
 		cfg:      cfg,
 		dt:       cfg.Step.Seconds(),
-		byName:   make(map[string]int32, len(c.Machines)),
+		byName:   make(map[string]nameRef, len(c.Machines)),
 		srcIdx:   map[string]int{},
 		anyDirty: true,
 	}
@@ -209,10 +217,24 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 		core.sources = append(core.sources, &sourceState{name: src.Name, supply: float64(src.SupplyTemp)})
 		core.srcIdx[src.Name] = i
 	}
-	// Intern every machine's shape, size each room-wide array once, then
-	// lay the machines' windows out in machine order. A machine whose
-	// body equals the one before it has that machine's shape; with an
-	// equal fan flow too, it has that machine's set (repeat).
+	// Every machine name is copied into one string, which byName's keys,
+	// the machines' names and Machines() all take substrings of, so the
+	// bytes a by-name lookup hashes lie together rather than over the
+	// model's heap.
+	size := 0
+	for _, m := range c.Machines {
+		size += len(m.Name)
+	}
+	var arena strings.Builder
+	arena.Grow(size)
+	for _, m := range c.Machines {
+		arena.WriteString(m.Name)
+	}
+	names := arena.String()
+	// Intern every machine's shape, size each machine-major array once,
+	// then lay the machines' windows out in machine order. A machine
+	// whose body equals the one before it has that machine's shape; with
+	// an equal fan flow too, it has that machine's set (repeat).
 	shapes := &shapeTable{shapes: map[string]*kernelShape{}}
 	machineShape := make([]*kernelShape, len(c.Machines))
 	var total bases
@@ -228,48 +250,54 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 		machineShape[i] = sh
 		total.advance(sh)
 		maxNodes = max(maxNodes, len(sh.names))
-		core.byName[m.Name] = int32(i)
 	}
 	core.room = newRoom(len(c.Machines), total)
 	var at bases
 	for i, m := range c.Machines {
-		core.place(i, m, machineShape[i], at, repeat[i])
+		name := names[:len(m.Name)]
+		names = names[len(m.Name):]
+		core.byName[name] = nameRef{shape: machineShape[i], mi: int32(i), util: at.util}
+		core.place(i, m, machineShape[i], at, repeat[i], name)
 		at.advance(machineShape[i])
 	}
 	for _, e := range c.Edges {
-		mi, ok := core.byName[e.To]
+		to, ok := core.byName[e.To]
 		if !ok {
 			continue // edge into a sink
 		}
-		m := &core.ms[mi]
+		m := &core.ms[to.mi]
 		if si, ok := core.srcIdx[e.From]; ok {
 			m.roomIn = append(m.roomIn, roomEdge{kind: fromSource, ref: si, frac: float64(e.Fraction)})
-		} else if ui, ok := core.byName[e.From]; ok {
-			m.roomIn = append(m.roomIn, roomEdge{kind: fromMachine, ref: int(ui), frac: float64(e.Fraction)})
+		} else if from, ok := core.byName[e.From]; ok {
+			m.roomIn = append(m.roomIn, roomEdge{kind: fromMachine, ref: int(from.mi), frac: float64(e.Fraction)})
 		}
-	}
-	// Effective inlet temperatures for step 0 queries.
-	for mi := range core.ms {
-		core.inlet[mi] = core.mixInlet(mi)
-		temps := core.tempsOf(mi)
-		for i := range temps {
-			temps[i] = core.inlet[mi]
-		}
-		core.exhaust[mi] = temps[core.ms[mi].shape.exhaustIdx[0]]
 	}
 	if err := core.compileRegions(); err != nil {
 		return nil, err
 	}
-	core.compileOwnedTemps()
 	core.workers = resolveWorkers(cfg.Workers, len(core.owned))
 	if core.region.count == 0 {
 		core.shards = partitionShards(len(core.ms), core.workers, machineAdjacency(core.ms))
 	} else {
 		core.shards = core.partitionOwnedShards()
 	}
+	core.layBlocks()
 	for i := range core.shards {
-		core.shards[i].groupBySet(core.ms)
 		core.shards[i].allocScratch(maxNodes)
+	}
+	for _, mi := range core.owned {
+		m := &core.ms[mi]
+		core.blocks[m.blk].probe[m.lane] = int32(core.probes)
+		core.probes += len(m.shape.names)
+	}
+	// Effective inlet temperatures for step 0 queries.
+	for mi := range core.ms {
+		core.inlet[mi] = core.mixInlet(mi)
+		rows, l := core.tempsOf(mi)
+		for i := range rows {
+			rows[i][l] = core.inlet[mi]
+		}
+		core.exhaust[mi] = core.inlet[mi]
 	}
 	core.deltas = make([]shardDelta, len(core.shards))
 	s := &Solver{solverCore: core}
@@ -298,6 +326,13 @@ func NewSingle(m *model.Machine, cfg Config) (*Solver, error) {
 func (s *solverCore) markDirty(mi int) {
 	s.dirty[mi] = true
 	s.anyDirty = true
+}
+
+// markStale leaves machine mi's draws to the step, which refreshes them
+// before it steps the machine, and re-activates the machine.
+func (s *solverCore) markStale(mi int) {
+	s.stale[mi] = true
+	s.markDirty(mi)
 }
 
 // mixInlet computes machine mi's effective inlet temperature from its
@@ -453,90 +488,50 @@ func (s *solverCore) runInletPhase(sh int) {
 }
 
 // runStepPhase is phase 2 over one shard: the per-machine heat and air
-// traversals. Quiet machines with unchanged inputs are at a bitwise
-// fixed point and only accrue energy; everything else runs the full
-// kernel. Consecutive stepping machines of one coefficient set step
-// four per call (stepQuad); quiet machines between them do not break a
-// group. What a run of one set leaves short of four goes to the pair
-// kernel, where a machine waits for the next such machine of its
-// shape, and one left without a partner (at a shape boundary or the
-// end of the shard) steps paired with itself. Each shard tracks its
-// own maximum temperature delta; the reduction in stepN is
-// order-independent, so steady-state detection is deterministic across
-// worker counts. The kernels' scratch is the shard's own.
+// traversals, a block of four lanes per kernel call. A block steps when
+// any of its machines is dirty or was not quiet, after refreshing its
+// stale draws; otherwise each of its machines is at a bitwise fixed
+// point and only accrues energy. A quiet, clean machine in a block that
+// steps is stepped with it and ends with the bits stepQuiescent would
+// leave it: its last step changed no node's value, and the kernel never
+// divides by a temperature, so stepping it again gives every node the
+// same value, and a nonzero value the same bits. Every value the kernel
+// writes is a sum that starts at +0, such a sum divided by a positive
+// coefficient, an inlet that is unchanged while the machine is clean, a
+// stagnant region's old value, or a component's old value plus a term
+// that is +0 when it is zero, so a zero it writes does not depend on
+// the signs of the zeros it read: the last step already wrote each zero
+// as this one writes it. Its energy accrues by the additions
+// stepQuiescent makes. Each shard tracks its own maximum
+// temperature delta; the reduction in stepN is order-independent, so
+// steady-state detection is deterministic across worker counts. The
+// kernel's scratch is the shard's own.
 func (s *solverCore) runStepPhase(sh int) {
 	var d float64
 	shd := &s.shards[sh]
-	var quad [4]int32 // stepping machines of set, waiting for a group
-	var set *coefSet
-	n := 0
-	held := int32(-1) // a stepping machine waiting for a partner
-	for _, mi := range shd.idx {
-		if s.quiet[mi] && !s.dirty[mi] {
-			s.stepQuiescent(int(mi), s.dt)
+	for bi := shd.blocks[0]; bi < shd.blocks[1]; bi++ {
+		b := &s.blocks[bi]
+		ms := b.ms[:b.lanes]
+		busy := false
+		for _, mi := range ms {
+			if s.stale[mi] { // and so dirty
+				s.refreshDraws(int(mi))
+			}
+			busy = busy || !s.quiet[mi] || s.dirty[mi]
+		}
+		if !busy {
+			for _, mi := range ms {
+				s.stepQuiescent(int(mi), s.dt)
+			}
 			continue
 		}
-		if ms := s.ms[mi].set; ms != set {
-			for _, p := range quad[:n] {
-				held, d = s.pairWith(shd, held, p, d)
+		ds := s.stepBlock(b, s.dt, shd.netQ)
+		for l, mi := range ms {
+			s.quiet[mi], s.dirty[mi] = ds[l] == 0, false
+			if ds[l] > d {
+				d = ds[l]
 			}
-			set, n = ms, 0
 		}
-		quad[n] = mi
-		if n++; n == len(quad) {
-			d = s.stepGroup(shd, quad, d)
-			n = 0
-		}
-	}
-	for _, p := range quad[:n] {
-		held, d = s.pairWith(shd, held, p, d)
-	}
-	if held >= 0 {
-		d = s.stepLanes(shd, held, held, d)
 	}
 	s.deltas[sh].v = d
-}
-
-// pairWith steps machine mi through the pair kernel: with the held
-// machine when they share a shape, else the held machine alone and mi
-// held instead. It returns the machine left waiting for a partner (or
-// -1) and d raised to the stepped deltas.
-func (s *solverCore) pairWith(shd *shard, held, mi int32, d float64) (int32, float64) {
-	switch {
-	case held < 0:
-		return mi, d
-	case s.ms[held].shape == s.ms[mi].shape:
-		return -1, s.stepLanes(shd, held, mi, d)
-	}
-	return mi, s.stepLanes(shd, held, held, d)
-}
-
-// stepGroup steps four machines of one set through stepQuad, records
-// each one's quiescence, clears its dirt, and returns d raised to their
-// deltas.
-func (s *solverCore) stepGroup(shd *shard, q [4]int32, d float64) float64 {
-	ds := s.stepQuad(s.ms[q[0]].set, q, s.dt, shd.snap, shd.cur, shd.netQ)
-	for l, mi := range q {
-		s.quiet[mi], s.dirty[mi] = ds[l] == 0, false
-		if ds[l] > d {
-			d = ds[l]
-		}
-	}
-	return d
-}
-
-// stepLanes steps machines a and b through the kernel as one pair
-// (a == b for a machine without a partner), records each one's
-// quiescence, clears its dirt, and returns d raised to their deltas.
-func (s *solverCore) stepLanes(shd *shard, a, b int32, d float64) float64 {
-	da, db := s.stepPair(int(a), int(b), s.dt, shd.pairSnap, shd.pairNetQ)
-	s.quiet[a], s.dirty[a] = da == 0, false
-	s.quiet[b], s.dirty[b] = db == 0, false
-	if da > d {
-		d = da
-	}
-	if db > d {
-		d = db
-	}
-	return d
 }

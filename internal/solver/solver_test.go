@@ -287,8 +287,10 @@ func machineState(t testing.TB, s *Solver, m string) MachineState {
 }
 
 // Power is the machine's total draw during the most recent step: the
-// sum of its components' draws, 0 when the machine is off. Only tests
-// read it, against the reference kernel and the layout.
+// sum of its components' draws, 0 when the machine is off. A write
+// leaves the draws to the next step, so the stored draws are those the
+// machine's last executed step used. Only tests read it, against the
+// reference kernel and the layout.
 func (s *Solver) Power(machine string) (units.Watts, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -296,10 +298,10 @@ func (s *Solver) Power(machine string) (units.Watts, error) {
 	if err != nil {
 		return 0, err
 	}
-	m := &s.ms[mi]
+	rows, l := s.drawsOf(mi)
 	var w float64
-	for _, c := range win(s.compK, m.comp, len(m.shape.compNode)) {
-		w += c.cur
+	for i := range rows {
+		w += rows[i][l]
 	}
 	return units.Watts(w), nil
 }

@@ -114,11 +114,11 @@ func (s *Solver) RestoreState(st *State) error {
 		}
 	}
 	for mname, ms := range st.Machines {
-		mi, ok := s.byName[mname]
+		ref, ok := s.byName[mname]
 		if !ok {
 			return fmt.Errorf("solver: restore: unknown machine %q", mname)
 		}
-		if err := validateMachineState(s.ms[mi].shape, ms); err != nil {
+		if err := validateMachineState(ref.shape, ms); err != nil {
 			return fmt.Errorf("solver: restore: machine %q: %w", mname, err)
 		}
 	}
@@ -129,13 +129,13 @@ func (s *Solver) RestoreState(st *State) error {
 		s.sources[s.srcIdx[name]].supply = float64(temp)
 	}
 	for mname, ms := range st.Machines {
-		mi := int(s.byName[mname])
+		mi := int(s.byName[mname].mi)
 		m := &s.ms[mi]
 		sh := m.shape
 		m.on = ms.On
-		temps := s.tempsOf(mi)
+		rows, l := s.tempsOf(mi)
 		for node, temp := range ms.Temps {
-			temps[sh.index[node]] = float64(temp)
+			rows[sh.index[node]][l] = float64(temp)
 		}
 		utils := s.utilsOf(mi)
 		for src, u := range ms.Utils {
@@ -176,13 +176,11 @@ func (s *Solver) RestoreState(st *State) error {
 		}
 		// The restore may have rewritten any constant or input the
 		// kernel caches, so rebind the machine — constants that match
-		// a set rejoin it — refresh its draws and re-activate it
-		// (kernel.go documents the invalidation rules).
+		// a set rejoin it — leave its draws to the step and re-activate
+		// it (kernel.go documents the invalidation rules).
 		s.bind(mi)
-		s.refreshDraws(mi)
-		s.dirty[mi] = true
+		s.markStale(mi)
 		s.quiet[mi] = false
-		s.anyDirty = true
 	}
 	// A restore can rewrite dynamics constants (heat Ks, fan flows,
 	// power scales) and temperatures wholesale, so any recorded

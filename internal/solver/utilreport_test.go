@@ -33,13 +33,21 @@ func refSetUtilization(s *Solver, machine string, src model.UtilSource, u units.
 }
 
 // assertSameInputs compares the state a utilization write touches —
-// stream values, cached draws, the quiet and dirty flags — bit for bit.
+// stream values, the quiet and dirty flags, and the draws the next step
+// steps with, refreshed as the step refreshes them — bit for bit.
 func assertSameInputs(t *testing.T, label string, got, want *Solver) {
 	t.Helper()
 	got.mu.Lock()
 	defer got.mu.Unlock()
 	want.mu.Lock()
 	defer want.mu.Unlock()
+	for _, s := range []*Solver{got, want} {
+		for mi := range s.ms {
+			if s.stale[mi] {
+				s.refreshDraws(mi)
+			}
+		}
+	}
 	if got.anyDirty != want.anyDirty {
 		t.Errorf("%s: anyDirty %v, one-at-a-time %v", label, got.anyDirty, want.anyDirty)
 	}
@@ -55,9 +63,11 @@ func assertSameInputs(t *testing.T, label string, got, want *Solver) {
 			}
 		}
 	}
-	for i := range want.compK {
-		if math.Float64bits(got.compK[i].draw) != math.Float64bits(want.compK[i].draw) {
-			t.Errorf("%s: draw[%d] = %v, one-at-a-time %v", label, i, got.compK[i].draw, want.compK[i].draw)
+	for i := range want.draws {
+		for l, w := range want.draws[i] {
+			if g := got.draws[i][l]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%s: draw row %d lane %d = %v, one-at-a-time %v", label, i, l, g, w)
+			}
 		}
 	}
 }

@@ -2,9 +2,11 @@
 # bench.sh — run the full benchmark suite once and record the results
 # as BENCH_<date>.json in the repo root, seeding the local performance
 # trajectory (docs/performance.md explains how to read and refresh the
-# files). Pass extra `go test` arguments through, e.g.:
+# files). Pass extra `go test` arguments through; every benchmark runs
+# unless they include a -bench of their own, e.g.:
 #
 #   scripts/bench.sh                      # everything, one iteration
+#   scripts/bench.sh -benchtime=50x       # everything, 50 iterations
 #   scripts/bench.sh -bench=ScaleoutStep  # just the scale-out family
 #   scripts/bench.sh -bench=OnlineWarp    # online-mode warp throughput
 #
@@ -66,11 +68,13 @@ out="BENCH_${date}.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-if [ "$#" -gt 0 ]; then
-    go test -benchtime=1x -benchmem -run='^$' "$@" ./... | tee "$raw"
-else
-    go test -bench=. -benchtime=1x -benchmem -run='^$' ./... | tee "$raw"
-fi
+bench=-bench=.
+for arg in "$@"; do
+    case "$arg" in
+    -bench=* | -test.bench=* | -bench | -test.bench) bench= ;;
+    esac
+done
+go test $bench -benchtime=1x -benchmem -run='^$' "$@" ./... | tee "$raw"
 
 # Convert `go test -bench` lines into a JSON document:
 # {"date": ..., "go": ..., "benchmarks": [{"name":..., "iterations":...,

@@ -279,7 +279,7 @@ stage_bench() {
 	if [ "$(nproc)" -lt 2 ]; then
 		echo "single-CPU host; scaling assert skipped"
 	else
-		go test -run='^$' -bench='BenchmarkScaleoutStep/machines=10000/workers=[14]$' \
+		go test -run='^$' -bench='BenchmarkScaleoutStep/^machines=10000$/^workers=[14]$' \
 			-benchtime=100x -count=3 . | tee scaling.txt
 		awk '
 			/machines=10000\/workers=1[- ]/ { if ($5 > w1) w1 = $5 }
