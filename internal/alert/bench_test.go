@@ -10,9 +10,8 @@ import (
 
 // BenchmarkAlertEval measures one full rule-set evaluation over a
 // 100-machine room with warm (but not alerting) temperatures — the
-// steady-state cost the solver tick pays with -alerts enabled. The CI
-// bench gate holds it to 0 allocs/op with no baseline grace period
-// (scripts/bench_diff.sh).
+// steady-state cost the solver tick pays with -alerts enabled.
+// TestEvalDoesNotAllocate holds it to 0 allocs/op.
 func BenchmarkAlertEval(b *testing.B) {
 	const machines = 100
 	var probes []Probe

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -605,16 +606,8 @@ func TestWriterConcurrent(t *testing.T) {
 	}
 }
 
-// TestRecordHotPathAllocs pins every producer-side call at zero
-// allocations: claim + encode + publish must not touch the heap. The drain
-// goroutine is deliberately not running so only producer-side
-// allocations are measured.
-func TestRecordHotPathAllocs(t *testing.T) {
-	path := tempPath(t)
-	w, err := newWriter(path, "allocs", clock.NewVirtual(), writerConfig{ringSize: 1 << 15})
-	if err != nil {
-		t.Fatal(err)
-	}
+// hotPathCases is every producer-side call of w, by name.
+func hotPathCases(w *Writer) map[string]func() {
 	e := telemetry.Event{Seq: 1, At: time.Second, Type: telemetry.EvFiddle, Machine: "machine1", Node: "cpu", Value: 55, Detail: "pin-inlet(machine1)"}
 	s := causal.Span{Seq: 1, Trace: 2, ID: 3, Kind: causal.KindStep, Begin: time.Second, End: 2 * time.Second, Machine: "machine1"}
 	entries := []wire.UtilEntry{{Source: model.UtilCPU, Util: 0.5}, {Source: model.UtilDisk, Util: 0.25}}
@@ -622,7 +615,7 @@ func TestRecordHotPathAllocs(t *testing.T) {
 	temps := make([]float64, 123)
 	idx := make([]int32, 50)
 	probes := []telemetry.TempProbe{{Machine: "machine1", Node: "cpu"}, {Machine: "machine2", Node: "inlet"}}
-	cases := map[string]func(){
+	return map[string]func(){
 		"RecordEvent":    func() { w.RecordEvent(e) },
 		"RecordAlert":    func() { w.RecordAlert(e) },
 		"RecordSpan":     func() { w.RecordSpan(s) },
@@ -633,7 +626,19 @@ func TestRecordHotPathAllocs(t *testing.T) {
 		"RecordMeta":     func() { w.RecordMeta(time.Second, 4) },
 		"SetProbes":      func() { w.SetProbes(probes) },
 	}
-	for name, fn := range cases {
+}
+
+// TestRecordHotPathAllocs pins every producer-side call at zero
+// allocations: claim + encode + publish must not touch the heap. The drain
+// goroutine is deliberately not running so only producer-side
+// allocations are measured.
+func TestRecordHotPathAllocs(t *testing.T) {
+	path := tempPath(t)
+	w, err := newWriter(path, "allocs", clock.NewVirtual(), writerConfig{ringSize: 1 << 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fn := range hotPathCases(w) {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per op, want 0", name, allocs)
 		}
@@ -644,10 +649,37 @@ func TestRecordHotPathAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkRecordWrite is the CI tripwire for the recording hot path:
-// bench_diff.sh fails the PR gate if its allocs/op leaves zero. It
-// runs the full stack — ring claim, fixed-width encode, async drain
-// to a real file.
+// TestRecordDrainLiveAllocs is TestRecordHotPathAllocs with the drain
+// goroutine running, as every daemon runs it: each call is written to
+// the file before the next, so the drain's frame encoding and writes
+// fall inside the measurement too.
+func TestRecordDrainLiveAllocs(t *testing.T) {
+	w, err := Create(tempPath(t), "allocs", clock.NewVirtual(), WithRingSize(1<<15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fn := range hotPathCases(w) {
+		if allocs := testing.AllocsPerRun(200, func() {
+			fn()
+			for w.deq.Load() != w.enq.Load() {
+				runtime.Gosched()
+			}
+		}); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per op with the drain live, want 0", name, allocs)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Drops() != 0 {
+		t.Errorf("%d drops", w.Drops())
+	}
+}
+
+// BenchmarkRecordWrite times the recording hot path with the full
+// stack — ring claim, fixed-width encode, async drain to a real file.
+// TestRecordHotPathAllocs and TestRecordDrainLiveAllocs hold it at 0
+// allocs.
 func BenchmarkRecordWrite(b *testing.B) {
 	path := tempPath(b)
 	w, err := Create(path, "bench", clock.NewVirtual(), WithRingSize(1<<14))

@@ -79,6 +79,12 @@ type Writer struct {
 	seg      int
 	segments atomic.Uint64
 
+	// head and tail frame the payload writeFrame writes; consumer
+	// goroutine only. As locals they would escape through bw.Write and
+	// cost two allocations a record.
+	head [frameHead]byte
+	tail [4]byte
+
 	metaMu     sync.Mutex
 	meta       MetaRecord
 	metaProbes []telemetry.TempProbe
@@ -433,17 +439,15 @@ func (w *Writer) drainAvailable() int {
 
 // writeFrame emits one framed payload to the buffered writer.
 func (w *Writer) writeFrame(typ byte, payload []byte) {
-	var head [frameHead]byte
-	head[0] = typ
-	binary.BigEndian.PutUint16(head[1:], uint16(len(payload)))
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], frameCRC(head[:], payload))
-	_, err := w.bw.Write(head[:])
+	w.head[0] = typ
+	binary.BigEndian.PutUint16(w.head[1:], uint16(len(payload)))
+	binary.BigEndian.PutUint32(w.tail[:], frameCRC(w.head[:], payload))
+	_, err := w.bw.Write(w.head[:])
 	if err == nil {
 		_, err = w.bw.Write(payload)
 	}
 	if err == nil {
-		_, err = w.bw.Write(tail[:])
+		_, err = w.bw.Write(w.tail[:])
 	}
 	w.setErr(err)
 	w.written.Add(1)

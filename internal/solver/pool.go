@@ -247,7 +247,7 @@ func sortInt32(a []int32) {
 // autoShardMachines is the smallest per-worker shard for which fanning
 // out beats the serial loop: below ~256 machines a shard's phase work
 // (tens of microseconds) no longer dwarfs the barrier round-trip, and
-// the committed BENCH_20260806.json baseline shows exactly that
+// the flat-kernel measurements (docs/performance.md) show exactly that
 // regime — workers=auto was the *worst* configuration at machines=1000
 // (3.54M vs 5.55M machine-steps/s serial). Workers=0 therefore caps
 // the worker count so every shard keeps at least this many machines,

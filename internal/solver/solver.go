@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -290,8 +291,9 @@ func New(c *model.Cluster, cfg Config) (*Solver, error) {
 		core.blocks[m.blk].probe[m.lane] = int32(core.probes)
 		core.probes += len(m.shape.names)
 	}
-	// Effective inlet temperatures for step 0 queries.
-	for mi := range core.ms {
+	// Effective inlet temperatures for step 0 queries, each machine
+	// after the machines it draws air from.
+	for _, mi := range inletOrder(core.ms) {
 		core.inlet[mi] = core.mixInlet(mi)
 		rows, l := core.tempsOf(mi)
 		for i := range rows {
@@ -361,6 +363,99 @@ func (s *solverCore) mixInlet(mi int) float64 {
 		return s.inlet[mi] // isolated machine keeps its last inlet
 	}
 	return tsum / wsum
+}
+
+// inletOrder returns the machine indices in an order in which every
+// machine follows the machines its inlet mixes from, so that step 0's
+// inlets read their upstream machines' starting exhausts whatever order
+// the cluster lists the machines in. Machines go in list order as they
+// become ready. When only machines on or below a cycle are left, one
+// cycle's first machine in list order goes next, so machines on a cycle
+// keep list order. A cluster listed upstream-first keeps its bits.
+func inletOrder(ms []machine) []int {
+	n := len(ms)
+	// pending counts each machine's upstream machines not yet placed;
+	// down[start[i]:start[i+1]] are machine i's downstream machines.
+	pending := make([]int32, n)
+	start := make([]int32, n+1)
+	for i := range ms {
+		for _, e := range ms[i].roomIn {
+			if e.kind == fromMachine {
+				pending[i]++
+				start[e.ref+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	down := make([]int32, start[n])
+	next := append([]int32(nil), start[:n]...)
+	for i := range ms {
+		for _, e := range ms[i].roomIn {
+			if e.kind == fromMachine {
+				down[next[e.ref]] = int32(i)
+				next[e.ref]++
+			}
+		}
+	}
+	// order is also the queue: order[head:] are placed machines whose
+	// downstream machines are not yet released. A placed machine's
+	// pending is -1.
+	order := make([]int, 0, n)
+	for i := range pending {
+		if pending[i] == 0 {
+			pending[i] = -1
+			order = append(order, i)
+		}
+	}
+	var at []int32 // a machine's step in the walk below, or -1
+	var walk []int
+	for head, first := 0, 0; len(order) < n; head++ {
+		if head == len(order) {
+			// Every machine left has an upstream machine left: walk
+			// upstream from the first of them until the walk closes a
+			// cycle, and place that cycle's first machine.
+			if at == nil {
+				at = make([]int32, n)
+				for i := range at {
+					at[i] = -1
+				}
+			}
+			for pending[first] < 0 {
+				first++
+			}
+			walk = walk[:0]
+			for m := first; ; {
+				if at[m] >= 0 {
+					m = slices.Min(walk[at[m]:])
+					pending[m] = -1
+					order = append(order, m)
+					break
+				}
+				at[m] = int32(len(walk))
+				walk = append(walk, m)
+				for _, e := range ms[m].roomIn {
+					if e.kind == fromMachine && pending[e.ref] >= 0 {
+						m = e.ref
+						break
+					}
+				}
+			}
+			for _, m := range walk {
+				at[m] = -1
+			}
+		}
+		for _, d := range down[start[order[head]]:start[order[head]+1]] {
+			if pending[d] > 0 {
+				if pending[d]--; pending[d] == 0 {
+					pending[d] = -1
+					order = append(order, int(d))
+				}
+			}
+		}
+	}
+	return order
 }
 
 // Step advances the emulation by one configured time step.
