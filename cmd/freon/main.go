@@ -122,16 +122,7 @@ func runOnline(policy string, quiet bool, machines int, duration time.Duration, 
 		}
 		fmt.Printf("causal spans: %d (%d emergency traces)\n", len(res.Spans), len(traces))
 	}
-	if len(res.Alerts) > 0 {
-		firing := 0
-		for _, e := range res.Alerts {
-			if e.Type == telemetry.EvAlertFiring {
-				firing++
-			}
-		}
-		fmt.Printf("alerts: %d transitions (%d firing edges; first: %s)\n",
-			len(res.Alerts), firing, res.Alerts[0])
-	}
+	printAlerts(res.Alerts)
 	if res.RecordPath != "" {
 		fmt.Printf("recorded to %s (%d drops); verify with: mercury-replay -log %s\n",
 			res.RecordPath, res.RecordDrops, res.RecordPath)
@@ -186,20 +177,17 @@ func run(policy string, machines int, duration time.Duration, seed int64, quiet 
 		return err
 	}
 
-	// Alerting over the in-process rig: the engine watches the sim's
-	// solver directly and evaluates from the per-second hook, after
-	// the policy's own ticks for that second.
-	if st.Rules != nil {
-		ms, ns := sim.Solver.Probes()
-		if err := st.Watch(daemon.Watch{
-			Step:   time.Second,
-			Probes: daemon.ThermalProbes(ms, ns, freon.DefaultComponents()),
-			Fill:   sim.Solver.ReadAllTemps,
-		}); err != nil {
-			return err
-		}
+	// Alerting over the in-process rig: the loop evaluates the engine
+	// after each step, before the policy, as it does for -online.
+	ms, ns := sim.Solver.Probes()
+	if err := st.Watch(daemon.Watch{
+		Step:   time.Second,
+		Probes: daemon.ThermalProbes(ms, ns, freon.DefaultComponents()),
+		Fill:   sim.Solver.ReadAllTemps,
+	}); err != nil {
+		return err
 	}
-	eng := st.Alerts
+	sim.Watch(st.Alerts)
 
 	var ctlOpts []ctl.Option
 	if p := sim.Policy; p != nil {
@@ -213,9 +201,8 @@ func run(policy string, machines int, duration time.Duration, seed int64, quiet 
 		fmt.Printf("freon: control plane on http://%s\n", bound)
 	}
 
-	var printSecond func(sec int, tick webcluster.Tick) error
 	if !quiet {
-		printSecond = func(sec int, tick webcluster.Tick) error {
+		sim.OnSecond = func(sec int, tick webcluster.Tick) error {
 			if (sec+1)%60 != 0 {
 				return nil
 			}
@@ -235,15 +222,6 @@ func run(policy string, machines int, duration time.Duration, seed int64, quiet 
 			return nil
 		}
 	}
-	if eng != nil || printSecond != nil {
-		sim.OnSecond = func(sec int, tick webcluster.Tick) error {
-			eng.EvalTick(uint64(sec + 1))
-			if printSecond != nil {
-				return printSecond(sec, tick)
-			}
-			return nil
-		}
-	}
 
 	if err := sim.Run(duration); err != nil {
 		return err
@@ -253,15 +231,20 @@ func run(policy string, machines int, duration time.Duration, seed int64, quiet 
 	fmt.Printf("requests: arrived=%d completed=%d dropped=%d (%.2f%%)\n",
 		t.Arrived, t.Completed, t.Dropped, 100*t.DropRate())
 	fmt.Printf("energy: %.0f kJ\n", float64(sim.Solver.TotalEnergy())/1000)
-	if eng != nil {
-		timeline := eng.Timeline()
-		firing := 0
-		for _, e := range timeline {
-			if e.Type == telemetry.EvAlertFiring {
-				firing++
-			}
-		}
-		fmt.Printf("alerts: %d transitions (%d firing edges)\n", len(timeline), firing)
-	}
+	printAlerts(st.Alerts.Timeline())
 	return nil
+}
+
+// printAlerts summarizes an alert timeline, if there is one.
+func printAlerts(timeline []telemetry.Event) {
+	if len(timeline) == 0 {
+		return
+	}
+	firing := 0
+	for _, e := range timeline {
+		if e.Type == telemetry.EvAlertFiring {
+			firing++
+		}
+	}
+	fmt.Printf("alerts: %d transitions (%d firing edges; first: %s)\n", len(timeline), firing, timeline[0])
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/darklab/mercury/internal/fiddle"
 	"github.com/darklab/mercury/internal/freon"
+	"github.com/darklab/mercury/internal/online"
 )
 
 func run(t *testing.T, fn func() (*Result, error)) *Result {
@@ -333,9 +335,11 @@ func TestSnapshotDuringRunSharesNoBalancerState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sim.Fiddle, err = emergencyOps(); err != nil {
+		script, err := fiddle.ParseScript(online.Fig11Script)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sim.Fiddle = script.Schedule()
 		switch policy {
 		case "twostage":
 			if sim.Policy, err = freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(), freon.Config{TwoStage: true}); err != nil {

@@ -7,6 +7,7 @@ import (
 	"github.com/darklab/mercury/internal/fiddle"
 	"github.com/darklab/mercury/internal/freon"
 	"github.com/darklab/mercury/internal/model"
+	"github.com/darklab/mercury/internal/online"
 	"github.com/darklab/mercury/internal/stats"
 	"github.com/darklab/mercury/internal/webcluster"
 )
@@ -17,23 +18,6 @@ const (
 	freonDuration = 2000 * time.Second
 	emergencyAt   = 480 * time.Second
 )
-
-// emergencyScript reproduces the paper's Figure 4-style fiddle script:
-// at 480 s, machine1's inlet rises to 38.6 C and machine3's to 35.6 C,
-// lasting the rest of the experiment.
-const emergencyScript = `#!/bin/bash
-sleep 480
-fiddle machine1 temperature inlet 38.6
-fiddle machine3 temperature inlet 35.6
-`
-
-func emergencyOps() ([]fiddle.TimedOp, error) {
-	script, err := fiddle.ParseScript(emergencyScript)
-	if err != nil {
-		return nil, err
-	}
-	return script.Schedule(), nil
-}
 
 // freonRun is the shared collection across the three Section 5
 // experiments.
@@ -53,11 +37,11 @@ func newFreonRun() (*freonRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	ops, err := emergencyOps()
+	script, err := fiddle.ParseScript(online.Fig11Script)
 	if err != nil {
 		return nil, err
 	}
-	sim.Fiddle = ops
+	sim.Fiddle = script.Schedule()
 	r := &freonRun{
 		sim:      sim,
 		temps:    map[string]*stats.Series{},

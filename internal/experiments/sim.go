@@ -9,11 +9,12 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/darklab/mercury/internal/alert"
 	"github.com/darklab/mercury/internal/clock"
 	"github.com/darklab/mercury/internal/fiddle"
 	"github.com/darklab/mercury/internal/freon"
 	"github.com/darklab/mercury/internal/lvs"
-	"github.com/darklab/mercury/internal/model"
+	"github.com/darklab/mercury/internal/online"
 	"github.com/darklab/mercury/internal/solver"
 	"github.com/darklab/mercury/internal/stats"
 	"github.com/darklab/mercury/internal/webcluster"
@@ -53,20 +54,17 @@ func (r *Result) Render() string {
 
 // Sim couples the discrete-time web cluster with the Mercury solver
 // and a thermal-management policy, advancing everything in lockstep
-// emulated seconds: the cluster serves the second's arrivals, its
-// utilizations feed the solver (as monitord would), the solver steps,
-// and the policy ticks at the cadences its Config names.
+// emulated seconds: Run is online.Loop over the in-process room, whose
+// doc comment gives the second's order and its clock instants.
 type Sim struct {
 	Solver  *solver.Solver
 	Cluster *webcluster.Cluster
 	Bal     *lvs.Balancer
 
-	// Clock is the sim's virtual time source, shared with the online
-	// harness's runtime: Run reads the current emulated instant from
-	// it and advances it one second per iteration, so anything hung
+	// Clock is the sim's virtual time source: Run starts at its current
+	// second and advances it one second per iteration, so anything hung
 	// off the same clock (tickers, After waiters) fires in lockstep
-	// with the simulation. NewSim populates it; zero-value Sims get a
-	// fresh clock on first Run.
+	// with the simulation.
 	Clock *clock.Virtual
 
 	// Web generates the arrival trace, drawn one second per iteration;
@@ -75,22 +73,19 @@ type Sim struct {
 	// Fiddle is the scheduled emergency script.
 	Fiddle []fiddle.TimedOp
 
-	// Policy, when non-nil, manages the room: its TickPoll runs every
-	// Config().ConnPoll and its TickPeriod every Config().Period, poll
-	// first, after the second's solver step.
+	// Policy, when non-nil, manages the room on the loop's cadences.
 	Policy freon.Policy
 	// OnSecond runs after every emulated second with the tick's stats;
 	// experiments sample their series here.
 	OnSecond func(sec int, tick webcluster.Tick) error
 
-	arrivals  []workload.Request // this second's, reused every iteration
-	fiddleIdx int
+	loop     online.Loop        // keeps the fiddle cursor and the alert engine across Runs
+	arrivals []workload.Request // this second's, reused every iteration
 }
 
-// NewSim builds the standard 4-machine rig: the Table 1 cluster, a
-// fresh balancer-backed web cluster, and the Section 5 diurnal trace.
+// NewSim builds online.NewRig's rig over an in-process solver.
 func NewSim(machines int, seed int64, duration time.Duration) (*Sim, error) {
-	c, err := model.DefaultCluster("room", machines)
+	rig, err := online.NewRig(machines, seed, duration)
 	if err != nil {
 		return nil, err
 	}
@@ -98,117 +93,41 @@ func NewSim(machines int, seed int64, duration time.Duration) (*Sim, error) {
 	// bit-identical to the paper's serial loop for any worker count
 	// (TestParallelDeterminism), so the regenerated figures are
 	// unchanged.
-	sol, err := solver.New(c, solver.Config{Workers: 0})
+	sol, err := solver.New(rig.Model, solver.Config{Workers: 0})
 	if err != nil {
 		return nil, err
 	}
-	bal := lvs.New()
-	names := make([]string, machines)
-	for i := range names {
-		names[i] = fmt.Sprintf("machine%d", i+1)
-	}
-	wc, err := webcluster.New(bal, names, webcluster.Config{})
-	if err != nil {
-		return nil, err
-	}
-	// "The load peak is set at 70% utilization with 4 servers, leaving
-	// spare capacity to handle unexpected load increases or a server
-	// failure."
-	peak := float64(machines) * 0.7 / webcluster.Config{}.MeanCPUPerRequest(0.3)
-	return &Sim{
-		Solver:  sol,
-		Cluster: wc,
-		Bal:     bal,
-		Clock:   clock.NewVirtual(),
-		Web: workload.NewWebGen(workload.WebConfig{
-			Duration: duration,
-			PeakRPS:  peak,
-			Seed:     seed,
-		}),
-	}, nil
+	return &Sim{Solver: sol, Cluster: rig.Cluster, Bal: rig.Bal, Clock: clock.NewVirtual(), Web: rig.Web}, nil
 }
 
-// Power returns a power actuator that switches both the emulated web
-// server and its thermal model.
-func (s *Sim) Power() PowerAdapter { return PowerAdapter{sim: s} }
+// Power returns admd's actuator over the sim's room and web cluster.
+func (s *Sim) Power() freon.Power { return s.room().Power(s.Cluster) }
 
-// PowerAdapter implements freon.Power over the sim.
-type PowerAdapter struct{ sim *Sim }
+func (s *Sim) room() online.Room { return online.InProcess(s.Solver, s.Cluster.Machines()) }
 
-// SetPower turns the machine on/off in the web cluster and the solver.
-func (p PowerAdapter) SetPower(machine string, on bool) error {
-	if err := p.sim.Cluster.SetPower(machine, on); err != nil {
-		return err
-	}
-	return p.sim.Solver.SetMachinePower(machine, on)
-}
+// Watch hands an alert engine to the loop, which evaluates it each
+// second before the policy; nil detaches it.
+func (s *Sim) Watch(eng *alert.Engine) { s.loop.Alerts = eng }
 
-// Run advances the sim for the given emulated duration. Emulated time
-// lives on s.Clock: each iteration handles the second starting at the
-// clock's current instant and then advances it by one second, firing
-// any tickers or timers other components have registered on the same
-// clock.
+// Run advances the sim for the given emulated duration.
 func (s *Sim) Run(duration time.Duration) error {
-	if s.Clock == nil {
-		s.Clock = clock.NewVirtual()
-	}
-	var pollEvery, periodEvery int
-	if s.Policy != nil {
-		var err error
-		if pollEvery, periodEvery, err = s.Policy.Config().Ticks(); err != nil {
-			return fmt.Errorf("experiments: policy %w", err)
-		}
-	}
-	secs := int(duration / time.Second)
-	base := int(s.Clock.Elapsed() / time.Second)
-	machines := s.Cluster.Machines()
-	for i := 0; i < secs; i++ {
-		sec := base + i
-		now := s.Clock.Elapsed()
-
-		for s.fiddleIdx < len(s.Fiddle) && s.Fiddle[s.fiddleIdx].At <= now {
-			if err := fiddle.Apply(s.Solver, s.Fiddle[s.fiddleIdx].Op); err != nil {
-				return fmt.Errorf("experiments: fiddle at %v: %w", now, err)
-			}
-			s.fiddleIdx++
-		}
-
-		if s.Web != nil {
-			s.arrivals = s.Web.Next(s.arrivals[:0], now+time.Second)
-		}
-		tick := s.Cluster.TickSecond(s.arrivals)
-
-		// Feed the tick's utilizations to the thermal model, the role
-		// monitord plays on a live system.
-		for i, m := range machines {
-			st := tick.PerServer[i]
-			if err := s.Solver.SetUtilization(m, model.UtilCPU, st.CPUUtil); err != nil {
-				return err
-			}
-			if err := s.Solver.SetUtilization(m, model.UtilDisk, st.DiskUtil); err != nil {
-				return err
-			}
-		}
-		s.Solver.Step()
-
-		if s.Policy != nil && (sec+1)%pollEvery == 0 {
-			if err := s.Policy.TickPoll(); err != nil {
-				return err
-			}
-		}
-		if s.Policy != nil && (sec+1)%periodEvery == 0 {
-			if err := s.Policy.TickPeriod(); err != nil {
-				return err
-			}
-		}
-		if s.OnSecond != nil {
-			if err := s.OnSecond(sec, tick); err != nil {
-				return err
-			}
-		}
-		s.Clock.Advance(time.Second)
+	l := &s.loop
+	l.Clock, l.Cluster, l.Fiddle, l.Policy, l.OnSecond = s.Clock, s.Cluster, s.Fiddle, s.Policy, s.OnSecond
+	l.Room = s.room()
+	l.Arrivals = s.next
+	if err := l.Run(int(duration / time.Second)); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	return nil
+}
+
+// next draws second sec's arrivals from Web.
+func (s *Sim) next(sec int) []workload.Request {
+	if s.Web == nil {
+		return nil
+	}
+	s.arrivals = s.Web.Next(s.arrivals[:0], time.Duration(sec+1)*time.Second)
+	return s.arrivals
 }
 
 func sortedKeys(m map[string]float64) []string {

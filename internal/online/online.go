@@ -1,25 +1,10 @@
 // Package online boots Mercury's full daemon stack — solverd, one
 // monitord per machine, and Freon's tempd/admd — over loopback UDP on
 // a shared virtual clock, and drives it in deterministic lockstep at
-// warp speed. It is the end-to-end counterpart of experiments.Sim:
-// the same per-second ordering (fiddle, cluster tick, utilization
-// updates, solver step, Freon poll, Freon period), but with every
-// interaction crossing the wire the way a live deployment's would.
-//
-// The harness is one goroutine calling each layer's tick body in turn;
-// the virtual clock only supplies the stamps:
-//
-//	t = k+0.5   second k's fiddle ops and cluster tick
-//	t = k+1.0   SampleOnce on every monitord, then the one wait: the
-//	            harness parks in every shard's AwaitUtilUpdates until
-//	            the report that completes the second wakes it
-//	t = k+1.25  Tick on every shard in order, then the alert engine
-//	t = k+1.5   Freon's TickPoll and TickPeriod when due, poll first
-//
-// Every other step is done when its call returns, so two runs with the
-// same seed produce bit-identical trajectories. Only the request trace
-// is produced beside the harness, on a goroutine that reads no clock
-// and emits nothing.
+// warp speed: Run is Loop, the one emulated second, over a loopback-UDP
+// room, as experiments.Sim is Loop over an in-process one. Only the
+// request trace is produced beside the loop, on a goroutine that reads
+// no clock and emits nothing.
 package online
 
 import (
@@ -64,6 +49,170 @@ sleep 480
 fiddle machine1 temperature inlet 38.6
 fiddle machine3 temperature inlet 35.6
 `
+
+// Loop is Mercury's emulated second, written once: experiments.Sim
+// runs it over the InProcess room, Run over a loopback-UDP one. Each
+// second k it runs, in order:
+//
+//  1. the fiddle ops due by k (TimedOp.At <= k), through the room;
+//  2. the second's arrivals, served by the web cluster's TickSecond;
+//  3. the room's report of the tick's utilizations (monitord's part);
+//  4. the room's solver step;
+//  5. the alert engine over tick k+1's temperatures, before Freon;
+//  6. the policy's TickPoll every ConnPoll, then TickPeriod every
+//     Period (whole seconds, or Run refuses the policy);
+//  7. the per-second hook.
+//
+// The clock advances to the instants the room names, so every stamp
+// and every timer on the clock lands there:
+//
+//	room         steps 1-2   step 3   steps 4-5   steps 6-7
+//	InProcess    k           k        k           k, then k+1
+//	Run's UDP    k+0.5       k+1      k+1.25      k+1.5
+//
+// In Run's room step 3 is SampleOnce on every monitord and the loop's
+// one wait (AwaitUtilUpdates on every shard), and step 4 is Tick on
+// every shard in order. Every other step is over when its call returns,
+// so both rooms are deterministic and step the same bits
+// (TestOnlineFig11MatchesSim).
+type Loop struct {
+	Clock    *clock.Virtual
+	Room     Room
+	Cluster  *webcluster.Cluster
+	Arrivals func(sec int) []workload.Request // second sec's requests
+	Fiddle   []fiddle.TimedOp                 // the emergency script, ordered by At
+	// Policy, Alerts and OnSecond are each optional.
+	Policy   freon.Policy
+	Alerts   *alert.Engine
+	OnSecond func(sec int, tick webcluster.Tick) error
+
+	next           int // Fiddle[next] is the first op not yet applied
+	polls, periods atomic.Uint64
+}
+
+// Room is the thermal half of the second: where fiddle ops land, where
+// the utilizations go, and what steps, at the instants of Loop's table.
+type Room struct {
+	at     [4]time.Duration // offsets from k of steps 1, 3, 4 and 6
+	apply  func(*wire.FiddleOp) error
+	report func(webcluster.Tick) error
+	step   func() error
+}
+
+var udpAt = [4]time.Duration{500 * time.Millisecond, time.Second, 1250 * time.Millisecond, 1500 * time.Millisecond} // Run's row
+
+// Power is admd's actuator over the room: it switches a machine in the
+// web cluster directly (admd runs beside LVS) and in the thermal model
+// through the room's fiddle path.
+func (r Room) Power(wc *webcluster.Cluster) freon.Power { return power{wc: wc, apply: r.apply} }
+
+// InProcess is experiments.Sim's room: fiddle.Apply, the utilizations
+// of machines (in the cluster's order) written into sol, and sol.Step.
+func InProcess(sol *solver.Solver, machines []string) Room {
+	return Room{
+		apply: func(op *wire.FiddleOp) error { return fiddle.Apply(sol, op) },
+		report: func(tick webcluster.Tick) error {
+			for i, m := range machines {
+				st := tick.PerServer[i]
+				if err := sol.SetUtilization(m, model.UtilCPU, st.CPUUtil); err != nil {
+					return err
+				}
+				if err := sol.SetUtilization(m, model.UtilDisk, st.DiskUtil); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		step: func() error { sol.Step(); return nil },
+	}
+}
+
+// Run runs secs emulated seconds, from the clock's current whole second.
+func (l *Loop) Run(secs int) error {
+	var poll, period int
+	if l.Policy != nil {
+		var err error
+		if poll, period, err = l.Policy.Config().Ticks(); err != nil {
+			return fmt.Errorf("policy %w", err)
+		}
+	}
+	at := &l.Room.at
+	first := int(l.Clock.Elapsed() / time.Second)
+	for sec := first; sec < first+secs; sec++ {
+		k := time.Duration(sec) * time.Second
+		l.Clock.AdvanceTo(k + at[0])
+		for l.next < len(l.Fiddle) && l.Fiddle[l.next].At <= k {
+			if err := l.Room.apply(l.Fiddle[l.next].Op); err != nil {
+				return fmt.Errorf("fiddle at %v: %w", k, err)
+			}
+			l.next++
+		}
+		tick := l.Cluster.TickSecond(l.Arrivals(sec))
+
+		l.Clock.AdvanceTo(k + at[1])
+		if err := l.Room.report(tick); err != nil {
+			return fmt.Errorf("emulated second %d: %w", sec, err)
+		}
+		l.Clock.AdvanceTo(k + at[2])
+		if err := l.Room.step(); err != nil {
+			return fmt.Errorf("emulated second %d: %w", sec, err)
+		}
+		l.Alerts.EvalTick(uint64(sec + 1))
+
+		l.Clock.AdvanceTo(k + at[3])
+		if poll > 0 && (sec+1)%poll == 0 {
+			if err := l.Policy.TickPoll(); err != nil {
+				return fmt.Errorf("emulated second %d: freon poll: %w", sec, err)
+			}
+			l.polls.Add(1)
+		}
+		if period > 0 && (sec+1)%period == 0 {
+			if err := l.Policy.TickPeriod(); err != nil {
+				return fmt.Errorf("emulated second %d: freon period: %w", sec, err)
+			}
+			l.periods.Add(1)
+		}
+		if l.OnSecond != nil {
+			if err := l.OnSecond(sec, tick); err != nil {
+				return err
+			}
+		}
+	}
+	l.Clock.AdvanceTo(time.Duration(first+secs)*time.Second + at[0])
+	return nil
+}
+
+// Rig is the Section 5 rig: the Table 1 room, a balancer-backed web
+// cluster over its machines, and the diurnal trace.
+type Rig struct {
+	Model   *model.Cluster
+	Bal     *lvs.Balancer
+	Cluster *webcluster.Cluster
+	Web     *workload.WebGen
+}
+
+// NewRig builds the rig with a seeded trace of the given length.
+func NewRig(machines int, seed int64, duration time.Duration) (*Rig, error) {
+	cm, err := model.DefaultCluster("room", machines)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(cm.Machines))
+	for i, m := range cm.Machines {
+		names[i] = m.Name
+	}
+	bal := lvs.New()
+	wc, err := webcluster.New(bal, names, webcluster.Config{})
+	if err != nil {
+		return nil, err
+	}
+	// "The load peak is set at 70% utilization with 4 servers, leaving
+	// spare capacity to handle unexpected load increases or a server
+	// failure."
+	peak := float64(machines) * 0.7 / webcluster.Config{}.MeanCPUPerRequest(0.3)
+	web := workload.NewWebGen(workload.WebConfig{Duration: duration, PeakRPS: peak, Seed: seed})
+	return &Rig{Model: cm, Bal: bal, Cluster: wc, Web: web}, nil
+}
 
 // Config parameterizes an online run.
 type Config struct {
@@ -224,8 +373,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Record != "" && cfg.Shards > 1 {
 		return nil, fmt.Errorf("online: Record requires a single shard, got %d", cfg.Shards)
 	}
-	pollSecs, periodSecs, err := cfg.Freon.Ticks()
-	if err != nil {
+	// Refuse a cadence the loop cannot honour before booting anything.
+	if _, _, err := cfg.Freon.Ticks(); err != nil {
 		return nil, fmt.Errorf("online: Freon.%w", err)
 	}
 	clk := clock.NewVirtual()
@@ -259,7 +408,7 @@ func Run(cfg Config) (*Result, error) {
 	// the whole room, or cfg.Shards of them each own one region of it.
 	// Every shard compiles the full cluster, so global machine indices
 	// and initial temperatures agree across daemons.
-	cm, err := model.DefaultCluster("room", cfg.Machines)
+	rig, err := NewRig(cfg.Machines, cfg.Seed, cfg.Duration)
 	if err != nil {
 		return nil, err
 	}
@@ -268,14 +417,14 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.Surrogate {
 			return nil, fmt.Errorf("online: Surrogate requires a single shard, got %d", cfg.Shards)
 		}
-		if regions, err = solver.PartitionRegions(cm, cfg.Shards); err != nil {
+		if regions, err = solver.PartitionRegions(rig.Model, cfg.Shards); err != nil {
 			return nil, err
 		}
 	}
 	var surro *surrogate.Model
 	servers := make([]*solverd.Server, cfg.Shards)
 	for i := range servers {
-		sol, err := solver.New(cm, solver.Config{
+		sol, err := solver.New(rig.Model, solver.Config{
 			Workers:     cfg.Workers,
 			Regions:     regions,
 			RegionIndex: i,
@@ -328,10 +477,7 @@ func Run(cfg Config) (*Result, error) {
 	// below indexes by. shardNames[i] is the machines shard i owns
 	// (everything, for a single shard), in cluster order, and owner the
 	// inverse: the index of the shard that steps a machine.
-	names := make([]string, cfg.Machines)
-	for i := range names {
-		names[i] = fmt.Sprintf("machine%d", i+1)
-	}
+	names := rig.Cluster.Machines()
 	shardNames := [][]string{names}
 	if cfg.Shards > 1 {
 		shardNames = regions
@@ -367,10 +513,8 @@ func Run(cfg Config) (*Result, error) {
 		comps = freon.DefaultComponents()
 	}
 
-	// Alerting: one engine for the whole room, driven from the harness
-	// goroutine after every solver step, never from the daemons — the
-	// evaluation order (and so the transition timeline) is then the
-	// same no matter how many shards step the model.
+	// Alerting: one engine for the whole room, evaluated by the loop,
+	// never by the daemons, so the timeline is the same for any shard count.
 	if cfg.Alerts != nil {
 		probes, fill := alertProbes(servers, names, comps)
 		if err := st.Watch(daemon.Watch{
@@ -403,15 +547,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Emulated web cluster and workload, exactly as experiments.NewSim
-	// builds them.
-	bal := lvs.New()
-	wc, err := webcluster.New(bal, names, webcluster.Config{})
-	if err != nil {
-		return nil, err
-	}
-	peak := float64(cfg.Machines) * 0.7 / webcluster.Config{}.MeanCPUPerRequest(0.3)
-
 	// The request trace runs ahead of the loop on its own goroutine: it
 	// depends on nothing the loop computes, so it is drawn on another
 	// core while the stack boots and steps. Each second goes out as a
@@ -421,31 +556,26 @@ func Run(cfg Config) (*Result, error) {
 	// finishes. It reads no clock and emits nothing.
 	secs := int(cfg.Duration / time.Second)
 	arrivals := make(chan []workload.Request, secs)
-	go func() {
-		gen := workload.NewWebGen(workload.WebConfig{Duration: cfg.Duration, PeakRPS: peak, Seed: cfg.Seed})
+	go func(gen *workload.WebGen) {
 		out := make([]workload.Request, 0, gen.SizeHint())
 		for sec := 1; sec <= secs; sec++ {
 			first := len(out)
 			out = gen.Next(out, time.Duration(sec)*time.Second)
 			arrivals <- out[first:len(out):len(out)]
 		}
-	}()
+	}(rig.Web)
 
-	var ops []fiddle.TimedOp
-	if cfg.Script != "" {
-		script, err := fiddle.ParseScript(cfg.Script)
-		if err != nil {
-			return nil, err
-		}
-		ops = script.Schedule()
+	script, err := fiddle.ParseScript(cfg.Script)
+	if err != nil {
+		return nil, err
 	}
 
-	// Monitords, each sampling a synthetic procfs that the harness
+	// Monitords, each sampling a synthetic procfs that the room
 	// refreshes from the cluster's per-tick utilizations: one daemon
 	// per machine reporting to the machine's owner shard, or — with
 	// Batch — one daemon per shard reporting all its machines in one
-	// MsgUtilBatch datagram. None runs a sampling loop: the harness
-	// calls SampleOnce.
+	// MsgUtilBatch datagram. None runs a sampling loop: the room calls
+	// SampleOnce.
 	synths := make(map[string]*procfs.Synthetic, cfg.Machines)
 	for _, m := range names {
 		synths[m] = procfs.NewSynthetic(model.UtilCPU, model.UtilDisk)
@@ -473,9 +603,6 @@ func Run(cfg Config) (*Result, error) {
 		defer mons[i].Close()
 	}
 
-	// The loop's first cluster tick happens at t = 0.5.
-	clk.Advance(500 * time.Millisecond)
-
 	// Freon, reading temperatures through the emulated sensor library
 	// and actuating the balancer locally, as admd does on the LVS
 	// machine. One sensor reader per shard serves every read: Freon's
@@ -502,109 +629,95 @@ func Run(cfg Config) (*Result, error) {
 	routeOp := func(op *wire.FiddleOp) error {
 		return route(op, func(i int, op *wire.FiddleOp) error { return fcs[i].Apply(op) })
 	}
+
+	// Run's room: the routed fiddle clients, the monitords, shard Ticks.
+	var reported uint64 // seconds whose utilizations the monitords have sent
+	room := Room{
+		at:    udpAt,
+		apply: routeOp,
+		// A datagram inside the loopback socket is visible to nobody,
+		// so here alone the loop waits: it parks until every shard has
+		// applied its own machines' reports, woken by the last of them.
+		report: func(tick webcluster.Tick) error {
+			for i, m := range names {
+				st, syn := tick.PerServer[i], synths[m]
+				syn.Set(model.UtilCPU, st.CPUUtil)
+				syn.Set(model.UtilDisk, st.DiskUtil)
+			}
+			for _, d := range mons {
+				if err := d.SampleOnce(); err != nil {
+					return err
+				}
+			}
+			reported++
+			for i, s := range servers {
+				if err := s.AwaitUtilUpdates(uint64(len(shardNames[i]))*reported, utilGuard); err != nil {
+					return fmt.Errorf("timed out waiting for utilization updates: %w", err)
+				}
+			}
+			return nil
+		},
+		// Tick k+1 needs only its peers' tick-k exhausts, published a
+		// second ago, so stepping the shards one after another cannot
+		// deadlock.
+		step: func() error {
+			for i, s := range servers {
+				if !s.Tick() {
+					return fmt.Errorf("shard %d closed", i)
+				}
+			}
+			return nil
+		},
+	}
 	cfg.Freon.Events = events
 	cfg.Freon.Tracer = tracer
-	fr, err := freon.New(names, &sens, bal, power{wc: wc, apply: routeOp}, cfg.Freon)
+	fr, err := freon.New(names, &sens, rig.Bal, room.Power(rig.Cluster), cfg.Freon)
 	if err != nil {
 		return nil, err
 	}
-	var polls, periods atomic.Uint64
-	if st.Registry != nil {
-		st.Registry.CounterFunc("mercury_freon_polls_total", "completed connection-statistics polls",
-			func() float64 { return float64(polls.Load()) })
-		st.Registry.CounterFunc("mercury_freon_periods_total", "completed observation periods",
-			func() float64 { return float64(periods.Load()) })
-	}
 
 	cpus := newCPUProbes(names, shardNames)
-
 	res := &Result{Machines: names, MaxCPUTemp: map[string]units.Celsius{}, Adjustments: map[string]int{}}
-	opIdx := 0
-	for sec := 0; sec < secs; sec++ {
-		// The harness's work for second sec happens at t = sec+0.5,
-		// before any daemon has observed the second.
-		now := time.Duration(sec) * time.Second
-		for opIdx < len(ops) && ops[opIdx].At <= now {
-			if err := routeOp(ops[opIdx].Op); err != nil {
-				return nil, fmt.Errorf("online: fiddle at %v: %w", now, err)
-			}
-			opIdx++
-		}
-		tick := wc.TickSecond(<-arrivals)
-		for i, m := range names {
-			st, syn := tick.PerServer[i], synths[m]
-			syn.Set(model.UtilCPU, st.CPUUtil)
-			syn.Set(model.UtilDisk, st.DiskUtil)
-		}
-
-		// t -> sec+1.0: the monitords report the second's utilizations.
-		// A datagram inside the loopback socket is visible to nobody, so
-		// here alone the harness waits: it parks until every shard has
-		// applied its own machines' reports, woken by the last of them.
-		clk.Advance(500 * time.Millisecond)
-		for _, d := range mons {
-			if err := d.SampleOnce(); err != nil {
-				return nil, fmt.Errorf("online: emulated second %d: %w", sec, err)
-			}
-		}
-		for i, s := range servers {
-			if err := s.AwaitUtilUpdates(uint64(len(shardNames[i])*(sec+1)), utilGuard); err != nil {
-				return nil, fmt.Errorf("online: timed out waiting for utilization updates at emulated second %d: %w", sec, err)
-			}
-		}
-
-		// t -> sec+1.25: every shard consumes them and steps. Tick sec+1
-		// needs only its peers' tick-sec exhausts, published a second ago,
-		// so stepping the shards one after another cannot deadlock.
-		clk.Advance(250 * time.Millisecond)
-		for i, s := range servers {
-			if !s.Tick() {
-				return nil, fmt.Errorf("online: emulated second %d: shard %d closed", sec, i)
-			}
-		}
-
-		// Still at t = sec+1.25, before Freon: the alert engine evaluates
-		// tick sec+1 over the post-step temperatures, stamping transitions
-		// at exactly (sec+1)s. Predictive rules therefore see — and can
-		// fire on — the same temperatures Freon is about to react to.
-		eng.EvalTick(uint64(sec + 1))
-
-		// t -> sec+1.5: Freon observes the post-step temperatures, poll
-		// before period.
-		clk.Advance(250 * time.Millisecond)
-		if (sec+1)%pollSecs == 0 {
-			if err := fr.TickPoll(); err != nil {
-				return nil, fmt.Errorf("online: emulated second %d: freon poll: %w", sec, err)
-			}
-			polls.Add(1)
-		}
-		if (sec+1)%periodSecs == 0 {
-			if err := fr.TickPeriod(); err != nil {
-				return nil, fmt.Errorf("online: emulated second %d: freon period: %w", sec, err)
-			}
-			periods.Add(1)
-		}
-
-		if (sec+1)%sampleSecs == 0 {
-			sample := Sample{Sec: sec, Temps: make([]units.Celsius, len(names))}
-			if err := cpus.read(sens.readers, sample.Temps); err != nil {
-				return nil, err
-			}
-			for i, m := range names {
-				if temp := sample.Temps[i]; temp > res.MaxCPUTemp[m] {
-					res.MaxCPUTemp[m] = temp
+	loop := &Loop{
+		Clock:    clk,
+		Room:     room,
+		Cluster:  rig.Cluster,
+		Arrivals: func(int) []workload.Request { return <-arrivals },
+		Fiddle:   script.Schedule(),
+		Policy:   fr,
+		Alerts:   eng,
+		OnSecond: func(sec int, _ webcluster.Tick) error {
+			if (sec+1)%sampleSecs == 0 {
+				sample := Sample{Sec: sec, Temps: make([]units.Celsius, len(names))}
+				if err := cpus.read(sens.readers, sample.Temps); err != nil {
+					return err
 				}
+				for i, m := range names {
+					if temp := sample.Temps[i]; temp > res.MaxCPUTemp[m] {
+						res.MaxCPUTemp[m] = temp
+					}
+				}
+				res.Samples = append(res.Samples, sample)
 			}
-			res.Samples = append(res.Samples, sample)
-		}
-
-		// Owing nothing to the wall clock, let the recorder's drain keep up.
-		if st.Recorder != nil {
-			st.Recorder.CatchUp()
-		}
+			// Owing nothing to the wall clock, let the recorder's drain
+			// keep up.
+			if st.Recorder != nil {
+				st.Recorder.CatchUp()
+			}
+			return nil
+		},
+	}
+	if st.Registry != nil {
+		st.Registry.CounterFunc("mercury_freon_polls_total", "completed connection-statistics polls",
+			func() float64 { return float64(loop.polls.Load()) })
+		st.Registry.CounterFunc("mercury_freon_periods_total", "completed observation periods",
+			func() float64 { return float64(loop.periods.Load()) })
+	}
+	if err := loop.Run(secs); err != nil {
+		return nil, fmt.Errorf("online: %w", err)
 	}
 
-	res.Totals = wc.Totals()
+	res.Totals = rig.Cluster.Totals()
 	for _, m := range names {
 		res.Adjustments[m] = fr.Admd().Adjustments(m)
 	}
@@ -617,8 +730,8 @@ func Run(cfg Config) (*Result, error) {
 		res.UtilBatches += s.Stats().UtilBatches.Load()
 		res.BoundaryExchanges += s.Stats().BoundaryIn.Load()
 	}
-	res.FreonPolls = polls.Load()
-	res.FreonPeriod = periods.Load()
+	res.FreonPolls = loop.polls.Load()
+	res.FreonPeriod = loop.periods.Load()
 	res.Events = events.Since(0)
 	if tracer != nil {
 		res.Spans = tracer.Canonical()
@@ -766,9 +879,7 @@ func (c *cpuProbes) read(readers []*sensor.Reader, dst []units.Celsius) error {
 	return nil
 }
 
-// power switches a machine off in the emulated web cluster directly
-// (admd runs beside LVS) and in the thermal model through the fiddle
-// protocol, routed to the machine's owner shard.
+// power is Room.Power's actuator.
 type power struct {
 	wc    *webcluster.Cluster
 	apply func(*wire.FiddleOp) error

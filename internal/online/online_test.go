@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/darklab/mercury/internal/alert"
 	"github.com/darklab/mercury/internal/causal"
+	"github.com/darklab/mercury/internal/daemon"
 	"github.com/darklab/mercury/internal/experiments"
 	"github.com/darklab/mercury/internal/fiddle"
 	"github.com/darklab/mercury/internal/freon"
@@ -24,9 +26,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// simRun is the offline in-process Figure 11 run, observed the way
+// the online harness observes its own.
+type simRun struct {
+	samples [][]units.Celsius // CPU temperatures on the online sampling cadence
+	totals  webcluster.Totals
+	fr      *freon.Freon
+	events  []telemetry.Event // Freon's and the alert transitions
+	alerts  []telemetry.Event
+}
+
 // simFig11 runs the offline in-process Figure 11 rig for the given
-// duration, sampling CPU temperatures on the online harness's cadence.
-func simFig11(t *testing.T, duration time.Duration) (samples [][]units.Celsius, totals webcluster.Totals, fr *freon.Freon) {
+// duration, with alert.Defaults() watching the sim's solver and
+// Freon's events.
+func simFig11(t *testing.T, duration time.Duration) simRun {
 	t.Helper()
 	sim, err := experiments.NewSim(4, 1, duration)
 	if err != nil {
@@ -37,11 +50,26 @@ func simFig11(t *testing.T, duration time.Duration) (samples [][]units.Celsius, 
 		t.Fatal(err)
 	}
 	sim.Fiddle = script.Schedule()
-	fr, err = freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(), freon.Config{})
+	st, err := daemon.Open(daemon.Config{Node: "sim", Clock: sim.Clock, Rules: alert.Defaults(), EventCap: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Policy = fr
+	defer st.Close()
+	ms, ns := sim.Solver.Probes()
+	if err := st.Watch(daemon.Watch{
+		Step:   time.Second,
+		Probes: daemon.ThermalProbes(ms, ns, freon.DefaultComponents()),
+		Fill:   sim.Solver.ReadAllTemps,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sim.Watch(st.Alerts)
+	var r simRun
+	r.fr, err = freon.New(sim.Cluster.Machines(), sim.Solver, sim.Bal, sim.Power(), freon.Config{Events: st.Events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Policy = r.fr
 	machines := sim.Cluster.Machines()
 	sim.OnSecond = func(sec int, _ webcluster.Tick) error {
 		if (sec+1)%10 != 0 {
@@ -55,21 +83,35 @@ func simFig11(t *testing.T, duration time.Duration) (samples [][]units.Celsius, 
 			}
 			row[i] = temp
 		}
-		samples = append(samples, row)
+		r.samples = append(r.samples, row)
 		return nil
 	}
 	if err := sim.Run(duration); err != nil {
 		t.Fatal(err)
 	}
-	return samples, sim.Cluster.Totals(), fr
+	r.totals, r.events, r.alerts = sim.Cluster.Totals(), st.Events.Since(0), st.Alerts.Timeline()
+	return r
+}
+
+// withoutFiddle drops the fiddle ops, solverd's events, which the
+// in-process room does not log.
+func withoutFiddle(events []telemetry.Event) []telemetry.Event {
+	var out []telemetry.Event
+	for _, e := range events {
+		if e.Type != telemetry.EvFiddle {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // TestOnlineFig11MatchesSim is the headline end-to-end check: the full
 // 2000-second Figure 11 emergency run over loopback UDP — solverd,
 // four monitords, and Freon on a shared virtual clock — must
-// reproduce the in-process simulation's temperature trajectory and
-// outcome metrics, and (without the race detector) finish well inside
-// the paper's real-time budget.
+// reproduce the in-process simulation bit for bit: its temperature
+// trajectory, outcome metrics and alert timeline, and its Freon events
+// 1.5 s later (online.Loop's instants), and (without the race
+// detector) finish well inside the paper's real-time budget.
 func TestOnlineFig11MatchesSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 2000s run; skipped in -short")
@@ -81,6 +123,7 @@ func TestOnlineFig11MatchesSim(t *testing.T) {
 		Duration: duration,
 		Script:   online.Fig11Script,
 		CtlAddr:  "127.0.0.1:0", // control plane enabled: must not perturb the run
+		Alerts:   alert.Defaults(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,30 +134,54 @@ func TestOnlineFig11MatchesSim(t *testing.T) {
 		t.Errorf("online run took %v of wall clock, budget 20s", wall)
 	}
 
-	simSamples, simTotals, fr := simFig11(t, duration)
+	sim := simFig11(t, duration)
 
-	// Trajectories must agree within 0.1 C at every 10s sample.
-	if len(res.Samples) != len(simSamples) {
-		t.Fatalf("online took %d samples, sim %d", len(res.Samples), len(simSamples))
+	// Trajectories must agree to the bit at every 10s sample.
+	if len(res.Samples) != len(sim.samples) {
+		t.Fatalf("online took %d samples, sim %d", len(res.Samples), len(sim.samples))
 	}
-	maxDiff := 0.0
 	for i, s := range res.Samples {
 		for j := range s.Temps {
-			diff := math.Abs(float64(s.Temps[j] - simSamples[i][j]))
-			if diff > maxDiff {
-				maxDiff = diff
-			}
-			if diff > 0.1 {
-				t.Fatalf("sample %d (sec %d) machine %s: online %.4f vs sim %.4f",
-					i, s.Sec, res.Machines[j], s.Temps[j], simSamples[i][j])
+			if math.Float64bits(float64(s.Temps[j])) != math.Float64bits(float64(sim.samples[i][j])) {
+				t.Fatalf("sample %d (sec %d) machine %s: online %v vs sim %v",
+					i, s.Sec, res.Machines[j], s.Temps[j], sim.samples[i][j])
 			}
 		}
 	}
-	t.Logf("max trajectory difference: %.6g C", maxDiff)
+
+	// Freon acts on the same temperatures at the UDP room's k+1.5
+	// instead of the in-process room's k; the alert transitions, stamped
+	// at tick k+1 in both, land in the same log between the step and
+	// Freon, so the two logs interleave them alike.
+	got, want := withoutFiddle(res.Events), withoutFiddle(sim.events)
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("online logged %d Freon and alert events, sim %d", len(got), len(want))
+	}
+	for i, e := range got {
+		w := want[i]
+		w.Seq, e.Seq = 0, 0
+		switch w.Type {
+		case telemetry.EvAlertPending, telemetry.EvAlertFiring, telemetry.EvAlertResolved:
+		default:
+			w.At += 1500 * time.Millisecond
+		}
+		if e != w {
+			t.Fatalf("event %d:\n  online: %s\n  sim:    %s (Freon's shifted 1.5 s)", i, e, w)
+		}
+	}
+	// Both engines evaluate tick k+1 after the step and before Freon.
+	if len(res.Alerts) == 0 || len(res.Alerts) != len(sim.alerts) {
+		t.Fatalf("online logged %d alert transitions, sim %d", len(res.Alerts), len(sim.alerts))
+	}
+	for i := range res.Alerts {
+		if res.Alerts[i] != sim.alerts[i] {
+			t.Fatalf("alert %d:\n  online: %s\n  sim:    %s", i, res.Alerts[i], sim.alerts[i])
+		}
+	}
 
 	// Outcome metrics must match the offline experiment.
-	if res.Totals != simTotals {
-		t.Errorf("totals: online %+v, sim %+v", res.Totals, simTotals)
+	if res.Totals != sim.totals {
+		t.Errorf("totals: online %+v, sim %+v", res.Totals, sim.totals)
 	}
 	if res.Totals.DropRate() != 0 {
 		t.Errorf("drop rate = %v, want 0 (Figure 11)", res.Totals.DropRate())
@@ -126,7 +193,7 @@ func TestOnlineFig11MatchesSim(t *testing.T) {
 		if res.Adjustments[m] == 0 {
 			t.Errorf("%s: no weight adjustments; Freon never reacted", m)
 		}
-		if got, want := res.Adjustments[m], fr.Admd().Adjustments(m); got != want {
+		if got, want := res.Adjustments[m], sim.fr.Admd().Adjustments(m); got != want {
 			t.Errorf("%s adjustments: online %d, sim %d", m, got, want)
 		}
 		if res.MaxCPUTemp[m] >= 71 {

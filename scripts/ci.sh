@@ -65,12 +65,14 @@ stage_unit() {
 # lockstep: the goldens are a property of the protocol, not of the
 # scheduler. A clock-derived stamp taken after the send or counter that
 # lets the harness advance passes on one core and fails on two, so the
-# lockstep suites run five times at three core counts.
+# lockstep suites run five times at three core counts, and so do the
+# Sim goldens: online.Loop's in-process room runs them.
 stage_lockstep() {
 	local procs
 	for procs in 1 2 8; do
 		echo "GOMAXPROCS=$procs"
 		GOMAXPROCS=$procs go test -count=5 ./internal/online ./internal/solverd ./internal/udprpc
+		GOMAXPROCS=$procs go test -count=5 -run '^TestSim' ./internal/experiments
 	done
 }
 
