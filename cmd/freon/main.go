@@ -182,7 +182,7 @@ func run(policy string, machines int, duration time.Duration, seed int64, quiet 
 	ms, ns := sim.Solver.Probes()
 	if err := st.Watch(daemon.Watch{
 		Step:   time.Second,
-		Probes: daemon.ThermalProbes(ms, ns, freon.DefaultComponents()),
+		Probes: daemon.ThermalProbes(ms, ns),
 		Fill:   sim.Solver.ReadAllTemps,
 	}); err != nil {
 		return err

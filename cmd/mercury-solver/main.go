@@ -41,7 +41,6 @@ import (
 	"github.com/darklab/mercury/internal/ctl"
 	"github.com/darklab/mercury/internal/daemon"
 	"github.com/darklab/mercury/internal/dotlang"
-	"github.com/darklab/mercury/internal/freon"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/solver"
 	"github.com/darklab/mercury/internal/solverd"
@@ -279,7 +278,7 @@ func run(cfg runConfig) error {
 		ms, ns := sol.Probes()
 		if err := st.Watch(daemon.Watch{
 			Step:   cfg.step,
-			Probes: daemon.ThermalProbes(ms, ns, freon.DefaultComponents()),
+			Probes: daemon.ThermalProbes(ms, ns),
 			Fill:   sol.ReadAllTemps,
 			Health: func() (uint64, uint64) {
 				return srv.Stats().MissedTicks.Load(), srv.Stats().BoundaryMissed.Load()

@@ -150,7 +150,7 @@ func TestFacadeMultiTierFreon(t *testing.T) {
 		t.Fatal(err)
 	}
 	frontBal, backBal := mercury.NewBalancer(), mercury.NewBalancer()
-	tt, err := webcluster.NewTwoTier(frontBal, backBal, frontMachines, backMachines, webcluster.TwoTierConfig{})
+	tt, err := webcluster.NewTwoTier(frontBal, backBal, frontMachines, backMachines)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,17 +35,19 @@ type Target struct {
 	Measured *stats.Series
 }
 
+// The objective replays a trace on a solver stepping every Step and
+// samples the emulated temperatures every SampleEvery.
+const (
+	SampleEvery = 10 * time.Second
+	Step        = time.Second
+)
+
 // Options tunes the search.
 type Options struct {
 	// Rounds of coordinate descent; default 3.
 	Rounds int
 	// GridPoints per parameter per round; default 9.
 	GridPoints int
-	// SampleEvery controls how often the objective samples emulated
-	// temperatures; default 10s.
-	SampleEvery time.Duration
-	// Step is the solver step used during fitting; default 1s.
-	Step time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -54,12 +56,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GridPoints <= 1 {
 		o.GridPoints = 9
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 10 * time.Second
-	}
-	if o.Step <= 0 {
-		o.Step = time.Second
 	}
 	return o
 }
@@ -98,7 +94,7 @@ func Calibrate(base *model.Machine, tr *trace.Trace, targets []Target, params []
 
 	eval := func() (float64, float64, error) {
 		res.Evals++
-		return Evaluate(m, tr, targets, opts.SampleEvery, opts.Step)
+		return Evaluate(m, tr, targets)
 	}
 
 	best, _, err := eval()
@@ -146,9 +142,10 @@ func Calibrate(base *model.Machine, tr *trace.Trace, targets []Target, params []
 
 // Evaluate replays the trace on a fresh solver built from m and
 // returns the pooled RMSE and maximum absolute error of the targets'
-// emulated series against their measurements.
-func Evaluate(m *model.Machine, tr *trace.Trace, targets []Target, sampleEvery, step time.Duration) (rmse, maxAbs float64, err error) {
-	s, err := solver.NewSingle(m.Clone(m.Name), solver.Config{Step: step})
+// emulated series, sampled every SampleEvery, against their
+// measurements.
+func Evaluate(m *model.Machine, tr *trace.Trace, targets []Target) (rmse, maxAbs float64, err error) {
+	s, err := solver.NewSingle(m.Clone(m.Name), solver.Config{Step: Step})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -156,7 +153,7 @@ func Evaluate(m *model.Machine, tr *trace.Trace, targets []Target, sampleEvery, 
 	for i, t := range targets {
 		probes[i] = trace.Probe{Machine: m.Name, Node: t.Node}
 	}
-	log, err := trace.Replay(s, tr, probes, sampleEvery)
+	log, err := trace.Replay(s, tr, probes, SampleEvery)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -190,12 +190,12 @@ func (s *Stack) Watch(w Watch) error {
 }
 
 // ThermalProbes resolves temperature columns (parallel machine and
-// node slices, solver.Probes order) against a Freon component table:
+// node slices, solver.Probes order) against freon.DefaultComponents:
 // a node Freon monitors carries its Low/High/RedLine, any other node
 // carries no thermal rules.
-func ThermalProbes(machines, nodes []string, comps []freon.ComponentSpec) []alert.Probe {
+func ThermalProbes(machines, nodes []string) []alert.Probe {
 	thr := map[string]freon.Thresholds{}
-	for _, c := range comps {
+	for _, c := range freon.DefaultComponents() {
 		thr[c.Node] = c.Thresholds
 	}
 	probes := make([]alert.Probe, len(machines))

@@ -114,7 +114,7 @@ func TestRecorderCapturesEveryFeed(t *testing.T) {
 	var missed uint64
 	if err := st.Watch(Watch{
 		Step:   time.Second,
-		Probes: ThermalProbes([]string{"machine1", "machine1"}, []string{cpu.Node, "inlet"}, freon.DefaultComponents()),
+		Probes: ThermalProbes([]string{"machine1", "machine1"}, []string{cpu.Node, "inlet"}),
 		Fill:   func(dst []float64) int { dst[0], dst[1] = hot, 21; return 2 },
 		Health: func() (uint64, uint64) { return missed, 0 },
 	}); err != nil {

@@ -34,7 +34,7 @@ func MultiTier() (*Result, error) {
 		return nil, err
 	}
 	frontBal, backBal := lvs.New(), lvs.New()
-	tt, err := webcluster.NewTwoTier(frontBal, backBal, frontMachines, backMachines, webcluster.TwoTierConfig{})
+	tt, err := webcluster.NewTwoTier(frontBal, backBal, frontMachines, backMachines)
 	if err != nil {
 		return nil, err
 	}

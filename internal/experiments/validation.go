@@ -58,7 +58,7 @@ func calibrationFigure(name, title string, tr *trace.Trace, node string,
 	base := model.DefaultServer(validationMachine)
 	targets := []calibrate.Target{{Node: node, Measured: measured}}
 
-	preRMSE, preMax, err := calibrate.Evaluate(base, tr, targets, 10*time.Second, time.Second)
+	preRMSE, preMax, err := calibrate.Evaluate(base, tr, targets)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +148,7 @@ func validationFigure(name, title, node string, pick func(*physical.Measurements
 	measured := pick(meas)
 
 	rmse, maxAbs, err := calibrate.Evaluate(fitted, tr,
-		[]calibrate.Target{{Node: node, Measured: measured}}, 10*time.Second, time.Second)
+		[]calibrate.Target{{Node: node, Measured: measured}})
 	if err != nil {
 		return nil, err
 	}

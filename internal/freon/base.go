@@ -46,7 +46,7 @@ func newCore(machines []string, sensors Sensors, bal Balancer, power Power, cfg 
 	}
 	if cfg.TwoStage {
 		shed := map[string]string{}
-		for _, comp := range cfg.Components {
+		for _, comp := range DefaultComponents() {
 			shed[comp.Node] = comp.ShedClass
 		}
 		admd.EnableTwoStage(shed)
@@ -66,11 +66,7 @@ func newCore(machines []string, sensors Sensors, bal Balancer, power Power, cfg 
 	}
 	sensors = wrapSensors(sensors, c.trace)
 	for _, m := range machines {
-		td, err := NewTempd(m, sensors, cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.tempds[m] = td
+		c.tempds[m] = newTempd(m, sensors, cfg)
 		c.order = append(c.order, m)
 	}
 	return c, nil
@@ -244,7 +240,7 @@ func (c *core) StateSnapshot() Snapshot {
 // snapshot builds the shared part of a snapshot; call under c.mu.
 func (c *core) snapshot() Snapshot {
 	var snap Snapshot
-	for _, comp := range c.cfg.Components {
+	for _, comp := range DefaultComponents() {
 		snap.Thresholds = append(snap.Thresholds, ComponentThresholds{
 			Node: comp.Node, Low: float64(comp.Low), High: float64(comp.High), RedLine: float64(comp.RedLine),
 		})

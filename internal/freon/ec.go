@@ -12,51 +12,27 @@ import (
 	"github.com/darklab/mercury/internal/units"
 )
 
-// ECConfig extends the base configuration with Freon-EC's energy
-// parameters (Section 4.2).
+// Freon-EC's energy parameters (Section 4.2).
+const (
+	// Uh is the add-server threshold on projected utilization.
+	Uh units.Fraction = 0.70
+	// Ul is the remove-server threshold on current utilization.
+	Ul units.Fraction = 0.60
+	// BootDelay approximates how long a server takes from power-on to
+	// accepting connections ("turning on a server takes quite some
+	// time").
+	BootDelay = 30 * time.Second
+	// MinActive is the smallest active configuration.
+	MinActive = 1
+)
+
+// ECConfig extends the base configuration with Freon-EC's room layout.
 type ECConfig struct {
 	Config
 	// Regions maps each machine to a physical region of the room;
 	// "common thermal emergencies will likely affect all servers of a
 	// region".
 	Regions map[string]int
-	// Uh is the add-server threshold on projected utilization;
-	// default 0.70.
-	Uh units.Fraction
-	// Ul is the remove-server threshold on current utilization;
-	// default 0.60.
-	Ul units.Fraction
-	// BootDelay approximates how long a server takes from power-on to
-	// accepting connections ("turning on a server takes quite some
-	// time"); default 30s.
-	BootDelay time.Duration
-	// MinActive is the smallest active configuration; default 1.
-	MinActive int
-	// Predictor, when non-nil, enables the predictive mode: power-off
-	// candidates are ranked by predicted room impact (coolest resulting
-	// room first) and power-ons pick the machine whose activation heats
-	// the room least, instead of pure static capacity/region order. Any
-	// decline for any candidate reverts that decision to the static
-	// order, so a cold or invalidated predictor degrades to exactly the
-	// paper's policy.
-	Predictor ThermalPredictor
-}
-
-func (c ECConfig) withDefaults() ECConfig {
-	c.Config = c.Config.withDefaults()
-	if c.Uh == 0 {
-		c.Uh = 0.70
-	}
-	if c.Ul == 0 {
-		c.Ul = 0.60
-	}
-	if c.BootDelay <= 0 {
-		c.BootDelay = 30 * time.Second
-	}
-	if c.MinActive <= 0 {
-		c.MinActive = 1
-	}
-	return c
 }
 
 // machinePhase is a machine's place in the reconfiguration lifecycle.
@@ -114,10 +90,7 @@ func NewEC(machines []string, sensors Sensors, utils Utils, bal Balancer, power 
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	if !cfg.Uh.Valid() || !cfg.Ul.Valid() || cfg.Ul >= cfg.Uh {
-		return nil, fmt.Errorf("freon: need 0 <= Ul < Uh <= 1, got Ul=%v Uh=%v", cfg.Ul, cfg.Uh)
-	}
+	cfg.Config = c.cfg
 	if power == nil {
 		return nil, fmt.Errorf("freon: Freon-EC requires power control")
 	}
@@ -197,7 +170,7 @@ func (e *EC) TurnOffs() int {
 
 // bootTicks converts the boot delay to observation periods.
 func (e *EC) bootTicks() int {
-	t := int(math.Ceil(float64(e.cfg.BootDelay) / float64(e.cfg.Period)))
+	t := int(math.Ceil(float64(BootDelay) / float64(e.cfg.Period)))
 	if t < 1 {
 		t = 1
 	}
@@ -315,10 +288,7 @@ func (e *EC) observeUtilization() {
 			continue
 		}
 		n++
-		for _, comp := range e.cfg.Components {
-			if comp.Util == model.UtilNone {
-				continue
-			}
+		for _, comp := range DefaultComponents() {
 			if u, err := e.utils.Utilization(m, comp.Util); err == nil {
 				sums[comp.Util] += float64(u)
 			}
@@ -352,11 +322,8 @@ func (e *EC) projected(src model.UtilSource) float64 {
 // needAdd reports whether any component's projected utilization
 // exceeds Uh.
 func (e *EC) needAdd() bool {
-	for _, comp := range e.cfg.Components {
-		if comp.Util == model.UtilNone {
-			continue
-		}
-		if e.projected(comp.Util) > float64(e.cfg.Uh) {
+	for _, comp := range DefaultComponents() {
+		if e.projected(comp.Util) > float64(Uh) {
 			return true
 		}
 	}
@@ -368,15 +335,12 @@ func (e *EC) needAdd() bool {
 // below Ul.
 func (e *EC) canRemove(k int) bool {
 	active := e.count(phaseActive)
-	if active-k < e.cfg.MinActive {
+	if active-k < MinActive {
 		return false
 	}
-	for _, comp := range e.cfg.Components {
-		if comp.Util == model.UtilNone {
-			continue
-		}
+	for _, comp := range DefaultComponents() {
 		scaled := e.histCur[comp.Util] * float64(active) / float64(active-k)
-		if scaled >= float64(e.cfg.Ul) {
+		if scaled >= float64(Ul) {
 			return false
 		}
 	}
@@ -385,39 +349,26 @@ func (e *EC) canRemove(k int) bool {
 
 // turnOnOne selects a region round-robin — requiring an off server,
 // preferring regions without emergencies — and boots one server there.
-// With a Predictor the choice is instead the off server whose
-// activation is predicted to heat the room least (calm regions still
-// preferred); the round-robin cursor is left untouched so a later
-// decline resumes the static rotation exactly where it left off. A
-// non-zero tc ties the power-on to the emergency that triggered it.
+// A non-zero tc ties the power-on to the emergency that triggered it.
 func (e *EC) turnOnOne(tc causal.Context) error {
-	var m, detail string
-	if e.cfg.Predictor != nil {
-		m = e.predictiveTurnOn()
-		if m != "" {
-			detail = "predictive"
-		}
-	}
-	if m == "" {
-		pick := func(requireCalm bool) string {
-			for i := 0; i < len(e.regions); i++ {
-				region := e.regions[(e.rr+i)%len(e.regions)]
-				if requireCalm && e.emergencies[region] > 0 {
-					continue
-				}
-				for _, mm := range e.order {
-					if e.cfg.Regions[mm] == region && e.phase[mm] == phaseOff {
-						e.rr = (e.rr + i + 1) % len(e.regions)
-						return mm
-					}
+	pick := func(requireCalm bool) string {
+		for i := 0; i < len(e.regions); i++ {
+			region := e.regions[(e.rr+i)%len(e.regions)]
+			if requireCalm && e.emergencies[region] > 0 {
+				continue
+			}
+			for _, m := range e.order {
+				if e.cfg.Regions[m] == region && e.phase[m] == phaseOff {
+					e.rr = (e.rr + i + 1) % len(e.regions)
+					return m
 				}
 			}
-			return ""
 		}
-		m = pick(true)
-		if m == "" {
-			m = pick(false)
-		}
+		return ""
+	}
+	m := pick(true)
+	if m == "" {
+		m = pick(false)
 	}
 	if m == "" {
 		return nil // nothing off anywhere
@@ -429,48 +380,10 @@ func (e *EC) turnOnOne(tc causal.Context) error {
 	e.bootLeft[m] = e.bootTicks()
 	e.turnOns++
 	if e.events != nil {
-		e.events.Emit(telemetry.EvPowerOn, m, "", float64(e.cfg.Regions[m]), detail)
+		e.events.Emit(telemetry.EvPowerOn, m, "", float64(e.cfg.Regions[m]), "")
 	}
 	e.trace.action(tc, causal.KindPowerOn, m, float64(e.cfg.Regions[m]))
 	return nil
-}
-
-// predictiveTurnOn scores every off server's activation with the
-// predictor and returns the coolest pick, preferring calm regions.
-// Ties break on compile order (e.order) so runs stay deterministic.
-// It returns "" — use the static rotation — if the predictor declines
-// any candidate.
-func (e *EC) predictiveTurnOn() string {
-	pick := func(requireCalm bool) (string, bool) {
-		best := ""
-		bestScore := math.Inf(1)
-		for _, m := range e.order {
-			if e.phase[m] != phaseOff {
-				continue
-			}
-			if requireCalm && e.emergencies[e.cfg.Regions[m]] > 0 {
-				continue
-			}
-			score, ok := e.cfg.Predictor.PowerImpact(m, true)
-			if !ok {
-				return "", false
-			}
-			if score < bestScore {
-				best, bestScore = m, score
-			}
-		}
-		return best, true
-	}
-	m, ok := pick(true)
-	if !ok {
-		return ""
-	}
-	if m == "" {
-		if m, ok = pick(false); !ok {
-			return ""
-		}
-	}
-	return m
 }
 
 // beginDrain quiesces a server and lets its connections finish before
@@ -492,17 +405,13 @@ func (e *EC) beginDrain(machine string, tc causal.Context) error {
 // shrink turns off as many servers as possible while the remaining
 // average utilization stays below Ul, in increasing order of current
 // processing capacity (weight), hottest first among equals — hampered
-// servers leave the configuration first. With a Predictor, candidates
-// are instead ranked by the predicted room maximum after their
-// power-off (coolest resulting room drains first), stably over the
-// static order so ties and declines preserve the paper's behavior.
+// servers leave the configuration first.
 func (e *EC) shrink() error {
 	for e.canRemove(1) {
 		type cand struct {
 			name   string
 			weight float64
 			temp   float64
-			score  float64
 		}
 		var cands []cand
 		for _, m := range e.order {
@@ -515,7 +424,7 @@ func (e *EC) shrink() error {
 			}
 			cands = append(cands, cand{name: m, weight: w, temp: maxTemp(e.reports[m])})
 		}
-		if len(cands) <= e.cfg.MinActive {
+		if len(cands) <= MinActive {
 			return nil
 		}
 		sort.Slice(cands, func(i, j int) bool {
@@ -527,22 +436,6 @@ func (e *EC) shrink() error {
 			}
 			return cands[i].name < cands[j].name
 		})
-		if e.cfg.Predictor != nil {
-			scored := true
-			for i := range cands {
-				s, ok := e.cfg.Predictor.PowerImpact(cands[i].name, false)
-				if !ok {
-					scored = false
-					break
-				}
-				cands[i].score = s
-			}
-			if scored {
-				sort.SliceStable(cands, func(i, j int) bool {
-					return cands[i].score < cands[j].score
-				})
-			}
-		}
 		if err := e.beginDrain(cands[0].name, e.trace.ctx(cands[0].name)); err != nil {
 			return err
 		}

@@ -54,9 +54,6 @@ func TestECValidation(t *testing.T) {
 	if _, err := NewEC([]string{"m1"}, env, nil, bal, env, ECConfig{Regions: regions}); err == nil {
 		t.Error("nil utils: want error")
 	}
-	if _, err := NewEC([]string{"m1"}, env, env, bal, env, ECConfig{Regions: regions, Uh: 0.5, Ul: 0.6}); err == nil {
-		t.Error("Ul >= Uh: want error")
-	}
 }
 
 func TestECShrinksAtLowLoad(t *testing.T) {
@@ -90,7 +87,7 @@ func TestECShrinksAtLowLoad(t *testing.T) {
 func TestECGrowsUnderRisingLoad(t *testing.T) {
 	env := newFakeEnv("m1", "m2", "m3", "m4")
 	bal := lvs.New()
-	e := newEC(t, env, bal, ECConfig{BootDelay: time.Second})
+	e := newEC(t, env, bal, ECConfig{})
 	// Shrink first.
 	setAllUtil(env, 0.05)
 	for i := 0; i < 6; i++ {
@@ -142,7 +139,7 @@ func TestECProjectionAddsEarly(t *testing.T) {
 func TestECSwapsHotServerForRemoteRegion(t *testing.T) {
 	env := newFakeEnv("m1", "m2", "m3", "m4")
 	bal := lvs.New()
-	e := newEC(t, env, bal, ECConfig{BootDelay: time.Second})
+	e := newEC(t, env, bal, ECConfig{})
 	// Moderate load: removal is possible (util scaled by 4/3 < 0.6).
 	setAllUtil(env, 0.3)
 	e.TickPeriod()
@@ -230,7 +227,7 @@ func TestECRedLineShutsDown(t *testing.T) {
 func TestECRegionPreferenceOnTurnOn(t *testing.T) {
 	env := newFakeEnv("m1", "m2", "m3", "m4")
 	bal := lvs.New()
-	e := newEC(t, env, bal, ECConfig{BootDelay: time.Second})
+	e := newEC(t, env, bal, ECConfig{})
 	// Shrink to one server.
 	setAllUtil(env, 0.05)
 	for i := 0; i < 6; i++ {
@@ -262,8 +259,8 @@ func TestECRegionPreferenceOnTurnOn(t *testing.T) {
 func TestECBootDelayGatesResume(t *testing.T) {
 	env := newFakeEnv("m1", "m2", "m3", "m4")
 	bal := lvs.New()
-	// Boot takes 2 periods.
-	e := newEC(t, env, bal, ECConfig{BootDelay: 2 * time.Minute})
+	// Boot takes ⌈BootDelay / Period⌉ = 2 periods.
+	e := newEC(t, env, bal, ECConfig{Config: Config{Period: 15 * time.Second}})
 	setAllUtil(env, 0.05)
 	for i := 0; i < 6; i++ {
 		e.TickPeriod()

@@ -67,21 +67,6 @@ type Power interface {
 	SetPower(machine string, on bool) error
 }
 
-// ThermalPredictor estimates the steady thermal impact of a power
-// reconfiguration, letting Freon-EC rank candidates by predicted room
-// temperature instead of static region order. *surrogate.Model
-// implements it.
-type ThermalPredictor interface {
-	// PowerImpact returns the predicted steady maximum component
-	// temperature (°C) across the room if machine's power state were
-	// switched to on. ok=false means the predictor declines — no fit
-	// yet, stale model, query outside its validity envelope — and the
-	// caller must fall back to its static order. Implementations must
-	// be deterministic for a given fitted state so policy runs on a
-	// virtual clock stay reproducible.
-	PowerImpact(machine string, on bool) (maxTempC float64, ok bool)
-}
-
 // Thresholds are one component's control temperatures: the policy
 // engages above High, restrictions lift when everything drops below
 // Low, and RedLine forces a shutdown ("the maximum temperature that
@@ -93,16 +78,8 @@ type Thresholds struct {
 	RedLine units.Celsius
 }
 
-// Validate checks Low < High < RedLine.
-func (t Thresholds) Validate() error {
-	if !(t.Low < t.High && t.High < t.RedLine) {
-		return fmt.Errorf("freon: thresholds must satisfy low < high < redline, got %v < %v < %v",
-			t.Low, t.High, t.RedLine)
-	}
-	return nil
-}
-
 // ComponentSpec names a monitored component and its thresholds.
+// DefaultComponents is the table every policy watches.
 type ComponentSpec struct {
 	// Node is the thermal-model node tempd watches (e.g. "cpu").
 	Node string
@@ -120,10 +97,6 @@ type ComponentSpec struct {
 
 // Config is shared by Freon and Freon-EC.
 type Config struct {
-	// Components to monitor on every server. The defaults (nil) watch
-	// the CPU at Th=67/Tl=64/Tr=71 and the disk platters at
-	// Th=65/Tl=62/Tr=69, Section 5's settings.
-	Components []ComponentSpec
 	// Kp, Kd are the PD controller gains; defaults 0.1 and 0.2.
 	Kp, Kd float64
 	// Period between tempd observations; default 1 minute.
@@ -148,7 +121,9 @@ type Config struct {
 	Tracer *causal.Tracer
 }
 
-// DefaultComponents returns Section 5's monitored components.
+// DefaultComponents returns Section 5's monitored components, the
+// ones every policy watches on every server: the CPU at
+// Th=67/Tl=64/Tr=71 °C and the disk platters at Th=65/Tl=62/Tr=69 °C.
 func DefaultComponents() []ComponentSpec {
 	return []ComponentSpec{
 		{Node: model.NodeCPU, Util: model.UtilCPU, ShedClass: "dynamic",
@@ -159,9 +134,6 @@ func DefaultComponents() []ComponentSpec {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Components == nil {
-		c.Components = DefaultComponents()
-	}
 	if c.Kp == 0 {
 		c.Kp = 0.1
 	}
@@ -194,20 +166,8 @@ func (c Config) Ticks() (poll, period int, err error) {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	cc := c.withDefaults()
-	if len(cc.Components) == 0 {
-		return fmt.Errorf("freon: no components to monitor")
-	}
-	for _, comp := range cc.Components {
-		if comp.Node == "" {
-			return fmt.Errorf("freon: component with empty node")
-		}
-		if err := comp.Thresholds.Validate(); err != nil {
-			return err
-		}
-	}
-	if cc.Kp < 0 || cc.Kd < 0 {
-		return fmt.Errorf("freon: negative controller gains kp=%v kd=%v", cc.Kp, cc.Kd)
+	if c.Kp < 0 || c.Kd < 0 {
+		return fmt.Errorf("freon: negative controller gains kp=%v kd=%v", c.Kp, c.Kd)
 	}
 	return nil
 }

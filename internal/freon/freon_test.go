@@ -2,8 +2,10 @@ package freon
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/darklab/mercury/internal/causal"
 	"github.com/darklab/mercury/internal/lvs"
@@ -69,18 +71,28 @@ func TestPDOutputNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestThresholdsValidate(t *testing.T) {
-	if err := (Thresholds{High: 67, Low: 64, RedLine: 71}).Validate(); err != nil {
-		t.Errorf("valid thresholds rejected: %v", err)
+// TestPaperConstants pins the values the paper fixes: Section 5's
+// thresholds and two-stage shed classes, and Section 4.2's Freon-EC
+// parameters. Every policy reads them; nothing configures them.
+func TestPaperConstants(t *testing.T) {
+	want := []ComponentSpec{
+		{Node: model.NodeCPU, Util: model.UtilCPU, ShedClass: "dynamic",
+			Thresholds: Thresholds{High: 67, Low: 64, RedLine: 71}},
+		{Node: model.NodeDiskPlatters, Util: model.UtilDisk, ShedClass: "static",
+			Thresholds: Thresholds{High: 65, Low: 62, RedLine: 69}},
 	}
-	for _, th := range []Thresholds{
-		{High: 64, Low: 67, RedLine: 71},
-		{High: 67, Low: 64, RedLine: 67},
-		{High: 67, Low: 67, RedLine: 71},
-	} {
-		if err := th.Validate(); err == nil {
-			t.Errorf("%+v: want error", th)
+	got := DefaultComponents()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("DefaultComponents() = %+v, want %+v", got, want)
+	}
+	for _, c := range got {
+		if !(c.Low < c.High && c.High < c.RedLine) {
+			t.Errorf("%s: want low < high < redline, got %v < %v < %v", c.Node, c.Low, c.High, c.RedLine)
 		}
+	}
+	if Uh != 0.70 || Ul != 0.60 || BootDelay != 30*time.Second || MinActive != 1 {
+		t.Errorf("Freon-EC constants Uh=%v Ul=%v BootDelay=%v MinActive=%v, want 0.70 0.60 30s 1",
+			Uh, Ul, BootDelay, MinActive)
 	}
 }
 
@@ -92,9 +104,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Period.Seconds() != 60 || cfg.ConnPoll.Seconds() != 5 {
 		t.Errorf("periods = %v/%v", cfg.Period, cfg.ConnPoll)
 	}
-	if len(cfg.Components) != 2 {
-		t.Errorf("components = %d", len(cfg.Components))
-	}
 	if err := (Config{Kp: -1}).Validate(); err == nil {
 		t.Error("negative kp: want error")
 	}
@@ -102,10 +111,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestTempdStateMachine(t *testing.T) {
 	env := newFakeEnv("m1")
-	td, err := NewTempd("m1", env, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	td := newTempd("m1", env, Config{}.withDefaults())
 	// Cool: nothing.
 	r, err := td.Check()
 	if err != nil {
@@ -166,7 +172,7 @@ func TestTempdStateMachine(t *testing.T) {
 
 func TestTempdRedLine(t *testing.T) {
 	env := newFakeEnv("m1")
-	td, _ := NewTempd("m1", env, Config{})
+	td := newTempd("m1", env, Config{}.withDefaults())
 	env.temps["m1"][model.NodeDiskPlatters] = 69 // disk red-line
 	r, _ := td.Check()
 	if !r.RedLine {

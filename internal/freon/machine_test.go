@@ -36,14 +36,8 @@ func (b *batchEnv) MachineTemperatures(machine string, nodes []string, temps []u
 func TestTempdMachineSensors(t *testing.T) {
 	per := newFakeEnv("m1")
 	batch := &batchEnv{fakeEnv: newFakeEnv("m1")}
-	tdPer, err := NewTempd("m1", per, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tdBatch, err := NewTempd("m1", batch, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tdPer := newTempd("m1", per, Config{}.withDefaults())
+	tdBatch := newTempd("m1", batch, Config{}.withDefaults())
 	steps := [][2]units.Celsius{{40, 35}, {68, 35}, {69.5, 66}, {72, 70}, {63, 61}, {60, 50}}
 	for i, s := range steps {
 		for _, e := range []*fakeEnv{per, batch.fakeEnv} {

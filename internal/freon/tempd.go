@@ -75,19 +75,16 @@ type Tempd struct {
 	temps []units.Celsius
 }
 
-// NewTempd builds a tempd for one machine.
-func NewTempd(machine string, sensors Sensors, cfg Config) (*Tempd, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
+// newTempd builds a tempd for one machine watching DefaultComponents;
+// cfg is validated and defaulted (newCore).
+func newTempd(machine string, sensors Sensors, cfg Config) *Tempd {
 	t := &Tempd{machine: machine, sensors: sensors, kp: cfg.Kp, kd: cfg.Kd}
-	for _, spec := range cfg.Components {
+	for _, spec := range DefaultComponents() {
 		t.comps = append(t.comps, compState{spec: spec})
 		t.nodes = append(t.nodes, spec.Node)
 	}
 	t.temps = make([]units.Celsius, len(t.nodes))
-	return t, nil
+	return t
 }
 
 // Check performs one observation period: read every monitored

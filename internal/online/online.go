@@ -225,9 +225,6 @@ type Config struct {
 	// Script is a fiddle script scheduling emergencies (e.g.
 	// Fig11Script); empty means no emergency.
 	Script string
-	// Freon configures the thermal policy; the zero value is the
-	// paper's defaults.
-	Freon freon.Config
 	// CtlAddr, when non-empty, serves the run's control plane there
 	// ("127.0.0.1:0" picks a free port; see Result.CtlAddr). The run's
 	// metrics, event log, solver state, and fiddle path are all
@@ -373,10 +370,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Record != "" && cfg.Shards > 1 {
 		return nil, fmt.Errorf("online: Record requires a single shard, got %d", cfg.Shards)
 	}
-	// Refuse a cadence the loop cannot honour before booting anything.
-	if _, _, err := cfg.Freon.Ticks(); err != nil {
-		return nil, fmt.Errorf("online: Freon.%w", err)
-	}
 	clk := clock.NewVirtual()
 
 	// Shared observability: one stack for the whole rig, stamped from
@@ -505,18 +498,10 @@ func Run(cfg Config) (*Result, error) {
 		return apply(owner[op.Strings[0]], op)
 	}
 
-	// Effective Freon component table; the alert engine derives each
-	// probe's Low/High/RedLine from it, and the Freon section below
-	// monitors exactly these components.
-	comps := cfg.Freon.Components
-	if comps == nil {
-		comps = freon.DefaultComponents()
-	}
-
 	// Alerting: one engine for the whole room, evaluated by the loop,
 	// never by the daemons, so the timeline is the same for any shard count.
 	if cfg.Alerts != nil {
-		probes, fill := alertProbes(servers, names, comps)
+		probes, fill := alertProbes(servers, names)
 		if err := st.Watch(daemon.Watch{
 			Step:   time.Second,
 			Probes: probes,
@@ -669,9 +654,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil
 		},
 	}
-	cfg.Freon.Events = events
-	cfg.Freon.Tracer = tracer
-	fr, err := freon.New(names, &sens, rig.Bal, room.Power(rig.Cluster), cfg.Freon)
+	fr, err := freon.New(names, &sens, rig.Bal, room.Power(rig.Cluster), freon.Config{Events: events, Tracer: tracer})
 	if err != nil {
 		return nil, err
 	}
@@ -753,18 +736,18 @@ func Run(cfg Config) (*Result, error) {
 
 // alertProbes builds the canonical full-cluster probe list — machines
 // in cluster order, each machine's nodes in its compiled node order,
-// thresholds resolved from the Freon component table — plus an
+// thresholds resolved from freon.DefaultComponents — plus an
 // allocation-free Fill that scatters every shard's ReadAllTemps into
 // that order. With one shard the solver's own Probes order already is
 // canonical, so Fill is ReadAllTemps itself; with several, each shard
 // reports only its owned region and the columns are stitched back
 // into cluster order, so the engine sees byte-identical input either
 // way.
-func alertProbes(servers []*solverd.Server, names []string, comps []freon.ComponentSpec) ([]alert.Probe, func([]float64) int) {
+func alertProbes(servers []*solverd.Server, names []string) ([]alert.Probe, func([]float64) int) {
 	if len(servers) == 1 {
 		sol := servers[0].Solver()
 		ms, ns := sol.Probes()
-		return daemon.ThermalProbes(ms, ns, comps), sol.ReadAllTemps
+		return daemon.ThermalProbes(ms, ns), sol.ReadAllTemps
 	}
 	type col struct{ shard, idx int }
 	var ms, ns []string
@@ -801,7 +784,7 @@ func alertProbes(servers []*solverd.Server, names []string, comps []freon.Compon
 		}
 		return n
 	}
-	return daemon.ThermalProbes(ms, ns, comps), fill
+	return daemon.ThermalProbes(ms, ns), fill
 }
 
 // dialSensors opens a shard's sensor reader; tests count the sockets

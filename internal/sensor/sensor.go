@@ -19,7 +19,6 @@ package sensor
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/darklab/mercury/internal/causal"
 	"github.com/darklab/mercury/internal/clock"
@@ -45,12 +44,9 @@ type Reader struct {
 	many wire.SensorReplyMany
 }
 
-// Options tune the UDP client.
+// Options tune the UDP client, which waits udprpc.DefaultTimeout for
+// each of udprpc.DefaultRetries attempts.
 type Options struct {
-	// Timeout per read attempt; default 250ms.
-	Timeout time.Duration
-	// Retries per read; default 3.
-	Retries int
 	// Clock measures the reply timeouts; nil means the real clock. A
 	// virtual clock keeps retry schedules deterministic under warp.
 	Clock clock.Clock
@@ -59,7 +55,7 @@ type Options struct {
 // Dial connects a Reader to the solver daemon at addr. It reads
 // nothing: a bad probe shows up on the read that names it.
 func Dial(addr string, opts Options) (*Reader, error) {
-	client, err := udprpc.DialClock(addr, opts.Timeout, opts.Retries, opts.Clock)
+	client, err := udprpc.DialClock(addr, 0, 0, opts.Clock)
 	if err != nil {
 		return nil, fmt.Errorf("sensor: %w", err)
 	}

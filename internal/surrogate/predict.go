@@ -352,24 +352,6 @@ func (m *Model) WhatIf(q *Query, kernelFallback bool) (*Answer, error) {
 	return kans, nil
 }
 
-// PowerImpact predicts the cluster's steady maximum temperature if
-// machine were switched to the given power state, or ok=false when the
-// surrogate declines. It satisfies freon.ThermalPredictor, giving
-// Freon-EC's Predictive mode its candidate ranking.
-func (m *Model) PowerImpact(machine string, on bool) (float64, bool) {
-	var q Query
-	if on {
-		q.PowerOn = []string{machine}
-	} else {
-		q.PowerOff = []string{machine}
-	}
-	ans, err := m.Predict(&q)
-	if err != nil || !ans.Valid {
-		return 0, false
-	}
-	return ans.MaxTemp, true
-}
-
 // KernelWhatIf answers q with the real solver: snapshot, apply the
 // changes through the ordinary fiddle surface, step to steady state,
 // read the temperatures, and rewind everything (solver.WhatIf

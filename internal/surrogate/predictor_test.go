@@ -5,21 +5,17 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/darklab/mercury/internal/freon"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/solver"
 )
 
-// A fitted Model is directly usable as Freon-EC's predictor.
-var _ freon.ThermalPredictor = (*Model)(nil)
-
-// TestPredictiveRankingKernelVerified builds the asymmetric room the
-// predictive mode exists for — one recirculating rack, where machines
-// at different heights have genuinely different thermal impact — and
-// checks that the surrogate's PowerImpact ranking of power-off
-// candidates matches the ranking obtained by stepping the real kernel
-// to steady state for every candidate. Static region order cannot see
-// this asymmetry: all three machines share one rack, hence one region.
+// TestPredictiveRankingKernelVerified builds an asymmetric room — one
+// recirculating rack, where machines at different heights have
+// genuinely different thermal impact — and checks that the surrogate's
+// ranking of power-off candidates by predicted room maximum matches
+// the ranking obtained by stepping the real kernel to steady state for
+// every candidate. Static region order cannot see this asymmetry: all
+// three machines share one rack, hence one region.
 func TestPredictiveRankingKernelVerified(t *testing.T) {
 	cl, err := model.RackCluster("room", 1, 3, nil)
 	if err != nil {
@@ -45,10 +41,7 @@ func TestPredictiveRankingKernelVerified(t *testing.T) {
 	}
 	var rows []ranked
 	for _, name := range machines {
-		s, ok := m.PowerImpact(name, false)
-		if !ok {
-			t.Fatalf("PowerImpact declined for %s", name)
-		}
+		s := powerOffMax(t, m, name)
 		q := &Query{PowerOff: []string{name}}
 		k, err := KernelWhatIf(sol, q, 1e-4, kernelHorizon)
 		if err != nil {

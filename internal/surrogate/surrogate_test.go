@@ -275,20 +275,28 @@ func TestPowerImpactRanksHeat(t *testing.T) {
 		}
 	}
 	sol.Run(30 * time.Minute)
-	hot, ok := m.PowerImpact("machine2", false)
-	if !ok {
-		t.Fatal("PowerImpact declined for machine2")
-	}
-	cool, ok := m.PowerImpact("machine1", false)
-	if !ok {
-		t.Fatal("PowerImpact declined for machine1")
-	}
+	hot := powerOffMax(t, m, "machine2")
+	cool := powerOffMax(t, m, "machine1")
 	if hot >= cool {
 		t.Fatalf("removing the hot machine predicts %.3f°C, removing the idle one %.3f°C; expected hot < cool", hot, cool)
 	}
-	if _, ok := m.PowerImpact("nope", false); ok {
-		t.Fatal("PowerImpact accepted an unknown machine")
+	if _, err := m.Predict(&Query{PowerOff: []string{"nope"}}); err == nil {
+		t.Fatal("Predict accepted an unknown machine")
 	}
+}
+
+// powerOffMax is the surrogate's predicted steady room maximum with
+// machine powered off; a decline fails the test.
+func powerOffMax(t *testing.T, m *Model, machine string) float64 {
+	t.Helper()
+	ans, err := m.Predict(&Query{PowerOff: []string{machine}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ans.Valid {
+		t.Fatalf("Predict declined powering off %s: %s", machine, ans.Reason)
+	}
+	return ans.MaxTemp
 }
 
 // TestPartitionedSolverRejected: the surrogate needs the whole room.

@@ -25,41 +25,21 @@ type TwoTier struct {
 	backIssued   uint64
 }
 
-// TwoTierConfig sets both tiers' cost models.
-type TwoTierConfig struct {
-	// Frontend is the web tier's cost model. Its DynamicCPU is the
-	// frontend share of a dynamic request (parsing, templating);
-	// default 5ms.
-	Frontend Config
-	// BackendCPU is the backend work per dynamic request; default 20ms.
-	BackendCPU time.Duration
-	// BackendDisk is the backend disk work per dynamic request;
-	// default 10ms.
-	BackendDisk time.Duration
-	// BackendQueueCap bounds backend server queues; default 200.
-	BackendQueueCap int
-}
-
-func (c TwoTierConfig) withDefaults() TwoTierConfig {
-	if c.Frontend.DynamicCPU <= 0 {
-		c.Frontend.DynamicCPU = 5 * time.Millisecond
-	}
-	if c.BackendCPU <= 0 {
-		c.BackendCPU = 20 * time.Millisecond
-	}
-	if c.BackendDisk <= 0 {
-		c.BackendDisk = 10 * time.Millisecond
-	}
-	if c.BackendQueueCap <= 0 {
-		c.BackendQueueCap = 200
-	}
-	return c
-}
+// The Section 7 extension's cost model. Each backend tier server's
+// queue is bounded by QueueCap, as every cluster's is.
+const (
+	// FrontendDynamicCPU is the frontend share of a dynamic request
+	// (parsing, templating).
+	FrontendDynamicCPU = 5 * time.Millisecond
+	// BackendCPU is the backend CPU work per dynamic request.
+	BackendCPU = 20 * time.Millisecond
+	// BackendDisk is the backend disk work per dynamic request.
+	BackendDisk = 10 * time.Millisecond
+)
 
 // NewTwoTier builds both tiers. Machine names must be unique across
 // tiers (they share one thermal model).
-func NewTwoTier(frontBal, backBal *lvs.Balancer, frontMachines, backMachines []string, cfg TwoTierConfig) (*TwoTier, error) {
-	cfg = cfg.withDefaults()
+func NewTwoTier(frontBal, backBal *lvs.Balancer, frontMachines, backMachines []string) (*TwoTier, error) {
 	seen := map[string]bool{}
 	for _, m := range append(append([]string(nil), frontMachines...), backMachines...) {
 		if seen[m] {
@@ -67,18 +47,16 @@ func NewTwoTier(frontBal, backBal *lvs.Balancer, frontMachines, backMachines []s
 		}
 		seen[m] = true
 	}
-	front, err := New(frontBal, frontMachines, cfg.Frontend)
+	front, err := New(frontBal, frontMachines, Config{DynamicCPU: FrontendDynamicCPU})
 	if err != nil {
 		return nil, err
 	}
 	// Backend jobs travel as "static" requests whose cost model is the
 	// backend work: CPU plus disk.
 	back, err := New(backBal, backMachines, Config{
-		StaticCPU:      cfg.BackendCPU,
-		StaticDisk:     cfg.BackendDisk,
-		DynamicCPU:     cfg.BackendCPU,
-		QueueCap:       cfg.BackendQueueCap,
-		SlotsPerSecond: cfg.Frontend.SlotsPerSecond,
+		StaticCPU:  BackendCPU,
+		StaticDisk: BackendDisk,
+		DynamicCPU: BackendCPU,
 	})
 	if err != nil {
 		return nil, err

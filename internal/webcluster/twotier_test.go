@@ -8,10 +8,10 @@ import (
 	"github.com/darklab/mercury/internal/lvs"
 )
 
-func newTwoTier(t *testing.T, cfg TwoTierConfig) *TwoTier {
+func newTwoTier(t *testing.T) *TwoTier {
 	t.Helper()
 	tt, err := NewTwoTier(lvs.New(), lvs.New(),
-		[]string{"web1", "web2"}, []string{"app1", "app2", "app3"}, cfg)
+		[]string{"web1", "web2"}, []string{"app1", "app2", "app3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,16 +20,16 @@ func newTwoTier(t *testing.T, cfg TwoTierConfig) *TwoTier {
 
 func TestTwoTierValidation(t *testing.T) {
 	if _, err := NewTwoTier(lvs.New(), lvs.New(),
-		[]string{"m1"}, []string{"m1"}, TwoTierConfig{}); err == nil {
+		[]string{"m1"}, []string{"m1"}); err == nil {
 		t.Error("shared machine name across tiers: want error")
 	}
-	if _, err := NewTwoTier(lvs.New(), lvs.New(), nil, []string{"a"}, TwoTierConfig{}); err == nil {
+	if _, err := NewTwoTier(lvs.New(), lvs.New(), nil, []string{"a"}); err == nil {
 		t.Error("empty frontend: want error")
 	}
 }
 
 func TestTwoTierDynamicFlowsToBackend(t *testing.T) {
-	tt := newTwoTier(t, TwoTierConfig{})
+	tt := newTwoTier(t)
 	// 40 dynamic requests: the frontend does 5ms each (cheap), then the
 	// backend does 20ms CPU + 10ms disk each.
 	tick := tt.TickSecond(burst(40, true))
@@ -60,7 +60,7 @@ func TestTwoTierDynamicFlowsToBackend(t *testing.T) {
 }
 
 func TestTwoTierStaticStaysInFrontend(t *testing.T) {
-	tt := newTwoTier(t, TwoTierConfig{})
+	tt := newTwoTier(t)
 	tick := tt.TickSecond(burst(50, false))
 	if tick.BackendJobs != 0 {
 		t.Errorf("static requests issued %d backend jobs", tick.BackendJobs)
@@ -76,20 +76,20 @@ func TestTwoTierStaticStaysInFrontend(t *testing.T) {
 }
 
 func TestTwoTierBackendOverloadDropsEndToEnd(t *testing.T) {
-	// A tiny backend queue forces refusals; end-to-end accounting must
-	// count them as dropped even though the frontend served them.
-	tt, err := NewTwoTier(lvs.New(), lvs.New(),
-		[]string{"web1"}, []string{"app1"},
-		TwoTierConfig{BackendQueueCap: 5, BackendCPU: 50 * time.Millisecond})
+	// One backend server serves 1s/BackendCPU = 50 jobs a second; 200
+	// a second fill its QueueCap in two seconds and force refusals.
+	// End-to-end accounting must count them as dropped even though the
+	// frontend served them.
+	tt, err := NewTwoTier(lvs.New(), lvs.New(), []string{"web1"}, []string{"app1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		tt.TickSecond(burst(100, true))
+		tt.TickSecond(burst(200, true))
 	}
 	totals := tt.Totals()
-	if totals.Dropped == 0 {
-		t.Error("backend overload produced no end-to-end drops")
+	if tt.backDropped == 0 || totals.Dropped < tt.backDropped {
+		t.Errorf("backend overload: %d backend refusals, %d end-to-end drops", tt.backDropped, totals.Dropped)
 	}
 	if totals.Completed+totals.Dropped > totals.Arrived {
 		t.Errorf("accounting broken: %+v", totals)
@@ -100,7 +100,7 @@ func TestTwoTierFreonShiftsBackendLoad(t *testing.T) {
 	// The multi-tier story: a backend machine gets "hot" (here we just
 	// deweight it the way admd would) and new backend jobs shift to its
 	// peers, without touching the frontend.
-	tt := newTwoTier(t, TwoTierConfig{})
+	tt := newTwoTier(t)
 	tt.back.bal.SetWeight("app1", 0.1)
 	var app1, app2 float64
 	for i := 0; i < 20; i++ {
@@ -116,12 +116,13 @@ func TestTwoTierFreonShiftsBackendLoad(t *testing.T) {
 	}
 }
 
+// TestTwoTierDefaults pins the Section 7 extension's cost model: 5 ms
+// of frontend work per dynamic request, 20 ms of CPU and 10 ms of disk
+// in the backend, and the backend queue bound of 200 every server has.
 func TestTwoTierDefaults(t *testing.T) {
-	cfg := TwoTierConfig{}.withDefaults()
-	if cfg.Frontend.DynamicCPU != 5*time.Millisecond ||
-		cfg.BackendCPU != 20*time.Millisecond ||
-		cfg.BackendDisk != 10*time.Millisecond ||
-		cfg.BackendQueueCap != 200 {
-		t.Errorf("defaults = %+v", cfg)
+	if FrontendDynamicCPU != 5*time.Millisecond || BackendCPU != 20*time.Millisecond ||
+		BackendDisk != 10*time.Millisecond || QueueCap != 200 {
+		t.Errorf("two-tier constants %v %v %v %d, want 5ms 20ms 10ms 200",
+			FrontendDynamicCPU, BackendCPU, BackendDisk, QueueCap)
 	}
 }

@@ -36,16 +36,19 @@ type Config struct {
 	StaticCPU time.Duration
 	// StaticDisk is the disk demand of a static request; default 8ms.
 	StaticDisk time.Duration
-	// QueueCap bounds each server's outstanding requests (in service +
-	// queued); beyond it new assignments are refused. Default 200.
-	QueueCap int
-	// SlotsPerSecond is the number of service sub-slots per tick.
-	// Requests are assigned in their arrival sub-slot and connections
-	// release at sub-slot boundaries, so concurrent-connection counts
-	// (which Freon caps) reflect real in-flight concurrency rather
-	// than whole-second batches. Default 10 (100 ms slots).
-	SlotsPerSecond int
 }
+
+const (
+	// QueueCap bounds each server's outstanding requests (in service +
+	// queued); beyond it new assignments are refused.
+	QueueCap = 200
+	// SlotsPerSecond is the number of service sub-slots per tick
+	// (100 ms slots). Requests are assigned in their arrival sub-slot
+	// and connections release at sub-slot boundaries, so
+	// concurrent-connection counts (which Freon caps) reflect real
+	// in-flight concurrency rather than whole-second batches.
+	SlotsPerSecond = 10
+)
 
 func (c Config) withDefaults() Config {
 	if c.DynamicCPU <= 0 {
@@ -56,12 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StaticDisk <= 0 {
 		c.StaticDisk = 8 * time.Millisecond
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 200
-	}
-	if c.SlotsPerSecond <= 0 {
-		c.SlotsPerSecond = 10
 	}
 	return c
 }
@@ -174,7 +171,7 @@ func New(bal *lvs.Balancer, machines []string, cfg Config) (*Cluster, error) {
 		index:   make(map[string]int, len(machines)),
 		servers: make([]server, 0, len(machines)),
 		ticks:   make([]ServerTick, len(machines)),
-		slotEnd: slotBounds(cfg.SlotsPerSecond),
+		slotEnd: slotBounds(SlotsPerSecond),
 	}
 	for i, m := range machines {
 		if _, dup := c.index[m]; dup {
@@ -309,7 +306,7 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 		s.busyCPU, s.busyDisk = 0, 0
 	}
 
-	slotDur := 1.0 / float64(c.cfg.SlotsPerSecond)
+	slotDur := 1.0 / float64(SlotsPerSecond)
 	static := pending{cpuLeft: c.cfg.StaticCPU.Seconds(), disk: c.cfg.StaticDisk.Seconds()}
 	dynamic := pending{cpuLeft: c.cfg.DynamicCPU.Seconds(), dynamic: true}
 
@@ -332,7 +329,7 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 				continue
 			}
 			s := &c.servers[i]
-			if !s.on || s.conns() >= c.cfg.QueueCap {
+			if !s.on || s.conns() >= QueueCap {
 				// Powered-off servers should be quiesced or
 				// zero-weighted; if one is still picked, or the queue
 				// is full, refuse.

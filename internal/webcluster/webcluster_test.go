@@ -100,13 +100,15 @@ func TestOverloadQueuesAndCarriesOver(t *testing.T) {
 }
 
 func TestQueueCapDrops(t *testing.T) {
-	c, err := New(lvs.New(), []string{"machine1"}, Config{QueueCap: 10})
+	c, err := New(lvs.New(), []string{"machine1"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tick := c.TickSecond(burst(200, true))
-	if tick.Dropped == 0 {
-		t.Error("queue cap did not drop anything")
+	// Every request arrives in the first sub-slot, before any is
+	// served: the server takes QueueCap and refuses the rest.
+	tick := c.TickSecond(burst(2*QueueCap, true))
+	if tick.Dropped != QueueCap {
+		t.Errorf("dropped %d of %d, want %d", tick.Dropped, 2*QueueCap, QueueCap)
 	}
 	if got := c.Totals().DropRate(); got == 0 {
 		t.Error("drop rate = 0")

@@ -225,11 +225,12 @@ var (
 type (
 	// Freon is the base thermal-emergency manager.
 	Freon = freon.Freon
-	// FreonConfig tunes thresholds, gains, and periods.
+	// FreonConfig tunes the controller gains and periods; the
+	// thresholds are Section 5's (freon.DefaultComponents).
 	FreonConfig = freon.Config
 	// FreonEC combines thermal management with energy conservation.
 	FreonEC = freon.EC
-	// FreonECConfig adds regions and utilization thresholds.
+	// FreonECConfig adds the room's regions.
 	FreonECConfig = freon.ECConfig
 	// Thresholds are a component's control temperatures.
 	Thresholds = freon.Thresholds

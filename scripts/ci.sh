@@ -27,9 +27,11 @@ stage_lint() {
 		printf 'files need gofmt:\n%s\n' "$out" >&2
 		return 1
 	fi
-	# Every function is linked into some main package or listed, with
-	# its reason, in scripts/reach/allow.txt; an allowlist line whose
-	# function is reachable again or gone fails too.
+	# Every function is linked into some main package, and every
+	# internal/ Config/Options field is set by some non-test file, or
+	# listed, with its reason, in scripts/reach/allow.txt; an allowlist
+	# line whose function is reachable again, or whose field is set
+	# again, or which is gone, fails too.
 	go run ./scripts/reach
 	# arm64, ppc64le, s390x and riscv64 may fuse x*y + z into one
 	# multiply-add that rounds once, changing the bits. Every package

@@ -1,6 +1,7 @@
 // Command reach is the reachability census: it lists every function
-// declared in the module that no main package links, and fails when one
-// of them is not on the allowlist.
+// declared in the module that no main package links, and every config
+// field no program sets, and fails when one of them is not on the
+// allowlist.
 //
 //	go run ./scripts/reach
 //
@@ -16,9 +17,15 @@
 // followed by the reason it stays; a line whose function is reachable
 // again, or gone, is reported too, so the list cannot go stale.
 //
+// It then takes the field census (fields.go): every exported field of
+// an exported *Config or *Options struct under internal/ that no
+// non-test file sets is a knob with one value in use, and fails unless
+// allow.txt lists it on a "field <key> <reason>" line; a field line
+// whose field is set again, or gone, fails too.
+//
 // Run it from the module root. It exits 0 when every unreachable
-// function is allowlisted and every allowlist line is live, 1 when not,
-// and 2 when the census itself fails.
+// function and unset field is allowlisted and every allowlist line is
+// live, 1 when not, and 2 when a census itself fails.
 package main
 
 import (
@@ -46,17 +53,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "reach:", err)
 		os.Exit(2)
 	}
-	allow, err := readAllow(allowFile)
+	all, unset, structs, err := fieldCensus(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reach:", err)
 		os.Exit(2)
 	}
-	if !report(os.Stdout, dead, allow) {
+	allow, allowFields, err := readAllow(allowFile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "reach:", err)
+		os.Exit(2)
+	}
+	funcsOK := report(os.Stdout, dead, allow)
+	if !reportFields(os.Stdout, all, unset, structs, allowFields) || !funcsOK {
 		os.Exit(1)
 	}
 }
 
-// pkg is one package as `go list -json` describes it.
+// pkg is one package as `go list -json` describes it. Export and
+// DepOnly are filled in only by -export and -deps.
 type pkg struct {
 	ImportPath string
 	Name       string
@@ -64,6 +78,8 @@ type pkg struct {
 	Module     *struct{ Path string }
 	GoFiles    []string
 	CgoFiles   []string
+	Export     string
+	DepOnly    bool
 }
 
 // fn is one declared function or function-valued package var. Key is
@@ -146,8 +162,10 @@ func census(dir string) ([]fn, error) {
 	return dead, nil
 }
 
-func listPackages(dir string) ([]pkg, error) {
-	out, err := goCmd(dir, "list", "-json", "./...")
+// listPackages lists the module's packages, with their dependencies
+// (DepOnly) when flags hold -deps.
+func listPackages(dir string, flags ...string) ([]pkg, error) {
+	out, err := goCmd(dir, append(append([]string{"list", "-json"}, flags...), "./...")...)
 	if err != nil {
 		return nil, fmt.Errorf("go list: %v\n%s", err, out)
 	}
@@ -160,7 +178,7 @@ func listPackages(dir string) ([]pkg, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("go list output: %v", err)
 		}
-		if p.Module == nil {
+		if p.Module == nil && !p.DepOnly {
 			return nil, fmt.Errorf("package %s is outside a module", p.ImportPath)
 		}
 		pkgs = append(pkgs, p)
@@ -459,29 +477,34 @@ func stripBrackets(s string) string {
 	return b.String()
 }
 
-// readAllow reads the allowlist: one "key reason..." per line, blank
-// lines and #-comments skipped. A line without a reason is an error.
-func readAllow(path string) (map[string]string, error) {
+// readAllow reads the allowlist: one "key reason..." per line for a
+// function and one "field key reason..." for a field, blank lines and
+// #-comments skipped. A line without a reason is an error.
+func readAllow(path string) (funcs, fields map[string]string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	allow := map[string]string{}
+	funcs, fields = map[string]string{}, map[string]string{}
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
+		allow := funcs
+		if rest, ok := strings.CutPrefix(line, "field "); ok {
+			allow, line = fields, strings.TrimSpace(rest)
+		}
 		key, reason, _ := strings.Cut(line, " ")
 		if strings.TrimSpace(reason) == "" {
-			return nil, fmt.Errorf("%s:%d: %s has no reason", path, i+1, key)
+			return nil, nil, fmt.Errorf("%s:%d: %s has no reason", path, i+1, key)
 		}
 		if _, dup := allow[key]; dup {
-			return nil, fmt.Errorf("%s:%d: %s listed twice", path, i+1, key)
+			return nil, nil, fmt.Errorf("%s:%d: %s listed twice", path, i+1, key)
 		}
 		allow[key] = strings.TrimSpace(reason)
 	}
-	return allow, nil
+	return funcs, fields, nil
 }
 
 // report prints the census and reports whether it passes: every

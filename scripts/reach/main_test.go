@@ -130,16 +130,25 @@ func TestReadAllowNeedsReason(t *testing.T) {
 		}
 	}
 	write("# comment\n\ninternal/x.F kept for a reason\n")
-	allow, err := readAllow(path)
-	if err != nil || allow["internal/x.F"] != "kept for a reason" {
-		t.Fatalf("readAllow = %v, %v", allow, err)
+	allow, fields, err := readAllow(path)
+	if err != nil || allow["internal/x.F"] != "kept for a reason" || len(fields) != 0 {
+		t.Fatalf("readAllow = %v, %v, %v", allow, fields, err)
+	}
+	write("internal/x.F a function\nfield internal/x.Config.F a field of the same key\n")
+	allow, fields, err = readAllow(path)
+	if err != nil || allow["internal/x.F"] != "a function" || fields["internal/x.Config.F"] != "a field of the same key" || len(allow)+len(fields) != 2 {
+		t.Fatalf("readAllow = %v, %v, %v", allow, fields, err)
 	}
 	write("internal/x.F\n")
-	if _, err := readAllow(path); err == nil {
+	if _, _, err := readAllow(path); err == nil {
 		t.Error("a line without a reason was accepted")
 	}
+	write("field internal/x.Config.F\n")
+	if _, _, err := readAllow(path); err == nil {
+		t.Error("a field line without a reason was accepted")
+	}
 	write("internal/x.F one\ninternal/x.F two\n")
-	if _, err := readAllow(path); err == nil {
+	if _, _, err := readAllow(path); err == nil {
 		t.Error("a function listed twice was accepted")
 	}
 }
@@ -157,5 +166,52 @@ func TestReportFailsOnUnlistedAndStale(t *testing.T) {
 	b.Reset()
 	if report(&b, nil, map[string]string{"internal/x.F": "reason"}) || !strings.Contains(b.String(), "stale allowlist line: internal/x.F") {
 		t.Errorf("stale allowlist line passed:\n%s", b.String())
+	}
+}
+
+// TestFieldCensusFixture runs the field census over the fixture module:
+// conf.Config has a field set in each way the census counts, through an
+// alias, an embedding struct and another type's method among them, and
+// two fields set only where the census does not look: the type's own
+// method and a test file. Exactly those two must be reported, and the
+// census must fail until both are allowlisted.
+func TestFieldCensusFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the fixture module's export data")
+	}
+	all, unset, structs, err := fieldCensus(filepath.Join("testdata", "fixture"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 10 || structs != 2 {
+		t.Errorf("census found %d fields in %d structs, want 10 in 2: %v", len(all), structs, all)
+	}
+	var got []string
+	for _, f := range unset {
+		got = append(got, f.Key)
+		if !strings.HasPrefix(f.Pos, "internal/conf/conf.go:") {
+			t.Errorf("%s at %s, want a position relative to the module root", f.Key, f.Pos)
+		}
+	}
+	want := []string{"internal/conf.Config.TestOnly", "internal/conf.Config.Unset"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("unset fields\n\t%v\nwant\n\t%v", got, want)
+	}
+	var b strings.Builder
+	if reportFields(&b, all, unset, structs, map[string]string{}) || !strings.Contains(b.String(), "unset field: internal/conf.Config.Unset") {
+		t.Errorf("an unset field passed:\n%s", b.String())
+	}
+	b.Reset()
+	allow := map[string]string{want[0]: "reason", want[1]: "reason"}
+	if !reportFields(&b, all, unset, structs, allow) {
+		t.Errorf("allowlisted census failed:\n%s", b.String())
+	}
+	b.Reset()
+	allow["internal/conf.Config.Keyed"] = "set, so stale"
+	allow["internal/conf.Config.Gone"] = "not declared, so stale"
+	if reportFields(&b, all, unset, structs, allow) ||
+		!strings.Contains(b.String(), "stale allowlist line: field internal/conf.Config.Keyed is set") ||
+		!strings.Contains(b.String(), "stale allowlist line: field internal/conf.Config.Gone is no longer declared") {
+		t.Errorf("stale field lines passed:\n%s", b.String())
 	}
 }

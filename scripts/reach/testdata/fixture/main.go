@@ -5,6 +5,7 @@ package main
 import (
 	"fmt"
 
+	"example.com/fixture/internal/conf"
 	"example.com/fixture/lib"
 )
 
@@ -23,6 +24,20 @@ func main() {
 	lib.A{}.Close()
 	lib.Hook()
 	helper()
+	configure()
+}
+
+// configure sets conf's fields in every way the field census counts.
+func configure() {
+	c := conf.Config{Keyed: 1}
+	cs := []*conf.Alias{{Aliased: 2}}
+	conf.Options{3, 4}.Apply(&c)
+	c.Bumped++
+	p := &c.Addr
+	*p = 5
+	var o conf.Outer
+	o.Promoted = 6
+	fmt.Println(c.WithDefaults(), cs[0], o)
 }
 
 // flavorHook holds a function of another package of the module, and no
