@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,6 +18,34 @@ import (
 	"github.com/darklab/mercury/internal/solverd"
 	"github.com/darklab/mercury/internal/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// checkOutGolden compares an -out file with testdata/<name>.golden byte
+// for byte, rewriting the golden first under -update.
+func checkOutGolden(t *testing.T, outPath, name string) {
+	t.Helper()
+	got, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("-out differs from %s:\n%s", golden, got)
+	}
+}
 
 func TestProbeListFlag(t *testing.T) {
 	var p probeList
@@ -154,6 +183,7 @@ func TestRunOfflineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOutGolden(t, outPath, "offline_probe")
 	f, err := os.Open(outPath)
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +216,7 @@ func TestRunOfflineDefaultProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOutGolden(t, outPath, "offline_default_probes")
 	data, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,12 @@
 package experiments
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,6 +30,32 @@ func run(t *testing.T, fn func() (*Result, error)) *Result {
 		t.Error("Render missing experiment name")
 	}
 	return r
+}
+
+// checkSection3 pins every metric of a Section 3 experiment (Figures
+// 5-8 and the Fluent comparison) at full precision in
+// testdata/section3.golden, one "<experiment> <metric> <value>" line
+// each, sorted. Each test checks its own experiment's lines; -update
+// rewrites them and keeps the other experiments' lines.
+func checkSection3(t *testing.T, r *Result) {
+	t.Helper()
+	golden := filepath.Join("testdata", "section3.golden")
+	data, err := os.ReadFile(golden)
+	if err != nil && !(*update && errors.Is(err, fs.ErrNotExist)) {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	prefix := r.Name + " "
+	var lines []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line != "" && !strings.HasPrefix(line, prefix) {
+			lines = append(lines, line)
+		}
+	}
+	for k, v := range r.Metrics {
+		lines = append(lines, prefix+k+" "+strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	sort.Strings(lines)
+	checkGolden(t, golden, strings.Join(lines, "\n")+"\n")
 }
 
 func TestTable1(t *testing.T) {
@@ -50,6 +82,7 @@ func TestTable1(t *testing.T) {
 
 func TestFig5CalibrationImproves(t *testing.T) {
 	r := run(t, Fig5)
+	checkSection3(t, r)
 	pre, post := r.Metrics["pre_calibration_maxabs"], r.Metrics["post_calibration_maxabs"]
 	if post > pre {
 		t.Errorf("calibration worsened: %v -> %v", pre, post)
@@ -64,6 +97,7 @@ func TestFig5CalibrationImproves(t *testing.T) {
 
 func TestFig6CalibrationImproves(t *testing.T) {
 	r := run(t, Fig6)
+	checkSection3(t, r)
 	if r.Metrics["post_calibration_maxabs"] > 1.0 {
 		t.Errorf("disk calibration max error = %v", r.Metrics["post_calibration_maxabs"])
 	}
@@ -76,6 +110,7 @@ func TestFig7WithinOneDegree(t *testing.T) {
 	// The paper's headline validation: "Mercury is able to emulate
 	// temperatures within 1C at all times" on the combined benchmark.
 	r := run(t, Fig7)
+	checkSection3(t, r)
 	if r.Metrics["validation_maxabs"] > 1.0 {
 		t.Errorf("CPU air validation max error = %vC, want <= 1C", r.Metrics["validation_maxabs"])
 	}
@@ -83,6 +118,7 @@ func TestFig7WithinOneDegree(t *testing.T) {
 
 func TestFig8WithinOneDegree(t *testing.T) {
 	r := run(t, Fig8)
+	checkSection3(t, r)
 	if r.Metrics["validation_maxabs"] > 1.0 {
 		t.Errorf("disk validation max error = %vC, want <= 1C", r.Metrics["validation_maxabs"])
 	}
@@ -91,6 +127,7 @@ func TestFig8WithinOneDegree(t *testing.T) {
 func TestFluentAgreement(t *testing.T) {
 	// Paper: within 0.32C (CPU) and 0.25C (disk) across 14 runs.
 	r := run(t, Fluent)
+	checkSection3(t, r)
 	if r.Metrics["max_cpu_delta"] > 0.32 {
 		t.Errorf("CPU delta = %v, want <= 0.32", r.Metrics["max_cpu_delta"])
 	}
