@@ -12,6 +12,7 @@ import (
 	"time"
 
 	mercury "github.com/darklab/mercury"
+	"github.com/darklab/mercury/internal/calibrate"
 	"github.com/darklab/mercury/internal/experiments"
 	"github.com/darklab/mercury/internal/fanctl"
 	"github.com/darklab/mercury/internal/fiddle"
@@ -312,23 +313,10 @@ func BenchmarkAblationPowerModel(b *testing.B) {
 		ref := mercury.NewRefServer(42)
 		bench := mercury.CombinedBenchmark("server", 7, 2000*time.Second, 50*time.Second)
 		meas := ref.Replay(bench, 10*time.Second)
-		sol, err := solver.NewSingle(m.Clone("server"), solver.Config{})
+		_, _, worst, err := calibrate.Evaluate(m, bench,
+			[]calibrate.Target{{Node: model.NodeCPUAir, Measured: meas.CPUAir}})
 		if err != nil {
 			b.Fatal(err)
-		}
-		log, err := mercury.Replay(sol, bench, []mercury.Probe{{Machine: "server", Node: model.NodeCPUAir}}, 10*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst := 0.0
-		for _, rec := range log.Records {
-			d := float64(rec.Temp) - meas.CPUAir.At(rec.At)
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
 		}
 		return worst
 	}

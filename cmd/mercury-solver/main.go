@@ -24,9 +24,11 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -44,6 +46,7 @@ import (
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/solver"
 	"github.com/darklab/mercury/internal/solverd"
+	"github.com/darklab/mercury/internal/stats"
 	"github.com/darklab/mercury/internal/surrogate"
 	"github.com/darklab/mercury/internal/trace"
 )
@@ -422,7 +425,7 @@ func runOffline(sol *solver.Solver, tracePath, outPath string, sample time.Durat
 			}
 		}
 	}
-	log, err := trace.Replay(sol, tr, probes, sample)
+	temps, err := trace.Replay(sol, tr, probes, sample)
 	if err != nil {
 		return err
 	}
@@ -434,5 +437,21 @@ func runOffline(sol *solver.Solver, tracePath, outPath string, sample time.Durat
 		}
 		defer out.Close()
 	}
-	return log.Write(out)
+	return writeTempLog(out, probes, temps)
+}
+
+// writeTempLog writes an off-line run's temperature log: a two-line
+// header, then one "<seconds> <machine> <node> <celsius>" line per
+// probe per sample, samples in time order and probes in flag order.
+func writeTempLog(w io.Writer, probes probeList, temps []*stats.Series) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "# mercury temperature log")
+	fmt.Fprintln(bw, "# seconds machine node celsius")
+	for i := 0; len(temps) > 0 && i < temps[0].Len(); i++ {
+		for j, p := range probes {
+			pt := temps[j].Points[i]
+			fmt.Fprintf(bw, "%g %s %s %.4f\n", pt.At.Seconds(), p.Machine, p.Node, pt.Value)
+		}
+	}
+	return bw.Flush()
 }

@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"time"
 
 	mercury "github.com/darklab/mercury"
@@ -52,25 +53,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tempLog, err := mercury.Replay(sol, validation,
+	emulated, err := mercury.Replay(sol, validation,
 		[]mercury.Probe{{Machine: machine, Node: mercury.NodeCPUAir}}, 10*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	worst := 0.0
-	for _, rec := range tempLog.Records {
-		if d := abs(float64(rec.Temp) - vmeasured.CPUAir.At(rec.At)); d > worst {
-			worst = d
-		}
+	for _, p := range emulated[0].Points {
+		worst = math.Max(worst, math.Abs(p.Value-vmeasured.CPUAir.At(p.At)))
 	}
 	fmt.Printf("held-out validation: worst-case error %.2fC across %d samples (paper: within 1C)\n",
-		worst, len(tempLog.Records))
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
+		worst, emulated[0].Len())
 }

@@ -103,22 +103,12 @@ func main() {
 	}
 
 	fmt.Println("\ntime     machine1  machine8  machine16   (CPU, C)")
-	emit := func(base time.Duration, l *mercury.TempLog) {
-		byTime := map[time.Duration]map[string]float64{}
-		for _, r := range l.Records {
-			at := base + r.At
-			if byTime[at] == nil {
-				byTime[at] = map[string]float64{}
+	emit := func(base time.Duration, cpu []*mercury.Series) {
+		for i, p := range cpu[0].Points {
+			if at := base + p.At; at%(200*time.Second) == 0 {
+				fmt.Printf("%-8v %-9.1f %-9.1f %.1f\n",
+					at, p.Value, cpu[1].Points[i].Value, cpu[2].Points[i].Value)
 			}
-			byTime[at][r.Machine] = float64(r.Temp)
-		}
-		for at := time.Duration(0); at <= 2000*time.Second; at += 200 * time.Second {
-			row, ok := byTime[at]
-			if !ok {
-				continue
-			}
-			fmt.Printf("%-8v %-9.1f %-9.1f %.1f\n",
-				at, row["machine1"], row["machine8"], row["machine16"])
 		}
 	}
 	emit(0, log1)

@@ -73,10 +73,26 @@ type Result struct {
 // utilization trace reproduces the measured target series. It returns
 // the fitted machine (base is not modified) and the residuals.
 func Calibrate(base *model.Machine, tr *trace.Trace, targets []Target, params []Param, opts Options) (*model.Machine, Result, error) {
-	opts = opts.withDefaults()
 	if len(targets) == 0 {
 		return nil, Result{}, fmt.Errorf("calibrate: no targets")
 	}
+	if tr.Duration() <= 0 {
+		return nil, Result{}, fmt.Errorf("calibrate: empty utilization trace")
+	}
+	return search(base, params, opts, func(m *model.Machine) (float64, float64, error) {
+		_, rmse, maxAbs, err := Evaluate(m, tr, targets)
+		return rmse, maxAbs, err
+	})
+}
+
+// search is the bounded coordinate descent that Calibrate and
+// CalibrateSteady share. On a copy of base, each round sweeps every
+// parameter in turn over GridPoints values of an interval around its
+// incumbent, halving the interval each round, and keeps the value with
+// the lowest objective RMSE. objective returns a machine's RMSE and
+// maximum absolute error.
+func search(base *model.Machine, params []Param, opts Options, objective func(*model.Machine) (rmse, maxAbs float64, err error)) (*model.Machine, Result, error) {
+	opts = opts.withDefaults()
 	if len(params) == 0 {
 		return nil, Result{}, fmt.Errorf("calibrate: no parameters")
 	}
@@ -85,16 +101,13 @@ func Calibrate(base *model.Machine, tr *trace.Trace, targets []Target, params []
 			return nil, Result{}, fmt.Errorf("calibrate: parameter %q has empty range [%v,%v]", p.Name, p.Min, p.Max)
 		}
 	}
-	if tr.Duration() <= 0 {
-		return nil, Result{}, fmt.Errorf("calibrate: empty utilization trace")
-	}
 
 	m := base.Clone(base.Name)
 	res := Result{Params: map[string]float64{}}
 
 	eval := func() (float64, float64, error) {
 		res.Evals++
-		return Evaluate(m, tr, targets)
+		return objective(m)
 	}
 
 	best, _, err := eval()
@@ -129,8 +142,7 @@ func Calibrate(base *model.Machine, tr *trace.Trace, targets []Target, params []
 	if err != nil {
 		return nil, res, err
 	}
-	res.RMSE = rmse
-	res.MaxAbs = maxAbs
+	res.RMSE, res.MaxAbs = rmse, maxAbs
 	for _, p := range params {
 		res.Params[p.Name] = p.Get(m)
 	}
@@ -141,39 +153,26 @@ func Calibrate(base *model.Machine, tr *trace.Trace, targets []Target, params []
 }
 
 // Evaluate replays the trace on a fresh solver built from m and
-// returns the pooled RMSE and maximum absolute error of the targets'
-// emulated series, sampled every SampleEvery, against their
-// measurements.
-func Evaluate(m *model.Machine, tr *trace.Trace, targets []Target) (rmse, maxAbs float64, err error) {
+// returns each target's emulated series, sampled every SampleEvery, in
+// target order, with their pooled RMSE and maximum absolute error
+// against the measurements.
+func Evaluate(m *model.Machine, tr *trace.Trace, targets []Target) (emulated []*stats.Series, rmse, maxAbs float64, err error) {
 	s, err := solver.NewSingle(m.Clone(m.Name), solver.Config{Step: Step})
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, 0, err
 	}
 	probes := make([]trace.Probe, len(targets))
 	for i, t := range targets {
 		probes[i] = trace.Probe{Machine: m.Name, Node: t.Node}
 	}
-	log, err := trace.Replay(s, tr, probes, SampleEvery)
+	emulated, err = trace.Replay(s, tr, probes, SampleEvery)
 	if err != nil {
-		return 0, 0, err
-	}
-	emulated := map[string]*stats.Series{}
-	for _, r := range log.Records {
-		s, ok := emulated[r.Node]
-		if !ok {
-			s = stats.NewSeries(r.Node)
-			emulated[r.Node] = s
-		}
-		s.Add(r.At, float64(r.Temp))
+		return nil, 0, 0, err
 	}
 	var sumSq float64
 	var n int
-	for _, t := range targets {
-		em, ok := emulated[t.Node]
-		if !ok {
-			return 0, 0, fmt.Errorf("calibrate: no emulated samples for node %q", t.Node)
-		}
-		c := stats.CompareSeries(em, t.Measured)
+	for i, t := range targets {
+		c := stats.CompareSeries(emulated[i], t.Measured)
 		sumSq += float64(c.RMSE * c.RMSE * float64(c.N))
 		n += c.N
 		if c.MaxAbs > maxAbs {
@@ -181,9 +180,9 @@ func Evaluate(m *model.Machine, tr *trace.Trace, targets []Target) (rmse, maxAbs
 		}
 	}
 	if n == 0 {
-		return 0, 0, fmt.Errorf("calibrate: targets have no comparable samples")
+		return nil, 0, 0, fmt.Errorf("calibrate: targets have no comparable samples")
 	}
-	return math.Sqrt(sumSq / float64(n)), maxAbs, nil
+	return emulated, math.Sqrt(sumSq / float64(n)), maxAbs, nil
 }
 
 // heatKParam builds a Param over a heat edge's k constant.

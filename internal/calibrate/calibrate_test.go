@@ -21,7 +21,7 @@ func TestCalibrationImprovesFit(t *testing.T) {
 	base := model.DefaultServer(machine)
 	targets := []Target{{Node: model.NodeCPUAir, Measured: meas.CPUAir}}
 
-	preRMSE, _, err := Evaluate(base, tr, targets)
+	_, preRMSE, _, err := Evaluate(base, tr, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCalibratedModelGeneralizes(t *testing.T) {
 	vref := physical.NewRefServer(42)
 	comb := workload.Combined(machine, 7, 2000*time.Second, 50*time.Second)
 	vmeas := vref.Replay(comb, 10*time.Second)
-	_, maxAbs, err := Evaluate(fitted, comb,
+	_, _, maxAbs, err := Evaluate(fitted, comb,
 		[]Target{{Node: model.NodeCPUAir, Measured: vmeas.CPUAir}})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestCalibrateValidation(t *testing.T) {
 	if _, _, err := Calibrate(base, &trace.Trace{}, tgt, DefaultCPUParams(), Options{}); err == nil {
 		t.Error("empty trace: want error")
 	}
-	if _, _, err := Evaluate(base, tr, []Target{{Node: "ghost", Measured: meas}}); err == nil {
+	if _, _, _, err := Evaluate(base, tr, []Target{{Node: "ghost", Measured: meas}}); err == nil {
 		t.Error("unknown node: want error")
 	}
 }

@@ -70,63 +70,12 @@ func EvaluateSteady(m *model.Machine, cases []SteadyCase) (rmse, maxAbs float64,
 // CalibrateSteady fits params so the machine's steady states match the
 // cases, using the same bounded coordinate descent as Calibrate.
 func CalibrateSteady(base *model.Machine, cases []SteadyCase, params []Param, opts Options) (*model.Machine, Result, error) {
-	opts = opts.withDefaults()
 	if len(cases) == 0 {
 		return nil, Result{}, fmt.Errorf("calibrate: no steady cases")
 	}
-	if len(params) == 0 {
-		return nil, Result{}, fmt.Errorf("calibrate: no parameters")
-	}
-	for _, p := range params {
-		if p.Min >= p.Max {
-			return nil, Result{}, fmt.Errorf("calibrate: parameter %q has empty range [%v,%v]", p.Name, p.Min, p.Max)
-		}
-	}
-	m := base.Clone(base.Name)
-	res := Result{Params: map[string]float64{}}
-	eval := func() (float64, float64, error) {
-		res.Evals++
+	return search(base, params, opts, func(m *model.Machine) (float64, float64, error) {
 		return EvaluateSteady(m, cases)
-	}
-	best, _, err := eval()
-	if err != nil {
-		return nil, res, err
-	}
-	for round := 0; round < opts.Rounds; round++ {
-		shrink := math.Pow(0.5, float64(round))
-		for pi := range params {
-			p := &params[pi]
-			cur := p.Get(m)
-			span := (p.Max - p.Min) * shrink
-			lo := math.Max(p.Min, cur-float64(span/2))
-			hi := math.Min(p.Max, cur+float64(span/2))
-			bestV := cur
-			for g := 0; g < opts.GridPoints; g++ {
-				v := lo + (hi-lo)*float64(g)/float64(opts.GridPoints-1)
-				p.Set(m, v)
-				rmse, _, err := eval()
-				if err != nil {
-					return nil, res, err
-				}
-				if rmse < best {
-					best, bestV = rmse, v
-				}
-			}
-			p.Set(m, bestV)
-		}
-	}
-	rmse, maxAbs, err := eval()
-	if err != nil {
-		return nil, res, err
-	}
-	res.RMSE, res.MaxAbs = rmse, maxAbs
-	for _, p := range params {
-		res.Params[p.Name] = p.Get(m)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, res, fmt.Errorf("calibrate: fitted machine invalid: %w", err)
-	}
-	return m, res, nil
+	})
 }
 
 // AnalogParam builds a Param over an analog machine's block heat

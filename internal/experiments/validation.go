@@ -7,7 +7,6 @@ import (
 	"github.com/darklab/mercury/internal/calibrate"
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/physical"
-	"github.com/darklab/mercury/internal/solver"
 	"github.com/darklab/mercury/internal/stats"
 	"github.com/darklab/mercury/internal/trace"
 	"github.com/darklab/mercury/internal/workload"
@@ -58,7 +57,7 @@ func calibrationFigure(name, title string, tr *trace.Trace, node string,
 	base := model.DefaultServer(validationMachine)
 	targets := []calibrate.Target{{Node: node, Measured: measured}}
 
-	preRMSE, preMax, err := calibrate.Evaluate(base, tr, targets)
+	_, preRMSE, preMax, err := calibrate.Evaluate(base, tr, targets)
 	if err != nil {
 		return nil, err
 	}
@@ -66,20 +65,11 @@ func calibrationFigure(name, title string, tr *trace.Trace, node string,
 	if err != nil {
 		return nil, err
 	}
-
-	// Emulated series from the fitted model.
-	s, err := newSingleSolver(fitted)
+	emulated, _, _, err := calibrate.Evaluate(fitted, tr, targets)
 	if err != nil {
 		return nil, err
 	}
-	log, err := trace.Replay(s, tr, []trace.Probe{{Machine: validationMachine, Node: node}}, 10*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	emulated := stats.NewSeries("emulated")
-	for _, r := range log.Records {
-		emulated.Add(r.At, float64(r.Temp))
-	}
+	emulated[0].Name = "emulated"
 	util := stats.NewSeries("utilization (%)")
 	for _, r := range tr.Records {
 		if v, ok := utilOf(r); ok {
@@ -104,7 +94,7 @@ func calibrationFigure(name, title string, tr *trace.Trace, node string,
 			"%s: calibration reduced the worst-case error from %.2fC to %.2fC (rmse %.3fC -> %.3fC) in %d solver replays.",
 			title, preMax, res.MaxAbs, preRMSE, res.RMSE, res.Evals),
 		Charts: []*stats.Chart{
-			{Title: title + ": temperatures (C)", Series: []*stats.Series{emulated, measured}},
+			{Title: title + ": temperatures (C)", Series: []*stats.Series{emulated[0], measured}},
 			{Title: title + ": driving utilization (%)", Series: []*stats.Series{util}, Height: 8},
 		},
 		Metrics: metrics,
@@ -147,23 +137,12 @@ func validationFigure(name, title, node string, pick func(*physical.Measurements
 	meas := physical.NewRefServer(refSeed).Replay(tr, 10*time.Second)
 	measured := pick(meas)
 
-	rmse, maxAbs, err := calibrate.Evaluate(fitted, tr,
+	emulated, rmse, maxAbs, err := calibrate.Evaluate(fitted, tr,
 		[]calibrate.Target{{Node: node, Measured: measured}})
 	if err != nil {
 		return nil, err
 	}
-	s, err := newSingleSolver(fitted)
-	if err != nil {
-		return nil, err
-	}
-	log, err := trace.Replay(s, tr, []trace.Probe{{Machine: validationMachine, Node: node}}, 10*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	emulated := stats.NewSeries("emulated")
-	for _, r := range log.Records {
-		emulated.Add(r.At, float64(r.Temp))
-	}
+	emulated[0].Name = "emulated"
 	measured.Name = "measured"
 
 	return &Result{
@@ -173,7 +152,7 @@ func validationFigure(name, title, node string, pick func(*physical.Measurements
 				"(rmse %.3fC) — the paper reports accuracy within 1C.",
 			title, maxAbs, rmse),
 		Charts: []*stats.Chart{
-			{Title: title + ": temperatures (C)", Series: []*stats.Series{emulated, measured}},
+			{Title: title + ": temperatures (C)", Series: []*stats.Series{emulated[0], measured}},
 		},
 		Metrics: map[string]float64{
 			"validation_rmse":   rmse,
@@ -193,8 +172,4 @@ func Fig7() (*Result, error) {
 func Fig8() (*Result, error) {
 	return validationFigure("fig8", "Figure 8 (disk validation)", model.NodeDiskPlatters,
 		func(m *physical.Measurements) *stats.Series { return m.Disk })
-}
-
-func newSingleSolver(m *model.Machine) (*solver.Solver, error) {
-	return solver.NewSingle(m.Clone(m.Name), solver.Config{})
 }

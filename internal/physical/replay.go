@@ -17,41 +17,21 @@ type Measurements struct {
 
 // Replay runs the reference machine through a utilization trace
 // (machine names in the trace are ignored; the reference machine is a
-// single box) and records sensor readings every sampleEvery of
-// emulated time.
+// single box) on the schedule of trace.Walk, and records sensor
+// readings every sampleEvery of emulated time.
 func (r *RefServer) Replay(tr *trace.Trace, sampleEvery time.Duration) *Measurements {
-	if sampleEvery <= 0 {
-		sampleEvery = 10 * time.Second
-	}
 	m := &Measurements{
 		CPUAir: stats.NewSeries("cpu_air measured"),
 		Disk:   stats.NewSeries("disk measured"),
 	}
-	sample := func(at time.Duration) {
+	// Neither callback fails, so neither does the walk.
+	_ = tr.Walk(r, sampleEvery, func(rec trace.Record) error {
+		r.SetUtilization(rec.Source, rec.Util)
+		return nil
+	}, func(at time.Duration) error {
 		m.CPUAir.Add(at, float64(r.ReadCPUAirSensor()))
 		m.Disk.Add(at, float64(r.ReadDiskSensor()))
-	}
-	idx := 0
-	apply := func(until time.Duration) {
-		for idx < len(tr.Records) && tr.Records[idx].At <= until {
-			rec := tr.Records[idx]
-			r.SetUtilization(rec.Source, rec.Util)
-			idx++
-		}
-	}
-	start := r.Now()
-	end := tr.Duration()
-	apply(0)
-	sample(0)
-	next := sampleEvery
-	for r.Now()-start < end {
-		r.Step()
-		now := r.Now() - start
-		apply(now)
-		if now >= next {
-			sample(now)
-			next += sampleEvery
-		}
-	}
+		return nil
+	})
 	return m
 }

@@ -10,14 +10,15 @@
 //
 //	<seconds> <machine> <source> <utilization>
 //
-// with non-decreasing timestamps. Temperature logs use the same shape
-// with a node name and a Celsius value.
+// with non-decreasing timestamps. A replay returns the probed
+// temperatures as one series per probe.
 package trace
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,6 +26,7 @@ import (
 
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/solver"
+	"github.com/darklab/mercury/internal/stats"
 	"github.com/darklab/mercury/internal/units"
 )
 
@@ -58,11 +60,14 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if len(fields) != 4 {
 			return nil, fmt.Errorf("trace: line %d: want 4 fields, got %d", lineNo, len(fields))
 		}
+		// A time.Duration holds under 2^63 ns; converting a float
+		// outside that range (or NaN) is implementation-defined.
 		secs, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || secs < 0 {
+		ns := secs * float64(time.Second)
+		if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
 			return nil, fmt.Errorf("trace: line %d: bad time %q", lineNo, fields[0])
 		}
-		at := time.Duration(secs * float64(time.Second))
+		at := time.Duration(ns)
 		if at < last {
 			return nil, fmt.Errorf("trace: line %d: timestamps must be non-decreasing", lineNo)
 		}
@@ -137,74 +142,6 @@ func (t *Trace) Replicate(mapping map[string][]string) *Trace {
 	return out
 }
 
-// TempRecord is one emulated temperature observation.
-type TempRecord struct {
-	At      time.Duration
-	Machine string
-	Node    string
-	Temp    units.Celsius
-}
-
-// TempLog is an ordered temperature log, the offline run's output.
-type TempLog struct {
-	Records []TempRecord
-}
-
-// Write serializes the log.
-func (l *TempLog) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# mercury temperature log")
-	fmt.Fprintln(bw, "# seconds machine node celsius")
-	for _, r := range l.Records {
-		if _, err := fmt.Fprintf(bw, "%g %s %s %.4f\n",
-			r.At.Seconds(), r.Machine, r.Node, float64(r.Temp)); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTempLog parses a temperature log.
-func ReadTempLog(r io.Reader) (*TempLog, error) {
-	l := &TempLog{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("trace: line %d: want 4 fields, got %d", lineNo, len(fields))
-		}
-		secs, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || secs < 0 {
-			return nil, fmt.Errorf("trace: line %d: bad time %q", lineNo, fields[0])
-		}
-		temp, err := strconv.ParseFloat(fields[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad temperature %q", lineNo, fields[3])
-		}
-		c := units.Celsius(temp)
-		if !c.Valid() {
-			return nil, fmt.Errorf("trace: line %d: invalid temperature %v", lineNo, temp)
-		}
-		l.Records = append(l.Records, TempRecord{
-			At:      time.Duration(secs * float64(time.Second)),
-			Machine: fields[1],
-			Node:    fields[2],
-			Temp:    c,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return l, nil
-}
-
 // Probe names a machine/node pair whose temperature an offline run
 // should record.
 type Probe struct {
@@ -212,65 +149,85 @@ type Probe struct {
 	Node    string
 }
 
-// Replay drives a solver through a trace: records are applied at their
-// timestamps as the solver steps, and every sampleEvery of emulated
-// time the probes' temperatures are appended to the returned log. The
-// run extends to the trace's duration (plus one sample). A nil or
-// empty probe list records nothing but still replays utilizations.
-func Replay(s *solver.Solver, tr *Trace, probes []Probe, sampleEvery time.Duration) (*TempLog, error) {
-	if sampleEvery <= 0 {
-		sampleEvery = time.Second
-	}
-	log := &TempLog{}
-	sample := func(at time.Duration) error {
-		for _, p := range probes {
-			temp, err := s.Temperature(p.Machine, p.Node)
-			if err != nil {
-				return err
-			}
-			log.Records = append(log.Records, TempRecord{At: at, Machine: p.Machine, Node: p.Node, Temp: temp})
-		}
-		return nil
-	}
+// Stepper is what a trace walk drives: a solver, or the reference
+// server that stands in for the measured machine.
+type Stepper interface {
+	Step()
+	Now() time.Duration
+}
 
+// Walk is the one schedule every offline replay follows, so that an
+// emulated and a measured run of the same trace are sampled at the same
+// instants. Times are relative to s.Now() at the start. The records at
+// time 0 are applied and a sample is taken before the first step; after
+// each step, the records with At at or before the time reached are
+// applied, and a sample is taken at the first step at or past each
+// multiple of every (default 1s). The walk stops once the trace's
+// duration is reached.
+func (t *Trace) Walk(s Stepper, every time.Duration, apply func(Record) error, sample func(at time.Duration) error) error {
+	if every <= 0 {
+		every = time.Second
+	}
 	idx := 0
-	apply := func(until time.Duration) error {
-		for idx < len(tr.Records) && tr.Records[idx].At <= until {
-			r := tr.Records[idx]
-			if err := s.SetUtilization(r.Machine, r.Source, r.Util); err != nil {
-				return fmt.Errorf("trace: replay at %v: %w", r.At, err)
+	applyUntil := func(until time.Duration) error {
+		for idx < len(t.Records) && t.Records[idx].At <= until {
+			if err := apply(t.Records[idx]); err != nil {
+				return err
 			}
 			idx++
 		}
 		return nil
 	}
-
-	start := s.Now()
-	end := tr.Duration()
-	nextSample := time.Duration(0)
-	if err := apply(0); err != nil {
-		return nil, err
+	start, end := s.Now(), t.Duration()
+	if err := applyUntil(0); err != nil {
+		return err
 	}
 	if err := sample(0); err != nil {
+		return err
+	}
+	next := every
+	for s.Now()-start < end {
+		s.Step()
+		now := s.Now() - start
+		if err := applyUntil(now); err != nil {
+			return err
+		}
+		if now >= next {
+			if err := sample(now); err != nil {
+				return err
+			}
+			next += every
+		}
+	}
+	return nil
+}
+
+// Replay walks a solver through a trace and returns one series per
+// probe, in probe order, of its temperatures sampled every sampleEvery
+// of emulated time. A nil or empty probe list records nothing but
+// still replays utilizations.
+func Replay(s *solver.Solver, tr *Trace, probes []Probe, sampleEvery time.Duration) ([]*stats.Series, error) {
+	series := make([]*stats.Series, len(probes))
+	for i, p := range probes {
+		series[i] = stats.NewSeries(p.Machine + "/" + p.Node)
+	}
+	err := tr.Walk(s, sampleEvery, func(r Record) error {
+		if err := s.SetUtilization(r.Machine, r.Source, r.Util); err != nil {
+			return fmt.Errorf("trace: replay at %v: %w", r.At, err)
+		}
+		return nil
+	}, func(at time.Duration) error {
+		for i, p := range probes {
+			temp, err := s.Temperature(p.Machine, p.Node)
+			if err != nil {
+				return err
+			}
+			series[i].Add(at, float64(temp))
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	nextSample += sampleEvery
-	for {
-		now := s.Now() - start
-		if now >= end {
-			break
-		}
-		s.Step()
-		now = s.Now() - start
-		if err := apply(now); err != nil {
-			return nil, err
-		}
-		if now >= nextSample {
-			if err := sample(now); err != nil {
-				return nil, err
-			}
-			nextSample += sampleEvery
-		}
-	}
-	return log, nil
+	return series, nil
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/solver"
+	"github.com/darklab/mercury/internal/stats"
 )
 
 const sample = `# a trace
@@ -49,6 +51,14 @@ func TestReadTraceErrors(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := ReadTrace(strings.NewReader(tc.src)); err == nil {
 			t.Errorf("%s: want error", tc.name)
+		}
+	}
+	// A time.Duration cannot hold these; they are bad times, not
+	// times out of order.
+	for _, secs := range []string{"NaN", "Inf", "1e10"} {
+		_, err := ReadTrace(strings.NewReader("0 m cpu 0.5\n" + secs + " m cpu 0.5\n"))
+		if want := "trace: line 2: bad time " + strconv.Quote(secs); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", secs, err, want)
 		}
 	}
 }
@@ -111,25 +121,29 @@ func TestReplayProducesLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := Replay(s, tr, []Probe{{Machine: "m1", Node: model.NodeCPU}}, 60*time.Second)
+	temps, err := Replay(s, tr, []Probe{{Machine: "m1", Node: model.NodeCPU}}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(temps) != 1 {
+		t.Fatalf("series = %d, want one per probe", len(temps))
+	}
 	// 600 s at one sample per minute: t=0..600 inclusive = 11 samples.
-	if len(log.Records) != 11 {
-		t.Fatalf("log records = %d, want 11", len(log.Records))
+	cpu := temps[0].Points
+	if len(cpu) != 11 {
+		t.Fatalf("samples = %d, want 11", len(cpu))
 	}
-	first, last := log.Records[0], log.Records[len(log.Records)-1]
-	if first.Temp != 21.6 {
-		t.Errorf("initial temp = %v", first.Temp)
+	first, last := cpu[0], cpu[len(cpu)-1]
+	if first.Value != 21.6 {
+		t.Errorf("initial temp = %v", first.Value)
 	}
-	if last.Temp <= first.Temp+10 {
-		t.Errorf("temperature did not rise under full load: %v -> %v", first.Temp, last.Temp)
+	if last.At != 600*time.Second || last.Value <= first.Value+10 {
+		t.Errorf("temperature did not rise under full load: %v -> %v at %v", first.Value, last.Value, last.At)
 	}
 	// Monotone rise toward steady state under constant full load.
-	for i := 1; i < len(log.Records); i++ {
-		if log.Records[i].Temp < log.Records[i-1].Temp {
-			t.Fatalf("non-monotone heating at %v", log.Records[i].At)
+	for i := 1; i < len(cpu); i++ {
+		if cpu[i].Value < cpu[i-1].Value {
+			t.Fatalf("non-monotone heating at %v", cpu[i].At)
 		}
 	}
 }
@@ -147,41 +161,6 @@ func TestReplayUnknownProbe(t *testing.T) {
 	s, _ := solver.NewSingle(model.DefaultServer("m1"), solver.Config{})
 	if _, err := Replay(s, tr, []Probe{{Machine: "m1", Node: "ghost"}}, time.Second); err == nil {
 		t.Error("unknown probe: want error")
-	}
-}
-
-func TestTempLogRoundTrip(t *testing.T) {
-	log := &TempLog{Records: []TempRecord{
-		{At: 0, Machine: "m1", Node: "cpu", Temp: 21.6},
-		{At: time.Minute, Machine: "m1", Node: "cpu", Temp: 35.1234},
-	}}
-	var buf bytes.Buffer
-	if err := log.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTempLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != 2 {
-		t.Fatalf("records = %d", len(got.Records))
-	}
-	if got.Records[1].Temp != 35.1234 {
-		t.Errorf("temp = %v", got.Records[1].Temp)
-	}
-}
-
-func TestReadTempLogErrors(t *testing.T) {
-	cases := []string{
-		"0 m cpu\n",
-		"x m cpu 20\n",
-		"0 m cpu cold\n",
-		"0 m cpu -400\n",
-	}
-	for _, src := range cases {
-		if _, err := ReadTempLog(strings.NewReader(src)); err == nil {
-			t.Errorf("%q: want error", src)
-		}
 	}
 }
 
@@ -203,26 +182,15 @@ func TestReplicatedClusterEmulation(t *testing.T) {
 	for i := range probes {
 		probes[i] = Probe{Machine: fmt.Sprintf("machine%d", i+1), Node: model.NodeCPU}
 	}
-	log, err := Replay(s, big, probes, 5*time.Minute)
+	temps, err := Replay(s, big, probes, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Final sample: all four machines at identical temperature.
-	finals := map[string]float64{}
-	for _, r := range log.Records {
-		if r.At == 5*time.Minute {
-			finals[r.Machine] = float64(r.Temp)
-		}
-	}
-	if len(finals) != 4 {
-		t.Fatalf("final samples = %v", finals)
-	}
-	for m, temp := range finals {
-		if temp != finals["machine1"] {
-			t.Errorf("%s = %v, differs from machine1 = %v", m, temp, finals["machine1"])
-		}
-		if temp <= 25 {
-			t.Errorf("%s = %v, want heated", m, temp)
+	final := func(i int) stats.Point { return temps[i].Points[temps[i].Len()-1] }
+	for i, p := range probes {
+		if got := final(i); got.At != 5*time.Minute || got.Value != final(0).Value || got.Value <= 25 {
+			t.Errorf("%s ends at %v with %v, want heated and equal to machine1's %v", p.Machine, got.At, got.Value, final(0).Value)
 		}
 	}
 }

@@ -207,8 +207,6 @@ type (
 	UtilTrace = trace.Trace
 	// UtilRecord is one trace record.
 	UtilRecord = trace.Record
-	// TempLog is a recorded temperature log.
-	TempLog = trace.TempLog
 	// Probe names a machine/node pair to record during replay.
 	Probe = trace.Probe
 )
@@ -217,7 +215,8 @@ type (
 var (
 	// ReadUtilTrace parses a utilization trace.
 	ReadUtilTrace = trace.ReadTrace
-	// Replay drives a solver through a trace, recording probes.
+	// Replay drives a solver through a trace and returns one
+	// temperature series per probe.
 	Replay = trace.Replay
 )
 

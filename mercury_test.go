@@ -7,7 +7,6 @@ import (
 
 	mercury "github.com/darklab/mercury"
 	"github.com/darklab/mercury/internal/dotlang"
-	"github.com/darklab/mercury/internal/trace"
 	"github.com/darklab/mercury/internal/wire"
 	"github.com/darklab/mercury/internal/workload"
 )
@@ -208,22 +207,14 @@ func TestFacadeOfflineTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := mercury.Replay(sol, tr, []mercury.Probe{{Machine: "m1", Node: mercury.NodeCPU}}, 30*time.Second)
+	temps, err := mercury.Replay(sol, tr, []mercury.Probe{{Machine: "m1", Node: mercury.NodeCPU}}, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(log.Records) != 5 {
-		t.Errorf("records = %d", len(log.Records))
+	if len(temps) != 1 || temps[0].Len() != 5 {
+		t.Fatalf("series = %d, want one of 5 samples", len(temps))
 	}
-	var buf strings.Builder
-	if err := log.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.ReadTempLog(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Records) != len(log.Records) {
-		t.Error("temp log round trip lost records")
+	if first, last := temps[0].Points[0], temps[0].Points[4]; last.At != 120*time.Second || last.Value <= first.Value {
+		t.Errorf("full load from %v to %v: %v -> %v", first.At, last.At, first.Value, last.Value)
 	}
 }

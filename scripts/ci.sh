@@ -216,10 +216,11 @@ stage_smoke() {
 }
 
 # fuzz: 30 s per target. Parsers and decoders (dotlang, the wire
-# formats, the flight-recorder reader) must never panic, and each
-# differential target must agree with its frozen reference in the
-# package's reference_test.go. The generated corpus lives in the build
-# cache's fuzz directory, which the workflow carries between runs.
+# formats, the flight-recorder reader, the utilization-trace reader)
+# must never panic, and each differential target must agree with its
+# frozen reference in the package's reference_test.go. The generated
+# corpus lives in the build cache's fuzz directory, which the workflow
+# carries between runs.
 # The minimizer gets 200 execs per new input, not its default 60 s,
 # which on two cores spent most of a target's 30 s:
 # FuzzBalancerDifferential ran 7 181 execs in 30 s with the default and
@@ -232,7 +233,8 @@ stage_fuzz() {
 		wire:FuzzUnmarshalListReply wire:FuzzUnmarshalBoundaryExchange wire:FuzzUnmarshalUtilBatch \
 		wire:FuzzUnmarshalSensorReadMany wire:FuzzUnmarshalSensorReplyMany wire:FuzzUtilReportDifferential \
 		recordlog:FuzzReadRecord recordlog:FuzzCodecDifferential \
-		model:FuzzValidateDifferential lvs:FuzzBalancerDifferential workload:FuzzWebGen; do
+		model:FuzzValidateDifferential lvs:FuzzBalancerDifferential workload:FuzzWebGen \
+		trace:FuzzReadTrace; do
 		pkg=${spec%%:*} t=${spec#*:}
 		go test "./internal/$pkg" -run='^$' -fuzz="^$t\$" -fuzztime=30s -fuzzminimizetime=200x
 	done
