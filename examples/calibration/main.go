@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 	"time"
 
 	mercury "github.com/darklab/mercury"
@@ -38,8 +39,13 @@ func main() {
 	}
 	fmt.Printf("calibrated in %d solver replays: worst-case error %.2fC (rmse %.3fC)\n",
 		result.Evals, result.MaxAbs, result.RMSE)
-	for name, v := range result.Params {
-		fmt.Printf("  fitted %-12s = %.4f\n", name, v)
+	names := make([]string, 0, len(result.Params))
+	for name := range result.Params {
+		names = append(names, name)
+	}
+	slices.Sort(names) // a map's order changes from run to run
+	for _, name := range names {
+		fmt.Printf("  fitted %-12s = %.4f\n", name, result.Params[name])
 	}
 
 	// 3. Validate on a workload the calibration never saw, with no

@@ -303,7 +303,8 @@ func driveBoth(rng *rand.Rand, kind string, w *Writer, ref *refWriter, clk *cloc
 		w.RecordBoundary(tick, region, idx, temps)
 		ref.boundary(tick, region, idx, temps)
 	case "META":
-		step, machines := time.Duration(rng.Uint64()), rng.Intn(1<<34)
+		// rng.Intn(1<<34)'s draw, which int holds only where it is 64 bits.
+		step, machines := time.Duration(rng.Uint64()), int(rng.Int63n(1<<34))
 		w.RecordMeta(step, machines)
 		ref.meta(step, machines)
 	}

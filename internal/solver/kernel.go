@@ -50,10 +50,14 @@ import (
 // (laneSet): a block of four machines that share one set reads that
 // set's broadcast copy, and any other block reads an interleaved copy
 // of its own, which a rebind rebuilds in place. Idle lanes read zero
-// coefficients and nothing reads their results. Each lane performs exactly the expressions, in exactly the
-// order, of stepping its machine alone. Every product that feeds a sum
-// is written float64(x*y), which the Go specification forbids fusing
-// into a multiply-add, so the bits are the same on every architecture.
+// coefficients and nothing reads their results. Each lane performs
+// exactly the expressions, in exactly the order, of stepping its
+// machine alone. Every product that feeds a sum is written
+// float64(x*y), which the Go specification forbids fusing into a
+// multiply-add, so the bits are the same on every architecture. Where
+// the CPU has AVX, the same function runs as assembly, one instruction
+// per row of four lanes and two blocks per call (kernel_amd64.go);
+// stepBlock stays its reference.
 //
 // Invalidation rules:
 //
@@ -120,6 +124,8 @@ type kernelShape struct {
 	inletIdx   int
 	airSteps   []int32 // airOrder minus the inlet node
 	exhaustIdx []int32
+
+	kern shapeKern // the AVX kernel's offsets (compileKern), with AVX
 }
 
 // bases locates one machine's window in each machine-major array; a
@@ -197,6 +203,7 @@ type room struct {
 	ms     []machine
 	sets   setTable
 	blocks []block
+	kerns  []blockKern // with AVX, the kernel's pointers of each block (bindKern)
 
 	temps    [][4]float64 // block rows, one per node
 	draws    [][4]float64 // block rows, one per component: watts for the next step
@@ -433,6 +440,9 @@ func compileShape(m *model.Machine) (*kernelShape, error) {
 			sh.airSteps = append(sh.airSteps, int32(n))
 		}
 	}
+	if haveAVX {
+		sh.compileKern()
+	}
 	return sh, nil
 }
 
@@ -615,6 +625,7 @@ func (s *coefSet) compile() {
 // laneSet is what the kernel reads of four lanes' sets: every
 // coefficient as a [4]float64, lane l's from lane l's set.
 type laneSet struct {
+	rows       [][4]float64  // every row below, in this order, one window
 	heatK      [][4]float64  // heat edges, model order
 	invThermal [][4]float64  // components
 	coupleK    [][4]float64  // couples
@@ -653,10 +664,8 @@ func (ls *laneSet) setLane(l int, s *coefSet) {
 
 // clearLane makes lane l's coefficients zero.
 func (ls *laneSet) clearLane(l int) {
-	for _, rows := range [...][][4]float64{ls.heatK, ls.invThermal, ls.coupleK, ls.flowW, ls.exhaustW} {
-		for i := range rows {
-			rows[i][l] = 0
-		}
+	for i := range ls.rows {
+		ls.rows[i][l] = 0
 	}
 	for j := range ls.airCoefs {
 		lc := &ls.airCoefs[j]
@@ -764,9 +773,11 @@ func (t *setTable) newLaneSet(sh *kernelShape) *laneSet {
 		t.laneSlab = make([][4]float64, 0, t.laneSlabSets*rows)
 		t.laneCoefSlab = make([]laneAirCoef, 0, t.laneSlabSets*steps)
 	}
-	ls := &laneSet{airCoefs: carve(&t.laneCoefSlab, steps)}
+	ls := &laneSet{rows: carve(&t.laneSlab, rows), airCoefs: carve(&t.laneCoefSlab, steps)}
+	lo := 0
 	for i, dst := range [...]*[][4]float64{&ls.heatK, &ls.invThermal, &ls.coupleK, &ls.flowW, &ls.exhaustW} {
-		*dst = carve(&t.laneSlab, lens[i])
+		*dst = ls.rows[lo : lo+lens[i] : lo+lens[i]]
+		lo += lens[i]
 	}
 	return ls
 }
@@ -901,7 +912,7 @@ const offFanFraction = 0.1
 // set changes after New (kernel.go's invalidation rules).
 func (r *room) bind(mi int) {
 	r.bindSet(mi)
-	r.bindBlock(&r.blocks[r.ms[mi].blk])
+	r.bindBlock(r.ms[mi].blk)
 }
 
 // bindSet moves machine mi to the set of the staged constants.
@@ -920,7 +931,9 @@ func (r *room) bindSet(mi int) {
 // interleaved copy, rebuilt in place. An idle lane's coefficients are
 // zero, so it holds its temperatures and takes none of the air steps'
 // divisions, which a lone machine's block would otherwise wait on.
-func (r *room) bindBlock(b *block) {
+// With AVX it rebinds the kernel's pointers too.
+func (r *room) bindBlock(bi int32) {
+	b := &r.blocks[bi]
 	set := r.ms[b.ms[0]].set
 	shared := b.lanes == 4
 	for _, mi := range b.ms[1:b.lanes] {
@@ -928,18 +941,21 @@ func (r *room) bindBlock(b *block) {
 	}
 	if shared {
 		b.coef = r.sets.lanes(set)
-		return
+	} else {
+		if b.own == nil {
+			b.own = r.sets.newLaneSet(b.shape)
+		}
+		for l, mi := range b.ms[:b.lanes] {
+			b.own.setLane(l, r.ms[mi].set)
+		}
+		for l := int(b.lanes); l < 4; l++ {
+			b.own.clearLane(l)
+		}
+		b.coef = b.own
 	}
-	if b.own == nil {
-		b.own = r.sets.newLaneSet(b.shape)
+	if haveAVX {
+		r.bindKern(bi)
 	}
-	for l, mi := range b.ms[:b.lanes] {
-		b.own.setLane(l, r.ms[mi].set)
-	}
-	for l := int(b.lanes); l < 4; l++ {
-		b.own.clearLane(l)
-	}
-	b.coef = b.own
 }
 
 // refreshDraws recomputes machine mi's draws from its power state,
@@ -965,6 +981,16 @@ func (r *room) refreshDraws(mi int) {
 		rows[i][l] = draw
 	}
 	r.stale[mi] = false
+}
+
+// Kernel names the step kernel this process runs: "avx" where the CPU
+// and OS support AVX (kernel_amd64.go), else "portable" (stepBlock).
+// Both give the same bits; only the speed differs.
+func Kernel() string {
+	if haveAVX {
+		return "avx"
+	}
+	return "portable"
 }
 
 // stepBlock performs the heat-flow and intra-machine air-flow

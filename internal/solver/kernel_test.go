@@ -22,7 +22,7 @@ func rebuildCaches(t *testing.T, s *Solver) {
 		set.compile()
 	}
 	for i := range s.blocks {
-		s.bindBlock(&s.blocks[i])
+		s.bindBlock(int32(i))
 	}
 	for mi := range s.ms {
 		s.refreshDraws(mi)

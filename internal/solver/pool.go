@@ -38,23 +38,25 @@ import (
 // (TestShardPartition). New groups a shard's machines by shape, in
 // shard order, into blocks of four lanes (layBlocks): the shard steps
 // blocks[0]..blocks[1] of room.blocks, and idx lists its machines in
-// block order. The kernel's scratch, netQ, is owned by the shard's
-// participant so machines carry none of their own.
+// block order. The kernel's scratch, netQ, and the second block's of a
+// two-block AVX call, pairQ, are owned by the shard's participant so
+// machines carry none of their own.
 type shard struct {
-	idx    []int32
-	blocks [2]int32
-	netQ   [][4]float64
+	idx         []int32
+	blocks      [2]int32
+	netQ, pairQ [][4]float64
 }
 
 // rowPad is two [4]float64 rows: one 64-byte cache line.
 const rowPad = 2
 
-// allocScratch gives the shard the kernel's scratch for machines of up
-// to nodes nodes, padded by a cache line at each end so no other
-// shard's scratch shares a line with it.
+// allocScratch gives the shard the kernel's scratch for two blocks of
+// machines of up to nodes nodes, in one buffer padded by a cache line
+// at each end so no other shard's scratch shares a line with it.
 func (sh *shard) allocScratch(nodes int) {
-	buf := make([][4]float64, rowPad+nodes+rowPad)
+	buf := make([][4]float64, rowPad+2*nodes+rowPad)
 	sh.netQ = buf[rowPad : rowPad+nodes : rowPad+nodes]
+	sh.pairQ = buf[rowPad+nodes : rowPad+2*nodes : rowPad+2*nodes]
 }
 
 // layBlocks lays the room out in blocks: each shard's machines grouped
@@ -112,8 +114,11 @@ func (s *solverCore) layBlocks() {
 	lay(remote)
 	s.temps = make([][4]float64, node)
 	s.draws = make([][4]float64, comp)
+	if haveAVX {
+		s.kerns = make([]blockKern, len(s.blocks))
+	}
 	for i := range s.blocks {
-		s.bindBlock(&s.blocks[i])
+		s.bindBlock(int32(i))
 	}
 }
 

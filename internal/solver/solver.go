@@ -597,13 +597,18 @@ func (s *solverCore) runInletPhase(sh int) {
 // that is +0 when it is zero, so a zero it writes does not depend on
 // the signs of the zeros it read: the last step already wrote each zero
 // as this one writes it. Its energy accrues by the additions
-// stepQuiescent makes. Each shard tracks its own maximum
+// stepQuiescent makes. With AVX (kernel_amd64.go) a busy block waits
+// for the next busy block of its shape and the two step in one call;
+// a block whose next busy block has another shape, or that has none,
+// steps alone. Blocks share nothing within the phase, so the order in
+// which they step does not matter. Each shard tracks its own maximum
 // temperature delta; the reduction in stepN is order-independent, so
 // steady-state detection is deterministic across worker counts. The
 // kernel's scratch is the shard's own.
 func (s *solverCore) runStepPhase(sh int) {
 	var d float64
 	shd := &s.shards[sh]
+	held := int32(-1) // with AVX: the busy block waiting for a partner
 	for bi := shd.blocks[0]; bi < shd.blocks[1]; bi++ {
 		b := &s.blocks[bi]
 		ms := b.ms[:b.lanes]
@@ -614,19 +619,38 @@ func (s *solverCore) runStepPhase(sh int) {
 			}
 			busy = busy || !s.quiet[mi] || s.dirty[mi]
 		}
-		if !busy {
+		switch {
+		case !busy:
 			for _, mi := range ms {
 				s.stepQuiescent(int(mi), s.dt)
 			}
-			continue
-		}
-		ds := s.stepBlock(b, s.dt, shd.netQ)
-		for l, mi := range ms {
-			s.quiet[mi], s.dirty[mi] = ds[l] == 0, false
-			if ds[l] > d {
-				d = ds[l]
-			}
+		case !haveAVX:
+			d = s.settle(b, s.stepBlock(b, s.dt, shd.netQ), d)
+		case held < 0:
+			held = bi
+		case s.blocks[held].shape != b.shape:
+			d = s.settle(&s.blocks[held], s.stepOne(held, shd), d)
+			held = bi
+		default:
+			da, db := s.stepTwo(held, bi, shd)
+			d = s.settle(b, db, s.settle(&s.blocks[held], da, d))
+			held = -1
 		}
 	}
+	if held >= 0 {
+		d = s.settle(&s.blocks[held], s.stepOne(held, shd), d)
+	}
 	s.deltas[sh].v = d
+}
+
+// settle records that block b stepped with lane l's largest change
+// ds[l], and returns the largest of d and the ds of b's machines.
+func (s *solverCore) settle(b *block, ds [4]float64, d float64) float64 {
+	for l, mi := range b.ms[:b.lanes] {
+		s.quiet[mi], s.dirty[mi] = ds[l] == 0, false
+		if ds[l] > d {
+			d = ds[l]
+		}
+	}
+	return d
 }

@@ -768,6 +768,11 @@ type StateSnapshot struct {
 	FiddleOps   uint64 `json:"fiddle_ops"`
 	Malformed   uint64 `json:"malformed"`
 
+	// Kernel names the solver's step kernel, "avx" or "portable"
+	// (solver.Kernel): the two give the same bits, and a step-rate
+	// figure read from a host without AVX explains itself.
+	Kernel string `json:"kernel"`
+
 	// Region/Regions label this daemon's shard of a partitioned
 	// cluster; Regions is 0 for an unpartitioned run.
 	Region  int `json:"region"`
@@ -802,6 +807,7 @@ func (s *Server) State() StateSnapshot {
 		SensorReads: s.stats.SensorReads.Load(),
 		FiddleOps:   s.stats.FiddleOps.Load(),
 		Malformed:   s.stats.Malformed.Load(),
+		Kernel:      solver.Kernel(),
 		Machines:    map[string]map[string]float64{},
 	}
 	snap.Region, snap.Regions = s.sol.Region()

@@ -63,6 +63,19 @@ func TestSensorReadOverUDP(t *testing.T) {
 	}
 }
 
+// TestStateNamesKernel: /state names the step kernel, as solver.Kernel
+// does.
+func TestStateNamesKernel(t *testing.T) {
+	srv, _ := startServer(t)
+	got := srv.State().Kernel
+	if got != "avx" && got != "portable" {
+		t.Fatalf("State().Kernel = %q, want avx or portable", got)
+	}
+	if want := solver.Kernel(); got != want {
+		t.Errorf("State().Kernel = %q, solver.Kernel() = %q", got, want)
+	}
+}
+
 func TestSensorOpenUnknownNode(t *testing.T) {
 	_, addr := startServer(t)
 	if _, err := sensor.Open(addr, "machine1", "ghost"); err == nil {

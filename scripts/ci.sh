@@ -17,7 +17,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # lint: build, vet, gofmt, the reachability census and the fused
-# multiply-add tripwire.
+# multiply-add tripwire, over compiler listings and hand-written
+# assembly.
 stage_lint() {
 	go build ./...
 	go vet ./...
@@ -53,6 +54,16 @@ stage_lint() {
 			return 1
 		fi
 	done
+	# No listing holds a .s file, so hand-written assembly (the AVX step
+	# kernel, internal/solver/kernel_amd64.s) is read as written: no
+	# fused multiply-add mnemonic (VFMADD231PD, FMSUBD, VFNMADD..., ...)
+	# in any .s file of the module.
+	local sfiles
+	sfiles="$(find . -name '*.s' -not -path './.git/*')"
+	if [ -n "$sfiles" ] && grep -nE '\bV?FN?M(ADD|SUB)' $sfiles; then
+		echo "fused multiply-add in hand-written assembly" >&2
+		return 1
+	fi
 }
 
 # unit: the whole suite, then one iteration of every room-kernel size
@@ -90,6 +101,34 @@ stage_full-size() {
 			echo "$w GOMAXPROCS=$procs"
 			GOMAXPROCS=$procs go run ./benchmarks -workload "$w" -seconds 3
 		done
+	done
+}
+
+# cross-arch: the whole suite built for GOARCH=386 (ROADMAP item 21),
+# then every benchmark workload at its -quick size, seed 1, built for
+# the host and for 386, which must print one sim_digest. amd64 runs
+# every golden through the AVX step kernel where the CPU has AVX; 386
+# has no AVX kernel, so here the goldens and digests come from the
+# portable stepBlock, and a golden that only one kernel meets fails one
+# stage or the other.
+stage_cross-arch() {
+	GOARCH=386 go test ./...
+	trap cleanup EXIT
+	trap 'exit 1' INT TERM
+	tmp="$(mktemp -d)"
+	go build -o "$tmp/bench-host" ./benchmarks
+	GOARCH=386 go build -o "$tmp/bench-386" ./benchmarks
+	local names='import json, sys; print("\n".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))'
+	local w host other
+	for w in $(python3 -c "$names" BENCHMARK.json); do
+		# Captures go under the working directory, so run from $tmp.
+		host="$(cd "$tmp" && ./bench-host -workload "$w" -quick -seed 1 | sed -n 's/^sim_digest //p')"
+		other="$(cd "$tmp" && ./bench-386 -workload "$w" -quick -seed 1 | sed -n 's/^sim_digest //p')"
+		echo "$w: host $host, 386 $other"
+		if [ -z "$host" ] || [ "$host" != "$other" ]; then
+			echo "::error::$w simulates differently on 386" >&2
+			return 1
+		fi
 	done
 }
 
@@ -217,8 +256,10 @@ stage_smoke() {
 
 # fuzz: 30 s per target. Parsers and decoders (dotlang, the wire
 # formats, the flight-recorder reader, the utilization-trace reader)
-# must never panic, and each differential target must agree with its
-# frozen reference in the package's reference_test.go. The generated
+# must never panic, each differential target must agree with its
+# frozen reference in the package's reference_test.go, and the AVX step
+# kernel with the portable one (FuzzStepKernels, which skips on a CPU
+# without AVX). The generated
 # corpus lives in the build cache's fuzz directory, which the workflow
 # carries between runs.
 # The minimizer gets 200 execs per new input, not its default 60 s,
@@ -234,7 +275,7 @@ stage_fuzz() {
 		wire:FuzzUnmarshalSensorReadMany wire:FuzzUnmarshalSensorReplyMany wire:FuzzUtilReportDifferential \
 		recordlog:FuzzReadRecord recordlog:FuzzCodecDifferential \
 		model:FuzzValidateDifferential lvs:FuzzBalancerDifferential workload:FuzzWebGen \
-		trace:FuzzReadTrace; do
+		trace:FuzzReadTrace solver:FuzzStepKernels; do
 		pkg=${spec%%:*} t=${spec#*:}
 		go test "./internal/$pkg" -run='^$' -fuzz="^$t\$" -fuzztime=30s -fuzzminimizetime=200x
 	done

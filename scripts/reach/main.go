@@ -386,6 +386,7 @@ func definedSymbols(nm []byte) []string {
 //	mod/internal/x.(*T).M, x.T.M        -> internal/x.T.M
 //	mod/internal/x.(*T[go.shape.int]).M -> internal/x.T.M
 //	mod/internal/x.F.func1.2, x.F.gowrap1, x.T.M-fm -> the enclosing F or T.M
+//	mod/internal/x.F.abi0               -> internal/x.F (a function in assembly)
 //
 // A closure, go/defer wrapper or method value is linked only from the
 // body of its enclosing function, so it marks that function live. The
@@ -395,6 +396,7 @@ func definedSymbols(nm []byte) []string {
 func symbolKey(sym, module string) (string, bool) {
 	sym = stripBrackets(sym)
 	sym = strings.TrimSuffix(sym, "-fm")
+	sym = strings.TrimSuffix(sym, ".abi0")
 	if !strings.HasPrefix(sym, module) {
 		return "", false
 	}

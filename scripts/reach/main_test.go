@@ -32,6 +32,7 @@ func TestSymbolKey(t *testing.T) {
 		{"example.com/m/lib.V.Live.func1", "lib.V.Live"},
 		{"example.com/m/lib.Map[go.shape.int].func1", "lib.Map"},
 		{"example.com/m/a/b.T.M", "a/b.T.M"},
+		{"example.com/m/lib.Asm.abi0", "lib.Asm"},
 		// Not a function of the module.
 		{"example.com/mother/x.F", ""},
 		{"example.com/m/lib..dict.Map[int]", ""},
